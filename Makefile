@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-scaling cover fuzz-smoke fmt vet lint lint-phttp check trace-cache scenarios-smoke chaos slo multife
+.PHONY: all build test race bench bench-smoke bench-scaling benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check trace-cache scenarios-smoke chaos slo multife
 
 all: build
 
@@ -83,13 +83,23 @@ cover:
 	$(GO) test -count=1 -coverprofile=cover.out -coverpkg=./internal/... ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Short coverage-guided runs of the httpmsg parser fuzz targets; CI runs
-# the same on each push. Longer local sessions: go test -fuzz <target>
-# -fuzztime 5m ./internal/httpmsg/
+# Short coverage-guided runs of the fuzz targets of every parser that
+# faces a socket — the httpmsg request/response parsers and the control
+# line between front-end and back-ends; CI runs the same on each push.
+# Longer local sessions: go test -fuzz <target> -fuzztime 5m <package>
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadRequest$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadRequestInterned$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadResponse$$' -fuzztime=10s ./internal/httpmsg/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseCtrl$$' -fuzztime=10s ./internal/cluster/
+
+# The benchmark (BENCHMARK.json, benchmark/) is a module of its own,
+# outside `go test ./...`: compile and vet it against this tree, run its
+# tests, and run every workload once at a tenth of its size with all
+# correctness checks on. CI runs the same on each push.
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh --smoke
 
 # Tail-latency acceptance: the SLO-gated builtin scenarios (each run
 # exits non-zero when its p99 target or violation budget is broken) plus

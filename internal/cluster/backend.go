@@ -2,11 +2,12 @@ package cluster
 
 import (
 	"bufio"
-	"errors"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"phttp/internal/core"
@@ -110,24 +111,19 @@ type Backend struct {
 	peersMu sync.Mutex
 	peers   map[core.NodeID]*peerPool
 
-	served  int64
-	servedM sync.Mutex
+	// served counts the 200 responses written to clients. It is raised
+	// before a response's bytes can go out and lowered again if the write
+	// fails: a client that has read a complete response can then never
+	// observe a Served() count that has not caught up yet (drivers assert
+	// the count the moment the load generator returns).
+	served atomic.Int64
+	// aborted counts the connections this node ended itself: a client
+	// refused for not reading, a response that could not be written.
+	aborted atomic.Int64
 
 	closed  chan struct{}
 	closeMu sync.Once
 	wg      sync.WaitGroup
-}
-
-// beConn is one client connection owned by this back-end (after handoff) or
-// relayed through the front-end.
-type beConn struct {
-	id    core.ConnID
-	queue chan ctrlMsg
-
-	outMu    sync.Mutex
-	out      net.Conn // handed-off client socket (nil for relay)
-	relay    bool
-	outReady chan struct{}
 }
 
 // NewBackend starts a back-end node: control, handoff and peer listeners
@@ -189,27 +185,11 @@ func (b *Backend) HandoffPath() string { return b.cfg.HandoffSocket }
 func (b *Backend) Store() *DocStore { return b.store }
 
 // Served returns the number of responses this node has written to clients.
-func (b *Backend) Served() int64 {
-	b.servedM.Lock()
-	defer b.servedM.Unlock()
-	return b.served
-}
+func (b *Backend) Served() int64 { return b.served.Load() }
 
-// addServed is called before the response bytes go out and subServed backs
-// it out if the write fails: a client that has read a complete response can
-// then never observe a Served() count that has not caught up yet (drivers
-// assert the count the moment the load generator returns).
-func (b *Backend) addServed() {
-	b.servedM.Lock()
-	b.served++
-	b.servedM.Unlock()
-}
-
-func (b *Backend) subServed() {
-	b.servedM.Lock()
-	b.served--
-	b.servedM.Unlock()
-}
+// Aborted returns the number of connections this node ended itself: clients
+// refused for not reading, and responses that could not be written.
+func (b *Backend) Aborted() int64 { return b.aborted.Load() }
 
 // SetPeers wires the lateral-fetch clients to the other nodes' peer
 // addresses. Must be called before traffic that forwards.
@@ -293,7 +273,7 @@ func (b *Backend) acceptCtrl() {
 }
 
 func (b *Backend) serveCtrlConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, ctrlBufBytes)
 	hello, err := br.ReadString('\n')
 	if err != nil {
 		conn.Close()
@@ -328,85 +308,60 @@ func (b *Backend) serveCtrlConn(conn net.Conn) {
 	}
 }
 
-// ctrlLoop consumes control messages from the front-end.
+// ctrlLoop consumes control messages from the front-end. A pipelined batch
+// arrives as one read; each line is parsed in place, its target resolved
+// against the document table while it is still bytes in the read buffer,
+// and the result queued on its connection. The connection is woken once
+// the lines already read hold nothing more for it, so its serve goroutine
+// finds the whole batch. Nothing here waits on a client: a connection that
+// cannot take more is refused (see enqueue).
 func (b *Backend) ctrlLoop(br *bufio.Reader) {
+	var queued *beConn // has entries its serve goroutine was not told about
 	for {
+		if queued != nil && !lineBuffered(br) {
+			queued.q.signal() // the next read may block
+			queued = nil
+		}
 		msg, err := readCtrl(br)
 		if err != nil {
+			if queued != nil {
+				queued.q.signal()
+			}
 			return
 		}
+		var c *beConn
 		switch msg.Kind {
-		case "REQ":
-			c := b.getConn(msg.Conn, false)
-			select {
-			case c.queue <- msg:
-			case <-b.closed:
-				return
+		case kindReq:
+			dc := b.store.lookup(msg.Target)
+			if dc == nil {
+				dc = &doc{target: core.Target(msg.Target), missing: true}
 			}
-		case "RELAY":
-			b.getConn(msg.Conn, true)
-		case "CLOSE":
-			c := b.getConn(msg.Conn, false)
-			select {
-			case c.queue <- msg:
-			case <-b.closed:
-				return
-			}
+			c = b.enqueue(msg.Conn, beReq{
+				kind: kindReq, proto: msg.Proto, keep: msg.Keep,
+				seq: msg.Seq, remote: msg.Remote, doc: dc,
+			})
+		case kindRelay:
+			b.connMu.Lock()
+			b.connLocked(msg.Conn, true)
+			b.connMu.Unlock()
+			continue
+		case kindClose:
+			c = b.enqueue(msg.Conn, beReq{kind: kindClose})
+		default:
+			continue
 		}
+		if queued != nil && queued != c {
+			queued.q.signal()
+		}
+		queued = c
 	}
 }
 
-// getConn returns the connection record, creating it (and its serve
-// goroutine) on first reference.
-func (b *Backend) getConn(id core.ConnID, relay bool) *beConn {
-	b.connMu.Lock()
-	defer b.connMu.Unlock()
-	if c, ok := b.conns[id]; ok {
-		return c
-	}
-	c := &beConn{
-		id:       id,
-		queue:    make(chan ctrlMsg, 256),
-		relay:    relay,
-		outReady: make(chan struct{}),
-	}
-	if relay {
-		close(c.outReady)
-	}
-	b.conns[id] = c
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		b.serveConn(c)
-	}()
-	return c
-}
-
-func (b *Backend) dropConn(id core.ConnID) {
-	b.connMu.Lock()
-	delete(b.conns, id)
-	b.connMu.Unlock()
-}
-
-// setWriter installs the handed-off client socket on the connection.
-func (c *beConn) setWriter(conn net.Conn) {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	if c.out != nil {
-		conn.Close() // duplicate handoff; keep the first
-		return
-	}
-	c.out = conn
-	close(c.outReady)
-}
-
-func (c *beConn) closeOut() {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	if c.out != nil {
-		c.out.Close()
-		c.out = nil
-	}
+// lineBuffered reports whether br already holds a complete line, i.e.
+// whether the next readCtrl returns without reading from the connection.
+func lineBuffered(br *bufio.Reader) bool {
+	buffered, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(buffered, '\n') >= 0
 }
 
 // acceptHandoff receives handed-off client connections from the front-end.
@@ -434,160 +389,12 @@ func (b *Backend) acceptHandoff() {
 				// module takes over the connection and creates the
 				// server-side socket state.
 				b.cpu.use(b.cfg.Costs.HandoffBE + b.cfg.Costs.ConnSetup)
-				b.getConn(id, false).setWriter(conn)
+				b.connMu.Lock()
+				b.connLocked(id, false).setWriter(conn)
+				b.connMu.Unlock()
 			}
 		}()
 	}
-}
-
-// serveConn processes one connection's request queue in order, writing
-// responses directly to the client socket (or relay frames to the
-// front-end).
-func (b *Backend) serveConn(c *beConn) {
-	select {
-	case <-c.outReady:
-	case <-b.closed:
-		return
-	}
-	for {
-		select {
-		case msg := <-c.queue:
-			switch msg.Kind {
-			case "REQ":
-				if err := b.serveRequest(c, msg); err != nil {
-					c.closeOut()
-					b.dropConn(c.id)
-					return
-				}
-			case "CLOSE":
-				b.cpu.use(b.cfg.Costs.ConnTeardown)
-				c.closeOut()
-				b.dropConn(c.id)
-				return
-			}
-		case <-b.closed:
-			c.closeOut()
-			b.dropConn(c.id)
-			return
-		}
-	}
-}
-
-// serveRequest produces one response: locally (cache/disk) or via a lateral
-// fetch from the tagged peer, then transmits it in request order. CPU
-// charges are consolidated into one gate visit per request so the host's
-// sleep granularity does not multiply with the number of cost components.
-func (b *Backend) serveRequest(c *beConn, msg ctrlMsg) error {
-	costs := b.cfg.Costs
-
-	if msg.Remote != core.NoNode && msg.Remote != b.cfg.ID {
-		return b.serveForwarded(c, msg)
-	}
-
-	size, err := b.store.Open(msg.Target)
-	if err != nil {
-		b.cpu.use(costs.PerRequest)
-		return b.writeError(c, msg, 404)
-	}
-	b.cpu.use(costs.PerRequest + costs.Transmit(size))
-	b.addServed()
-	if err := b.writeResponse(c, msg, size, func(w io.Writer) error {
-		return WriteContent(w, msg.Target, size)
-	}); err != nil {
-		b.subServed()
-		return err
-	}
-	return nil
-}
-
-// serveForwarded performs the lateral fetch: request the content from the
-// tagged back-end over a persistent peer connection and forward it on the
-// client connection.
-func (b *Backend) serveForwarded(c *beConn, msg ctrlMsg) error {
-	costs := b.cfg.Costs
-	b.peersMu.Lock()
-	peer := b.peers[msg.Remote]
-	b.peersMu.Unlock()
-	if peer == nil {
-		return b.writeError(c, msg, 502)
-	}
-	size, body, err := peer.fetch(msg.Target)
-	if err != nil {
-		// The peer may have died; surface a gateway error rather than
-		// wedging the client connection.
-		return b.writeError(c, msg, 502)
-	}
-	defer body.Close()
-	b.cpu.use(costs.PerRequest + costs.ForwardPerRequest +
-		costs.ForwardRecv(size) + costs.Transmit(size))
-	b.addServed()
-	if err := b.writeResponse(c, msg, size, func(w io.Writer) error {
-		_, err := io.CopyN(w, body, size)
-		return err
-	}); err != nil {
-		b.subServed()
-		return err
-	}
-	return nil
-}
-
-// writeResponse writes status 200 with the given body producer, either to
-// the handed-off socket or as a relay frame.
-func (b *Backend) writeResponse(c *beConn, msg ctrlMsg, size int64, body func(io.Writer) error) error {
-	head := httpmsg.ResponseHead(msg.Proto, 200, size, msg.Keep)
-	if c.relay {
-		return b.writeRelayFrame(c, msg, head, size, body)
-	}
-	c.outMu.Lock()
-	out := c.out
-	c.outMu.Unlock()
-	if out == nil {
-		return errors.New("cluster: response with no client socket")
-	}
-	return writeBuffered(out, head, body, int64(len(head))+size)
-}
-
-// writeError emits a minimal error response.
-func (b *Backend) writeError(c *beConn, msg ctrlMsg, status int) error {
-	text := httpmsg.StatusText(status) + "\n"
-	head := httpmsg.ResponseHead(msg.Proto, status, int64(len(text)), msg.Keep)
-	if c.relay {
-		return b.writeRelayFrame(c, msg, head, int64(len(text)), func(w io.Writer) error {
-			_, err := io.WriteString(w, text)
-			return err
-		})
-	}
-	c.outMu.Lock()
-	out := c.out
-	c.outMu.Unlock()
-	if out == nil {
-		return errors.New("cluster: response with no client socket")
-	}
-	_, err := io.WriteString(out, head+text)
-	return err
-}
-
-// writeRelayFrame ships a framed response to the front-end's data
-// connection: "RESP <connID> <seq> <len>\n" + len raw HTTP bytes.
-func (b *Backend) writeRelayFrame(c *beConn, msg ctrlMsg, head string, size int64, body func(io.Writer) error) error {
-	b.dataMu.Lock()
-	defer b.dataMu.Unlock()
-	if b.data == nil {
-		return errors.New("cluster: relay response with no data connection")
-	}
-	total := int64(len(head)) + size
-	cw := newChunkWriter(b.data, total+64)
-	defer cw.release()
-	if _, err := fmt.Fprintf(cw, "RESP %d %d %d\n", c.id, msg.Seq, total); err != nil {
-		return err
-	}
-	if _, err := cw.WriteString(head); err != nil {
-		return err
-	}
-	if err := body(cw); err != nil {
-		return err
-	}
-	return cw.Flush()
 }
 
 // reportDiskLoop periodically reports the disk queue depth to the
@@ -595,16 +402,17 @@ func (b *Backend) writeRelayFrame(c *beConn, msg ctrlMsg, head string, size int6
 func (b *Backend) reportDiskLoop() {
 	t := time.NewTicker(b.cfg.DiskReportEvery)
 	defer t.Stop()
+	var line []byte
 	for {
 		select {
 		case <-t.C:
-			line := formatDiskQ(b.store.DiskQueue())
+			line = appendDiskQ(line[:0], b.store.DiskQueue())
 			b.ctrlMu.Lock()
 			for conn := range b.ctrls {
 				// A dead session drops out of the set when its ctrlLoop
 				// exits; a transient write error here is not grounds to
 				// silence the other front-ends.
-				io.WriteString(conn, line)
+				conn.Write(line)
 			}
 			b.ctrlMu.Unlock()
 		case <-b.closed:
@@ -632,29 +440,33 @@ func (b *Backend) acceptPeers() {
 			defer conn.Close()
 			br := bufio.NewReader(conn)
 			bw := bufio.NewWriterSize(conn, 32<<10)
+			var req httpmsg.Request
+			var hb [128]byte
 			for {
-				req, err := httpmsg.ReadRequest(br)
-				if err != nil {
+				if err := httpmsg.ReadRequestInto(br, nil, &req); err != nil {
 					return
 				}
 				// The remote side of a lateral fetch: per-request work
 				// plus the forwarding overhead, content from cache or
 				// disk.
 				b.cpu.use(b.cfg.Costs.PerRequest + b.cfg.Costs.ForwardPerRequest)
-				size, err := b.store.Open(core.Target(req.Target))
-				if err != nil {
+				dc := b.store.docs[core.Target(req.Target)]
+				if dc == nil {
 					body := "Not Found\n"
-					io.WriteString(bw, httpmsg.ResponseHead("HTTP/1.1", 404, int64(len(body)), true))
-					io.WriteString(bw, body)
+					bw.Write(httpmsg.AppendResponseHead(hb[:0], "HTTP/1.1", 404, int64(len(body)), true))
+					bw.WriteString(body)
 					if err := bw.Flush(); err != nil {
 						return
 					}
 					continue
 				}
-				if _, err := io.WriteString(bw, httpmsg.ResponseHead("HTTP/1.1", 200, size, true)); err != nil {
+				if !b.store.cached(dc.target) {
+					b.store.read(dc)
+				}
+				if _, err := bw.Write(httpmsg.AppendResponseHead(hb[:0], "HTTP/1.1", 200, dc.size, true)); err != nil {
 					return
 				}
-				if err := WriteContent(bw, core.Target(req.Target), size); err != nil {
+				if err := writePattern(bw, dc.pattern(), dc.size); err != nil {
 					return
 				}
 				if err := bw.Flush(); err != nil {
@@ -725,6 +537,7 @@ type peerClient struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
+	wbuf []byte // request serialization scratch
 }
 
 func newPeerClient(addr string) *peerClient { return &peerClient{addr: addr} }

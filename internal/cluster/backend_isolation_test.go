@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -212,4 +213,159 @@ func TestMainDoesNotLeakTempSockets(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// One client that pipelines without reading must not stall the node: the
+// control loop used to block on that connection's full queue, freezing REQ
+// delivery for every other connection of the back-end. Now its neighbour is
+// served meanwhile, and the connection is refused — closed — when, with more
+// than maxPending (256) requests waiting, its client takes nothing for
+// stallGrace (1 s).
+func TestStalledClientDoesNotStallBackend(t *testing.T) {
+	be, _, fe := newBackendPair(t)
+	stalled := fe.handoff(10)
+	normal := fe.handoff(11)
+
+	// Far more response bytes than the socket buffers of a client that
+	// never reads absorb (3000 x 3 KB), so the serve goroutine ends up
+	// blocked in a write with most of the burst queued behind it.
+	const burstReqs = 3000
+	var burst strings.Builder
+	for seq := 0; seq < burstReqs; seq++ {
+		fmt.Fprintf(&burst, "REQ 10 %d HTTP/1.1 1 - /local\n", seq)
+	}
+	fe.send(burst.String())
+	fe.send("REQ 11 0 HTTP/1.1 1 - /local\n")
+
+	normal.SetDeadline(time.Now().Add(20 * time.Second))
+	normalBR := bufio.NewReader(normal)
+	resp, body := readFullResponse(t, normalBR)
+	if resp.Status != 200 || len(body) != 3000 {
+		t.Fatalf("neighbour of a stalled client: status %d, %d bytes", resp.Status, len(body))
+	}
+
+	// Refused, not parked: the node ends the connection, and the stream
+	// ends (what had been written, then EOF or a reset) instead of idling.
+	// Reading only now: a client that reads is not stalled.
+	for deadline := time.Now().Add(20 * time.Second); be.Aborted() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled connection was not refused")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	stalled.SetDeadline(time.Now().Add(20 * time.Second))
+	n, err := io.Copy(io.Discard, stalled)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled connection still open after %d bytes", n)
+	}
+	if n >= burstReqs*3000 {
+		t.Errorf("stalled connection was served in full (%d bytes)", n)
+	}
+
+	// The record stays until the front-end's CLOSE, dropping what is
+	// still in flight for it; the node keeps serving afterwards.
+	fe.send("REQ 10 9999 HTTP/1.1 1 - /local\nCLOSE 10\n")
+	fe.send("REQ 11 1 HTTP/1.1 1 - /local\n")
+	if resp, _ := readFullResponse(t, normalBR); resp.Status != 200 {
+		t.Errorf("after the refusal: status %d", resp.Status)
+	}
+	fe.send("CLOSE 11\n")
+}
+
+// A deep pipelined burst from a client that reads is served, not refused:
+// depth alone says nothing about the client.
+func TestDeepBurstFromReadingClientIsServed(t *testing.T) {
+	_, _, fe := newBackendPair(t)
+	client := fe.handoff(13)
+	client.SetDeadline(time.Now().Add(30 * time.Second))
+	const burstReqs = 2000
+	var burst strings.Builder
+	for seq := 0; seq < burstReqs; seq++ {
+		fmt.Fprintf(&burst, "REQ 13 %d HTTP/1.1 1 - /local\n", seq)
+	}
+	fe.send(burst.String())
+	br := bufio.NewReaderSize(client, 64<<10)
+	for i := 0; i < burstReqs; i++ {
+		resp, err := httpmsg.ReadResponse(br)
+		if err != nil {
+			t.Fatalf("response %d of %d: %v", i, burstReqs, err)
+		}
+		if _, err := io.CopyN(io.Discard, br, resp.ContentLength); err != nil {
+			t.Fatalf("response %d body: %v", i, err)
+		}
+	}
+	fe.send("CLOSE 13\n")
+}
+
+// A relayed connection has no socket at the back-end to reset, so a refusal
+// is said on the control session: CLOSE <conn>, on which the front-end
+// closes the client. Here the data session is not read, so frames stop
+// leaving and the connection's queue runs into its bound.
+func TestRelayedRefusalIsReported(t *testing.T) {
+	be, _, fe := newBackendPair(t)
+	data, err := net.Dial("tcp", be.CtrlAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+	if _, err := io.WriteString(data, "HELLO DATA\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	var burst strings.Builder
+	burst.WriteString("RELAY 20\n")
+	for seq := 0; seq < 12000; seq++ { // 36 MB of frames nobody reads
+		fmt.Fprintf(&burst, "REQ 20 %d HTTP/1.1 1 - /local\n", seq)
+	}
+	go io.WriteString(fe.ctrl, burst.String())
+
+	fe.ctrl.SetReadDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(fe.ctrl)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("no refusal reported for the relayed connection: %v", err)
+		}
+		if line == "CLOSE 20\n" {
+			break
+		}
+		if !strings.HasPrefix(line, "DISKQ ") {
+			t.Fatalf("unexpected control message %q", line)
+		}
+	}
+
+	// The front-end's CLOSE clears the record; the node serves on.
+	fe.send("CLOSE 20\n")
+	client := fe.handoff(21)
+	client.SetDeadline(time.Now().Add(20 * time.Second))
+	fe.send("REQ 21 0 HTTP/1.1 1 - /local\n")
+	if resp, _ := readFullResponse(t, bufio.NewReader(client)); resp.Status != 200 {
+		t.Errorf("after the refusal: status %d", resp.Status)
+	}
+	fe.send("CLOSE 21\n")
+}
+
+// An error response keeps its place in the pipeline: written through the
+// connection's buffered writer like every other response, it can neither
+// overtake the 200 buffered ahead of it nor be overtaken.
+func TestBackendErrorResponseKeepsPipelineOrder(t *testing.T) {
+	_, _, fe := newBackendPair(t)
+	client := fe.handoff(12)
+	client.SetDeadline(time.Now().Add(20 * time.Second))
+	fe.send("REQ 12 0 HTTP/1.1 1 - /local\n" +
+		"REQ 12 1 HTTP/1.1 1 - /missing\n" +
+		"REQ 12 2 HTTP/1.1 1 7 /remote\n" + // tagged for a node that does not exist: 502
+		"REQ 12 3 HTTP/1.1 1 1 /remote\n" +
+		"REQ 12 4 HTTP/1.1 1 - /local\n")
+	br := bufio.NewReader(client)
+	for i, want := range []struct {
+		status int
+		size   int64
+	}{{200, 3000}, {404, 10}, {502, 12}, {200, 5000}, {200, 3000}} {
+		resp, _ := readFullResponse(t, br)
+		if resp.Status != want.status || resp.ContentLength != want.size {
+			t.Errorf("response %d: status %d, %d bytes; want %d, %d", i, resp.Status, resp.ContentLength, want.status, want.size)
+		}
+	}
+	fe.send("CLOSE 12\n")
 }

@@ -1,0 +1,657 @@
+package cluster
+
+import (
+	"errors"
+	"io"
+	"net"
+	"os"
+	"strconv"
+	"sync"
+	"time"
+
+	"phttp/internal/core"
+	"phttp/internal/httpmsg"
+)
+
+// A back-end's view of one client connection: the queue the control loop
+// feeds, the goroutine that drains it in order, and the writer that turns
+// what one drain produced into one write on the client socket.
+
+// beReq is one queued unit of a connection's work: a tagged request, or the
+// CLOSE that ends the connection once the requests before it are answered.
+// The target is already resolved to its doc (see DocStore.lookup).
+type beReq struct {
+	kind   ctrlKind // kindReq or kindClose
+	proto  protoVer
+	keep   bool
+	seq    int
+	remote core.NodeID // NoNode: serve locally
+	doc    *doc
+}
+
+// maxPending is how far a client may pipeline ahead of the responses it is
+// not taking. Depth alone is no offence — a burst of any depth from a client
+// that reads is queued and served — but a connection with maxPending
+// requests waiting whose client accepts nothing for stallGrace is refused
+// (closed): its client is not reading, and what it sends would otherwise
+// grow a queue or, as it once did, block the control loop that every
+// connection shares. Only such a connection's writes are timed (see
+// beConn.watched): a write with a shallow queue behind it sets no deadline
+// and so leaves no timer behind.
+const (
+	maxPending = 256
+	stallGrace = time.Second
+)
+
+// maxQueued bounds the queue outright. It is what refuses an open-loop
+// client that reads but asks faster than the node serves, and the bound on
+// a relayed connection, whose frames go to the session it shares with every
+// other relayed connection of the node and so say nothing about its own
+// client.
+const maxQueued = 16 * maxPending
+
+// reqQueue is a connection's request queue: a ring that starts empty and
+// grows by doubling, a mutex, and a one-slot wake channel. push never
+// blocks. One consumer.
+type reqQueue struct {
+	mu   sync.Mutex
+	buf  []beReq // ring; len is 0 or a power of two
+	head int
+	n    int
+	shut bool
+	// wake holds a token whenever something may have changed since the
+	// consumer last looked — entries queued, the connection's writer
+	// arrived, the queue shut; a consumer that found nothing to do waits
+	// on it. Spurious tokens are harmless.
+	wake chan struct{}
+}
+
+func (q *reqQueue) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// push appends r and returns the queue's depth with it, or 0 when it was not
+// accepted: the queue is shut or holds maxQueued entries. It does not wake
+// the consumer: the producer signals once it has queued everything it has
+// for the connection, so that a batch is drained — and answered — as one.
+func (q *reqQueue) push(r beReq) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.shut || q.n >= maxQueued {
+		return 0
+	}
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.n++
+	return q.n
+}
+
+func (q *reqQueue) len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.n
+}
+
+func (q *reqQueue) grow() {
+	size := 2 * len(q.buf)
+	if size == 0 {
+		size = 8
+	}
+	buf := make([]beReq, size)
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf, q.head = buf, 0
+}
+
+// pop removes the oldest entry. ok is false when the queue is empty; shut
+// reports that the connection was refused or failed and nothing further
+// will be served.
+func (q *reqQueue) pop() (r beReq, ok, shut bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.shut || q.n == 0 {
+		return beReq{}, false, q.shut
+	}
+	r = q.buf[q.head]
+	q.buf[q.head] = beReq{} // drop the doc pointer
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r, true, false
+}
+
+// shutdown empties the queue and refuses further pushes. It reports whether
+// this call did it.
+func (q *reqQueue) shutdown() bool {
+	q.mu.Lock()
+	first := !q.shut
+	q.shut = true
+	clear(q.buf)
+	q.head, q.n = 0, 0
+	q.mu.Unlock()
+	q.signal()
+	return first
+}
+
+// reset readies the queue of a retired connection for the next one, keeping
+// the ring's storage unless a deep burst grew it.
+func (q *reqQueue) reset() {
+	q.mu.Lock()
+	clear(q.buf)
+	if len(q.buf) > maxPending {
+		q.buf = nil
+	}
+	q.head, q.n, q.shut = 0, 0, false
+	q.mu.Unlock()
+	select {
+	case <-q.wake:
+	default:
+	}
+}
+
+func (q *reqQueue) isShut() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.shut
+}
+
+// beConn is one client connection owned by this back-end (after handoff) or
+// relayed through the front-end.
+//
+// Lifetime: created by the first control message or handoff that names the
+// connection, with its serve goroutine; retired by that goroutine when the
+// connection's CLOSE has been processed, and only then returned to
+// beConnPool. Every other goroutine reaches a beConn through
+// Backend.conns under connMu and lets go of it before unlocking — except
+// to signal its queue, which is harmless on a record that has moved on —
+// so a recycled record is never written to under its old identity. A connection
+// that failed or was refused stays in the table, shut, until its CLOSE
+// arrives, so that requests still in flight for it are dropped instead of
+// conjuring a fresh record nothing will ever serve.
+type beConn struct {
+	id    core.ConnID
+	relay bool
+	q     reqQueue
+
+	outMu sync.Mutex
+	out   net.Conn // handed-off client socket (nil for relay, and after close)
+	timed bool     // out has a write deadline set (see watched)
+}
+
+var beConnPool = sync.Pool{New: func() any {
+	return &beConn{q: reqQueue{wake: make(chan struct{}, 1)}}
+}}
+
+// setWriter installs the handed-off client socket on the connection. A
+// connection refused before its socket arrived (control messages can
+// overtake the handoff) resets the socket instead.
+func (c *beConn) setWriter(conn net.Conn) {
+	c.outMu.Lock()
+	switch {
+	case c.out != nil:
+		conn.Close() // duplicate handoff; keep the first
+	case c.q.isShut():
+		resetSocket(conn)
+	default:
+		c.out = conn
+	}
+	c.outMu.Unlock()
+	c.q.signal()
+}
+
+// resetSocket ends a client connection from the back-end's side. Closing
+// the handed-off descriptor alone would not: the front-end holds another
+// on the same socket. Shutting the socket down acts on the connection
+// itself — the client sees the end of the stream, and the front-end's read
+// of the same connection ends, so it sends the CLOSE that clears the
+// back-end's record.
+func resetSocket(conn net.Conn) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.CloseRead()
+		tc.CloseWrite()
+	}
+	conn.Close()
+}
+
+func (c *beConn) writer() net.Conn {
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	return c.out
+}
+
+// watched returns the client socket with its write deadline matching the
+// queue: stallGrace from now while maxPending or more requests wait, none
+// otherwise. The serve goroutine calls it before every write attempt, and
+// the control loop when a push takes the queue to maxPending — which puts a
+// write already in progress on the clock. The common write, with a shallow
+// queue behind it, touches no deadline at all.
+func (c *beConn) watched() net.Conn {
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	if c.out == nil {
+		return nil
+	}
+	if c.q.len() >= maxPending {
+		c.out.SetWriteDeadline(time.Now().Add(stallGrace))
+		c.timed = true
+	} else if c.timed {
+		c.out.SetWriteDeadline(time.Time{})
+		c.timed = false
+	}
+	return c.out
+}
+
+// Write puts response bytes on the client socket. A slow client costs only
+// itself: with fewer than maxPending requests waiting a write may take as
+// long as it takes. With more, every attempt gets stallGrace to move a
+// byte, and one that moves none fails — the connection's serve goroutine
+// then gives it up.
+func (c *beConn) Write(p []byte) (int, error) {
+	done := 0
+	for {
+		out := c.watched()
+		if out == nil {
+			return done, errNoClientSocket
+		}
+		n, err := out.Write(p[done:])
+		done += n
+		if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
+			return done, err
+		}
+		if n == 0 && c.q.len() >= maxPending {
+			return done, err
+		}
+	}
+}
+
+var errNoClientSocket = errors.New("cluster: response with no client socket")
+
+func (c *beConn) closeOut() {
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	if c.out != nil {
+		c.out.Close()
+		c.out, c.timed = nil, false
+	}
+}
+
+// abort shuts the connection's queue and resets the client socket under
+// whoever is using it: a serve goroutine blocked writing to a client that
+// does not read fails out. It reports whether this call did it; later ones
+// change nothing.
+func (c *beConn) abort() bool {
+	if !c.q.shutdown() {
+		return false
+	}
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	if c.out != nil {
+		resetSocket(c.out)
+		c.out, c.timed = nil, false
+	}
+	return true
+}
+
+// giveUp aborts a connection whose response could not be written. The
+// client of a handed-off connection learns it from its socket (and the
+// front-end, reading the same socket, sends the CLOSE that clears the
+// record). A relayed connection's frame fails only with the node's data
+// session, which the front-end sees fail too: it suspects the node and
+// re-dispatches what it was waiting for, so nothing is said here. Called
+// by the connection's serve goroutine.
+func (b *Backend) giveUp(c *beConn) {
+	if c.abort() {
+		b.aborted.Add(1)
+	}
+}
+
+// tellClosed reports on the control sessions that this node has refused
+// relayed connection id, which has no socket here to close: the front-end
+// that owns it closes the client and forgets the requests it was still
+// waiting on; to any other the ID means nothing.
+func (b *Backend) tellClosed(id core.ConnID) {
+	var lb [32]byte
+	line := appendClose(lb[:0], id)
+	b.ctrlMu.Lock()
+	for conn := range b.ctrls {
+		conn.Write(line)
+	}
+	b.ctrlMu.Unlock()
+}
+
+// enqueue hands one REQ or CLOSE to connection id, creating the record on
+// first reference, and returns the record for the caller to signal (only
+// to signal: see beConn). It never blocks on a client: a connection that
+// cannot take more is refused (see reqQueue.push).
+func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
+	b.connMu.Lock()
+	c := b.connLocked(id, false)
+	refused := false
+	switch c.q.push(r) {
+	case 0:
+		if c.abort() {
+			b.aborted.Add(1)
+			refused = c.relay
+		}
+		if r.kind == kindClose {
+			// The front-end is done with a connection we already gave up on:
+			// its serve goroutine has left or is leaving without retiring it.
+			delete(b.conns, id)
+		}
+	case maxPending:
+		c.watched() // a write in progress is now on the clock
+	}
+	b.connMu.Unlock()
+	if refused {
+		b.tellClosed(id)
+	}
+	return c
+}
+
+// connLocked returns the connection record, creating it (and its serve
+// goroutine) on first reference. Callers hold connMu.
+func (b *Backend) connLocked(id core.ConnID, relay bool) *beConn {
+	if c, ok := b.conns[id]; ok {
+		return c
+	}
+	c := beConnPool.Get().(*beConn)
+	c.id, c.relay = id, relay
+	b.conns[id] = c
+	b.wg.Add(1)
+	go b.serveConn(c)
+	return c
+}
+
+// retire removes a connection whose CLOSE has been processed (or whose node
+// is shutting down) and recycles its record.
+func (b *Backend) retire(c *beConn) {
+	c.closeOut()
+	b.connMu.Lock()
+	if b.conns[c.id] == c {
+		delete(b.conns, c.id)
+	}
+	b.connMu.Unlock()
+	// Nobody else can reach c any more.
+	c.q.reset()
+	c.id, c.relay = 0, false
+	beConnPool.Put(c)
+}
+
+// serveConn processes one connection's request queue in order, writing
+// responses to the client socket (or relay frames to the front-end). Each
+// time the queue runs dry it flushes what the drain produced — one write
+// for a pipelined batch — and gives the buffer back before it waits.
+//
+//phttp:hotpath
+func (b *Backend) serveConn(c *beConn) {
+	defer b.wg.Done()
+	w := respWriter{b: b, c: c}
+	for !c.relay && c.writer() == nil {
+		// Control messages can overtake the handoff that carries the
+		// socket; nothing can be answered until it is here.
+		select {
+		case <-c.q.wake:
+			if c.q.isShut() {
+				return // refused before it was ever served; CLOSE clears it
+			}
+		case <-b.closed:
+			b.retire(c)
+			return
+		}
+	}
+	for {
+		r, ok, shut := c.q.pop()
+		if shut {
+			w.drop()
+			return
+		}
+		if !ok {
+			if w.flush() != nil {
+				b.giveUp(c)
+				return
+			}
+			select {
+			case <-c.q.wake:
+			case <-b.closed:
+				b.retire(c)
+				return
+			}
+			continue
+		}
+		if r.kind == kindClose {
+			b.cpu.use(b.cfg.Costs.ConnTeardown)
+			w.flush() // the connection is going away either way
+			b.retire(c)
+			return
+		}
+		if b.serveRequest(&w, r) != nil {
+			w.drop()
+			b.giveUp(c)
+			return
+		}
+	}
+}
+
+// serveRequest produces one response: locally (cache/disk) or via a lateral
+// fetch from the tagged peer, in request order. CPU charges are
+// consolidated into one gate visit per request so the host's sleep
+// granularity does not multiply with the number of cost components.
+//
+//phttp:hotpath
+func (b *Backend) serveRequest(w *respWriter, r beReq) error {
+	costs := b.cfg.Costs
+	if r.remote != core.NoNode && r.remote != b.cfg.ID {
+		return b.serveForwarded(w, r)
+	}
+	dc := r.doc
+	if dc.missing {
+		b.cpu.use(costs.PerRequest)
+		return w.respondError(r, 404)
+	}
+	if !b.store.cached(dc.target) {
+		// Do not sit on finished responses while the disk is read — when
+		// there is a read to wait for: a miss that costs no time is no
+		// reason to split a batch's responses over two writes.
+		if b.store.readTime(dc.size) > 0 {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+		b.store.read(dc)
+	}
+	b.cpu.use(costs.PerRequest + costs.Transmit(dc.size))
+	return w.respond(r, dc.size, dc.pattern(), nil)
+}
+
+// serveForwarded performs the lateral fetch: request the content from the
+// tagged back-end over a persistent peer connection and forward it on the
+// client connection.
+func (b *Backend) serveForwarded(w *respWriter, r beReq) error {
+	costs := b.cfg.Costs
+	b.peersMu.Lock()
+	peer := b.peers[r.remote]
+	b.peersMu.Unlock()
+	if peer == nil {
+		return w.respondError(r, 502)
+	}
+	// Nor across a round trip to the peer.
+	if err := w.flush(); err != nil {
+		return err
+	}
+	size, body, err := peer.fetch(r.doc.target)
+	if err != nil {
+		// The peer may have died; surface a gateway error rather than
+		// wedging the client connection.
+		return w.respondError(r, 502)
+	}
+	defer body.Close()
+	b.cpu.use(costs.PerRequest + costs.ForwardPerRequest +
+		costs.ForwardRecv(size) + costs.Transmit(size))
+	return w.respond(r, size, nil, body)
+}
+
+// respWriter is the serve goroutine's output side. For a handed-off
+// connection it accumulates responses in a pooled chunk, checked out when
+// the first response of a drain is produced and returned by flush; a
+// response larger than the chunk streams through it as before. For a
+// relayed connection every response is one frame on the node's shared data
+// session, written under that session's lock.
+type respWriter struct {
+	b  *Backend
+	c  *beConn
+	cw *chunkWriter // non-nil while responses are buffered
+	// unflushed counts the 200 responses added to Backend.served whose
+	// bytes are not yet known to be on the wire; a failed write takes
+	// them back out (see Backend.served).
+	unflushed int64
+}
+
+// room makes sure a chunk is checked out and suits a response of total
+// bytes on top of what is buffered: the smallest class that holds both,
+// so a drain of small responses leaves as one write and a large body is
+// written in chunks of the largest class.
+func (w *respWriter) room(total int64) error {
+	if w.cw == nil {
+		if w.c.writer() == nil {
+			return errNoClientSocket
+		}
+		w.cw = newChunkWriter(w.c, total)
+		return nil
+	}
+	want := int64(w.cw.n) + total
+	if chunkClassFor(want) > w.cw.class {
+		big := newChunkWriter(w.cw.w, want)
+		big.n = copy(big.buf, w.cw.buf[:w.cw.n])
+		big.flushes = w.cw.flushes
+		w.cw.release()
+		w.cw = big
+	}
+	return nil
+}
+
+// flush writes out what is buffered and returns the chunk to its pool.
+func (w *respWriter) flush() error {
+	if w.cw == nil {
+		return nil
+	}
+	err := w.cw.Flush()
+	w.cw.release()
+	w.cw = nil
+	if err != nil {
+		w.b.served.Add(-w.unflushed)
+	}
+	w.unflushed = 0
+	return err
+}
+
+// drop abandons what is buffered (the connection has failed).
+func (w *respWriter) drop() {
+	if w.cw != nil {
+		w.cw.release()
+		w.cw = nil
+	}
+	w.b.served.Add(-w.unflushed)
+	w.unflushed = 0
+}
+
+// respond emits status 200 with size body bytes: the repeating pattern, or
+// read from body when pattern is nil.
+//
+//phttp:hotpath
+func (w *respWriter) respond(r beReq, size int64, pattern []byte, body io.Reader) error {
+	var hb [128]byte
+	head := httpmsg.AppendResponseHead(hb[:0], r.proto.String(), 200, size, r.keep)
+	if w.c.relay {
+		w.b.served.Add(1)
+		err := w.b.writeRelayFrame(w.c, r, head, size, pattern, body)
+		if err != nil {
+			w.b.served.Add(-1)
+		}
+		return err
+	}
+	if err := w.room(int64(len(head)) + size); err != nil {
+		return err
+	}
+	// Count before the bytes can reach the client (see Backend.served).
+	w.b.served.Add(1)
+	w.unflushed++
+	cw := w.cw
+	before := cw.flushes
+	if _, err := cw.Write(head); err != nil {
+		return err
+	}
+	if err := writeBody(cw, size, pattern, body); err != nil {
+		return err
+	}
+	if cw.flushes != before {
+		// The chunk went out at least once during this response, taking
+		// every earlier one with it.
+		w.unflushed = 1
+	}
+	return nil
+}
+
+// respondError emits a minimal error response, in order with the rest.
+func (w *respWriter) respondError(r beReq, status int) error {
+	text := httpmsg.StatusText(status)
+	size := int64(len(text)) + 1
+	var hb [160]byte
+	head := httpmsg.AppendResponseHead(hb[:0], r.proto.String(), status, size, r.keep)
+	head = append(append(head, text...), '\n')
+	if w.c.relay {
+		return w.b.writeRelayFrame(w.c, r, head, 0, nil, nil)
+	}
+	if err := w.room(int64(len(head))); err != nil {
+		return err
+	}
+	_, err := w.cw.Write(head)
+	return err
+}
+
+func writeBody(cw *chunkWriter, size int64, pattern []byte, body io.Reader) error {
+	if pattern != nil {
+		return writePattern(cw, pattern, size)
+	}
+	_, err := io.CopyN(cw, body, size)
+	return err
+}
+
+// writeRelayFrame ships a framed response to the front-end's data
+// connection: "RESP <connID> <seq> <len>\n" + len raw HTTP bytes (head,
+// then size body bytes). The data session is shared by every relayed
+// connection of the node, so a frame is written whole under its lock.
+func (b *Backend) writeRelayFrame(c *beConn, r beReq, head []byte, size int64, pattern []byte, body io.Reader) error {
+	b.dataMu.Lock()
+	defer b.dataMu.Unlock()
+	if b.data == nil {
+		return errors.New("cluster: relay response with no data connection")
+	}
+	total := int64(len(head)) + size
+	cw := newChunkWriter(b.data, total+64)
+	defer cw.release()
+	var lb [64]byte
+	line := append(lb[:0], "RESP "...)
+	line = strconv.AppendInt(line, int64(c.id), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, int64(r.seq), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, total, 10)
+	line = append(line, '\n')
+	if _, err := cw.Write(line); err != nil {
+		return err
+	}
+	if _, err := cw.Write(head); err != nil {
+		return err
+	}
+	if size > 0 {
+		if err := writeBody(cw, size, pattern, body); err != nil {
+			return err
+		}
+	}
+	return cw.Flush()
+}

@@ -5,15 +5,17 @@ import (
 	"sync"
 )
 
-// Response body buffering used to allocate a fresh 32 KB bufio.Writer per
-// request on every back-end write path — the last per-request allocation of
-// the serving loop (ROADMAP: "the doc store still allocates response
-// buffers per request"). chunkWriter replaces it with size-classed pooled
-// buffers: a response checks out the smallest class covering it (or the
-// largest class, streamed through repeatedly, for bodies beyond it) and
-// returns it once the response is on the wire. Steady-state serving
+// Every back-end write path buffers through a chunkWriter: a size-classed
+// buffer checked out of a pool for as long as there are bytes to put out
+// and returned the moment they are on the wire, so steady-state serving
 // allocates nothing for buffering, whatever mix of body sizes the workload
-// produces.
+// produces, and an idle persistent connection holds no buffer at all.
+//
+// On a handed-off connection the unit of checkout is one drain of the
+// connection's request queue (see respWriter): the responses of a
+// pipelined batch share a chunk — the smallest class that holds them — and
+// leave in one write; a body beyond the largest class streams through it
+// in writes of that size. A relay frame owns a chunk for one response.
 
 // chunkClasses are the pooled buffer sizes. The smallest covers the
 // response head plus the workload's median bodies (~3-6 KB), the middle
@@ -26,12 +28,16 @@ var chunkClasses = [...]int{4 << 10, 16 << 10, 64 << 10}
 // minus the per-response allocations. The buffer lives with the writer
 // across checkouts (a sync.Pool of writer pointers boxes nothing), so a
 // warmed pool serves responses with zero buffering allocations. Not safe
-// for concurrent use; one response owns it from checkout to release.
+// for concurrent use; one goroutine owns it from checkout to release.
 type chunkWriter struct {
 	w     io.Writer
 	buf   []byte
 	n     int
 	class int
+	// flushes counts the writes issued since checkout, so a caller that
+	// shares the chunk among several responses can tell whether the
+	// earlier ones have left.
+	flushes int
 }
 
 // chunkWriters pools one writer (with its attached buffer) per size class,
@@ -60,6 +66,7 @@ func newChunkWriter(w io.Writer, hint int64) *chunkWriter {
 	}
 	cw.w = w
 	cw.n = 0
+	cw.flushes = 0
 	return cw
 }
 
@@ -82,24 +89,6 @@ func (cw *chunkWriter) Write(p []byte) (int, error) {
 		c := copy(cw.buf[cw.n:], p)
 		cw.n += c
 		p = p[c:]
-		total += c
-	}
-	return total, nil
-}
-
-// WriteString implements io.StringWriter without a byte-slice conversion
-// allocation.
-func (cw *chunkWriter) WriteString(s string) (int, error) {
-	total := 0
-	for len(s) > 0 {
-		if cw.n == len(cw.buf) {
-			if err := cw.Flush(); err != nil {
-				return total, err
-			}
-		}
-		c := copy(cw.buf[cw.n:], s)
-		cw.n += c
-		s = s[c:]
 		total += c
 	}
 	return total, nil
@@ -136,20 +125,6 @@ func (cw *chunkWriter) Flush() error {
 	}
 	_, err := cw.w.Write(cw.buf[:cw.n])
 	cw.n = 0
+	cw.flushes++
 	return err
-}
-
-// writeBuffered produces one buffered response — head plus body — on w
-// through a pooled chunk: the shared serving path of the handed-off client
-// socket, the relay frame and the peer lateral-fetch server.
-func writeBuffered(w io.Writer, head string, body func(io.Writer) error, hint int64) error {
-	cw := newChunkWriter(w, hint)
-	defer cw.release()
-	if _, err := cw.WriteString(head); err != nil {
-		return err
-	}
-	if err := body(cw); err != nil {
-		return err
-	}
-	return cw.Flush()
 }

@@ -4,12 +4,25 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"testing"
 
 	"phttp/internal/core"
 	"phttp/internal/httpmsg"
 )
+
+// writeBuffered is the cycle every back-end write path follows: check a
+// chunk out, write head and body through it, flush, give it back.
+func writeBuffered(w io.Writer, head []byte, body func(io.Writer) error, hint int64) error {
+	cw := newChunkWriter(w, hint)
+	defer cw.release()
+	if _, err := cw.Write(head); err != nil {
+		return err
+	}
+	if err := body(cw); err != nil {
+		return err
+	}
+	return cw.Flush()
+}
 
 // TestChunkWriterCorrectness checks the pooled path emits byte-identical
 // responses to a plain unbuffered write, across every size class and the
@@ -17,10 +30,10 @@ import (
 func TestChunkWriterCorrectness(t *testing.T) {
 	for _, size := range []int64{0, 1, 100, 4 << 10, 5 << 10, 16 << 10, 60 << 10, 64 << 10, 300 << 10} {
 		target := core.Target(fmt.Sprintf("/chunk/%d", size))
-		head := httpmsg.ResponseHead("HTTP/1.1", 200, size, true)
+		head := httpmsg.AppendResponseHead(nil, "HTTP/1.1", 200, size, true)
 
 		var want bytes.Buffer
-		want.WriteString(head)
+		want.Write(head)
 		if err := WriteContent(&want, target, size); err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +68,7 @@ func TestChunkClassFor(t *testing.T) {
 // TestChunkWriterErrorPropagates verifies a failing underlying writer
 // surfaces through Write/Flush instead of being swallowed by buffering.
 func TestChunkWriterErrorPropagates(t *testing.T) {
-	head := strings.Repeat("h", 128)
+	head := bytes.Repeat([]byte("h"), 128)
 	err := writeBuffered(failWriter{}, head, func(w io.Writer) error {
 		return WriteContent(w, "/x", 256<<10) // forces intermediate flushes
 	}, 256<<10)
@@ -75,7 +88,7 @@ func (failWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 func TestWriteBufferedZeroAllocs(t *testing.T) {
 	for _, size := range []int64{3 << 10, 12 << 10, 200 << 10} {
 		target := core.Target(fmt.Sprintf("/alloc/%d", size))
-		head := httpmsg.ResponseHead("HTTP/1.1", 200, size, true)
+		head := httpmsg.AppendResponseHead(nil, "HTTP/1.1", 200, size, true)
 		hint := int64(len(head)) + size
 		body := func(w io.Writer) error { return WriteContent(w, target, size) }
 		run := func() {
@@ -98,7 +111,7 @@ func TestChunkWriterReadFrom(t *testing.T) {
 	const size = 100 << 10
 	payload := bytes.Repeat([]byte("forward!"), size/8)
 	var got bytes.Buffer
-	err := writeBuffered(&got, "HEAD\r\n", func(w io.Writer) error {
+	err := writeBuffered(&got, []byte("HEAD\r\n"), func(w io.Writer) error {
 		_, err := io.CopyN(w, bytes.NewReader(payload), size)
 		return err
 	}, 6+size)
@@ -109,12 +122,13 @@ func TestChunkWriterReadFrom(t *testing.T) {
 		t.Fatal("ReadFrom path corrupted the stream")
 	}
 
+	head := []byte("HEAD\r\n")
 	body := func(w io.Writer) error {
 		_, err := io.CopyN(w, bytes.NewReader(payload), size)
 		return err
 	}
 	run := func() {
-		if err := writeBuffered(io.Discard, "HEAD\r\n", body, 6+size); err != nil {
+		if err := writeBuffered(io.Discard, head, body, 6+size); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +145,7 @@ func TestChunkWriterReadFrom(t *testing.T) {
 // implementation allocated a 32 KB bufio.Writer per call).
 func BenchmarkWriteBuffered(b *testing.B) {
 	const size = 12 << 10
-	head := httpmsg.ResponseHead("HTTP/1.1", 200, size, true)
+	head := httpmsg.AppendResponseHead(nil, "HTTP/1.1", 200, size, true)
 	body := func(w io.Writer) error { return WriteContent(w, "/bench", size) }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

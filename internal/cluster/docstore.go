@@ -17,6 +17,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,11 +27,39 @@ import (
 	"phttp/internal/server"
 )
 
-// DocStore is a back-end node's document subsystem: a catalog of targets, a
-// byte-budgeted LRU cache standing in for the OS file cache, and a simulated
-// disk (FIFO via a single-slot gate, seek+transfer latency per miss).
+// doc is one entry of a store's document table: everything the serving
+// path needs about a target, reached through one pointer. The control loop
+// resolves a request's target to its doc while the target is still bytes in
+// the read buffer, so serving does no further lookup by name.
+type doc struct {
+	target core.Target // canonical: the catalog's own string
+	size   int64
+	// missing marks a stand-in for a target the catalog does not hold: it
+	// carries the name (a lateral fetch still asks the tagged peer) and is
+	// answered 404 locally.
+	missing bool
+	// pat caches the target's repeating content pattern, built on first
+	// use (see pattern).
+	pat atomic.Pointer[[]byte]
+}
+
+// pattern returns the doc's 1 KB content pattern, taking it from the
+// process-wide pattern cache the first time this store serves the doc.
+func (dc *doc) pattern() []byte {
+	if p := dc.pat.Load(); p != nil {
+		return *p
+	}
+	b := contentChunk(dc.target)
+	dc.pat.Store(&b)
+	return b
+}
+
+// DocStore is a back-end node's document subsystem: a table of the catalog's
+// documents, a byte-budgeted LRU cache standing in for the OS file cache,
+// and a simulated disk (FIFO via a single-slot gate, seek+transfer latency
+// per miss).
 type DocStore struct {
-	sizes map[core.Target]int64
+	docs  map[core.Target]*doc // the catalog
 	disk  server.DiskParams
 	scale float64 // time scale divisor (1 = real modeled latency)
 
@@ -51,8 +80,15 @@ func NewDocStore(catalog map[core.Target]int64, cacheBytes int64, disk server.Di
 	if timeScale <= 0 {
 		timeScale = 1
 	}
+	docs := make(map[core.Target]*doc, len(catalog))
+	all := make([]doc, len(catalog)) // one allocation for the whole table
+	for t, sz := range catalog {
+		dc := &all[len(docs)]
+		dc.target, dc.size = t, sz
+		docs[t] = dc
+	}
 	return &DocStore{
-		sizes:    catalog,
+		docs:     docs,
 		disk:     disk,
 		scale:    timeScale,
 		cache:    cache.NewLRU(cacheBytes),
@@ -60,48 +96,65 @@ func NewDocStore(catalog map[core.Target]int64, cacheBytes int64, disk server.Di
 	}
 }
 
+// lookup resolves a target still in a read buffer to its doc, or nil; the
+// conversion in the map index does not allocate.
+func (d *DocStore) lookup(target []byte) *doc { return d.docs[core.Target(target)] }
+
 // Size returns the target's size, or an error if it is not in the catalog.
 func (d *DocStore) Size(t core.Target) (int64, error) {
-	sz, ok := d.sizes[t]
-	if !ok {
+	dc := d.docs[t]
+	if dc == nil {
 		return 0, fmt.Errorf("cluster: no such target %q", t)
 	}
-	return sz, nil
+	return dc.size, nil
 }
 
 // Open makes the target's content available, blocking for the simulated
 // disk read on a cache miss, and returns its size. Local reads always enter
 // the cache (the OS file cache offers no bypass).
 func (d *DocStore) Open(t core.Target) (int64, error) {
-	sz, err := d.Size(t)
-	if err != nil {
-		return 0, err
+	dc := d.docs[t]
+	if dc == nil {
+		return 0, fmt.Errorf("cluster: no such target %q", t)
 	}
+	if !d.cached(t) {
+		d.read(dc)
+	}
+	return dc.size, nil
+}
+
+// cached reports (and counts) a cache hit. On a miss the caller follows
+// with read; the two are separate so that a server can put out what it has
+// buffered before it waits for the disk.
+func (d *DocStore) cached(t core.Target) bool {
 	d.mu.Lock()
 	hit := d.cache.Lookup(t)
 	d.mu.Unlock()
 	if hit {
 		d.hits.Add(1)
-		return sz, nil
 	}
+	return hit
+}
+
+// read is the miss path: queue for the simulated disk, wait out the read,
+// enter the cache.
+func (d *DocStore) read(dc *doc) {
 	d.misses.Add(1)
 	d.queued.Add(1)
 	d.diskGate <- struct{}{} // FIFO-ish single disk
-	d.sleep(d.disk.ReadTime(sz))
+	time.Sleep(d.readTime(dc.size))
 	<-d.diskGate
 	d.queued.Add(-1)
 	d.mu.Lock()
-	d.cache.Insert(t, sz)
+	d.cache.Insert(dc.target, dc.size)
 	d.mu.Unlock()
-	return sz, nil
 }
 
-// sleep pauses for the modeled duration divided by the time scale.
-func (d *DocStore) sleep(m core.Micros) {
-	dur := time.Duration(float64(m) / d.scale * float64(time.Microsecond))
-	if dur > 0 {
-		time.Sleep(dur)
-	}
+// readTime is how long the disk takes to read size bytes: the modeled
+// service time divided by the time scale, zero for a store without a disk
+// model.
+func (d *DocStore) readTime(size int64) time.Duration {
+	return time.Duration(float64(d.disk.ReadTime(size)) / d.scale * float64(time.Microsecond))
 }
 
 // DiskQueue returns the number of disk reads queued or in progress — the
@@ -126,8 +179,11 @@ func (d *DocStore) Counters() (hits, misses int64) {
 // w. Content depends only on the target name, so any node (or a lateral
 // peer) produces identical bytes — tests verify end-to-end integrity.
 func WriteContent(w io.Writer, t core.Target, size int64) error {
-	const chunkSize = 32 << 10
-	chunk := contentChunk(t)
+	return writePattern(w, contentChunk(t), size)
+}
+
+// writePattern writes size bytes of the repeating pattern to w.
+func writePattern(w io.Writer, chunk []byte, size int64) error {
 	var written int64
 	for written < size {
 		n := int64(len(chunk))
@@ -159,11 +215,17 @@ func contentChunk(t core.Target) []byte {
 		return v.([]byte)
 	}
 	const n = 1 << 10
-	b := make([]byte, 0, n)
+	b := make([]byte, 0, n+len(t)+16)
 	for i := 0; len(b) < n; i++ {
-		b = append(b, fmt.Sprintf("%s#%04d|", t, i)...)
+		b = append(b, t...)
+		b = append(b, '#')
+		for pad := 1000; pad > 1 && i < pad; pad /= 10 {
+			b = append(b, '0') // the counter is at least four digits wide
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, '|')
 	}
-	b = b[:n]
+	b = b[:n:n]
 	chunkCache.Store(t, b)
 	return b
 }

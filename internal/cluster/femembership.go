@@ -21,7 +21,7 @@ import (
 type pendingReq struct {
 	c     *feConn
 	node  core.NodeID
-	line  string
+	line  []byte // the REQ message, kept for re-dispatch
 	tries int
 	// start is the batch-completion instant of the request's original
 	// dispatch — the latency clock's zero. Re-dispatch never resets it,
@@ -32,7 +32,7 @@ type pendingReq struct {
 
 // addPending registers a relayed request before it is written to its
 // back-end, so a node death between write and response finds it.
-func (fe *FrontEnd) addPending(c *feConn, seq int, n core.NodeID, line string) {
+func (fe *FrontEnd) addPending(c *feConn, seq int, n core.NodeID, line []byte) {
 	fe.pendingMu.Lock()
 	m := fe.pending[c.id]
 	if m == nil {
@@ -152,10 +152,11 @@ func (fe *FrontEnd) redispatchPending(p *pendingReq, dead core.NodeID) {
 	c.pendingMove = to
 	c.mu.Unlock()
 	p.node = to
+	msgs := p.line
 	if !c.setReqNode(to) {
-		fe.sendCtrl(to, formatRelay(c.id))
+		msgs = append(appendRelay(nil, c.id), p.line...)
 	}
-	if err := fe.sendCtrl(to, p.line); err != nil {
+	if err := fe.sendCtrl(to, msgs); err != nil {
 		fe.suspect(to)
 		return
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -217,8 +216,10 @@ type FrontEnd struct {
 
 // relayConn is the reordering buffer for one relayed client connection.
 type relayConn struct {
+	client net.Conn // the client socket, for closing from outside; never changes
+
 	mu      sync.Mutex
-	out     net.Conn
+	out     net.Conn // client until a write to it fails, then nil
 	nextSeq int
 	pending map[int][]byte
 }
@@ -609,8 +610,9 @@ func (fe *FrontEnd) Close() {
 	fe.wg.Wait()
 }
 
-// ctrlReadLoop consumes back-end → front-end control traffic (disk queue
-// reports) and feeds the policy. The conn is passed explicitly —
+// ctrlReadLoop consumes back-end → front-end control traffic: disk queue
+// reports, which feed the policy, and the CLOSE by which a back-end says it
+// has refused a relayed connection. The conn is passed explicitly —
 // AddBackend swaps link conns in place, and a loop must drain exactly the
 // conn it was started for. Each DISKQ report doubles as a heartbeat; a
 // read error is liveness evidence and marks the node Suspect.
@@ -622,12 +624,28 @@ func (fe *FrontEnd) ctrlReadLoop(link *beLink, conn net.Conn) {
 			fe.suspect(link.id)
 			return
 		}
-		if msg.Kind == "DISKQ" {
+		switch msg.Kind {
+		case kindDiskQ:
 			fe.mem.Heartbeat(link.id, time.Now())
 			done := fe.trackDispatch()
 			fe.eng.ReportDiskQueue(link.id, msg.Depth)
 			done()
+		case kindClose:
+			fe.dropRelayed(msg.Conn)
 		}
+	}
+}
+
+// dropRelayed closes the client of a relayed connection a back-end has
+// refused (back-ends tell every front-end; the ID is ours or unknown). The
+// connection's own goroutine, reading the socket, takes it from there as
+// for any closed client: CLOSE to the back-ends, pending requests dropped.
+func (fe *FrontEnd) dropRelayed(id core.ConnID) {
+	fe.relayMu.Lock()
+	rc := fe.relayConns[id]
+	fe.relayMu.Unlock()
+	if rc != nil {
+		rc.client.Close()
 	}
 }
 
@@ -723,7 +741,11 @@ func (fe *FrontEnd) acceptLoop() {
 	}
 }
 
-// feConn tracks one client connection at the front-end.
+// feConn tracks one client connection at the front-end. The record — with
+// its 16 KB read buffer and the per-batch scratch below — comes from
+// feConnPool and goes back when the connection closes, so a connection
+// costs the front-end no allocation of its own; what a batch needs is
+// reused from one batch to the next.
 type feConn struct {
 	id    core.ConnID
 	ec    *dispatch.Conn // nil until openConn admits the connection
@@ -737,17 +759,60 @@ type feConn struct {
 	// requests copy it into their pendingReq before publication).
 	batchStart time.Time
 
-	// reqNodes is the set of back-ends that received requests, for CLOSE
-	// fan-out in relay mode. mu guards it: the health loop's re-dispatch
+	// reqNodes lists the back-ends that received traffic for this
+	// connection, in first-use order, for the CLOSE fan-out (one node
+	// unless relaying). mu guards it: the health loop's re-dispatch
 	// touches it from outside the connection's own goroutine. seq stays
 	// owner-only (re-dispatch resends already-sequenced lines).
 	mu       sync.Mutex
-	reqNodes map[core.NodeID]bool
+	reqNodes []core.NodeID
 	seq      int
 	// pendingMove is a re-dispatch-requested handling change (NoNode
 	// when none): the health loop records it, and the connection's own
 	// goroutine applies it — engine Conn state is owner-serialized.
 	pendingMove core.NodeID
+
+	// Batch scratch, owner-only: the parsed requests (their header
+	// storage is what ReadRequestInto reuses), the batch in the policy's
+	// vocabulary, and the control lines being assembled for one write.
+	reqs  []httpmsg.Request
+	batch core.Batch
+	line  []byte
+	// lines is the relay path's per-batch list of request lines (each is
+	// also held by its pendingReq, for re-dispatch).
+	lines [][]byte
+}
+
+// feConnScratchMax is the pipeline depth past which a closing connection's
+// batch scratch is dropped instead of pooled.
+const feConnScratchMax = 64
+
+var feConnPool = sync.Pool{New: func() any {
+	return &feConn{br: bufio.NewReaderSize(nil, 16<<10)}
+}}
+
+func (fe *FrontEnd) newConn(conn net.Conn) *feConn {
+	c := feConnPool.Get().(*feConn)
+	c.conn = conn
+	c.br.Reset(conn)
+	c.pendingMove = core.NoNode
+	return c
+}
+
+// recycle returns a closed connection's record to the pool. A relayed
+// connection's record has been published to the health loop through its
+// pendingReqs, which may still hold it; that one is left to the collector.
+func (c *feConn) recycle() {
+	if c.relay != nil {
+		return
+	}
+	c.br.Reset(nil)
+	reqs, batch, line := c.reqs[:0], c.batch[:0], c.line[:0]
+	if cap(reqs) > feConnScratchMax {
+		reqs, batch, line = nil, nil, nil
+	}
+	*c = feConn{br: c.br, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line}
+	feConnPool.Put(c)
 }
 
 // setReqNode records that dest received traffic for this connection and
@@ -755,36 +820,33 @@ type feConn struct {
 func (c *feConn) setReqNode(dest core.NodeID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	had := c.reqNodes[dest]
-	c.reqNodes[dest] = true
-	return had
+	for _, n := range c.reqNodes {
+		if n == dest {
+			return true
+		}
+	}
+	c.reqNodes = append(c.reqNodes, dest)
+	return false
 }
 
 // serveClient runs the forwarding-module read loop for one client
 // connection: parse requests, group pipelined bursts into batches, dispatch
 // through the policy, tag and forward to back-ends.
 func (fe *FrontEnd) serveClient(conn net.Conn) {
-	c := &feConn{
-		conn:        conn,
-		br:          bufio.NewReaderSize(conn, 16<<10),
-		reqNodes:    make(map[core.NodeID]bool),
-		pendingMove: core.NoNode,
-	}
+	c := fe.newConn(conn)
 	defer fe.closeClient(c)
 
-	opened := false
 	for {
-		batch, reqs, err := fe.readBatch(c)
-		if err != nil || len(batch) == 0 {
+		if err := fe.readBatch(c); err != nil {
 			return
 		}
-		err = fe.serveBatch(c, batch, reqs, &opened)
+		err := fe.serveBatch(c)
 		// The parse-time interner references are dropped once the batch
 		// has been dispatched (or abandoned): the mapping holds its own
 		// references and back-ends address content by target string, so
 		// under a capped interner unpopular URLs become recyclable the
 		// moment their requests are on the wire.
-		fe.eng.ReleaseBatch(batch)
+		fe.eng.ReleaseBatch(c.batch)
 		if err != nil {
 			return
 		}
@@ -793,14 +855,13 @@ func (fe *FrontEnd) serveClient(conn net.Conn) {
 
 // serveBatch admits the connection on its first batch and dispatches the
 // batch's requests.
-func (fe *FrontEnd) serveBatch(c *feConn, batch core.Batch, reqs []*httpmsg.Request, opened *bool) error {
-	if !*opened {
-		if err := fe.openConn(c, batch[0]); err != nil {
+func (fe *FrontEnd) serveBatch(c *feConn) error {
+	if c.ec == nil {
+		if err := fe.openConn(c, c.batch[0]); err != nil {
 			return err
 		}
-		*opened = true
 	}
-	return fe.dispatchBatch(c, batch, reqs)
+	return fe.dispatchBatch(c)
 }
 
 // trackDispatch accounts the time spent in a dispatch-engine call toward
@@ -814,10 +875,11 @@ func (fe *FrontEnd) trackDispatch() func() {
 	}
 }
 
-// readBatch reads one pipelined batch: the first request blocks until the
-// idle timeout; subsequent requests are taken while already buffered or
-// arriving within the batch window.
-func (fe *FrontEnd) readBatch(c *feConn) (core.Batch, []*httpmsg.Request, error) {
+// readBatch reads one pipelined batch into c.reqs / c.batch: the first
+// request blocks until the idle timeout; subsequent requests are taken
+// while already buffered or arriving within the batch window. It returns
+// an error when no request could be read.
+func (fe *FrontEnd) readBatch(c *feConn) error {
 	idle := fe.cfg.IdleTimeout
 	if idle <= 0 {
 		idle = 15 * time.Second
@@ -827,14 +889,11 @@ func (fe *FrontEnd) readBatch(c *feConn) (core.Batch, []*httpmsg.Request, error)
 		window = 2 * time.Millisecond
 	}
 
-	in := fe.eng.Interner()
+	c.reqs, c.batch = c.reqs[:0], c.batch[:0]
 	c.conn.SetReadDeadline(time.Now().Add(idle))
-	first, err := httpmsg.ReadRequestInterned(c.br, in)
-	if err != nil {
-		return nil, nil, err
+	if err := fe.readRequest(c); err != nil {
+		return err
 	}
-	batch := core.Batch{toRequest(first)}
-	reqs := []*httpmsg.Request{first}
 	for {
 		if c.br.Buffered() == 0 {
 			// Give closely spaced pipelined requests a brief chance to
@@ -846,16 +905,34 @@ func (fe *FrontEnd) readBatch(c *feConn) (core.Batch, []*httpmsg.Request, error)
 			}
 		}
 		c.conn.SetReadDeadline(time.Now().Add(window))
-		req, err := httpmsg.ReadRequestInterned(c.br, in)
-		if err != nil {
+		if fe.readRequest(c) != nil {
 			break
 		}
-		batch = append(batch, toRequest(req))
-		reqs = append(reqs, req)
 	}
 	c.conn.SetReadDeadline(time.Time{})
 	c.batchStart = time.Now()
-	return batch, reqs, nil
+	return nil
+}
+
+// readRequest parses the next request into the next slot of c.reqs —
+// reusing whatever that slot held on an earlier batch — and appends its
+// policy form to c.batch.
+//
+//phttp:hotpath
+func (fe *FrontEnd) readRequest(c *feConn) error {
+	n := len(c.reqs)
+	if n < cap(c.reqs) {
+		c.reqs = c.reqs[:n+1]
+	} else {
+		c.reqs = append(c.reqs, httpmsg.Request{})
+	}
+	req := &c.reqs[n]
+	if err := httpmsg.ReadRequestInto(c.br, fe.eng.Interner(), req); err != nil {
+		c.reqs = c.reqs[:n]
+		return err
+	}
+	c.batch = append(c.batch, toRequest(req))
+	return nil
 }
 
 // toRequest converts a parsed request into the policy's vocabulary,
@@ -892,7 +969,7 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 	c.id = ec.ID()
 
 	if fe.cfg.Mechanism == core.RelayFrontEnd {
-		rc := &relayConn{out: c.conn}
+		rc := &relayConn{client: c.conn, out: c.conn}
 		c.relay = rc
 		fe.relayMu.Lock()
 		fe.relayConns[c.id] = rc
@@ -925,8 +1002,13 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 	return nil
 }
 
-// dispatchBatch assigns a batch and forwards the tagged requests.
-func (fe *FrontEnd) dispatchBatch(c *feConn, batch core.Batch, reqs []*httpmsg.Request) error {
+// dispatchBatch assigns the batch in c.batch and forwards the tagged
+// requests: one control write per destination back-end. With handoff or
+// back-end forwarding the destination is always the handling node, so the
+// whole batch is one write.
+//
+//phttp:hotpath
+func (fe *FrontEnd) dispatchBatch(c *feConn) error {
 	c.mu.Lock()
 	move := c.pendingMove
 	c.pendingMove = core.NoNode
@@ -937,72 +1019,94 @@ func (fe *FrontEnd) dispatchBatch(c *feConn, batch core.Batch, reqs []*httpmsg.R
 		done()
 	}
 	done := fe.trackDispatch()
-	assignments := fe.eng.AssignBatch(c.ec, batch)
+	assignments := fe.eng.AssignBatch(c.ec, c.batch)
 	handling := c.ec.Handling()
 	done()
 
+	if fe.cfg.Mechanism == core.RelayFrontEnd {
+		fe.relayBatch(c, assignments)
+		return nil
+	}
+	line := c.line[:0]
 	for i, a := range assignments {
-		req := reqs[i]
-		keep := req.KeepAlive()
-		var line string
-		var dest core.NodeID
-		relay := fe.cfg.Mechanism == core.RelayFrontEnd
-		switch {
-		case relay:
-			// Each request goes directly to its assigned node.
-			dest = a.Node
-			line = formatReq(c.id, c.seq, req.Proto, keep, core.NoNode, core.Target(req.Target))
-		case a.Forward:
-			// Tag the request: the handling node must fetch it from
-			// the assigned node.
-			dest = handling
-			line = formatReq(c.id, c.seq, req.Proto, keep, a.Node, core.Target(req.Target))
-		default:
-			dest = handling
-			line = formatReq(c.id, c.seq, req.Proto, keep, core.NoNode, core.Target(req.Target))
+		req := &c.reqs[i]
+		remote := core.NoNode
+		if a.Forward {
+			// Tag the request: the handling node must fetch it from the
+			// assigned node.
+			remote = a.Node
 		}
-		seq := c.seq
+		line = appendReq(line, c.id, c.seq, protoOf(req.Proto), req.KeepAlive(), remote, core.Target(req.Target))
 		c.seq++
-		if !c.setReqNode(dest) && relay {
-			fe.sendCtrl(dest, formatRelay(c.id))
-		}
-		if relay {
-			// Register before sending: a node that dies between the
-			// write and its response must find the request sweepable.
-			fe.addPending(c, seq, dest, line)
-			if err := fe.sendCtrl(dest, line); err != nil {
-				// Write failure is liveness evidence; the request stays
-				// pending and is re-dispatched once the node is
-				// confirmed Down.
-				fe.suspect(dest)
-			}
-			continue
-		}
-		if err := fe.sendCtrl(dest, line); err != nil {
-			// With the client socket handed off (or forwarding through
-			// the handling node), the FE cannot replay the request
-			// elsewhere — connection close is the fallback.
-			fe.suspect(dest)
-			return err
-		}
-		// Handoff / BE forwarding: responses bypass the front-end, so the
-		// observable latency here is batch completion → request forwarded.
-		fe.lat.Record(time.Since(c.batchStart).Microseconds())
+	}
+	c.line = line
+	c.setReqNode(handling)
+	if err := fe.sendCtrl(handling, line); err != nil {
+		// With the client socket handed off (or forwarding through the
+		// handling node), the FE cannot replay the request elsewhere —
+		// connection close is the fallback.
+		fe.suspect(handling)
+		return err
+	}
+	// Handoff / BE forwarding: responses bypass the front-end, so the
+	// observable latency here is batch completion → request forwarded.
+	waited := time.Since(c.batchStart).Microseconds()
+	for range assignments {
+		fe.lat.Record(waited)
 	}
 	return nil
 }
 
-// sendCtrl writes one control message to a back-end. A slot with no live
-// control link (unreachable at start, or torn down by AddBackend mid-swap)
-// fails fast instead of dereferencing a nil conn.
-func (fe *FrontEnd) sendCtrl(n core.NodeID, line string) error {
+// relayBatch forwards a relayed batch: each request goes directly to its
+// assigned node, and every node gets its share of the batch in one write.
+// Each request keeps its own line (re-dispatch re-sends it) and is
+// registered before anything is sent: a node that dies between the write
+// and its response must find the request sweepable.
+func (fe *FrontEnd) relayBatch(c *feConn, assignments []core.Assignment) {
+	c.lines = c.lines[:0]
+	for i, a := range assignments {
+		req := &c.reqs[i]
+		line := appendReq(nil, c.id, c.seq, protoOf(req.Proto), req.KeepAlive(), core.NoNode, core.Target(req.Target))
+		fe.addPending(c, c.seq, a.Node, line)
+		c.lines = append(c.lines, line)
+		c.seq++
+	}
+	for i, a := range assignments {
+		if c.lines[i] == nil {
+			continue // went out with an earlier node's write
+		}
+		dest := a.Node
+		buf := c.line[:0]
+		if !c.setReqNode(dest) {
+			buf = appendRelay(buf, c.id)
+		}
+		for j := i; j < len(assignments); j++ {
+			if assignments[j].Node == dest {
+				buf = append(buf, c.lines[j]...)
+				c.lines[j] = nil
+			}
+		}
+		c.line = buf
+		if err := fe.sendCtrl(dest, buf); err != nil {
+			// Write failure is liveness evidence; the requests stay
+			// pending and are re-dispatched once the node is confirmed
+			// Down.
+			fe.suspect(dest)
+		}
+	}
+}
+
+// sendCtrl writes one buffer of control messages to a back-end. A slot with
+// no live control link (unreachable at start, or torn down by AddBackend
+// mid-swap) fails fast instead of dereferencing a nil conn.
+func (fe *FrontEnd) sendCtrl(n core.NodeID, msgs []byte) error {
 	link := fe.links[n]
 	link.ctrlMu.Lock()
 	defer link.ctrlMu.Unlock()
 	if link.ctrl == nil {
 		return fmt.Errorf("cluster: backend %v not connected", n)
 	}
-	_, err := io.WriteString(link.ctrl, line)
+	_, err := link.ctrl.Write(msgs)
 	return err
 }
 
@@ -1010,14 +1114,13 @@ func (fe *FrontEnd) sendCtrl(n core.NodeID, line string) error {
 // timeout: back-ends are told to release it and the policy frees its load.
 func (fe *FrontEnd) closeClient(c *feConn) {
 	c.mu.Lock()
-	nodes := make([]core.NodeID, 0, len(c.reqNodes))
-	for n := range c.reqNodes {
-		nodes = append(nodes, n)
-	}
+	nodes := c.reqNodes
 	c.mu.Unlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, n := range nodes {
-		fe.sendCtrl(n, formatClose(c.id))
+	if len(nodes) > 0 {
+		c.line = appendClose(c.line[:0], c.id)
+		for _, n := range nodes {
+			fe.sendCtrl(n, c.line)
+		}
 	}
 	fe.pendingMu.Lock()
 	delete(fe.pending, c.id)
@@ -1033,6 +1136,7 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 		done()
 	}
 	c.conn.Close()
+	c.recycle()
 }
 
 // HandoffSocketDir creates a private directory for handoff sockets.

@@ -1,11 +1,15 @@
 package cluster_test
 
 import (
+	"bufio"
+	"io"
+	"net"
 	"testing"
 	"time"
 
 	"phttp/internal/cluster"
 	"phttp/internal/core"
+	"phttp/internal/httpmsg"
 	"phttp/internal/loadgen"
 	"phttp/internal/server"
 	"phttp/internal/trace"
@@ -156,5 +160,54 @@ func TestBackendDeathSurfacesErrors(t *testing.T) {
 		// The run must terminate; errors are expected and acceptable.
 	case <-time.After(120 * time.Second):
 		t.Fatal("load run wedged after backend death")
+	}
+}
+
+// A pipelined batch [ok, missing, ok] comes back in that order through the
+// whole cluster, over the handed-off socket (where the back-end coalesces
+// the three responses into one buffered write) and over the relay (where
+// the front-end reorders frames by sequence number).
+func TestErrorResponseKeepsPipelineOrderEndToEnd(t *testing.T) {
+	for _, mech := range []core.Mechanism{core.BEForwarding, core.SingleHandoff, core.RelayFrontEnd} {
+		t.Run(mech.String(), func(t *testing.T) {
+			cfg := cluster.DefaultConfig(2, map[core.Target]int64{"/a": 700, "/b": 900})
+			cfg.Mechanism = mech
+			cfg.SimulateCPU = false
+			cfg.TimeScale = 100
+			cl, err := cluster.Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			conn, err := net.Dial("tcp", cl.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(20 * time.Second))
+			var batch string
+			for _, tgt := range []string{"/a", "/missing", "/b"} {
+				batch += "GET " + tgt + " HTTP/1.1\r\nHost: cluster\r\n\r\n"
+			}
+			if _, err := io.WriteString(conn, batch); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(conn)
+			for i, want := range []struct {
+				status int
+				size   int64
+			}{{200, 700}, {404, 10}, {200, 900}} {
+				resp, err := httpmsg.ReadResponse(br)
+				if err != nil {
+					t.Fatalf("response %d: %v", i, err)
+				}
+				if _, err := io.CopyN(io.Discard, br, resp.ContentLength); err != nil {
+					t.Fatalf("response %d body: %v", i, err)
+				}
+				if resp.Status != want.status || resp.ContentLength != want.size {
+					t.Errorf("response %d: status %d, %d bytes; want %d, %d", i, resp.Status, resp.ContentLength, want.status, want.size)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,25 +102,38 @@ func TestMultiFEReplicated(t *testing.T) {
 		t.Fatalf("start tier: %v", err)
 	}
 	defer cl.Close()
+
+	// Bounded staleness: every replica must hear its peers' load vectors
+	// (a non-zero remote conn count on some node). Watched while the load
+	// runs — once it has drained the vectors truthfully say zero.
+	seen := make([]atomic.Bool, len(cl.FEs))
+	stop := make(chan struct{})
+	var watch sync.WaitGroup
+	watch.Add(1)
+	go func() {
+		defer watch.Done()
+		for {
+			for i, fe := range cl.FEs {
+				if !seen[i].Load() && fe.RemoteConnsSeen() {
+					seen[i].Store(true)
+				}
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
 	runTierLoad(t, cl, tr)
+	close(stop)
+	watch.Wait()
 
 	for i, fe := range cl.FEs {
 		if fe.TierSyncs() == 0 {
 			t.Errorf("frontend %d completed zero replication rounds", i)
 		}
-	}
-	// Bounded staleness: within a few sync intervals every replica must
-	// have heard its peers' load vectors (a non-zero remote conn count on
-	// some node — the tier served thousands of connections).
-	deadline := time.Now().Add(2 * time.Second)
-	for i, fe := range cl.FEs {
-		for {
-			if fe.RemoteConnsSeen() || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if !fe.RemoteConnsSeen() {
+		if !seen[i].Load() {
 			t.Errorf("frontend %d never saw a peer load vector", i)
 		}
 	}

@@ -2,11 +2,12 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"strconv"
-	"strings"
 	"syscall"
 
 	"phttp/internal/core"
@@ -23,111 +24,241 @@ import (
 //	  RELAY <connID>            (open a relayed connection, no handoff fd)
 //	BE -> FE:
 //	  DISKQ <depth>             (periodic disk queue report)
+//	  CLOSE <connID>            (refused a relayed connection: close its client)
 //
-// Targets contain no whitespace (URL paths), so space-separated fields are
-// unambiguous; REQ places the target last so future extensions stay simple.
+// Fields are separated by exactly one space and numbers are canonical
+// decimals (no sign, no leading zero), so a line the parser accepts is the
+// line the encoder would have produced. Targets contain no space (the HTTP
+// parser splits the request line on them); REQ places the target last so
+// future extensions stay simple.
+//
+// A pipelined batch travels as one write per destination: the front-end
+// appends the batch's REQ lines (and a leading RELAY when the destination
+// is new to the connection) into one buffer and writes it under the link's
+// lock; the back-end's control loop reads lines out of a buffered reader
+// and parses each in place, without copying it.
 //
 // Handed-off connections travel out of band: the front-end writes one byte
 // carrying the connID length-prefixed header with the client socket's file
 // descriptor attached as SCM_RIGHTS ancillary data on a per-back-end UNIX
 // socket pair (see SendConnFD/RecvConnFD).
 
+// ctrlKind is the type of a control message.
+type ctrlKind uint8
+
+const (
+	kindReq ctrlKind = iota + 1
+	kindClose
+	kindRelay
+	kindDiskQ
+)
+
+// protoVer is the HTTP version a response must echo.
+type protoVer uint8
+
+const (
+	proto10 protoVer = iota
+	proto11
+)
+
+func (p protoVer) String() string {
+	if p == proto11 {
+		return "HTTP/1.1"
+	}
+	return "HTTP/1.0"
+}
+
+// protoOf maps a parsed request's protocol string (httpmsg accepts only
+// the two) to its wire enum.
+func protoOf(proto string) protoVer {
+	if proto == "HTTP/1.1" {
+		return proto11
+	}
+	return proto10
+}
+
+// Bounds on the numbers a control line may carry; anything beyond them is
+// a malformed message, not a value to act on.
+const (
+	maxWireNode = 1<<16 - 1
+	maxWireInt  = math.MaxInt32 // sequence numbers, disk queue depths
+	// ctrlBufBytes sizes control-session readers: the longest legal line
+	// is a REQ carrying a target of httpmsg.MaxLineBytes.
+	ctrlBufBytes = 16 << 10
+)
+
 // ctrlMsg is a parsed control message.
 type ctrlMsg struct {
-	Kind   string // "REQ", "CLOSE", "RELAY", "DISKQ"
+	Kind   ctrlKind
+	Proto  protoVer
+	Keep   bool
 	Conn   core.ConnID
 	Seq    int
-	Proto  string
-	Keep   bool
 	Remote core.NodeID // NoNode when the request is served locally
-	Target core.Target
+	// Target aliases the parsed line: valid until the reader that produced
+	// the line is read again.
+	Target []byte
 	Depth  int // DISKQ
 }
 
-// formatReq renders a REQ message.
-func formatReq(id core.ConnID, seq int, proto string, keep bool, remote core.NodeID, target core.Target) string {
-	k := "0"
+// appendReq appends a REQ message to dst.
+//
+//phttp:hotpath
+func appendReq(dst []byte, id core.ConnID, seq int, proto protoVer, keep bool, remote core.NodeID, target core.Target) []byte {
+	dst = append(dst, "REQ "...)
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(seq), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, proto.String()...)
+	dst = append(dst, ' ')
 	if keep {
-		k = "1"
+		dst = append(dst, "1 "...)
+	} else {
+		dst = append(dst, "0 "...)
 	}
-	r := "-"
-	if remote != core.NoNode {
-		r = strconv.Itoa(int(remote))
+	if remote == core.NoNode {
+		dst = append(dst, '-')
+	} else {
+		dst = strconv.AppendInt(dst, int64(remote), 10)
 	}
-	return fmt.Sprintf("REQ %d %d %s %s %s %s\n", id, seq, proto, k, r, target)
+	dst = append(dst, ' ')
+	dst = append(dst, target...)
+	return append(dst, '\n')
 }
 
-func formatClose(id core.ConnID) string { return fmt.Sprintf("CLOSE %d\n", id) }
-func formatRelay(id core.ConnID) string { return fmt.Sprintf("RELAY %d\n", id) }
-func formatDiskQ(depth int) string      { return fmt.Sprintf("DISKQ %d\n", depth) }
+// appendIDMsg appends a "<verb> <n>\n" message: CLOSE, RELAY and DISKQ.
+func appendIDMsg(dst []byte, verb string, n int64) []byte {
+	dst = append(dst, verb...)
+	dst = strconv.AppendInt(dst, n, 10)
+	return append(dst, '\n')
+}
 
-// parseCtrl parses one control line.
-func parseCtrl(line string) (ctrlMsg, error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return ctrlMsg{}, fmt.Errorf("cluster: empty control message")
-	}
-	m := ctrlMsg{Kind: fields[0], Remote: core.NoNode}
-	bad := func() (ctrlMsg, error) {
-		return ctrlMsg{}, fmt.Errorf("cluster: malformed control message %q", line)
-	}
-	switch m.Kind {
+func appendClose(dst []byte, id core.ConnID) []byte { return appendIDMsg(dst, "CLOSE ", int64(id)) }
+func appendRelay(dst []byte, id core.ConnID) []byte { return appendIDMsg(dst, "RELAY ", int64(id)) }
+func appendDiskQ(dst []byte, depth int) []byte      { return appendIDMsg(dst, "DISKQ ", int64(depth)) }
+
+// parseCtrl parses one control line (without its newline) in place.
+//
+//phttp:hotpath
+func parseCtrl(line []byte) (ctrlMsg, error) {
+	verb, rest, _ := cutSpace(line)
+	m := ctrlMsg{Remote: core.NoNode}
+	switch string(verb) {
 	case "REQ":
-		if len(fields) != 7 {
-			return bad()
+		m.Kind = kindReq
+		conn, rest, ok1 := cutSpace(rest)
+		seq, rest, ok2 := cutSpace(rest)
+		proto, rest, ok3 := cutSpace(rest)
+		keep, rest, ok4 := cutSpace(rest)
+		remote, target, ok5 := cutSpace(rest)
+		if !(ok1 && ok2 && ok3 && ok4 && ok5) || len(target) == 0 || bytes.IndexByte(target, ' ') >= 0 {
+			return badCtrl(line)
 		}
-		id, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return bad()
+		id, ok := parseWireInt(conn, math.MaxInt64)
+		n, okSeq := parseWireInt(seq, maxWireInt)
+		if !ok || !okSeq {
+			return badCtrl(line)
 		}
-		m.Conn = core.ConnID(id)
-		if m.Seq, err = strconv.Atoi(fields[2]); err != nil {
-			return bad()
+		m.Conn, m.Seq = core.ConnID(id), int(n)
+		switch string(proto) {
+		case "HTTP/1.1":
+			m.Proto = proto11
+		case "HTTP/1.0":
+			m.Proto = proto10
+		default:
+			return badCtrl(line)
 		}
-		m.Proto = fields[3]
-		m.Keep = fields[4] == "1"
-		if fields[5] != "-" {
-			r, err := strconv.Atoi(fields[5])
-			if err != nil {
-				return bad()
+		switch string(keep) {
+		case "1":
+			m.Keep = true
+		case "0":
+		default:
+			return badCtrl(line)
+		}
+		if string(remote) != "-" {
+			r, ok := parseWireInt(remote, maxWireNode)
+			if !ok {
+				return badCtrl(line)
 			}
 			m.Remote = core.NodeID(r)
 		}
-		m.Target = core.Target(fields[6])
+		m.Target = target
 		return m, nil
 	case "CLOSE", "RELAY":
-		if len(fields) != 2 {
-			return bad()
+		m.Kind = kindClose
+		if verb[0] == 'R' {
+			m.Kind = kindRelay
 		}
-		id, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return bad()
+		id, ok := parseWireInt(rest, math.MaxInt64)
+		if !ok {
+			return badCtrl(line)
 		}
 		m.Conn = core.ConnID(id)
 		return m, nil
 	case "DISKQ":
-		if len(fields) != 2 {
-			return bad()
+		m.Kind = kindDiskQ
+		d, ok := parseWireInt(rest, maxWireInt)
+		if !ok {
+			return badCtrl(line)
 		}
-		d, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return bad()
-		}
-		m.Depth = d
+		m.Depth = int(d)
 		return m, nil
-	default:
-		return bad()
 	}
+	return badCtrl(line)
 }
 
-// readCtrl reads and parses the next control message.
+// badCtrl is parseCtrl's cold error path.
+func badCtrl(line []byte) (ctrlMsg, error) {
+	return ctrlMsg{}, fmt.Errorf("cluster: malformed control message %q", line)
+}
+
+// cutSpace splits b at its first space.
+func cutSpace(b []byte) (field, rest []byte, ok bool) {
+	i := bytes.IndexByte(b, ' ')
+	if i < 0 {
+		return b, nil, false
+	}
+	return b[:i], b[i+1:], true
+}
+
+// parseWireInt parses a canonical non-negative decimal no larger than max:
+// digits only, no leading zero, no overflow.
+func parseWireInt(b []byte, max int64) (int64, bool) {
+	if len(b) == 0 || len(b) > 19 || (b[0] == '0' && len(b) > 1) {
+		return 0, false
+	}
+	var n int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		d := int64(c - '0')
+		if n > (max-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, true
+}
+
+// readCtrl reads and parses the next control message. The message's Target
+// aliases br's buffer and is valid until the next read. A line that does
+// not fit the buffer (size readers with ctrlBufBytes) is an error.
 func readCtrl(br *bufio.Reader) (ctrlMsg, error) {
-	line, err := br.ReadString('\n')
+	line, err := br.ReadSlice('\n')
 	if err != nil {
+		if err == bufio.ErrBufferFull {
+			err = fmt.Errorf("cluster: control message over %d bytes", br.Size())
+		}
 		return ctrlMsg{}, err
 	}
-	return parseCtrl(strings.TrimSpace(line))
+	return parseCtrl(line[:len(line)-1])
 }
+
+// handoffHeaderBytes is the in-band part of a handoff message: the
+// connection ID as a fixed-width decimal.
+const handoffHeaderBytes = 20
 
 // SendConnFD performs the handoff: it sends the client connection's file
 // descriptor (with the connection ID as in-band data) to a back-end over
@@ -136,14 +267,20 @@ func readCtrl(br *bufio.Reader) (ctrlMsg, error) {
 // back-end gains a descriptor it writes responses to, so response data
 // bypasses the front-end exactly as with the in-kernel handoff.
 func SendConnFD(uc *net.UnixConn, id core.ConnID, f *os.File) error {
+	if id < 0 {
+		return fmt.Errorf("cluster: handoff send: negative conn id %d", id)
+	}
 	oob := syscall.UnixRights(int(f.Fd()))
-	buf := []byte(fmt.Sprintf("%020d", id))
-	n, oobn, err := uc.WriteMsgUnix(buf, oob, nil)
+	var hdr [handoffHeaderBytes]byte // the ID, zero-padded
+	for i, n := len(hdr)-1, int64(id); i >= 0; i, n = i-1, n/10 {
+		hdr[i] = '0' + byte(n%10)
+	}
+	n, oobn, err := uc.WriteMsgUnix(hdr[:], oob, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: handoff send: %w", err)
 	}
-	if n != len(buf) || oobn != len(oob) {
-		return fmt.Errorf("cluster: handoff send: short write (%d/%d data, %d/%d oob)", n, len(buf), oobn, len(oob))
+	if n != len(hdr) || oobn != len(oob) {
+		return fmt.Errorf("cluster: handoff send: short write (%d/%d data, %d/%d oob)", n, len(hdr), oobn, len(oob))
 	}
 	return nil
 }
@@ -151,7 +288,8 @@ func SendConnFD(uc *net.UnixConn, id core.ConnID, f *os.File) error {
 // RecvConnFD receives one handed-off connection: the connection ID and a
 // net.Conn wrapping the received descriptor.
 func RecvConnFD(uc *net.UnixConn) (core.ConnID, net.Conn, error) {
-	buf := make([]byte, 20)
+	var hdr [handoffHeaderBytes]byte
+	buf := hdr[:]
 	oob := make([]byte, syscall.CmsgSpace(4))
 	n, oobn, _, _, err := uc.ReadMsgUnix(buf, oob)
 	if err != nil {
@@ -160,8 +298,12 @@ func RecvConnFD(uc *net.UnixConn) (core.ConnID, net.Conn, error) {
 	if n != len(buf) {
 		return 0, nil, fmt.Errorf("cluster: handoff recv: short header (%d bytes)", n)
 	}
-	id, err := strconv.ParseInt(strings.TrimLeft(string(buf), "0"), 10, 64)
-	if err != nil {
+	digits := bytes.TrimLeft(buf, "0")
+	if len(digits) == 0 {
+		digits = buf[len(buf)-1:] // ID 0
+	}
+	id, ok := parseWireInt(digits, math.MaxInt64)
+	if !ok {
 		return 0, nil, fmt.Errorf("cluster: handoff recv: bad conn id %q", buf)
 	}
 	cmsgs, err := syscall.ParseSocketControlMessage(oob[:oobn])
@@ -172,7 +314,7 @@ func RecvConnFD(uc *net.UnixConn) (core.ConnID, net.Conn, error) {
 	if err != nil || len(fds) != 1 {
 		return 0, nil, fmt.Errorf("cluster: handoff recv: expected 1 fd (%v)", err)
 	}
-	f := os.NewFile(uintptr(fds[0]), fmt.Sprintf("handoff-conn-%d", id))
+	f := os.NewFile(uintptr(fds[0]), "handoff-conn")
 	conn, err := net.FileConn(f)
 	f.Close() // FileConn dups; release our copy
 	if err != nil {

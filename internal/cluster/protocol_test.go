@@ -2,63 +2,121 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"phttp/internal/core"
+	"phttp/internal/httpmsg"
 	"phttp/internal/server"
 )
 
-func TestCtrlReqRoundTrip(t *testing.T) {
-	line := formatReq(42, 7, "HTTP/1.1", true, 3, "/docs/page.html")
-	m, err := parseCtrl(strings.TrimSpace(line))
+// parseLine parses an encoded message the way readCtrl does: without its
+// newline.
+func parseLine(t testing.TB, msg []byte) ctrlMsg {
+	t.Helper()
+	if len(msg) == 0 || msg[len(msg)-1] != '\n' {
+		t.Fatalf("encoded message %q does not end in a newline", msg)
+	}
+	m, err := parseCtrl(msg[:len(msg)-1])
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("parseCtrl(%q): %v", msg, err)
 	}
-	if m.Kind != "REQ" || m.Conn != 42 || m.Seq != 7 || m.Proto != "HTTP/1.1" ||
-		!m.Keep || m.Remote != 3 || m.Target != "/docs/page.html" {
-		t.Errorf("parsed %+v", m)
-	}
+	return m
 }
 
-func TestCtrlReqLocalServe(t *testing.T) {
-	line := formatReq(1, 0, "HTTP/1.0", false, core.NoNode, "/x")
-	m, err := parseCtrl(strings.TrimSpace(line))
-	if err != nil {
-		t.Fatal(err)
+// TestCtrlReqGolden: parseCtrl(appendReq(x)) == x for every combination of
+// the fields, including a locally served request (remote = NoNode), the
+// relay form and the extremes of the numeric ranges.
+func TestCtrlReqGolden(t *testing.T) {
+	if got, want := string(appendReq(nil, 42, 7, proto11, true, 3, "/docs/page.html")),
+		"REQ 42 7 HTTP/1.1 1 3 /docs/page.html\n"; got != want {
+		t.Fatalf("appendReq = %q, want %q", got, want)
 	}
-	if m.Remote != core.NoNode || m.Keep {
-		t.Errorf("parsed %+v", m)
+	for _, id := range []core.ConnID{0, 1, 42, 3 << 40, math.MaxInt64} {
+		for _, seq := range []int{0, 9, 10, maxWireInt} {
+			for _, proto := range []protoVer{proto10, proto11} {
+				for _, keep := range []bool{false, true} {
+					for _, remote := range []core.NodeID{core.NoNode, 0, 5, maxWireNode} {
+						for _, target := range []core.Target{"/", "/x", "/a?q=1&x=%20", "/tab\there", "/cr\r"} {
+							m := parseLine(t, appendReq(nil, id, seq, proto, keep, remote, target))
+							if m.Kind != kindReq || m.Conn != id || m.Seq != seq || m.Proto != proto ||
+								m.Keep != keep || m.Remote != remote || string(m.Target) != string(target) {
+								t.Fatalf("REQ(%d %d %v %v %v %q) parsed as %+v", id, seq, proto, keep, remote, target, m)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
 func TestCtrlCloseRelayDiskQ(t *testing.T) {
-	m, err := parseCtrl("CLOSE 9")
-	if err != nil || m.Kind != "CLOSE" || m.Conn != 9 {
-		t.Errorf("CLOSE parse: %+v, %v", m, err)
+	if m := parseLine(t, appendClose(nil, 9)); m.Kind != kindClose || m.Conn != 9 {
+		t.Errorf("CLOSE parse: %+v", m)
 	}
-	m, err = parseCtrl("RELAY 11")
-	if err != nil || m.Kind != "RELAY" || m.Conn != 11 {
-		t.Errorf("RELAY parse: %+v, %v", m, err)
+	if m := parseLine(t, appendRelay(nil, 11)); m.Kind != kindRelay || m.Conn != 11 {
+		t.Errorf("RELAY parse: %+v", m)
 	}
-	m, err = parseCtrl("DISKQ 5")
-	if err != nil || m.Kind != "DISKQ" || m.Depth != 5 {
-		t.Errorf("DISKQ parse: %+v, %v", m, err)
+	if m := parseLine(t, appendDiskQ(nil, 5)); m.Kind != kindDiskQ || m.Depth != 5 {
+		t.Errorf("DISKQ parse: %+v", m)
+	}
+	// A batch travels as consecutive lines in one buffer.
+	buf := appendRelay(nil, 4)
+	buf = appendReq(buf, 4, 0, proto11, true, core.NoNode, "/a")
+	buf = appendReq(buf, 4, 1, proto11, false, core.NoNode, "/b")
+	br := bufio.NewReaderSize(bytes.NewReader(buf), ctrlBufBytes)
+	for i, want := range []ctrlKind{kindRelay, kindReq, kindReq} {
+		m, err := readCtrl(br)
+		if err != nil || m.Kind != want || m.Conn != 4 {
+			t.Fatalf("message %d of the batch: %+v, %v", i, m, err)
+		}
+	}
+	if _, err := readCtrl(br); err != io.EOF {
+		t.Errorf("after the batch: %v, want EOF", err)
 	}
 }
 
 func TestCtrlMalformed(t *testing.T) {
 	bad := []string{
-		"", "BOGUS 1", "REQ 1 2", "REQ x 0 HTTP/1.1 1 - /t",
+		"", " ", "BOGUS 1", "REQ", "REQ 1 2", "REQ x 0 HTTP/1.1 1 - /t",
 		"REQ 1 y HTTP/1.1 1 - /t", "REQ 1 2 HTTP/1.1 1 z /t",
-		"CLOSE", "CLOSE x", "DISKQ", "DISKQ x", "RELAY",
+		"CLOSE", "CLOSE x", "DISKQ", "DISKQ x", "RELAY", "RELAY ",
+		// Not canonical: signs, leading zeros, doubled or trailing spaces.
+		"REQ -1 0 HTTP/1.1 1 - /t", "REQ +1 0 HTTP/1.1 1 - /t", "REQ 01 0 HTTP/1.1 1 - /t",
+		"REQ 1  0 HTTP/1.1 1 - /t", "REQ 1 0 HTTP/1.1 1 - /t ", "REQ 1 0 HTTP/1.1 1 - ",
+		"REQ 1 0 HTTP/1.1 1 - /t extra", "CLOSE 9 ", "CLOSE 9\r", "CLOSE 09", "DISKQ -3",
+		// Out of range.
+		"REQ 9223372036854775808 0 HTTP/1.1 1 - /t", "REQ 1 2147483648 HTTP/1.1 1 - /t",
+		"REQ 1 0 HTTP/1.1 1 65536 /t", "REQ 1 0 HTTP/1.1 1 -1 /t",
+		"CLOSE 99999999999999999999", "DISKQ 2147483648",
+		// Unknown protocol or keep flag.
+		"REQ 1 0 HTTP/2.0 1 - /t", "REQ 1 0 http/1.1 1 - /t", "REQ 1 0 HTTP/1.1 2 - /t",
+		"REQ 1 0 HTTP/1.1 true - /t",
 	}
 	for _, line := range bad {
-		if _, err := parseCtrl(line); err == nil {
-			t.Errorf("accepted malformed control message %q", line)
+		if m, err := parseCtrl([]byte(line)); err == nil {
+			t.Errorf("accepted malformed control message %q as %+v", line, m)
 		}
+	}
+}
+
+// An oversized line is an error, not a truncated message.
+func TestCtrlOversizedLine(t *testing.T) {
+	long := appendReq(nil, 1, 0, proto11, true, core.NoNode, core.Target("/"+strings.Repeat("q", ctrlBufBytes)))
+	if _, err := readCtrl(bufio.NewReaderSize(bytes.NewReader(long), ctrlBufBytes)); err == nil {
+		t.Error("accepted a control line longer than the session buffer")
+	}
+	// The longest target the HTTP parser lets through still fits.
+	fits := appendReq(nil, math.MaxInt64, maxWireInt, proto11, true, maxWireNode, core.Target("/"+strings.Repeat("q", httpmsg.MaxLineBytes)))
+	if _, err := readCtrl(bufio.NewReaderSize(bytes.NewReader(fits), ctrlBufBytes)); err != nil {
+		t.Errorf("rejected a maximal legal REQ: %v", err)
 	}
 }
 
@@ -71,17 +129,111 @@ func TestCtrlReqRoundTripProperty(t *testing.T) {
 			r = core.NoNode
 		}
 		target := core.Target("/t" + strings.Repeat("q", int(pathSeed%40)+1))
-		line := formatReq(core.ConnID(id), int(seq), "HTTP/1.1", keep, r, target)
-		m, err := parseCtrl(strings.TrimSpace(line))
+		msg := appendReq(nil, core.ConnID(id), int(seq), proto11, keep, r, target)
+		m, err := parseCtrl(msg[:len(msg)-1])
 		if err != nil {
 			return false
 		}
 		return m.Conn == core.ConnID(id) && m.Seq == int(seq) &&
-			m.Keep == keep && m.Remote == r && m.Target == target
+			m.Keep == keep && m.Remote == r && string(m.Target) == string(target)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// The control codecs sit on the per-request path of both nodes: encoding
+// into a buffer with room and parsing in place allocate nothing.
+func TestCtrlCodecZeroAllocs(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	target := core.Target("/docs/page.html")
+	if n := testing.AllocsPerRun(200, func() {
+		buf = appendReq(buf[:0], 1<<40|77, 12, proto11, true, 2, target)
+		buf = appendClose(buf, 77)
+	}); n != 0 {
+		t.Errorf("appendReq: %v allocs per message, want 0", n)
+	}
+	line := appendReq(nil, 1<<40|77, 12, proto11, true, 2, target)
+	line = line[:len(line)-1]
+	var sink ctrlMsg
+	if n := testing.AllocsPerRun(200, func() {
+		m, err := parseCtrl(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = m
+	}); n != 0 {
+		t.Errorf("parseCtrl: %v allocs per message, want 0", n)
+	}
+	_ = sink
+
+	// Resolving the parsed target against the document table converts in
+	// the map index and does not allocate either.
+	ds := NewDocStore(map[core.Target]int64{target: 100}, 1<<20, testDisk(), 1000)
+	if n := testing.AllocsPerRun(200, func() {
+		if ds.lookup(sink.Target) == nil {
+			t.Fatal("known target did not resolve")
+		}
+	}); n != 0 {
+		t.Errorf("DocStore.lookup: %v allocs per call, want 0", n)
+	}
+}
+
+// FuzzParseCtrl: the control-line parser takes bytes from a socket. It
+// never panics; a line it accepts is canonical — re-encoding the parsed
+// message yields the same bytes — and every number it returns is inside
+// the wire bounds.
+func FuzzParseCtrl(f *testing.F) {
+	for _, s := range []string{
+		"REQ 42 7 HTTP/1.1 1 3 /docs/page.html", "REQ 1 0 HTTP/1.0 0 - /x",
+		"CLOSE 9", "RELAY 11", "DISKQ 5", "DISKQ 0",
+		"REQ 9223372036854775807 2147483647 HTTP/1.1 1 65535 /", "REQ 1 0 HTTP/1.1 1 65536 /t",
+		"REQ -1 0 HTTP/1.1 1 - /t", "REQ 01 0 HTTP/1.1 1 - /t", "CLOSE 99999999999999999999",
+		"REQ 1 0 HTTP/1.1 1 - /t extra", "REQ  1 0 HTTP/1.1 1 - /t", "", "REQ", "\x00",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		m, err := parseCtrl(line)
+		if err != nil {
+			return
+		}
+		var back []byte
+		switch m.Kind {
+		case kindReq:
+			if m.Remote != core.NoNode && (m.Remote < 0 || m.Remote > maxWireNode) {
+				t.Fatalf("accepted node %d", m.Remote)
+			}
+			if m.Conn < 0 || m.Seq < 0 || m.Seq > maxWireInt || len(m.Target) == 0 {
+				t.Fatalf("accepted out-of-range REQ %+v", m)
+			}
+			back = appendReq(nil, m.Conn, m.Seq, m.Proto, m.Keep, m.Remote, core.Target(m.Target))
+		case kindClose:
+			back = appendClose(nil, m.Conn)
+		case kindRelay:
+			back = appendRelay(nil, m.Conn)
+		case kindDiskQ:
+			if m.Depth < 0 || m.Depth > maxWireInt {
+				t.Fatalf("accepted depth %d", m.Depth)
+			}
+			back = appendDiskQ(nil, m.Depth)
+		default:
+			t.Fatalf("accepted a message of unknown kind: %+v", m)
+		}
+		if m.Conn < 0 {
+			t.Fatalf("accepted negative connection ID %d", m.Conn)
+		}
+		if string(back) != string(line)+"\n" {
+			t.Fatalf("accepted %q, which re-encodes as %q", line, back)
+		}
+		if len(line) > ctrlBufBytes {
+			// readCtrl refuses such a line before parseCtrl sees it.
+			long := append(append([]byte(nil), line...), '\n')
+			if _, err := readCtrl(bufio.NewReaderSize(bytes.NewReader(long), ctrlBufBytes)); err == nil {
+				t.Fatalf("readCtrl accepted a %d-byte line", len(line))
+			}
+		}
+	})
 }
 
 // TestFDPassing exercises the handoff primitive end to end: a TCP socket's
@@ -226,6 +378,18 @@ func TestContentDeterministic(t *testing.T) {
 	for i := int64(0); i < 64; i++ {
 		if a.String()[i] != ContentByte("/x", i) {
 			t.Fatalf("ContentByte mismatch at %d", i)
+		}
+	}
+	// The pattern's definition, which clients on other commits verify
+	// against: the target, '#', a counter at least four digits wide, '|',
+	// repeated and cut at 1 KB.
+	for _, tgt := range []core.Target{"/x", "/a/longer/target.html", core.Target("/" + strings.Repeat("p", 1200))} {
+		var want []byte
+		for i := 0; len(want) < 1<<10; i++ {
+			want = append(want, fmt.Sprintf("%s#%04d|", tgt, i)...)
+		}
+		if got := contentChunk(tgt); string(got) != string(want[:1<<10]) {
+			t.Errorf("pattern of %.20q... departs from its definition", tgt)
 		}
 	}
 }

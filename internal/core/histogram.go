@@ -214,6 +214,28 @@ func (h *LatencyHist) Clone() *LatencyHist {
 	return c
 }
 
+// Snapshot returns a copy that is consistent with itself while Record runs
+// concurrently: the buckets are copied once and the copy's count is derived
+// from them, so cumulative bucket counts, Quantile and Count of the copy
+// always agree — which a reader combining several live loads cannot get.
+// Sum and Max are read after the buckets and may include samples the
+// buckets do not (or, by the same few in-flight records, lag them); they
+// are monitoring figures, not part of the invariant. One allocation; for
+// exposition, not for hot paths.
+func (h *LatencyHist) Snapshot() *LatencyHist {
+	c := &LatencyHist{}
+	var count int64
+	for i := range h.buckets {
+		n := atomic.LoadInt64(&h.buckets[i])
+		atomic.StoreInt64(&c.buckets[i], n)
+		count += n
+	}
+	atomic.StoreInt64(&c.count, count)
+	atomic.StoreInt64(&c.sum, atomic.LoadInt64(&h.sum))
+	atomic.StoreInt64(&c.max, atomic.LoadInt64(&h.max))
+	return c
+}
+
 // Each calls fn for every non-empty bucket in ascending value order with
 // the bucket's closed range and count. The Prometheus exporter and the
 // quantile tests are built on it.

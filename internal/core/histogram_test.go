@@ -232,3 +232,40 @@ func TestLatencyHistRecordZeroAllocs(t *testing.T) {
 		t.Fatalf("Record allocates %.2f per call, want 0", allocs)
 	}
 }
+
+// A snapshot taken while Record runs is consistent with itself: its count
+// is the sum of its buckets (the property the Prometheus exposition needs:
+// the +Inf bucket equals _count), whatever the live counters were doing.
+func TestLatencyHistSnapshotConsistentUnderRecord(t *testing.T) {
+	h := NewLatencyHist()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for v := int64(g); ; v = (v*31 + 7) % 100000 {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Record(v)
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		s := h.Snapshot()
+		var sum int64
+		s.Each(func(lo, hi, count int64) { sum += count })
+		if sum != s.Count() {
+			t.Fatalf("snapshot %d: buckets sum to %d, Count() = %d", i, sum, s.Count())
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if s := h.Snapshot(); s.Count() != h.Count() || s.Sum() != h.Sum() || s.Max() != h.Max() {
+		t.Errorf("quiescent snapshot (%d, %d, %d) differs from the histogram (%d, %d, %d)",
+			s.Count(), s.Sum(), s.Max(), h.Count(), h.Sum(), h.Max())
+	}
+}

@@ -450,6 +450,34 @@ func (in *Interner) Intern(t Target) TargetID {
 	return in.internSlow(st, t, !inSnap)
 }
 
+// InternBytes is Intern for a target still sitting in a read buffer: a
+// target the snapshot already knows is resolved without materializing a
+// string (the map lookup and the name comparison convert in place), so a
+// parser can intern before it copies. Only a miss allocates — the string
+// the table then keeps. The canonical string of the returned ID is
+// Name(id). The reference protocol is Intern's.
+//
+//phttp:hotpath
+func (in *Interner) InternBytes(b []byte) TargetID {
+	st := &in.stripes[0]
+	if in.mask != 0 {
+		st = &in.stripes[uint32(maphash.Bytes(in.seed, b))&in.mask]
+	}
+	if id, ok := (*st.snap.Load())[Target(b)]; ok {
+		if in.max == 0 {
+			return id
+		}
+		// Capped: tryAcquireHit verifies against a Target, and the slot's
+		// own name is one — if it still spells b.
+		if sl := in.arena.slotIfPresent(int32(id) - 1); sl != nil {
+			if name := sl.name.Load(); name != nil && *name == Target(b) && in.tryAcquireHit(*name, id) {
+				return id
+			}
+		}
+	}
+	return in.Intern(Target(b))
+}
+
 // tryAcquireHit attempts the lock-free capped hit: bump the refcount while
 // it is positive, then confirm the slot still names t — it may have been
 // recycled since the snapshot was taken, in which case the spurious

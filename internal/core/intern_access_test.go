@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -128,4 +129,77 @@ func TestEvictableInternerRejectsZeroCap(t *testing.T) {
 		}
 	}()
 	NewEvictableInternerStripes(0, 4)
+}
+
+// InternBytes must be Intern: same IDs, same reference counts, on pinned,
+// capped and striped tables, for hits, misses, limbo revivals and recycled
+// slots — interleaving the two forms over one table.
+func TestInternBytesAgreesWithIntern(t *testing.T) {
+	for name, mk := range map[string]func() *Interner{
+		"pinned":         NewInterner,
+		"capped":         func() *Interner { return NewEvictableInterner(8) },
+		"capped-striped": func() *Interner { return NewEvictableInternerStripes(4096, 8) },
+		"bulk-loaded":    func() *Interner { return NewInternerFromNames([]Target{"/t0", "/t1", "/t2"}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			in, model := mk(), mk()
+			for round := 0; round < 3; round++ {
+				for i := 0; i < 40; i++ {
+					tgt := Target(fmt.Sprintf("/t%d", (i*7+round)%23))
+					var id TargetID
+					if i%2 == 0 {
+						id = in.InternBytes([]byte(tgt))
+					} else {
+						id = in.Intern(tgt)
+					}
+					want := model.Intern(tgt)
+					if id != want {
+						t.Fatalf("round %d target %q: InternBytes path gave ID %d, Intern-only table %d", round, tgt, id, want)
+					}
+					if got := in.Name(id); got != tgt {
+						t.Fatalf("ID %d names %q, interned %q", id, got, tgt)
+					}
+					if in.Refs(id) != model.Refs(want) {
+						t.Fatalf("target %q: refs %d, want %d", tgt, in.Refs(id), model.Refs(want))
+					}
+					in.Release(id)
+					model.Release(want)
+				}
+			}
+			if in.Len() != model.Len() || in.Limbo() != model.Limbo() {
+				t.Errorf("len/limbo %d/%d, Intern-only table %d/%d", in.Len(), in.Limbo(), model.Len(), model.Limbo())
+			}
+		})
+	}
+}
+
+// A known target is interned from bytes without materializing a string.
+func TestInternBytesZeroAllocsOnHit(t *testing.T) {
+	b := []byte("/docs/page.html")
+	for name, in := range map[string]*Interner{
+		"pinned": NewInterner(),
+		"capped": NewEvictableInternerStripes(4096, 4),
+	} {
+		held := in.Intern(Target(b)) // a live reference keeps the capped hit lock-free
+		if n := testing.AllocsPerRun(200, func() {
+			in.Release(in.InternBytes(b))
+		}); n != 0 {
+			t.Errorf("%s: InternBytes hit: %v allocs, want 0", name, n)
+		}
+		in.Release(held)
+	}
+}
+
+// The string a miss stores is its own: the caller's buffer may change.
+func TestInternBytesCopiesOnMiss(t *testing.T) {
+	in := NewInterner()
+	b := []byte("/first")
+	id := in.InternBytes(b)
+	copy(b, "/other")
+	if got := in.Name(id); got != "/first" {
+		t.Errorf("interned name follows the caller's buffer: %q", got)
+	}
+	if other := in.InternBytes(b); other == id {
+		t.Error("a different target resolved to the first target's ID")
+	}
 }

@@ -13,6 +13,7 @@ package httpmsg
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -60,6 +61,12 @@ type Request struct {
 	ID      core.TargetID
 	Proto   string // "HTTP/1.0" or "HTTP/1.1"
 	Headers []Header
+
+	// Parse scratch kept across ReadRequestInto calls: the target bytes
+	// awaiting interning, and the spill buffer of a line longer than the
+	// reader's own.
+	target []byte
+	spill  []byte
 }
 
 // Response is a parsed HTTP response header; the body (ContentLength bytes)
@@ -72,49 +79,110 @@ type Response struct {
 	ContentLength int64
 }
 
-// readLine reads one CRLF- (or LF-) terminated line within MaxLineBytes.
-func readLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		if err == io.EOF && line != "" {
-			return "", fmt.Errorf("%w: truncated line", ErrMalformed)
+// readLineSlice reads one CRLF- (or LF-) terminated line within
+// MaxLineBytes and returns it without its terminator. The slice aliases the
+// reader's buffer — or *spill, when the line outgrew that buffer — and is
+// only valid until the next read from br.
+func readLineSlice(br *bufio.Reader, spill *[]byte) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// The line is longer than the reader's buffer (a 4 KB default
+		// reader against the 8 KB limit): collect it in the spill buffer,
+		// giving up as soon as the limit is passed rather than after
+		// reading an unbounded line.
+		buf := (*spill)[:0]
+		for err == bufio.ErrBufferFull {
+			buf = append(buf, line...)
+			if len(buf) > MaxLineBytes {
+				*spill = buf
+				return nil, ErrLineTooLong
+			}
+			line, err = br.ReadSlice('\n')
 		}
-		return "", err
+		buf = append(buf, line...)
+		*spill = buf
+		line = buf
+	}
+	if err != nil {
+		if err == io.EOF && len(line) > 0 {
+			return nil, fmt.Errorf("%w: truncated line", ErrMalformed)
+		}
+		return nil, err
 	}
 	if len(line) > MaxLineBytes {
-		return "", ErrLineTooLong
+		return nil, ErrLineTooLong
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	for n := len(line); n > 0 && (line[n-1] == '\n' || line[n-1] == '\r'); n-- {
+		line = line[:n-1]
+	}
+	return line, nil
 }
 
-// readHeaders parses header fields up to the blank line.
-func readHeaders(br *bufio.Reader) ([]Header, error) {
-	var hs []Header
+// readHeadersInto parses header fields up to the blank line into hs[:0],
+// reusing the slice's storage — including the strings of the previous
+// parse: a field whose name or value repeats what the same slot held last
+// time (the common case on a recycled connection record: same client
+// software, same Host) takes the old string instead of allocating a new
+// one. The result holds ordinary immutable strings either way.
+func readHeadersInto(br *bufio.Reader, hs []Header, spill *[]byte) ([]Header, error) {
+	prev := hs[:cap(hs)]
+	hs = hs[:0]
 	total := 0
 	for {
-		line, err := readLine(br)
+		line, err := readLineSlice(br, spill)
 		if err != nil {
-			return nil, err
+			return hs, err
 		}
-		if line == "" {
+		if len(line) == 0 {
 			return hs, nil
 		}
 		total += len(line)
 		if total > MaxHeaderBytes || len(hs) >= MaxHeaders {
-			return nil, ErrHeadersTooLarge
+			return hs, ErrHeadersTooLarge
 		}
-		name, value, ok := strings.Cut(line, ":")
-		name = strings.TrimSpace(name)
+		colon := bytes.IndexByte(line, ':')
+		var name []byte
+		if colon >= 0 {
+			name = bytes.TrimSpace(line[:colon])
+		}
 		// The trimmed name must be non-empty, or the field would not
 		// survive a serialize/reparse round trip (" : v" is not a header).
-		if !ok || name == "" {
-			return nil, fmt.Errorf("%w: header %q", ErrMalformed, line)
+		if len(name) == 0 {
+			return hs, fmt.Errorf("%w: header %q", ErrMalformed, line)
 		}
-		hs = append(hs, Header{
-			Name:  name,
-			Value: strings.TrimSpace(value),
-		})
+		value := bytes.TrimSpace(line[colon+1:])
+		var h Header
+		if i := len(hs); i < len(prev) {
+			h = prev[i]
+		}
+		if h.Name != string(name) {
+			h.Name = headerName(name)
+		}
+		if h.Value != string(value) {
+			h.Value = string(value)
+		}
+		hs = append(hs, h)
 	}
+}
+
+// headerName returns the field name as a string, without allocating for
+// the names the cluster's own clients and servers send.
+func headerName(b []byte) string {
+	switch string(b) {
+	case "Host":
+		return "Host"
+	case "Connection":
+		return "Connection"
+	case "Content-Length":
+		return "Content-Length"
+	case "Server":
+		return "Server"
+	case "User-Agent":
+		return "User-Agent"
+	case "Accept":
+		return "Accept"
+	}
+	return string(b)
 }
 
 // Get returns the first value of the named header (case-insensitive) and
@@ -132,42 +200,97 @@ func Get(hs []Header, name string) (string, bool) {
 // io.EOF is returned untouched when the connection closed cleanly between
 // requests, so callers can distinguish shutdown from corruption.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
-	line, err := readLine(br)
-	if err != nil {
-		return nil, err
-	}
-	parts := strings.Split(line, " ")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
-	}
-	req := &Request{Method: parts[0], Target: parts[1], Proto: parts[2]}
-	if req.Method == "" || req.Target == "" {
-		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
-	}
-	if req.Proto != "HTTP/1.0" && req.Proto != "HTTP/1.1" {
-		return nil, fmt.Errorf("%w: protocol %q", ErrMalformed, req.Proto)
-	}
-	req.Headers, err = readHeaders(br)
-	if err != nil {
+	return ReadRequestInterned(br, nil)
+}
+
+// ReadRequestInterned parses one request head like ReadRequest and interns
+// the target, stamping the dense TargetID onto the returned request. It is
+// ReadRequestInto over a fresh Request, for callers that keep the result.
+func ReadRequestInterned(br *bufio.Reader, in *core.Interner) (*Request, error) {
+	req := new(Request)
+	if err := ReadRequestInto(br, in, req); err != nil {
 		return nil, err
 	}
 	return req, nil
 }
 
-// ReadRequestInterned parses one request head like ReadRequest and interns
-// the target, stamping the dense TargetID onto the returned request — the
-// prototype front-end's parse path, which keeps everything downstream of
-// the parser (dispatch, policies, mapping tables) on integer IDs. On an
-// evictable interner the returned ID holds one reference that the caller
-// releases once the request has been dispatched (the front-end does so via
-// the engine's ReleaseBatch).
-func ReadRequestInterned(br *bufio.Reader, in *core.Interner) (*Request, error) {
-	req, err := ReadRequest(br)
+// ReadRequestInto parses one request head into req, overwriting it and
+// reusing its storage — the prototype front-end's parse path, which keeps
+// one Request per pipeline slot for the life of a connection record. With a
+// non-nil interner the target is interned straight from the read buffer and
+// req.ID is set (everything downstream of the parser — dispatch, policies,
+// mapping tables — works on integer IDs); req.Target is then the interner's
+// canonical string, so a known target costs no allocation. On an evictable
+// interner the ID holds one reference that the caller releases once the
+// request has been dispatched (the front-end does so via the engine's
+// ReleaseBatch). After an error req holds no meaningful request and
+// nothing was interned. Errors are those of ReadRequest.
+//
+//phttp:hotpath
+func ReadRequestInto(br *bufio.Reader, in *core.Interner, req *Request) error {
+	line, err := readLineSlice(br, &req.spill)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.ID = in.Intern(core.Target(req.Target))
-	return req, nil
+	// Exactly two spaces: method, target and protocol are all non-empty
+	// and space-free.
+	sp1 := bytes.IndexByte(line, ' ')
+	sp2 := bytes.LastIndexByte(line, ' ')
+	if sp1 <= 0 || sp2 <= sp1+1 || bytes.IndexByte(line[sp1+1:sp2], ' ') >= 0 {
+		return malformedLine("request line", line)
+	}
+	proto := protoName(line[sp2+1:])
+	if proto == "" {
+		return malformedLine("protocol", line[sp2+1:])
+	}
+	if method := line[:sp1]; req.Method != string(method) {
+		req.Method = methodName(method)
+	}
+	req.Proto = proto
+	req.ID = core.NoTarget
+	// The target is interned only once the whole head has parsed, and the
+	// header reads invalidate line: keep a copy in the request's scratch.
+	req.target = append(req.target[:0], line[sp1+1:sp2]...)
+	if req.Headers, err = readHeadersInto(br, req.Headers, &req.spill); err != nil {
+		return err
+	}
+	if in != nil {
+		req.ID = in.InternBytes(req.target)
+		req.Target = string(in.Name(req.ID))
+	} else if req.Target != string(req.target) {
+		req.Target = string(req.target)
+	}
+	return nil
+}
+
+// malformedLine is the cold formatting helper of the annotated parse path.
+func malformedLine(what string, b []byte) error {
+	return fmt.Errorf("%w: %s %q", ErrMalformed, what, b)
+}
+
+// protoName returns the constant for a supported protocol version, or "".
+func protoName(b []byte) string {
+	switch string(b) {
+	case "HTTP/1.1":
+		return "HTTP/1.1"
+	case "HTTP/1.0":
+		return "HTTP/1.0"
+	}
+	return ""
+}
+
+// methodName returns the method as a string, a constant for the methods
+// clients actually send.
+func methodName(b []byte) string {
+	switch string(b) {
+	case "GET":
+		return "GET"
+	case "HEAD":
+		return "HEAD"
+	case "POST":
+		return "POST"
+	}
+	return string(b)
 }
 
 // KeepAlive reports whether the connection persists after this request:
@@ -181,28 +304,40 @@ func (r *Request) KeepAlive() bool {
 	return ok && strings.EqualFold(v, "keep-alive")
 }
 
+// AppendTo appends the serialized request head to dst.
+func (r *Request) AppendTo(dst []byte) []byte {
+	dst = append(dst, r.Method...)
+	dst = append(dst, ' ')
+	dst = append(dst, r.Target...)
+	dst = append(dst, ' ')
+	dst = append(dst, r.Proto...)
+	dst = append(dst, "\r\n"...)
+	for _, h := range r.Headers {
+		dst = append(dst, h.Name...)
+		dst = append(dst, ": "...)
+		dst = append(dst, h.Value...)
+		dst = append(dst, "\r\n"...)
+	}
+	return append(dst, "\r\n"...)
+}
+
 // WriteTo serializes the request head.
 func (r *Request) WriteTo(w io.Writer) (int64, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s %s\r\n", r.Method, r.Target, r.Proto)
-	for _, h := range r.Headers {
-		fmt.Fprintf(&b, "%s: %s\r\n", h.Name, h.Value)
-	}
-	b.WriteString("\r\n")
-	n, err := io.WriteString(w, b.String())
+	n, err := w.Write(r.AppendTo(nil))
 	return int64(n), err
 }
 
 // ReadResponse parses one response head. The body (ContentLength bytes) is
 // left on br for the caller.
 func ReadResponse(br *bufio.Reader) (*Response, error) {
-	line, err := readLine(br)
+	var spill []byte
+	raw, err := readLineSlice(br, &spill)
 	if err != nil {
 		return nil, err
 	}
-	proto, rest, ok := strings.Cut(line, " ")
+	proto, rest, ok := strings.Cut(string(raw), " ")
 	if !ok || (proto != "HTTP/1.0" && proto != "HTTP/1.1") {
-		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, line)
+		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, raw)
 	}
 	codeStr, reason, _ := strings.Cut(rest, " ")
 	code, err := strconv.Atoi(codeStr)
@@ -210,7 +345,7 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 		return nil, fmt.Errorf("%w: status code %q", ErrMalformed, codeStr)
 	}
 	resp := &Response{Proto: proto, Status: code, Reason: reason}
-	resp.Headers, err = readHeaders(br)
+	resp.Headers, err = readHeadersInto(br, nil, &spill)
 	if err != nil {
 		return nil, err
 	}
@@ -233,16 +368,29 @@ func (r *Response) KeepAlive() bool {
 	return ok && strings.EqualFold(v, "keep-alive")
 }
 
-// ResponseHead serializes a response head with the given status,
-// Content-Length and keep-alive disposition; proto should echo the
+// AppendResponseHead appends a response head with the given status,
+// Content-Length and keep-alive disposition to dst; proto should echo the
 // request's protocol version.
-func ResponseHead(proto string, status int, contentLength int64, keepAlive bool) string {
-	conn := "close"
+//
+//phttp:hotpath
+func AppendResponseHead(dst []byte, proto string, status int, contentLength int64, keepAlive bool) []byte {
+	dst = append(dst, proto...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, StatusText(status)...)
+	dst = append(dst, "\r\nServer: phttp-cluster\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, contentLength, 10)
 	if keepAlive {
-		conn = "keep-alive"
+		return append(dst, "\r\nConnection: keep-alive\r\n\r\n"...)
 	}
-	return fmt.Sprintf("%s %d %s\r\nServer: phttp-cluster\r\nContent-Length: %d\r\nConnection: %s\r\n\r\n",
-		proto, status, StatusText(status), contentLength, conn)
+	return append(dst, "\r\nConnection: close\r\n\r\n"...)
+}
+
+// ResponseHead is AppendResponseHead into a fresh string.
+func ResponseHead(proto string, status int, contentLength int64, keepAlive bool) string {
+	var buf [128]byte // no head the cluster produces is longer
+	return string(AppendResponseHead(buf[:0], proto, status, contentLength, keepAlive))
 }
 
 // StatusText returns the canonical reason phrase for the status codes the

@@ -2,11 +2,14 @@ package httpmsg
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"phttp/internal/core"
 )
 
 func reader(s string) *bufio.Reader { return bufio.NewReader(strings.NewReader(s)) }
@@ -207,5 +210,168 @@ func TestRequestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// intoStream is the pipelined stream the ReadRequestInto tests parse: the
+// methods, versions, header sets and target lengths vary from one request
+// to the next so that slot reuse has something to get wrong.
+var intoStream = []string{
+	"GET /index.html HTTP/1.1\r\nHost: cluster\r\nConnection: keep-alive\r\n\r\n",
+	"GET /index.html HTTP/1.1\r\nHost: cluster\r\nConnection: keep-alive\r\n\r\n",
+	"HEAD /a HTTP/1.0\r\n\r\n",
+	"GET /a/much/longer/target?with=query HTTP/1.1\r\nHost: other\r\nX-Custom:  padded value \r\nAccept: */*\r\n\r\n",
+	"PROPFIND /b HTTP/1.1\nHost: cluster\n\n",
+	"GET /index.html HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n",
+	"GET /c HTTP/1.1\r\nHost: cluster\r\nConnection: close\r\n\r\n",
+}
+
+// One Request parsed into over and over must read exactly like a fresh
+// parse of each message: nothing of the previous occupant may show through.
+func TestReadRequestIntoMatchesFreshParse(t *testing.T) {
+	for _, withInterner := range []bool{false, true} {
+		var in, inFresh *core.Interner
+		if withInterner {
+			in, inFresh = core.NewInterner(), core.NewInterner()
+		}
+		stream := strings.Join(intoStream, "")
+		br, brFresh := reader(stream), reader(stream)
+		var req Request
+		for i := range intoStream {
+			want, err := ReadRequestInterned(brFresh, inFresh)
+			if err != nil {
+				t.Fatalf("request %d: fresh parse: %v", i, err)
+			}
+			if err := ReadRequestInto(br, in, &req); err != nil {
+				t.Fatalf("request %d: ReadRequestInto: %v", i, err)
+			}
+			if req.Method != want.Method || req.Target != want.Target || req.Proto != want.Proto ||
+				req.ID != want.ID || req.KeepAlive() != want.KeepAlive() {
+				t.Errorf("request %d: reused parse %+v, fresh parse %+v", i, req, *want)
+			}
+			if len(req.Headers) != len(want.Headers) {
+				t.Fatalf("request %d: headers %v, want %v", i, req.Headers, want.Headers)
+			}
+			for j := range want.Headers {
+				if req.Headers[j] != want.Headers[j] {
+					t.Errorf("request %d header %d: %+v, want %+v", i, j, req.Headers[j], want.Headers[j])
+				}
+			}
+			if withInterner && in.Name(req.ID) != core.Target(req.Target) {
+				t.Errorf("request %d: ID %d names %q, target %q", i, req.ID, in.Name(req.ID), req.Target)
+			}
+			if !withInterner && req.ID != core.NoTarget {
+				t.Errorf("request %d: ID %d without an interner", i, req.ID)
+			}
+		}
+		if err := ReadRequestInto(br, in, &req); err != io.EOF {
+			t.Errorf("after the stream: %v, want io.EOF", err)
+		}
+	}
+}
+
+// A rejected head interns nothing: junk must not reach the target table.
+func TestReadRequestIntoRejectedInternsNothing(t *testing.T) {
+	in := core.NewInterner()
+	var req Request
+	for _, s := range []string{
+		"GET /junk1 HTTP/2.0\r\n\r\n",
+		"GET /junk2 HTTP/1.1\r\nNoColon\r\n\r\n",
+		"GET /junk3 HTTP/1.1\r\nHost: x\r\n", // truncated
+	} {
+		if err := ReadRequestInto(reader(s), in, &req); err == nil {
+			t.Errorf("accepted %q", s)
+		}
+	}
+	if n := in.Len(); n != 0 {
+		t.Errorf("rejected requests interned %d targets", n)
+	}
+}
+
+// The front-end's parse path in steady state: a known target, the headers
+// this slot saw last time. Nothing is allocated.
+func TestReadRequestIntoZeroAllocsOnHit(t *testing.T) {
+	in := core.NewInterner()
+	raw := []byte("GET /docs/page.html HTTP/1.1\r\nHost: cluster\r\nConnection: keep-alive\r\n\r\n")
+	rd := bytes.NewReader(raw)
+	br := bufio.NewReaderSize(rd, 4096)
+	var req Request
+	parse := func() {
+		rd.Reset(raw)
+		br.Reset(rd)
+		if err := ReadRequestInto(br, in, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse() // interns the target, fills the slot
+	if n := testing.AllocsPerRun(200, parse); n != 0 {
+		t.Errorf("ReadRequestInto on an interner hit: %v allocs, want 0", n)
+	}
+	if req.Target != "/docs/page.html" || !req.KeepAlive() || req.ID == core.NoTarget {
+		t.Errorf("parsed %+v", req)
+	}
+}
+
+// Lines may be longer than the reader's buffer, up to the limit; past the
+// limit the parser gives up without reading the rest of the line.
+func TestLineLongerThanReaderBuffer(t *testing.T) {
+	target := "/" + strings.Repeat("x", 6000) // over a 4 KB buffer, under MaxLineBytes
+	msg := "GET " + target + " HTTP/1.1\r\nX-Long: " + strings.Repeat("v", 5000) + "\r\n\r\n"
+	req, err := ReadRequest(bufio.NewReaderSize(strings.NewReader(msg), 4096))
+	if err != nil {
+		t.Fatalf("line within MaxLineBytes rejected: %v", err)
+	}
+	if req.Target != target || len(req.Headers) != 1 || len(req.Headers[0].Value) != 5000 {
+		t.Errorf("long lines parsed wrong: target %d bytes, headers %d", len(req.Target), len(req.Headers))
+	}
+
+	endless := &countingReader{r: strings.NewReader("GET /" + strings.Repeat("y", 1<<20))}
+	if _, err := ReadRequest(bufio.NewReaderSize(endless, 4096)); !errors.Is(err, ErrLineTooLong) {
+		t.Errorf("endless line: %v, want ErrLineTooLong", err)
+	}
+	if endless.n > 4*MaxLineBytes {
+		t.Errorf("read %d bytes of an over-long line before giving up", endless.n)
+	}
+}
+
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+func TestAppendResponseHead(t *testing.T) {
+	got := string(AppendResponseHead([]byte("x"), "HTTP/1.0", 404, 10, false))
+	want := "xHTTP/1.0 404 Not Found\r\nServer: phttp-cluster\r\nContent-Length: 10\r\nConnection: close\r\n\r\n"
+	if got != want {
+		t.Errorf("AppendResponseHead = %q, want %q", got, want)
+	}
+	if s := ResponseHead("HTTP/1.1", 200, 1<<40, true); s !=
+		"HTTP/1.1 200 OK\r\nServer: phttp-cluster\r\nContent-Length: 1099511627776\r\nConnection: keep-alive\r\n\r\n" {
+		t.Errorf("ResponseHead = %q", s)
+	}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(200, func() {
+		buf = AppendResponseHead(buf[:0], "HTTP/1.1", 200, 123456, true)
+	}); n != 0 {
+		t.Errorf("AppendResponseHead: %v allocs, want 0", n)
+	}
+}
+
+func TestRequestAppendToMatchesWriteTo(t *testing.T) {
+	req := Request{Method: "GET", Target: "/x?y=1", Proto: "HTTP/1.1",
+		Headers: []Header{{"Host", "h"}, {"Connection", "close"}}}
+	var sb strings.Builder
+	if _, err := req.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "GET /x?y=1 HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n"
+	if sb.String() != want || string(req.AppendTo(nil)) != want {
+		t.Errorf("serialized %q / %q, want %q", sb.String(), req.AppendTo(nil), want)
 	}
 }

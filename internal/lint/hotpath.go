@@ -14,6 +14,9 @@ import (
 //     instantiation heap-allocates its environment)
 //   - calls into fmt and log (formatting allocates; the fix is a cold
 //     non-annotated helper for panic/diagnostic paths)
+//   - the allocating standard-library calls the wire layer was rid of:
+//     strings.Fields/Split, strconv.Itoa/FormatInt, bufio.NewReaderSize
+//     and bufio.Reader's ReadString/ReadBytes (hotAllocCalls)
 //   - string concatenation between non-constant operands
 //   - map literals (always heap-allocated)
 //   - interface boxing of non-pointer values: passing, assigning or
@@ -27,24 +30,116 @@ import (
 // drop the annotation — a hot path should not rely on the optimizer),
 // and it does not model allocations hidden behind calls into
 // non-annotated helpers.
+//
+// An annotation only guards a function while it is there. For the
+// functions listed in hotpathRequired the analyzer also reports the
+// annotation's absence (or the function's), so the gate on them cannot be
+// lifted by deleting a comment.
 func NewHotpath() *Analyzer {
 	a := &Analyzer{
 		Name: "hotpath",
 		Doc:  "forbid allocation idioms inside functions annotated //phttp:hotpath",
 	}
 	a.Run = func(pass *Pass) error {
+		missing := map[string]bool{}
+		for _, name := range hotpathRequired[pass.Pkg.Path()] {
+			missing[name] = true
+		}
 		for _, file := range pass.Files {
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || !funcDirective(fn, DirHotpath) {
+				if !ok || fn.Body == nil {
 					continue
 				}
+				name := funcDeclName(fn)
+				if !funcDirective(fn, DirHotpath) {
+					if missing[name] {
+						delete(missing, name)
+						pass.Reportf(fn.Pos(), "%s is on the per-request path and must be annotated //phttp:%s", name, DirHotpath)
+					}
+					continue
+				}
+				delete(missing, name)
 				checkHotFunc(pass, fn)
+			}
+		}
+		for _, name := range hotpathRequired[pass.Pkg.Path()] { // table order: stable output
+			if missing[name] && len(pass.Files) > 0 {
+				pass.Reportf(pass.Files[0].Name.Pos(), "%s, required to be a //phttp:%s function, is not declared in %s (renamed? update hotpathRequired)", name, DirHotpath, pass.Pkg.Path())
 			}
 		}
 		return nil
 	}
 	return a
+}
+
+// hotpathRequired names, per package, the functions that must carry
+// //phttp:hotpath: the prototype's wire layer — what every request crosses
+// between the client socket and the dispatcher, and between the control
+// session and the response — where a fmt.Sprintf or a strings.Fields per
+// request is easy to write and nothing else would object. Methods are
+// "Type.Method".
+var hotpathRequired = map[string][]string{
+	"phttp/internal/httpmsg": {"ReadRequestInto", "AppendResponseHead"},
+	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn"},
+}
+
+// hotAllocCalls are the standard-library calls the wire layer used to make
+// per request and must not make again: each allocates its result and has a
+// sibling that does not. Keyed by import path: "pkg.Func", or
+// "pkg.Type.Method". Add an entry when a regression shows the need.
+var hotAllocCalls = map[string]string{
+	"strings.Fields":          "index the bytes in place",
+	"strings.Split":           "use strings.Cut or index in place",
+	"strconv.Itoa":            "use strconv.AppendInt",
+	"strconv.FormatInt":       "use strconv.AppendInt",
+	"bufio.NewReaderSize":     "reuse a pooled reader with Reset",
+	"bufio.Reader.ReadString": "use ReadSlice and parse in place",
+	"bufio.Reader.ReadBytes":  "use ReadSlice and parse in place",
+}
+
+// funcDeclName returns "Func" or "Type.Method".
+func funcDeclName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	t := fn.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if idx, ok := t.(*ast.IndexExpr); ok { // generic receiver
+		t = idx.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name + "." + fn.Name.Name
+	}
+	return fn.Name.Name
+}
+
+// calleeName returns the hotAllocCalls key of a call: "pkg.Func" for a
+// package-level function, "pkg.Type.Method" for a method on a named type,
+// "" otherwise.
+func calleeName(pass *Pass, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return ""
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return fn.Pkg().Path() + "." + fn.Name()
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	if named, ok := recv.(*types.Named); ok {
+		return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	return ""
 }
 
 func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
@@ -111,6 +206,12 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
 	if pkgPath, name := pkgFunc(pass, call); pkgPath == "fmt" || pkgPath == "log" {
 		pass.Reportf(call.Pos(), "%s.%s call in hot path %s allocates (move formatting to a cold helper)", pathBase(pkgPath), name, fn.Name.Name)
 		return
+	}
+	if callee := calleeName(pass, call); callee != "" {
+		if fix, bad := hotAllocCalls[callee]; bad {
+			pass.Reportf(call.Pos(), "%s call in hot path %s allocates its result (%s)", callee, fn.Name.Name, fix)
+			return
+		}
 	}
 	tv, ok := pass.TypesInfo.Types[call.Fun]
 	if !ok {

@@ -36,6 +36,10 @@ func TestNondetermGolden(t *testing.T) {
 
 func TestHotpathGolden(t *testing.T) {
 	linttest.Run(t, "testdata/hotpath", "phttp/internal/lint/testdata/hpfix", lint.NewHotpath())
+	// The wire layer's functions must stay annotated: the fixture stands
+	// in for internal/httpmsg with one annotation dropped and one function
+	// renamed.
+	linttest.Run(t, "testdata/hotreq", "phttp/internal/httpmsg", lint.NewHotpath())
 }
 
 func TestRefpairGolden(t *testing.T) {

@@ -6,8 +6,11 @@
 package hpfix
 
 import (
+	"bufio"
 	"fmt"
 	"log"
+	"strconv"
+	"strings"
 )
 
 type ring struct{ vals []int64 }
@@ -122,3 +125,26 @@ func coldSprintf(id int64) string {
 
 //phttp:frobnicate a typo'd directive must fail loudly // want "unknown directive //phttp:frobnicate"
 func typodDirective() {}
+
+//phttp:hotpath
+func hotFields(line string) int {
+	return len(strings.Fields(line)) // want "strings.Fields call in hot path hotFields allocates its result"
+}
+
+//phttp:hotpath
+func hotItoa(dst []byte, n int) []byte {
+	dst = append(dst, strconv.Itoa(n)...)       // want "strconv.Itoa call in hot path hotItoa allocates its result \\(use strconv.AppendInt\\)"
+	return strconv.AppendInt(dst, int64(n), 10) // legal: appends in place
+}
+
+//phttp:hotpath
+func hotReadString(br *bufio.Reader) (int, error) {
+	line, err := br.ReadString('\n') // want "bufio.Reader.ReadString call in hot path hotReadString allocates its result"
+	if err != nil {
+		return 0, err
+	}
+	raw, err := br.ReadSlice('\n') // legal: aliases the reader's buffer
+	return len(line) + len(raw) + strings.IndexByte(line, ' '), err
+}
+
+func coldFields(line string) []string { return strings.Fields(line) } // legal: not annotated

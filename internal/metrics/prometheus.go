@@ -57,8 +57,13 @@ func (w *PromWriter) GaugeVec(name, help string, samples ...LabeledValue) {
 // per power-of-two octave spanning the recorded range (at most 64 lines
 // plus +Inf). scale converts recorded units to the exposed unit — e.g.
 // 1e-6 when recording microseconds into a *_seconds metric.
+//
+// The family is rendered from one Snapshot of h, never from the live
+// histogram: a scrape concurrent with Record still gets buckets that are
+// cumulative and a +Inf bucket equal to _count.
 func (w *PromWriter) Histogram(name, help string, h *core.LatencyHist, scale float64) {
 	w.header(name, help, "histogram")
+	h = h.Snapshot()
 	// Cumulative count per octave: octave k holds the values v with
 	// bits.Len64(v) == k, all of which are ≤ 2^k - 1 — so that is the
 	// octave's exact `le` bound and the cumulative counts are precise,
