@@ -3,10 +3,10 @@ package cluster
 import (
 	"errors"
 	"io"
-	"net"
 	"os"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"phttp/internal/core"
@@ -179,8 +179,15 @@ type beConn struct {
 	q     reqQueue
 
 	outMu sync.Mutex
-	out   net.Conn // handed-off client socket (nil for relay, and after close)
-	timed bool     // out has a write deadline set (see watched)
+	out   clientSocket // handed-off client socket (nil for relay, and after close)
+	timed bool         // out has a write deadline set (see watched)
+}
+
+// clientSocket is what a back-end uses of a handed-off client socket: the
+// *os.File RecvConnFD adopts the descriptor as.
+type clientSocket interface {
+	io.WriteCloser
+	SetWriteDeadline(time.Time) error
 }
 
 var beConnPool = sync.Pool{New: func() any {
@@ -190,7 +197,7 @@ var beConnPool = sync.Pool{New: func() any {
 // setWriter installs the handed-off client socket on the connection. A
 // connection refused before its socket arrived (control messages can
 // overtake the handoff) resets the socket instead.
-func (c *beConn) setWriter(conn net.Conn) {
+func (c *beConn) setWriter(conn clientSocket) {
 	c.outMu.Lock()
 	switch {
 	case c.out != nil:
@@ -210,15 +217,16 @@ func (c *beConn) setWriter(conn net.Conn) {
 // itself — the client sees the end of the stream, and the front-end's read
 // of the same connection ends, so it sends the CLOSE that clears the
 // back-end's record.
-func resetSocket(conn net.Conn) {
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.CloseRead()
-		tc.CloseWrite()
+func resetSocket(conn clientSocket) {
+	if sc, ok := conn.(syscall.Conn); ok {
+		if rc, err := sc.SyscallConn(); err == nil {
+			rc.Control(func(fd uintptr) { syscall.Shutdown(int(fd), syscall.SHUT_RDWR) })
+		}
 	}
 	conn.Close()
 }
 
-func (c *beConn) writer() net.Conn {
+func (c *beConn) writer() clientSocket {
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
 	return c.out
@@ -230,7 +238,7 @@ func (c *beConn) writer() net.Conn {
 // the control loop when a push takes the queue to maxPending — which puts a
 // write already in progress on the clock. The common write, with a shallow
 // queue behind it, touches no deadline at all.
-func (c *beConn) watched() net.Conn {
+func (c *beConn) watched() clientSocket {
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
 	if c.out == nil {

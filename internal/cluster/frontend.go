@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"phttp/internal/core"
@@ -781,6 +782,13 @@ type feConn struct {
 	// lines is the relay path's per-batch list of request lines (each is
 	// also held by its pendingReq, for re-dispatch).
 	lines [][]byte
+
+	// The handoff's RawConn.Control callback, bound to this record once so
+	// that a handoff instantiates no closure, with its argument and result
+	// (see FrontEnd.handOff).
+	sendFD func(fd uintptr)
+	hoTo   *net.UnixConn
+	hoErr  error
 }
 
 // feConnScratchMax is the pipeline depth past which a closing connection's
@@ -788,7 +796,9 @@ type feConn struct {
 const feConnScratchMax = 64
 
 var feConnPool = sync.Pool{New: func() any {
-	return &feConn{br: bufio.NewReaderSize(nil, 16<<10)}
+	c := &feConn{br: bufio.NewReaderSize(nil, 16<<10)}
+	c.sendFD = func(fd uintptr) { c.hoErr = sendHandoff(c.hoTo, c.id, int(fd)) }
+	return c
 }}
 
 func (fe *FrontEnd) newConn(conn net.Conn) *feConn {
@@ -811,7 +821,7 @@ func (c *feConn) recycle() {
 	if cap(reqs) > feConnScratchMax {
 		reqs, batch, line = nil, nil, nil
 	}
-	*c = feConn{br: c.br, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line}
+	*c = feConn{br: c.br, sendFD: c.sendFD, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line}
 	feConnPool.Put(c)
 }
 
@@ -877,8 +887,9 @@ func (fe *FrontEnd) trackDispatch() func() {
 
 // readBatch reads one pipelined batch into c.reqs / c.batch: the first
 // request blocks until the idle timeout; subsequent requests are taken
-// while already buffered or arriving within the batch window. It returns
-// an error when no request could be read.
+// while already buffered or arriving within the batch window, for as long
+// as the last one read keeps the connection alive. It returns an error when
+// no request could be read.
 func (fe *FrontEnd) readBatch(c *feConn) error {
 	idle := fe.cfg.IdleTimeout
 	if idle <= 0 {
@@ -894,7 +905,9 @@ func (fe *FrontEnd) readBatch(c *feConn) error {
 	if err := fe.readRequest(c); err != nil {
 		return err
 	}
-	for {
+	// A request that ends the connection (HTTP/1.0 without keep-alive,
+	// Connection: close) has no successor to wait for.
+	for c.reqs[len(c.reqs)-1].KeepAlive() {
 		if c.br.Buffered() == 0 {
 			// Give closely spaced pipelined requests a brief chance to
 			// land, then call the batch complete. The wait itself is
@@ -977,29 +990,50 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 		return nil
 	}
 
-	tcp, ok := c.conn.(*net.TCPConn)
-	if !ok {
-		return fmt.Errorf("cluster: client connection is %T, cannot hand off", c.conn)
-	}
-	f, err := tcp.File()
-	if err != nil {
-		return fmt.Errorf("cluster: dup client socket: %w", err)
-	}
-	defer f.Close()
-	link := fe.links[handling]
-	link.hoMu.Lock()
-	if link.handoff == nil {
-		link.hoMu.Unlock()
-		return fmt.Errorf("cluster: backend %v has no handoff socket", handling)
-	}
-	err = SendConnFD(link.handoff, c.id, f)
-	link.hoMu.Unlock()
-	if err != nil {
-		fe.suspect(handling)
+	if err := fe.handOff(c, handling); err != nil {
 		return err
 	}
 	c.setReqNode(handling)
 	return nil
+}
+
+// handOff passes c's client socket to back-end n: one sendmsg on the
+// node's handoff socket, made while the connection lends its descriptor
+// (RawConn.Control). Nothing is dupped or closed and the socket's mode is
+// not touched — the front-end goes on reading the connection through the
+// poller, deadlines and all, while the back-end writes to the descriptor
+// the kernel installed for it.
+//
+//phttp:hotpath
+func (fe *FrontEnd) handOff(c *feConn, n core.NodeID) error {
+	sc, ok := c.conn.(syscall.Conn)
+	if !ok {
+		return handoffRefused(n, "the client connection has no descriptor")
+	}
+	rc, err := sc.SyscallConn()
+	if err != nil {
+		return err
+	}
+	link := fe.links[n]
+	link.hoMu.Lock()
+	if link.handoff == nil {
+		link.hoMu.Unlock()
+		return handoffRefused(n, "no handoff socket")
+	}
+	c.hoTo = link.handoff
+	err = rc.Control(c.sendFD)
+	link.hoMu.Unlock()
+	if err == nil && c.hoErr != nil {
+		err = c.hoErr
+		fe.suspect(n) // a failed send is liveness evidence
+	}
+	c.hoTo, c.hoErr = nil, nil
+	return err
+}
+
+// handoffRefused is handOff's cold error path.
+func handoffRefused(n core.NodeID, why string) error {
+	return fmt.Errorf("cluster: handoff to backend %v: %s", n, why)
 }
 
 // dispatchBatch assigns the batch in c.batch and forwards the tagged

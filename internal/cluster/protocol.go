@@ -3,12 +3,14 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"net"
 	"os"
 	"strconv"
 	"syscall"
+	"unsafe"
 
 	"phttp/internal/core"
 )
@@ -38,10 +40,10 @@ import (
 // lock; the back-end's control loop reads lines out of a buffered reader
 // and parses each in place, without copying it.
 //
-// Handed-off connections travel out of band: the front-end writes one byte
-// carrying the connID length-prefixed header with the client socket's file
-// descriptor attached as SCM_RIGHTS ancillary data on a per-back-end UNIX
-// socket pair (see SendConnFD/RecvConnFD).
+// Handed-off connections travel out of band: the front-end writes a
+// fixed-width header carrying the connID, with the client socket's file
+// descriptor attached as SCM_RIGHTS ancillary data, on a per-back-end UNIX
+// socket (see sendHandoff/RecvConnFD).
 
 // ctrlKind is the type of a control message.
 type ctrlKind uint8
@@ -257,68 +259,132 @@ func readCtrl(br *bufio.Reader) (ctrlMsg, error) {
 }
 
 // handoffHeaderBytes is the in-band part of a handoff message: the
-// connection ID as a fixed-width decimal.
+// connection ID as a fixed-width decimal, zero-padded.
 const handoffHeaderBytes = 20
 
-// SendConnFD performs the handoff: it sends the client connection's file
-// descriptor (with the connection ID as in-band data) to a back-end over
-// the UNIX socket. The front-end retains its own descriptor for the
-// connection — it keeps reading client requests through it — while the
-// back-end gains a descriptor it writes responses to, so response data
-// bypasses the front-end exactly as with the in-kernel handoff.
-func SendConnFD(uc *net.UnixConn, id core.ConnID, f *os.File) error {
-	if id < 0 {
-		return fmt.Errorf("cluster: handoff send: negative conn id %d", id)
-	}
-	oob := syscall.UnixRights(int(f.Fd()))
-	var hdr [handoffHeaderBytes]byte // the ID, zero-padded
+// appendHandoffHeader appends the handoff header for connection id.
+func appendHandoffHeader(dst []byte, id core.ConnID) []byte {
+	var hdr [handoffHeaderBytes]byte
 	for i, n := len(hdr)-1, int64(id); i >= 0; i, n = i-1, n/10 {
 		hdr[i] = '0' + byte(n%10)
 	}
-	n, oobn, err := uc.WriteMsgUnix(hdr[:], oob, nil)
-	if err != nil {
-		return fmt.Errorf("cluster: handoff send: %w", err)
-	}
-	if n != len(hdr) || oobn != len(oob) {
-		return fmt.Errorf("cluster: handoff send: short write (%d/%d data, %d/%d oob)", n, len(hdr), oobn, len(oob))
-	}
-	return nil
+	return append(dst, hdr[:]...)
 }
 
-// RecvConnFD receives one handed-off connection: the connection ID and a
-// net.Conn wrapping the received descriptor.
-func RecvConnFD(uc *net.UnixConn) (core.ConnID, net.Conn, error) {
+// parseHandoffHeader parses what appendHandoffHeader wrote: exactly
+// handoffHeaderBytes digits whose value fits a ConnID.
+func parseHandoffHeader(hdr []byte) (core.ConnID, bool) {
+	if len(hdr) != handoffHeaderBytes {
+		return 0, false
+	}
+	digits := bytes.TrimLeft(hdr, "0")
+	if len(digits) == 0 {
+		digits = hdr[len(hdr)-1:] // ID 0
+	}
+	id, ok := parseWireInt(digits, math.MaxInt64)
+	return core.ConnID(id), ok
+}
+
+// rightsMsg is a handoff message's ancillary data, laid out as the kernel
+// reads and writes it: an SCM_RIGHTS control message with room for two
+// descriptors. A sender uses the first syscall.CmsgSpace(4) bytes, for one.
+// A receiver offers it all: alignment gives a buffer for one descriptor room
+// for a second anyway, and declared room is room a copy of the struct keeps,
+// so a message that carries two is rejected with both in hand.
+type rightsMsg struct {
+	hdr syscall.Cmsghdr
+	fds [2]int32
+}
+
+func (m *rightsMsg) bytes() []byte {
+	return (*[unsafe.Sizeof(rightsMsg{})]byte)(unsafe.Pointer(m))[:]
+}
+
+var (
+	errHandoffID    = errors.New("cluster: handoff send: negative connection ID")
+	errHandoffShort = errors.New("cluster: handoff send: short write")
+)
+
+// sendHandoff is the handoff: one sendmsg carrying the connection ID in
+// band and descriptor fd as SCM_RIGHTS. The kernel installs a descriptor of
+// the same socket in the receiving process and leaves the sender's as it
+// was, mode included: the front-end lends its client socket's descriptor
+// for the call (FrontEnd.handOff) and goes on reading requests from it,
+// while the back-end's responses bypass the front-end as with the paper's
+// in-kernel handoff.
+//
+//phttp:hotpath
+func sendHandoff(uc *net.UnixConn, id core.ConnID, fd int) error {
+	if id < 0 {
+		return errHandoffID
+	}
+	var hb [handoffHeaderBytes]byte
+	hdr := appendHandoffHeader(hb[:0], id)
+	m := rightsMsg{fds: [2]int32{int32(fd)}}
+	m.hdr.Level, m.hdr.Type = syscall.SOL_SOCKET, syscall.SCM_RIGHTS
+	m.hdr.SetLen(syscall.CmsgLen(4))
+	oob := m.bytes()[:syscall.CmsgSpace(4)]
+	n, oobn, err := uc.WriteMsgUnix(hdr, oob, nil)
+	if err == nil && (n != len(hdr) || oobn != len(oob)) {
+		err = errHandoffShort
+	}
+	return err
+}
+
+// SendConnFD hands off the connection f is a descriptor of, for callers
+// that hold an *os.File. Getting one from a live connection
+// (net.TCPConn.File) dups it, and f.Fd() puts the socket — every descriptor
+// of it — in blocking mode: RecvConnFD undoes that for the receiver, but
+// the sender must not go on using the connection. The front-end does
+// neither (see FrontEnd.handOff).
+func SendConnFD(uc *net.UnixConn, id core.ConnID, f *os.File) error {
+	return sendHandoff(uc, id, int(f.Fd()))
+}
+
+// RecvConnFD receives one handed-off connection: its ID and the received
+// descriptor, adopted as it is — close-on-exec already (the receiving call
+// sets it), non-blocking, registered with the poller once, so that a write
+// honours a deadline and a full socket buffer parks the goroutine, not a
+// thread. No dup, no address lookups. A message that is not twenty digits
+// with one descriptor is an error, and what descriptors it carried are
+// closed. Do not ask the file for its Fd: that would put the socket, which
+// the front-end still reads, in blocking mode.
+func RecvConnFD(uc *net.UnixConn) (core.ConnID, *os.File, error) {
 	var hdr [handoffHeaderBytes]byte
-	buf := hdr[:]
-	oob := make([]byte, syscall.CmsgSpace(4))
-	n, oobn, _, _, err := uc.ReadMsgUnix(buf, oob)
+	var m rightsMsg
+	n, oobn, flags, _, err := uc.ReadMsgUnix(hdr[:], m.bytes())
 	if err != nil {
 		return 0, nil, err
 	}
-	if n != len(buf) {
-		return 0, nil, fmt.Errorf("cluster: handoff recv: short header (%d bytes)", n)
+	id, ok := parseHandoffHeader(hdr[:n])
+	one := m.hdr.Level == syscall.SOL_SOCKET && m.hdr.Type == syscall.SCM_RIGHTS &&
+		uint64(m.hdr.Len) == uint64(syscall.CmsgLen(4))
+	if !ok || !one || flags&syscall.MSG_CTRUNC != 0 {
+		return 0, nil, rejectHandoff(string(hdr[:n]), m, oobn, flags)
 	}
-	digits := bytes.TrimLeft(buf, "0")
-	if len(digits) == 0 {
-		digits = buf[len(buf)-1:] // ID 0
+	// NewFile registers with the poller only a descriptor it finds
+	// non-blocking; the front-end's is, an *os.File sender's is not.
+	fd := int(m.fds[0])
+	if err := syscall.SetNonblock(fd, true); err != nil {
+		syscall.Close(fd)
+		return 0, nil, err
 	}
-	id, ok := parseWireInt(digits, math.MaxInt64)
-	if !ok {
-		return 0, nil, fmt.Errorf("cluster: handoff recv: bad conn id %q", buf)
+	return id, os.NewFile(uintptr(fd), "handoff-conn"), nil
+}
+
+// rejectHandoff closes the descriptors a malformed handoff message carried
+// and describes it. It takes the message by value: the caller's stays on
+// its stack.
+func rejectHandoff(hdr string, m rightsMsg, oobn, flags int) error {
+	closed := 0
+	if cmsgs, err := syscall.ParseSocketControlMessage(m.bytes()[:oobn]); err == nil {
+		for i := range cmsgs {
+			fds, _ := syscall.ParseUnixRights(&cmsgs[i])
+			for _, fd := range fds {
+				syscall.Close(fd)
+				closed++
+			}
+		}
 	}
-	cmsgs, err := syscall.ParseSocketControlMessage(oob[:oobn])
-	if err != nil || len(cmsgs) == 0 {
-		return 0, nil, fmt.Errorf("cluster: handoff recv: no control message (%v)", err)
-	}
-	fds, err := syscall.ParseUnixRights(&cmsgs[0])
-	if err != nil || len(fds) != 1 {
-		return 0, nil, fmt.Errorf("cluster: handoff recv: expected 1 fd (%v)", err)
-	}
-	f := os.NewFile(uintptr(fds[0]), "handoff-conn")
-	conn, err := net.FileConn(f)
-	f.Close() // FileConn dups; release our copy
-	if err != nil {
-		return 0, nil, fmt.Errorf("cluster: handoff recv: %w", err)
-	}
-	return core.ConnID(id), conn, nil
+	return fmt.Errorf("cluster: handoff recv: header %q with %d descriptors (flags %#x)", hdr, closed, flags)
 }

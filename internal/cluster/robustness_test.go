@@ -173,6 +173,50 @@ func TestHTTP10ConnectionClosesAfterResponse(t *testing.T) {
 	io.CopyN(io.Discard, br, resp.ContentLength)
 }
 
+// A request that ends the connection — HTTP/1.0 without keep-alive, or
+// Connection: close — is dispatched when it is parsed: no successor can
+// follow it, so the front-end does not hold it for the batch window.
+func TestNoBatchWindowAfterLastRequest(t *testing.T) {
+	const window = 500 * time.Millisecond
+	cfg, _ := testConfig(t, 1, "lard", core.SingleHandoff)
+	cfg.BatchWindow = window
+	cl, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	target := firstTarget(t)
+	for _, req := range []httpmsg.Request{
+		{Method: "GET", Target: target, Proto: "HTTP/1.0"},
+		{Method: "GET", Target: target, Proto: "HTTP/1.1",
+			Headers: []httpmsg.Header{{Name: "Connection", Value: "close"}}},
+	} {
+		// The fastest of three: a slow run is the machine's, a window wait
+		// is in every run.
+		fastest := time.Hour
+		for i := 0; i < 3; i++ {
+			conn, err := net.Dial("tcp", cl.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			if _, err := req.WriteTo(conn); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+			if _, err := httpmsg.ReadResponse(bufio.NewReader(conn)); err != nil {
+				t.Fatal(err)
+			}
+			fastest = min(fastest, time.Since(start))
+			conn.Close()
+		}
+		if fastest >= window/2 {
+			t.Errorf("%s request with %d headers answered in %v: it waited out the %v batch window",
+				req.Proto, len(req.Headers), fastest, window)
+		}
+	}
+}
+
 // firstTarget returns a stable target from the small test catalog.
 func firstTarget(t *testing.T) string {
 	t.Helper()

@@ -14,9 +14,11 @@ import (
 //     instantiation heap-allocates its environment)
 //   - calls into fmt and log (formatting allocates; the fix is a cold
 //     non-annotated helper for panic/diagnostic paths)
-//   - the allocating standard-library calls the wire layer was rid of:
-//     strings.Fields/Split, strconv.Itoa/FormatInt, bufio.NewReaderSize
-//     and bufio.Reader's ReadString/ReadBytes (hotAllocCalls)
+//   - the standard-library calls the wire layer was rid of: the
+//     allocating strings.Fields/Split, strconv.Itoa/FormatInt,
+//     bufio.NewReaderSize and bufio.Reader's ReadString/ReadBytes, and
+//     net connections' File and os.File's Fd, which take a descriptor out
+//     of a live connection at the cost of its mode (hotAllocCalls)
 //   - string concatenation between non-constant operands
 //   - map literals (always heap-allocated)
 //   - interface boxing of non-pointer values: passing, assigning or
@@ -81,22 +83,30 @@ func NewHotpath() *Analyzer {
 // "Type.Method".
 var hotpathRequired = map[string][]string{
 	"phttp/internal/httpmsg": {"ReadRequestInto", "AppendResponseHead"},
-	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn"},
+	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "sendHandoff"},
 }
 
 // hotAllocCalls are the standard-library calls the wire layer used to make
-// per request and must not make again: each allocates its result and has a
-// sibling that does not. Keyed by import path: "pkg.Func", or
-// "pkg.Type.Method". Add an entry when a regression shows the need.
+// per request and must not make again, each with what is wrong with it and
+// what to do instead. Keyed by import path: "pkg.Func", or
+// "pkg.Type.Method" with the type that declares the method (File is
+// declared on net.conn, which TCPConn, UnixConn and the rest embed). Add
+// an entry when a regression shows the need.
 var hotAllocCalls = map[string]string{
-	"strings.Fields":          "index the bytes in place",
-	"strings.Split":           "use strings.Cut or index in place",
-	"strconv.Itoa":            "use strconv.AppendInt",
-	"strconv.FormatInt":       "use strconv.AppendInt",
-	"bufio.NewReaderSize":     "reuse a pooled reader with Reset",
-	"bufio.Reader.ReadString": "use ReadSlice and parse in place",
-	"bufio.Reader.ReadBytes":  "use ReadSlice and parse in place",
+	"strings.Fields":          "allocates its result (index the bytes in place)",
+	"strings.Split":           "allocates its result (use strings.Cut or index in place)",
+	"strconv.Itoa":            "allocates its result (use strconv.AppendInt)",
+	"strconv.FormatInt":       "allocates its result (use strconv.AppendInt)",
+	"bufio.NewReaderSize":     "allocates its result (reuse a pooled reader with Reset)",
+	"bufio.Reader.ReadString": "allocates its result (use ReadSlice and parse in place)",
+	"bufio.Reader.ReadBytes":  "allocates its result (use ReadSlice and parse in place)",
+	"net.conn.File":           fdEscapes,
+	"os.File.Fd":              fdEscapes,
 }
+
+// fdEscapes is what is wrong with taking a descriptor out of a live
+// connection in order to pass it on.
+const fdEscapes = "dups and sets the shared socket blocking; borrow it with SyscallConn().Control"
 
 // funcDeclName returns "Func" or "Type.Method".
 func funcDeclName(fn *ast.FuncDecl) string {
@@ -209,7 +219,7 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
 	}
 	if callee := calleeName(pass, call); callee != "" {
 		if fix, bad := hotAllocCalls[callee]; bad {
-			pass.Reportf(call.Pos(), "%s call in hot path %s allocates its result (%s)", callee, fn.Name.Name, fix)
+			pass.Reportf(call.Pos(), "%s call in hot path %s %s", callee, fn.Name.Name, fix)
 			return
 		}
 	}

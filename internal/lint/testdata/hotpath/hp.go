@@ -9,6 +9,8 @@ import (
 	"bufio"
 	"fmt"
 	"log"
+	"net"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -146,5 +148,21 @@ func hotReadString(br *bufio.Reader) (int, error) {
 	raw, err := br.ReadSlice('\n') // legal: aliases the reader's buffer
 	return len(line) + len(raw) + strings.IndexByte(line, ' '), err
 }
+
+//phttp:hotpath
+func hotFile(tcp *net.TCPConn, send func(fd uintptr)) error {
+	f, err := tcp.File() // want "net.conn.File call in hot path hotFile dups and sets the shared socket blocking; borrow it with SyscallConn\\(\\).Control"
+	if err != nil {
+		return err
+	}
+	send(f.Fd())                 // want "os.File.Fd call in hot path hotFile dups and sets the shared socket blocking"
+	rc, err := tcp.SyscallConn() // legal: lends the descriptor, mode untouched
+	if err != nil {
+		return err
+	}
+	return rc.Control(send)
+}
+
+func coldFile(f *os.File) uintptr { return f.Fd() } // legal: not annotated
 
 func coldFields(line string) []string { return strings.Fields(line) } // legal: not annotated
