@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"phttp/internal/core"
+	"phttp/internal/dispatch"
 	"phttp/internal/httpmsg"
 	"phttp/internal/server"
 )
@@ -163,6 +164,59 @@ func TestFrontEndOneControlWritePerBatch(t *testing.T) {
 				t.Fatal("no control write seen")
 			}
 		})
+	}
+}
+
+// deadlineLog is a net.Conn wrapper recording every read deadline set.
+type deadlineLog struct {
+	net.Conn
+	set []time.Time
+}
+
+func (d *deadlineLog) SetReadDeadline(t time.Time) error {
+	d.set = append(d.set, t)
+	return d.Conn.SetReadDeadline(t)
+}
+
+// A batch window the runtime cannot time (below timerResolution) is not
+// waited out: the batch is what has arrived when its last request is parsed,
+// and the only deadline a read waits on is the idle timeout. A window the
+// runtime can time is waited out after the last buffered request.
+func TestShortBatchWindowIsNotTimed(t *testing.T) {
+	eng, err := dispatch.NewEngine(dispatch.Spec{Policy: "wrr", Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const idle = time.Minute
+	for _, tc := range []struct {
+		window time.Duration
+		waits  int // deadlines a read waited on besides the idle timeout
+	}{{50 * time.Microsecond, 0}, {timerResolution, 1}} {
+		client, accepted := tcpPair(t)
+		log := &deadlineLog{Conn: accepted}
+		fe := &FrontEnd{cfg: FrontEndConfig{IdleTimeout: idle, BatchWindow: tc.window}, eng: eng}
+		c := fe.newConn(log)
+		const burst = "GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\r\nHost: x\r\n\r\n"
+		if _, err := io.WriteString(client, burst); err != nil {
+			t.Fatal(err)
+		}
+		if err := fe.readBatch(c); err != nil {
+			t.Fatalf("window %v: %v", tc.window, err)
+		}
+		if len(c.batch) != 2 {
+			t.Errorf("window %v: batch of %d requests, want the 2 sent in one write", tc.window, len(c.batch))
+		}
+		// The idle timeout first and none left behind; in between, one
+		// deadline ahead of each further request — already buffered here,
+		// so nothing waits on it — and one per wait on an empty buffer.
+		set := log.set
+		if len(set) < 2 || time.Until(set[0]) < idle/2 || !set[len(set)-1].IsZero() {
+			t.Fatalf("window %v: read deadlines %v, want the idle timeout first and none last", tc.window, set)
+		}
+		if waits := len(set) - 2 - (len(c.batch) - 1); waits != tc.waits {
+			t.Errorf("window %v: %d waits on an empty buffer, want %d (%d deadlines set)", tc.window, waits, tc.waits, len(set))
+		}
+		fe.eng.ReleaseBatch(c.batch)
 	}
 }
 

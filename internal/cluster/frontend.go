@@ -71,7 +71,9 @@ type FrontEndConfig struct {
 	IdleTimeout time.Duration
 	// BatchWindow is how long the forwarding module waits for further
 	// pipelined requests after one arrives before treating the batch as
-	// complete.
+	// complete. A window below timerResolution is not waited out: the
+	// batch is then what has arrived when its last complete request is
+	// parsed.
 	BatchWindow time.Duration
 	// ClientListen is the client-facing listen address; empty means an
 	// ephemeral loopback port.
@@ -223,6 +225,9 @@ type relayConn struct {
 	out     net.Conn // client until a write to it fails, then nil
 	nextSeq int
 	pending map[int][]byte
+	// endAt is the nextSeq at which the response stream ends: one past the
+	// request that ended the connection (0 while none has).
+	endAt int
 }
 
 // NewFrontEnd starts the front-end: it listens for clients on loopback and
@@ -720,6 +725,13 @@ func (fe *FrontEnd) deliverRelay(id core.ConnID, seq int, frame []byte) {
 		if rc.out != nil {
 			if _, err := rc.out.Write(next); err != nil {
 				rc.out = nil
+			} else if rc.nextSeq == rc.endAt {
+				// The last response is followed by the end of the
+				// stream, as on a handed-off connection
+				// (beConn.endStream).
+				if hc, ok := rc.out.(interface{ CloseWrite() error }); ok {
+					hc.CloseWrite()
+				}
 			}
 		}
 	}
@@ -885,6 +897,14 @@ func (fe *FrontEnd) trackDispatch() func() {
 	}
 }
 
+// timerResolution is the shortest wait the runtime keeps: a processor with
+// nothing to run sleeps in epoll_wait, whose timeout is whole milliseconds,
+// so a shorter deadline fires on time only while something else happens to
+// be running (a 50 µs read deadline under load: 57 µs median, 1.5 ms p99,
+// 25 ms worst — and the late ones come together, every waiting connection
+// released by the same wake-up).
+const timerResolution = time.Millisecond
+
 // readBatch reads one pipelined batch into c.reqs / c.batch: the first
 // request blocks until the idle timeout; subsequent requests are taken
 // while already buffered or arriving within the batch window, for as long
@@ -909,6 +929,9 @@ func (fe *FrontEnd) readBatch(c *feConn) error {
 	// Connection: close) has no successor to wait for.
 	for c.reqs[len(c.reqs)-1].KeepAlive() {
 		if c.br.Buffered() == 0 {
+			if window < timerResolution {
+				break
+			}
 			// Give closely spaced pipelined requests a brief chance to
 			// land, then call the batch complete. The wait itself is
 			// idle time, not dispatcher work.
@@ -1104,6 +1127,11 @@ func (fe *FrontEnd) relayBatch(c *feConn, assignments []core.Assignment) {
 		fe.addPending(c, c.seq, a.Node, line)
 		c.lines = append(c.lines, line)
 		c.seq++
+		if !req.KeepAlive() {
+			c.relay.mu.Lock()
+			c.relay.endAt = c.seq
+			c.relay.mu.Unlock()
+		}
 	}
 	for i, a := range assignments {
 		if c.lines[i] == nil {

@@ -155,22 +155,39 @@ func TestClusterStartValidation(t *testing.T) {
 	}
 }
 
-func TestHTTP10ConnectionClosesAfterResponse(t *testing.T) {
-	_, conn := dialCluster(t, "wrr", core.SingleHandoff)
-	req := httpmsg.Request{Method: "GET", Target: firstTarget(t), Proto: "HTTP/1.0"}
-	if _, err := req.WriteTo(conn); err != nil {
-		t.Fatal(err)
+// The response to a request that ends the connection is followed by the end
+// of the stream, whoever writes it (the back-end on a handed-off socket, the
+// front-end when relaying): the server closes first, an HTTP/1.0 client that
+// reads to the end of the stream gets its response, and the connection's
+// TIME_WAIT is the server's. The idle timeout is far away, so an end of
+// stream seen here is the server's doing.
+func TestServerEndsStreamAfterLastResponse(t *testing.T) {
+	for _, mech := range []core.Mechanism{core.SingleHandoff, core.BEForwarding, core.RelayFrontEnd} {
+		for _, req := range []httpmsg.Request{
+			{Method: "GET", Target: firstTarget(t), Proto: "HTTP/1.0"},
+			{Method: "GET", Target: firstTarget(t), Proto: "HTTP/1.1",
+				Headers: []httpmsg.Header{{Name: "Connection", Value: "close"}}},
+		} {
+			_, conn := dialCluster(t, "wrr", mech)
+			if _, err := req.WriteTo(conn); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(conn)
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			resp, err := httpmsg.ReadResponse(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.KeepAlive() {
+				t.Errorf("%v %s: response advertised keep-alive without the client asking", mech, req.Proto)
+			}
+			rest, err := io.ReadAll(br)
+			if err != nil || int64(len(rest)) != resp.ContentLength {
+				t.Errorf("%v %s: read %d body bytes to the end of the stream, %v; want %d and the server closing",
+					mech, req.Proto, len(rest), err, resp.ContentLength)
+			}
+		}
 	}
-	br := bufio.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
-	resp, err := httpmsg.ReadResponse(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.KeepAlive() {
-		t.Error("HTTP/1.0 response advertised keep-alive without the client asking")
-	}
-	io.CopyN(io.Discard, br, resp.ContentLength)
 }
 
 // A request that ends the connection — HTTP/1.0 without keep-alive, or
