@@ -276,8 +276,12 @@ func BenchmarkHTTPRequestParse(b *testing.B) {
 
 var benchReader *bufio.Reader
 
-// BenchmarkEventEngine exercises the legacy closure path (After/func()):
-// the closure itself is the only allocation left.
+// runFunc carries a func() as an event's payload: what a caller that wants a
+// closure per event pays on top of the typed path.
+func runFunc(obj any, _, _ int64) { obj.(func())() }
+
+// BenchmarkEventEngine schedules a closure per event through Call; the
+// closure itself is made once, so the chain allocates nothing.
 func BenchmarkEventEngine(b *testing.B) {
 	e := simcore.NewEngine()
 	var fn func()
@@ -285,40 +289,64 @@ func BenchmarkEventEngine(b *testing.B) {
 	fn = func() {
 		n++
 		if n < b.N {
-			e.After(1, fn)
+			e.CallAfter(1, runFunc, fn, 0, 0)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.After(1, fn)
+	e.CallAfter(1, runFunc, fn, 0, 0)
 	e.Run(0)
 }
 
-// engineChain is the typed-callback payload of BenchmarkEventEngineTyped.
+// engineChain is the typed-callback payload of BenchmarkEventEngineTyped: a
+// chain of events, lane-less or on a resource's lane.
 type engineChain struct {
 	eng *simcore.Engine
+	res *simcore.Resource // nil: lane-less
 	n   int
 	max int
+}
+
+func (c *engineChain) schedule() {
+	if c.res != nil {
+		c.res.Call(1, engineChainStep, c, 0, 0)
+		return
+	}
+	c.eng.CallAfter(1, engineChainStep, c, 0, 0)
 }
 
 func engineChainStep(obj any, _, _ int64) {
 	c := obj.(*engineChain)
 	c.n++
+	if c.res != nil {
+		c.res.Release()
+	}
 	if c.n < c.max {
-		c.eng.CallAfter(1, engineChainStep, c, 0, 0)
+		c.schedule()
 	}
 }
 
 // BenchmarkEventEngineTyped is the simulator's actual scheduling pattern —
-// closure-free typed callbacks — and must report 0 allocs/op in steady
-// state (also pinned by TestEngineSteadyStateZeroAllocs).
+// closure-free typed callbacks, nearly all of them resource completions —
+// and must report 0 allocs/op in steady state (also pinned by
+// TestEngineSteadyStateZeroAllocs).
 func BenchmarkEventEngineTyped(b *testing.B) {
-	e := simcore.NewEngine()
-	c := &engineChain{eng: e, max: b.N}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.CallAfter(1, engineChainStep, c, 0, 0)
-	e.Run(0)
+	b.Run("laneless", func(b *testing.B) {
+		c := &engineChain{eng: simcore.NewEngine(), max: b.N}
+		b.ReportAllocs()
+		b.ResetTimer()
+		c.schedule()
+		c.eng.Run(0)
+	})
+	b.Run("lane", func(b *testing.B) {
+		e := simcore.NewEngine()
+		r := e.NewResource()
+		c := &engineChain{eng: e, res: &r, max: b.N}
+		b.ReportAllocs()
+		b.ResetTimer()
+		c.schedule()
+		e.Run(0)
+	})
 }
 
 func BenchmarkTraceGenerate(b *testing.B) {

@@ -79,11 +79,15 @@ func NewHotpath() *Analyzer {
 // //phttp:hotpath: the prototype's wire layer — what every request crosses
 // between the client socket and the dispatcher, and between the control
 // session and the response — where a fmt.Sprintf or a strings.Fields per
-// request is easy to write and nothing else would object. Methods are
-// "Type.Method".
+// request is easy to write and nothing else would object; and the
+// simulator's event loop — the engine's schedule and step and the
+// simulator's two event handlers and three resource calls, which every
+// simulated event crosses. Methods are "Type.Method".
 var hotpathRequired = map[string][]string{
 	"phttp/internal/httpmsg": {"ReadRequestInto", "AppendResponseHead"},
 	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "sendHandoff"},
+	"phttp/internal/simcore": {"Engine.Step", "Engine.Call", "Engine.enqueue", "Resource.Call"},
+	"phttp/internal/sim":     {"connStep", "reqStep", "Sim.cpuCall", "Sim.diskCall", "Sim.feCall"},
 }
 
 // hotAllocCalls are the standard-library calls the wire layer used to make

@@ -40,6 +40,10 @@ func TestHotpathGolden(t *testing.T) {
 	// in for internal/httpmsg with one annotation dropped and one function
 	// renamed.
 	linttest.Run(t, "testdata/hotreq", "phttp/internal/httpmsg", lint.NewHotpath())
+	// So must the simulator's event loop: the fixture stands in for
+	// internal/simcore with one annotation dropped, one function renamed
+	// and one deleted.
+	linttest.Run(t, "testdata/hotreqsim", "phttp/internal/simcore", lint.NewHotpath())
 }
 
 func TestRefpairGolden(t *testing.T) {

@@ -12,20 +12,21 @@ import (
 	"phttp/internal/trace"
 )
 
-// The simulator's event flow is an explicit state machine over pooled
-// run records instead of nested closures: every scheduled event is a
-// closure-free simcore.Call carrying a *connRun or *reqRun plus a phase
-// code and the node whose resource the event completes on. Combined with
-// the engine's slab-backed queue, the ID-keyed node caches and the
-// policies' reusable buffers, steady-state stepping allocates nothing per
-// event — the allocation profile that used to dominate sweep time (one
-// closure and one heap event per scheduled step, one string-keyed map
-// probe per cache touch) is gone.
+// The simulator's event flow is an explicit state machine over pooled run
+// records: every event is the completion of work on a simcore.Resource —
+// the front-end's CPU, a node's CPU or its disk — scheduled closure-free
+// through Resource.Call with a *connRun or *reqRun, a phase code and the
+// node whose resource the event completes on. Each resource's completions
+// wait in its own FIFO lane of the engine, so the engine's heap orders one
+// key per busy resource, not one per pending event; only churn and
+// tier-sync events are scheduled around the resources (Engine.Call).
+// Combined with the ID-keyed node caches and the policies' reusable
+// buffers, steady-state stepping allocates nothing per event.
 //
-// The phase graph reproduces the old closure nesting exactly — each
-// closure became one phase, scheduled in the same order with the same
-// costs — so (time, seq) event ordering, and therefore every simulation
-// result, is bit-identical to the previous implementation.
+// Events fire in (time, seq) order, seq being scheduling order: the phase
+// graph schedules the same work in the same order with the same costs
+// whatever holds the pending events, which is what keeps every result
+// bit-identical across changes to the queue.
 
 // Connection-level phases (connStep).
 const (
@@ -169,10 +170,10 @@ func runOn(cfg Config, workload *trace.Trace) (Result, error) {
 
 // runOnEngine is runOn with a caller-owned event engine: sweep workers
 // hand each job the same worker-local engine (reset between runs), so a
-// worker's heap and event-body slabs are grown once and reused across its
-// grid points instead of being reallocated per run. Slabs stay strictly
-// worker-local — no cross-worker sharing, no pool contention. A nil
-// engine means allocate a fresh one (the single-run entry points).
+// worker's heap, lane rings and event-body slab are grown once and reused
+// across its grid points instead of being reallocated per run. They stay
+// strictly worker-local — no cross-worker sharing, no pool contention. A
+// nil engine means allocate a fresh one (the single-run entry points).
 func runOnEngine(cfg Config, workload *trace.Trace, eng *simcore.Engine) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -223,6 +224,9 @@ func runOnEngine(cfg Config, workload *trace.Trace, eng *simcore.Engine) (Result
 		trace:   workload,
 		hist:    core.NewLatencyHist(),
 	}
+	for i := range s.fes {
+		s.fes[i] = eng.NewResource()
+	}
 	if cfg.RecordNodeDelays {
 		s.nodeDelay = make([]*core.LatencyHist, cfg.Nodes)
 		for i := range s.nodeDelay {
@@ -231,7 +235,7 @@ func runOnEngine(cfg Config, workload *trace.Trace, eng *simcore.Engine) (Result
 	}
 	s.nodes = make([]*node, cfg.Nodes)
 	for i := range s.nodes {
-		s.nodes[i] = &node{cache: cache.NewIDLRU(cfg.CacheBytes)}
+		s.nodes[i] = &node{cpu: eng.NewResource(), disk: eng.NewResource(), cache: cache.NewIDLRU(cfg.CacheBytes)}
 	}
 	s.warmConns = int(cfg.WarmupFrac * float64(len(workload.Conns)))
 	if s.warmConns == 0 {
@@ -345,27 +349,26 @@ func (s *Sim) nodeLost(n core.NodeID) bool {
 	return s.hasChurn && s.disp.NodeIsDown(n)
 }
 
-// feCall schedules cost on front-end fe's CPU (scaled by the configured
-// front-end speedup) and dispatches act(obj, phase, -1) at completion; the
-// handler releases the front-end.
-//
-//phttp:hotpath
-func (s *Sim) feCall(fe int, cost core.Micros, act simcore.Action, obj any, phase int64) {
+// feCost scales a front-end CPU cost by the configured front-end speedup.
+func (s *Sim) feCost(cost core.Micros) core.Micros {
 	if s.cfg.FESpeedup > 1 {
 		cost = core.Micros(float64(cost) / s.cfg.FESpeedup)
 	}
-	done := s.fes[fe].Schedule(s.eng.Now(), cost)
-	s.eng.Call(done, act, obj, phase, -1)
+	return cost
+}
+
+// feCall schedules cost on front-end fe's CPU and dispatches
+// act(obj, phase, -1) at completion; the handler releases the front-end.
+//
+//phttp:hotpath
+func (s *Sim) feCall(fe int, cost core.Micros, act simcore.Action, obj any, phase int64) {
+	s.fes[fe].Call(s.feCost(cost), act, obj, phase, -1)
 }
 
 // feCallRemote charges fire-and-forget CPU work on front-end fe — the
 // owner's side of a forwarded state transaction in sharded mode.
 func (s *Sim) feCallRemote(fe int, cost core.Micros) {
-	if s.cfg.FESpeedup > 1 {
-		cost = core.Micros(float64(cost) / s.cfg.FESpeedup)
-	}
-	done := s.fes[fe].Schedule(s.eng.Now(), cost)
-	s.eng.Call(done, feRelease, s, int64(fe), 0)
+	s.fes[fe].Call(s.feCost(cost), feRelease, s, int64(fe), 0)
 }
 
 // feRelease releases front-end fe's CPU (fire-and-forget completions).
@@ -405,12 +408,10 @@ func (s *Sim) reportDiskQueue(n core.NodeID, queued int) {
 //
 //phttp:hotpath
 func (s *Sim) cpuCall(n core.NodeID, cost core.Micros, act simcore.Action, obj any, phase int64) {
-	now := s.eng.Now()
-	done := s.nodes[n].cpu.Schedule(now, cost)
+	done := s.nodes[n].cpu.Call(cost, act, obj, phase, int64(n))
 	if s.nodeDelay != nil {
-		s.nodeDelay[n].Record(int64(done - now - cost))
+		s.nodeDelay[n].Record(int64(done - s.eng.Now() - cost))
 	}
-	s.eng.Call(done, act, obj, phase, int64(n))
 }
 
 // diskCall schedules a read of size bytes on node n's disk, keeping the
@@ -421,14 +422,12 @@ func (s *Sim) cpuCall(n core.NodeID, cost core.Micros, act simcore.Action, obj a
 //phttp:hotpath
 func (s *Sim) diskCall(n core.NodeID, size int64, act simcore.Action, obj any, phase int64) {
 	nd := s.nodes[n]
-	now := s.eng.Now()
 	cost := s.cfg.Disk.ReadTime(size)
-	done := nd.disk.Schedule(now, cost)
+	done := nd.disk.Call(cost, act, obj, phase, int64(n))
 	if s.nodeDelay != nil {
-		s.nodeDelay[n].Record(int64(done - now - cost))
+		s.nodeDelay[n].Record(int64(done - s.eng.Now() - cost))
 	}
 	s.reportDiskQueue(n, nd.disk.Queued())
-	s.eng.Call(done, act, obj, phase, int64(n))
 }
 
 // panicUnknownPhase is the cold formatting helper for the state-machine
@@ -478,28 +477,28 @@ func (s *Sim) putReq(rr *reqRun) {
 	s.freeReqs = append(s.freeReqs, rr)
 }
 
-// admit starts the next trace connection; it reports whether one was
-// available.
+// admit starts the next trace connection that carries a request; it
+// reports whether one was available.
 func (s *Sim) admit() bool {
-	if s.nextConn >= len(s.trace.Conns) {
-		return false
+	for s.nextConn < len(s.trace.Conns) {
+		conn := s.trace.Conns[s.nextConn]
+		s.nextConn++
+		if conn.Requests() == 0 {
+			continue
+		}
+		s.active++
+		cr := s.getConn()
+		cr.conn = conn
+		// Round-robin client arrival over the front-end tier (a DNS-RR or
+		// L4 spray in front of the front-ends); one front-end takes them
+		// all in the single-front-end model.
+		cr.fe = s.admitIdx % len(s.engs)
+		cr.disp = s.engs[cr.fe]
+		s.admitIdx++
+		cr.open()
+		return true
 	}
-	conn := s.trace.Conns[s.nextConn]
-	s.nextConn++
-	if conn.Requests() == 0 {
-		return s.admit()
-	}
-	s.active++
-	cr := s.getConn()
-	cr.conn = conn
-	// Round-robin client arrival over the front-end tier (a DNS-RR or L4
-	// spray in front of the front-ends); one front-end takes them all in
-	// the single-front-end model.
-	cr.fe = s.admitIdx % len(s.engs)
-	cr.disp = s.engs[cr.fe]
-	s.admitIdx++
-	cr.open()
-	return true
+	return false
 }
 
 // connDone finishes a connection's lifecycle, admits the next, and recycles

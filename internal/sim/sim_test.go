@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"phttp/internal/core"
+	"phttp/internal/simcore"
 	"phttp/internal/trace"
 )
 
@@ -240,4 +241,54 @@ func rel(a, b float64) float64 {
 		return 0
 	}
 	return (a - b) / a
+}
+
+// TestHotEventsStayInLanes guards the event loop's fast path with a count,
+// not a timing: every event of a churn-free single-front-end run is a
+// resource completion, so it waits in that resource's lane and the heap
+// never holds more than one key per resource — the front-end and each
+// node's CPU and disk. A call site that schedules a completion around the
+// lanes (Engine.Call at a time a resource returned) shows up here.
+func TestHotEventsStayInLanes(t *testing.T) {
+	tr := testTrace()
+	flat := tr.Flatten10()
+	for _, combo := range Combos() {
+		for _, nodes := range []int{1, 4} {
+			workload := tr
+			if !combo.PHTTP {
+				workload = flat
+			}
+			eng := simcore.NewEngine()
+			res, err := runOnEngine(DefaultConfig(nodes, combo), workload, eng)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", combo.Name, nodes, err)
+			}
+			if peak, max := eng.PeakHeap(), 1+2*nodes; peak < 1 || peak > max {
+				t.Errorf("%s n=%d: heap peaked at %d keys over %d events, want 1..%d", combo.Name, nodes, peak, res.Events, max)
+			}
+		}
+	}
+}
+
+// TestAdmitSkipsEmptyConnections: connections that carry no request are
+// passed over, however many in a row, and the ones around them are served.
+func TestAdmitSkipsEmptyConnections(t *testing.T) {
+	one := core.Connection{Batches: []core.Batch{{{Target: "/a", Size: 1000}}}}
+	conns := []core.Connection{one}
+	conns = append(conns, make([]core.Connection, 100000)...)
+	conns = append(conns, one, core.Connection{}, one)
+	raw := &trace.Trace{Sizes: map[core.Target]int64{"/a": 1000}, Conns: conns}
+	combo, err := ComboByName("simple-LARD-PHTTP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(1, combo)
+	cfg.WarmupFrac = 0
+	res, err := Run(cfg, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 3 {
+		t.Errorf("served %d requests, want 3", res.Requests)
+	}
 }

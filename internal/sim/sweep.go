@@ -66,11 +66,11 @@ func runJobs(jobs []sweepJob, results []Result, workers int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one engine: its event heap and body slab
-			// grow to the largest grid point it runs and are reused for
-			// the rest. Strictly worker-local — sharing slabs across
-			// workers (e.g. through a sync.Pool) would bounce their cache
-			// lines between cores for no benefit.
+			// Each worker owns one engine: its event heap, lane rings and
+			// body slab grow to the largest grid point it runs and are
+			// reused for the rest. Strictly worker-local — sharing them
+			// across workers (e.g. through a sync.Pool) would bounce their
+			// cache lines between cores for no benefit.
 			eng := simcore.NewEngine()
 			for j := range ch {
 				if failed.Load() {

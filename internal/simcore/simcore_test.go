@@ -9,12 +9,19 @@ import (
 	"phttp/internal/core"
 )
 
+// callFn schedules fn as a lane-less event at absolute time t: the func()
+// rides as the event's payload (a func value is pointer-shaped, so boxing
+// it allocates nothing).
+func callFn(e *Engine, t core.Micros, fn func()) { e.Call(t, runFunc, fn, 0, 0) }
+
+func runFunc(obj any, _, _ int64) { obj.(func())() }
+
 func TestEngineOrdersEventsByTime(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	callFn(e, 30, func() { got = append(got, 3) })
+	callFn(e, 10, func() { got = append(got, 1) })
+	callFn(e, 20, func() { got = append(got, 2) })
 	e.Run(0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("event order = %v, want [1 2 3]", got)
@@ -29,7 +36,7 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		callFn(e, 5, func() { got = append(got, i) })
 	}
 	e.Run(0)
 	for i, v := range got {
@@ -41,13 +48,13 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	callFn(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		callFn(e, 5, func() {})
 	})
 	e.Run(0)
 }
@@ -59,10 +66,10 @@ func TestEngineEventsCanSchedule(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 100 {
-			e.After(1, chain)
+			callFn(e, e.Now()+1, chain)
 		}
 	}
-	e.After(1, chain)
+	callFn(e, e.Now()+1, chain)
 	n := e.Run(0)
 	if n != 100 || count != 100 {
 		t.Errorf("ran %d events, counted %d, want 100", n, count)
@@ -75,13 +82,27 @@ func TestEngineEventsCanSchedule(t *testing.T) {
 func TestEngineBudget(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 10; i++ {
-		e.At(core.Micros(i), func() {})
+		callFn(e, core.Micros(i), func() {})
+	}
+	// Events waiting in a lane count as pending too, not only its head.
+	r := e.NewResource()
+	for i := 0; i < 5; i++ {
+		r.Call(100, func(any, int64, int64) { r.Release() }, nil, 0, 0)
+	}
+	if e.Pending() != 15 {
+		t.Errorf("Pending() = %d, want 15", e.Pending())
 	}
 	if n := e.Run(4); n != 4 {
 		t.Errorf("Run(4) processed %d", n)
 	}
-	if e.Pending() != 6 {
-		t.Errorf("Pending() = %d, want 6", e.Pending())
+	if e.Pending() != 11 {
+		t.Errorf("Pending() = %d, want 11", e.Pending())
+	}
+	if n := e.Run(8); n != 8 {
+		t.Errorf("Run(8) processed %d", n)
+	}
+	if e.Pending() != 3 || r.Queued() != 3 {
+		t.Errorf("Pending() = %d, Queued() = %d, want 3 and 3", e.Pending(), r.Queued())
 	}
 }
 
@@ -92,7 +113,7 @@ func TestEngineHeapProperty(t *testing.T) {
 		var fired []core.Micros
 		for _, tm := range times {
 			at := core.Micros(tm)
-			e.At(at, func() { fired = append(fired, at) })
+			callFn(e, at, func() { fired = append(fired, at) })
 		}
 		e.Run(0)
 		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
@@ -103,22 +124,30 @@ func TestEngineHeapProperty(t *testing.T) {
 }
 
 func TestResourceFIFO(t *testing.T) {
-	var r Resource
-	d1 := r.Schedule(0, 10)
-	d2 := r.Schedule(0, 5)
-	d3 := r.Schedule(20, 5)
+	e := NewEngine()
+	r := e.NewResource()
+	var fired []core.Micros
+	rec := func(any, int64, int64) {
+		fired = append(fired, e.Now())
+		r.Release()
+	}
+	d1 := r.Call(10, rec, nil, 0, 0)
+	d2 := r.Call(5, rec, nil, 0, 0)
 	if d1 != 10 || d2 != 15 {
 		t.Errorf("completions %v, %v, want 10, 15", d1, d2)
 	}
-	if d3 != 25 { // idle gap 15..20, then 5 of work
-		t.Errorf("third completion %v, want 25", d3)
+	if r.Queued() != 2 {
+		t.Errorf("Queued() = %d, want 2", r.Queued())
 	}
-	if r.Queued() != 3 {
-		t.Errorf("Queued() = %d, want 3", r.Queued())
+	callFn(e, 20, func() {
+		if d3 := r.Call(5, rec, nil, 0, 0); d3 != 25 { // idle gap 15..20, then 5 of work
+			t.Errorf("third completion %v, want 25", d3)
+		}
+	})
+	e.Run(0)
+	if len(fired) != 3 || fired[0] != 10 || fired[1] != 15 || fired[2] != 25 {
+		t.Errorf("completions fired at %v, want [10 15 25]", fired)
 	}
-	r.Release()
-	r.Release()
-	r.Release()
 	if r.Queued() != 0 {
 		t.Errorf("Queued() = %d after releases", r.Queued())
 	}
@@ -128,6 +157,17 @@ func TestResourceFIFO(t *testing.T) {
 	if got := r.Utilization(40); got != 0.5 {
 		t.Errorf("Utilization(40) = %v, want 0.5", got)
 	}
+}
+
+func TestResourceNegativeCostPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a negative cost did not panic")
+		}
+	}()
+	e := NewEngine()
+	r := e.NewResource()
+	r.Call(-1, func(any, int64, int64) {}, nil, 0, 0)
 }
 
 func TestResourceOverReleasePanics(t *testing.T) {
@@ -332,9 +372,9 @@ func TestZipfPanicsOnEmpty(t *testing.T) {
 func TestEngineResetReusesSlabs(t *testing.T) {
 	run := func(e *Engine) []int {
 		var got []int
-		e.After(30, func() { got = append(got, 3) })
-		e.After(10, func() { got = append(got, 1) })
-		e.At(20, func() { got = append(got, 2) })
+		callFn(e, e.Now()+30, func() { got = append(got, 3) })
+		callFn(e, e.Now()+10, func() { got = append(got, 1) })
+		callFn(e, 20, func() { got = append(got, 2) })
 		e.Run(0)
 		return got
 	}
@@ -352,34 +392,75 @@ func TestEngineResetReusesSlabs(t *testing.T) {
 		}
 	}
 	// Reset with events still pending must drop them.
-	eng.After(5, func() { t.Error("event survived Reset") })
+	callFn(eng, eng.Now()+5, func() { t.Error("event survived Reset") })
 	eng.Reset()
 	if n := eng.Run(0); n != 0 {
 		t.Errorf("ran %d events after Reset", n)
 	}
 }
 
+// TestEngineResetDropsPayloads: neither a fired event nor a Reset with
+// events pending leaves a payload reference behind in the slab or in a
+// ring, so a reused sweep engine does not pin the previous run's records.
+func TestEngineResetDropsPayloads(t *testing.T) {
+	e := NewEngine()
+	r := e.NewResource()
+	payload := &stepPayload{}
+	nop := func(any, int64, int64) {}
+	held := func() int {
+		n := 0
+		for _, b := range e.bodies[:cap(e.bodies)] {
+			if b.obj != nil {
+				n++
+			}
+		}
+		for _, l := range e.lanes {
+			for _, ev := range l.ring {
+				if ev.obj != nil {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for i := 0; i < 20; i++ {
+		e.CallAfter(1, nop, payload, 0, 0)
+		r.Call(1, nop, payload, 0, 0)
+	}
+	e.Run(30)
+	if got := held(); got != 10 {
+		t.Errorf("%d payload references held with 10 events pending", got)
+	}
+	e.Reset()
+	if got := held(); got != 0 {
+		t.Errorf("%d payload references survived Reset", got)
+	}
+}
+
 // TestResourceAccessors covers the diagnostic getters the cluster
 // utilization reporting reads.
 func TestResourceAccessors(t *testing.T) {
-	var r Resource
+	e := NewEngine()
+	r := e.NewResource()
 	if r.BusyUntil() != 0 || r.BusyTotal() != 0 || r.Queued() != 0 {
-		t.Fatalf("zero resource: %+v", r)
+		t.Fatalf("new resource: %+v", r)
 	}
 	if got := r.Utilization(0); got != 0 {
 		t.Errorf("Utilization with no elapsed time = %v, want 0", got)
 	}
-	done := r.Schedule(10, 30)
-	if done != 40 || r.BusyUntil() != 40 || r.Queued() != 1 {
-		t.Errorf("Schedule: done=%v busyUntil=%v queued=%d", done, r.BusyUntil(), r.Queued())
-	}
+	callFn(e, 10, func() {
+		done := r.Call(30, func(any, int64, int64) { r.Release() }, nil, 0, 0)
+		if done != 40 || r.BusyUntil() != 40 || r.Queued() != 1 {
+			t.Errorf("Call: done=%v busyUntil=%v queued=%d", done, r.BusyUntil(), r.Queued())
+		}
+	})
+	e.Run(0)
 	if got := r.Utilization(60); got != 0.5 {
 		t.Errorf("Utilization = %v, want 0.5", got)
 	}
 	if got := r.Utilization(15); got != 1 {
 		t.Errorf("Utilization clamps at 1, got %v", got)
 	}
-	r.Release()
 	if r.Queued() != 0 {
 		t.Errorf("Queued after Release = %d", r.Queued())
 	}
