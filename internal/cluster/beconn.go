@@ -450,6 +450,7 @@ func (b *Backend) serveConn(c *beConn) {
 				b.giveUp(c)
 				return
 			}
+			yieldThread() // the batch is answered; next comes a wait for the front-end
 			select {
 			case <-c.q.wake:
 			case <-b.closed:

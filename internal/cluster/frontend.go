@@ -872,6 +872,7 @@ func (fe *FrontEnd) serveClient(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		yieldThread() // the batch is on its way; next comes a wait for the client
 	}
 }
 
