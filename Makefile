@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-scaling benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check trace-cache scenarios-smoke chaos slo multife
+.PHONY: all build test race bench-smoke benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check trace-cache scenarios-smoke chaos slo multife
 
 all: build
 
@@ -56,26 +56,10 @@ scenarios-smoke:
 trace-cache:
 	$(GO) run ./cmd/phttp-tracegen -cache .trace-cache
 
-# Performance trajectory: the simulator's reference ClusterSweep (written
-# to BENCH_sim.json: ns/event, allocs/event, events/sec, wall-clock, and
-# speedup vs the recorded baseline), plus the dispatch microbenchmark
-# against its serialized baseline.
-bench:
-	$(GO) run ./cmd/phttp-bench -sim-bench BENCH_sim.json
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatch' -cpu 1,4 ./internal/dispatch/
-
 # One-iteration pass over every benchmark so the harnesses cannot rot; CI
 # runs this on each push.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-
-# Multi-core scaling curve: the reference sweep at worker counts
-# 1..GOMAXPROCS, recorded into BENCH_sim.json's scaling section. On a
-# 1-CPU machine the section gets an explicit "skipped_nproc=1" marker,
-# and a previously recorded multi-core curve in the file is preserved
-# (phttp-bench -force overrides).
-bench-scaling:
-	$(GO) run ./cmd/phttp-bench -sim-bench BENCH_sim.json -scaling
 
 # Total statement coverage against the recorded baseline
 # (.github/coverage-baseline.txt); CI fails when it drops.
@@ -104,19 +88,14 @@ benchmark-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh --smoke
 
-# Tail-latency acceptance: the SLO-gated builtin scenarios (each run
-# exits non-zero when its p99 target or violation budget is broken) plus
-# the deterministic latency-regression gate against the recorded
-# per-combo p99 baseline (.github/latency-baseline.json). Virtual-time
-# latencies are bit-deterministic per (workload, config), so both gates
-# are machine-independent; on a 1-CPU box the gate's serial/parallel
-# cross-check prints an explicit skipped_nproc=1 marker instead of a
-# vacuous pass. Re-baseline deliberately with:
-#   go run ./cmd/phttp-bench -latency-record .github/latency-baseline.json
+# Tail-latency acceptance: the SLO-gated builtin scenarios, each of which
+# exits non-zero when its p99 target or violation budget is broken.
+# Virtual-time latencies are bit-deterministic per (workload, config), so
+# the gates are machine-independent. The per-combo p99 regression gate is
+# TestLatencyGate in internal/sim, part of `go test ./...`.
 slo:
 	$(GO) run ./cmd/phttp-sim -scenario slo-tail > /dev/null
 	$(GO) run ./cmd/phttp-sim -scenario churn-crash > /dev/null
-	$(GO) run ./cmd/phttp-bench -latency-gate .github/latency-baseline.json
 
 fmt:
 	gofmt -l .

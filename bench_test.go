@@ -1,16 +1,13 @@
-// Package phttp's root benchmark harness: one benchmark per table/figure of
-// the paper plus micro-benchmarks of the core data structures and an
-// ablation of extended LARD's design knobs.
+// Package phttp's root benchmarks: micro-benchmarks of the core data
+// structures (cache.LRU, the extLARD decision, the HTTP parser, the
+// simcore event engine, trace construction) and an ablation of extended
+// LARD's design knobs (DESIGN.md §7) on the simulator.
 //
-// Figure benchmarks report the reproduced metric through b.ReportMetric
-// (req/s, Mb/s or KB) so `go test -bench` output doubles as a compact
-// regeneration of the evaluation:
+//	go test -run '^$' -bench . -benchmem
 //
-//	go test -bench=Fig -benchmem
-//
-// The full-resolution sweeps (all cluster sizes, full trace) live in
-// cmd/phttp-sim, cmd/phttp-analytic and cmd/phttp-bench; the benchmarks here
-// use scaled-down workloads so the whole suite runs in minutes.
+// The paper's figures are regenerated by cmd/phttp-analytic (5, 6),
+// cmd/phttp-sim (3, 7, 8) and cmd/phttp-bench (13); the program's
+// end-to-end performance is measured by the benchmark module (benchmark/).
 package phttp
 
 import (
@@ -19,22 +16,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"phttp/internal/analytic"
 	"phttp/internal/cache"
-	"phttp/internal/cluster"
 	"phttp/internal/core"
 	"phttp/internal/httpmsg"
-	"phttp/internal/loadgen"
 	"phttp/internal/policy"
-	"phttp/internal/server"
 	"phttp/internal/sim"
 	"phttp/internal/simcore"
 	"phttp/internal/trace"
 )
 
-// benchTrace is shared by the simulation benchmarks.
+// benchTrace is shared by the ablation benchmarks.
 var (
 	benchTraceOnce sync.Once
 	benchTraceVal  *trace.Trace
@@ -47,134 +39,6 @@ func benchTrace() *trace.Trace {
 		benchTraceVal = trace.NewSynth(cfg).Generate()
 	})
 	return benchTraceVal
-}
-
-// --- Figure 3: single back-end delay/throughput vs offered load ---
-
-func BenchmarkFig3DelayCurve(b *testing.B) {
-	tr := benchTrace()
-	for i := 0; i < b.N; i++ {
-		thr, delay, err := sim.DelaySweep(core.Apache, []int{1, 16, 64}, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(thr.Points) - 1
-		b.ReportMetric(thr.Points[last].Y, "req/s@64conns")
-		b.ReportMetric(delay.Points[last].Y, "ms@64conns")
-	}
-}
-
-// --- Figures 5 and 6: analytic bandwidth and crossover ---
-
-func BenchmarkFig5ApacheAnalytic(b *testing.B) {
-	cfg := analytic.DefaultConfig(core.Apache)
-	for i := 0; i < b.N; i++ {
-		multi, fwd := cfg.Bandwidth(8 << 10)
-		cross := cfg.Crossover(200 << 10)
-		b.ReportMetric(multi, "multi-Mb/s@8KB")
-		b.ReportMetric(fwd, "BEfwd-Mb/s@8KB")
-		b.ReportMetric(float64(cross)/1024, "crossover-KB")
-	}
-}
-
-func BenchmarkFig6FlashAnalytic(b *testing.B) {
-	cfg := analytic.DefaultConfig(core.Flash)
-	for i := 0; i < b.N; i++ {
-		multi, fwd := cfg.Bandwidth(8 << 10)
-		cross := cfg.Crossover(200 << 10)
-		b.ReportMetric(multi, "multi-Mb/s@8KB")
-		b.ReportMetric(fwd, "BEfwd-Mb/s@8KB")
-		b.ReportMetric(float64(cross)/1024, "crossover-KB")
-	}
-}
-
-// --- Figures 7 and 8: simulated cluster throughput ---
-
-func benchCluster(b *testing.B, kind core.ServerKind, comboName string, nodes int) {
-	combo, err := sim.ComboByName(comboName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := benchTrace()
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(nodes, combo)
-		cfg.Server = server.CostsFor(kind)
-		res, err := sim.Run(cfg, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Throughput, "req/s")
-		b.ReportMetric(100*res.HitRate, "hit%")
-	}
-}
-
-func BenchmarkFig7ApacheCluster(b *testing.B) {
-	for _, combo := range []string{
-		"zeroCost-extLARD-PHTTP", "multiHandoff-extLARD-PHTTP",
-		"BEforward-extLARD-PHTTP", "simple-LARD", "simple-LARD-PHTTP",
-		"WRR-PHTTP", "WRR",
-	} {
-		for _, nodes := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/n%d", combo, nodes), func(b *testing.B) {
-				benchCluster(b, core.Apache, combo, nodes)
-			})
-		}
-	}
-}
-
-func BenchmarkFig8FlashCluster(b *testing.B) {
-	for _, combo := range []string{
-		"zeroCost-extLARD-PHTTP", "BEforward-extLARD-PHTTP",
-		"simple-LARD", "WRR",
-	} {
-		for _, nodes := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/n%d", combo, nodes), func(b *testing.B) {
-				benchCluster(b, core.Flash, combo, nodes)
-			})
-		}
-	}
-}
-
-// --- Figure 13: the real prototype over loopback sockets ---
-
-func BenchmarkFig13Prototype(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		policy string
-		mech   core.Mechanism
-		http10 bool
-	}{
-		{"BEforward-extLARD-PHTTP", "extlard", core.BEForwarding, false},
-		{"simple-LARD", "lard", core.SingleHandoff, true},
-		{"WRR-PHTTP", "wrr", core.SingleHandoff, false},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			tcfg := trace.DefaultSynthConfig()
-			tcfg.Connections = 1200
-			tr := trace.NewSynth(tcfg).Generate()
-			for i := 0; i < b.N; i++ {
-				cfg := cluster.DefaultConfig(3, tr.Sizes)
-				cfg.Policy = tc.policy
-				cfg.Mechanism = tc.mech
-				cfg.TimeScale = 50
-				cl, err := cluster.Start(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := loadgen.Run(loadgen.Config{
-					Addr: cl.Addr(), Trace: tr, HTTP10: tc.http10,
-					Concurrency: 64, WarmupFrac: 0.2,
-					IOTimeout: time.Minute,
-				})
-				cl.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Normalized to the modeled hardware speed.
-				b.ReportMetric(res.Throughput/50, "req/s(normalized)")
-			}
-		})
-	}
 }
 
 // --- Ablation: extended LARD design knobs (DESIGN.md §7) ---

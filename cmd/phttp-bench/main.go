@@ -1,29 +1,25 @@
 // phttp-bench drives the full prototype cluster (in-process: front-end,
 // back-ends and load generator in one process, communicating over real
 // sockets with real fd-passing handoff) across policies and cluster sizes,
-// regenerating Figure 13 and the Section 8.2 front-end utilization figure.
+// regenerating Figure 13 and the Section 8.2 front-end utilization figure,
+// or the node axis of one declarative policy scenario.
 //
-//	phttp-bench                      # Figure 13, 1-6 nodes
-//	phttp-bench -time-scale 20       # faster wall clock, same shape
-//	phttp-bench -sim-bench BENCH_sim.json   # simulator perf trajectory
+//	phttp-bench                          # Figure 13, 1-6 nodes
+//	phttp-bench -time-scale 20           # faster wall clock, same shape
+//	phttp-bench -only WRR -max-nodes 2   # one combination
+//	phttp-bench -scenario p2c            # a policy scenario on real sockets
 //
 // Simulated CPU/disk latencies are divided by -time-scale; reported
 // throughput is normalized back (multiplied by 1/scale) so the numbers are
-// comparable to the paper's 300 MHz-era hardware.
-//
-// -sim-bench skips the prototype and instead measures the trace-driven
-// simulator's reference ClusterSweep (serial and parallel), writing the
-// ns/event, allocs/event, events/sec and wall-clock trajectory to the named
-// JSON file alongside the recorded pre-optimization baseline (see DESIGN.md
-// §10 for the methodology).
+// comparable to the paper's 300 MHz-era hardware. Performance of the
+// program itself is measured by the benchmark module (benchmark/), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
+	"strings"
 	"time"
 
 	"phttp/internal/cluster"
@@ -31,183 +27,8 @@ import (
 	"phttp/internal/loadgen"
 	"phttp/internal/metrics"
 	"phttp/internal/scenario"
-	"phttp/internal/sim"
 	"phttp/internal/trace"
 )
-
-// simBaseline is the reference ClusterSweep measured at the pre-optimization
-// commit ("PR 1" head: container/heap of *Event closures, string-keyed
-// caches, serial sweeps) on the same reference configuration
-// (sim.DefaultBenchConfig). Events is left 0 — the old engine did not count
-// events — and is filled from the current serial run, which is valid
-// because the optimization is event-count preserving (golden tests pin
-// result equality). Re-measure when moving the trajectory to new hardware.
-var simBaseline = sim.BenchPoint{
-	WallMs:  15322,
-	Mallocs: 88045813,
-}
-
-const simBaselineDescription = "serial sweep at PR1 head (closure event heap, string-keyed caches), same machine"
-
-// keepRecordedScaling decides what the new report's scaling section should
-// be, given what the output file already records. A multi-core curve is
-// expensive to come by (this dev loop usually runs on one core), so a run
-// that measured nothing better — no -scaling, or a 1-CPU skip marker —
-// preserves the recorded curve instead of clobbering it; -force overrides.
-func keepRecordedScaling(path string, rep *sim.BenchReport, force bool) {
-	if force || rep.Scaling.MultiCore() {
-		return
-	}
-	prev, err := os.ReadFile(path)
-	if err != nil {
-		return
-	}
-	var old sim.BenchReport
-	if json.Unmarshal(prev, &old) != nil || !old.Scaling.MultiCore() {
-		return
-	}
-	fmt.Fprintf(os.Stderr,
-		"sim-bench: keeping recorded %d-worker scaling curve (this run has %d CPU(s); -force overwrites)\n",
-		old.Scaling.GoMaxProcs, rep.Parallel.NumCPU)
-	rep.Scaling = old.Scaling
-}
-
-// runSimBench measures the simulator reference sweep and writes the
-// BENCH_sim.json trajectory.
-func runSimBench(path string, seed uint64, scaling, force bool) {
-	cfg := sim.DefaultBenchConfig()
-	cfg.Seed = seed
-	fmt.Fprintf(os.Stderr, "sim-bench: reference sweep (%d combos × %d cluster sizes, %d connections)...\n",
-		cfg.Combos, len(cfg.Nodes), cfg.Connections)
-	rep, err := sim.RunBench(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "phttp-bench: sim-bench: %v\n", err)
-		os.Exit(1)
-	}
-	if seed == 1 {
-		// The recorded baseline used the reference seed; a different seed
-		// changes the workload, so the comparison would be meaningless.
-		rep.AttachBaseline(simBaseline, simBaselineDescription)
-	}
-	if scaling {
-		// The curve needs the reference trace only when there are cores
-		// to measure; the 1-CPU skip marker costs nothing.
-		var tr *trace.Trace
-		if runtime.GOMAXPROCS(0) > 1 {
-			tcfg := trace.DefaultSynthConfig()
-			tcfg.Seed = cfg.Seed
-			tcfg.Connections = cfg.Connections
-			tr = trace.NewSynth(tcfg).Generate()
-		}
-		sc, err := sim.MeasureScaling(cfg, tr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "phttp-bench: sim-bench: scaling: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Scaling = &sc
-		if sc.Skipped != "" {
-			fmt.Fprintf(os.Stderr, "sim-bench: scaling curve %s\n", sc.Skipped)
-		}
-	}
-	keepRecordedScaling(path, &rep, force)
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "phttp-bench: sim-bench: %v\n", err)
-		os.Exit(1)
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "phttp-bench: sim-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr,
-		"sim-bench: serial %.0f ms (%.0f ns/event, %.2f allocs/event), parallel %.0f ms on %d procs\n",
-		rep.Serial.WallMs, rep.Serial.NsPerEvent, rep.Serial.AllocsPerEvent,
-		rep.Parallel.WallMs, rep.Parallel.GoMaxProcs)
-	fmt.Fprintf(os.Stderr,
-		"sim-bench: cache hit %.1f allocs mapped vs %.1f copied (%.1fx reduction)\n",
-		rep.TraceGen.CacheHitAllocs, rep.TraceGen.CacheHitCopyAllocs, rep.TraceGen.CacheHitAllocReduction)
-	if rep.Baseline != nil {
-		fmt.Fprintf(os.Stderr, "sim-bench: %.2fx wall-clock vs baseline, %.2fx events/sec per run, %.1fx fewer allocs/event\n",
-			rep.SpeedupWallClock, rep.PerRunEventsPerSec, rep.PerEventAllocsRatio)
-	}
-	if rep.Scaling.MultiCore() {
-		last := rep.Scaling.Points[len(rep.Scaling.Points)-1]
-		fmt.Fprintf(os.Stderr, "sim-bench: scaling %.2fx at %d workers\n", last.Speedup, last.Workers)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// runLatencyGate runs the deterministic latency gate sweep (the seven
-// reference combos at one cluster size) and either records the per-combo
-// p99 baseline or checks the run against it. Virtual-time latencies are
-// bit-deterministic per (workload, config), so the recorded baseline is
-// machine-independent — the gate fails only when simulated behavior
-// changes. On multi-core boxes the gate cross-checks that a serial sweep
-// reproduces the parallel one's latency summaries; with one CPU that
-// check is marked skipped, matching the scaling section's convention.
-func runLatencyGate(path string, record bool, cacheDir string) {
-	cfg := sim.GateBenchConfig()
-	tcfg := trace.DefaultSynthConfig()
-	tcfg.Seed = cfg.Seed
-	tcfg.Connections = cfg.Connections
-	var tr *trace.Trace
-	if cacheDir != "" {
-		wl, hit, err := trace.LoadOrGenerate(cacheDir, tcfg)
-		if err != nil {
-			fatalf("latency-gate: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "latency-gate: trace cache %s: hit=%v\n", cacheDir, hit)
-		tr = wl.PHTTP
-	} else {
-		tr = trace.NewSynth(tcfg).GenerateParallel(0)
-	}
-	_, results, err := sim.ClusterSweepParallel(cfg.Server, cfg.Nodes, sim.Combos(), tr, 0)
-	if err != nil {
-		fatalf("latency-gate: %v", err)
-	}
-	if record {
-		b := sim.NewLatencyBaseline(cfg, results, 5)
-		if err := b.Save(path); err != nil {
-			fatalf("latency-record: %v", err)
-		}
-		fmt.Printf("recorded latency baseline for %d combos to %s\n", len(b.P99Ms), path)
-		return
-	}
-	b, err := sim.LoadLatencyBaseline(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := b.CheckConfig(cfg); err != nil {
-		fatalf("%v", err)
-	}
-	for _, r := range results {
-		fmt.Fprintf(os.Stderr, "latency-gate: %-28s p99=%7.2fms (baseline %7.2fms)\n",
-			r.Combo, float64(r.Latency.P99)/float64(core.Millisecond), b.P99Ms[r.Combo])
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		_, serial, err := sim.ClusterSweepParallel(cfg.Server, cfg.Nodes, sim.Combos(), tr, 1)
-		if err != nil {
-			fatalf("latency-gate: serial cross-check: %v", err)
-		}
-		for i := range serial {
-			if serial[i].Latency != results[i].Latency {
-				fatalf("latency-gate: serial and parallel sweeps disagree on %s: %+v vs %+v",
-					serial[i].Combo, serial[i].Latency, results[i].Latency)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "latency-gate: serial cross-check ok (%d points)\n", len(serial))
-	} else {
-		fmt.Fprintf(os.Stderr, "latency-gate: serial cross-check skipped_nproc=1\n")
-	}
-	if regressions := b.CheckResults(results); len(regressions) > 0 {
-		for _, msg := range regressions {
-			fmt.Fprintf(os.Stderr, "latency-gate: REGRESSION: %s\n", msg)
-		}
-		fatalf("latency gate failed: %d regression(s) against %s", len(regressions), path)
-	}
-	fmt.Printf("latency gate PASS: %d combos within %.0f%% of %s\n", len(b.P99Ms), b.TolerancePct, path)
-}
 
 // protoCombo is one prototype policy/mechanism/workload combination of
 // Figure 13.
@@ -228,6 +49,23 @@ func protoCombos() []protoCombo {
 	}
 }
 
+// selectCombos returns the combinations -only names: all of them when it
+// is empty, else the one it matches, else an error listing the valid names.
+func selectCombos(only string) ([]protoCombo, error) {
+	all := protoCombos()
+	if only == "" {
+		return all, nil
+	}
+	names := make([]string, len(all))
+	for i, c := range all {
+		if c.name == only {
+			return all[i : i+1], nil
+		}
+		names[i] = c.name
+	}
+	return nil, fmt.Errorf("unknown combination %q for -only (valid: %s)", only, strings.Join(names, ", "))
+}
+
 func main() {
 	var (
 		maxNodes = flag.Int("max-nodes", 6, "largest cluster size")
@@ -237,31 +75,18 @@ func main() {
 		clients  = flag.Int("clients", 0, "concurrent clients (0 = 32 per node)")
 		cacheMB  = flag.Int64("cache-mb", cluster.PrototypeCacheBytes>>20, "per-node cache (MB); scale it with -connections so the touched working set stays ~5x one cache")
 		only     = flag.String("only", "", "run only the named combination (e.g. BEforward-extLARD-PHTTP)")
-		simBench = flag.String("sim-bench", "", "measure the simulator's reference ClusterSweep and write the perf trajectory to this JSON file (skips the prototype benchmark)")
 		cacheDir = flag.String("trace-cache", "", "trace cache directory: load the benchmark workload from disk, generating and persisting on miss")
 		scenFlag = flag.String("scenario", "", "benchmark the prototype for a declarative scenario (builtin name or JSON file): policy, options, mechanism, workload and node axis come from the spec")
-		latGate  = flag.String("latency-gate", "", "run the deterministic latency gate sweep and fail (exit 1) if any combo's p99 exceeds the recorded baseline in this JSON file (skips the prototype benchmark)")
-		latRec   = flag.String("latency-record", "", "run the latency gate sweep and (re)write its baseline to this JSON file")
-		scaling  = flag.Bool("scaling", false, "with -sim-bench: run the reference sweep at worker counts 1..GOMAXPROCS and record the scaling section (skip marker on 1 CPU)")
-		force    = flag.Bool("force", false, "with -sim-bench: allow a run without a multi-core scaling curve to overwrite one already recorded in the output file")
 	)
 	flag.Parse()
 
-	if *simBench != "" {
-		runSimBench(*simBench, *seed, *scaling, *force)
-		return
-	}
-	if *latRec != "" {
-		runLatencyGate(*latRec, true, *cacheDir)
-		return
-	}
-	if *latGate != "" {
-		runLatencyGate(*latGate, false, *cacheDir)
-		return
-	}
 	if *scenFlag != "" {
 		runScenarioBench(*scenFlag, *scale, *clients)
 		return
+	}
+	combos, err := selectCombos(*only)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	tcfg := trace.DefaultSynthConfig()
@@ -271,8 +96,7 @@ func main() {
 	if *cacheDir != "" {
 		w, hit, err := trace.LoadOrGenerate(*cacheDir, tcfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "phttp-bench: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "trace cache %s: hit=%v\n", *cacheDir, hit)
 		wl = w
@@ -284,16 +108,12 @@ func main() {
 
 	var series []*metrics.Series
 	feUtil := &metrics.Series{Name: "FE-util-%(BEforward-extLARD-PHTTP)"}
-	for _, combo := range protoCombos() {
-		if *only != "" && combo.name != *only {
-			continue
-		}
+	for _, combo := range combos {
 		s := &metrics.Series{Name: combo.name}
 		for n := 1; n <= *maxNodes; n++ {
 			thr, util, err := runOne(combo, n, wl, *scale, *clients, *cacheMB<<20)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "phttp-bench: %s n=%d: %v\n", combo.name, n, err)
-				os.Exit(1)
+				fatalf("%s n=%d: %v", combo.name, n, err)
 			}
 			s.Add(float64(n), thr)
 			if combo.name == "BEforward-extLARD-PHTTP" {
@@ -324,7 +144,7 @@ func runScenarioBench(arg string, scale float64, clients int) {
 		fatalf("%v", err)
 	}
 	if _, _, isCombos, _ := spec.CombosSweep(); isCombos {
-		fatalf("scenario %q sweeps legacy combos; the prototype benchmark needs a policy scenario (run it with -fig style combos via the flag path)", arg)
+		fatalf("scenario %q sweeps the simulator's combos; the prototype benchmark needs a policy scenario (run this one with `phttp-sim -scenario %s`, or the prototype's Figure 13 combos with `phttp-bench [-only NAME]`)", arg, arg)
 	}
 	// An explicitly passed -time-scale wins over the scenario's value; the
 	// scenario wins over the flag's default.

@@ -215,12 +215,6 @@ type Config struct {
 	// staleness endpoint of the freshness sweep). Only valid with
 	// FEState == dstate.ModeReplicated.
 	Staleness core.Micros
-	// RecordNodeDelays enables the per-node queue-delay histograms: the
-	// time every CPU and disk acquisition spent waiting in the node's
-	// FIFO, recorded per back-end and summarized in Result.NodeDelays.
-	// Off by default — the histograms cost ~57 KB per node and a clone
-	// at the warm point.
-	RecordNodeDelays bool
 }
 
 // DefaultCacheBytes is the simulator's back-end cache size: the paper's

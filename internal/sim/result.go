@@ -55,15 +55,6 @@ type Result struct {
 	// Deterministic for a given (config, trace).
 	Latency LatencySummary
 
-	// NodeDelays, when Config.RecordNodeDelays is set (nil otherwise),
-	// holds one post-warmup queue-delay digest per back-end: the time
-	// each CPU and disk acquisition spent waiting in that node's FIFO
-	// before service — the load-imbalance signature WRR's hot nodes show
-	// and locality-aware dispatch flattens. The slice makes Result
-	// non-comparable with ==; stability tests compare with
-	// reflect.DeepEqual.
-	NodeDelays []LatencySummary
-
 	// Churn counters (zero for churn-free runs). Redispatches counts
 	// requests and connection opens re-sent to a live node after their
 	// serving node crashed; FailedRequests counts requests abandoned when

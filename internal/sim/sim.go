@@ -117,13 +117,6 @@ type Sim struct {
 	warmFEBusy   core.Micros
 	warmCPUBusy  []core.Micros
 	warmDiskBusy []core.Micros
-
-	// nodeDelay, when Config.RecordNodeDelays is set, holds one
-	// queue-delay histogram per back-end: every CPU and disk acquisition
-	// records how long it waited in the node's FIFO before service.
-	// warmNodeDelay is the per-node snapshot at the warm point.
-	nodeDelay     []*core.LatencyHist
-	warmNodeDelay []*core.LatencyHist
 }
 
 // shardRingSeed salts the simulator's shard-ownership ring (sharded
@@ -226,12 +219,6 @@ func runOnEngine(cfg Config, workload *trace.Trace, eng *simcore.Engine) (Result
 	}
 	for i := range s.fes {
 		s.fes[i] = eng.NewResource()
-	}
-	if cfg.RecordNodeDelays {
-		s.nodeDelay = make([]*core.LatencyHist, cfg.Nodes)
-		for i := range s.nodeDelay {
-			s.nodeDelay[i] = core.NewLatencyHist()
-		}
 	}
 	s.nodes = make([]*node, cfg.Nodes)
 	for i := range s.nodes {
@@ -408,10 +395,7 @@ func (s *Sim) reportDiskQueue(n core.NodeID, queued int) {
 //
 //phttp:hotpath
 func (s *Sim) cpuCall(n core.NodeID, cost core.Micros, act simcore.Action, obj any, phase int64) {
-	done := s.nodes[n].cpu.Call(cost, act, obj, phase, int64(n))
-	if s.nodeDelay != nil {
-		s.nodeDelay[n].Record(int64(done - s.eng.Now() - cost))
-	}
+	s.nodes[n].cpu.Call(cost, act, obj, phase, int64(n))
 }
 
 // diskCall schedules a read of size bytes on node n's disk, keeping the
@@ -422,11 +406,7 @@ func (s *Sim) cpuCall(n core.NodeID, cost core.Micros, act simcore.Action, obj a
 //phttp:hotpath
 func (s *Sim) diskCall(n core.NodeID, size int64, act simcore.Action, obj any, phase int64) {
 	nd := s.nodes[n]
-	cost := s.cfg.Disk.ReadTime(size)
-	done := nd.disk.Call(cost, act, obj, phase, int64(n))
-	if s.nodeDelay != nil {
-		s.nodeDelay[n].Record(int64(done - s.eng.Now() - cost))
-	}
+	nd.disk.Call(s.cfg.Disk.ReadTime(size), act, obj, phase, int64(n))
 	s.reportDiskQueue(n, nd.disk.Queued())
 }
 
@@ -519,12 +499,6 @@ func (s *Sim) connDone(cr *connRun) {
 			s.warmCPUBusy[i] = n.cpu.BusyTotal()
 			s.warmDiskBusy[i] = n.disk.BusyTotal()
 			n.cache.ResetStats()
-		}
-		if s.nodeDelay != nil {
-			s.warmNodeDelay = make([]*core.LatencyHist, len(s.nodeDelay))
-			for i, h := range s.nodeDelay {
-				s.warmNodeDelay[i] = h.Clone()
-			}
 		}
 	}
 	s.putConn(cr)
@@ -958,17 +932,6 @@ func (s *Sim) result() Result {
 			res.RemoteServes += r
 			res.Migrations += m
 			res.CacheBypasses += b
-		}
-	}
-	if s.nodeDelay != nil {
-		res.NodeDelays = make([]LatencySummary, len(s.nodeDelay))
-		for i, h := range s.nodeDelay {
-			d := h
-			if s.warmNodeDelay != nil {
-				d = h.Clone()
-				d.Sub(s.warmNodeDelay[i])
-			}
-			res.NodeDelays[i] = Summarize(d, 0)
 		}
 	}
 	res.Redispatches = s.redispatches

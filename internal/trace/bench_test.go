@@ -6,9 +6,9 @@ import (
 )
 
 // Sweep-startup benchmarks: catalog build plus connection generation
-// (serial and block-parallel) and the cache-hit load path. BENCH_sim.json
-// records the same quantities for the full-size reference workload via
-// `make bench`; these keep the paths under bench-smoke in CI.
+// (serial and block-parallel) and the cache-hit load path, on a small
+// workload. The benchmark module's setup_s times the full-size one; these
+// keep the paths under bench-smoke in CI.
 
 func benchSynthConfig() SynthConfig {
 	cfg := SmallSynthConfig()
