@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check trace-cache scenarios-smoke chaos slo multife
+.PHONY: all build test race bench-smoke benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check trace-cache chaos slo multife
 
 all: build
 
@@ -15,7 +15,7 @@ test:
 
 # The -race acceptance surface: the concurrent dispatch engine, the
 # prototype cluster that drives it from parallel client handlers, the
-# parallel sweep drivers sharing one trace, the block-parallel trace
+# parallel grid runner sharing one trace, the block-parallel trace
 # generator, the scenario layer that compiles and drives all of them,
 # and the membership table feeding failure detection into all three.
 race:
@@ -38,16 +38,6 @@ multife:
 chaos:
 	$(GO) test -race -count=1 ./internal/membership/...
 	$(GO) test -race -count=1 -run 'Membership|Churn|Crash|Drain|NoUpBackends|StartTolerates|StartFails' ./internal/dispatch/... ./internal/policy/... ./internal/sim/... ./internal/scenario/... ./internal/cluster/...
-
-# Run every builtin scenario for one grid point through the -scenario
-# path: validation failures, registry drift and (for the figure
-# scenarios) compile drift against the legacy flag path all fail here.
-# CI runs the same loop on each push.
-scenarios-smoke:
-	@set -e; for s in $$($(GO) run ./cmd/phttp-sim -list-scenarios | awk '{print $$1}'); do \
-		echo "== scenario $$s"; \
-		$(GO) run ./cmd/phttp-sim -scenario $$s -smoke > /dev/null; \
-	done
 
 # Pre-generate the default workload into the on-disk trace cache
 # (.trace-cache/): both cached forms (P-HTTP and flattened HTTP/1.0) are

@@ -143,7 +143,7 @@ func runScenarioBench(arg string, scale float64, clients int) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if _, _, isCombos, _ := spec.CombosSweep(); isCombos {
+	if spec.Sweep != nil && len(spec.Sweep.Combos) > 0 {
 		fatalf("scenario %q sweeps the simulator's combos; the prototype benchmark needs a policy scenario (run this one with `phttp-sim -scenario %s`, or the prototype's Figure 13 combos with `phttp-bench [-only NAME]`)", arg, arg)
 	}
 	// An explicitly passed -time-scale wins over the scenario's value; the

@@ -1,28 +1,27 @@
-// phttp-sim runs the trace-driven cluster simulator and regenerates the
-// paper's simulation figures:
+// phttp-sim runs the trace-driven cluster simulator. A declarative
+// scenario (DESIGN.md §13) defines every grid, the paper's simulation
+// figures included:
 //
-//	phttp-sim -fig 7                  # Apache throughput vs cluster size
-//	phttp-sim -fig 8                  # Flash throughput vs cluster size
-//	phttp-sim -fig 3                  # single-node delay/throughput curve
-//	phttp-sim -combo BEforward-extLARD-PHTTP -nodes 4
-//
-// Experiments can also be described declaratively (see DESIGN.md §13):
-//
-//	phttp-sim -scenario fig7          # builtin scenario, same output as -fig 7
+//	phttp-sim -scenario fig7          # Apache throughput vs cluster size
+//	phttp-sim -scenario fig8          # Flash throughput vs cluster size
+//	phttp-sim -scenario fig3          # single-node delay/throughput curve
 //	phttp-sim -scenario p2c           # open-registry policy across cluster sizes
 //	phttp-sim -scenario myexp.json    # scenario file
 //	phttp-sim -list-scenarios         # builtin scenario names
 //
-// Output is a tab-separated table, one series per figure curve.
+// Without -scenario it makes one run of one configuration:
+//
+//	phttp-sim -combo BEforward-extLARD-PHTTP -nodes 4
+//
+// A grid prints a tab-separated table, one column per series; a single
+// run prints one result line.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 
 	"phttp/internal/core"
 	"phttp/internal/dstate"
@@ -35,21 +34,18 @@ import (
 
 func main() {
 	var (
-		fig       = flag.Int("fig", 0, "figure to regenerate: 3, 7 or 8 (0 = single run)")
 		combo     = flag.String("combo", "BEforward-extLARD-PHTTP", "policy/mechanism combination for a single run (see -list)")
 		nodes     = flag.Int("nodes", 4, "cluster size for a single run")
-		maxNodes  = flag.Int("max-nodes", 10, "largest cluster size in figure sweeps")
-		srv       = flag.String("server", "", "server model: apache or flash (overrides the figure default)")
-		conns     = flag.Int("connections", 0, "trace connections (0 = generator default)")
-		seed      = flag.Uint64("seed", 1, "workload seed")
-		verbose   = flag.Bool("v", false, "print per-run details (hit rate, utilizations)")
+		srv       = flag.String("server", "apache", "single runs: server model, apache or flash")
+		conns     = flag.Int("connections", 0, "single runs: trace connections (0 = generator default)")
+		seed      = flag.Uint64("seed", 1, "single runs: workload seed")
+		verbose   = flag.Bool("v", false, "with -scenario: print every grid point's result line (hit rate, utilizations) to stderr")
 		list      = flag.Bool("list", false, "list the available policy/mechanism combinations and exit")
-		plot      = flag.Bool("plot", false, "append an ASCII rendering of the figure")
-		workers   = flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = serial); output is identical either way")
+		plot      = flag.Bool("plot", false, "with -scenario: append an ASCII rendering of a throughput table")
+		workers   = flag.Int("workers", 0, "parallel grid workers (0 = GOMAXPROCS, 1 = serial); output is identical either way")
 		cacheDir  = flag.String("trace-cache", "", "trace cache directory: load the workload (P-HTTP and flattened forms) from disk, generating and persisting on miss")
 		scenFlag  = flag.String("scenario", "", "run a declarative scenario: a builtin name (see -list-scenarios) or a JSON file")
 		scenList  = flag.Bool("list-scenarios", false, "list the builtin scenarios and exit")
-		scenSmoke = flag.Bool("smoke", false, "with -scenario: verify the scenario (builtins are checked against the legacy path for compile drift), then run only its first grid point on a small workload")
 		fes       = flag.Int("frontends", 1, "single runs: scale-out front-end tier size (1 = the paper's single front-end)")
 		feState   = flag.String("state", "local", "single runs: dispatch-state backend for the tier (local, sharded, replicated)")
 		staleness = flag.Duration("staleness", 0, "single runs: replicated-state sync interval in simulated time (0 = never sync; requires -state replicated)")
@@ -75,7 +71,7 @@ func main() {
 		return
 	}
 	if *scenFlag != "" {
-		runScenario(*scenFlag, *scenSmoke, *workers, *cacheDir, *plot, *verbose)
+		runScenario(*scenFlag, *workers, *cacheDir, *plot, *verbose)
 		return
 	}
 
@@ -100,96 +96,43 @@ func main() {
 	tr := wl.PHTTP
 	fmt.Fprint(os.Stderr, trace.ComputeStats(tr))
 
-	kind := core.Apache
-	switch *fig {
-	case 8:
+	var kind core.ServerKind
+	switch strings.ToLower(*srv) {
+	case "apache":
+		kind = core.Apache
+	case "flash":
 		kind = core.Flash
-	}
-	if *srv != "" {
-		switch strings.ToLower(*srv) {
-		case "apache":
-			kind = core.Apache
-		case "flash":
-			kind = core.Flash
-		default:
-			fatalf("unknown -server %q (want apache or flash)", *srv)
-		}
-	}
-
-	switch *fig {
-	case 0:
-		c, err := sim.ComboByName(*combo)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		rc := sim.DefaultConfig(*nodes, c)
-		rc.Server = server.CostsFor(kind)
-		mode, err := dstate.ParseMode(*feState)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		rc.Frontends = *fes
-		rc.FEState = mode
-		rc.Staleness = core.Micros(staleness.Microseconds())
-		res, err := sim.Run(rc, tr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Println(res)
-	case 3:
-		loads := []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256}
-		results, err := sim.DelaySweepResults(kind, loads, tr, *workers)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("# Figure 3 (%s): single back-end throughput and delay vs offered load\n", kind)
-		fmt.Print(metrics.Table("load(conns)", loadsSeries(loads, results)...))
-	case 7, 8:
-		ns := make([]int, 0, *maxNodes)
-		for n := 1; n <= *maxNodes; n++ {
-			ns = append(ns, n)
-		}
-		series, results, err := sim.ClusterSweepWorkload(kind, ns, sim.Combos(), wl, *workers)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("# Figure %d (%s): cluster throughput (req/s) vs nodes\n", *fig, kind)
-		fmt.Print(metrics.Table("nodes", series...))
-		if *plot {
-			fmt.Println()
-			fmt.Print(metrics.Plot(60, 16, series...))
-		}
-		if *verbose {
-			fmt.Println()
-			for _, r := range results {
-				fmt.Println(r)
-			}
-		}
 	default:
-		fatalf("unknown -fig %d (want 3, 7 or 8)", *fig)
+		fatalf("unknown -server %q (want apache or flash)", *srv)
 	}
-}
-
-// runScenario executes a declarative scenario end to end: resolve, verify
-// (smoke), load the workload, and run whichever grid shape the spec
-// defines.
-func runScenario(arg string, smoke bool, workers int, cacheDir string, plot, verbose bool) {
-	spec, err := scenario.LoadOrBuiltin(arg)
+	c, err := sim.ComboByName(*combo)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if smoke {
-		// Actual builtins are additionally held to the legacy flag path:
-		// any compile drift fails the run before anything executes. The
-		// gate is the argument's resolution, not the spec's name field —
-		// a user file calling itself "fig7" gets no false verification.
-		if scenario.IsBuiltin(arg) {
-			if err := scenario.VerifyBuiltin(arg); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Fprintf(os.Stderr, "scenario %s: verified against the legacy path\n", spec.Name)
-		}
-		shrinkForSmoke(spec)
+	rc := sim.DefaultConfig(*nodes, c)
+	rc.Server = server.CostsFor(kind)
+	mode, err := dstate.ParseMode(*feState)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	rc.Frontends = *fes
+	rc.FEState = mode
+	rc.Staleness = core.Micros(staleness.Microseconds())
+	res, err := sim.Run(rc, tr)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	fmt.Println(res)
+}
+
+// runScenario executes a declarative scenario end to end: resolve, load
+// the workload, compile the grid, run it through sim.RunGrid and print the
+// table for the grid's axis. Stdout carries the table (and an SLO
+// verdict) only; progress and -v result lines go to stderr.
+func runScenario(arg string, workers int, cacheDir string, plot, verbose bool) {
+	spec, err := scenario.LoadOrBuiltin(arg)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if cacheDir != "" && spec.Workload.TraceCache == "" && spec.Workload.TraceFile == "" {
 		spec.Workload.TraceCache = cacheDir
@@ -209,38 +152,15 @@ func runScenario(arg string, smoke bool, workers int, cacheDir string, plot, ver
 		fatalf("%v", err)
 	}
 
-	// A combos sweep with no cluster overrides reuses the parallel sweep
-	// driver, so its output is byte-identical to the corresponding -fig
-	// run. Combos sweeps that override cluster knobs (cacheMB, conns per
-	// node, ...) fall through to the generic grid runner below, which
-	// compiles through ToSimGrid and therefore honors every override.
-	combos, ns, isCombos, err := spec.CombosSweep()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	// An SLO gate needs configs compiled through ToSimGrid (which sets
-	// sim.Config.SLOTarget) and a verdict pass afterwards, so SLO-gated
-	// combos scenarios use the generic grid runner below.
-	if isCombos && !hasSimOverrides(spec) && spec.SLO == nil {
-		series, results, err := sim.ClusterSweepWorkload(kind, ns, combos, wl, workers)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		printNodesTable(spec.Name, kind, series, plot)
-		if verbose {
-			fmt.Println()
-			for _, r := range results {
-				fmt.Println(r)
-			}
-		}
-		return
-	}
-
 	points, err := spec.ToSimGrid()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	results, err := runGrid(points, wl, workers)
+	cfgs := make([]sim.Config, len(points))
+	for i, p := range points {
+		cfgs[i] = p.Config
+	}
+	results, err := sim.RunGrid(cfgs, wl, workers)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -250,30 +170,44 @@ func runScenario(arg string, smoke bool, workers int, cacheDir string, plot, ver
 		}
 	}
 	if _, isLoads := spec.LoadsSweep(); isLoads {
-		xs := make([]float64, len(points))
-		loads := make([]int, len(points))
-		for i, p := range points {
-			xs[i], loads[i] = p.X, int(p.X)
-		}
 		fmt.Printf("# Scenario %s (%s): throughput and delay vs offered load\n", spec.Name, kind)
-		fmt.Print(metrics.Table("load(conns)", loadsSeries(loads, results)...))
+		fmt.Print(metrics.Table("load(conns)", loadsSeries(points, results)...))
 	} else if len(points) == 1 {
 		fmt.Println(results[0])
 	} else {
-		printNodesTable(spec.Name, kind, groupSeries(points, results), plot)
+		axis := axisLabel(spec.Sweep)
+		series := groupSeries(points, results)
+		fmt.Printf("# Scenario %s (%s): cluster throughput (req/s) vs %s\n", spec.Name, kind, axis)
+		fmt.Print(metrics.Table(axis, series...))
+		if plot {
+			fmt.Println()
+			fmt.Print(metrics.Plot(60, 16, series...))
+		}
 	}
-	gateSLO(spec, points, results, smoke)
+	gateSLO(spec, points, results)
+}
+
+// axisLabel names a throughput grid's x-axis after the sweep field its
+// points vary (Validate admits one axis per spec; a combos sweep varies
+// nodes).
+func axisLabel(sw *scenario.SweepSpec) string {
+	switch {
+	case len(sw.Frontends) > 0:
+		return "frontends"
+	case len(sw.StalenessMs) > 0:
+		return "staleness(ms)"
+	}
+	return "nodes"
 }
 
 // loadsSeries builds the offered-load table columns: throughput, mean
-// delay, and the tail-quantile columns this delay figure historically
-// lacked.
-func loadsSeries(loads []int, results []sim.Result) []*metrics.Series {
+// delay, and the tail-quantile columns.
+func loadsSeries(points []scenario.SimPoint, results []sim.Result) []*metrics.Series {
 	thr := &metrics.Series{Name: "throughput(req/s)"}
 	delay := &metrics.Series{Name: "delay(ms)"}
-	xs := make([]float64, len(loads))
-	for i, l := range loads {
-		xs[i] = float64(l)
+	xs := make([]float64, len(points))
+	for i, p := range points {
+		xs[i] = p.X
 		thr.Add(xs[i], results[i].Throughput)
 		delay.Add(xs[i], float64(results[i].MeanDelay)/float64(core.Millisecond))
 	}
@@ -282,14 +216,8 @@ func loadsSeries(loads []int, results []sim.Result) []*metrics.Series {
 }
 
 // gateSLO evaluates an SLO-gated scenario and exits non-zero on failure.
-// Smoke runs skip the evaluation: the shrunk workload's latencies are not
-// the ones the objective was written against.
-func gateSLO(spec *scenario.Spec, points []scenario.SimPoint, results []sim.Result, smoke bool) {
+func gateSLO(spec *scenario.Spec, points []scenario.SimPoint, results []sim.Result) {
 	if spec.SLO == nil {
-		return
-	}
-	if smoke {
-		fmt.Fprintf(os.Stderr, "slo: evaluation skipped in -smoke mode (shrunk workload)\n")
 		return
 	}
 	verdicts, pass := spec.CheckSLO(points, results)
@@ -301,83 +229,6 @@ func gateSLO(spec *scenario.Spec, points []scenario.SimPoint, results []sim.Resu
 		fatalf("scenario %s failed its SLO gate", spec.Name)
 	}
 	fmt.Printf("# SLO gate: PASS (%d points)\n", len(verdicts))
-}
-
-// hasSimOverrides reports whether the scenario changes any simulator
-// cluster knob away from the calibrated defaults.
-func hasSimOverrides(spec *scenario.Spec) bool {
-	c := spec.Cluster
-	return c.ConnsPerNode > 0 || c.CacheMB > 0 || c.WarmupFrac != nil || c.FESpeedup > 0
-}
-
-// runGrid executes grid points across workers (0 = GOMAXPROCS, 1 =
-// serial), filling results by point index so output order — and, because
-// each run is deterministic in isolation, every value — is independent of
-// the worker count. The workload is shared read-only, as in the sweep
-// drivers.
-func runGrid(points []scenario.SimPoint, wl *trace.Workload, workers int) ([]sim.Result, error) {
-	tr := wl.PHTTP
-	if tr.Interner == nil {
-		tr.EnsureIDs()
-	}
-	// Flatten once (memoized on the workload, like the sweep drivers do)
-	// rather than per HTTP/1.0 grid point inside sim.Run.
-	var flat *trace.Trace
-	for _, p := range points {
-		if !p.Config.Combo.PHTTP {
-			flat = wl.Flatten()
-			if flat.Interner == nil {
-				flat.EnsureIDs()
-			}
-			break
-		}
-	}
-	workloadFor := func(p scenario.SimPoint) *trace.Trace {
-		if p.Config.Combo.PHTTP {
-			return tr
-		}
-		return flat
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	results := make([]sim.Result, len(points))
-	errs := make([]error, len(points))
-	if workers <= 1 {
-		for i, p := range points {
-			res, err := sim.RunPrepared(p.Config, workloadFor(p))
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = sim.RunPrepared(points[i].Config, workloadFor(points[i]))
-			}
-		}()
-	}
-	for i := range points {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // groupSeries folds grid results into one series per label, in first-seen
@@ -395,39 +246,6 @@ func groupSeries(points []scenario.SimPoint, results []sim.Result) []*metrics.Se
 		s.Add(p.X, results[i].Throughput)
 	}
 	return series
-}
-
-func printNodesTable(name string, kind core.ServerKind, series []*metrics.Series, plot bool) {
-	fmt.Printf("# Scenario %s (%s): cluster throughput (req/s) vs nodes\n", name, kind)
-	fmt.Print(metrics.Table("nodes", series...))
-	if plot {
-		fmt.Println()
-		fmt.Print(metrics.Plot(60, 16, series...))
-	}
-}
-
-// shrinkForSmoke cuts a scenario down to one cheap grid point: the CI
-// scenarios-smoke step runs every builtin through here on each push.
-func shrinkForSmoke(spec *scenario.Spec) {
-	synth := spec.Workload.Synth
-	if synth == nil {
-		synth = &scenario.SynthSpec{}
-		spec.Workload.Synth = synth
-	}
-	if spec.Workload.TraceFile == "" {
-		synth.Connections = 400
-		synth.Pages = 120
-		synth.Objects = 260
-		synth.Clients = 60
-	}
-	if spec.Sweep != nil {
-		if len(spec.Sweep.Nodes) > 1 {
-			spec.Sweep.Nodes = spec.Sweep.Nodes[:1]
-		}
-		if len(spec.Sweep.Loads) > 1 {
-			spec.Sweep.Loads = spec.Sweep.Loads[:1]
-		}
-	}
 }
 
 func fatalf(format string, args ...interface{}) {

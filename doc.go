@@ -21,7 +21,7 @@
 // Start with DESIGN.md: the system inventory, the documented substitutions
 // for 1999-era infrastructure, and the shared dispatch engine
 // (internal/dispatch) that drives both the simulator and the prototype. The
-// root package holds only this documentation and the per-figure benchmark
-// harness (bench_test.go); the implementation lives under internal/ and the
-// executables under cmd/.
+// root package holds only this documentation and the data-structure
+// micro-benchmarks and extended-LARD ablations (bench_test.go); the
+// implementation lives under internal/ and the executables under cmd/.
 package phttp

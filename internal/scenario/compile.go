@@ -72,8 +72,8 @@ func (s *Spec) combo() (sim.Combo, error) {
 // simBase compiles one (nodes, combo) pair: the simulator's calibrated
 // defaults with the scenario's server model, cluster overrides and policy
 // options applied. The zero ClusterSpec compiles to exactly
-// sim.DefaultConfig — the golden-tested guarantee that the builtin figure
-// scenarios reproduce the legacy path byte for byte.
+// sim.DefaultConfig, the configuration the figure goldens
+// (cmd/phttp-sim/testdata) were recorded with.
 func (s *Spec) simBase(nodes int, combo sim.Combo, kind core.ServerKind) sim.Config {
 	cfg := sim.DefaultConfig(nodes, combo)
 	cfg.Server = server.CostsFor(kind)
@@ -93,7 +93,7 @@ func (s *Spec) simBase(nodes int, combo sim.Combo, kind core.ServerKind) sim.Con
 		cfg.PolicyOptions = dispatch.Options(s.Policy.Options)
 	}
 	// Churn-free scenarios leave both fields zero, keeping the compiled
-	// config DeepEqual to the legacy grid (the goldens above).
+	// config sim.DefaultConfig's.
 	if s.Churn != nil {
 		cfg.Churn = s.Churn.compile()
 		cfg.RetryBudget = s.Churn.retryBudget()
@@ -103,7 +103,7 @@ func (s *Spec) simBase(nodes int, combo sim.Combo, kind core.ServerKind) sim.Con
 		cfg.SLOTarget = s.SLO.Target()
 	}
 	// Front-end-tier fields: all zero for single-front-end scenarios, so
-	// the compiled config stays DeepEqual to the legacy grid.
+	// the compiled config stays sim.DefaultConfig's.
 	if s.Cluster.Frontends > 1 {
 		cfg.Frontends = s.Cluster.Frontends
 	}
@@ -210,24 +210,6 @@ func (s *Spec) ToSimConfig() (sim.Config, error) {
 		return sim.Config{}, fmt.Errorf("scenario: %q compiles to a %d-point grid; use ToSimGrid", s.Name, len(points))
 	}
 	return points[0].Config, nil
-}
-
-// CombosSweep reports whether the scenario sweeps legacy combinations and,
-// if so, returns the compiled combos and the node axis — the inputs of
-// sim.ClusterSweepWorkload, so a combos scenario reuses the parallel sweep
-// driver (and produces output byte-identical to the flag path).
-func (s *Spec) CombosSweep() (combos []sim.Combo, nodes []int, ok bool, err error) {
-	if s.Sweep == nil || len(s.Sweep.Combos) == 0 {
-		return nil, nil, false, nil
-	}
-	for _, name := range s.Sweep.Combos {
-		c, err := simComboByName(name)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("scenario: %w", err)
-		}
-		combos = append(combos, c)
-	}
-	return combos, s.Sweep.Nodes, true, nil
 }
 
 // LoadsSweep reports whether the scenario sweeps offered load (the

@@ -130,7 +130,7 @@ func TestToClusterConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestToClusterConfigRejectsCombosSweep(t *testing.T) {
+func TestToClusterConfigRejectsCombos(t *testing.T) {
 	s := mustBuiltin(t, "fig7")
 	if _, err := s.ToClusterConfig(map[core.Target]int64{"/x": 1}); err == nil {
 		t.Error("combos sweep compiled for the prototype")

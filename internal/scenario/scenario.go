@@ -4,10 +4,11 @@
 // the trace-driven simulator (ToSimGrid / ToSimConfig), the networked
 // prototype cluster (ToClusterConfig) and the load generator
 // (ToLoadgenConfig). The paper's figure experiments ship as embedded named
-// scenarios (Builtin("fig7")) that compile byte-identically to the legacy
-// flag-driven path, and the same file that drives a simulation drives the
-// prototype: the acceptance property of the paper's "one policy, two
-// drivers" design, extended to whole experiments.
+// scenarios (Builtin("fig7")) — the only definition of those grids, their
+// output pinned by golden tables in cmd/phttp-sim/testdata — and the same
+// file that drives a simulation drives the prototype: the acceptance
+// property of the paper's "one policy, two drivers" design, extended to
+// whole experiments.
 //
 // The JSON schema (version 1) is documented field by field in DESIGN.md
 // §13.

@@ -32,7 +32,7 @@ func TestTierSingleRunCompile(t *testing.T) {
 
 // TestTierZeroConfigStaysLegacy guards the golden guarantee: a scenario
 // with no tier fields compiles with every tier field zero, so the config
-// stays DeepEqual to the legacy flag path.
+// stays the one the figure goldens were recorded with.
 func TestTierZeroConfigStaysLegacy(t *testing.T) {
 	s, err := Parse([]byte(minimal()))
 	if err != nil {

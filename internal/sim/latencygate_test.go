@@ -101,7 +101,7 @@ func TestLatencyGate(t *testing.T) {
 	tcfg.Seed = b.Seed
 	tcfg.Connections = b.Connections
 	tr := trace.NewSynth(tcfg).GenerateParallel(0)
-	_, results, err := ClusterSweepParallel(core.Apache, []int{b.Nodes}, Combos(), tr, 0)
+	_, results, err := ClusterSweepWorkload(core.Apache, []int{b.Nodes}, Combos(), trace.NewWorkload(tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

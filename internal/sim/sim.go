@@ -125,8 +125,8 @@ type Sim struct {
 const shardRingSeed = 0x1d15a7c4
 
 // Run simulates the trace under cfg and returns the measured result. For
-// non-P-HTTP combos the trace is flattened to HTTP/1.0 form per call; sweep
-// drivers flatten once and use runOn.
+// non-P-HTTP combos the trace is flattened to HTTP/1.0 form per call;
+// RunGrid flattens once per grid.
 //
 // Traces built by the loaders (Synth.Generate, Reconstruct) arrive interned
 // and are only read, so concurrent Run calls may share one. A hand-built
@@ -144,11 +144,11 @@ func Run(cfg Config, tr *trace.Trace) (Result, error) {
 }
 
 // RunPrepared simulates an already-prepared workload: interned
-// (EnsureIDs) and pre-flattened when the combo wants HTTP/1.0. It is the
-// sweep drivers' per-point entry, exported so external grid runners (the
-// scenario layer) can share one flattening across points instead of
-// paying Run's per-call Flatten10. Results are identical to Run on the
-// corresponding P-HTTP trace.
+// (EnsureIDs) and pre-flattened when the combo wants HTTP/1.0, so a caller
+// timing one grid point at a time (the benchmark's traced sweep) shares
+// one flattening across points instead of paying Run's per-call
+// Flatten10. Results are identical to Run on the corresponding P-HTTP
+// trace.
 func RunPrepared(cfg Config, workload *trace.Trace) (Result, error) {
 	return runOn(cfg, workload)
 }

@@ -177,18 +177,18 @@ func TestExtLARDStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestDelaySweepShape(t *testing.T) {
-	thr, delay, err := DelaySweep(core.Apache, []int{1, 8, 64}, testTrace())
+func TestLoadSweepShape(t *testing.T) {
+	res, err := RunGrid(loadConfigs([]int{1, 8, 64}), trace.NewWorkload(testTrace()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Figure 3's shape: throughput saturates while delay keeps growing
 	// with offered load.
-	if !(thr.Points[1].Y > thr.Points[0].Y) {
-		t.Errorf("throughput did not rise with load: %v", thr.Points)
+	if !(res[1].Throughput > res[0].Throughput) {
+		t.Errorf("throughput did not rise with load: %g, %g", res[0].Throughput, res[1].Throughput)
 	}
-	if !(delay.Points[2].Y > delay.Points[0].Y) {
-		t.Errorf("delay did not grow with load: %v", delay.Points)
+	if !(res[2].MeanDelay > res[0].MeanDelay) {
+		t.Errorf("delay did not grow with load: %d, %d", res[0].MeanDelay, res[2].MeanDelay)
 	}
 }
 

@@ -100,60 +100,55 @@ func runJobs(jobs []sweepJob, results []Result, workers int) error {
 	return nil
 }
 
-// ClusterSweep runs every combo over the given cluster sizes with the given
-// server cost model, regenerating the data behind Figure 7 (Apache) or
-// Figure 8 (Flash). It returns one series per combo, keyed by node count.
-// Grid points run in parallel across GOMAXPROCS workers; results are
-// identical to — and ordered exactly as — the serial sweep.
-func ClusterSweep(kind core.ServerKind, nodes []int, combos []Combo, tr *trace.Trace) ([]*metrics.Series, []Result, error) {
-	return ClusterSweepParallel(kind, nodes, combos, tr, 0)
-}
-
-// ClusterSweepParallel is ClusterSweep with an explicit worker count:
-// 1 forces the serial path (the golden tests pin parallel output to it),
-// 0 means GOMAXPROCS.
-func ClusterSweepParallel(kind core.ServerKind, nodes []int, combos []Combo, tr *trace.Trace, workers int) ([]*metrics.Series, []Result, error) {
-	return ClusterSweepWorkload(kind, nodes, combos, trace.NewWorkload(tr), workers)
-}
-
-// ClusterSweepWorkload runs the sweep over a prepared workload — e.g. one
-// loaded from the on-disk trace cache — so the HTTP/1.0 flattening is
-// taken from the cache instead of being re-derived per sweep. Results are
-// identical to ClusterSweepParallel on the same P-HTTP trace.
-func ClusterSweepWorkload(kind core.ServerKind, nodes []int, combos []Combo, wl *trace.Workload, workers int) ([]*metrics.Series, []Result, error) {
-	// Prepare the shared workloads once, before any worker starts: interned
-	// IDs for the P-HTTP trace, and a single HTTP/1.0 flattening shared by
-	// every non-P-HTTP grid point (the serial code used to re-flatten the
-	// trace at every (combo, nodes) pair).
+// RunGrid runs every config over the workload across workers goroutines
+// (0 = GOMAXPROCS, 1 = serial) and returns the results in config order.
+// P-HTTP configs replay wl.PHTTP and the others its HTTP/1.0 flattening,
+// both interned once before any worker starts, so a grid point pays
+// neither per-run flattening nor interning. Every grid runs here:
+// phttp-sim's scenarios, and ClusterSweepWorkload with the benchmark's
+// reference sweep behind it. On error no results are returned.
+func RunGrid(cfgs []Config, wl *trace.Workload, workers int) ([]Result, error) {
 	tr := wl.PHTTP
 	if tr.Interner == nil {
 		tr.EnsureIDs()
 	}
 	var flat *trace.Trace
-	for _, combo := range combos {
-		if !combo.PHTTP {
-			flat = wl.Flatten()
-			if flat.Interner == nil {
-				flat.EnsureIDs()
+	jobs := make([]sweepJob, len(cfgs))
+	for i, cfg := range cfgs {
+		workload := tr
+		if !cfg.Combo.PHTTP {
+			if flat == nil {
+				flat = wl.Flatten()
+				if flat.Interner == nil {
+					flat.EnsureIDs()
+				}
 			}
-			break
+			workload = flat
 		}
-	}
-
-	jobs := make([]sweepJob, 0, len(combos)*len(nodes))
-	for ci, combo := range combos {
-		for ni, n := range nodes {
-			cfg := DefaultConfig(n, combo)
-			cfg.Server = server.CostsFor(kind)
-			workload := tr
-			if !combo.PHTTP {
-				workload = flat
-			}
-			jobs = append(jobs, sweepJob{cfg: cfg, workload: workload, slot: ci*len(nodes) + ni})
-		}
+		jobs[i] = sweepJob{cfg: cfg, workload: workload, slot: i}
 	}
 	results := make([]Result, len(jobs))
 	if err := runJobs(jobs, results, workers); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// ClusterSweepWorkload runs every combo over the given cluster sizes with
+// the given server cost model — the grid behind Figure 7 (Apache) and
+// Figure 8 (Flash) — and returns one throughput series per combo, keyed by
+// node count, with the results in combo-major order.
+func ClusterSweepWorkload(kind core.ServerKind, nodes []int, combos []Combo, wl *trace.Workload, workers int) ([]*metrics.Series, []Result, error) {
+	cfgs := make([]Config, 0, len(combos)*len(nodes))
+	for _, combo := range combos {
+		for _, n := range nodes {
+			cfg := DefaultConfig(n, combo)
+			cfg.Server = server.CostsFor(kind)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	results, err := RunGrid(cfgs, wl, workers)
+	if err != nil {
 		return nil, nil, err
 	}
 
@@ -168,59 +163,10 @@ func ClusterSweepWorkload(kind core.ServerKind, nodes []int, combos []Combo, wl 
 	return series, results, nil
 }
 
-// DelaySweep regenerates Figure 3: a single back-end node's throughput and
-// mean delay as a function of offered load (concurrent connections). It
-// returns the throughput series and the delay series (delay in
-// milliseconds) over the given load points. Load points run in parallel;
-// output is identical to the serial sweep.
-func DelaySweep(kind core.ServerKind, loads []int, tr *trace.Trace) (throughput, delay *metrics.Series, err error) {
-	return DelaySweepParallel(kind, loads, tr, 0)
-}
-
-// DelaySweepParallel is DelaySweep with an explicit worker count (1 forces
-// serial, 0 means GOMAXPROCS).
-func DelaySweepParallel(kind core.ServerKind, loads []int, tr *trace.Trace, workers int) (throughput, delay *metrics.Series, err error) {
-	results, err := DelaySweepResults(kind, loads, tr, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	throughput = &metrics.Series{Name: "throughput(req/s)"}
-	delay = &metrics.Series{Name: "delay(ms)"}
-	for i, l := range loads {
-		throughput.Add(float64(l), results[i].Throughput)
-		delay.Add(float64(l), float64(results[i].MeanDelay)/float64(core.Millisecond))
-	}
-	return throughput, delay, nil
-}
-
-// DelaySweepResults is the Figure 3 sweep returning the full per-point
-// Results — tail-latency summaries included — instead of pre-built mean
-// series. DelaySweepParallel derives its series from it.
-func DelaySweepResults(kind core.ServerKind, loads []int, tr *trace.Trace, workers int) ([]Result, error) {
-	if tr.Interner == nil {
-		tr.EnsureIDs()
-	}
-	jobs := make([]sweepJob, 0, len(loads))
-	for i, l := range loads {
-		cfg := DefaultConfig(1, Combo{
-			Name: "single-node", Policy: "wrr",
-			Mechanism: core.SingleHandoff, PHTTP: true,
-		})
-		cfg.Server = server.CostsFor(kind)
-		cfg.ConnsPerNode = l
-		jobs = append(jobs, sweepJob{cfg: cfg, workload: tr, slot: i})
-	}
-	results := make([]Result, len(jobs))
-	if err := runJobs(jobs, results, workers); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // TailSeries folds per-point latency summaries into the p50/p95/p99/p999
 // columns (milliseconds) of a delay table, keyed by each result's slot in
-// xs. The figure 3 driver and the scenario loads path both print them
-// next to the mean-delay column.
+// xs. phttp-sim prints them next to the mean-delay column of an
+// offered-load grid (Figure 3).
 func TailSeries(xs []float64, results []Result) (p50, p95, p99, p999 *metrics.Series) {
 	ms := func(m core.Micros) float64 { return float64(m) / float64(core.Millisecond) }
 	p50 = &metrics.Series{Name: "p50(ms)"}

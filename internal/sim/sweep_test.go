@@ -2,12 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"phttp/internal/core"
-	"phttp/internal/metrics"
-	"phttp/internal/server"
 	"phttp/internal/trace"
 )
 
@@ -27,50 +26,87 @@ func sweepTrace() *trace.Trace {
 	return sweepTraceVal
 }
 
-// TestParallelClusterSweepMatchesSerial is the golden determinism test: the
-// parallel sweep must produce byte-identical output — every Result field
-// and the rendered series table — to the serial path.
-func TestParallelClusterSweepMatchesSerial(t *testing.T) {
-	tr := sweepTrace()
-	nodes := []int{1, 2, 3}
-	serialSeries, serialResults, err := ClusterSweepParallel(core.Apache, nodes, Combos(), tr, 1)
-	if err != nil {
-		t.Fatal(err)
+// loadConfigs is Figure 3's grid: one back-end node under each offered
+// load (connections in flight).
+func loadConfigs(loads []int) []Config {
+	single := Combo{Name: "single-node", Policy: "wrr", Mechanism: core.SingleHandoff, PHTTP: true}
+	cfgs := make([]Config, len(loads))
+	for i, l := range loads {
+		cfgs[i] = DefaultConfig(1, single)
+		cfgs[i].ConnsPerNode = l
 	}
-	parSeries, parResults, err := ClusterSweepParallel(core.Apache, nodes, Combos(), tr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialResults, parResults) {
-		for i := range serialResults {
-			if !reflect.DeepEqual(serialResults[i], parResults[i]) {
-				t.Errorf("result %d differs:\nserial:   %+v\nparallel: %+v", i, serialResults[i], parResults[i])
-			}
-		}
-		t.Fatal("parallel ClusterSweep results differ from serial")
-	}
-	got := metrics.Table("nodes", parSeries...)
-	want := metrics.Table("nodes", serialSeries...)
-	if got != want {
-		t.Errorf("rendered series differ:\nserial:\n%s\nparallel:\n%s", want, got)
-	}
+	return cfgs
 }
 
-// TestParallelDelaySweepMatchesSerial pins the Figure 3 sweep the same way.
-func TestParallelDelaySweepMatchesSerial(t *testing.T) {
+// TestRunGridMatchesSerial is the grid runner's determinism golden: one
+// mixed grid — P-HTTP and HTTP/1.0 combos over cluster sizes, plus
+// offered-load points — gives DeepEqual results serially, on four workers
+// and at GOMAXPROCS, and each point equals a single Run of its config.
+// ClusterSweepWorkload's series carry the same numbers, and RunPrepared
+// over a prepared workload equals Run.
+func TestRunGridMatchesSerial(t *testing.T) {
 	tr := sweepTrace()
-	loads := []int{1, 8, 32}
-	sThr, sDelay, err := DelaySweepParallel(core.Apache, loads, tr, 1)
+	nodes := []int{1, 3}
+	var cfgs []Config
+	for _, combo := range Combos() {
+		for _, n := range nodes {
+			cfgs = append(cfgs, DefaultConfig(n, combo))
+		}
+	}
+	cfgs = append(cfgs, loadConfigs([]int{1, 8, 32})...)
+	wl := trace.NewWorkload(tr)
+	serial, err := RunGrid(cfgs, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pThr, pDelay, err := DelaySweepParallel(core.Apache, loads, tr, 3)
+	for _, workers := range []int{4, 0} {
+		got, err := RunGrid(cfgs, wl, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial {
+			if !reflect.DeepEqual(got[i], serial[i]) {
+				t.Errorf("workers=%d: point %d differs:\nserial:   %+v\nparallel: %+v", workers, i, serial[i], got[i])
+			}
+		}
+	}
+	for i, cfg := range cfgs {
+		direct, err := Run(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(direct, serial[i]) {
+			t.Errorf("point %d: Run differs from RunGrid:\nRun:     %+v\nRunGrid: %+v", i, direct, serial[i])
+		}
+	}
+
+	series, results, err := ClusterSweepWorkload(core.Apache, nodes, Combos(), wl, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sThr, pThr) || !reflect.DeepEqual(sDelay, pDelay) {
-		t.Errorf("parallel DelaySweep differs from serial:\n%v\n%v\nvs\n%v\n%v",
-			pThr, pDelay, sThr, sDelay)
+	if !reflect.DeepEqual(results, serial[:len(results)]) {
+		t.Error("ClusterSweepWorkload results differ from the serial grid")
+	}
+	for ci, s := range series {
+		for ni, p := range s.Points {
+			if want := serial[ci*len(nodes)+ni].Throughput; p.X != float64(nodes[ni]) || p.Y != want {
+				t.Errorf("series %s point %d = (%g, %g), want (%d, %g)", s.Name, ni, p.X, p.Y, nodes[ni], want)
+			}
+		}
+	}
+
+	for _, cfg := range []Config{cfgs[0], cfgs[len(cfgs)-4]} {
+		workload := tr
+		if !cfg.Combo.PHTTP {
+			workload = tr.Flatten10()
+		}
+		prepared, err := RunPrepared(cfg, workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct, _ := Run(cfg, tr); !reflect.DeepEqual(direct, prepared) {
+			t.Errorf("%s: RunPrepared differs from Run:\ndirect:   %+v\nprepared: %+v", cfg.Combo.Name, direct, prepared)
+		}
 	}
 }
 
@@ -110,16 +146,16 @@ func TestRunRepeatedOnSharedTraceIsStable(t *testing.T) {
 
 // TestSweepPropagatesValidationErrors pins the error path: an invalid grid
 // point must surface Config.Validate's message from both the serial and the
-// parallel sweep, not a downstream deadlock report.
+// parallel runner, not a downstream deadlock report.
 func TestSweepPropagatesValidationErrors(t *testing.T) {
-	tr := sweepTrace()
+	wl := trace.NewWorkload(sweepTrace())
 	bad := []Combo{{Name: "bogus", Policy: "nonsense", Mechanism: core.SingleHandoff, PHTTP: true}}
 	for _, workers := range []int{1, 4} {
-		if _, _, err := ClusterSweepParallel(core.Apache, []int{1, 2}, bad, tr, workers); err == nil {
-			t.Errorf("workers=%d: unknown policy did not error", workers)
+		if _, _, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, bad, wl, workers); err == nil || !strings.Contains(err.Error(), "nonsense") {
+			t.Errorf("workers=%d: unknown policy: err = %v", workers, err)
 		}
-		if _, _, err := DelaySweepParallel(core.Apache, []int{0}, tr, workers); err == nil {
-			t.Errorf("workers=%d: zero load point did not error", workers)
+		if _, err := RunGrid(loadConfigs([]int{0}), wl, workers); err == nil || !strings.Contains(err.Error(), "ConnsPerNode") {
+			t.Errorf("workers=%d: zero load point: err = %v", workers, err)
 		}
 	}
 }
@@ -127,16 +163,15 @@ func TestSweepPropagatesValidationErrors(t *testing.T) {
 // TestSweepErrorReturnsNoResults pins the failure contract: a grid with
 // one failing combo among valid ones must return nil series and nil
 // results — never a partially-filled grid — from both the serial and the
-// parallel path. (Jobs that complete after the failure flag is raised
-// used to leave their slots populated.)
+// parallel path.
 func TestSweepErrorReturnsNoResults(t *testing.T) {
-	tr := sweepTrace()
+	wl := trace.NewWorkload(sweepTrace())
 	combos := []Combo{
 		{Name: "ok", Policy: "wrr", Mechanism: core.SingleHandoff, PHTTP: true},
 		{Name: "bogus", Policy: "nonsense", Mechanism: core.SingleHandoff, PHTTP: true},
 	}
 	for _, workers := range []int{1, 4} {
-		series, results, err := ClusterSweepParallel(core.Apache, []int{1, 2}, combos, tr, workers)
+		series, results, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, combos, wl, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: failing combo did not error", workers)
 		}
@@ -179,8 +214,7 @@ func TestRunJobsZeroesResultsOnError(t *testing.T) {
 // over a workload loaded from the binary trace cache produces results
 // identical to one over the freshly generated trace.
 func TestClusterSweepWorkloadMatchesDirect(t *testing.T) {
-	tr := sweepTrace()
-	_, direct, err := ClusterSweepParallel(core.Apache, []int{1, 2}, Combos(), tr, 0)
+	_, direct, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, Combos(), trace.NewWorkload(sweepTrace()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,47 +271,5 @@ func TestRunInternsRawTrace(t *testing.T) {
 	}
 	if raw.Interner == nil || raw.Interner.Len() != 2 {
 		t.Error("Run did not intern the raw trace")
-	}
-}
-
-// TestSweepEntryWrappers pins the thin public entries against the
-// parallel driver they delegate to: ClusterSweep (default workers) and
-// RunPrepared (single prepared grid point) must reproduce the same
-// results as the explicitly-parameterized paths.
-func TestSweepEntryWrappers(t *testing.T) {
-	tr := sweepTrace()
-	nodes := []int{1, 2}
-	combos := Combos()[:2]
-	wantSeries, wantResults, err := ClusterSweepParallel(core.Apache, nodes, combos, tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSeries, gotResults, err := ClusterSweep(core.Apache, nodes, combos, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantResults, gotResults) {
-		t.Error("ClusterSweep differs from ClusterSweepParallel")
-	}
-	if metrics.Table("nodes", gotSeries...) != metrics.Table("nodes", wantSeries...) {
-		t.Error("ClusterSweep series differ from ClusterSweepParallel")
-	}
-
-	cfg := DefaultConfig(1, combos[0])
-	cfg.Server = server.CostsFor(core.Apache)
-	direct, err := Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workload := tr
-	if !combos[0].PHTTP {
-		workload = tr.Flatten10()
-	}
-	prepared, err := RunPrepared(cfg, workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, prepared) {
-		t.Errorf("RunPrepared differs from Run:\ndirect:   %+v\nprepared: %+v", direct, prepared)
 	}
 }
