@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"phttp/internal/core"
+	"phttp/internal/metrics"
+	"phttp/internal/server"
 	"phttp/internal/trace"
 )
 
@@ -42,8 +44,7 @@ func loadConfigs(loads []int) []Config {
 // mixed grid — P-HTTP and HTTP/1.0 combos over cluster sizes, plus
 // offered-load points — gives DeepEqual results serially, on four workers
 // and at GOMAXPROCS, and each point equals a single Run of its config.
-// ClusterSweepWorkload's series carry the same numbers, and RunPrepared
-// over a prepared workload equals Run.
+// RunPrepared over a prepared workload equals Run.
 func TestRunGridMatchesSerial(t *testing.T) {
 	tr := sweepTrace()
 	nodes := []int{1, 3}
@@ -80,21 +81,6 @@ func TestRunGridMatchesSerial(t *testing.T) {
 		}
 	}
 
-	series, results, err := ClusterSweepWorkload(core.Apache, nodes, Combos(), wl, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(results, serial[:len(results)]) {
-		t.Error("ClusterSweepWorkload results differ from the serial grid")
-	}
-	for ci, s := range series {
-		for ni, p := range s.Points {
-			if want := serial[ci*len(nodes)+ni].Throughput; p.X != float64(nodes[ni]) || p.Y != want {
-				t.Errorf("series %s point %d = (%g, %g), want (%d, %g)", s.Name, ni, p.X, p.Y, nodes[ni], want)
-			}
-		}
-	}
-
 	for _, cfg := range []Config{cfgs[0], cfgs[len(cfgs)-4]} {
 		workload := tr
 		if !cfg.Combo.PHTTP {
@@ -107,6 +93,93 @@ func TestRunGridMatchesSerial(t *testing.T) {
 		if direct, _ := Run(cfg, tr); !reflect.DeepEqual(direct, prepared) {
 			t.Errorf("%s: RunPrepared differs from Run:\ndirect:   %+v\nprepared: %+v", cfg.Combo.Name, direct, prepared)
 		}
+	}
+}
+
+// TestParallelClusterSweepMatchesSerial pins the Figure 7/8 grid: the
+// parallel ClusterSweepWorkload produces the same results and the same
+// rendered series table as the serial one, and each series point carries
+// its grid point's throughput.
+func TestParallelClusterSweepMatchesSerial(t *testing.T) {
+	wl := trace.NewWorkload(sweepTrace())
+	nodes := []int{1, 2, 3}
+	serialSeries, serialResults, err := ClusterSweepWorkload(core.Apache, nodes, Combos(), wl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parSeries, parResults, err := ClusterSweepWorkload(core.Apache, nodes, Combos(), wl, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serialResults {
+		if !reflect.DeepEqual(serialResults[i], parResults[i]) {
+			t.Errorf("result %d differs:\nserial:   %+v\nparallel: %+v", i, serialResults[i], parResults[i])
+		}
+	}
+	got := metrics.Table("nodes", parSeries...)
+	want := metrics.Table("nodes", serialSeries...)
+	if got != want {
+		t.Errorf("rendered series differ:\nserial:\n%s\nparallel:\n%s", want, got)
+	}
+	for ci, s := range serialSeries {
+		for ni, p := range s.Points {
+			if want := serialResults[ci*len(nodes)+ni].Throughput; p.X != float64(nodes[ni]) || p.Y != want {
+				t.Errorf("series %s point %d = (%g, %g), want (%d, %g)", s.Name, ni, p.X, p.Y, nodes[ni], want)
+			}
+		}
+	}
+}
+
+// TestParallelDelaySweepMatchesSerial pins the Figure 3 grid the same way:
+// an offered-load grid gives the same results, and so the same tail
+// columns, on three workers as serially.
+func TestParallelDelaySweepMatchesSerial(t *testing.T) {
+	wl := trace.NewWorkload(sweepTrace())
+	loads := []int{1, 8, 32}
+	serial, err := RunGrid(loadConfigs(loads), wl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunGrid(loadConfigs(loads), wl, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, par) {
+		t.Errorf("parallel load grid differs from serial:\n%+v\nvs\n%+v", par, serial)
+	}
+	xs := []float64{1, 8, 32}
+	s50, s95, s99, s999 := TailSeries(xs, serial)
+	p50, p95, p99, p999 := TailSeries(xs, par)
+	if got, want := metrics.Table("load", p50, p95, p99, p999), metrics.Table("load", s50, s95, s99, s999); got != want {
+		t.Errorf("tail columns differ:\nserial:\n%s\nparallel:\n%s", want, got)
+	}
+}
+
+// TestSweepEntryWrappers pins ClusterSweepWorkload against the runner it
+// delegates to: at the default worker count it reproduces RunGrid over
+// the configs it describes — combo-major, with the server kind's costs.
+func TestSweepEntryWrappers(t *testing.T) {
+	wl := trace.NewWorkload(sweepTrace())
+	nodes := []int{1, 2}
+	combos := Combos()[:2]
+	var cfgs []Config
+	for _, combo := range combos {
+		for _, n := range nodes {
+			cfg := DefaultConfig(n, combo)
+			cfg.Server = server.CostsFor(core.Flash)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	want, err := RunGrid(cfgs, wl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := ClusterSweepWorkload(core.Flash, nodes, combos, wl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("ClusterSweepWorkload differs from RunGrid:\nRunGrid:  %+v\nwrapper:  %+v", want, got)
 	}
 }
 
