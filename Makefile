@@ -13,13 +13,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The -race acceptance surface: the concurrent dispatch engine, the
-# prototype cluster that drives it from parallel client handlers, the
-# parallel grid runner sharing one trace, the block-parallel trace
-# generator, the scenario layer that compiles and drives all of them,
-# and the membership table feeding failure detection into all three.
+# The -race acceptance surface: the concurrent mapping table, the
+# concurrent dispatch engine, the prototype cluster that drives it from
+# parallel client handlers, the parallel grid runner sharing one trace,
+# the block-parallel trace generator, the scenario layer that compiles
+# and drives all of them, and the membership table feeding failure
+# detection into all three.
 race:
-	$(GO) test -race ./internal/dispatch/... ./internal/cluster/... ./internal/sim/... ./internal/trace/... ./internal/scenario/... ./internal/membership/... ./internal/dstate/...
+	$(GO) test -race ./internal/cache/... ./internal/dispatch/... ./internal/cluster/... ./internal/sim/... ./internal/trace/... ./internal/scenario/... ./internal/membership/... ./internal/dstate/...
 
 # Scale-out front-end tier acceptance (DESIGN.md §18): the dstate store
 # conformance suite over all three backends, the in-process tier and

@@ -1,6 +1,6 @@
 // Package phttp's root benchmarks: micro-benchmarks of the core data
-// structures (cache.LRU, the extLARD decision, the HTTP parser, the
-// simcore event engine, trace construction) and an ablation of extended
+// structures (the extLARD decision, the HTTP parser, the simcore event
+// engine, trace construction) and an ablation of extended
 // LARD's design knobs (DESIGN.md §7) on the simulator.
 //
 //	go test -run '^$' -bench . -benchmem
@@ -17,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"phttp/internal/cache"
 	"phttp/internal/core"
 	"phttp/internal/httpmsg"
 	"phttp/internal/policy"
@@ -85,17 +84,6 @@ func BenchmarkAblationLOverload(b *testing.B) {
 }
 
 // --- Micro-benchmarks ---
-
-func BenchmarkLRUInsertLookup(b *testing.B) {
-	c := newBenchLRU()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := core.Target(fmt.Sprintf("/t%d", i%10000))
-		if !c.Lookup(t) {
-			c.Insert(t, int64(i%20000)+1)
-		}
-	}
-}
 
 func BenchmarkPolicyExtLARDAssign(b *testing.B) {
 	p := policy.NewExtLARD(8, 85<<20, policy.DefaultParams(), core.BEForwarding)
@@ -232,5 +220,3 @@ func BenchmarkTraceReconstruct(b *testing.B) {
 		trace.Reconstruct(entries, trace.DefaultIdleTimeout, trace.DefaultBatchWindow)
 	}
 }
-
-func newBenchLRU() *cache.LRU { return cache.NewLRU(64 << 20) }

@@ -2,90 +2,207 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"phttp/internal/core"
 )
 
-func TestLRUBasicInsertLookup(t *testing.T) {
-	c := NewLRU(100)
-	if c.Lookup("/a") {
-		t.Error("empty cache reported a hit")
+// Shorthand IDs for readability: interned IDs are 1-based.
+const (
+	idA core.TargetID = 1
+	idB core.TargetID = 2
+	idC core.TargetID = 3
+)
+
+// modelLRU is the reference the LRU tests compare against: the entries in
+// a slice, most recently used first, evicted from the end while over the
+// byte budget — except the last one left.
+type modelLRU struct {
+	capacity int64
+	entries  []modelEntry
+}
+
+type modelEntry struct {
+	id   core.TargetID
+	size int64
+}
+
+// touch promotes id to most recently used, reporting whether it is cached.
+func (m *modelLRU) touch(id core.TargetID) bool {
+	i := slices.IndexFunc(m.entries, func(e modelEntry) bool { return e.id == id })
+	if i < 0 {
+		return false
 	}
-	c.Insert("/a", 40)
-	if !c.Lookup("/a") {
+	e := m.entries[i]
+	copy(m.entries[1:i+1], m.entries[:i])
+	m.entries[0] = e
+	return true
+}
+
+func (m *modelLRU) insert(id core.TargetID, size int64) {
+	if m.touch(id) {
+		m.entries[0].size = size
+	} else if size <= m.capacity {
+		m.entries = slices.Insert(m.entries, 0, modelEntry{id, size})
+	}
+	for len(m.entries) > 1 && m.bytes() > m.capacity {
+		m.entries = m.entries[:len(m.entries)-1]
+	}
+}
+
+func (m *modelLRU) remove(id core.TargetID) bool {
+	n := len(m.entries)
+	m.entries = slices.DeleteFunc(m.entries, func(e modelEntry) bool { return e.id == id })
+	return len(m.entries) < n
+}
+
+func (m *modelLRU) bytes() (b int64) {
+	for _, e := range m.entries {
+		b += e.size
+	}
+	return b
+}
+
+// matches reports whether c holds exactly the model's entries, in the
+// model's recency order, with the model's byte count.
+func (m *modelLRU) matches(c *IDLRU) bool {
+	ids := make([]core.TargetID, len(m.entries))
+	for i, e := range m.entries {
+		ids[i] = e.id
+	}
+	return c.Bytes() == m.bytes() && c.Len() == len(m.entries) && slices.Equal(c.IDs(), ids)
+}
+
+// checkInvariants verifies an IDLRU's internal consistency: the recency
+// list links both ways, every listed entry is indexed at its slot and
+// nothing else is, and Bytes is the sum of the listed sizes and within the
+// budget unless a lone oversize resident is all there is.
+func checkInvariants(c *IDLRU) error {
+	var sum int64
+	n, prev := 0, noEntry
+	for s := c.head; s != noEntry; s = c.slots[s].next {
+		e := c.slots[s]
+		if e.prev != prev {
+			return fmt.Errorf("slot %d links back to %d, want %d", s, e.prev, prev)
+		}
+		if c.pos[e.id] != s+1 {
+			return fmt.Errorf("id %d lives in slot %d but is indexed at %d", e.id, s, c.pos[e.id]-1)
+		}
+		sum += e.size
+		n++
+		prev = s
+	}
+	if c.tail != prev {
+		return fmt.Errorf("tail is slot %d, list ends at %d", c.tail, prev)
+	}
+	indexed := 0
+	for _, p := range c.pos {
+		if p != 0 {
+			indexed++
+		}
+	}
+	switch {
+	case indexed != n:
+		return fmt.Errorf("%d ids indexed, %d entries listed", indexed, n)
+	case sum != c.Bytes():
+		return fmt.Errorf("entry sizes sum to %d, Bytes() reports %d", sum, c.Bytes())
+	case c.Bytes() > c.Capacity() && n > 1:
+		return fmt.Errorf("Bytes() = %d over capacity %d with %d entries", c.Bytes(), c.Capacity(), n)
+	}
+	return nil
+}
+
+func TestLRUBasicInsertLookup(t *testing.T) {
+	c := NewIDLRU(100)
+	for _, id := range []core.TargetID{idA, idB} {
+		if c.Lookup(id) {
+			t.Errorf("empty cache reported a hit on %d", id)
+		}
+		c.Insert(id, 40)
+	}
+	if !c.Lookup(idA) || !c.Lookup(idB) {
 		t.Error("inserted target missed")
 	}
-	if c.Bytes() != 40 || c.Len() != 1 {
-		t.Errorf("Bytes=%d Len=%d, want 40/1", c.Bytes(), c.Len())
+	if c.Bytes() != 80 || c.Len() != 2 {
+		t.Errorf("Bytes=%d Len=%d, want 80/2", c.Bytes(), c.Len())
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Errorf("hits=%d misses=%d, want 1/1", c.Hits(), c.Misses())
+	if c.Hits() != 2 || c.Misses() != 2 {
+		t.Errorf("hits=%d misses=%d, want 2/2", c.Hits(), c.Misses())
 	}
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := NewLRU(100)
-	c.Insert("/a", 40)
-	c.Insert("/b", 40)
-	c.Lookup("/a") // promote /a; /b is now LRU
-	evicted := c.Insert("/c", 40)
-	if len(evicted) != 1 || evicted[0] != core.Target("/b") {
-		t.Errorf("evicted %v, want [/b]", evicted)
-	}
-	if !c.Contains("/a") || !c.Contains("/c") || c.Contains("/b") {
-		t.Error("wrong survivors after eviction")
+	c := NewIDLRU(100)
+	c.Insert(idA, 30)
+	c.Insert(idB, 30)
+	c.Insert(idC, 30)
+	c.Lookup(idA)     // order: A C B
+	c.Insert(4, 60)   // over by 50: evicts B, then C
+	c.Insert(idA, 40) // resident resize: nothing to evict
+	want := []core.TargetID{idA, 4}
+	if got := c.IDs(); !slices.Equal(got, want) {
+		t.Errorf("IDs() = %v, want %v", got, want)
 	}
 }
 
 func TestLRUOversizeTargetNotCached(t *testing.T) {
-	c := NewLRU(100)
-	c.Insert("/a", 40)
-	if ev := c.Insert("/huge", 200); ev != nil {
-		t.Errorf("oversize insert evicted %v", ev)
+	c := NewIDLRU(100)
+	c.Insert(idA, 40)
+	c.Insert(idB, 101)
+	if c.Contains(idB) || !c.Contains(idA) || c.Bytes() != 40 {
+		t.Error("an oversize insert was cached or disturbed existing entries")
 	}
-	if c.Contains("/huge") {
-		t.Error("oversize target cached")
-	}
-	if !c.Contains("/a") {
-		t.Error("oversize insert disturbed existing entries")
+	// A resident resized past the budget stays, alone.
+	c.Insert(idC, 30)
+	c.Insert(idA, 150)
+	if got := c.IDs(); !slices.Equal(got, []core.TargetID{idA}) || c.Bytes() != 150 {
+		t.Errorf("after oversize resize: IDs %v, Bytes %d; want [%d], 150", got, c.Bytes(), idA)
 	}
 }
 
 func TestLRUResize(t *testing.T) {
-	c := NewLRU(100)
-	c.Insert("/a", 30)
-	c.Insert("/a", 60) // resize in place
+	c := NewIDLRU(100)
+	c.Insert(idA, 30)
+	c.Insert(idA, 60) // resize in place
 	if c.Bytes() != 60 || c.Len() != 1 {
 		t.Errorf("Bytes=%d Len=%d after resize, want 60/1", c.Bytes(), c.Len())
 	}
 }
 
 func TestLRURemoveAndClear(t *testing.T) {
-	c := NewLRU(100)
-	c.Insert("/a", 10)
-	c.Insert("/b", 10)
-	if !c.Remove("/a") || c.Remove("/a") {
+	c := NewIDLRU(100)
+	c.Insert(idA, 10)
+	c.Insert(idB, 10)
+	if !c.Remove(idA) || c.Remove(idA) {
 		t.Error("Remove semantics wrong")
 	}
 	if c.Bytes() != 10 {
 		t.Errorf("Bytes=%d after remove, want 10", c.Bytes())
 	}
+	c.Lookup(idB)
 	c.Clear()
-	if c.Len() != 0 || c.Bytes() != 0 {
+	if c.Len() != 0 || c.Bytes() != 0 || c.Contains(idB) {
 		t.Error("Clear left residue")
+	}
+	if c.Hits() != 1 {
+		t.Error("Clear touched the counters")
+	}
+	c.Insert(idC, 10) // reuses a freed slot
+	if err := checkInvariants(c); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestLRUContainsDoesNotPromoteOrCount(t *testing.T) {
-	c := NewLRU(100)
-	c.Insert("/a", 40)
-	c.Insert("/b", 40)
-	c.Contains("/a") // must NOT promote
-	ev := c.Insert("/c", 40)
-	if len(ev) != 1 || ev[0] != core.Target("/a") {
-		t.Errorf("evicted %v, want [/a]: Contains promoted", ev)
+	c := NewIDLRU(100)
+	c.Insert(idA, 40)
+	c.Insert(idB, 40)
+	c.Contains(idA) // must NOT promote
+	c.Insert(idC, 40)
+	if c.Contains(idA) || !c.Contains(idB) {
+		t.Error("Contains promoted idA")
 	}
 	if c.Hits() != 0 || c.Misses() != 0 {
 		t.Error("Contains touched counters")
@@ -93,72 +210,54 @@ func TestLRUContainsDoesNotPromoteOrCount(t *testing.T) {
 }
 
 func TestLRUTargetsOrder(t *testing.T) {
-	c := NewLRU(1000)
-	c.Insert("/a", 1)
-	c.Insert("/b", 1)
-	c.Insert("/c", 1)
-	c.Lookup("/a")
-	got := c.Targets()
-	want := []core.Target{"/a", "/c", "/b"}
-	if len(got) != 3 {
-		t.Fatalf("Targets() = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Targets()[%d] = %v, want %v", i, got[i], want[i])
-		}
+	c := NewIDLRU(1000)
+	c.Insert(idA, 1)
+	c.Insert(idB, 1)
+	c.Insert(idC, 1)
+	c.Lookup(idA)
+	want := []core.TargetID{idA, idC, idB}
+	if got := c.IDs(); !slices.Equal(got, want) {
+		t.Errorf("IDs() = %v, want %v", got, want)
 	}
 }
 
+// The hit rate a caller derives from Hits and Misses counts every Lookup
+// once and nothing else.
 func TestLRUHitRate(t *testing.T) {
-	c := NewLRU(100)
-	c.Insert("/a", 10)
-	c.Lookup("/a")
-	c.Lookup("/a")
-	c.Lookup("/missing")
-	if got := c.HitRate(); got != 2.0/3.0 {
-		t.Errorf("HitRate() = %v, want 2/3", got)
+	c := NewIDLRU(100)
+	c.Insert(idA, 10)
+	c.Lookup(idA)
+	c.Lookup(idA)
+	c.Lookup(idB)
+	c.Contains(idB)
+	c.Insert(idB, 10)
+	if c.Hits() != 2 || c.Misses() != 1 {
+		t.Errorf("hits=%d misses=%d, want 2/1", c.Hits(), c.Misses())
 	}
 	c.ResetStats()
-	if c.HitRate() != 0 {
-		t.Error("ResetStats did not zero counters")
+	if c.Hits() != 0 || c.Misses() != 0 || c.Len() != 2 {
+		t.Error("ResetStats did not zero only the counters")
 	}
 }
 
-// Property: the byte budget is never exceeded and Bytes always equals the
-// sum of cached entry sizes, under arbitrary insert/lookup/remove mixes.
+// Property: the byte budget is never exceeded, Bytes always equals the sum
+// of cached entry sizes, and the slab, index and recency list agree, under
+// arbitrary insert/lookup/remove mixes.
 func TestLRUInvariants(t *testing.T) {
-	const capacity = 1000
 	f := func(ops []uint16) bool {
-		c := NewLRU(capacity)
-		shadow := map[core.Target]int64{}
+		c := NewIDLRU(1000)
 		for _, op := range ops {
-			target := core.Target(fmt.Sprintf("/t%d", op%50))
-			size := int64(op%300) + 1
+			id := core.TargetID(op%50) + 1
 			switch op % 3 {
 			case 0:
-				evicted := c.Insert(target, size)
-				if size <= capacity {
-					shadow[target] = size
-				}
-				for _, e := range evicted {
-					delete(shadow, e)
-				}
+				c.Insert(id, int64(op%300)+1)
 			case 1:
-				c.Lookup(target)
+				c.Lookup(id)
 			case 2:
-				if c.Remove(target) {
-					delete(shadow, target)
-				}
+				c.Remove(id)
 			}
-			if c.Bytes() > capacity {
-				return false
-			}
-			var sum int64
-			for _, s := range shadow {
-				sum += s
-			}
-			if sum != c.Bytes() || len(shadow) != c.Len() {
+			if err := checkInvariants(c); err != nil {
+				t.Log(err)
 				return false
 			}
 		}
@@ -170,12 +269,19 @@ func TestLRUInvariants(t *testing.T) {
 }
 
 func TestLRUNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative size did not panic")
-		}
-	}()
-	NewLRU(10).Insert("/a", -1)
+	for name, f := range map[string]func(){
+		"size":     func() { NewIDLRU(10).Insert(idA, -1) },
+		"capacity": func() { NewIDLRU(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("negative %s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestMappingBasics(t *testing.T) {
@@ -217,6 +323,7 @@ func TestMappingTouchPromotes(t *testing.T) {
 	m.Map(idA, 50, 0)
 	m.Map(idB, 50, 0)
 	m.Touch(idA, 0)   // idA most recent, idB is LRU
+	m.Touch(idC, 0)   // not mapped: no effect
 	m.Map(idC, 50, 0) // evicts idB
 	if !m.IsMapped(idA, 0) || m.IsMapped(idB, 0) {
 		t.Error("Touch did not promote idA over idB")

@@ -1,14 +1,23 @@
+// Package cache provides the byte-budgeted LRU cache model used for
+// back-end main-memory caches (both in the simulator and in the prototype
+// doc store) and the front-end's target→node mapping table built on it.
+//
+// The LRU models FreeBSD's unified buffer cache at the granularity the
+// paper's simulator uses: whole targets, evicted least-recently-used first
+// under a byte capacity.
 package cache
 
 import "phttp/internal/core"
 
-// IDLRU is the single-threaded LRU the simulator's per-node main-memory
-// caches use: same byte-budget semantics as LRU, but keyed by dense interned
-// TargetID so the per-event path is a slice index instead of a string-keyed
-// map probe, and backed by a slab with an index free list so steady-state
+// IDLRU is the package's LRU: targets under a byte budget, evicted least
+// recently used first. It is keyed by dense interned TargetID so the
+// per-event path is a slice index instead of a string-keyed map probe, and
+// backed by a slab with an index free list so steady-state
 // lookup/insert/evict cycles allocate nothing.
 //
-// The zero value is not usable; call NewIDLRU.
+// An IDLRU is not safe for concurrent use; Mapping and the prototype's doc
+// store guard theirs with a lock. The zero value is not usable; call
+// NewIDLRU.
 type IDLRU struct {
 	capacity int64
 	bytes    int64
@@ -183,8 +192,8 @@ func (c *IDLRU) Insert(id core.TargetID, size int64) {
 	c.evictOver()
 }
 
-// evictOver mirrors LRU.evictOver: evict from the tail while over budget,
-// but never evict the entry just promoted if it is alone.
+// evictOver evicts from the tail while over budget, but never the entry
+// just promoted if it is alone.
 func (c *IDLRU) evictOver() {
 	for c.bytes > c.capacity && c.tail != noEntry {
 		victim := c.tail
@@ -220,7 +229,8 @@ func (c *IDLRU) Remove(id core.TargetID) bool {
 // Clear evicts every entry (releasing interner references, keeping the
 // slab for reuse) without touching the hit/miss counters. The simulator
 // uses it when a node crashes: the restarted back-end comes back with a
-// cold main-memory cache.
+// cold main-memory cache, and Mapping.DropNode forgets what the front-end
+// believed it cached.
 func (c *IDLRU) Clear() {
 	for c.head != noEntry {
 		c.removeSlot(c.head)

@@ -60,45 +60,38 @@ func TestIDLRUPanicsOnNoTarget(t *testing.T) {
 	NewIDLRU(100).Lookup(core.NoTarget)
 }
 
-// Property: IDLRU behaves exactly like the string-keyed LRU for any
+// Property: IDLRU behaves exactly like the reference model for any
 // lookup/insert/remove mix — same membership, bytes, count, hit/miss
-// counters, and most-to-least-recent order. The simulator swaps one for the
-// other on this equivalence.
+// counters, and most-to-least-recent order.
 func TestIDLRUMatchesLRU(t *testing.T) {
 	const capacity = 1000
 	f := func(ops []uint16) bool {
 		idc := NewIDLRU(capacity)
-		ref := NewLRU(capacity)
+		ref := &modelLRU{capacity: capacity}
+		var hits, misses int64
 		for _, op := range ops {
 			id := core.TargetID(op%50) + 1
 			size := int64(op%300) + 1
 			switch op % 3 {
 			case 0:
 				idc.Insert(id, size)
-				ref.Insert(refTarget(id), size)
+				ref.insert(id, size)
 			case 1:
-				if idc.Lookup(id) != ref.Lookup(refTarget(id)) {
+				hit := ref.touch(id)
+				if idc.Lookup(id) != hit {
 					return false
+				}
+				if hit {
+					hits++
+				} else {
+					misses++
 				}
 			case 2:
-				if idc.Remove(id) != ref.Remove(refTarget(id)) {
+				if idc.Remove(id) != ref.remove(id) {
 					return false
 				}
 			}
-			if idc.Bytes() != ref.Bytes() || idc.Len() != ref.Len() {
-				return false
-			}
-			if idc.Hits() != ref.Hits() || idc.Misses() != ref.Misses() {
-				return false
-			}
-		}
-		refTargets := ref.Targets()
-		ids := idc.IDs()
-		if len(refTargets) != len(ids) {
-			return false
-		}
-		for i := range refTargets {
-			if refTargets[i] != refTarget(ids[i]) {
+			if !ref.matches(idc) || idc.Hits() != hits || idc.Misses() != misses {
 				return false
 			}
 		}

@@ -84,32 +84,43 @@ func TestIDLRUCompactShrinksPositionTable(t *testing.T) {
 	}
 }
 
-// TestShardedLRURefcountsUnderChurn checks the same pin protocol on the
-// concurrent mapping cache: after heavy insert/evict churn against a small
-// budget, the interner's live reference count equals the cache population —
+// TestMappingRefcountsUnderChurn checks the same pin protocol on the
+// concurrent mapping: after heavy map/evict/unmap churn against small
+// per-node budgets, with nodes dropped now and then, the interner's live
+// references equal the beliefs the mapping holds across its nodes —
 // nothing leaked, nothing double-released.
-func TestShardedLRURefcountsUnderChurn(t *testing.T) {
+func TestMappingRefcountsUnderChurn(t *testing.T) {
+	const nodes = 3
 	in := core.NewEvictableInterner(64)
-	c := NewShardedLRU(32<<10, 4)
-	c.SetRefCounter(in)
+	m := NewMapping(nodes, 16<<10)
+	m.SetRefCounter(in)
 	for i := 0; i < 4096; i++ {
-		tgt := core.Target(fmt.Sprintf("/t%d", i%300))
-		id := in.Intern(tgt)
-		c.Insert(id, 1<<10) // 32 resident entries at steady state
+		n := core.NodeID(i % nodes)
+		id := in.Intern(core.Target(fmt.Sprintf("/t%d", i%300)))
+		m.Map(id, 1<<10, n) // 16 resident entries per node at steady state
 		in.Release(id)
 		if i%7 == 0 {
-			c.Remove(id)
+			m.Unmap(id, n)
+		}
+		if i%1000 == 999 {
+			m.DropNode(n)
 		}
 		if i%500 == 499 {
 			in.Compact()
 		}
 	}
-	live := in.Len() - in.Limbo()
-	if live != c.Len() {
-		t.Errorf("%d live interner refs vs %d cached entries (leak or double release)", live, c.Len())
+	refs, mapped := 0, 0
+	for id := core.TargetID(1); id <= in.HighWater(); id++ {
+		refs += max(in.Refs(id), 0)
+	}
+	for n := 0; n < nodes; n++ {
+		mapped += m.MappedTargets(core.NodeID(n))
+	}
+	if refs != mapped {
+		t.Errorf("%d live interner refs vs %d mapped beliefs (leak or double release)", refs, mapped)
 	}
 	in.Compact()
 	if got := in.Len(); got > 64 {
-		t.Errorf("interner table %d exceeds cap 64 under cache churn", got)
+		t.Errorf("interner table %d exceeds cap 64 under mapping churn", got)
 	}
 }

@@ -1,6 +1,10 @@
 package cache
 
-import "phttp/internal/core"
+import (
+	"sync"
+
+	"phttp/internal/core"
+)
 
 // Mapping is the front-end dispatcher's model of which back-end nodes
 // currently cache each target: the paper's "mappings between targets and
@@ -15,14 +19,12 @@ import "phttp/internal/core"
 // Targets are identified by interned TargetID throughout — the policies sit
 // on the per-event path of both the simulator and the prototype front-end,
 // and an ID comparison is the difference between an array probe and a
-// string hash per mapping touch. Each per-node model is a ShardedLRU
-// striped by ID hash, so the mapping is safe for parallel dispatchers
-// without a global lock: concurrent lookups and updates of different
-// targets touch different stripes, while eviction stays exact global LRU
-// per node (identical to the single-lock model the simulator's determinism
-// depends on).
+// string hash per mapping touch. Each node's model is an IDLRU behind that
+// node's lock, so parallel dispatchers contend only when they touch the same
+// node, and eviction is exact LRU per node — the order the simulator's
+// determinism depends on.
 type Mapping struct {
-	perNode []*ShardedLRU
+	perNode []nodeLRU
 
 	// obs, when set, observes every Map write (the belief "target is now
 	// cached at node"). The scale-out front-end tier's replicated state
@@ -33,12 +35,18 @@ type Mapping struct {
 	obs func(id core.TargetID, size int64, n core.NodeID)
 }
 
+// nodeLRU is one node's model: the IDLRU and the lock every access takes.
+type nodeLRU struct {
+	mu  sync.Mutex
+	lru *IDLRU
+}
+
 // NewMapping returns a mapping model for n nodes, each modeled as an LRU of
-// cacheBytes capacity striped over DefaultShards locks.
+// cacheBytes capacity.
 func NewMapping(n int, cacheBytes int64) *Mapping {
-	m := &Mapping{perNode: make([]*ShardedLRU, n)}
+	m := &Mapping{perNode: make([]nodeLRU, n)}
 	for i := range m.perNode {
-		m.perNode[i] = NewShardedLRU(cacheBytes, DefaultShards)
+		m.perNode[i].lru = NewIDLRU(cacheBytes)
 	}
 	return m
 }
@@ -46,11 +54,13 @@ func NewMapping(n int, cacheBytes int64) *Mapping {
 // SetRefCounter wires the target-lifecycle hook into every per-node model:
 // a target acquires one reference per node believed to cache it and
 // releases it when the mapping ages out, so an evictable interner never
-// recycles an ID the dispatcher still has beliefs about. Set it before
-// traffic (the dispatch engine does, right after building the policy).
+// recycles an ID the dispatcher still has beliefs about. Acquire and
+// Release run under the node's lock; the interner never calls back into
+// the mapping, so the lock order stays acyclic. Set it before traffic (the
+// dispatch engine does, right after building the policy).
 func (m *Mapping) SetRefCounter(rc core.RefCounter) {
-	for _, lru := range m.perNode {
-		lru.SetRefCounter(rc)
+	for i := range m.perNode {
+		m.perNode[i].lru.SetRefCounter(rc)
 	}
 }
 
@@ -60,13 +70,17 @@ func (m *Mapping) Nodes() int { return len(m.perNode) }
 // IsMapped reports whether target is believed cached at node n, without
 // promoting it.
 func (m *Mapping) IsMapped(id core.TargetID, n core.NodeID) bool {
-	return m.perNode[n].Contains(id)
+	p := &m.perNode[n]
+	p.mu.Lock()
+	ok := p.lru.Contains(id)
+	p.mu.Unlock()
+	return ok
 }
 
 // Map records that node n fetched (and now caches) target of the given
 // size, promoting it and aging out colder mappings under n's budget.
 func (m *Mapping) Map(id core.TargetID, size int64, n core.NodeID) {
-	m.perNode[n].Insert(id, size)
+	m.ApplySynced(id, size, n)
 	if m.obs != nil {
 		m.obs(id, size, n)
 	}
@@ -84,18 +98,27 @@ func (m *Mapping) SetWriteObserver(obs func(id core.TargetID, size int64, n core
 // observer (the origin already journaled it; re-journaling here would
 // gossip every belief back and forth forever).
 func (m *Mapping) ApplySynced(id core.TargetID, size int64, n core.NodeID) {
-	m.perNode[n].Insert(id, size)
+	p := &m.perNode[n]
+	p.mu.Lock()
+	p.lru.Insert(id, size)
+	p.mu.Unlock()
 }
 
 // Touch promotes target in n's model if mapped (the front-end saw another
 // request for it served there).
 func (m *Mapping) Touch(id core.TargetID, n core.NodeID) {
-	m.perNode[n].Touch(id)
+	p := &m.perNode[n]
+	p.mu.Lock()
+	p.lru.Lookup(id) // promotes on a hit; the mapping reads no hit counters
+	p.mu.Unlock()
 }
 
 // Unmap removes the belief that node n caches target.
 func (m *Mapping) Unmap(id core.TargetID, n core.NodeID) {
-	m.perNode[n].Remove(id)
+	p := &m.perNode[n]
+	p.mu.Lock()
+	p.lru.Remove(id)
+	p.mu.Unlock()
 }
 
 // NodesFor returns every node believed to cache target, in node order. It
@@ -109,8 +132,8 @@ func (m *Mapping) NodesFor(id core.TargetID) []core.NodeID {
 // lock-guarded scratch buffer, truncated by the caller, so the per-request
 // path allocates nothing.
 func (m *Mapping) AppendNodesFor(buf []core.NodeID, id core.TargetID) []core.NodeID {
-	for i, lru := range m.perNode {
-		if lru.Contains(id) {
+	for i := range m.perNode {
+		if m.IsMapped(id, core.NodeID(i)) {
 			buf = append(buf, core.NodeID(i))
 		}
 	}
@@ -124,11 +147,24 @@ func (m *Mapping) AppendNodesFor(buf []core.NodeID, id core.TargetID) []core.Nod
 // rejoins. (Warm-up handling — a drained node that kept its cache —
 // simply skips this call.)
 func (m *Mapping) DropNode(n core.NodeID) {
-	m.perNode[n].Clear()
+	p := &m.perNode[n]
+	p.mu.Lock()
+	p.lru.Clear()
+	p.mu.Unlock()
 }
 
 // MappedBytes returns the bytes of content believed cached at node n.
-func (m *Mapping) MappedBytes(n core.NodeID) int64 { return m.perNode[n].Bytes() }
+func (m *Mapping) MappedBytes(n core.NodeID) int64 {
+	p := &m.perNode[n]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lru.Bytes()
+}
 
 // MappedTargets returns the number of targets believed cached at node n.
-func (m *Mapping) MappedTargets(n core.NodeID) int { return m.perNode[n].Len() }
+func (m *Mapping) MappedTargets(n core.NodeID) int {
+	p := &m.perNode[n]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lru.Len()
+}

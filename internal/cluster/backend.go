@@ -460,7 +460,7 @@ func (b *Backend) acceptPeers() {
 					}
 					continue
 				}
-				if !b.store.cached(dc.target) {
+				if !b.store.cached(dc) {
 					b.store.read(dc)
 				}
 				if _, err := bw.Write(httpmsg.AppendResponseHead(hb[:0], "HTTP/1.1", 200, dc.size, true)); err != nil {

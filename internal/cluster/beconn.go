@@ -496,7 +496,7 @@ func (b *Backend) serveRequest(w *respWriter, r beReq) error {
 		b.cpu.use(costs.PerRequest)
 		return w.respondError(r, 404)
 	}
-	if !b.store.cached(dc.target) {
+	if !b.store.cached(dc) {
 		// Do not sit on finished responses while the disk is read — when
 		// there is a read to wait for: a miss that costs no time is no
 		// reason to split a batch's responses over two writes.

@@ -34,6 +34,9 @@ import (
 type doc struct {
 	target core.Target // canonical: the catalog's own string
 	size   int64
+	// idx keys the doc in its store's cache: dense and 1-based, unique
+	// within the store.
+	idx core.TargetID
 	// missing marks a stand-in for a target the catalog does not hold: it
 	// carries the name (a lateral fetch still asks the tagged peer) and is
 	// answered 404 locally.
@@ -64,7 +67,7 @@ type DocStore struct {
 	scale float64 // time scale divisor (1 = real modeled latency)
 
 	mu    sync.Mutex
-	cache *cache.LRU
+	cache *cache.IDLRU // keyed by doc.idx
 
 	diskGate chan struct{}
 	queued   atomic.Int64
@@ -84,14 +87,14 @@ func NewDocStore(catalog map[core.Target]int64, cacheBytes int64, disk server.Di
 	all := make([]doc, len(catalog)) // one allocation for the whole table
 	for t, sz := range catalog {
 		dc := &all[len(docs)]
-		dc.target, dc.size = t, sz
+		dc.target, dc.size, dc.idx = t, sz, core.TargetID(len(docs)+1)
 		docs[t] = dc
 	}
 	return &DocStore{
 		docs:     docs,
 		disk:     disk,
 		scale:    timeScale,
-		cache:    cache.NewLRU(cacheBytes),
+		cache:    cache.NewIDLRU(cacheBytes),
 		diskGate: make(chan struct{}, 1),
 	}
 }
@@ -117,7 +120,7 @@ func (d *DocStore) Open(t core.Target) (int64, error) {
 	if dc == nil {
 		return 0, fmt.Errorf("cluster: no such target %q", t)
 	}
-	if !d.cached(t) {
+	if !d.cached(dc) {
 		d.read(dc)
 	}
 	return dc.size, nil
@@ -126,9 +129,9 @@ func (d *DocStore) Open(t core.Target) (int64, error) {
 // cached reports (and counts) a cache hit. On a miss the caller follows
 // with read; the two are separate so that a server can put out what it has
 // buffered before it waits for the disk.
-func (d *DocStore) cached(t core.Target) bool {
+func (d *DocStore) cached(dc *doc) bool {
 	d.mu.Lock()
-	hit := d.cache.Lookup(t)
+	hit := d.cache.Lookup(dc.idx)
 	d.mu.Unlock()
 	if hit {
 		d.hits.Add(1)
@@ -146,7 +149,7 @@ func (d *DocStore) read(dc *doc) {
 	<-d.diskGate
 	d.queued.Add(-1)
 	d.mu.Lock()
-	d.cache.Insert(dc.target, dc.size)
+	d.cache.Insert(dc.idx, dc.size)
 	d.mu.Unlock()
 }
 

@@ -570,7 +570,7 @@ func (t *peerTier) handleOpen(args []string) (string, bool) {
 	fe, err1 := strconv.Atoi(args[0])
 	id, err2 := strconv.ParseInt(args[1], 10, 64)
 	size, err3 := strconv.ParseInt(args[2], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil {
+	if err1 != nil || err2 != nil || err3 != nil || size < 0 {
 		return "", false
 	}
 	tid := t.in.Intern(core.Target(args[3]))
@@ -636,7 +636,7 @@ func (t *peerTier) handleMapDelta(args []string) {
 	}
 	node, err1 := strconv.Atoi(args[0])
 	size, err2 := strconv.ParseInt(args[1], 10, 64)
-	if err1 != nil || err2 != nil || node < 0 || node >= t.nodes {
+	if err1 != nil || err2 != nil || node < 0 || node >= t.nodes || size < 0 {
 		return
 	}
 	mp, ok := t.pol.(dstate.MappingPolicy)

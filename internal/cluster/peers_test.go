@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -151,4 +153,46 @@ func TestPeerTierShardedRPCs(t *testing.T) {
 		t.Fatalf("Fallbacks = %d, want >= 3 (open, move, close)", got)
 	}
 	t0.ConnClose(rc2)
+}
+
+// TestPeerTierRejectsNegativeSize sends a tier member the negative sizes a
+// hostile or broken peer can put on the wire. A POPEN with one drops the
+// session, like any malformed RPC; a PMAPD with one is ignored and the
+// session carries on. Neither reaches the mapping, whose Insert panics on
+// a negative size.
+func TestPeerTierRejectsNegativeSize(t *testing.T) {
+	tier, in := newTestPeerTier(t, 0, 2, 2)
+	defer tier.Close()
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", tier.Addr())
+		if err != nil {
+			t.Fatalf("dial peer listener: %v", err)
+		}
+		if _, err := io.WriteString(conn, "HELLO PEER 1\n"); err != nil {
+			t.Fatalf("hello: %v", err)
+		}
+		return conn
+	}
+
+	conn := dial()
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POPEN 1 7 -5 /x\n"); err != nil {
+		t.Fatalf("write POPEN: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("POPEN with a negative size: read %d bytes, err %v; want the session dropped", n, err)
+	}
+
+	conn2 := dial()
+	defer conn2.Close()
+	if _, err := io.WriteString(conn2, "PMAPD 0 -5 /neg\nPMAPD 0 10 /ok\n"); err != nil {
+		t.Fatalf("write PMAPD: %v", err)
+	}
+	m := tier.pol.(dstate.MappingPolicy).Mapping()
+	ok := in.Intern("/ok")
+	waitFor(t, "the valid PMAPD after the negative one", func() bool { return m.IsMapped(ok, 0) })
+	if m.IsMapped(in.Intern("/neg"), 0) {
+		t.Error("PMAPD with a negative size was applied")
+	}
 }

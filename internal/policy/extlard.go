@@ -39,7 +39,7 @@ import (
 // is equivalent to LARD, as the paper notes.
 //
 // ExtLARD is safe for concurrent dispatch: the cost computation reads the
-// atomic load tracker and the hash-sharded mapping without any policy-wide
+// atomic load tracker and the per-node-locked mapping without any policy-wide
 // critical section, disk-queue reports land in atomic slots, and the
 // decision counters are atomic. Calls for a single connection must be
 // serialized by the caller (the dispatch engine's contract); racing
