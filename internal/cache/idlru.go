@@ -94,9 +94,13 @@ func (c *IDLRU) slot(id core.TargetID) int32 {
 	return c.pos[id] - 1
 }
 
+// The position table and the slab grow by doubling, not by append's ~1.25×
+// for large slices: a cache filled from empty (every mapping table of a
+// simulation run) then allocates about twice each table's final size in
+// all, not four to five times.
 func (c *IDLRU) setPos(id core.TargetID, s int32) {
 	if int(id) >= len(c.pos) {
-		grown := make([]int32, int(id)+1+len(c.pos)/2)
+		grown := make([]int32, int(id)+1+len(c.pos))
 		copy(grown, c.pos)
 		c.pos = grown
 	}
@@ -179,6 +183,11 @@ func (c *IDLRU) Insert(id core.TargetID, size int64) {
 		s = c.free
 		c.free = c.slots[s].next
 	} else {
+		if len(c.slots) == cap(c.slots) {
+			grown := make([]idEntry, len(c.slots), 2*len(c.slots)+8)
+			copy(grown, c.slots)
+			c.slots = grown
+		}
 		c.slots = append(c.slots, idEntry{})
 		s = int32(len(c.slots) - 1)
 	}
@@ -235,6 +244,19 @@ func (c *IDLRU) Clear() {
 	for c.head != noEntry {
 		c.removeSlot(c.head)
 	}
+}
+
+// Reset empties the cache for reuse at a new capacity: every entry is
+// evicted (releasing interner references) and the counters are zeroed,
+// but the slab and the position table are kept, so a cache reused across
+// simulation runs regrows nothing.
+func (c *IDLRU) Reset(capacity int64) {
+	if capacity < 0 {
+		panic("cache: negative capacity")
+	}
+	c.Clear()
+	c.capacity = capacity
+	c.ResetStats()
 }
 
 // Compact shrinks the dense position table to the highest ID still cached

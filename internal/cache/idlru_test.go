@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +100,47 @@ func TestIDLRUMatchesLRU(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Reset empties a cache for reuse at a new capacity: nothing stays cached,
+// the counters read zero, every interner reference is released, and
+// refilling it to its old population allocates nothing — the slab and the
+// position table survive.
+func TestIDLRUReset(t *testing.T) {
+	in := core.NewEvictableInterner(256)
+	c := NewIDLRU(1 << 20)
+	c.SetRefCounter(in)
+	ids := make([]core.TargetID, 100)
+	for i := range ids {
+		ids[i] = in.Intern(core.Target(fmt.Sprintf("/t%d", i)))
+		c.Insert(ids[i], 10)
+		in.Release(ids[i]) // the cache's pin is all that is left
+		c.Lookup(ids[i])
+	}
+	c.Lookup(ids[0] + 1000)
+	c.Reset(500)
+	if c.Capacity() != 500 || c.Len() != 0 || c.Bytes() != 0 || c.Hits() != 0 || c.Misses() != 0 {
+		t.Fatalf("after Reset: capacity %d, %d entries, %d B, hits %d, misses %d; want 500, 0, 0, 0, 0",
+			c.Capacity(), c.Len(), c.Bytes(), c.Hits(), c.Misses())
+	}
+	for _, id := range ids {
+		if c.Contains(id) || in.Refs(id) != 0 {
+			t.Fatalf("target %d survived Reset (cached %v, refs %d)", id, c.Contains(id), in.Refs(id))
+		}
+	}
+	if err := checkInvariants(c); err != nil {
+		t.Fatal(err)
+	}
+	c.Reset(1 << 20)
+	avg := testing.AllocsPerRun(5, func() {
+		c.Reset(1 << 20)
+		for _, id := range ids {
+			c.Insert(id, 10)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("refilling a reset cache allocates %.2f per run, want 0", avg)
 	}
 }
 

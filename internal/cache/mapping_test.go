@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"phttp/internal/core"
 )
@@ -87,14 +88,18 @@ func TestShardedLRUPanicsOnNoTarget(t *testing.T) {
 	NewMapping(1, 100).Map(core.NoTarget, 1, 0)
 }
 
-// Property: on 1–4 nodes, every node of a Mapping behaves exactly like its
-// own reference model for any mix of Map, ApplySynced, Touch, Unmap and
-// DropNode — same membership, bytes, count and recency order — and
-// AppendNodesFor lists exactly the nodes whose model holds the target.
+// Property: on 1–4 nodes, and on 65–70 nodes (node masks of more than one
+// word), every node of a Mapping behaves exactly like its own reference
+// model for any mix of Map, ApplySynced, Touch, Unmap and DropNode — same
+// membership, bytes, count and recency order — and IsMapped and
+// AppendNodesFor answer exactly from the models' membership.
 func TestMappingMatchesModel(t *testing.T) {
 	const capacity = 1000
 	f := func(ops []uint16, nodeBits uint8) bool {
 		nodes := int(nodeBits%4) + 1
+		if nodeBits&0x80 != 0 {
+			nodes = int(nodeBits%6) + 65
+		}
 		m := NewMapping(nodes, capacity)
 		ref := make([]modelLRU, nodes)
 		for i := range ref {
@@ -137,6 +142,9 @@ func TestMappingMatchesModel(t *testing.T) {
 			if m.MappedBytes(n) != ref[n].bytes() || m.MappedTargets(n) != len(ref[n].entries) {
 				return false
 			}
+			if m.IsMapped(id, n) != slices.ContainsFunc(ref[n].entries, func(e modelEntry) bool { return e.id == id }) {
+				return false
+			}
 		}
 		for i := range ref {
 			if !ref[i].matches(m.perNode[i].lru) {
@@ -145,15 +153,16 @@ func TestMappingMatchesModel(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Error(err)
 	}
 }
 
 // Concurrent hammer: goroutines mix every Mapping operation on four nodes.
 // After they finish, each node's model is internally consistent — bytes
-// within budget and equal to the sum of its entries — and the write
-// observer saw every Map and no ApplySynced.
+// within budget and equal to the sum of its entries — every target's node
+// bitset equals the membership of the nodes' LRUs, and the write observer
+// saw every Map and no ApplySynced.
 func TestMappingConcurrentInvariants(t *testing.T) {
 	const (
 		goroutines = 8
@@ -208,13 +217,20 @@ func TestMappingConcurrentInvariants(t *testing.T) {
 			t.Errorf("node %d maps %d B, over capacity %d", n, got, capacity)
 		}
 	}
+	for id := core.TargetID(1); id <= 2000; id++ {
+		for n := range m.perNode {
+			if m.IsMapped(id, core.NodeID(n)) != m.perNode[n].lru.Contains(id) {
+				t.Fatalf("target %d: node %d's bit disagrees with its LRU", id, n)
+			}
+		}
+	}
 	if observed.Load() != maps.Load() {
 		t.Errorf("observer saw %d writes, %d Maps were made", observed.Load(), maps.Load())
 	}
 }
 
 // A warm, full mapping allocates nothing per request: a Map that evicts, a
-// Touch, and an AppendNodesFor into a reused buffer.
+// Touch, an IsMapped, and an AppendNodesFor into a reused buffer.
 func TestMappingSteadyStateZeroAllocs(t *testing.T) {
 	const nodes = 4
 	m := NewMapping(nodes, 100)
@@ -229,10 +245,43 @@ func TestMappingSteadyStateZeroAllocs(t *testing.T) {
 		n := core.NodeID(next) % nodes
 		m.Map(next, 10, n)
 		m.Touch(next, n)
+		if !m.IsMapped(next, n) {
+			t.Fatal("a target just mapped reads unmapped")
+		}
 		buf = m.AppendNodesFor(buf[:0], next)
 		next = next%50 + 1
 	})
 	if avg != 0 {
-		t.Errorf("steady-state Map/Touch/AppendNodesFor allocates %.2f allocs/op, want 0", avg)
+		t.Errorf("steady-state Map/Touch/IsMapped/AppendNodesFor allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// The read path takes no lock: with every node's mutex held by this
+// goroutine, IsMapped and AppendNodesFor still answer from another one, on
+// a mapping wide enough that the target's mask spans two words.
+func TestMappingReadsTakeNoLock(t *testing.T) {
+	m := NewMapping(70, 100)
+	m.Map(idA, 10, 3)
+	m.Map(idA, 10, 66)
+	for i := range m.perNode {
+		m.perNode[i].mu.Lock()
+		defer m.perNode[i].mu.Unlock()
+	}
+	type answer struct {
+		on3, on4, on66 bool
+		nodes          []core.NodeID
+	}
+	done := make(chan answer, 1)
+	go func() {
+		done <- answer{m.IsMapped(idA, 3), m.IsMapped(idA, 4), m.IsMapped(idA, 66), m.AppendNodesFor(nil, idA)}
+	}()
+	select {
+	case a := <-done:
+		if !a.on3 || a.on4 || !a.on66 || !slices.Equal(a.nodes, []core.NodeID{3, 66}) {
+			t.Errorf("reads under held locks: IsMapped 3/4/66 = %v/%v/%v, AppendNodesFor = %v; want true/false/true, [3 66]",
+				a.on3, a.on4, a.on66, a.nodes)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("IsMapped/AppendNodesFor blocked on a node's mutex")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // (≤ 0.8%) at any value, over the full int64 range, in a fixed ~57 KB of
 // memory allocated once.
 //
-// Record is lock-free — three atomic adds and a CAS loop for the max —
+// Record is lock-free — two atomic adds and a CAS loop for the max —
 // so the prototype front-end records from concurrent connection handlers
 // without a mutex, and the single-threaded simulator pays only the
 // uncontended-atomic cost (a few ns) per request. All counters use
@@ -23,10 +23,12 @@ import (
 // simulator and in tests happens after the writers quiesce.
 //
 // Histograms are mergeable (Merge) and subtractable (Sub), so warmup
-// handling is a snapshot (Clone) at the warm point and a subtraction at
+// handling is a Snapshot at the warm point and a subtraction at
 // the end — recording itself never checks warmup state.
+//
+// There is no separate sample counter: the count is the sum of the
+// buckets, so a Prometheus _count equals the +Inf bucket by construction.
 type LatencyHist struct {
-	count   int64
 	sum     int64
 	max     int64
 	buckets [histBuckets]int64
@@ -82,7 +84,6 @@ func (h *LatencyHist) Record(v int64) {
 		v = 0
 	}
 	atomic.AddInt64(&h.buckets[histIndex(v)], 1)
-	atomic.AddInt64(&h.count, 1)
 	atomic.AddInt64(&h.sum, v)
 	for {
 		m := atomic.LoadInt64(&h.max)
@@ -92,8 +93,15 @@ func (h *LatencyHist) Record(v int64) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *LatencyHist) Count() int64 { return atomic.LoadInt64(&h.count) }
+// Count returns the number of recorded samples: the sum of the buckets,
+// one pass over them (not for hot paths).
+func (h *LatencyHist) Count() int64 {
+	var n int64
+	for i := range h.buckets {
+		n += atomic.LoadInt64(&h.buckets[i])
+	}
+	return n
+}
 
 // Sum returns the sum of all recorded samples.
 func (h *LatencyHist) Sum() int64 { return atomic.LoadInt64(&h.sum) }
@@ -171,7 +179,6 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 			atomic.AddInt64(&h.buckets[i], c)
 		}
 	}
-	atomic.AddInt64(&h.count, atomic.LoadInt64(&o.count))
 	atomic.AddInt64(&h.sum, atomic.LoadInt64(&o.sum))
 	for {
 		m, om := atomic.LoadInt64(&h.max), atomic.LoadInt64(&o.max)
@@ -182,7 +189,7 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 }
 
 // Sub removes o's samples from h in place: the warmup idiom is
-// delta := h.Clone(); delta.Sub(warmSnapshot). o must be an earlier
+// delta := h.Snapshot(); delta.Sub(warm). o must be an earlier
 // snapshot of h (a prefix of its samples); Max is left as-is, since a
 // prefix cannot identify which maximum survives.
 func (h *LatencyHist) Sub(o *LatencyHist) {
@@ -194,43 +201,26 @@ func (h *LatencyHist) Sub(o *LatencyHist) {
 			atomic.AddInt64(&h.buckets[i], -c)
 		}
 	}
-	atomic.AddInt64(&h.count, -atomic.LoadInt64(&o.count))
 	atomic.AddInt64(&h.sum, -atomic.LoadInt64(&o.sum))
 }
 
-// Clone returns an independent copy (one allocation; not for hot paths).
-// The copy's fields are populated with atomic stores even though it is
-// unpublished here: every field is accessed through sync/atomic, and
-// mixing in plain writes would break that invariant (and trip the race
-// detector if a caller ever shares the clone before this returns).
-func (h *LatencyHist) Clone() *LatencyHist {
+// Snapshot returns a copy that is consistent with itself while Record runs
+// concurrently: the buckets are copied once and the copy's count is their
+// sum, so cumulative bucket counts, Quantile and Count of the copy always
+// agree — which a reader combining several live loads cannot get.
+// Sum and Max are read after the buckets and may include samples the
+// buckets do not (or, by the same few in-flight records, lag them); they
+// are monitoring figures, not part of the invariant. One allocation; not
+// for hot paths. The copy's fields are populated with atomic stores even
+// though it is unpublished here: every field is accessed through
+// sync/atomic, and mixing in plain writes would break that invariant (and
+// trip the race detector if a caller ever shared the copy before this
+// returns).
+func (h *LatencyHist) Snapshot() *LatencyHist {
 	c := &LatencyHist{}
-	atomic.StoreInt64(&c.count, atomic.LoadInt64(&h.count))
-	atomic.StoreInt64(&c.sum, atomic.LoadInt64(&h.sum))
-	atomic.StoreInt64(&c.max, atomic.LoadInt64(&h.max))
 	for i := range h.buckets {
 		atomic.StoreInt64(&c.buckets[i], atomic.LoadInt64(&h.buckets[i]))
 	}
-	return c
-}
-
-// Snapshot returns a copy that is consistent with itself while Record runs
-// concurrently: the buckets are copied once and the copy's count is derived
-// from them, so cumulative bucket counts, Quantile and Count of the copy
-// always agree — which a reader combining several live loads cannot get.
-// Sum and Max are read after the buckets and may include samples the
-// buckets do not (or, by the same few in-flight records, lag them); they
-// are monitoring figures, not part of the invariant. One allocation; for
-// exposition, not for hot paths.
-func (h *LatencyHist) Snapshot() *LatencyHist {
-	c := &LatencyHist{}
-	var count int64
-	for i := range h.buckets {
-		n := atomic.LoadInt64(&h.buckets[i])
-		atomic.StoreInt64(&c.buckets[i], n)
-		count += n
-	}
-	atomic.StoreInt64(&c.count, count)
 	atomic.StoreInt64(&c.sum, atomic.LoadInt64(&h.sum))
 	atomic.StoreInt64(&c.max, atomic.LoadInt64(&h.max))
 	return c

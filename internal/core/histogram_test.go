@@ -138,13 +138,13 @@ func TestLatencyHistMergeAssociative(t *testing.T) {
 	}
 	a, b, c := mk(), mk(), mk()
 
-	left := a.Clone()
+	left := a.Snapshot()
 	left.Merge(b)
 	left.Merge(c)
 
-	bc := b.Clone()
+	bc := b.Snapshot()
 	bc.Merge(c)
-	right := a.Clone()
+	right := a.Snapshot()
 	right.Merge(bc)
 
 	if left.Count() != right.Count() || left.Sum() != right.Sum() || left.Max() != right.Max() {
@@ -165,11 +165,11 @@ func TestLatencyHistSubWarmupDelta(t *testing.T) {
 	for _, v := range warm {
 		h.Record(v)
 	}
-	snap := h.Clone()
+	snap := h.Snapshot()
 	for _, v := range measured {
 		h.Record(v)
 	}
-	delta := h.Clone()
+	delta := h.Snapshot()
 	delta.Sub(snap)
 
 	if delta.Count() != int64(len(measured)) {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // NewHotpath returns the hotpath analyzer: a function whose doc comment
@@ -26,6 +27,8 @@ import (
 //     interface is expected. Pointer-shaped values (pointers, channels,
 //     maps, funcs) and constants box without allocating and stay legal —
 //     which is exactly the contract of simcore's Action payloads.
+//   - in the functions listed in lockFreeRequired only: taking a
+//     sync.Mutex or sync.RWMutex (hotLockCalls).
 //
 // The gate is structural, not escape-analysis-precise: it can flag an
 // allocation the compiler would sink or prove dead (then restructure or
@@ -62,7 +65,7 @@ func NewHotpath() *Analyzer {
 					continue
 				}
 				delete(missing, name)
-				checkHotFunc(pass, fn)
+				checkHotFunc(pass, fn, slices.Contains(lockFreeRequired[pass.Pkg.Path()], name))
 			}
 		}
 		for _, name := range hotpathRequired[pass.Pkg.Path()] { // table order: stable output
@@ -82,12 +85,32 @@ func NewHotpath() *Analyzer {
 // request is easy to write and nothing else would object; and the
 // simulator's event loop — the engine's schedule and step and the
 // simulator's two event handlers and three resource calls, which every
-// simulated event crosses. Methods are "Type.Method".
+// simulated event crosses; and the mapping table's reads and bit helpers,
+// which every dispatch decision in both worlds crosses. Methods are
+// "Type.Method".
 var hotpathRequired = map[string][]string{
+	"phttp/internal/cache":   {"Mapping.IsMapped", "Mapping.MaskWord", "Mapping.AppendNodesFor", "nodeMasks.word", "nodeMasks.setBit", "nodeMasks.clearBit"},
 	"phttp/internal/httpmsg": {"ReadRequestInto", "AppendResponseHead"},
 	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "sendHandoff"},
 	"phttp/internal/simcore": {"Engine.Step", "Engine.Call", "Engine.enqueue", "Resource.Call"},
 	"phttp/internal/sim":     {"connStep", "reqStep", "Sim.cpuCall", "Sim.diskCall", "Sim.feCall"},
+}
+
+// lockFreeRequired names, per package, the hot paths that must also take
+// no lock: the mapping table's reads, which every dispatch decision makes
+// and which stay lock-free so readers never wait on a node's writers.
+// Every name is also in hotpathRequired, so the gate cannot be lifted by
+// deleting an annotation or renaming the function.
+var lockFreeRequired = map[string][]string{
+	"phttp/internal/cache": {"Mapping.IsMapped", "Mapping.MaskWord", "Mapping.AppendNodesFor", "nodeMasks.word"},
+}
+
+// hotLockCalls are the lock acquisitions a lockFreeRequired function must
+// not make.
+var hotLockCalls = map[string]bool{
+	"sync.Mutex.Lock":    true,
+	"sync.RWMutex.Lock":  true,
+	"sync.RWMutex.RLock": true,
 }
 
 // hotAllocCalls are the standard-library calls the wire layer used to make
@@ -156,7 +179,7 @@ func calleeName(pass *Pass, call *ast.CallExpr) string {
 	return ""
 }
 
-func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
+func checkHotFunc(pass *Pass, fn *ast.FuncDecl, lockFree bool) {
 	sig, _ := pass.TypesInfo.Defs[fn.Name].Type().(*types.Signature)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -166,7 +189,7 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 			}
 			return false // the literal runs elsewhere; only capture matters here
 		case *ast.CallExpr:
-			checkHotCall(pass, fn, n)
+			checkHotCall(pass, fn, n, lockFree)
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isAllocatingConcat(pass, n) {
 				pass.Reportf(n.Pos(), "string concatenation in hot path %s allocates", fn.Name.Name)
@@ -216,7 +239,7 @@ func capturedVar(pass *Pass, lit *ast.FuncLit) string {
 	return captured
 }
 
-func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
+func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, lockFree bool) {
 	if pkgPath, name := pkgFunc(pass, call); pkgPath == "fmt" || pkgPath == "log" {
 		pass.Reportf(call.Pos(), "%s.%s call in hot path %s allocates (move formatting to a cold helper)", pathBase(pkgPath), name, fn.Name.Name)
 		return
@@ -224,6 +247,10 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
 	if callee := calleeName(pass, call); callee != "" {
 		if fix, bad := hotAllocCalls[callee]; bad {
 			pass.Reportf(call.Pos(), "%s call in hot path %s %s", callee, fn.Name.Name, fix)
+			return
+		}
+		if lockFree && hotLockCalls[callee] {
+			pass.Reportf(call.Pos(), "%s call in lock-free hot path %s (read through atomics; writers keep the lock)", callee, fn.Name.Name)
 			return
 		}
 	}

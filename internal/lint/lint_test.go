@@ -44,6 +44,10 @@ func TestHotpathGolden(t *testing.T) {
 	// internal/simcore with one annotation dropped, one function renamed
 	// and one deleted.
 	linttest.Run(t, "testdata/hotreqsim", "phttp/internal/simcore", lint.NewHotpath())
+	// So must the mapping table's reads, which must also take no lock: the
+	// fixture stands in for internal/cache with two reads that lock, one
+	// annotation dropped and one function renamed.
+	linttest.Run(t, "testdata/hotreqcache", "phttp/internal/cache", lint.NewHotpath())
 }
 
 func TestRefpairGolden(t *testing.T) {

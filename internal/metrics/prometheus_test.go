@@ -4,6 +4,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"phttp/internal/core"
@@ -109,6 +110,44 @@ func TestPromHistogramCumulative(t *testing.T) {
 	if got, _ := strconv.ParseFloat(m[1], 64); got != float64(sum) {
 		t.Errorf("m_sum = %v, want %d", got, sum)
 	}
+}
+
+// TestPromHistogramCountIsInfBucket scrapes a histogram while writers
+// record into it: every exposition's _count equals its +Inf bucket, since
+// the count is the sum of the buckets rather than a counter of its own.
+func TestPromHistogramCountIsInfBucket(t *testing.T) {
+	h := core.NewLatencyHist()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := g; ; v = (v*31 + 7) % 1_000_000 {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Record(v)
+				}
+			}
+		}()
+	}
+	infRe := regexp.MustCompile(`(?m)^m_bucket\{le="\+Inf"\} (\d+)$`)
+	countRe := regexp.MustCompile(`(?m)^m_count (\d+)$`)
+	for i := 0; i < 100; i++ {
+		var w PromWriter
+		w.Histogram("m", "help.", h, 1)
+		inf, count := infRe.FindStringSubmatch(w.String()), countRe.FindStringSubmatch(w.String())
+		if inf == nil || count == nil {
+			t.Fatalf("scrape %d lacks +Inf or _count:\n%s", i, w.String())
+		}
+		if inf[1] != count[1] {
+			t.Fatalf("scrape %d: +Inf bucket %s, _count %s", i, inf[1], count[1])
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestPromLinesWellFormed checks every emitted line against the text

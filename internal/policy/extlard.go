@@ -39,9 +39,9 @@ import (
 // is equivalent to LARD, as the paper notes.
 //
 // ExtLARD is safe for concurrent dispatch: the cost computation reads the
-// atomic load tracker and the per-node-locked mapping without any policy-wide
-// critical section, disk-queue reports land in atomic slots, and the
-// decision counters are atomic. Calls for a single connection must be
+// atomic load tracker and the mapping's lock-free node masks without any
+// policy-wide critical section, disk-queue reports land in atomic slots,
+// and the decision counters are atomic. Calls for a single connection must be
 // serialized by the caller (the dispatch engine's contract); racing
 // decisions across connections see slightly stale load/mapping state, which
 // is the paper's front-end exactly.

@@ -95,15 +95,23 @@ func pick(p Params, loads *core.LoadTracker, mapping *cache.Mapping, id core.Tar
 	return pickAmong(p, loads, mapping, id, candidates, nil)
 }
 
+// The target's node mask is read once per decision (once per 64-node word
+// the candidates span), not probed per candidate.
+//
 //phttp:hotpath
 func pickAmong(p Params, loads *core.LoadTracker, mapping *cache.Mapping, id core.TargetID, candidates []core.NodeID, mem *memberSet) core.NodeID {
 	best := core.NoNode
 	bestCost := 0.0
+	var mask uint64
+	maskWord := -1
 	for _, n := range candidates {
 		if mem != nil && !mem.eligible(n) {
 			continue
 		}
-		cost := p.Aggregate(loads.Load(n), mapping.IsMapped(id, n))
+		if w := int(n) >> 6; w != maskWord {
+			mask, maskWord = mapping.MaskWord(id, w), w
+		}
+		cost := p.Aggregate(loads.Load(n), mask&(1<<(uint(n)&63)) != 0)
 		if best == core.NoNode || cost < bestCost ||
 			(cost == bestCost && loads.Load(n) < loads.Load(best)) {
 			best, bestCost = n, cost

@@ -158,16 +158,15 @@ func RunPrepared(cfg Config, workload *trace.Trace) (Result, error) {
 // so parallel sweep workers share one across runs. Validation lives here —
 // the one entry point every run, direct or sweep-spawned, passes through.
 func runOn(cfg Config, workload *trace.Trace) (Result, error) {
-	return runOnEngine(cfg, workload, nil)
+	return runOnWorker(cfg, workload, newWorker())
 }
 
-// runOnEngine is runOn with a caller-owned event engine: sweep workers
-// hand each job the same worker-local engine (reset between runs), so a
-// worker's heap, lane rings and event-body slab are grown once and reused
-// across its grid points instead of being reallocated per run. They stay
-// strictly worker-local — no cross-worker sharing, no pool contention. A
-// nil engine means allocate a fresh one (the single-run entry points).
-func runOnEngine(cfg Config, workload *trace.Trace, eng *simcore.Engine) (Result, error) {
+// runOnWorker is runOn with caller-owned run state: sweep workers hand
+// each job the same worker (its engine and node caches reset between
+// runs), so the engine's heap, lane rings and event-body slab and the
+// caches' slabs and position tables are grown once and reused across the
+// worker's grid points instead of being reallocated per run.
+func runOnWorker(cfg Config, workload *trace.Trace, w *worker) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -201,11 +200,8 @@ func runOnEngine(cfg Config, workload *trace.Trace, eng *simcore.Engine) (Result
 			return Result{}, err
 		}
 	}
-	if eng == nil {
-		eng = simcore.NewEngine()
-	} else {
-		eng.Reset()
-	}
+	eng := w.eng
+	eng.Reset()
 	s := &Sim{
 		cfg:     cfg,
 		eng:     eng,
@@ -222,7 +218,7 @@ func runOnEngine(cfg Config, workload *trace.Trace, eng *simcore.Engine) (Result
 	}
 	s.nodes = make([]*node, cfg.Nodes)
 	for i := range s.nodes {
-		s.nodes[i] = &node{cpu: eng.NewResource(), disk: eng.NewResource(), cache: cache.NewIDLRU(cfg.CacheBytes)}
+		s.nodes[i] = &node{cpu: eng.NewResource(), disk: eng.NewResource(), cache: w.nodeCache(i, cfg.CacheBytes)}
 	}
 	s.warmConns = int(cfg.WarmupFrac * float64(len(workload.Conns)))
 	if s.warmConns == 0 {
@@ -492,7 +488,7 @@ func (s *Sim) connDone(cr *connRun) {
 		s.warmServed = s.served
 		s.warmBytes = s.servedBytes
 		s.warmDelaySum = s.delaySum
-		s.warmHist = s.hist.Clone()
+		s.warmHist = s.hist.Snapshot()
 		s.warmTime = s.eng.Now()
 		s.warmFEBusy = s.feBusy()
 		for i, n := range s.nodes {
@@ -533,7 +529,7 @@ func (c *connRun) open() {
 	s := c.sim
 	first := c.conn.Batches[0][0]
 	c.ec, _ = c.disp.ConnOpen(first)
-	costs := s.cfg.Server
+	costs := &s.cfg.Server
 	var forward core.Micros
 	if s.multiFE {
 		if owner := int(c.ec.State().OwnerFE); owner >= 0 && owner != c.fe {
@@ -560,7 +556,7 @@ func (c *connRun) open() {
 //phttp:hotpath
 func (c *connRun) step(phase int, n core.NodeID) {
 	s := c.sim
-	costs := s.cfg.Server
+	costs := &s.cfg.Server
 	switch phase {
 	case cpOpenFE:
 		s.fes[c.fe].Release()
@@ -608,7 +604,7 @@ func (c *connRun) reopen(dead core.NodeID) {
 	}
 	s.redispatches++
 	c.disp.MoveConn(c.ec, t)
-	costs := s.cfg.Server
+	costs := &s.cfg.Server
 	s.cpuCall(t, costs.HandoffBE+costs.ConnSetup, connStep, c, cpOpenBE)
 }
 
@@ -631,7 +627,7 @@ func (c *connRun) serveBatch() {
 // data path.
 func (c *connRun) serveRequest(r core.Request, a core.Assignment) {
 	s := c.sim
-	costs := s.cfg.Server
+	costs := &s.cfg.Server
 	rr := s.getReq(c, r, a)
 	switch {
 	case s.cfg.Combo.Mechanism == core.RelayFrontEnd:
@@ -678,7 +674,7 @@ type reqRun struct {
 func (rr *reqRun) step(phase int, n core.NodeID) {
 	c := rr.cr
 	s := c.sim
-	costs := s.cfg.Server
+	costs := &s.cfg.Server
 	switch phase {
 	case rqFE:
 		s.fes[c.fe].Release()
@@ -800,7 +796,7 @@ func (rr *reqRun) startLocal(n core.NodeID) {
 // content: the handling node receives and retransmits it.
 func (rr *reqRun) contentReady() {
 	s := rr.cr.sim
-	costs := s.cfg.Server
+	costs := &s.cfg.Server
 	s.cpuCall(rr.aux, costs.ForwardPerRequest+costs.ForwardRecv(rr.size)+costs.Transmit(rr.size), reqStep, rr, rqFwdXmit)
 }
 
@@ -873,7 +869,7 @@ func (rr *reqRun) finish(failed bool) {
 	}
 	// Connection complete: teardown at the handling node (none for the
 	// relaying front-end, which pays it on its own CPU).
-	costs := s.cfg.Server
+	costs := &s.cfg.Server
 	if s.cfg.Combo.Mechanism == core.RelayFrontEnd {
 		s.feCall(c.fe, costs.FEConn, connStep, c, cpCloseFE)
 		return
@@ -907,7 +903,7 @@ func (s *Sim) result() Result {
 	}
 	delta := s.hist
 	if s.warmHist != nil {
-		delta = s.hist.Clone()
+		delta = s.hist.Snapshot()
 		delta.Sub(s.warmHist)
 	}
 	res.Latency = Summarize(delta, s.cfg.SLOTarget)

@@ -7,7 +7,6 @@ import (
 
 	"phttp/internal/core"
 	"phttp/internal/dstate"
-	"phttp/internal/simcore"
 	"phttp/internal/trace"
 )
 
@@ -291,12 +290,12 @@ func TestHotEventsStayInLanes(t *testing.T) {
 			if !combo.PHTTP {
 				workload = flat
 			}
-			eng := simcore.NewEngine()
-			res, err := runOnEngine(DefaultConfig(nodes, combo), workload, eng)
+			w := newWorker()
+			res, err := runOnWorker(DefaultConfig(nodes, combo), workload, w)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", combo.Name, nodes, err)
 			}
-			if peak, max := eng.PeakHeap(), 1+2*nodes; peak < 1 || peak > max {
+			if peak, max := w.eng.PeakHeap(), 1+2*nodes; peak < 1 || peak > max {
 				t.Errorf("%s n=%d: heap peaked at %d keys over %d events, want 1..%d", combo.Name, nodes, peak, res.Events, max)
 			}
 		}

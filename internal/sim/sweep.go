@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"phttp/internal/cache"
 	"phttp/internal/core"
 	"phttp/internal/metrics"
 	"phttp/internal/server"
@@ -13,12 +14,37 @@ import (
 )
 
 // Sweeps are embarrassingly parallel: every grid point is an independent
-// simulation with its own engine, policy, caches and dispatch state, sharing
-// only the read-only trace. The workers below fan the grid out over
-// GOMAXPROCS goroutines and write each Result into its preassigned slot, so
-// the returned series and results are in exactly the order the serial loop
-// produced — and, because each run is deterministic in isolation, with
-// exactly the same values.
+// simulation with its own policy and dispatch state, on its worker's reset
+// engine and node caches, sharing only the read-only trace. The workers
+// below fan the grid out over GOMAXPROCS goroutines and write each Result
+// into its preassigned slot, so the returned series and results are in
+// exactly the order the serial loop produced — and, because each run is
+// deterministic in isolation, with exactly the same values.
+
+// worker is one sweep worker's reusable run state: the event engine and the
+// nodes' cache models. Both grow to the largest grid point the worker has
+// run and are reset, not rebuilt, for the next. Strictly worker-local —
+// sharing them across workers (e.g. through a sync.Pool) would bounce
+// their cache lines between cores for no benefit.
+type worker struct {
+	eng    *simcore.Engine
+	caches []*cache.IDLRU
+}
+
+func newWorker() *worker { return &worker{eng: simcore.NewEngine()} }
+
+// nodeCache returns node i's cache model for a run: the worker's own,
+// emptied and resized to capacity, or a new one the first time the worker
+// runs that many nodes.
+func (w *worker) nodeCache(i int, capacity int64) *cache.IDLRU {
+	if i < len(w.caches) {
+		w.caches[i].Reset(capacity)
+		return w.caches[i]
+	}
+	c := cache.NewIDLRU(capacity)
+	w.caches = append(w.caches, c)
+	return c
+}
 
 // sweepJob is one grid point: a prepared config plus its result slot.
 type sweepJob struct {
@@ -41,9 +67,9 @@ func runJobs(jobs []sweepJob, results []Result, workers int) error {
 		workers = len(jobs)
 	}
 	if workers <= 1 {
-		eng := simcore.NewEngine()
+		w := newWorker()
 		for _, j := range jobs {
-			res, err := runOnEngine(j.cfg, j.workload, eng)
+			res, err := runOnWorker(j.cfg, j.workload, w)
 			if err != nil {
 				clear(results)
 				return err
@@ -62,21 +88,16 @@ func runJobs(jobs []sweepJob, results []Result, workers int) error {
 	// does not grind through the whole grid first.
 	errs := make([]error, len(results))
 	ch := make(chan sweepJob)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one engine: its event heap, lane rings and
-			// body slab grow to the largest grid point it runs and are
-			// reused for the rest. Strictly worker-local — sharing them
-			// across workers (e.g. through a sync.Pool) would bounce their
-			// cache lines between cores for no benefit.
-			eng := simcore.NewEngine()
+			w := newWorker()
 			for j := range ch {
 				if failed.Load() {
 					continue
 				}
-				res, err := runOnEngine(j.cfg, j.workload, eng)
+				res, err := runOnWorker(j.cfg, j.workload, w)
 				if err != nil {
 					errs[j.slot] = err
 					failed.Store(true)

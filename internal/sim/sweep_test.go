@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,48 @@ func TestRunGridMatchesSerial(t *testing.T) {
 		if direct, _ := Run(cfg, tr); !reflect.DeepEqual(direct, prepared) {
 			t.Errorf("%s: RunPrepared differs from Run:\ndirect:   %+v\nprepared: %+v", cfg.Combo.Name, direct, prepared)
 		}
+	}
+}
+
+// TestWorkerReusesNodeCaches: a worker's second grid point runs on the
+// node cache models its first one grew — the same ones, reset — with the
+// same result, and allocates no node-cache tables. The same point on a
+// worker whose caches start empty allocates at least a slab and a position
+// table more per node.
+func TestWorkerReusesNodeCaches(t *testing.T) {
+	combo, err := ComboByName("BEforward-extLARD-PHTTP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodes = 4
+	cfg := DefaultConfig(nodes, combo)
+	tr := sweepTrace()
+	w := newWorker()
+	first, err := runOnWorker(cfg, tr, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caches := slices.Clone(w.caches)
+	var again Result
+	reused := testing.AllocsPerRun(1, func() { again, err = runOnWorker(cfg, tr, w) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("a reused worker's run differs:\nfirst: %+v\nagain: %+v", first, again)
+	}
+	if !slices.Equal(caches, w.caches) || len(caches) != nodes {
+		t.Fatalf("the worker's %d node caches were replaced, want the first run's %d kept", len(w.caches), len(caches))
+	}
+	fresh := testing.AllocsPerRun(1, func() {
+		if _, err := runOnWorker(cfg, tr, &worker{eng: w.eng}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per run: %.0f with the worker's caches, %.0f with empty ones", reused, fresh)
+	if fresh-reused < 2*nodes {
+		t.Errorf("empty node caches cost %.0f allocations over reused ones, want at least %d (a slab and a position table per node)",
+			fresh-reused, 2*nodes)
 	}
 }
 
