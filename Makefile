@@ -59,8 +59,8 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # Short coverage-guided runs of the fuzz targets: every parser that faces
-# a socket — the httpmsg request/response parsers, the control line between
-# front-end and back-ends and the handoff header — and the simulator's
+# a socket — the httpmsg request/response parsers and the control line
+# between front-end and back-ends, HANDOFF included — and the simulator's
 # event order against its reference heap; CI runs the same on each push.
 # Longer local sessions: go test -fuzz <target> -fuzztime 5m <package>
 fuzz-smoke:
@@ -68,7 +68,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadRequestInterned$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadResponse$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCtrl$$' -fuzztime=10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz 'FuzzHandoffHeader$$' -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineOrder$$' -fuzztime=10s ./internal/simcore/
 
 # The benchmark (BENCHMARK.json, benchmark/) is a module of its own,

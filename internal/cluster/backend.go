@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -34,12 +35,12 @@ type BackendConfig struct {
 	SimulateCPU bool
 	// TimeScale divides all simulated latencies (CPU and disk).
 	TimeScale float64
-	// HandoffSocket is the filesystem path of the UNIX socket on which
-	// the node accepts handed-off connections.
+	// HandoffSocket is the path of the UNIX socket on which the node
+	// accepts front-end sessions that hand connections off.
 	HandoffSocket string
-	// CtrlListen and PeerListen are the TCP listen addresses; empty means
-	// an ephemeral loopback port (the in-process harness default). The
-	// standalone phttp-backend binary sets fixed ports here.
+	// CtrlListen (relaying front-ends) and PeerListen (lateral fetches) are
+	// the TCP listen addresses; empty means an ephemeral loopback port (the
+	// in-process harness default). phttp-backend sets fixed ports here.
 	CtrlListen string
 	PeerListen string
 	// DiskReportEvery is the control-session disk queue report interval.
@@ -91,11 +92,9 @@ type Backend struct {
 
 	// ctrls holds every live front-end control session — a scale-out
 	// tier connects one per front-end — so disk-queue reports (which
-	// double as heartbeats) broadcast to all of them, not just the last
-	// to say HELLO. reportOnce starts the report loop with the first.
-	ctrlMu     sync.Mutex // guards the set and ctrl writes (disk reports)
-	ctrls      map[net.Conn]struct{}
-	reportOnce sync.Once
+	// double as heartbeats) broadcast to all of them.
+	ctrlMu sync.Mutex // guards the set and ctrl writes (disk reports)
+	ctrls  map[net.Conn]struct{}
 
 	dataMu sync.Mutex // guards relay data conn writes
 	data   net.Conn
@@ -169,10 +168,11 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 		b.peerLn.Close()
 		return nil, fmt.Errorf("cluster: backend %v handoff listen: %w", cfg.ID, err)
 	}
-	b.wg.Add(3)
-	go b.acceptCtrl()
-	go b.acceptHandoff()
-	go b.acceptPeers()
+	b.wg.Add(4)
+	go b.acceptLoop(b.ctrlLn, b.serveCtrlConn)
+	go b.acceptLoop(b.handoffLn, b.serveSession)
+	go b.acceptLoop(b.peerLn, b.servePeer)
+	go b.reportDiskLoop()
 	return b, nil
 }
 
@@ -251,12 +251,12 @@ func (b *Backend) Close() {
 	b.wg.Wait()
 }
 
-// acceptCtrl accepts the front-end's control (and relay data) connections.
-// The first line of each connection announces its role.
-func (b *Backend) acceptCtrl() {
+// acceptLoop accepts connections on ln until it closes and serves each on a
+// goroutine of its own.
+func (b *Backend) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 	defer b.wg.Done()
 	for {
-		conn, err := b.ctrlLn.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
@@ -267,11 +267,21 @@ func (b *Backend) acceptCtrl() {
 		go func() {
 			defer b.wg.Done()
 			defer b.untrack(conn)
-			b.serveCtrlConn(conn)
+			serve(conn)
 		}()
 	}
 }
 
+// serveSession serves a front-end's session on the UNIX socket, which
+// carries the handed-off descriptors ahead of the lines that use them.
+func (b *Backend) serveSession(conn net.Conn) {
+	sr := &sessionReader{uc: conn.(*net.UnixConn)}
+	b.runSession(conn, bufio.NewReaderSize(sr, ctrlBufBytes), sr)
+	sr.close()
+}
+
+// serveCtrlConn serves a relaying front-end's TCP connections. The first
+// line announces the role: the control session or the data session.
 func (b *Backend) serveCtrlConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, ctrlBufBytes)
 	hello, err := br.ReadString('\n')
@@ -281,21 +291,7 @@ func (b *Backend) serveCtrlConn(conn net.Conn) {
 	}
 	switch hello {
 	case "HELLO CTRL\n":
-		b.ctrlMu.Lock()
-		b.ctrls[conn] = struct{}{}
-		b.ctrlMu.Unlock()
-		b.reportOnce.Do(func() {
-			b.wg.Add(1)
-			go func() {
-				defer b.wg.Done()
-				b.reportDiskLoop()
-			}()
-		})
-		b.ctrlLoop(br)
-		b.ctrlMu.Lock()
-		delete(b.ctrls, conn)
-		b.ctrlMu.Unlock()
-		conn.Close()
+		b.runSession(conn, br, nil)
 	case "HELLO DATA\n":
 		b.dataMu.Lock()
 		b.data = conn
@@ -308,14 +304,29 @@ func (b *Backend) serveCtrlConn(conn net.Conn) {
 	}
 }
 
+// runSession serves one front-end control session until it ends: it joins
+// the set that disk-queue reports and refusals go to, and ctrlLoop consumes
+// its lines. fds is a UNIX session's received descriptors (nil for TCP).
+func (b *Backend) runSession(conn net.Conn, br *bufio.Reader, fds *sessionReader) {
+	b.ctrlMu.Lock()
+	b.ctrls[conn] = struct{}{}
+	b.ctrlMu.Unlock()
+	b.ctrlLoop(br, fds)
+	b.ctrlMu.Lock()
+	delete(b.ctrls, conn)
+	b.ctrlMu.Unlock()
+	conn.Close()
+}
+
 // ctrlLoop consumes control messages from the front-end. A pipelined batch
 // arrives as one read; each line is parsed in place, its target resolved
 // against the document table while it is still bytes in the read buffer,
 // and the result queued on its connection. The connection is woken once
 // the lines already read hold nothing more for it, so its serve goroutine
 // finds the whole batch. Nothing here waits on a client: a connection that
-// cannot take more is refused (see enqueue).
-func (b *Backend) ctrlLoop(br *bufio.Reader) {
+// cannot take more is refused (see enqueue), and the cost of taking over a
+// handed-off connection is charged on its own goroutine (serveConn).
+func (b *Backend) ctrlLoop(br *bufio.Reader, fds *sessionReader) {
 	var queued *beConn // has entries its serve goroutine was not told about
 	for {
 		if queued != nil && !lineBuffered(br) {
@@ -323,6 +334,9 @@ func (b *Backend) ctrlLoop(br *bufio.Reader) {
 			queued = nil
 		}
 		msg, err := readCtrl(br)
+		if err == nil && msg.Kind == kindHandoff {
+			err = b.adopt(msg.Conn, fds)
+		}
 		if err != nil {
 			if queued != nil {
 				queued.q.signal()
@@ -342,7 +356,7 @@ func (b *Backend) ctrlLoop(br *bufio.Reader) {
 			})
 		case kindRelay:
 			b.connMu.Lock()
-			b.connLocked(msg.Conn, true)
+			b.connLocked(msg.Conn, true, nil)
 			b.connMu.Unlock()
 			continue
 		case kindClose:
@@ -364,42 +378,33 @@ func lineBuffered(br *bufio.Reader) bool {
 	return bytes.IndexByte(buffered, '\n') >= 0
 }
 
-// acceptHandoff receives handed-off client connections from the front-end.
-func (b *Backend) acceptHandoff() {
-	defer b.wg.Done()
-	for {
-		uc, err := b.handoffLn.AcceptUnix()
-		if err != nil {
-			return
-		}
-		if !b.track(uc) {
-			return
-		}
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			defer b.untrack(uc)
-			defer uc.Close()
-			for {
-				id, conn, err := RecvConnFD(uc)
-				if err != nil {
-					return
-				}
-				// The paper's handoff costs: the back-end's protocol
-				// module takes over the connection and creates the
-				// server-side socket state.
-				b.cpu.use(b.cfg.Costs.HandoffBE + b.cfg.Costs.ConnSetup)
-				b.connMu.Lock()
-				b.connLocked(id, false).setWriter(conn)
-				b.connMu.Unlock()
-			}
-		}()
+// adopt creates handed-off connection id's record around the oldest
+// descriptor the session received, which travels ahead of its HANDOFF
+// line: a HANDOFF that finds none ends the session. A second HANDOFF of a
+// live connection leaves the first socket in place.
+func (b *Backend) adopt(id core.ConnID, fds *sessionReader) error {
+	fd, ok := fds.claim()
+	if !ok {
+		return errors.New("cluster: HANDOFF with no descriptor")
 	}
+	f, err := adoptFD(fd)
+	if err != nil {
+		return err
+	}
+	b.connMu.Lock()
+	defer b.connMu.Unlock()
+	if _, dup := b.conns[id]; dup {
+		f.Close()
+		return nil
+	}
+	b.connLocked(id, false, f)
+	return nil
 }
 
 // reportDiskLoop periodically reports the disk queue depth to the
 // front-end, as the prototype's control sessions do.
 func (b *Backend) reportDiskLoop() {
+	defer b.wg.Done()
 	t := time.NewTicker(b.cfg.DiskReportEvery)
 	defer t.Stop()
 	var line []byte
@@ -421,59 +426,43 @@ func (b *Backend) reportDiskLoop() {
 	}
 }
 
-// acceptPeers serves lateral fetches from other back-ends: plain HTTP over
-// persistent connections.
-func (b *Backend) acceptPeers() {
-	defer b.wg.Done()
+// servePeer serves lateral fetches from another back-end: plain HTTP over
+// a persistent connection.
+func (b *Backend) servePeer(conn net.Conn) {
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	bw := bufio.NewWriterSize(conn, 32<<10)
+	var req httpmsg.Request
+	var hb [128]byte
 	for {
-		conn, err := b.peerLn.Accept()
-		if err != nil {
+		if err := httpmsg.ReadRequestInto(br, nil, &req); err != nil {
 			return
 		}
-		if !b.track(conn) {
-			return
-		}
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			defer b.untrack(conn)
-			defer conn.Close()
-			br := bufio.NewReader(conn)
-			bw := bufio.NewWriterSize(conn, 32<<10)
-			var req httpmsg.Request
-			var hb [128]byte
-			for {
-				if err := httpmsg.ReadRequestInto(br, nil, &req); err != nil {
-					return
-				}
-				// The remote side of a lateral fetch: per-request work
-				// plus the forwarding overhead, content from cache or
-				// disk.
-				b.cpu.use(b.cfg.Costs.PerRequest + b.cfg.Costs.ForwardPerRequest)
-				dc := b.store.docs[core.Target(req.Target)]
-				if dc == nil {
-					body := "Not Found\n"
-					bw.Write(httpmsg.AppendResponseHead(hb[:0], "HTTP/1.1", 404, int64(len(body)), true))
-					bw.WriteString(body)
-					if err := bw.Flush(); err != nil {
-						return
-					}
-					continue
-				}
-				if !b.store.cached(dc) {
-					b.store.read(dc)
-				}
-				if _, err := bw.Write(httpmsg.AppendResponseHead(hb[:0], "HTTP/1.1", 200, dc.size, true)); err != nil {
-					return
-				}
-				if err := writePattern(bw, dc.pattern(), dc.size); err != nil {
-					return
-				}
-				if err := bw.Flush(); err != nil {
-					return
-				}
+		// The remote side of a lateral fetch: per-request work plus the
+		// forwarding overhead, content from cache or disk.
+		b.cpu.use(b.cfg.Costs.PerRequest + b.cfg.Costs.ForwardPerRequest)
+		dc := b.store.docs[core.Target(req.Target)]
+		if dc == nil {
+			body := "Not Found\n"
+			bw.Write(httpmsg.AppendResponseHead(hb[:0], "HTTP/1.1", 404, int64(len(body)), true))
+			bw.WriteString(body)
+			if err := bw.Flush(); err != nil {
+				return
 			}
-		}()
+			continue
+		}
+		if !b.store.cached(dc) {
+			b.store.read(dc)
+		}
+		if _, err := bw.Write(httpmsg.AppendResponseHead(hb[:0], "HTTP/1.1", 200, dc.size, true)); err != nil {
+			return
+		}
+		if err := writePattern(bw, dc.pattern(), dc.size); err != nil {
+			return
+		}
+		if err := bw.Flush(); err != nil {
+			return
+		}
 	}
 }
 

@@ -18,13 +18,12 @@ import (
 )
 
 // fakeFE drives one Backend directly over the wire protocol, standing in
-// for the front-end: it owns the control session, the handoff socket and a
-// client TCP pair.
+// for the front-end: it owns the session on the back-end's UNIX socket,
+// which carries the handoffs and the lines that use them.
 type fakeFE struct {
 	t    *testing.T
 	be   *cluster.Backend
-	ctrl net.Conn
-	ho   *net.UnixConn
+	sess *net.UnixConn
 }
 
 func newBackendPair(t *testing.T) (*cluster.Backend, *cluster.Backend, *fakeFE) {
@@ -54,24 +53,12 @@ func newBackendPair(t *testing.T) (*cluster.Backend, *cluster.Backend, *fakeFE) 
 	be0.SetPeers(peers)
 	be1.SetPeers(peers)
 
-	ctrl, err := net.Dial("tcp", be0.CtrlAddr())
+	sess, err := net.DialUnix("unix", nil, &net.UnixAddr{Name: be0.HandoffPath(), Net: "unix"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ctrl.Close() })
-	if _, err := io.WriteString(ctrl, "HELLO CTRL\n"); err != nil {
-		t.Fatal(err)
-	}
-	raddr, err := net.ResolveUnixAddr("unix", be0.HandoffPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ho, err := net.DialUnix("unix", nil, raddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ho.Close() })
-	return be0, be1, &fakeFE{t: t, be: be0, ctrl: ctrl, ho: ho}
+	t.Cleanup(func() { sess.Close() })
+	return be0, be1, &fakeFE{t: t, be: be0, sess: sess}
 }
 
 // handoff creates a client TCP pair, hands the server side to the backend
@@ -98,7 +85,7 @@ func (f *fakeFE) handoff(connID core.ConnID) net.Conn {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	if err := cluster.SendConnFD(f.ho, connID, file); err != nil {
+	if err := cluster.SendConnFD(f.sess, connID, file); err != nil {
 		f.t.Fatal(err)
 	}
 	file.Close()
@@ -110,7 +97,7 @@ func (f *fakeFE) handoff(connID core.ConnID) net.Conn {
 
 func (f *fakeFE) send(line string) {
 	f.t.Helper()
-	if _, err := io.WriteString(f.ctrl, line); err != nil {
+	if _, err := io.WriteString(f.sess, line); err != nil {
 		f.t.Fatal(err)
 	}
 }
@@ -190,8 +177,8 @@ func TestBackendPipelinedOrderPreserved(t *testing.T) {
 
 func TestBackendDiskReports(t *testing.T) {
 	_, _, fe := newBackendPair(t)
-	br := bufio.NewReader(fe.ctrl)
-	fe.ctrl.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(fe.sess)
+	fe.sess.SetReadDeadline(time.Now().Add(10 * time.Second))
 	line, err := br.ReadString('\n')
 	if err != nil {
 		t.Fatalf("no disk report: %v", err)
@@ -298,29 +285,35 @@ func TestDeepBurstFromReadingClientIsServed(t *testing.T) {
 }
 
 // A relayed connection has no socket at the back-end to reset, so a refusal
-// is said on the control session: CLOSE <conn>, on which the front-end
+// is said on the control sessions: CLOSE <conn>, on which the front-end
 // closes the client. Here the data session is not read, so frames stop
-// leaving and the connection's queue runs into its bound.
+// leaving and the connection's queue runs into its bound. Relay runs over
+// TCP sessions.
 func TestRelayedRefusalIsReported(t *testing.T) {
 	be, _, fe := newBackendPair(t)
-	data, err := net.Dial("tcp", be.CtrlAddr())
-	if err != nil {
-		t.Fatal(err)
+	hello := func(role string) net.Conn {
+		conn, err := net.Dial("tcp", be.CtrlAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := io.WriteString(conn, role); err != nil {
+			t.Fatal(err)
+		}
+		return conn
 	}
-	defer data.Close()
-	if _, err := io.WriteString(data, "HELLO DATA\n"); err != nil {
-		t.Fatal(err)
-	}
+	ctrl := hello("HELLO CTRL\n")
+	hello("HELLO DATA\n")
 
 	var burst strings.Builder
 	burst.WriteString("RELAY 20\n")
 	for seq := 0; seq < 12000; seq++ { // 36 MB of frames nobody reads
 		fmt.Fprintf(&burst, "REQ 20 %d HTTP/1.1 1 - /local\n", seq)
 	}
-	go io.WriteString(fe.ctrl, burst.String())
+	go io.WriteString(ctrl, burst.String())
 
-	fe.ctrl.SetReadDeadline(time.Now().Add(30 * time.Second))
-	br := bufio.NewReader(fe.ctrl)
+	ctrl.SetReadDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(ctrl)
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil {

@@ -122,15 +122,17 @@ func logControlWrites(fe *FrontEnd) []*writeLog {
 
 // With handoff or back-end forwarding a batch is one control write, to the
 // handling node, whatever the batch's size and wherever its documents live.
+// The first batch is the handoff's sendmsg (TestHandoffRidesFirstBatch reads
+// it at a stub back-end); the log, which a handoff cannot go through, is
+// interposed behind it.
 func TestFrontEndOneControlWritePerBatch(t *testing.T) {
 	for _, tc := range []struct {
 		policy string
 		mech   core.Mechanism
 	}{{"extlard", core.BEForwarding}, {"lard", core.SingleHandoff}} {
 		t.Run(tc.mech.String(), func(t *testing.T) {
-			catalog, targets := batchCatalog(24, 300)
+			catalog, targets := batchCatalog(32, 300)
 			cl := batchCluster(t, 3, tc.policy, tc.mech, catalog)
-			logs := logControlWrites(cl.FE)
 
 			conn, err := net.Dial("tcp", cl.Addr())
 			if err != nil {
@@ -138,6 +140,8 @@ func TestFrontEndOneControlWritePerBatch(t *testing.T) {
 			}
 			defer conn.Close()
 			br := bufio.NewReader(conn)
+			pipeline(t, conn, br, targets[24:28]...)
+			logs := logControlWrites(cl.FE)
 			handling := -1
 			for b, size := range []int{4, 1, 7} {
 				pipeline(t, conn, br, targets[b*8:b*8+size]...)
@@ -164,6 +168,43 @@ func TestFrontEndOneControlWritePerBatch(t *testing.T) {
 				t.Fatal("no control write seen")
 			}
 		})
+	}
+}
+
+// A request pipelined behind one that ends the connection (Connection:
+// close) is not dispatched: the client gets one response, then the end of
+// the stream, and the back-end, which ends the stream behind that response,
+// is never asked to write into it.
+func TestNoDispatchAfterConnectionClose(t *testing.T) {
+	catalog, targets := batchCatalog(2, 300)
+	cl := batchCluster(t, 1, "lard", core.SingleHandoff, catalog)
+	conn, err := net.Dial("tcp", cl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(20 * time.Second))
+	if _, err := fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: cluster\r\nConnection: close\r\n\r\nGET %s HTTP/1.1\r\nHost: cluster\r\n\r\n", targets[0], targets[1]); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if status, _ := readResponse(t, br); status != 200 {
+		t.Fatalf("status %d", status)
+	}
+	if b, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("after the last response: byte %q, %v; want the end of the stream", b, err)
+	}
+	conn.Close()
+	for deadline := time.Now().Add(10 * time.Second); cl.FE.Engine().Active() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the connection is still open at the front-end")
+		}
+	}
+	if got := cl.FE.Requests(); got != 1 {
+		t.Errorf("FE.Requests() = %d, want 1", got)
+	}
+	if got := cl.BEs[0].Aborted(); got != 0 {
+		t.Errorf("Aborted() = %d, want 0", got)
 	}
 }
 
@@ -291,9 +332,17 @@ func (s *scriptConn) SetWriteDeadline(time.Time) error {
 	return nil
 }
 
+// handedOff creates connection id's record around client socket out, as a
+// HANDOFF does.
+func handedOff(be *Backend, id core.ConnID, out clientSocket) *beConn {
+	be.connMu.Lock()
+	defer be.connMu.Unlock()
+	return be.connLocked(id, false, out)
+}
+
 // The back-end answers what one drain of a connection's queue produced with
-// one write on the client socket — here: a batch queued before the socket
-// arrives, then a batch queued while the connection idles — and error
+// one write on the client socket — here: the batch the connection is handed
+// off with, then a batch queued while the connection idles — and error
 // responses travel in the same write, in order. Neither a cache miss that
 // costs no time (the second batch's documents are not cached; the store has
 // no disk model) nor anything else splits the write, and a write with a
@@ -343,8 +392,8 @@ func TestBackendOneClientWritePerDrain(t *testing.T) {
 		return w
 	}
 
-	c := queue(targets[0], targets[1], targets[2], targets[3])
-	c.setWriter(out) // the handoff arrives: the serve goroutine starts on a full queue
+	handedOff(be, id, out)
+	queue(targets[0], targets[1], targets[2], targets[3]).q.signal()
 	first := awaitWrite("first batch")
 	if got := bytes.Count(first, []byte("HTTP/1.1 200 OK\r\n")); got != 4 {
 		t.Errorf("first write carries %d responses, want 4", got)
@@ -391,11 +440,11 @@ func TestBackendFlushesBeforeDiskRead(t *testing.T) {
 	be.store.Open(targets[0])
 
 	out := &scriptConn{wrote: make(chan struct{}, 4)}
-	var c *beConn
+	c := handedOff(be, 9, out)
 	for seq, name := range targets { // cached, then not
-		c = be.enqueue(9, beReq{kind: kindReq, proto: proto11, keep: true, seq: seq, remote: core.NoNode, doc: be.store.lookup([]byte(name))})
+		be.enqueue(9, beReq{kind: kindReq, proto: proto11, keep: true, seq: seq, remote: core.NoNode, doc: be.store.lookup([]byte(name))})
 	}
-	c.setWriter(out)
+	c.q.signal()
 	for i := 0; i < 2; i++ {
 		select {
 		case <-out.wrote:
@@ -428,11 +477,11 @@ func TestBackendLargeBodyKeepsWriteSize(t *testing.T) {
 	be.store.Open("/big")
 	be.store.Open("/small")
 	out := &scriptConn{wrote: make(chan struct{}, 64)}
-	var c *beConn
+	c := handedOff(be, 9, out)
 	for seq, name := range []string{"/small", "/big", "/small"} {
-		c = be.enqueue(9, beReq{kind: kindReq, proto: proto11, keep: true, seq: seq, remote: core.NoNode, doc: be.store.lookup([]byte(name))})
+		be.enqueue(9, beReq{kind: kindReq, proto: proto11, keep: true, seq: seq, remote: core.NoNode, doc: be.store.lookup([]byte(name))})
 	}
-	c.setWriter(out)
+	c.q.signal()
 	deadline := time.After(10 * time.Second)
 	total := 0
 	for total < size+400 {

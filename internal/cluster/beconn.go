@@ -60,9 +60,8 @@ type reqQueue struct {
 	n    int
 	shut bool
 	// wake holds a token whenever something may have changed since the
-	// consumer last looked — entries queued, the connection's writer
-	// arrived, the queue shut; a consumer that found nothing to do waits
-	// on it. Spurious tokens are harmless.
+	// consumer last looked — entries queued, the queue shut; a consumer
+	// that found nothing to do waits on it. Spurious tokens are harmless.
 	wake chan struct{}
 }
 
@@ -154,17 +153,12 @@ func (q *reqQueue) reset() {
 	}
 }
 
-func (q *reqQueue) isShut() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.shut
-}
-
 // beConn is one client connection owned by this back-end (after handoff) or
 // relayed through the front-end.
 //
-// Lifetime: created by the first control message or handoff that names the
-// connection, with its serve goroutine; retired by that goroutine when the
+// Lifetime: created by the HANDOFF that brings its client socket (or, for a
+// relayed connection, the first control message that names it), with its
+// serve goroutine; retired by that goroutine when the
 // connection's CLOSE has been processed, and only then returned to
 // beConnPool. Every other goroutine reaches a beConn through
 // Backend.conns under connMu and lets go of it before unlocking — except
@@ -184,7 +178,7 @@ type beConn struct {
 }
 
 // clientSocket is what a back-end uses of a handed-off client socket: the
-// *os.File RecvConnFD adopts the descriptor as.
+// *os.File adoptFD makes of the descriptor.
 type clientSocket interface {
 	io.WriteCloser
 	SetWriteDeadline(time.Time) error
@@ -193,23 +187,6 @@ type clientSocket interface {
 var beConnPool = sync.Pool{New: func() any {
 	return &beConn{q: reqQueue{wake: make(chan struct{}, 1)}}
 }}
-
-// setWriter installs the handed-off client socket on the connection. A
-// connection refused before its socket arrived (control messages can
-// overtake the handoff) resets the socket instead.
-func (c *beConn) setWriter(conn clientSocket) {
-	c.outMu.Lock()
-	switch {
-	case c.out != nil:
-		conn.Close() // duplicate handoff; keep the first
-	case c.q.isShut():
-		resetSocket(conn)
-	default:
-		c.out = conn
-	}
-	c.outMu.Unlock()
-	c.q.signal()
-}
 
 // resetSocket ends a client connection from the back-end's side. Closing
 // the handed-off descriptor alone would not: the front-end holds another
@@ -365,7 +342,7 @@ func (b *Backend) tellClosed(id core.ConnID) {
 // cannot take more is refused (see reqQueue.push).
 func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 	b.connMu.Lock()
-	c := b.connLocked(id, false)
+	c := b.connLocked(id, false, nil)
 	refused := false
 	switch c.q.push(r) {
 	case 0:
@@ -389,13 +366,14 @@ func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 }
 
 // connLocked returns the connection record, creating it (and its serve
-// goroutine) on first reference. Callers hold connMu.
-func (b *Backend) connLocked(id core.ConnID, relay bool) *beConn {
+// goroutine) on first reference, with client socket out. Callers hold
+// connMu.
+func (b *Backend) connLocked(id core.ConnID, relay bool, out clientSocket) *beConn {
 	if c, ok := b.conns[id]; ok {
 		return c
 	}
 	c := beConnPool.Get().(*beConn)
-	c.id, c.relay = id, relay
+	c.id, c.relay, c.out = id, relay, out
 	b.conns[id] = c
 	b.wg.Add(1)
 	go b.serveConn(c)
@@ -418,28 +396,32 @@ func (b *Backend) retire(c *beConn) {
 }
 
 // serveConn processes one connection's request queue in order, writing
-// responses to the client socket (or relay frames to the front-end). Each
-// time the queue runs dry it flushes what the drain produced — one write
-// for a pipelined batch — and gives the buffer back before it waits.
+// responses to the client socket (or relay frames to the front-end). It
+// waits to be woken before each drain — the first too: the control loop
+// wakes a connection once its batch is queued whole. Each time the queue
+// runs dry it flushes what the drain produced — one write for a pipelined
+// batch — and gives the buffer back before it waits.
 //
 //phttp:hotpath
 func (b *Backend) serveConn(c *beConn) {
 	defer b.wg.Done()
 	w := respWriter{b: b, c: c}
-	for !c.relay && c.writer() == nil {
-		// Control messages can overtake the handoff that carries the
-		// socket; nothing can be answered until it is here.
-		select {
-		case <-c.q.wake:
-			if c.q.isShut() {
-				return // refused before it was ever served; CLOSE clears it
-			}
-		case <-b.closed:
-			b.retire(c)
-			return
-		}
+	if c.writer() != nil {
+		// The paper's handoff costs (taking the connection over, creating
+		// the server-side socket state), charged here, not on the session,
+		// which goes on feeding every other connection meanwhile.
+		b.cpu.use(b.cfg.Costs.HandoffBE + b.cfg.Costs.ConnSetup)
 	}
-	for {
+	for wait := true; ; {
+		if wait {
+			select {
+			case <-c.q.wake:
+			case <-b.closed:
+				b.retire(c)
+				return
+			}
+			wait = false
+		}
 		r, ok, shut := c.q.pop()
 		if shut {
 			w.drop()
@@ -451,12 +433,7 @@ func (b *Backend) serveConn(c *beConn) {
 				return
 			}
 			yieldThread() // the batch is answered; next comes a wait for the front-end
-			select {
-			case <-c.q.wake:
-			case <-b.closed:
-				b.retire(c)
-				return
-			}
+			wait = true
 			continue
 		}
 		if r.kind == kindClose {

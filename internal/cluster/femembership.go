@@ -189,23 +189,7 @@ func (fe *FrontEnd) AddBackend(id core.NodeID, ep BackendEndpoints) error {
 	default:
 	}
 	link := fe.links[id]
-	link.ctrlMu.Lock()
-	if link.ctrl != nil {
-		link.ctrl.Close()
-		link.ctrl = nil
-	}
-	if link.data != nil {
-		link.data.Close()
-		link.data = nil
-	}
-	link.ctrlMu.Unlock()
-	link.hoMu.Lock()
-	if link.handoff != nil {
-		link.handoff.Close()
-		link.handoff = nil
-	}
-	link.hoMu.Unlock()
-
+	link.close()
 	fresh, err := fe.dialRetry(id, ep)
 	if err != nil {
 		fe.mem.MarkDown(id)
@@ -214,9 +198,6 @@ func (fe *FrontEnd) AddBackend(id core.NodeID, ep BackendEndpoints) error {
 	link.ctrlMu.Lock()
 	link.ctrl, link.data = fresh.ctrl, fresh.data
 	link.ctrlMu.Unlock()
-	link.hoMu.Lock()
-	link.handoff = fresh.handoff
-	link.hoMu.Unlock()
 	fe.endpoints[id] = ep
 	fe.mem.MarkUp(id, time.Now())
 	return nil

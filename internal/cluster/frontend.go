@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -140,8 +141,9 @@ const (
 )
 
 // BackendEndpoints tells the front-end how to reach one back-end: the TCP
-// control address and the UNIX handoff socket path. Peer addresses are the
-// back-ends' business (SetPeers), not the front-end's.
+// control address, which a relaying front-end dials, and the UNIX socket
+// path, which the other mechanisms dial. Peer addresses are the back-ends'
+// business (SetPeers), not the front-end's.
 type BackendEndpoints struct {
 	Ctrl    string
 	Handoff string
@@ -151,13 +153,24 @@ type BackendEndpoints struct {
 type beLink struct {
 	id core.NodeID
 
-	ctrlMu sync.Mutex
+	// ctrl is the control session: the back-end's UNIX socket, which also
+	// carries the handed-off descriptors, or when relaying a TCP stream.
+	ctrlMu sync.Mutex // guards the conns and serializes writes to ctrl
 	ctrl   net.Conn
+	data   net.Conn // relay data connection (reads only at FE)
+}
 
-	hoMu    sync.Mutex
-	handoff *net.UnixConn
-
-	data net.Conn // relay data connection (reads only at FE)
+// close tears the link's sessions down; their read loops drain and exit on
+// their own conns.
+func (l *beLink) close() {
+	l.ctrlMu.Lock()
+	defer l.ctrlMu.Unlock()
+	for _, c := range []net.Conn{l.ctrl, l.data} {
+		if c != nil {
+			c.Close()
+		}
+	}
+	l.ctrl, l.data = nil, nil
 }
 
 // FrontEnd is the running front-end node: client listener, dispatch engine,
@@ -231,13 +244,19 @@ type relayConn struct {
 }
 
 // NewFrontEnd starts the front-end: it listens for clients on loopback and
-// connects control (and, for relay, data) sessions plus handoff sockets to
-// every back-end endpoint. Endpoints may belong to in-process Backends or
+// connects a control session (and, for relay, a data session) to every
+// back-end endpoint. Endpoints may belong to in-process Backends or
 // to separate phttp-backend processes on the same machine (the handoff
 // mechanism requires a shared kernel; see DESIGN.md §4.2).
 func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, error) {
 	if err := validateFEConfig(cfg, len(backends)); err != nil {
 		return nil, err
+	}
+	if cfg.IdleTimeout <= 0 {
+		cfg.IdleTimeout = 15 * time.Second
+	}
+	if cfg.BatchWindow <= 0 {
+		cfg.BatchWindow = 2 * time.Millisecond
 	}
 	spec := dispatch.Spec{
 		Policy:        cfg.Policy,
@@ -399,10 +418,10 @@ func validateFEConfig(cfg FrontEndConfig, backends int) error {
 }
 
 // dialRetry dials one back-end with bounded retries and linear backoff.
-// A vacant slot (empty Ctrl) fails immediately: it is provisioned
-// capacity awaiting AddBackend, not a dial target.
+// A vacant slot (no endpoint for the mechanism) fails immediately: it is
+// provisioned capacity awaiting AddBackend, not a dial target.
 func (fe *FrontEnd) dialRetry(id core.NodeID, ep BackendEndpoints) (*beLink, error) {
-	if ep.Ctrl == "" {
+	if fe.relaying() && ep.Ctrl == "" || !fe.relaying() && ep.Handoff == "" {
 		return nil, fmt.Errorf("cluster: backend slot %v is vacant (no control endpoint)", id)
 	}
 	retries := fe.cfg.DialRetries
@@ -429,56 +448,47 @@ func (fe *FrontEnd) dialRetry(id core.NodeID, ep BackendEndpoints) (*beLink, err
 	return nil, lastErr
 }
 
-// dial establishes the control session (HELLO CTRL), the relay data session
-// when relaying, and the handoff socket to one back-end.
+// relaying reports whether the front-end relays responses, the one
+// mechanism whose sessions are TCP.
+func (fe *FrontEnd) relaying() bool { return fe.cfg.Mechanism == core.RelayFrontEnd }
+
+// dial establishes the control session to one back-end — its UNIX socket,
+// or when relaying a TCP session (HELLO CTRL) and the relay data session
+// (HELLO DATA) — and starts their read loops.
 func (fe *FrontEnd) dial(id core.NodeID, ep BackendEndpoints) (*beLink, error) {
 	link := &beLink{id: id}
-	ctrl, err := net.Dial("tcp", ep.Ctrl)
+	var err error
+	if !fe.relaying() {
+		link.ctrl, err = net.Dial("unix", ep.Handoff)
+	} else if link.ctrl, err = dialHello(ep.Ctrl, "HELLO CTRL\n"); err == nil {
+		if link.data, err = dialHello(ep.Ctrl, "HELLO DATA\n"); err != nil {
+			link.ctrl.Close()
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("cluster: dial backend %v control: %w", id, err)
+		return nil, fmt.Errorf("cluster: dial backend %v: %w", id, err)
 	}
-	if _, err := io.WriteString(ctrl, "HELLO CTRL\n"); err != nil {
-		ctrl.Close()
-		return nil, err
-	}
-	link.ctrl = ctrl
+	ctrl, data := link.ctrl, link.data
 	fe.wg.Add(1)
-	go func() {
-		defer fe.wg.Done()
-		fe.ctrlReadLoop(link, ctrl)
-	}()
-
-	if fe.cfg.Mechanism == core.RelayFrontEnd {
-		data, err := net.Dial("tcp", ep.Ctrl)
-		if err != nil {
-			ctrl.Close()
-			return nil, fmt.Errorf("cluster: dial backend %v data: %w", id, err)
-		}
-		if _, err := io.WriteString(data, "HELLO DATA\n"); err != nil {
-			ctrl.Close()
-			data.Close()
-			return nil, err
-		}
-		link.data = data
+	go func() { defer fe.wg.Done(); fe.ctrlReadLoop(link, ctrl) }()
+	if data != nil {
 		fe.wg.Add(1)
-		go func() {
-			defer fe.wg.Done()
-			fe.relayReadLoop(link, data)
-		}()
-	} else {
-		raddr, err := net.ResolveUnixAddr("unix", ep.Handoff)
-		if err != nil {
-			ctrl.Close()
-			return nil, err
-		}
-		ho, err := net.DialUnix("unix", nil, raddr)
-		if err != nil {
-			ctrl.Close()
-			return nil, fmt.Errorf("cluster: dial backend %v handoff: %w", id, err)
-		}
-		link.handoff = ho
+		go func() { defer fe.wg.Done(); fe.relayReadLoop(link, data) }()
 	}
 	return link, nil
+}
+
+// dialHello opens a TCP session to addr that announces its role.
+func dialHello(addr, hello string) (net.Conn, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := io.WriteString(conn, hello); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
 }
 
 // Addr returns the client-facing listen address.
@@ -598,19 +608,7 @@ func (fe *FrontEnd) Close() {
 			fe.ln.Close()
 		}
 		for _, l := range fe.links {
-			l.ctrlMu.Lock()
-			if l.ctrl != nil {
-				l.ctrl.Close()
-			}
-			if l.data != nil {
-				l.data.Close()
-			}
-			l.ctrlMu.Unlock()
-			l.hoMu.Lock()
-			if l.handoff != nil {
-				l.handoff.Close()
-			}
-			l.hoMu.Unlock()
+			l.close()
 		}
 	})
 	fe.wg.Wait()
@@ -780,6 +778,9 @@ type feConn struct {
 	mu       sync.Mutex
 	reqNodes []core.NodeID
 	seq      int
+	// closeSent: the CLOSE went out with the batch whose last request ended
+	// the connection, and closeClient owes the back-end none. Owner-only.
+	closeSent bool
 	// pendingMove is a re-dispatch-requested handling change (NoNode
 	// when none): the health loop records it, and the connection's own
 	// goroutine applies it — engine Conn state is owner-serialized.
@@ -796,8 +797,8 @@ type feConn struct {
 	lines [][]byte
 
 	// The handoff's RawConn.Control callback, bound to this record once so
-	// that a handoff instantiates no closure, with its argument and result
-	// (see FrontEnd.handOff).
+	// that a handoff instantiates no closure, with its argument and result:
+	// it sends line on hoTo (see FrontEnd.handOff).
 	sendFD func(fd uintptr)
 	hoTo   *net.UnixConn
 	hoErr  error
@@ -809,7 +810,7 @@ const feConnScratchMax = 64
 
 var feConnPool = sync.Pool{New: func() any {
 	c := &feConn{br: bufio.NewReaderSize(nil, 16<<10)}
-	c.sendFD = func(fd uintptr) { c.hoErr = sendHandoff(c.hoTo, c.id, int(fd)) }
+	c.sendFD = func(fd uintptr) { c.hoErr = writeHandoff(c.hoTo, c.line, int(fd)) }
 	return c
 }}
 
@@ -872,6 +873,14 @@ func (fe *FrontEnd) serveClient(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		if !c.reqs[len(c.reqs)-1].KeepAlive() {
+			// The connection ends with this batch. What the client still
+			// sends is discarded, not served, until it closes (its response
+			// stream ends behind the last response) or goes idle.
+			c.conn.SetReadDeadline(time.Now().Add(fe.cfg.IdleTimeout))
+			c.br.Discard(math.MaxInt)
+			return
+		}
 		yieldThread() // the batch is on its way; next comes a wait for the client
 	}
 }
@@ -912,17 +921,10 @@ const timerResolution = time.Millisecond
 // as the last one read keeps the connection alive. It returns an error when
 // no request could be read.
 func (fe *FrontEnd) readBatch(c *feConn) error {
-	idle := fe.cfg.IdleTimeout
-	if idle <= 0 {
-		idle = 15 * time.Second
-	}
 	window := fe.cfg.BatchWindow
-	if window <= 0 {
-		window = 2 * time.Millisecond
-	}
 
 	c.reqs, c.batch = c.reqs[:0], c.batch[:0]
-	c.conn.SetReadDeadline(time.Now().Add(idle))
+	c.conn.SetReadDeadline(time.Now().Add(fe.cfg.IdleTimeout))
 	if err := fe.readRequest(c); err != nil {
 		return err
 	}
@@ -990,8 +992,9 @@ const nominalMappingSize = 8 << 10
 // should back off briefly and retry, per the Retry-After hint.
 const unavailableResponse = "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
 
-// openConn assigns the handling node for the first request and performs
-// the handoff (or registers the relay route).
+// openConn assigns the handling node for the first request (and registers
+// the relay route). The handoff travels with the first batch
+// (dispatchBatch).
 func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 	if !fe.eng.HasUp() {
 		fe.unavailable.Inc()
@@ -1000,33 +1003,27 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 		return fmt.Errorf("cluster: no Up back-end")
 	}
 	done := fe.trackDispatch()
-	ec, handling := fe.eng.ConnOpen(first)
+	ec, _ := fe.eng.ConnOpen(first)
 	done()
 	c.ec = ec
 	c.id = ec.ID()
 
-	if fe.cfg.Mechanism == core.RelayFrontEnd {
+	if fe.relaying() {
 		rc := &relayConn{client: c.conn, out: c.conn}
 		c.relay = rc
 		fe.relayMu.Lock()
 		fe.relayConns[c.id] = rc
 		fe.relayMu.Unlock()
-		return nil
 	}
-
-	if err := fe.handOff(c, handling); err != nil {
-		return err
-	}
-	c.setReqNode(handling)
 	return nil
 }
 
-// handOff passes c's client socket to back-end n: one sendmsg on the
-// node's handoff socket, made while the connection lends its descriptor
-// (RawConn.Control). Nothing is dupped or closed and the socket's mode is
-// not touched — the front-end goes on reading the connection through the
-// poller, deadlines and all, while the back-end writes to the descriptor
-// the kernel installed for it.
+// handOff passes c's client socket to back-end n together with the lines
+// in c.line, HANDOFF first: one sendmsg on the node's session, made while
+// the connection lends its descriptor (RawConn.Control). Nothing is dupped
+// or closed and the socket's mode is not touched — the front-end goes on
+// reading the connection through the poller, deadlines and all, while the
+// back-end writes to the descriptor the kernel installed for it.
 //
 //phttp:hotpath
 func (fe *FrontEnd) handOff(c *feConn, n core.NodeID) error {
@@ -1039,17 +1036,17 @@ func (fe *FrontEnd) handOff(c *feConn, n core.NodeID) error {
 		return err
 	}
 	link := fe.links[n]
-	link.hoMu.Lock()
-	if link.handoff == nil {
-		link.hoMu.Unlock()
-		return handoffRefused(n, "no handoff socket")
+	link.ctrlMu.Lock()
+	uc, ok := link.ctrl.(*net.UnixConn)
+	if !ok {
+		link.ctrlMu.Unlock()
+		return handoffRefused(n, "no UNIX session")
 	}
-	c.hoTo = link.handoff
+	c.hoTo = uc
 	err = rc.Control(c.sendFD)
-	link.hoMu.Unlock()
-	if err == nil && c.hoErr != nil {
+	link.ctrlMu.Unlock()
+	if err == nil {
 		err = c.hoErr
-		fe.suspect(n) // a failed send is liveness evidence
 	}
 	c.hoTo, c.hoErr = nil, nil
 	return err
@@ -1063,7 +1060,9 @@ func handoffRefused(n core.NodeID, why string) error {
 // dispatchBatch assigns the batch in c.batch and forwards the tagged
 // requests: one control write per destination back-end. With handoff or
 // back-end forwarding the destination is always the handling node, so the
-// whole batch is one write.
+// whole batch is one write: on the connection's first batch the handoff's
+// sendmsg, and a batch whose last request ends the connection carries the
+// connection's CLOSE too.
 //
 //phttp:hotpath
 func (fe *FrontEnd) dispatchBatch(c *feConn) error {
@@ -1081,11 +1080,15 @@ func (fe *FrontEnd) dispatchBatch(c *feConn) error {
 	handling := c.ec.Handling()
 	done()
 
-	if fe.cfg.Mechanism == core.RelayFrontEnd {
+	if fe.relaying() {
 		fe.relayBatch(c, assignments)
 		return nil
 	}
 	line := c.line[:0]
+	first := !c.setReqNode(handling)
+	if first {
+		line = appendHandoff(line, c.id)
+	}
 	for i, a := range assignments {
 		req := &c.reqs[i]
 		remote := core.NoNode
@@ -1097,15 +1100,26 @@ func (fe *FrontEnd) dispatchBatch(c *feConn) error {
 		line = appendReq(line, c.id, c.seq, protoOf(req.Proto), req.KeepAlive(), remote, core.Target(req.Target))
 		c.seq++
 	}
+	last := !c.reqs[len(c.reqs)-1].KeepAlive()
+	if last {
+		line = appendClose(line, c.id)
+	}
 	c.line = line
-	c.setReqNode(handling)
-	if err := fe.sendCtrl(handling, line); err != nil {
+	var err error
+	if first {
+		err = fe.handOff(c, handling)
+	} else {
+		err = fe.sendCtrl(handling, line)
+	}
+	if err != nil {
 		// With the client socket handed off (or forwarding through the
 		// handling node), the FE cannot replay the request elsewhere —
-		// connection close is the fallback.
+		// connection close is the fallback. A failed send is liveness
+		// evidence.
 		fe.suspect(handling)
 		return err
 	}
+	c.closeSent = last
 	// Handoff / BE forwarding: responses bypass the front-end, so the
 	// observable latency here is batch completion → request forwarded.
 	waited := time.Since(c.batchStart).Microseconds()
@@ -1179,7 +1193,7 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 	c.mu.Lock()
 	nodes := c.reqNodes
 	c.mu.Unlock()
-	if len(nodes) > 0 {
+	if len(nodes) > 0 && !c.closeSent {
 		c.line = appendClose(c.line[:0], c.id)
 		for _, n := range nodes {
 			fe.sendCtrl(n, c.line)

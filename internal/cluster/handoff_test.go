@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -16,6 +15,7 @@ import (
 
 	"phttp/internal/core"
 	"phttp/internal/policy"
+	"phttp/internal/server"
 )
 
 // unixPair returns the two ends of a connected UNIX stream socket: what a
@@ -85,16 +85,17 @@ func readWithin(t *testing.T, r io.Reader, d time.Duration) (string, error) {
 	}
 }
 
-// TestHandOffBorrowsDescriptor drives the function openConn calls: the ID
-// arrives, the back-end's descriptor reaches the client, and the front-end's
-// own connection — never dupped, its mode never touched — still reads and
-// still honours a read deadline.
+// TestHandOffBorrowsDescriptor drives the function a connection's first
+// batch goes out through: the ID arrives, the back-end's descriptor reaches
+// the client, and the front-end's own connection — never dupped, its mode
+// never touched — still reads and still honours a read deadline.
 func TestHandOffBorrowsDescriptor(t *testing.T) {
 	client, accepted := tcpPair(t)
 	send, recv := unixPair(t)
-	fe := &FrontEnd{links: []*beLink{{id: 0, handoff: send}}}
+	fe := &FrontEnd{links: []*beLink{{id: 0, ctrl: send}}}
 	c := fe.newConn(accepted)
 	c.id = 77
+	c.line = appendHandoff(c.line, c.id)
 	if err := fe.handOff(c, 0); err != nil {
 		t.Fatalf("handOff: %v", err)
 	}
@@ -126,10 +127,10 @@ func TestHandOffBorrowsDescriptor(t *testing.T) {
 		t.Errorf("front-end read after the handoff: %v, want its deadline to expire", err)
 	}
 
-	// A node with no handoff socket is an error, not a nil dereference.
-	fe.links[0].handoff = nil
+	// A node with no session is an error, not a nil dereference.
+	fe.links[0].ctrl = nil
 	if err := fe.handOff(c, 0); err == nil {
-		t.Error("handOff without a handoff socket succeeded")
+		t.Error("handOff without a session succeeded")
 	}
 }
 
@@ -139,19 +140,34 @@ func TestHandOffBorrowsDescriptor(t *testing.T) {
 // *os.File and the back-end dupped that again into a net.Conn.
 const handoffAllocBudget = 3
 
+// The handoff as the two nodes make it — the first batch sent with the
+// descriptor, read off the session, the descriptor claimed and adopted —
+// and closing what was adopted.
 func TestHandoffAllocs(t *testing.T) {
 	_, accepted := tcpPair(t)
 	send, recv := unixPair(t)
-	fe := &FrontEnd{links: []*beLink{{id: 0, handoff: send}}}
+	fe := &FrontEnd{links: []*beLink{{id: 0, ctrl: send}}}
 	c := fe.newConn(accepted)
+	sr := &sessionReader{uc: recv}
+	br := bufio.NewReaderSize(sr, ctrlBufBytes)
 	got := testing.AllocsPerRun(200, func() {
 		c.id++
+		c.line = appendReq(appendHandoff(c.line[:0], c.id), c.id, 0, proto10, false, core.NoNode, "/x")
 		if err := fe.handOff(c, 0); err != nil {
 			t.Fatal(err)
 		}
-		id, f, err := RecvConnFD(recv)
-		if err != nil || id != c.id {
-			t.Fatalf("received connection %d, %v, want %d", id, err, c.id)
+		for _, want := range []ctrlKind{kindHandoff, kindReq} {
+			if m, err := readCtrl(br); err != nil || m.Kind != want || m.Conn != c.id {
+				t.Fatalf("read %+v, %v; want kind %d of connection %d", m, err, want, c.id)
+			}
+		}
+		fd, ok := sr.claim()
+		if !ok {
+			t.Fatal("no descriptor came with the HANDOFF")
+		}
+		f, err := adoptFD(fd)
+		if err != nil {
+			t.Fatal(err)
 		}
 		f.Close()
 	})
@@ -160,98 +176,79 @@ func TestHandoffAllocs(t *testing.T) {
 	}
 }
 
-// stubBackend accepts a front-end's control session and handoff socket and
-// does nothing with what arrives but report it: control lines as they are
-// read, handed-off descriptors raw, with their file status flags, and never
-// read, written or wrapped.
+// stubBackend accepts a front-end's session on a UNIX socket and does
+// nothing with what arrives but report it: each message as one recvmsg
+// returned it, with its descriptors raw — their file status flags read,
+// never read, written or wrapped.
 type stubBackend struct {
-	ep    BackendEndpoints
-	lines chan string
-	fds   chan rawHandoff
+	ep   BackendEndpoints
+	msgs chan stubMsg
 }
 
-// rawHandoff is a received descriptor and its file status flags (F_GETFL).
+// stubMsg is what one recvmsg returned: the bytes, and the descriptors with
+// their file status flags (F_GETFL).
+type stubMsg struct {
+	data string
+	fds  []rawHandoff
+}
+
 type rawHandoff struct{ fd, flags int }
 
 func newStubBackend(t *testing.T) *stubBackend {
 	t.Helper()
-	ctrlLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ctrlLn.Close() })
 	path := filepath.Join(t.TempDir(), "stub.sock")
-	hoLn, err := net.Listen("unix", path)
+	ln, err := net.Listen("unix", path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { hoLn.Close() })
-	sb := &stubBackend{
-		ep:    BackendEndpoints{Ctrl: ctrlLn.Addr().String(), Handoff: path},
-		lines: make(chan string, 16),
-		fds:   make(chan rawHandoff, 16),
-	}
+	t.Cleanup(func() { ln.Close() })
+	sb := &stubBackend{ep: BackendEndpoints{Handoff: path}, msgs: make(chan stubMsg, 16)}
 	go func() {
-		conn, err := ctrlLn.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		sc := bufio.NewScanner(conn)
-		for sc.Scan() {
-			sb.lines <- sc.Text()
-		}
-	}()
-	go func() {
-		conn, err := hoLn.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
+		buf := make([]byte, 64<<10)
+		oob := make([]byte, syscall.CmsgSpace(4*4))
 		for {
-			hdr := make([]byte, handoffHeaderBytes)
-			oob := make([]byte, syscall.CmsgSpace(4))
-			_, oobn, _, _, err := conn.(*net.UnixConn).ReadMsgUnix(hdr, oob)
+			n, oobn, _, _, err := conn.(*net.UnixConn).ReadMsgUnix(buf, oob)
 			if err != nil {
 				return
 			}
-			cmsgs, err := syscall.ParseSocketControlMessage(oob[:oobn])
-			if err != nil || len(cmsgs) != 1 {
-				return
+			m := stubMsg{data: string(buf[:n])}
+			cmsgs, _ := syscall.ParseSocketControlMessage(oob[:oobn])
+			for i := range cmsgs {
+				fds, _ := syscall.ParseUnixRights(&cmsgs[i])
+				for _, fd := range fds {
+					flags, _, _ := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_GETFL, 0)
+					m.fds = append(m.fds, rawHandoff{fd, int(flags)})
+				}
 			}
-			got, err := syscall.ParseUnixRights(&cmsgs[0])
-			if err != nil || len(got) != 1 {
-				return
-			}
-			flags, _, _ := syscall.Syscall(syscall.SYS_FCNTL, uintptr(got[0]), syscall.F_GETFL, 0)
-			sb.fds <- rawHandoff{got[0], int(flags)}
+			sb.msgs <- m
 		}
 	}()
 	return sb
 }
 
-func (sb *stubBackend) line(t *testing.T, within time.Duration) string {
+func (sb *stubBackend) msg(t *testing.T, within time.Duration) stubMsg {
 	t.Helper()
 	select {
-	case l := <-sb.lines:
-		return l
+	case m := <-sb.msgs:
+		for _, h := range m.fds {
+			t.Cleanup(func() { syscall.Close(h.fd) })
+		}
+		return m
 	case <-time.After(within):
-		t.Fatalf("no control message within %v", within)
-		return ""
+		t.Fatalf("no message within %v", within)
+		return stubMsg{}
 	}
 }
 
-// The handoff leaves the client socket's mode alone: the descriptor the
-// back-end receives is still non-blocking before anything wraps it, and the
-// front-end's reads of the connection still honour their deadlines — it
-// closes an idle connection on time even if the back-end never touches
-// the socket. (Taking the descriptor out with File and Fd cleared
-// O_NONBLOCK on the shared socket until the back-end's net.FileConn set it
-// again; with this back-end, for good: the front-end's read then ignored the
-// idle timeout and held a thread.)
-func TestHandoffLeavesSocketNonBlocking(t *testing.T) {
-	const idle = 200 * time.Millisecond
-	sb := newStubBackend(t)
+// stubFrontEnd starts a single-handoff front-end on the stub and connects a
+// client to it.
+func stubFrontEnd(t *testing.T, sb *stubBackend, idle time.Duration) (*FrontEnd, net.Conn) {
+	t.Helper()
 	fe, err := NewFrontEnd(FrontEndConfig{
 		Nodes: 1, Policy: "lard", Mechanism: core.SingleHandoff,
 		Params: policy.DefaultParams(), CacheBytes: 1 << 20,
@@ -267,39 +264,88 @@ func TestHandoffLeavesSocketNonBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() }) // before fe.Close: ends a read that ignores its deadline
+	return fe, client
+}
+
+// handoffID returns the connection a message's first line hands off.
+func handoffID(t *testing.T, m stubMsg) string {
+	t.Helper()
+	id, ok := strings.CutPrefix(strings.SplitN(m.data, "\n", 2)[0], "HANDOFF ")
+	if !ok || len(m.fds) != 1 {
+		t.Fatalf("message %q with %d descriptors, want a HANDOFF with one", m.data, len(m.fds))
+	}
+	return id
+}
+
+// awaitClosed waits until the dispatcher holds no open connection.
+func awaitClosed(t *testing.T, fe *FrontEnd) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); fe.Engine().Active() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open at the dispatcher", fe.Engine().Active())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// The handoff leaves the client socket's mode alone: the descriptor the
+// back-end receives is still non-blocking before anything wraps it, and the
+// front-end's reads of the connection still honour their deadlines — it
+// closes an idle connection on time even if the back-end never touches
+// the socket. (Taking the descriptor out with File and Fd cleared
+// O_NONBLOCK on the shared socket until the back-end's net.FileConn set it
+// again; with this back-end, for good: the front-end's read then ignored the
+// idle timeout and held a thread.)
+func TestHandoffLeavesSocketNonBlocking(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	sb := newStubBackend(t)
+	fe, client := stubFrontEnd(t, sb, idle)
 	if _, err := io.WriteString(client, "GET /x HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
 		t.Fatal(err)
 	}
 
-	select {
-	case got := <-sb.fds:
-		defer syscall.Close(got.fd)
-		if got.flags&syscall.O_NONBLOCK == 0 {
-			t.Errorf("handed-off socket arrived in blocking mode (flags %#x)", got.flags)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no handoff arrived")
+	m := sb.msg(t, 10*time.Second)
+	id := handoffID(t, m)
+	if m.fds[0].flags&syscall.O_NONBLOCK == 0 {
+		t.Errorf("handed-off socket arrived in blocking mode (flags %#x)", m.fds[0].flags)
 	}
-	if hello := sb.line(t, 10*time.Second); hello != "HELLO CTRL" {
-		t.Fatalf("control session opened with %q", hello)
-	}
-	req := sb.line(t, 10*time.Second)
-	f := strings.Fields(req)
-	if len(f) != 7 || f[0] != "REQ" || f[6] != "/x" {
-		t.Fatalf("control message %q, want the request", req)
+	if want := "HANDOFF " + id + "\nREQ " + id + " 0 HTTP/1.1 1 - /x\n"; m.data != want {
+		t.Fatalf("the handoff carries %q, want %q", m.data, want)
 	}
 	forwarded := time.Now()
-	if got, want := sb.line(t, idle+5*time.Second), "CLOSE "+f[1]; got != want {
+	if got, want := sb.msg(t, idle+5*time.Second).data, "CLOSE "+id+"\n"; got != want {
 		t.Fatalf("control message %q, want %q", got, want)
 	}
 	if took := time.Since(forwarded); took < idle/2 {
 		t.Errorf("idle connection closed after %v, idle timeout is %v", took, idle)
 	}
-	for deadline := time.Now().Add(5 * time.Second); fe.Engine().Active() != 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d connections still open at the dispatcher after CLOSE", fe.Engine().Active())
-		}
-		time.Sleep(time.Millisecond)
+	awaitClosed(t, fe)
+}
+
+// An HTTP/1.0 connection is one send from the front-end and one receive at
+// the back-end: the handoff's sendmsg carries the descriptor, the request
+// and the connection's CLOSE. The front-end then waits for the client to
+// close, and sends nothing more.
+func TestHandoffRidesFirstBatch(t *testing.T) {
+	sb := newStubBackend(t)
+	fe, client := stubFrontEnd(t, sb, time.Minute)
+	if _, err := io.WriteString(client, "GET /x HTTP/1.0\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	m := sb.msg(t, 10*time.Second)
+	id := handoffID(t, m)
+	if want := "HANDOFF " + id + "\nREQ " + id + " 0 HTTP/1.0 0 - /x\nCLOSE " + id + "\n"; m.data != want {
+		t.Fatalf("the handoff carries %q, want %q", m.data, want)
+	}
+	if fe.Engine().Active() != 1 {
+		t.Errorf("%d connections open at the dispatcher before the client closed, want 1", fe.Engine().Active())
+	}
+	client.Close()
+	awaitClosed(t, fe)
+	select {
+	case m := <-sb.msgs:
+		t.Errorf("after the client closed the back-end received %q", m.data)
+	case <-time.After(100 * time.Millisecond):
 	}
 }
 
@@ -325,7 +371,7 @@ func sendRaw(t *testing.T, uc *net.UnixConn, hdr []byte, fd, copies int) {
 // write end and closes its own; the read end sees EOF only once every copy
 // the receiver was given is closed too.
 func TestRecvConnFDRejectsAndCloses(t *testing.T) {
-	good := appendHandoffHeader(nil, 5)
+	good := appendHandoff(nil, 5)
 	for _, tc := range []struct {
 		name   string
 		hdr    []byte
@@ -334,8 +380,8 @@ func TestRecvConnFDRejectsAndCloses(t *testing.T) {
 		{"two descriptors", good, 2},
 		{"more descriptors than fit (MSG_CTRUNC)", good, 3},
 		{"no descriptor", good, 0},
-		{"non-digit header", []byte("0000000000000000x005"), 1},
-		{"overflowing header", []byte("99999999999999999999"), 1},
+		{"non-digit header", []byte("HANDOFF 5x\n"), 1},
+		{"overflowing header", []byte("HANDOFF 99999999999999999999\n"), 1},
 		{"short header", good[:7], 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -383,37 +429,152 @@ func TestRecvConnFDRejectsAndCloses(t *testing.T) {
 	}
 }
 
-// FuzzHandoffHeader: the header parser takes bytes from a socket. Every ID
-// round-trips through appendHandoffHeader; what the parser accepts is
-// exactly what the encoder writes — twenty digits, no overflow.
-func FuzzHandoffHeader(f *testing.F) {
-	f.Add([]byte("00000000000000000077"), int64(77))
-	f.Add([]byte("09223372036854775807"), int64(math.MaxInt64))
-	f.Add([]byte("09223372036854775808"), int64(0))
-	f.Add([]byte("99999999999999999999"), int64(1))
-	f.Add([]byte("0000000000000000x077"), int64(1<<40|9))
-	f.Add([]byte("-0000000000000000077"), int64(-1))
-	f.Add([]byte("77"), int64(10))
-	f.Add([]byte{}, int64(math.MinInt64))
-	f.Fuzz(func(t *testing.T, hdr []byte, n int64) {
-		if n >= 0 {
-			enc := appendHandoffHeader(nil, core.ConnID(n))
-			if got, ok := parseHandoffHeader(enc); !ok || got != core.ConnID(n) || len(enc) != handoffHeaderBytes {
-				t.Fatalf("ID %d encodes as %q, which parses as %d, %v", n, enc, got, ok)
+// sendWith sends msgs on the session with conn's descriptor attached, as the
+// front-end sends a connection's first batch.
+func sendWith(t *testing.T, sess *net.UnixConn, conn *net.TCPConn, msgs string) {
+	t.Helper()
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cerr := rc.Control(func(fd uintptr) { err = writeHandoff(sess, []byte(msgs), int(fd)) }); cerr != nil || err != nil {
+		t.Fatalf("sending %q: %v, %v", msgs, cerr, err)
+	}
+}
+
+// dialSession opens a front-end's session to the back-end.
+func dialSession(t *testing.T, be *Backend) *net.UnixConn {
+	t.Helper()
+	sess, err := net.DialUnix("unix", nil, &net.UnixAddr{Name: be.HandoffPath(), Net: "unix"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	return sess
+}
+
+// openFDs counts the process's open descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	return len(ents)
+}
+
+// On one session each HANDOFF gets its own descriptor, in order, however
+// the messages fall into reads — a handoff whose sendmsg took only part of
+// its lines (the rest followed in a plain write) included. A descriptor no
+// HANDOFF claims is closed when the session ends, and a HANDOFF that finds
+// no descriptor ends the session.
+func TestSessionPairsDescriptorsInOrder(t *testing.T) {
+	be, err := NewBackend(BackendConfig{
+		ID: 0, Catalog: map[core.Target]int64{"/a": 100, "/b": 200, "/c": 300}, CacheBytes: 1 << 20,
+		HandoffSocket: filepath.Join(t.TempDir(), "be.sock"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	before := openFDs(t)
+
+	// Each connection asks for a document of its own size: a client that
+	// reads another's was given another connection's descriptor.
+	sess := dialSession(t, be)
+	var clients [3]net.Conn
+	var servers [3]*net.TCPConn
+	for i := range clients {
+		clients[i], servers[i] = tcpPair(t)
+	}
+	sendWith(t, sess, servers[0], "HANDOFF 1\nREQ 1 0 HTTP/1.1 1 - /a\n")
+	sendWith(t, sess, servers[1], "HAND")
+	if _, err := io.WriteString(sess, "OFF 2\nREQ 2 0 HTTP/1.1 1 - /b\nREQ 1 1 HTTP/1.1 1 - /a\n"); err != nil {
+		t.Fatal(err)
+	}
+	sendWith(t, sess, servers[2], "HANDOFF 3\nREQ 3 0 HTTP/1.1 1 - /c\n")
+	sendWith(t, sess, servers[0], "DISKQ 0\n") // a descriptor no HANDOFF claims
+	for i, sizes := range [][]int64{{100, 100}, {200}, {300}} {
+		clients[i].SetDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReader(clients[i])
+		for _, want := range sizes {
+			if status, size := readResponse(t, br); status != 200 || size != want {
+				t.Errorf("connection %d: status %d, %d bytes; want 200, %d", i+1, status, size, want)
 			}
 		}
-		id, ok := parseHandoffHeader(hdr)
-		if !ok {
-			return
+	}
+	if _, err := io.WriteString(sess, "CLOSE 1\nCLOSE 2\nCLOSE 3\n"); err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	for i := range clients {
+		clients[i].Close()
+		servers[i].Close()
+	}
+	// Not above: what earlier tests left behind may still be closing.
+	for deadline := time.Now().Add(10 * time.Second); openFDs(t) > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d descriptors open, %d before the session", openFDs(t), before)
 		}
-		if id < 0 {
-			t.Fatalf("accepted %q as negative ID %d", hdr, id)
+	}
+
+	// A HANDOFF with no descriptor waiting ends the session.
+	sess = dialSession(t, be)
+	if _, err := io.WriteString(sess, "HANDOFF 4\n"); err != nil {
+		t.Fatal(err)
+	}
+	sess.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(sess)
+	for {
+		line, err := br.ReadString('\n')
+		if err == io.EOF {
+			break
 		}
-		if want, err := strconv.ParseUint(string(hdr), 10, 63); err != nil || uint64(id) != want {
-			t.Fatalf("accepted %q as %d; strconv says %d, %v", hdr, id, want, err)
+		if err != nil || !strings.HasPrefix(line, "DISKQ ") {
+			t.Fatalf("session read %q, %v; want disk reports, then the end of the session", line, err)
 		}
-		if back := appendHandoffHeader(nil, id); string(back) != string(hdr) {
-			t.Fatalf("accepted %q, which re-encodes as %q", hdr, back)
-		}
+	}
+	be.connMu.Lock()
+	defer be.connMu.Unlock()
+	if len(be.conns) != 0 {
+		t.Errorf("%d connection records after a HANDOFF without a descriptor", len(be.conns))
+	}
+}
+
+// The back-end's cost of taking over a handed-off connection is charged on
+// the connection's own goroutine: with the CPU model on, the session goes on
+// registering the next connection while the first one's charge runs, instead
+// of every connection of the node waiting on it.
+func TestHandoffCostOffSessionLoop(t *testing.T) {
+	const charge = 500 * time.Millisecond
+	be, err := NewBackend(BackendConfig{
+		ID: 0, Catalog: map[core.Target]int64{"/a": 100}, CacheBytes: 1 << 20,
+		SimulateCPU: true, Costs: server.Costs{HandoffBE: core.Micros(charge / time.Microsecond)},
+		HandoffSocket: filepath.Join(t.TempDir(), "be.sock"),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	sess := dialSession(t, be)
+	_, first := tcpPair(t)
+	_, second := tcpPair(t)
+	start := time.Now()
+	sendWith(t, sess, first, "HANDOFF 1\n")
+	sendWith(t, sess, second, "HANDOFF 2\n")
+	for {
+		be.connMu.Lock()
+		n := len(be.conns)
+		be.connMu.Unlock()
+		if n == 2 {
+			break
+		}
+		if time.Since(start) > charge/2 {
+			t.Fatalf("%d of 2 connections registered %v after their handoffs; one handoff's charge is %v", n, time.Since(start), charge)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := io.WriteString(sess, "CLOSE 1\nCLOSE 2\n"); err != nil {
+		t.Fatal(err)
+	}
 }

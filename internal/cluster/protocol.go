@@ -15,12 +15,13 @@ import (
 	"phttp/internal/core"
 )
 
-// Control protocol between front-end and back-ends, one TCP (or UNIX)
-// stream per back-end, newline-framed text messages. The paper's control
-// session carries handoff coordination, tagged requests and disk queue
-// reports; ours carries:
+// Control protocol between front-end and back-ends: one session per
+// back-end, newline-framed text messages. As the paper's control session
+// does, it carries the handoffs, the tagged requests and the disk queue
+// reports:
 //
 //	FE -> BE:
+//	  HANDOFF <connID>          (the client socket's descriptor rides this sendmsg)
 //	  REQ <connID> <seq> <proto> <keep 0|1> <remote|-> <target>
 //	  CLOSE <connID>
 //	  RELAY <connID>            (open a relayed connection, no handoff fd)
@@ -34,16 +35,17 @@ import (
 // parser splits the request line on them); REQ places the target last so
 // future extensions stay simple.
 //
-// A pipelined batch travels as one write per destination: the front-end
-// appends the batch's REQ lines (and a leading RELAY when the destination
-// is new to the connection) into one buffer and writes it under the link's
-// lock; the back-end's control loop reads lines out of a buffered reader
-// and parses each in place, without copying it.
+// Under handoff and back-end forwarding the session is a UNIX stream. A
+// connection's first batch is one sendmsg — HANDOFF, its REQ lines and, if
+// its last request ends the connection, CLOSE — with the client socket's
+// descriptor attached (writeHandoff); later batches are plain writes. Linux
+// attaches a sendmsg's descriptors to its first bytes, and a recvmsg that
+// reaches them returns with them: the back-end, reading only with recvmsg
+// (sessionReader), holds each descriptor no later than its HANDOFF line.
+// Relay, the cross-host mechanism, keeps a TCP session.
 //
-// Handed-off connections travel out of band: the front-end writes a
-// fixed-width header carrying the connID, with the client socket's file
-// descriptor attached as SCM_RIGHTS ancillary data, on a per-back-end UNIX
-// socket (see sendHandoff/RecvConnFD).
+// A batch travels as one write per destination, under the link's lock; the
+// back-end's control loop parses each line in place in its read buffer.
 
 // ctrlKind is the type of a control message.
 type ctrlKind uint8
@@ -53,6 +55,7 @@ const (
 	kindClose
 	kindRelay
 	kindDiskQ
+	kindHandoff
 )
 
 // protoVer is the HTTP version a response must echo.
@@ -129,16 +132,18 @@ func appendReq(dst []byte, id core.ConnID, seq int, proto protoVer, keep bool, r
 	return append(dst, '\n')
 }
 
-// appendIDMsg appends a "<verb> <n>\n" message: CLOSE, RELAY and DISKQ.
+// appendIDMsg appends a "<verb> <n>\n" message: HANDOFF, CLOSE, RELAY and
+// DISKQ.
 func appendIDMsg(dst []byte, verb string, n int64) []byte {
 	dst = append(dst, verb...)
 	dst = strconv.AppendInt(dst, n, 10)
 	return append(dst, '\n')
 }
 
-func appendClose(dst []byte, id core.ConnID) []byte { return appendIDMsg(dst, "CLOSE ", int64(id)) }
-func appendRelay(dst []byte, id core.ConnID) []byte { return appendIDMsg(dst, "RELAY ", int64(id)) }
-func appendDiskQ(dst []byte, depth int) []byte      { return appendIDMsg(dst, "DISKQ ", int64(depth)) }
+func appendHandoff(dst []byte, id core.ConnID) []byte { return appendIDMsg(dst, "HANDOFF ", int64(id)) }
+func appendClose(dst []byte, id core.ConnID) []byte   { return appendIDMsg(dst, "CLOSE ", int64(id)) }
+func appendRelay(dst []byte, id core.ConnID) []byte   { return appendIDMsg(dst, "RELAY ", int64(id)) }
+func appendDiskQ(dst []byte, depth int) []byte        { return appendIDMsg(dst, "DISKQ ", int64(depth)) }
 
 // parseCtrl parses one control line (without its newline) in place.
 //
@@ -187,10 +192,14 @@ func parseCtrl(line []byte) (ctrlMsg, error) {
 		}
 		m.Target = target
 		return m, nil
-	case "CLOSE", "RELAY":
-		m.Kind = kindClose
-		if verb[0] == 'R' {
+	case "CLOSE", "RELAY", "HANDOFF":
+		switch verb[0] {
+		case 'C':
+			m.Kind = kindClose
+		case 'R':
 			m.Kind = kindRelay
+		default:
+			m.Kind = kindHandoff
 		}
 		id, ok := parseWireInt(rest, math.MaxInt64)
 		if !ok {
@@ -210,9 +219,10 @@ func parseCtrl(line []byte) (ctrlMsg, error) {
 	return badCtrl(line)
 }
 
-// badCtrl is parseCtrl's cold error path.
+// badCtrl is parseCtrl's cold error path. It formats a copy of the line, so
+// that a caller's buffer does not escape.
 func badCtrl(line []byte) (ctrlMsg, error) {
-	return ctrlMsg{}, fmt.Errorf("cluster: malformed control message %q", line)
+	return ctrlMsg{}, fmt.Errorf("cluster: malformed control message %q", string(line))
 }
 
 // cutSpace splits b at its first space.
@@ -258,39 +268,12 @@ func readCtrl(br *bufio.Reader) (ctrlMsg, error) {
 	return parseCtrl(line[:len(line)-1])
 }
 
-// handoffHeaderBytes is the in-band part of a handoff message: the
-// connection ID as a fixed-width decimal, zero-padded.
-const handoffHeaderBytes = 20
-
-// appendHandoffHeader appends the handoff header for connection id.
-func appendHandoffHeader(dst []byte, id core.ConnID) []byte {
-	var hdr [handoffHeaderBytes]byte
-	for i, n := len(hdr)-1, int64(id); i >= 0; i, n = i-1, n/10 {
-		hdr[i] = '0' + byte(n%10)
-	}
-	return append(dst, hdr[:]...)
-}
-
-// parseHandoffHeader parses what appendHandoffHeader wrote: exactly
-// handoffHeaderBytes digits whose value fits a ConnID.
-func parseHandoffHeader(hdr []byte) (core.ConnID, bool) {
-	if len(hdr) != handoffHeaderBytes {
-		return 0, false
-	}
-	digits := bytes.TrimLeft(hdr, "0")
-	if len(digits) == 0 {
-		digits = hdr[len(hdr)-1:] // ID 0
-	}
-	id, ok := parseWireInt(digits, math.MaxInt64)
-	return core.ConnID(id), ok
-}
-
-// rightsMsg is a handoff message's ancillary data, laid out as the kernel
-// reads and writes it: an SCM_RIGHTS control message with room for two
-// descriptors. A sender uses the first syscall.CmsgSpace(4) bytes, for one.
-// A receiver offers it all: alignment gives a buffer for one descriptor room
-// for a second anyway, and declared room is room a copy of the struct keeps,
-// so a message that carries two is rejected with both in hand.
+// rightsMsg is a message's ancillary data, laid out as the kernel reads and
+// writes it: an SCM_RIGHTS control message with room for two descriptors.
+// A sender uses the first syscall.CmsgSpace(4) bytes, for one. A receiver
+// offers it all: alignment gives a buffer for one descriptor room for a
+// second anyway, and declared room is room a copy of the struct keeps, so a
+// message that carries two is rejected with both in hand.
 type rightsMsg struct {
 	hdr syscall.Cmsghdr
 	fds [2]int32
@@ -300,91 +283,147 @@ func (m *rightsMsg) bytes() []byte {
 	return (*[unsafe.Sizeof(rightsMsg{})]byte)(unsafe.Pointer(m))[:]
 }
 
-var (
-	errHandoffID    = errors.New("cluster: handoff send: negative connection ID")
-	errHandoffShort = errors.New("cluster: handoff send: short write")
-)
+// take returns the descriptor a received message carried, -1 when it
+// carried none. A message with more than one, or one whose descriptors did
+// not fit (MSG_CTRUNC), is refused: ok is false, and every descriptor it
+// brought is closed.
+func (m *rightsMsg) take(oobn, flags int) (fd int, ok bool) {
+	if flags&syscall.MSG_CTRUNC == 0 {
+		if oobn == 0 {
+			return -1, true
+		}
+		if m.hdr.Level == syscall.SOL_SOCKET && m.hdr.Type == syscall.SCM_RIGHTS &&
+			uint64(m.hdr.Len) == uint64(syscall.CmsgLen(4)) {
+			return int(m.fds[0]), true
+		}
+	}
+	closeRights(*m, oobn)
+	return -1, false
+}
 
-// sendHandoff is the handoff: one sendmsg carrying the connection ID in
-// band and descriptor fd as SCM_RIGHTS. The kernel installs a descriptor of
+// closeRights closes the descriptors of a refused message. It takes the
+// message by value: the caller's stays where it is.
+func closeRights(m rightsMsg, oobn int) {
+	cmsgs, _ := syscall.ParseSocketControlMessage(m.bytes()[:oobn])
+	for i := range cmsgs {
+		fds, _ := syscall.ParseUnixRights(&cmsgs[i])
+		for _, fd := range fds {
+			syscall.Close(fd)
+		}
+	}
+}
+
+// writeHandoff sends msgs, a HANDOFF line first, in one sendmsg with
+// descriptor fd attached as SCM_RIGHTS. The kernel installs a descriptor of
 // the same socket in the receiving process and leaves the sender's as it
 // was, mode included: the front-end lends its client socket's descriptor
 // for the call (FrontEnd.handOff) and goes on reading requests from it,
 // while the back-end's responses bypass the front-end as with the paper's
-// in-kernel handoff.
+// in-kernel handoff. What a full socket did not take follows in a plain
+// write (the descriptor left with the first bytes), under the caller's lock.
 //
 //phttp:hotpath
-func sendHandoff(uc *net.UnixConn, id core.ConnID, fd int) error {
-	if id < 0 {
-		return errHandoffID
-	}
-	var hb [handoffHeaderBytes]byte
-	hdr := appendHandoffHeader(hb[:0], id)
+func writeHandoff(uc *net.UnixConn, msgs []byte, fd int) error {
 	m := rightsMsg{fds: [2]int32{int32(fd)}}
 	m.hdr.Level, m.hdr.Type = syscall.SOL_SOCKET, syscall.SCM_RIGHTS
 	m.hdr.SetLen(syscall.CmsgLen(4))
-	oob := m.bytes()[:syscall.CmsgSpace(4)]
-	n, oobn, err := uc.WriteMsgUnix(hdr, oob, nil)
-	if err == nil && (n != len(hdr) || oobn != len(oob)) {
-		err = errHandoffShort
+	n, _, err := uc.WriteMsgUnix(msgs, m.bytes()[:syscall.CmsgSpace(4)], nil)
+	if err == nil && n < len(msgs) {
+		_, err = uc.Write(msgs[n:])
 	}
 	return err
 }
 
 // SendConnFD hands off the connection f is a descriptor of, for callers
-// that hold an *os.File. Getting one from a live connection
-// (net.TCPConn.File) dups it, and f.Fd() puts the socket — every descriptor
-// of it — in blocking mode: RecvConnFD undoes that for the receiver, but
-// the sender must not go on using the connection. The front-end does
-// neither (see FrontEnd.handOff).
+// that hold an *os.File: one HANDOFF message carrying it. Getting one from a
+// live connection (net.TCPConn.File) dups it, and f.Fd() puts the socket —
+// every descriptor of it — in blocking mode: RecvConnFD undoes that for the
+// receiver, but the sender must not go on using the connection. The
+// front-end does neither (see FrontEnd.handOff).
 func SendConnFD(uc *net.UnixConn, id core.ConnID, f *os.File) error {
-	return sendHandoff(uc, id, int(f.Fd()))
+	if id < 0 {
+		return errors.New("cluster: handoff send: negative connection ID")
+	}
+	var buf [handoffLineMax]byte
+	return writeHandoff(uc, appendHandoff(buf[:0], id), int(f.Fd()))
 }
 
-// RecvConnFD receives one handed-off connection: its ID and the received
-// descriptor, adopted as it is — close-on-exec already (the receiving call
-// sets it), non-blocking, registered with the poller once, so that a write
-// honours a deadline and a full socket buffer parks the goroutine, not a
-// thread. No dup, no address lookups. A message that is not twenty digits
-// with one descriptor is an error, and what descriptors it carried are
-// closed. Do not ask the file for its Fd: that would put the socket, which
-// the front-end still reads, in blocking mode.
+// handoffLineMax bounds a HANDOFF line: verb, space, 19 digits, newline.
+const handoffLineMax = 32
+
+// RecvConnFD receives one message SendConnFD sent: a HANDOFF line with one
+// descriptor, which it adopts (adoptFD). A message that is anything else
+// is an error, and what descriptors it carried are closed.
 func RecvConnFD(uc *net.UnixConn) (core.ConnID, *os.File, error) {
-	var hdr [handoffHeaderBytes]byte
+	var buf [handoffLineMax]byte
 	var m rightsMsg
-	n, oobn, flags, _, err := uc.ReadMsgUnix(hdr[:], m.bytes())
-	if err != nil {
-		return 0, nil, err
+	n, oobn, flags, _, err := uc.ReadMsgUnix(buf[:], m.bytes())
+	fd, ok := m.take(oobn, flags)
+	var msg ctrlMsg
+	if err == nil && n > 0 && buf[n-1] == '\n' {
+		msg, err = parseCtrl(buf[:n-1])
 	}
-	id, ok := parseHandoffHeader(hdr[:n])
-	one := m.hdr.Level == syscall.SOL_SOCKET && m.hdr.Type == syscall.SCM_RIGHTS &&
-		uint64(m.hdr.Len) == uint64(syscall.CmsgLen(4))
-	if !ok || !one || flags&syscall.MSG_CTRUNC != 0 {
-		return 0, nil, rejectHandoff(string(hdr[:n]), m, oobn, flags)
+	if err != nil || !ok || fd < 0 || msg.Kind != kindHandoff {
+		if fd >= 0 {
+			syscall.Close(fd)
+		}
+		return 0, nil, fmt.Errorf("cluster: handoff recv %q, descriptor %v: want one HANDOFF line with one (%v)", string(buf[:max(n, 0)]), fd >= 0, err)
 	}
+	f, err := adoptFD(fd)
+	return msg.Conn, f, err
+}
+
+// adoptFD takes a received client socket's descriptor as it is:
+// close-on-exec already (the receiving call sets it), non-blocking,
+// registered with the poller once, so that a write honours a deadline and a
+// full socket buffer parks the goroutine, not a thread. No dup, no address
+// lookups. Do not ask the file for its Fd: that would put the socket, which
+// the front-end still reads, in blocking mode.
+func adoptFD(fd int) (*os.File, error) {
 	// NewFile registers with the poller only a descriptor it finds
 	// non-blocking; the front-end's is, an *os.File sender's is not.
-	fd := int(m.fds[0])
 	if err := syscall.SetNonblock(fd, true); err != nil {
 		syscall.Close(fd)
-		return 0, nil, err
+		return nil, err
 	}
-	return id, os.NewFile(uintptr(fd), "handoff-conn"), nil
+	return os.NewFile(uintptr(fd), "handoff-conn"), nil
 }
 
-// rejectHandoff closes the descriptors a malformed handoff message carried
-// and describes it. It takes the message by value: the caller's stays on
-// its stack.
-func rejectHandoff(hdr string, m rightsMsg, oobn, flags int) error {
-	closed := 0
-	if cmsgs, err := syscall.ParseSocketControlMessage(m.bytes()[:oobn]); err == nil {
-		for i := range cmsgs {
-			fds, _ := syscall.ParseUnixRights(&cmsgs[i])
-			for _, fd := range fds {
-				syscall.Close(fd)
-				closed++
-			}
-		}
+// sessionReader is the back-end's reading side of a UNIX control session.
+// Every read is a recvmsg — a plain read would close the descriptors it
+// passes over — and the descriptors received wait in arrival order for the
+// HANDOFF lines that claim them. A message that brings more than one ends
+// the session.
+type sessionReader struct {
+	uc  *net.UnixConn
+	m   rightsMsg
+	fds []int // received, not yet claimed
+}
+
+func (r *sessionReader) Read(p []byte) (int, error) {
+	n, oobn, flags, _, err := r.uc.ReadMsgUnix(p, r.m.bytes())
+	if fd, ok := r.m.take(oobn, flags); !ok {
+		return 0, errors.New("cluster: session message with more than one descriptor")
+	} else if fd >= 0 {
+		r.fds = append(r.fds, fd)
 	}
-	return fmt.Errorf("cluster: handoff recv: header %q with %d descriptors (flags %#x)", hdr, closed, flags)
+	return max(n, 0), err // n is -1 on an error, which bufio does not take
+}
+
+// claim returns the oldest descriptor not yet claimed; ok is false when
+// there is none. A TCP session has no reader (r is nil) and no descriptors.
+func (r *sessionReader) claim() (fd int, ok bool) {
+	if r == nil || len(r.fds) == 0 {
+		return -1, false
+	}
+	fd = r.fds[0]
+	r.fds = r.fds[:copy(r.fds, r.fds[1:])]
+	return fd, true
+}
+
+// close closes the descriptors the session received and no line claimed.
+func (r *sessionReader) close() {
+	for _, fd := range r.fds {
+		syscall.Close(fd)
+	}
 }

@@ -67,6 +67,9 @@ func TestCtrlCloseRelayDiskQ(t *testing.T) {
 	if m := parseLine(t, appendDiskQ(nil, 5)); m.Kind != kindDiskQ || m.Depth != 5 {
 		t.Errorf("DISKQ parse: %+v", m)
 	}
+	if m := parseLine(t, appendHandoff(nil, 1<<40|3)); m.Kind != kindHandoff || m.Conn != 1<<40|3 {
+		t.Errorf("HANDOFF parse: %+v", m)
+	}
 	// A batch travels as consecutive lines in one buffer.
 	buf := appendRelay(nil, 4)
 	buf = appendReq(buf, 4, 0, proto11, true, core.NoNode, "/a")
@@ -88,6 +91,7 @@ func TestCtrlMalformed(t *testing.T) {
 		"", " ", "BOGUS 1", "REQ", "REQ 1 2", "REQ x 0 HTTP/1.1 1 - /t",
 		"REQ 1 y HTTP/1.1 1 - /t", "REQ 1 2 HTTP/1.1 1 z /t",
 		"CLOSE", "CLOSE x", "DISKQ", "DISKQ x", "RELAY", "RELAY ",
+		"HANDOFF", "HANDOFF ", "HANDOFF x", "HANDOFF 05", "HANDOFF 1 2", "HANDOFF -1", "handoff 1",
 		// Not canonical: signs, leading zeros, doubled or trailing spaces.
 		"REQ -1 0 HTTP/1.1 1 - /t", "REQ +1 0 HTTP/1.1 1 - /t", "REQ 01 0 HTTP/1.1 1 - /t",
 		"REQ 1  0 HTTP/1.1 1 - /t", "REQ 1 0 HTTP/1.1 1 - /t ", "REQ 1 0 HTTP/1.1 1 - ",
@@ -190,6 +194,7 @@ func FuzzParseCtrl(f *testing.F) {
 		"REQ 9223372036854775807 2147483647 HTTP/1.1 1 65535 /", "REQ 1 0 HTTP/1.1 1 65536 /t",
 		"REQ -1 0 HTTP/1.1 1 - /t", "REQ 01 0 HTTP/1.1 1 - /t", "CLOSE 99999999999999999999",
 		"REQ 1 0 HTTP/1.1 1 - /t extra", "REQ  1 0 HTTP/1.1 1 - /t", "", "REQ", "\x00",
+		"HANDOFF 77", "HANDOFF 9223372036854775807", "HANDOFF 9223372036854775808", "HANDOFF 077", "HANDOFF",
 	} {
 		f.Add([]byte(s))
 	}
@@ -212,6 +217,8 @@ func FuzzParseCtrl(f *testing.F) {
 			back = appendClose(nil, m.Conn)
 		case kindRelay:
 			back = appendRelay(nil, m.Conn)
+		case kindHandoff:
+			back = appendHandoff(nil, m.Conn)
 		case kindDiskQ:
 			if m.Depth < 0 || m.Depth > maxWireInt {
 				t.Fatalf("accepted depth %d", m.Depth)
