@@ -109,12 +109,11 @@ func (q *reqQueue) grow() {
 }
 
 // pop removes the oldest entry. ok is false when the queue is empty; shut
-// reports that the connection was refused or failed and nothing further
-// will be served.
+// reports that the connection was refused or failed (see shutdown).
 func (q *reqQueue) pop() (r beReq, ok, shut bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.shut || q.n == 0 {
+	if q.n == 0 {
 		return beReq{}, false, q.shut
 	}
 	r = q.buf[q.head]
@@ -124,14 +123,19 @@ func (q *reqQueue) pop() (r beReq, ok, shut bool) {
 	return r, true, false
 }
 
-// shutdown empties the queue and refuses further pushes. It reports whether
-// this call did it.
+// shutdown drops the queued requests and refuses further pushes; a queued
+// CLOSE, the last thing the front-end sends, stays for the serve goroutine
+// to retire the connection by. It reports whether this call did it.
 func (q *reqQueue) shutdown() bool {
 	q.mu.Lock()
 	first := !q.shut
 	q.shut = true
+	closing := q.n > 0 && q.buf[(q.head+q.n-1)&(len(q.buf)-1)].kind == kindClose
 	clear(q.buf)
 	q.head, q.n = 0, 0
+	if closing {
+		q.buf[0].kind, q.n = kindClose, 1
+	}
 	q.mu.Unlock()
 	q.signal()
 	return first
@@ -164,9 +168,9 @@ func (q *reqQueue) reset() {
 // Backend.conns under connMu and lets go of it before unlocking — except
 // to signal its queue, which is harmless on a record that has moved on —
 // so a recycled record is never written to under its old identity. A connection
-// that failed or was refused stays in the table, shut, until its CLOSE
-// arrives, so that requests still in flight for it are dropped instead of
-// conjuring a fresh record nothing will ever serve.
+// that failed or was refused stays in the table, shut, until its CLOSE is
+// processed (see shutdown, enqueue), so that requests in flight for it are
+// dropped instead of conjuring a fresh record nothing will ever serve.
 type beConn struct {
 	id    core.ConnID
 	relay bool
@@ -309,13 +313,12 @@ func (c *beConn) abort() bool {
 	return true
 }
 
-// giveUp aborts a connection whose response could not be written. The
-// client of a handed-off connection learns it from its socket (and the
-// front-end, reading the same socket, sends the CLOSE that clears the
-// record). A relayed connection's frame fails only with the node's data
-// session, which the front-end sees fail too: it suspects the node and
-// re-dispatches what it was waiting for, so nothing is said here. Called
-// by the connection's serve goroutine.
+// giveUp aborts a connection whose response could not be written: its
+// client learns it from the socket. A relayed connection's frame fails only
+// with the node's data session, which the front-end sees fail too: it
+// suspects the node and re-dispatches what it was waiting for, so nothing
+// is said here. Called by the serve goroutine, which then pops the CLOSE
+// that retires the record, if one is queued (see shutdown).
 func (b *Backend) giveUp(c *beConn) {
 	if c.abort() {
 		b.aborted.Add(1)
@@ -430,7 +433,7 @@ func (b *Backend) serveConn(c *beConn) {
 		if !ok {
 			if w.flush() != nil {
 				b.giveUp(c)
-				return
+				continue
 			}
 			yieldThread() // the batch is answered; next comes a wait for the front-end
 			wait = true
@@ -445,12 +448,12 @@ func (b *Backend) serveConn(c *beConn) {
 		if b.serveRequest(&w, r) != nil {
 			w.drop()
 			b.giveUp(c)
-			return
+			continue
 		}
 		if !r.keep && !c.relay {
 			if w.flush() != nil {
 				b.giveUp(c)
-				return
+				continue
 			}
 			c.endStream()
 		}

@@ -1045,8 +1045,9 @@ func (fe *FrontEnd) handOff(c *feConn, n core.NodeID) error {
 	c.hoTo = uc
 	err = rc.Control(c.sendFD)
 	link.ctrlMu.Unlock()
-	if err == nil {
+	if err == nil && c.hoErr != nil {
 		err = c.hoErr
+		fe.suspect(n) // a failed send is liveness evidence; a client fault is not
 	}
 	c.hoTo, c.hoErr = nil, nil
 	return err
@@ -1108,15 +1109,13 @@ func (fe *FrontEnd) dispatchBatch(c *feConn) error {
 	var err error
 	if first {
 		err = fe.handOff(c, handling)
-	} else {
-		err = fe.sendCtrl(handling, line)
+	} else if err = fe.sendCtrl(handling, line); err != nil {
+		fe.suspect(handling) // a failed send is liveness evidence
 	}
 	if err != nil {
 		// With the client socket handed off (or forwarding through the
 		// handling node), the FE cannot replay the request elsewhere —
-		// connection close is the fallback. A failed send is liveness
-		// evidence.
-		fe.suspect(handling)
+		// connection close is the fallback.
 		return err
 	}
 	c.closeSent = last

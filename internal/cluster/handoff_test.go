@@ -245,12 +245,16 @@ func (sb *stubBackend) msg(t *testing.T, within time.Duration) stubMsg {
 	}
 }
 
-// stubFrontEnd starts a single-handoff front-end on the stub and connects a
-// client to it.
-func stubFrontEnd(t *testing.T, sb *stubBackend, idle time.Duration) (*FrontEnd, net.Conn) {
+// stubFrontEnd starts a front-end on the stub — single handoff under LARD,
+// back-end forwarding under extended LARD — and connects a client to it.
+func stubFrontEnd(t *testing.T, sb *stubBackend, mech core.Mechanism, idle time.Duration) (*FrontEnd, net.Conn) {
 	t.Helper()
+	pol := "lard"
+	if mech == core.BEForwarding {
+		pol = "extlard"
+	}
 	fe, err := NewFrontEnd(FrontEndConfig{
-		Nodes: 1, Policy: "lard", Mechanism: core.SingleHandoff,
+		Nodes: 1, Policy: pol, Mechanism: mech,
 		Params: policy.DefaultParams(), CacheBytes: 1 << 20,
 		IdleTimeout: idle, BatchWindow: time.Millisecond,
 		HeartbeatTimeout: time.Minute, // the stub reports no disk queue
@@ -299,7 +303,7 @@ func awaitClosed(t *testing.T, fe *FrontEnd) {
 func TestHandoffLeavesSocketNonBlocking(t *testing.T) {
 	const idle = 200 * time.Millisecond
 	sb := newStubBackend(t)
-	fe, client := stubFrontEnd(t, sb, idle)
+	fe, client := stubFrontEnd(t, sb, core.SingleHandoff, idle)
 	if _, err := io.WriteString(client, "GET /x HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +332,7 @@ func TestHandoffLeavesSocketNonBlocking(t *testing.T) {
 // close, and sends nothing more.
 func TestHandoffRidesFirstBatch(t *testing.T) {
 	sb := newStubBackend(t)
-	fe, client := stubFrontEnd(t, sb, time.Minute)
+	fe, client := stubFrontEnd(t, sb, core.SingleHandoff, time.Minute)
 	if _, err := io.WriteString(client, "GET /x HTTP/1.0\r\n\r\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +350,31 @@ func TestHandoffRidesFirstBatch(t *testing.T) {
 	case m := <-sb.msgs:
 		t.Errorf("after the client closed the back-end received %q", m.data)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// A connection's first batch is one message at the back-end however many
+// requests it pipelines, under back-end forwarding as under single handoff:
+// HANDOFF, every REQ line and, its last request ending the connection,
+// CLOSE, with one descriptor.
+func TestPipelinedFirstBatchIsOneHandoff(t *testing.T) {
+	for _, mech := range []core.Mechanism{core.SingleHandoff, core.BEForwarding} {
+		t.Run(mech.String(), func(t *testing.T) {
+			sb := newStubBackend(t)
+			_, client := stubFrontEnd(t, sb, mech, time.Minute)
+			const batch = "GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\r\nHost: x\r\n\r\n" +
+				"GET /c HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+			if _, err := io.WriteString(client, batch); err != nil {
+				t.Fatal(err)
+			}
+			m := sb.msg(t, 10*time.Second)
+			id := handoffID(t, m)
+			want := "HANDOFF " + id + "\nREQ " + id + " 0 HTTP/1.1 1 - /a\nREQ " + id + " 1 HTTP/1.1 1 - /b\n" +
+				"REQ " + id + " 2 HTTP/1.1 0 - /c\nCLOSE " + id + "\n"
+			if m.data != want {
+				t.Fatalf("the handoff carries %q, want %q", m.data, want)
+			}
+		})
 	}
 }
 
@@ -576,5 +605,39 @@ func TestHandoffCostOffSessionLoop(t *testing.T) {
 	}
 	if _, err := io.WriteString(sess, "CLOSE 1\nCLOSE 2\n"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A handed-off HTTP/1.0 connection whose client resets before its response
+// leaves no record behind. Its CLOSE came with its request, and the
+// front-end sends no other: the failed write must not take the CLOSE with
+// the request, or the record stays in the table for good.
+func TestAbortedHandoffRetiresByQueuedClose(t *testing.T) {
+	const charge = 200 * time.Millisecond // holds the response back
+	be, err := NewBackend(BackendConfig{
+		ID: 0, Catalog: map[core.Target]int64{"/a": 100}, CacheBytes: 1 << 20,
+		SimulateCPU: true, Costs: server.Costs{HandoffBE: core.Micros(charge / time.Microsecond)},
+		HandoffSocket: filepath.Join(t.TempDir(), "be.sock"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	sess := dialSession(t, be)
+	client, accepted := tcpPair(t)
+	sendWith(t, sess, accepted, "HANDOFF 1\nREQ 1 0 HTTP/1.0 0 - /a\nCLOSE 1\n")
+	client.(*net.TCPConn).SetLinger(0)
+	client.Close() // a reset
+	accepted.Close()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		be.connMu.Lock()
+		n := len(be.conns)
+		be.connMu.Unlock()
+		if n == 0 && be.Aborted() == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connection records and %d aborted, want 0 and 1", n, be.Aborted())
+		}
 	}
 }

@@ -351,24 +351,22 @@ func SendConnFD(uc *net.UnixConn, id core.ConnID, f *os.File) error {
 // handoffLineMax bounds a HANDOFF line: verb, space, 19 digits, newline.
 const handoffLineMax = 32
 
-// RecvConnFD receives one message SendConnFD sent: a HANDOFF line with one
-// descriptor, which it adopts (adoptFD). A message that is anything else
-// is an error, and what descriptors it carried are closed.
+// RecvConnFD receives one message SendConnFD sent, as a back-end's session
+// does (sessionReader, parseCtrl, claim, adoptFD). Anything but a HANDOFF
+// line with one descriptor is an error, and the descriptors it brought close.
 func RecvConnFD(uc *net.UnixConn) (core.ConnID, *os.File, error) {
+	sr := sessionReader{uc: uc}
+	defer sr.close() // what no HANDOFF claimed
 	var buf [handoffLineMax]byte
-	var m rightsMsg
-	n, oobn, flags, _, err := uc.ReadMsgUnix(buf[:], m.bytes())
-	fd, ok := m.take(oobn, flags)
+	n, err := sr.Read(buf[:])
 	var msg ctrlMsg
 	if err == nil && n > 0 && buf[n-1] == '\n' {
 		msg, err = parseCtrl(buf[:n-1])
 	}
-	if err != nil || !ok || fd < 0 || msg.Kind != kindHandoff {
-		if fd >= 0 {
-			syscall.Close(fd)
-		}
-		return 0, nil, fmt.Errorf("cluster: handoff recv %q, descriptor %v: want one HANDOFF line with one (%v)", string(buf[:max(n, 0)]), fd >= 0, err)
+	if err != nil || msg.Kind != kindHandoff || len(sr.fds) == 0 {
+		return 0, nil, fmt.Errorf("cluster: handoff recv %q with %d descriptors: want one HANDOFF line with one (%v)", buf[:n], len(sr.fds), err)
 	}
+	fd, _ := sr.claim()
 	f, err := adoptFD(fd)
 	return msg.Conn, f, err
 }
