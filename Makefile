@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check trace-cache chaos slo multife
+.PHONY: all build test race bench-smoke benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check chaos slo multife
 
 all: build
 
@@ -40,13 +40,6 @@ chaos:
 	$(GO) test -race -count=1 ./internal/membership/...
 	$(GO) test -race -count=1 -run 'Membership|Churn|Crash|Drain|NoUpBackends|StartTolerates|StartFails' ./internal/dispatch/... ./internal/policy/... ./internal/sim/... ./internal/scenario/... ./internal/cluster/...
 
-# Pre-generate the default workload into the on-disk trace cache
-# (.trace-cache/): both cached forms (P-HTTP and flattened HTTP/1.0) are
-# written, and phttp-sim / phttp-bench / phttp-loadgen runs pointed at the
-# directory with -trace-cache load in milliseconds instead of regenerating.
-trace-cache:
-	$(GO) run ./cmd/phttp-tracegen -cache .trace-cache
-
 # One-iteration pass over every benchmark so the harnesses cannot rot; CI
 # runs this on each push.
 bench-smoke:
@@ -60,14 +53,16 @@ cover:
 
 # Short coverage-guided runs of the fuzz targets: every parser that faces
 # a socket — the httpmsg request/response parsers and the control line
-# between front-end and back-ends, HANDOFF included — and the simulator's
-# event order against its reference heap; CI runs the same on each push.
+# between front-end and back-ends, HANDOFF included — the binary trace
+# decoder, and the simulator's event order against its reference heap; CI
+# runs the same on each push.
 # Longer local sessions: go test -fuzz <target> -fuzztime 5m <package>
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadRequest$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadRequestInterned$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadResponse$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCtrl$$' -fuzztime=10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz 'FuzzReadBinary$$' -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineOrder$$' -fuzztime=10s ./internal/simcore/
 
 # The benchmark (BENCHMARK.json, benchmark/) is a module of its own,
@@ -100,7 +95,7 @@ vet:
 lint-phttp:
 	$(GO) run ./cmd/phttp-lint ./...
 
-# Static scrutiny for the pointer-heavy mmap/unsafe code (and everything
+# Static scrutiny for the pointer-heavy unsafe code (and everything
 # else): gofmt, go vet and phttp-lint always fail the target;
 # golangci-lint (pinned config in .golangci.yml) runs too when installed
 # (CI installs it; the dev container may not have it).

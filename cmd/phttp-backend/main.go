@@ -61,7 +61,7 @@ func main() {
 			// The catalog must describe the trace actually replayed: a
 			// trace-file workload carries its own target sizes, which the
 			// synth defaults would not reproduce.
-			wl, _, err := spec.LoadWorkload()
+			wl, err := spec.LoadWorkload()
 			if err != nil {
 				fatalf("%v", err)
 			}

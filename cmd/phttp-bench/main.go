@@ -75,7 +75,6 @@ func main() {
 		clients  = flag.Int("clients", 0, "concurrent clients (0 = 32 per node)")
 		cacheMB  = flag.Int64("cache-mb", cluster.PrototypeCacheBytes>>20, "per-node cache (MB); scale it with -connections so the touched working set stays ~5x one cache")
 		only     = flag.String("only", "", "run only the named combination (e.g. BEforward-extLARD-PHTTP)")
-		cacheDir = flag.String("trace-cache", "", "trace cache directory: load the benchmark workload from disk, generating and persisting on miss")
 		scenFlag = flag.String("scenario", "", "benchmark the prototype for a declarative scenario (builtin name or JSON file): policy, options, mechanism, workload and node axis come from the spec")
 	)
 	flag.Parse()
@@ -92,18 +91,7 @@ func main() {
 	tcfg := trace.DefaultSynthConfig()
 	tcfg.Seed = *seed
 	tcfg.Connections = *conns
-	var wl *trace.Workload
-	if *cacheDir != "" {
-		w, hit, err := trace.LoadOrGenerate(*cacheDir, tcfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "trace cache %s: hit=%v\n", *cacheDir, hit)
-		wl = w
-	} else {
-		wl = trace.NewWorkload(trace.NewSynth(tcfg).Generate())
-	}
-	tr := wl.PHTTP
+	tr := trace.NewSynth(tcfg).Generate()
 	fmt.Fprint(os.Stderr, trace.ComputeStats(tr))
 
 	var series []*metrics.Series
@@ -111,7 +99,7 @@ func main() {
 	for _, combo := range combos {
 		s := &metrics.Series{Name: combo.name}
 		for n := 1; n <= *maxNodes; n++ {
-			thr, util, err := runOne(combo, n, wl, *scale, *clients, *cacheMB<<20)
+			thr, util, err := runOne(combo, n, tr, *scale, *clients, *cacheMB<<20)
 			if err != nil {
 				fatalf("%s n=%d: %v", combo.name, n, err)
 			}
@@ -153,7 +141,7 @@ func runScenarioBench(arg string, scale float64, clients int) {
 	if set["time-scale"] || spec.Cluster.TimeScale <= 0 {
 		spec.Cluster.TimeScale = scale
 	}
-	wl, _, err := spec.LoadWorkload()
+	wl, err := spec.LoadWorkload()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -208,8 +196,7 @@ func runScenarioBench(arg string, scale float64, clients int) {
 
 // runOne starts a cluster, replays the trace, and returns normalized
 // throughput (req/s on modeled hardware) and front-end utilization.
-func runOne(combo protoCombo, nodes int, wl *trace.Workload, scale float64, clients int, cacheBytes int64) (float64, float64, error) {
-	tr := wl.PHTTP
+func runOne(combo protoCombo, nodes int, tr *trace.Trace, scale float64, clients int, cacheBytes int64) (float64, float64, error) {
 	cfg := cluster.DefaultConfig(nodes, tr.Catalog())
 	cfg.Policy = combo.policy
 	cfg.Mechanism = combo.mech
@@ -224,15 +211,10 @@ func runOne(combo protoCombo, nodes int, wl *trace.Workload, scale float64, clie
 	if clients <= 0 {
 		clients = 32 * nodes
 	}
-	var flat *trace.Trace
-	if combo.http10 {
-		flat = wl.Flatten() // memoized: one flattening across all grid points
-	}
 	res, err := loadgen.Run(loadgen.Config{
 		Addr:        cl.Addr(),
 		Trace:       tr,
 		HTTP10:      combo.http10,
-		Flat:        flat,
 		Concurrency: clients,
 		WarmupFrac:  0.2,
 		IOTimeout:   2 * time.Minute,

@@ -29,7 +29,6 @@ func main() {
 		warmup   = flag.Float64("warmup", 0.2, "fraction of connections excluded from measurement")
 		verify   = flag.Bool("verify", true, "verify response sizes and content")
 		in       = flag.String("in", "", "replay a binary trace file instead of generating the synthetic workload")
-		cacheDir = flag.String("trace-cache", "", "trace cache directory: load the workload (flattened form included) from disk, generating and persisting on miss")
 		scenFlag = flag.String("scenario", "", "take workload, client concurrency, warmup and HTTP flavor from a scenario (builtin name or JSON file); -addr and explicitly set flags still apply")
 	)
 	flag.Parse()
@@ -37,7 +36,7 @@ func main() {
 	if *scenFlag != "" {
 		runScenario(scenarioArgs{
 			arg: *scenFlag, addr: *addr, clients: *clients, verify: *verify,
-			http10: *http10, warmup: *warmup, in: *in, cacheDir: *cacheDir,
+			http10: *http10, warmup: *warmup, in: *in,
 			seed: *seed, conns: *conns,
 		})
 		return
@@ -46,35 +45,26 @@ func main() {
 	cfg := trace.DefaultSynthConfig()
 	cfg.Seed = *seed
 	cfg.Connections = *conns
-	var wl *trace.Workload
-	switch {
-	case *in != "":
+	var tr *trace.Trace
+	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		tr, _, err := trace.ReadBinary(f)
+		tr, _, err = trace.ReadBinary(f)
 		f.Close()
 		if err != nil {
 			fatalf("read %s: %v", *in, err)
 		}
-		wl = trace.NewWorkload(tr)
-	case *cacheDir != "":
-		w, _, err := trace.LoadOrGenerate(*cacheDir, cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		wl = w
-	default:
-		wl = trace.NewWorkload(trace.NewSynth(cfg).Generate())
+	} else {
+		tr = trace.NewSynth(cfg).Generate()
 	}
 
 	start := time.Now()
 	res, err := loadgen.Run(loadgen.Config{
 		Addr:        *addr,
-		Trace:       wl.PHTTP,
+		Trace:       tr,
 		HTTP10:      *http10,
-		Flat:        wl.Flat,
 		Concurrency: *clients,
 		WarmupFrac:  *warmup,
 		Verify:      *verify,
@@ -88,19 +78,18 @@ func main() {
 // scenarioArgs carries the flag values runScenario may need to overlay on
 // the spec.
 type scenarioArgs struct {
-	arg, addr, in, cacheDir string
-	clients, conns          int
-	seed                    uint64
-	warmup                  float64
-	verify, http10          bool
+	arg, addr, in  string
+	clients, conns int
+	seed           uint64
+	warmup         float64
+	verify, http10 bool
 }
 
 // runScenario compiles the load-generation half of a scenario and replays
 // its workload against addr. Explicitly set flags win over the scenario's
 // values — both the client-shape flags (-clients, -verify, -http10,
-// -warmup) and the workload-source flags (-in, -trace-cache, -seed,
-// -connections), which are folded into the spec before the workload
-// loads.
+// -warmup) and the workload-source flags (-in, -seed, -connections),
+// which are folded into the spec before the workload loads.
 func runScenario(a scenarioArgs) {
 	spec, err := scenario.LoadOrBuiltin(a.arg)
 	if err != nil {
@@ -110,11 +99,7 @@ func runScenario(a scenarioArgs) {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if set["in"] {
 		spec.Workload.TraceFile = a.in
-		spec.Workload.TraceCache = ""
 		spec.Workload.Synth = nil
-	}
-	if set["trace-cache"] && spec.Workload.TraceFile == "" {
-		spec.Workload.TraceCache = a.cacheDir
 	}
 	if set["seed"] || set["connections"] {
 		if spec.Workload.TraceFile != "" {
@@ -130,7 +115,7 @@ func runScenario(a scenarioArgs) {
 			spec.Workload.Synth.Connections = a.conns
 		}
 	}
-	wl, _, err := spec.LoadWorkload()
+	wl, err := spec.LoadWorkload()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -146,10 +131,6 @@ func runScenario(a scenarioArgs) {
 	}
 	if set["http10"] {
 		cfg.HTTP10 = a.http10
-		cfg.Flat = nil
-		if a.http10 {
-			cfg.Flat = wl.Flatten()
-		}
 	}
 	if set["warmup"] {
 		cfg.WarmupFrac = a.warmup

@@ -43,7 +43,6 @@ func main() {
 		list      = flag.Bool("list", false, "list the available policy/mechanism combinations and exit")
 		plot      = flag.Bool("plot", false, "with -scenario: append an ASCII rendering of a throughput table")
 		workers   = flag.Int("workers", 0, "parallel grid workers (0 = GOMAXPROCS, 1 = serial); output is identical either way")
-		cacheDir  = flag.String("trace-cache", "", "trace cache directory: load the workload (P-HTTP and flattened forms) from disk, generating and persisting on miss")
 		scenFlag  = flag.String("scenario", "", "run a declarative scenario: a builtin name (see -list-scenarios) or a JSON file")
 		scenList  = flag.Bool("list-scenarios", false, "list the builtin scenarios and exit")
 		fes       = flag.Int("frontends", 1, "single runs: scale-out front-end tier size (1 = the paper's single front-end)")
@@ -71,7 +70,7 @@ func main() {
 		return
 	}
 	if *scenFlag != "" {
-		runScenario(*scenFlag, *workers, *cacheDir, *plot, *verbose)
+		runScenario(*scenFlag, *workers, *plot, *verbose)
 		return
 	}
 
@@ -80,20 +79,8 @@ func main() {
 	if *conns > 0 {
 		cfg.Connections = *conns
 	}
-	var wl *trace.Workload
-	if *cacheDir != "" {
-		w, hit, err := trace.LoadOrGenerate(*cacheDir, cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "workload (%d connections, seed %d): cache %s\n",
-			cfg.Connections, cfg.Seed, map[bool]string{true: "hit", false: "miss (generated and persisted)"}[hit])
-		wl = w
-	} else {
-		fmt.Fprintf(os.Stderr, "generating workload (%d connections, seed %d)...\n", cfg.Connections, cfg.Seed)
-		wl = trace.NewWorkload(trace.NewSynth(cfg).Generate())
-	}
-	tr := wl.PHTTP
+	fmt.Fprintf(os.Stderr, "generating workload (%d connections, seed %d)...\n", cfg.Connections, cfg.Seed)
+	tr := trace.NewSynth(cfg).Generate()
 	fmt.Fprint(os.Stderr, trace.ComputeStats(tr))
 
 	var kind core.ServerKind
@@ -129,22 +116,14 @@ func main() {
 // the workload, compile the grid, run it through sim.RunGrid and print the
 // table for the grid's axis. Stdout carries the table (and an SLO
 // verdict) only; progress and -v result lines go to stderr.
-func runScenario(arg string, workers int, cacheDir string, plot, verbose bool) {
+func runScenario(arg string, workers int, plot, verbose bool) {
 	spec, err := scenario.LoadOrBuiltin(arg)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if cacheDir != "" && spec.Workload.TraceCache == "" && spec.Workload.TraceFile == "" {
-		spec.Workload.TraceCache = cacheDir
-	}
-
-	wl, hit, err := spec.LoadWorkload()
+	wl, err := spec.LoadWorkload()
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if spec.Workload.TraceCache != "" {
-		fmt.Fprintf(os.Stderr, "workload: cache %s\n",
-			map[bool]string{true: "hit", false: "miss (generated and persisted)"}[hit])
 	}
 	fmt.Fprint(os.Stderr, trace.ComputeStats(wl.PHTTP))
 	kind, err := spec.ServerKind()

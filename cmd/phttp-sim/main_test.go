@@ -190,16 +190,3 @@ func TestScenarioUnknown(t *testing.T) {
 		t.Errorf("unknown-scenario error does not list builtins:\n%s", out)
 	}
 }
-
-// TestSingleRunWithTraceCache drives a tiny single simulation twice through
-// the trace cache: the hit run must report the identical result.
-func TestSingleRunWithTraceCache(t *testing.T) {
-	cache := t.TempDir()
-	run := func() string {
-		out, _ := runSim(t, "-connections", "300", "-nodes", "2", "-trace-cache", cache)
-		return out
-	}
-	if miss, hit := run(), run(); miss != hit {
-		t.Errorf("cache-hit run diverged:\n%s\nvs\n%s", miss, hit)
-	}
-}

@@ -1,15 +1,14 @@
 // phttp-tracegen generates the synthetic Rice-like workload: a Common Log
 // Format server log (the form real traces arrive in), summary statistics
 // of the reconstructed P-HTTP trace, or the versioned binary trace format
-// that the sweep drivers cache on disk.
+// that a scenario's workload.traceFile replays.
 //
 //	phttp-tracegen -connections 60000 > access.log
 //	phttp-tracegen -stats
 //	phttp-tracegen -out trace.bin              # write the binary format
 //	phttp-tracegen -in trace.bin               # inspect a binary trace (stats)
 //	phttp-tracegen -in a.bin -out b.bin        # round-trip (re-encode; add -stats to also print)
-//	phttp-tracegen -cache .trace-cache -stats  # load-or-generate via the cache
-//	phttp-tracegen -scenario p2c -cache .trace-cache  # pre-generate a scenario's workload
+//	phttp-tracegen -scenario p2c -out p2c.bin  # write a scenario's workload
 package main
 
 import (
@@ -29,10 +28,9 @@ func main() {
 		stats    = flag.Bool("stats", false, "print trace statistics instead of the log")
 		out      = flag.String("out", "", "write the trace in the binary format to this file")
 		in       = flag.String("in", "", "read a binary trace from this file instead of generating")
-		cacheDir = flag.String("cache", "", "trace cache directory: load the workload from it, generating and persisting both cached forms on miss")
 		workers  = flag.Int("gen-workers", 0, "generation workers (0 = GOMAXPROCS, 1 = serial); the trace is identical either way")
 		block    = flag.Int("block-size", 0, "connections per generation block (0 = default); part of the deterministic format")
-		scenFlag = flag.String("scenario", "", "generate the workload a scenario describes (builtin name or JSON file); -seed/-connections override its synth section")
+		scenFlag = flag.String("scenario", "", "generate the workload a scenario describes (builtin name or JSON file), or read its traceFile; -seed/-connections override its synth section")
 	)
 	flag.Parse()
 
@@ -42,8 +40,13 @@ func main() {
 			fatalf("%v", err)
 		}
 		scenarioSpec = spec
-		if *cacheDir == "" && spec.Workload.TraceCache != "" {
-			*cacheDir = spec.Workload.TraceCache
+		// A trace-file scenario reads its file exactly as -in does, so
+		// -out keeps the config hash the file records.
+		if spec.Workload.TraceFile != "" && *in == "" {
+			if set := setFlags(); set["seed"] || set["connections"] || set["block-size"] {
+				fatalf("-seed/-connections/-block-size do not apply to a trace-file workload")
+			}
+			*in = spec.Workload.TraceFile
 		}
 	}
 
@@ -68,23 +71,6 @@ func main() {
 		// Plain -in is an inspection: print stats. With -out, print them
 		// only when asked.
 		if *stats || *out == "" {
-			fmt.Print(trace.ComputeStats(tr))
-		}
-		return
-
-	case *cacheDir != "":
-		cfg := synthConfig(*seed, *conns, *block)
-		wl, hit, err := trace.LoadOrGenerate(*cacheDir, cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "phttp-tracegen: cache %s (hit=%v, hash %016x)\n",
-			*cacheDir, hit, trace.ConfigHash(cfg))
-		tr = wl.PHTTP
-		if *out != "" {
-			writeBinaryFile(*out, tr, trace.ConfigHash(cfg))
-		}
-		if *stats {
 			fmt.Print(trace.ComputeStats(tr))
 		}
 		return
@@ -123,9 +109,7 @@ func synthConfig(seed uint64, conns, block int) trace.SynthConfig {
 	if scenarioSpec != nil {
 		cfg = scenarioSpec.SynthConfig()
 	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if scenarioSpec == nil || set["seed"] {
+	if scenarioSpec == nil || setFlags()["seed"] {
 		cfg.Seed = seed
 	}
 	if conns > 0 {
@@ -135,6 +119,13 @@ func synthConfig(seed uint64, conns, block int) trace.SynthConfig {
 		cfg.BlockSize = block
 	}
 	return cfg
+}
+
+// setFlags reports which flags the command line set explicitly.
+func setFlags() map[string]bool {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	return set
 }
 
 func writeBinaryFile(path string, tr *trace.Trace, hash uint64) {

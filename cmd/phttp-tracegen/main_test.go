@@ -63,23 +63,30 @@ func TestBinaryTraceRoundTripEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCacheFlagSmoke exercises -cache: a miss that generates and persists,
-// then a hit that loads the same workload.
-func TestCacheFlagSmoke(t *testing.T) {
+// TestScenarioTraceFile: -scenario on a spec whose workload names a
+// traceFile reads that file instead of generating the default synthetic
+// workload, and -seed/-connections, which cannot apply to it, fail.
+func TestScenarioTraceFile(t *testing.T) {
 	bin := buildBinary(t)
-	cache := t.TempDir()
-	first, err := exec.Command(bin, "-connections", "200", "-cache", cache, "-stats").Output()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.bin")
+	want, err := exec.Command(bin, "-connections", "300", "-out", path, "-stats").Output()
 	if err != nil {
-		t.Fatalf("cache miss run: %v", err)
+		t.Fatalf("generate: %v", err)
 	}
-	if len(first) == 0 {
-		t.Fatal("cache miss run printed no stats")
+	spec := filepath.Join(dir, "spec.json")
+	src := `{"version":1,"workload":{"traceFile":"` + path + `"},"policy":{"name":"wrr"},"cluster":{"nodes":2}}`
+	if err := os.WriteFile(spec, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	second, err := exec.Command(bin, "-connections", "200", "-cache", cache, "-stats").Output()
+	got, err := exec.Command(bin, "-scenario", spec, "-stats").Output()
 	if err != nil {
-		t.Fatalf("cache hit run: %v", err)
+		t.Fatalf("-scenario: %v", err)
 	}
-	if string(first) != string(second) {
-		t.Errorf("cache hit stats differ from miss:\n%s\nvs\n%s", first, second)
+	if string(got) != string(want) {
+		t.Errorf("-scenario stats differ from the trace file's:\nfile:\n%s\nscenario:\n%s", want, got)
+	}
+	if out, err := exec.Command(bin, "-scenario", spec, "-connections", "100", "-stats").CombinedOutput(); err == nil {
+		t.Errorf("-connections on a trace-file scenario accepted:\n%s", out)
 	}
 }

@@ -129,7 +129,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	wl, _, err := spec.LoadWorkload()
+	wl, err := spec.LoadWorkload()
 	if err != nil {
 		log.Fatal(err)
 	}

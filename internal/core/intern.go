@@ -241,14 +241,6 @@ type Interner struct {
 	seed    maphash.Seed
 	stripes []internStripe
 	arena   slotArena
-
-	// lazy, when non-nil, is the in-order name table of a bulk-loaded
-	// pinned interner (NewInternerFromNames) whose name→ID map has not
-	// been materialized yet. Guarded by the single stripe's mu; see
-	// materializeLocked. ID→name lookups (Name, AppendNames) and replay
-	// through pre-stamped IDs never need the map, so the zero-copy trace
-	// load path skips building it entirely.
-	lazy []Target
 }
 
 // newInterner builds an interner with the given cap (0 = pinned) and stripe
@@ -328,74 +320,27 @@ func NewInterner() *Interner {
 	return newInterner(0, 0)
 }
 
-// emptySnap is the shared initial snapshot of a bulk-loaded interner: the
-// lock-free Intern hit path can dereference it at zero cost until
-// materializeLocked publishes the real map. Never mutated.
-var emptySnap = func() *map[Target]TargetID {
-	m := map[Target]TargetID{}
-	return &m
-}()
-
 // NewInternerFromNames builds a pinned interner whose table is exactly
 // names in order (names[i] ↔ ID i+1), taking ownership of the slice —
 // callers must not mutate it afterwards. This is the bulk path for loaders
-// that already hold a trace's target table. The name→ID map is built
-// lazily on the first operation that needs one (an Intern miss, Lookup,
-// Len): ID→name traffic — Name, AppendNames, replay through pre-stamped
-// request IDs — never touches it, so loading a cached trace costs a
-// handful of allocations regardless of table size. Duplicate names
-// collapse to the first occurrence; callers that must reject duplicates
-// check before handing the slice over (the trace loader probes for them).
+// that already hold a trace's target table: one presized map fill instead
+// of a lock round trip per target. Duplicate names collapse to the first
+// occurrence, so Len() < len(names) reports one.
 func NewInternerFromNames(names []Target) *Interner {
-	// Hand-rolled single-stripe shell instead of newInterner: the map and
-	// snapshot newInterner would build are exactly what this path defers,
-	// and the mmap'd cache-hit load budgets every allocation.
-	in := &Interner{
-		seed:    maphash.MakeSeed(),
-		stripes: make([]internStripe, 1),
-	}
+	in := newInterner(0, 1)
 	st := &in.stripes[0]
-	st.limboHead, st.limboTail = nilSlot, nilSlot
-	st.snap.Store(emptySnap)
+	st.ids = make(map[Target]TargetID, len(names))
 	in.arena.grow(len(names))
 	for i := range names {
 		sl := in.arena.slot(int32(i))
 		sl.name.Store(&names[i])
 		sl.prev, sl.next = notInLimbo, notInLimbo
-	}
-	in.lazy = names
-	return in
-}
-
-// BulkNames returns the in-order name table of a bulk-loaded interner
-// while its name→ID map is still deferred, or nil otherwise (materialized,
-// or not built by NewInternerFromNames). Callers must not mutate the
-// returned slice. The trace loader uses it to verify a shared table
-// without AppendNames' fresh allocation.
-func (in *Interner) BulkNames() []Target {
-	st := &in.stripes[0]
-	st.mu.Lock()
-	names := in.lazy
-	st.mu.Unlock()
-	return names
-}
-
-// materializeLocked builds the deferred name→ID map of a bulk-loaded
-// pinned interner (first-occurrence-wins, matching eager interning order).
-// Callers hold st.mu; lazy is only ever set on a single-stripe interner,
-// so holding any stripe's lock serializes all materializers.
-func (in *Interner) materializeLocked(st *internStripe) {
-	if in.lazy == nil {
-		return
-	}
-	st.ids = make(map[Target]TargetID, len(in.lazy))
-	for i, t := range in.lazy {
-		if _, ok := st.ids[t]; !ok {
-			st.ids[t] = TargetID(i + 1)
+		if _, ok := st.ids[names[i]]; !ok {
+			st.ids[names[i]] = TargetID(i + 1)
 		}
 	}
 	st.rebuildLocked()
-	in.lazy = nil
+	return in
 }
 
 // NewEvictableInterner returns an empty capped interner holding at most max
@@ -510,7 +455,6 @@ func (in *Interner) tryAcquireHit(t Target, id TargetID) bool {
 func (in *Interner) internSlow(st *internStripe, t Target, missed bool) TargetID {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	in.materializeLocked(st)
 	if id, ok := st.ids[t]; ok {
 		if missed {
 			st.touchLocked()
@@ -747,9 +691,8 @@ func (in *Interner) limboRemoveLocked(st *internStripe, s int32) {
 }
 
 // AppendNames appends the interner's targets in ID order (names[i] is the
-// target of ID i+1) to dst and returns it: the bulk accessor loaders use
-// to compare or adopt a table without a lock round trip per entry. On a
-// capped interner dead slots appear as empty strings.
+// target of ID i+1) to dst and returns it, without a lock round trip per
+// entry. On a capped interner dead slots appear as empty strings.
 func (in *Interner) AppendNames(dst []Target) []Target {
 	n := in.arena.length.Load()
 	if need := len(dst) + int(n); cap(dst) < need {
@@ -778,7 +721,6 @@ func (in *Interner) AppendNames(dst []Target) []Target {
 func (in *Interner) Lookup(t Target) (TargetID, bool) {
 	st := in.stripeFor(t)
 	st.mu.Lock()
-	in.materializeLocked(st)
 	id, ok := st.ids[t]
 	st.mu.Unlock()
 	return id, ok
@@ -812,7 +754,6 @@ func (in *Interner) Len() int {
 	for i := range in.stripes {
 		st := &in.stripes[i]
 		st.mu.Lock()
-		in.materializeLocked(st)
 		n += len(st.ids)
 		st.mu.Unlock()
 	}

@@ -45,8 +45,8 @@ func TestAcquirePanicsOnUnassigned(t *testing.T) {
 }
 
 // TestAppendNames covers the bulk ID→name accessor on both interner
-// shapes: a bulk-loaded pinned table (the zero-copy trace load, name→ID
-// map still deferred) and a capped table with a dead slot, which must
+// shapes: a bulk-loaded pinned table (the trace decoder's
+// NewInternerFromNames) and a capped table with a dead slot, which must
 // appear as an empty string to keep positions aligned with IDs.
 func TestAppendNames(t *testing.T) {
 	names := []Target{"/x", "/y", "/z"}

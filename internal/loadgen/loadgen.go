@@ -31,10 +31,6 @@ type Config struct {
 	// HTTP10 flattens the trace to one request per connection and speaks
 	// HTTP/1.0.
 	HTTP10 bool
-	// Flat optionally supplies the pre-flattened HTTP/1.0 form (e.g. from
-	// the on-disk trace cache); when nil and HTTP10 is set, the trace is
-	// flattened on the fly.
-	Flat *trace.Trace
 	// Concurrency is the number of simulated clients (each drives one
 	// connection at a time, opening the next as soon as one completes).
 	Concurrency int
@@ -95,11 +91,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	workload := cfg.Trace
 	if cfg.HTTP10 {
-		if cfg.Flat != nil {
-			workload = cfg.Flat
-		} else {
-			workload = workload.Flatten10()
-		}
+		workload = workload.Flatten10()
 	}
 	if len(workload.Conns) == 0 {
 		return Result{}, fmt.Errorf("loadgen: empty trace")

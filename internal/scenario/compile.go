@@ -299,8 +299,8 @@ func (s *Spec) ToFrontEndConfig(nodes int) (cluster.FrontEndConfig, error) {
 }
 
 // ToLoadgenConfig compiles the scenario for the load generator replaying
-// the given workload against addr. HTTP/1.0 scenarios reuse the
-// workload's memoized flattening.
+// the given workload against addr; loadgen.Run flattens it for HTTP/1.0
+// scenarios.
 func (s *Spec) ToLoadgenConfig(addr string, wl *trace.Workload) (loadgen.Config, error) {
 	if err := s.Validate(); err != nil {
 		return loadgen.Config{}, err
@@ -315,9 +315,6 @@ func (s *Spec) ToLoadgenConfig(addr string, wl *trace.Workload) (loadgen.Config,
 	}
 	if s.Cluster.WarmupFrac != nil {
 		cfg.WarmupFrac = *s.Cluster.WarmupFrac
-	}
-	if s.Workload.HTTP10 {
-		cfg.Flat = wl.Flatten()
 	}
 	return cfg, nil
 }

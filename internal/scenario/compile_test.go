@@ -59,7 +59,7 @@ func TestNewPoliciesSimAndPrototypeFromOneScenario(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ToSimConfig: %v", tc.wantPolicy, err)
 		}
-		wl, _, err := s.LoadWorkload()
+		wl, err := s.LoadWorkload()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,36 +172,8 @@ func TestToLoadgenConfigFlattens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lg.HTTP10 || lg.Flat == nil || lg.Concurrency != 16 || lg.Addr != "127.0.0.1:1" {
+	if !lg.HTTP10 || lg.Trace != wl.PHTTP || lg.Concurrency != 16 || lg.Addr != "127.0.0.1:1" {
 		t.Errorf("compiled %+v", lg)
-	}
-}
-
-func TestLoadWorkloadTraceCache(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Parse([]byte(`{"version":1,
-		"workload":{"synth":{"connections":300,"pages":80,"objects":150,"clients":40},"traceCache":"` + dir + `"},
-		"policy":{"name":"wrr"},"cluster":{"nodes":1}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, hit, err := s.LoadWorkload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Error("first load reported a cache hit")
-	}
-	wl2, hit2, err := s.LoadWorkload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit2 {
-		t.Error("second load missed the cache")
-	}
-	if wl.PHTTP.Requests() != wl2.PHTTP.Requests() {
-		t.Errorf("cache round trip changed the workload: %d vs %d requests",
-			wl.PHTTP.Requests(), wl2.PHTTP.Requests())
 	}
 }
 
@@ -224,19 +196,16 @@ func TestLoadWorkloadTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, hit, err := s.LoadWorkload()
+	wl, err := s.LoadWorkload()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if hit {
-		t.Error("trace file load reported a cache hit")
 	}
 	if wl.PHTTP.Requests() != tr.Requests() {
 		t.Errorf("trace file round trip: %d vs %d requests", wl.PHTTP.Requests(), tr.Requests())
 	}
 
 	s.Workload.TraceFile = path + ".missing"
-	if _, _, err := s.LoadWorkload(); err == nil {
+	if _, err := s.LoadWorkload(); err == nil {
 		t.Error("missing trace file accepted")
 	}
 }

@@ -67,16 +67,11 @@ type Spec struct {
 }
 
 // WorkloadSpec selects the request trace: a synthetic-generator
-// configuration (the default), a trace-cache directory keyed by that
-// configuration, or a binary trace file. HTTP10 flattens the trace to one
-// request per connection.
+// configuration (the default) or a binary trace file. HTTP10 flattens the
+// trace to one request per connection.
 type WorkloadSpec struct {
 	// Synth overrides the synthetic generator's defaults.
 	Synth *SynthSpec `json:"synth,omitempty"`
-	// TraceCache is an on-disk trace cache directory (trace.LoadOrGenerate):
-	// the workload keyed by the synth configuration is loaded from it,
-	// generated and persisted on miss.
-	TraceCache string `json:"traceCache,omitempty"`
 	// TraceFile is a binary trace file (trace.ReadBinary) replayed as-is.
 	TraceFile string `json:"traceFile,omitempty"`
 	// HTTP10 flattens the trace to HTTP/1.0 (one request per connection).
@@ -270,9 +265,6 @@ func Load(path string) (*Spec, error) {
 func (s *Spec) Validate() error {
 	if s.Version != SpecVersion {
 		return fmt.Errorf("scenario: unsupported version %d (want %d)", s.Version, SpecVersion)
-	}
-	if s.Workload.TraceFile != "" && s.Workload.TraceCache != "" {
-		return fmt.Errorf("scenario: workload names both traceFile and traceCache; pick one")
 	}
 	if s.Workload.TraceFile != "" && s.Workload.Synth != nil {
 		return fmt.Errorf("scenario: workload names both traceFile and synth; pick one")
@@ -499,26 +491,21 @@ func (s *Spec) SynthConfig() trace.SynthConfig {
 }
 
 // LoadWorkload materializes the scenario's workload: a binary trace file,
-// the trace cache (generating and persisting on miss — the bool reports a
-// cache hit), or a fresh synthetic generation.
-func (s *Spec) LoadWorkload() (*trace.Workload, bool, error) {
-	switch {
-	case s.Workload.TraceFile != "":
-		f, err := os.Open(s.Workload.TraceFile)
-		if err != nil {
-			return nil, false, fmt.Errorf("scenario: %w", err)
-		}
-		defer f.Close()
-		tr, _, err := trace.ReadBinary(f)
-		if err != nil {
-			return nil, false, fmt.Errorf("scenario: read %s: %w", s.Workload.TraceFile, err)
-		}
-		return trace.NewWorkload(tr), false, nil
-	case s.Workload.TraceCache != "":
-		return trace.LoadOrGenerate(s.Workload.TraceCache, s.SynthConfig())
-	default:
-		return trace.NewWorkload(trace.NewSynth(s.SynthConfig()).Generate()), false, nil
+// or a fresh synthetic generation.
+func (s *Spec) LoadWorkload() (*trace.Workload, error) {
+	if s.Workload.TraceFile == "" {
+		return trace.NewWorkload(trace.NewSynth(s.SynthConfig()).Generate()), nil
 	}
+	f, err := os.Open(s.Workload.TraceFile)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	defer f.Close()
+	tr, _, err := trace.ReadBinary(f)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: read %s: %w", s.Workload.TraceFile, err)
+	}
+	return trace.NewWorkload(tr), nil
 }
 
 // label is the series label for policy-driven scenarios: the explicit

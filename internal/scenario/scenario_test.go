@@ -87,7 +87,6 @@ func TestParseRejects(t *testing.T) {
 		"no nodes":           `{"version":1,"workload":{},"policy":{"name":"wrr"}}`,
 		"negative nodes":     `{"version":1,"workload":{},"policy":{"name":"wrr"},"cluster":{"nodes":-1}}`,
 		"bad warmup":         `{"version":1,"workload":{},"policy":{"name":"wrr"},"cluster":{"nodes":2,"warmupFrac":1.5}}`,
-		"two trace sources":  `{"version":1,"workload":{"traceFile":"a","traceCache":"b"},"policy":{"name":"wrr"},"cluster":{"nodes":2}}`,
 		"combos with policy": `{"version":1,"workload":{},"policy":{"name":"wrr"},"sweep":{"nodes":[1],"combos":["WRR"]}}`,
 		"combos without nodes axis": `{"version":1,"workload":{},
 			"sweep":{"combos":["WRR"]}}`,
@@ -102,6 +101,15 @@ func TestParseRejects(t *testing.T) {
 		if _, err := Parse([]byte(src)); err == nil {
 			t.Errorf("%s: Parse accepted %s", label, src)
 		}
+	}
+}
+
+// TestParseRejectsTraceCache: traceCache is not a workload field, so a
+// spec naming it fails to parse, and the error names the field.
+func TestParseRejectsTraceCache(t *testing.T) {
+	_, err := Parse([]byte(`{"version":1,"workload":{"traceCache":"b"},"policy":{"name":"wrr"},"cluster":{"nodes":2}}`))
+	if err == nil || !strings.Contains(err.Error(), "traceCache") {
+		t.Errorf("Parse error = %v, want one naming traceCache", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"strings"
@@ -326,38 +327,30 @@ func TestRunJobsZeroesResultsOnError(t *testing.T) {
 	}
 }
 
-// TestClusterSweepWorkloadMatchesDirect pins the cache wiring: a sweep
-// over a workload loaded from the binary trace cache produces results
-// identical to one over the freshly generated trace.
+// TestClusterSweepWorkloadMatchesDirect pins the traceFile path: a sweep
+// over a workload that went through WriteBinary / ReadBinary produces
+// results identical to one over the freshly generated trace.
 func TestClusterSweepWorkloadMatchesDirect(t *testing.T) {
-	_, direct, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, Combos(), trace.NewWorkload(sweepTrace()), 0)
+	tr := sweepTrace()
+	_, direct, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, Combos(), trace.NewWorkload(tr), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := trace.SmallSynthConfig()
-	cfg.Connections = 3000 // must mirror sweepTrace()
-	dir := t.TempDir()
-	if _, hit, err := trace.LoadOrGenerate(dir, cfg); err != nil {
+	var buf bytes.Buffer
+	if _, err := trace.WriteBinary(&buf, tr, 0); err != nil {
 		t.Fatal(err)
-	} else if hit {
-		t.Fatal("fresh cache dir reported a hit")
 	}
-	// Reload so the sweep runs over traces that went through the binary
-	// format, not the in-memory originals.
-	wl, hit, err := trace.LoadOrGenerate(dir, cfg)
+	loaded, _, err := trace.ReadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
-		t.Fatal("second load missed the cache")
-	}
-	_, cached, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, Combos(), wl, 0)
+	_, replayed, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, Combos(), trace.NewWorkload(loaded), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(direct, cached) {
-		t.Error("sweep over cached workload diverged from direct trace")
+	if !reflect.DeepEqual(direct, replayed) {
+		t.Error("sweep over the decoded workload diverged from the direct trace")
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 )
 
 // Sweep-startup benchmarks: catalog build plus connection generation
-// (serial and block-parallel) and the cache-hit load path, on a small
-// workload. The benchmark module's setup_s times the full-size one; these
-// keep the paths under bench-smoke in CI.
+// (serial and block-parallel) and the binary decode, on a small workload.
+// The benchmark module's setup_s times the full-size one; these keep the
+// paths under bench-smoke in CI.
 
 func benchSynthConfig() SynthConfig {
 	cfg := SmallSynthConfig()
@@ -32,23 +32,8 @@ func BenchmarkSynthGenerateParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkTraceCacheHit(b *testing.B) {
-	cfg := benchSynthConfig()
-	dir := b.TempDir()
-	if _, _, err := LoadOrGenerate(dir, cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, hit, err := LoadOrGenerate(dir, cfg); err != nil || !hit {
-			b.Fatalf("hit=%v err=%v", hit, err)
-		}
-	}
-}
-
-// The decode benchmarks isolate ReadBinaryBytes per cached form: the
-// nested P-HTTP structure and the layoutSingle flattened form.
+// The decode benchmarks isolate ReadBinaryBytes per layout: the nested
+// P-HTTP structure and the layoutSingle flattened form.
 
 func benchEncoded(b *testing.B, flat bool) []byte {
 	b.Helper()
@@ -81,22 +66,6 @@ func BenchmarkReadBinaryFlat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := ReadBinaryBytes(data); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLoadOrGenerateHitReference(b *testing.B) {
-	cfg := DefaultSynthConfig()
-	cfg.Connections = 12000
-	dir := b.TempDir()
-	if _, _, err := LoadOrGenerate(dir, cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, hit, err := LoadOrGenerate(dir, cfg); err != nil || !hit {
-			b.Fatalf("hit=%v err=%v", hit, err)
 		}
 	}
 }

@@ -7,15 +7,14 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"hash/maphash"
 	"io"
 
 	"phttp/internal/core"
 )
 
 // Binary trace format (see DESIGN.md §12). Traces are written as a
-// versioned, checksummed, varint-packed stream so full workloads can be
-// cached on disk and loaded in a fraction of the time regeneration takes:
+// versioned, checksummed, varint-packed stream, so a workload written once
+// (phttp-tracegen -out) replays as-is wherever a scenario names it:
 //
 //	header   magic "PHTB" | u32 format version | u64 config hash
 //	totals   uvarint total batches, uvarint total requests — lets the
@@ -40,8 +39,8 @@ import (
 // would have assigned — a loaded trace is deep-equal to the one written.
 
 // BinFormatVersion is the on-disk trace format version. Bump it whenever
-// the layout or the generator's deterministic draw scheme changes so stale
-// cache files are regenerated, never misread.
+// the layout or the generator's deterministic draw scheme changes so a
+// stale file is rejected, never misread.
 const BinFormatVersion = 1
 
 var binMagic = [4]byte{'P', 'H', 'T', 'B'}
@@ -211,15 +210,10 @@ func WriteBinary(w io.Writer, t *Trace, configHash uint64) (int64, error) {
 // successfully read trace is deep-equal to the one written, with targets
 // interned in the original ID order.
 //
-// The whole stream is buffered in memory first: the checksum is one bulk
-// CRC pass and decoding works on a byte slice with no per-varint reader
-// calls — the cache-hit path has to beat regenerating the workload, and a
-// streaming decoder spent more time in interface dispatch than the
-// generator spends drawing samples. A trace's in-memory form is larger
-// than its file, so the transient buffer never dominates. Callers that
-// already hold the bytes (os.ReadFile) should use ReadBinaryBytes; callers
-// loading a cache file should use ReadBinaryMapped, which skips the copy
-// entirely on platforms with mmap.
+// The whole stream is buffered in memory first, so the checksum is one
+// bulk CRC pass and decoding works on a byte slice with no per-varint
+// reader calls. Callers that already hold the bytes should use
+// ReadBinaryBytes.
 func ReadBinary(r io.Reader) (*Trace, uint64, error) {
 	data, err := io.ReadAll(bufio.NewReaderSize(r, 1<<16))
 	if err != nil {
@@ -228,54 +222,7 @@ func ReadBinary(r io.Reader) (*Trace, uint64, error) {
 	return ReadBinaryBytes(data)
 }
 
-// ReadBinaryBytes is ReadBinary over an in-memory encoding.
-func ReadBinaryBytes(data []byte) (*Trace, uint64, error) {
-	return readBinary(data, nil, false)
-}
-
-// ReadBinaryMapped reads one binary trace file through a read-only memory
-// mapping: the checksum is verified once over the mapped bytes, then the
-// decoder builds the trace in place — target strings alias the mapped file
-// instead of being copied, so a cache hit costs a fixed handful of
-// allocations regardless of table size. The returned trace pins the
-// mapping (and traces sharing its interner, like a donor-loaded flattening,
-// inherit the pin); the mapped strings are valid for as long as the trace
-// is reachable, and a finalizer unmaps afterwards. Callers that extract
-// names to outlive the trace must copy them. On platforms without mmap
-// this degrades to the copying loader.
-func ReadBinaryMapped(path string) (*Trace, uint64, error) {
-	m, data, err := mapFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorruptTrace, err)
-	}
-	t, configHash, err := readBinary(data, nil, mmapSupported)
-	if err != nil {
-		m.unmap()
-		return nil, 0, err
-	}
-	t.mapping = m
-	if t.cat != nil {
-		// The deferred catalog's columns alias the mapping too; pin it
-		// there as well so materialization is safe even if the collector
-		// proves the trace itself dead mid-call.
-		t.cat.mapping = m
-	}
-	return t, configHash, nil
-}
-
-// readBinaryShared reads a trace whose target table must byte-for-byte
-// equal donor's; the result adopts donor's Interner and Sizes map instead
-// of rebuilding its own — exactly the sharing Flatten10 produces, and the
-// fast path for loading the flattened half of a cached workload pair. A
-// table mismatch is reported as corruption.
-func readBinaryShared(data []byte, donor *Trace) (*Trace, uint64, error) {
-	return readBinary(data, donor, false)
-}
-
-// binDecoder walks a binary trace payload. Methods on a local struct
-// replace the closure-based helpers an earlier version used: the mapped
-// cache-hit path budgets every allocation, and three escaping closures per
-// load were a measurable slice of its fixed cost.
+// binDecoder walks a binary trace payload.
 type binDecoder struct {
 	rest []byte
 }
@@ -320,11 +267,9 @@ func (d *binDecoder) capHint(n uint64) int {
 	return int(n)
 }
 
-// readBinary decodes one encoded trace. A non-nil donor lends its target
-// table (see readBinaryShared). alias makes target strings alias data
-// itself instead of copying through a blob — only valid when data outlives
-// the trace, i.e. for a pinned mapping (ReadBinaryMapped).
-func readBinary(data []byte, donor *Trace, alias bool) (*Trace, uint64, error) {
+// ReadBinaryBytes is ReadBinary over an in-memory encoding. The trace
+// copies everything it keeps, so data may be reused afterwards.
+func ReadBinaryBytes(data []byte) (*Trace, uint64, error) {
 	if len(data) < 20 {
 		return nil, 0, fmt.Errorf("%w: %d-byte file", ErrCorruptTrace, len(data))
 	}
@@ -366,137 +311,47 @@ func readBinary(data []byte, donor *Trace, alias bool) (*Trace, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	t := &Trace{Sizes: make(map[core.Target]int64, d.capHint(nTargets))}
+	sizes := make([]int64, 0, d.capHint(nTargets))
+	// All names share one backing blob (sliced after the scan) — one
+	// allocation instead of one per target.
 	var (
-		t     *Trace
-		names []core.Target
-		sizes []int64
+		nameData  []byte
+		offs      = make([]int, 1, d.capHint(nTargets)+1)
+		entryFlag = make([]uint8, 0, d.capHint(nTargets))
 	)
-	if donor != nil {
-		// Adopt the donor's table: verify each encoded entry against the
-		// donor's (byte compare, no per-entry string allocation or map
-		// insert) and share its Interner and Sizes outright. The donor's
-		// mapping pin (if any) carries over — the shared table may alias
-		// the donor's mapped file, and this trace keeps it reachable. A
-		// lazily-loaded donor lends its name table and columnar sizes too,
-		// so this decode allocates nothing per table entry at all.
-		names = donor.Interner.BulkNames()
-		if names == nil {
-			names = donor.Interner.AppendNames(nil)
+	for i := uint64(0); i < nTargets; i++ {
+		name, err := d.bytes()
+		if err != nil {
+			return nil, 0, err
 		}
-		if uint64(len(names)) != nTargets {
-			return nil, 0, fmt.Errorf("%w: table has %d targets, donor %d", ErrCorruptTrace, nTargets, len(names))
+		nameData = append(nameData, name...)
+		offs = append(offs, len(nameData))
+		size, err := d.uvarint()
+		if err != nil {
+			return nil, 0, err
 		}
-		t = &Trace{Sizes: donor.Sizes, Interner: donor.Interner, cat: donor.cat, mapping: donor.mapping}
-		var donorSizes []int64
-		if donor.cat != nil && len(donor.cat.sizes) >= len(names) {
-			donorSizes = donor.cat.sizes
-		} else {
-			sizes = make([]int64, 0, len(names))
+		flags, err := d.uvarint()
+		if err != nil {
+			return nil, 0, err
 		}
-		for i := uint64(0); i < nTargets; i++ {
-			name, err := d.bytes()
-			if err != nil {
-				return nil, 0, err
-			}
-			if string(name) != string(names[i]) {
-				return nil, 0, fmt.Errorf("%w: table entry %d is %q, donor has %q", ErrCorruptTrace, i, name, names[i])
-			}
-			size, err := d.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			if _, err := d.uvarint(); err != nil { // flags, encoded in donor's Sizes
-				return nil, 0, err
-			}
-			if donorSizes != nil {
-				if donorSizes[i] != int64(size) {
-					return nil, 0, fmt.Errorf("%w: table entry %d sized %d, donor has %d", ErrCorruptTrace, i, size, donorSizes[i])
-				}
-			} else {
-				sizes = append(sizes, int64(size))
-			}
+		sizes = append(sizes, int64(size))
+		entryFlag = append(entryFlag, uint8(flags))
+	}
+	blob := string(nameData)
+	names := make([]core.Target, nTargets)
+	for i := range names {
+		names[i] = core.Target(blob[offs[i]:offs[i+1]])
+		if entryFlag[i]&flagInSizes != 0 {
+			t.Sizes[names[i]] = sizes[i]
 		}
-		if donorSizes != nil {
-			sizes = donorSizes
-		}
-	} else if alias {
-		// Zero-copy table: every name aliases the mapped file's bytes (the
-		// caller pins the mapping in the returned trace), and the Sizes
-		// catalog stays columnar — names/sizes/flags slices — until some
-		// caller asks for the map form (Trace.Catalog). Replay never does,
-		// so a cache hit skips building a catalog map at all: on the
-		// reference workload that map alone is ~70 allocated objects.
-		names = make([]core.Target, 0, d.capHint(nTargets))
-		sizes = make([]int64, 0, d.capHint(nTargets))
-		flags := make([]uint8, 0, d.capHint(nTargets))
-		for i := uint64(0); i < nTargets; i++ {
-			nameB, err := d.bytes()
-			if err != nil {
-				return nil, 0, err
-			}
-			size, err := d.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			fl, err := d.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			names = append(names, core.Target(aliasString(nameB)))
-			sizes = append(sizes, int64(size))
-			flags = append(flags, uint8(fl))
-		}
-		if hasDuplicate(names) {
-			return nil, 0, fmt.Errorf("%w: duplicate target in table", ErrCorruptTrace)
-		}
-		t = &Trace{cat: &lazyCatalog{names: names, sizes: sizes, flags: flags}}
-		// Rebuild the interner as a deferred bulk fill: the ID→name side is
-		// ready immediately (that is all replay touches) and the name→ID map
-		// materializes only if someone interns or looks up by name.
-		t.Interner = core.NewInternerFromNames(names)
-	} else {
-		t = &Trace{Sizes: make(map[core.Target]int64, d.capHint(nTargets))}
-		sizes = make([]int64, 0, d.capHint(nTargets))
-		// All names share one backing blob (sliced after the scan) — one
-		// allocation instead of one per target.
-		var (
-			nameData  []byte
-			offs      = make([]int, 1, d.capHint(nTargets)+1)
-			entryFlag = make([]uint8, 0, d.capHint(nTargets))
-		)
-		for i := uint64(0); i < nTargets; i++ {
-			name, err := d.bytes()
-			if err != nil {
-				return nil, 0, err
-			}
-			nameData = append(nameData, name...)
-			offs = append(offs, len(nameData))
-			size, err := d.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			flags, err := d.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			sizes = append(sizes, int64(size))
-			entryFlag = append(entryFlag, uint8(flags))
-		}
-		blob := string(nameData)
-		names = make([]core.Target, nTargets)
-		for i := range names {
-			names[i] = core.Target(blob[offs[i]:offs[i+1]])
-			if entryFlag[i]&flagInSizes != 0 {
-				t.Sizes[names[i]] = sizes[i]
-			}
-		}
-		if hasDuplicate(names) {
-			return nil, 0, fmt.Errorf("%w: duplicate target in table", ErrCorruptTrace)
-		}
-		// Rebuild the interner in one presized bulk fill — per-target
-		// Intern calls pay a lock round trip and incremental map growth,
-		// which dominated the load profile.
-		t.Interner = core.NewInternerFromNames(names)
+	}
+	// Rebuild the interner in one presized bulk fill — per-target Intern
+	// calls pay a lock round trip and incremental map growth. The fill
+	// collapses a repeated name, so a short table is a duplicate entry.
+	t.Interner = core.NewInternerFromNames(names)
+	if t.Interner.Len() != len(names) {
+		return nil, 0, fmt.Errorf("%w: duplicate target in table", ErrCorruptTrace)
 	}
 
 	nExtras, err := d.uvarint()
@@ -512,19 +367,13 @@ func readBinary(data []byte, donor *Trace, alias bool) (*Trace, uint64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		switch {
-		case donor != nil:
-			// The extras are already in the donor's shared catalog.
-		case t.cat != nil:
-			// Alias mode keeps the catalog columnar; extras are copied (not
-			// aliased) — generated workloads have none, so pinning map keys
-			// to the mapping would buy nothing.
-			t.cat.names = append(t.cat.names, core.Target(string(name)))
-			t.cat.sizes = append(t.cat.sizes, int64(size))
-			t.cat.flags = append(t.cat.flags, flagInSizes)
-		default:
-			t.Sizes[core.Target(name)] = int64(size)
+		// An extra is a catalog entry outside the table, written once: a
+		// repeat would overwrite a size the table or an earlier extra set.
+		_, inSizes := t.Sizes[core.Target(name)]
+		if _, inTable := t.Interner.Lookup(core.Target(name)); inSizes || inTable {
+			return nil, 0, fmt.Errorf("%w: extra %q repeats a target", ErrCorruptTrace, name)
 		}
+		t.Sizes[core.Target(name)] = int64(size)
 	}
 
 	nConns, err := d.uvarint()
@@ -533,13 +382,13 @@ func readBinary(data []byte, donor *Trace, alias bool) (*Trace, uint64, error) {
 	}
 	// Every batch and request slice is carved from one exact-size slab
 	// each (sized by the header totals): a loaded trace holds millions of
-	// tiny slices, and allocating each one separately made the cache-hit
-	// path as slow as regenerating the workload.
+	// tiny slices, and allocating each one separately made loading as slow
+	// as regenerating the workload.
 	reqSlab := make([]core.Request, totalRequests)
 	batchSlab := make([]core.Batch, totalBatches)
 	if layout == layoutSingle {
 		// Flatten10 form: one varint per connection, decoded with an
-		// indexed loop — this file is read on every cached sweep start.
+		// indexed loop.
 		if totalBatches != nConns || totalRequests != nConns {
 			return nil, 0, fmt.Errorf("%w: single-request layout totals mismatch", ErrCorruptTrace)
 		}
@@ -631,8 +480,8 @@ func readBinary(data []byte, donor *Trace, alias bool) (*Trace, uint64, error) {
 
 // WriteTo writes the trace in the binary format with a zero config hash,
 // implementing io.WriterTo. Workloads generated from a SynthConfig should
-// go through the cache layer (or WriteBinary with ConfigHash) so loads can
-// verify provenance.
+// go through WriteBinary with ConfigHash so the file records its
+// provenance.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return WriteBinary(w, t, 0)
 }
@@ -659,40 +508,6 @@ func (cr *countReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	cr.n += int64(n)
 	return n, err
-}
-
-// dupSeed keys the hasDuplicate probe; one process-wide seed is fine
-// because the table is an ephemeral local.
-var dupSeed = maphash.MakeSeed()
-
-// hasDuplicate reports whether names repeats a target, via one
-// open-addressed probe table instead of a map: the mapped cache-hit path
-// budgets allocations, and a map over the reference table costs ~70
-// allocated objects where this costs exactly one.
-func hasDuplicate(names []core.Target) bool {
-	if len(names) < 2 {
-		return false
-	}
-	size := 1
-	for size < 2*len(names) {
-		size <<= 1
-	}
-	idx := make([]int, size)
-	mask := uint64(size - 1)
-	for i, n := range names {
-		h := maphash.String(dupSeed, string(n))
-		for p := h & mask; ; p = (p + 1) & mask {
-			j := idx[p]
-			if j == 0 {
-				idx[p] = i + 1
-				break
-			}
-			if names[j-1] == n {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // sortTargets sorts targets lexicographically (insertion sort is fine: the

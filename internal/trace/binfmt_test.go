@@ -6,8 +6,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -77,30 +75,19 @@ func TestBinaryWriterToReaderFrom(t *testing.T) {
 	}
 }
 
-// binReaders enumerates both decode paths — the in-memory copying reader
-// and the mmap-backed zero-copy reader — so corruption and failure-mode
-// tests run identically against each. On platforms without mmap the
-// "mapped" entry exercises the copying fallback through the same API.
+// binReaders enumerates both public decode entry points — ReadBinary over
+// a stream (what a scenario's traceFile and phttp-tracegen -in use) and
+// ReadBinaryBytes over a buffer — so the corruption suite runs against each.
 func binReaders() []struct {
 	name string
-	read func(t *testing.T, data []byte) (*Trace, uint64, error)
+	read func(data []byte) (*Trace, uint64, error)
 } {
 	return []struct {
 		name string
-		read func(t *testing.T, data []byte) (*Trace, uint64, error)
+		read func(data []byte) (*Trace, uint64, error)
 	}{
-		{"bytes", func(t *testing.T, data []byte) (*Trace, uint64, error) {
-			t.Helper()
-			return ReadBinaryBytes(data)
-		}},
-		{"mapped", func(t *testing.T, data []byte) (*Trace, uint64, error) {
-			t.Helper()
-			path := filepath.Join(t.TempDir(), "corrupt.trace")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return ReadBinaryMapped(path)
-		}},
+		{"bytes", ReadBinaryBytes},
+		{"reader", func(data []byte) (*Trace, uint64, error) { return ReadBinary(bytes.NewReader(data)) }},
 	}
 }
 
@@ -114,9 +101,8 @@ func restamp(data []byte) []byte {
 }
 
 // TestBinaryRejectsCorruption is the shared failure-mode suite: every
-// case mutates a clean encoding, and both decode paths (copying and
-// mapped) must reject it. Flip cases check the one-pass CRC (including
-// "CRC mismatch after map"); truncations check bounds handling; the
+// case mutates a clean encoding, and both entry points must reject it.
+// Flip cases check the one-pass CRC; truncations check bounds handling; the
 // huge-count case must fail without allocating for the declared count;
 // the duplicate-target case restamps the checksum so the semantic check
 // itself is what fires.
@@ -200,7 +186,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(rd.name+"/"+tc.name, func(t *testing.T) {
 				data := tc.mutate(t, append([]byte(nil), clean...))
-				_, _, err := rd.read(t, data)
+				_, _, err := rd.read(data)
 				if tc.anyError {
 					if err == nil {
 						t.Error("corruption accepted")
@@ -253,7 +239,26 @@ func TestBinaryPreservesExtraSizes(t *testing.T) {
 	}
 }
 
-// TestBinaryFlattenedRoundTrip checks the second cached form: the
+// TestBinaryRejectsRepeatedExtra: an extras entry naming a table target
+// would silently replace that target's catalog size, leaving a trace that
+// WriteBinary refuses, so the decoder rejects it.
+func TestBinaryRejectsRepeatedExtra(t *testing.T) {
+	tr := &Trace{
+		Sizes: map[core.Target]int64{"/a": 10, "/b": 7},
+		Conns: []core.Connection{{Batches: []core.Batch{{{Target: "/a", Size: 10}}}}},
+	}
+	var buf bytes.Buffer
+	if _, err := WriteBinary(&buf, tr, 0); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[bytes.Index(data, []byte("/b"))+1] = 'a' // the extra now names "/a"
+	if _, _, err := ReadBinaryBytes(restamp(data)); !errors.Is(err, ErrCorruptTrace) {
+		t.Errorf("err = %v, want ErrCorruptTrace", err)
+	}
+}
+
+// TestBinaryFlattenedRoundTrip checks the layoutSingle form: the
 // flattened HTTP/1.0 trace round-trips with IDs intact.
 func TestBinaryFlattenedRoundTrip(t *testing.T) {
 	flat := binTestTrace(t).Flatten10()
@@ -268,4 +273,43 @@ func TestBinaryFlattenedRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(flat.Conns, got.Conns) || !reflect.DeepEqual(flat.Sizes, got.Sizes) {
 		t.Error("flattened trace did not round-trip")
 	}
+}
+
+// FuzzReadBinary drives the decoder with mutated encodings of both
+// layouts. The CRC trailer is recomputed on every input, so a mutation
+// reaches the structural checks instead of stopping at the checksum.
+// Property: no panic, and any accepted input re-encodes with WriteBinary
+// and decodes to an equal trace.
+func FuzzReadBinary(f *testing.F) {
+	cfg := SmallSynthConfig()
+	cfg.Connections = 20
+	tr := NewSynth(cfg).Generate()
+	for _, seed := range []*Trace{tr, tr.Flatten10()} {
+		var buf bytes.Buffer
+		if _, err := WriteBinary(&buf, seed, 1); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 {
+			data = restamp(append([]byte(nil), data...))
+		}
+		got, hash, err := ReadBinaryBytes(data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := WriteBinary(&buf, got, hash); err != nil {
+			t.Fatalf("accepted trace does not re-encode: %v", err)
+		}
+		again, hash2, err := ReadBinaryBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v", err)
+		}
+		if hash2 != hash || !reflect.DeepEqual(got.Conns, again.Conns) || !reflect.DeepEqual(got.Sizes, again.Sizes) ||
+			!reflect.DeepEqual(got.Interner.AppendNames(nil), again.Interner.AppendNames(nil)) {
+			t.Fatal("re-encoded trace differs from the accepted one")
+		}
+	})
 }

@@ -8,8 +8,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 
 	"phttp/internal/core"
 )
@@ -40,88 +38,13 @@ type Entry struct {
 // strings.
 type Trace struct {
 	Conns []core.Connection
-	// Sizes is the target→size catalog. On a trace loaded through the
-	// zero-copy path (ReadBinaryMapped) it is nil until Catalog()
-	// materializes it — replay runs purely on the IDs and sizes stamped
-	// into each Request, so a sweep never pays for the map. Code that
-	// needs the catalog of an arbitrary trace should call Catalog();
-	// builders keep assigning the field directly.
+	// Sizes is the target→size catalog.
 	Sizes    map[core.Target]int64
 	Interner *core.Interner
-
-	// cat is the deferred catalog backing Catalog() (zero-copy loads
-	// only). Shared between a trace and its flattening so
-	// materialization yields one map, exactly like an eager load.
-	cat *lazyCatalog
-
-	// mapping pins the memory-mapped cache file whose bytes this trace's
-	// target strings alias (ReadBinaryMapped loads only; nil otherwise).
-	// Derived traces sharing the interner — Flatten10, donor loads — carry
-	// the pin too, so the mapping stays mapped while any alias is
-	// reachable; a finalizer unmaps it afterwards.
-	mapping *mapping
 }
 
-// lazyCatalog is a catalog in columnar form (the binary table section as
-// decoded) plus the memoized map built from it on first need.
-type lazyCatalog struct {
-	names []core.Target
-	sizes []int64
-	flags []uint8
-	// mapping pins the mapped file the names alias, independently of the
-	// owning Trace: materialization must stay safe even if the garbage
-	// collector proves the trace dead mid-call.
-	mapping *mapping
-
-	once sync.Once
-	m    map[core.Target]int64
-}
-
-// Catalog returns the target→size table, materializing (and memoizing) it
-// for traces loaded through the zero-copy path. Safe for concurrent use:
-// parallel sweep workers may resolve the catalog of a shared trace, and
-// all of them (plus the trace's flattening, which shares the deferred
-// form) get the same map. The map itself must then be treated read-only,
-// like every other shared trace table. The Sizes field stays nil on
-// zero-copy loads — direct field reads see the catalog only on
-// builder-constructed traces.
-//
-// The returned map outlives the trace safely: its keys are copied out of
-// the mapped file (one shared blob), never aliased — a catalog handed to
-// a long-lived cluster must not dangle when the workload that produced it
-// is dropped and the mapping finalizer runs.
-func (t *Trace) Catalog() map[core.Target]int64 {
-	if t.Sizes != nil || t.cat == nil {
-		return t.Sizes
-	}
-	cat := t.cat
-	cat.once.Do(func() {
-		var b strings.Builder
-		n := 0
-		for i, name := range cat.names {
-			if cat.flags[i]&flagInSizes != 0 {
-				n += len(name)
-			}
-		}
-		b.Grow(n)
-		for i, name := range cat.names {
-			if cat.flags[i]&flagInSizes != 0 {
-				b.WriteString(string(name))
-			}
-		}
-		blob := b.String()
-		m := make(map[core.Target]int64, len(cat.names))
-		off := 0
-		for i, name := range cat.names {
-			if cat.flags[i]&flagInSizes != 0 {
-				m[core.Target(blob[off:off+len(name)])] = cat.sizes[i]
-				off += len(name)
-			}
-		}
-		cat.m = m
-	})
-	return cat.m
-}
+// Catalog returns the target→size table.
+func (t *Trace) Catalog() map[core.Target]int64 { return t.Sizes }
 
 // EnsureIDs interns every request's target, assigning dense IDs in trace
 // order (first appearance wins), and returns the trace for chaining. It is
@@ -176,7 +99,7 @@ func (t *Trace) WorkingSetBytes() int64 {
 // paper's "HTTP/1.0 workload" from the same request stream. Interned IDs
 // carry over with the requests.
 func (t *Trace) Flatten10() *Trace {
-	out := &Trace{Sizes: t.Sizes, Interner: t.Interner, cat: t.cat, mapping: t.mapping}
+	out := &Trace{Sizes: t.Sizes, Interner: t.Interner}
 	for _, c := range t.Conns {
 		for _, b := range c.Batches {
 			for _, r := range b {

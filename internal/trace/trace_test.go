@@ -228,7 +228,7 @@ func TestSynthParallelDeterminism(t *testing.T) {
 
 // TestSynthBlockSizePinsDraw documents that BlockSize is part of the
 // deterministic format: changing it changes the draw (each block is an
-// independent stream), which is why the cache key hashes it.
+// independent stream), which is why ConfigHash covers it.
 func TestSynthBlockSizePinsDraw(t *testing.T) {
 	cfg := SmallSynthConfig()
 	cfg.Connections = 2000
