@@ -13,16 +13,17 @@ build:
 test:
 	$(GO) test ./...
 
-# The -race acceptance surface: the concurrent mapping table, the
-# concurrent dispatch engine, the prototype cluster that drives it from
+# The -race acceptance surface: the interner and the request parser that
+# interns from parallel connection handlers, the concurrent mapping table,
+# the concurrent dispatch engine, the prototype cluster that drives it from
 # parallel client handlers, the parallel grid runner sharing one trace,
 # the block-parallel trace generator, the scenario layer that compiles
 # and drives all of them, and the membership table feeding failure
 # detection into all three.
 race:
-	$(GO) test -race ./internal/cache/... ./internal/dispatch/... ./internal/cluster/... ./internal/sim/... ./internal/trace/... ./internal/scenario/... ./internal/membership/... ./internal/dstate/...
+	$(GO) test -race ./internal/core/... ./internal/httpmsg/... ./internal/cache/... ./internal/dispatch/... ./internal/cluster/... ./internal/sim/... ./internal/trace/... ./internal/scenario/... ./internal/membership/... ./internal/dstate/...
 
-# Scale-out front-end tier acceptance (DESIGN.md §18): the dstate store
+# Scale-out front-end tier acceptance (DESIGN.md §17): the dstate store
 # conformance suite over all three backends, the in-process tier and
 # owner-ring unit tests, and the networked three-front-end prototype
 # cluster end to end — sharded and replicated — under -race.
@@ -30,7 +31,7 @@ multife:
 	$(GO) test -race -count=1 ./internal/dstate/... ./internal/policy/ -run 'Store|Tier|Mode|OwnerRing'
 	$(GO) test -race -count=1 -run 'TestMultiFE' ./internal/cluster/
 
-# Churn acceptance (DESIGN.md §15): membership state-machine properties,
+# Churn acceptance (DESIGN.md §14): membership state-machine properties,
 # the engine's up/down/drain view, the simulator's deterministic churn
 # events (including the worker-count bit-identity golden), the scenario
 # churn schema, and the prototype crash/drain/503/partial-start
@@ -88,9 +89,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The repo's own invariant analyzers (DESIGN.md §17): determinism,
-# zero-alloc hot paths, paired interner refcounts, unmixed atomic
-# access. Standalone mode sees every package in one process; the same
+# The repo's own invariant analyzers (DESIGN.md §16): determinism,
+# zero-alloc hot paths, unmixed atomic access. Standalone mode sees
+# every package in one process; the same
 # binary also works as `go vet -vettool` (see cmd/phttp-lint).
 lint-phttp:
 	$(GO) run ./cmd/phttp-lint ./...

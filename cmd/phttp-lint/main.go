@@ -1,14 +1,13 @@
-// Command phttp-lint runs the repo's invariant analyzers (DESIGN.md §17):
+// Command phttp-lint runs the repo's invariant analyzers (DESIGN.md §16):
 //
 //	nondeterm  no wall-clock/global-RNG/map-order results in determinism-critical packages
 //	hotpath    no allocation idioms in functions annotated //phttp:hotpath
-//	refpair    every interner Acquire released on all return paths (or //phttp:holds)
 //	atomicmix  a field accessed via sync/atomic is accessed that way everywhere
 //
 // Standalone, over package patterns (exit 1 on findings, 2 on errors):
 //
 //	phttp-lint ./...
-//	phttp-lint -analyzers hotpath,refpair ./internal/dispatch/...
+//	phttp-lint -analyzers hotpath,atomicmix ./internal/dispatch/...
 //
 // Or as a go vet tool, one compilation unit at a time:
 //

@@ -22,18 +22,17 @@ type IDLRU struct {
 	capacity int64
 	bytes    int64
 	// pos[id] is the slab slot of id plus one; 0 means not cached. It grows
-	// to the highest ID seen, which is bounded by the interner's population
-	// (and, under an evictable interner, by its cap — see Compact).
+	// to the highest ID seen, which is bounded by the interner's population.
 	pos   []int32
 	slots []idEntry
 	free  int32 // head of the slot free list, -1 if empty
 	head  int32 // most recently used, -1 if empty
 	tail  int32 // least recently used, -1 if empty
 
-	// rc, when set, pins interned targets for as long as they are cached:
-	// Acquire on insert, Release on evict. Nil (the simulator's pinned
-	// workloads) costs nothing.
-	rc core.RefCounter
+	// hook, when set, observes every entry as it is cached and dropped
+	// (Mapping keeps its per-target node bitsets in step through it). Nil
+	// — every cache but a mapping's — costs one predictable branch.
+	hook entryHook
 
 	hits, misses int64
 }
@@ -46,6 +45,14 @@ type idEntry struct {
 
 const noEntry int32 = -1
 
+// entryHook is called, under the cache owner's lock, as entries come and
+// go: onInsert when a target is cached, onEvict when it is evicted or
+// removed.
+type entryHook interface {
+	onInsert(id core.TargetID)
+	onEvict(id core.TargetID)
+}
+
 // NewIDLRU returns an empty cache holding at most capacity bytes. A target
 // larger than the capacity is never cached.
 func NewIDLRU(capacity int64) *IDLRU {
@@ -54,12 +61,6 @@ func NewIDLRU(capacity int64) *IDLRU {
 	}
 	return &IDLRU{capacity: capacity, free: noEntry, head: noEntry, tail: noEntry}
 }
-
-// SetRefCounter wires the lifecycle hook called as entries come and go:
-// rc.Acquire when a target is cached, rc.Release when it is evicted or
-// removed, so an evictable interner never recycles an ID this cache still
-// holds. Set it before first use; it is not safe to change under traffic.
-func (c *IDLRU) SetRefCounter(rc core.RefCounter) { c.rc = rc }
 
 // Capacity returns the byte budget.
 func (c *IDLRU) Capacity() int64 { return c.capacity }
@@ -159,8 +160,6 @@ func (c *IDLRU) Contains(id core.TargetID) bool { return c.slot(id) != noEntry }
 // entries as needed. If the target is already present it is promoted and
 // resized. Targets larger than the capacity are not cached and nothing is
 // evicted for them.
-//
-//phttp:holds the acquired ref pins the cached target; evict releases it
 func (c *IDLRU) Insert(id core.TargetID, size int64) {
 	if size < 0 {
 		panic("cache: negative size")
@@ -195,8 +194,8 @@ func (c *IDLRU) Insert(id core.TargetID, size int64) {
 	c.setPos(id, s)
 	c.pushFront(s)
 	c.bytes += size
-	if c.rc != nil {
-		c.rc.Acquire(id)
+	if c.hook != nil {
+		c.hook.onInsert(id)
 	}
 	c.evictOver()
 }
@@ -220,8 +219,8 @@ func (c *IDLRU) removeSlot(s int32) {
 	c.bytes -= e.size
 	c.slots[s] = idEntry{next: c.free}
 	c.free = s
-	if c.rc != nil {
-		c.rc.Release(e.id)
+	if c.hook != nil {
+		c.hook.onEvict(e.id)
 	}
 }
 
@@ -235,11 +234,10 @@ func (c *IDLRU) Remove(id core.TargetID) bool {
 	return true
 }
 
-// Clear evicts every entry (releasing interner references, keeping the
-// slab for reuse) without touching the hit/miss counters. The simulator
-// uses it when a node crashes: the restarted back-end comes back with a
-// cold main-memory cache, and Mapping.DropNode forgets what the front-end
-// believed it cached.
+// Clear evicts every entry (keeping the slab for reuse) without touching
+// the hit/miss counters. The simulator uses it when a node crashes: the
+// restarted back-end comes back with a cold main-memory cache, and
+// Mapping.DropNode forgets what the front-end believed it cached.
 func (c *IDLRU) Clear() {
 	for c.head != noEntry {
 		c.removeSlot(c.head)
@@ -247,9 +245,8 @@ func (c *IDLRU) Clear() {
 }
 
 // Reset empties the cache for reuse at a new capacity: every entry is
-// evicted (releasing interner references) and the counters are zeroed,
-// but the slab and the position table are kept, so a cache reused across
-// simulation runs regrows nothing.
+// evicted and the counters are zeroed, but the slab and the position table
+// are kept, so a cache reused across simulation runs regrows nothing.
 func (c *IDLRU) Reset(capacity int64) {
 	if capacity < 0 {
 		panic("cache: negative capacity")
@@ -257,29 +254,6 @@ func (c *IDLRU) Reset(capacity int64) {
 	c.Clear()
 	c.capacity = capacity
 	c.ResetStats()
-}
-
-// Compact shrinks the dense position table to the highest ID still cached
-// (but never below highWater, the interner's current ID bound, so the next
-// insert does not immediately regrow it). Call it from the same maintenance
-// hook that compacts the interner — after target churn the table otherwise
-// stays sized for the all-time peak ID. Returns the retained position-table
-// length.
-func (c *IDLRU) Compact(highWater core.TargetID) int {
-	maxID := int32(highWater)
-	for s := c.head; s != noEntry; s = c.slots[s].next {
-		if id := int32(c.slots[s].id); id > maxID {
-			maxID = id
-		}
-	}
-	want := int(maxID) + 1
-	if want < len(c.pos) && cap(c.pos) > 2*want+64 {
-		c.pos = append(make([]int32, 0, want), c.pos[:want]...)
-	} else if want < len(c.pos) {
-		clear(c.pos[want:])
-		c.pos = c.pos[:want]
-	}
-	return len(c.pos)
 }
 
 // IDs returns the cached target IDs from most to least recently used.

@@ -45,34 +45,17 @@ type Mapping struct {
 }
 
 // nodeLRU is one node's model: the IDLRU and the lock every write takes.
-// It is also the RefCounter its IDLRU calls, under mu, as entries come and
-// go: it keeps the node's bit in the target's mask in step with the LRU
-// and forwards to the interner's counter, if one is set.
+// It is also the entry hook its IDLRU calls, under mu, as entries come and
+// go: it keeps the node's bit in the target's mask in step with the LRU.
 type nodeLRU struct {
 	mu    sync.Mutex
 	lru   *IDLRU
 	n     core.NodeID
 	masks *nodeMasks
-	rc    core.RefCounter
 }
 
-// Acquire marks the target as held by this node.
-//
-//phttp:holds the forwarded ref pins the cached target; Release drops it on evict
-func (p *nodeLRU) Acquire(id core.TargetID) {
-	p.masks.setBit(id, p.n)
-	if p.rc != nil {
-		p.rc.Acquire(id)
-	}
-}
-
-// Release marks the target as no longer held by this node.
-func (p *nodeLRU) Release(id core.TargetID) {
-	p.masks.clearBit(id, p.n)
-	if p.rc != nil {
-		p.rc.Release(id)
-	}
-}
+func (p *nodeLRU) onInsert(id core.TargetID) { p.masks.setBit(id, p.n) }
+func (p *nodeLRU) onEvict(id core.TargetID)  { p.masks.clearBit(id, p.n) }
 
 // NewMapping returns a mapping model for n nodes, each modeled as an LRU of
 // cacheBytes capacity.
@@ -83,22 +66,9 @@ func NewMapping(n int, cacheBytes int64) *Mapping {
 		p := &m.perNode[i]
 		p.n, p.masks = core.NodeID(i), &m.masks
 		p.lru = NewIDLRU(cacheBytes)
-		p.lru.SetRefCounter(p)
+		p.lru.hook = p
 	}
 	return m
-}
-
-// SetRefCounter wires the target-lifecycle hook into every per-node model:
-// a target acquires one reference per node believed to cache it and
-// releases it when the mapping ages out, so an evictable interner never
-// recycles an ID the dispatcher still has beliefs about. Acquire and
-// Release run under the node's lock; the interner never calls back into
-// the mapping, so the lock order stays acyclic. Set it before traffic (the
-// dispatch engine does, right after building the policy).
-func (m *Mapping) SetRefCounter(rc core.RefCounter) {
-	for i := range m.perNode {
-		m.perNode[i].rc = rc
-	}
 }
 
 // Nodes returns the number of nodes modeled.
@@ -123,7 +93,15 @@ func (m *Mapping) MaskWord(id core.TargetID, w int) uint64 {
 
 // Map records that node n fetched (and now caches) target of the given
 // size, promoting it and aging out colder mappings under n's budget.
+//
+// Map, ApplySynced, Touch and Unmap ignore NoTarget — a target a full
+// capped interner turned away. It is never mapped, so IsMapped and
+// AppendNodesFor read an empty node set for it and every LARD-family
+// policy places it on its unmapped, least-loaded path.
 func (m *Mapping) Map(id core.TargetID, size int64, n core.NodeID) {
+	if id == core.NoTarget {
+		return
+	}
 	m.ApplySynced(id, size, n)
 	if m.obs != nil {
 		m.obs(id, size, n)
@@ -131,8 +109,8 @@ func (m *Mapping) Map(id core.TargetID, size int64, n core.NodeID) {
 }
 
 // SetWriteObserver installs the Map-write hook (nil uninstalls). Set it
-// before traffic, like SetRefCounter; the dispatch-state tier does, right
-// after building the policy.
+// before traffic; the dispatch-state tier does, right after building the
+// policy.
 func (m *Mapping) SetWriteObserver(obs func(id core.TargetID, size int64, n core.NodeID)) {
 	m.obs = obs
 }
@@ -142,6 +120,9 @@ func (m *Mapping) SetWriteObserver(obs func(id core.TargetID, size int64, n core
 // observer (the origin already journaled it; re-journaling here would
 // gossip every belief back and forth forever).
 func (m *Mapping) ApplySynced(id core.TargetID, size int64, n core.NodeID) {
+	if id == core.NoTarget {
+		return
+	}
 	p := &m.perNode[n]
 	p.mu.Lock()
 	p.lru.Insert(id, size)
@@ -151,6 +132,9 @@ func (m *Mapping) ApplySynced(id core.TargetID, size int64, n core.NodeID) {
 // Touch promotes target in n's model if mapped (the front-end saw another
 // request for it served there).
 func (m *Mapping) Touch(id core.TargetID, n core.NodeID) {
+	if id == core.NoTarget {
+		return
+	}
 	p := &m.perNode[n]
 	p.mu.Lock()
 	p.lru.Lookup(id) // promotes on a hit; the mapping reads no hit counters
@@ -159,6 +143,9 @@ func (m *Mapping) Touch(id core.TargetID, n core.NodeID) {
 
 // Unmap removes the belief that node n caches target.
 func (m *Mapping) Unmap(id core.TargetID, n core.NodeID) {
+	if id == core.NoTarget {
+		return
+	}
 	p := &m.perNode[n]
 	p.mu.Lock()
 	p.lru.Remove(id)
@@ -186,12 +173,11 @@ func (m *Mapping) AppendNodesFor(buf []core.NodeID, id core.TargetID) []core.Nod
 	return buf
 }
 
-// DropNode discards every belief about node n, releasing the interner
-// references those beliefs held. This is the cold-start handling of a
-// Down node: a crashed back-end restarts with an empty cache, so the
-// model must not keep steering its old targets back to it when it
-// rejoins. (Warm-up handling — a drained node that kept its cache —
-// simply skips this call.)
+// DropNode discards every belief about node n. This is the cold-start
+// handling of a Down node: a crashed back-end restarts with an empty
+// cache, so the model must not keep steering its old targets back to it
+// when it rejoins. (Warm-up handling — a drained node that kept its
+// cache — simply skips this call.)
 func (m *Mapping) DropNode(n core.NodeID) {
 	p := &m.perNode[n]
 	p.mu.Lock()

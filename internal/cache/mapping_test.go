@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -79,13 +80,30 @@ func TestShardedLRUIDsOrder(t *testing.T) {
 	}
 }
 
-func TestShardedLRUPanicsOnNoTarget(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Map(NoTarget) did not panic")
+// A target a full capped interner turned away (NoTarget) is never mapped:
+// Map, ApplySynced, Touch and Unmap leave every node as it was, and the
+// readers see an empty node set for it.
+func TestMappingIgnoresNoTarget(t *testing.T) {
+	m := NewMapping(2, 100)
+	var observed int
+	m.SetWriteObserver(func(core.TargetID, int64, core.NodeID) { observed++ })
+	m.Map(1, 10, 0)
+	for n := core.NodeID(0); n < 2; n++ {
+		m.Map(core.NoTarget, 10, n)
+		m.ApplySynced(core.NoTarget, 10, n)
+		m.Touch(core.NoTarget, n)
+		m.Unmap(core.NoTarget, n)
+		if m.IsMapped(core.NoTarget, n) {
+			t.Errorf("NoTarget mapped at node %d", n)
 		}
-	}()
-	NewMapping(1, 100).Map(core.NoTarget, 1, 0)
+	}
+	if got := m.NodesFor(core.NoTarget); len(got) != 0 {
+		t.Errorf("NodesFor(NoTarget) = %v, want none", got)
+	}
+	if m.MappedTargets(0) != 1 || m.MappedTargets(1) != 0 || m.MappedBytes(0) != 10 || observed != 1 {
+		t.Errorf("mapped %d/%d targets, %d B at node 0, %d observed writes; want 1/0, 10, 1",
+			m.MappedTargets(0), m.MappedTargets(1), m.MappedBytes(0), observed)
+	}
 }
 
 // Property: on 1–4 nodes, and on 65–70 nodes (node masks of more than one
@@ -226,6 +244,49 @@ func TestMappingConcurrentInvariants(t *testing.T) {
 	}
 	if observed.Load() != maps.Load() {
 		t.Errorf("observer saw %d writes, %d Maps were made", observed.Load(), maps.Load())
+	}
+}
+
+// Churn through a capped interner: a stream over more targets than the cap
+// maps the interned ones and turns the rest away as NoTarget, against
+// small per-node budgets with nodes dropped now and then. Afterwards every
+// target's node bitset equals the membership of the nodes' LRUs, the set
+// bits add up to the mapped beliefs, and NoTarget's bitset is empty.
+func TestMappingMasksUnderChurn(t *testing.T) {
+	const nodes = 3
+	in := core.NewCappedInterner(64)
+	m := NewMapping(nodes, 16<<10)
+	for i := 0; i < 4096; i++ {
+		n := core.NodeID(i % nodes)
+		id := in.Intern(core.Target(fmt.Sprintf("/t%d", i%300)))
+		m.Map(id, 1<<10, n) // 16 resident entries per node at steady state
+		if i%7 == 0 {
+			m.Unmap(id, n)
+		}
+		if i%1000 == 999 {
+			m.DropNode(n)
+		}
+	}
+	bits, mapped := 0, 0
+	for id := core.TargetID(1); id <= in.HighWater(); id++ {
+		for n := range m.perNode {
+			if m.IsMapped(id, core.NodeID(n)) != m.perNode[n].lru.Contains(id) {
+				t.Fatalf("target %d: node %d's bit disagrees with its LRU", id, n)
+			}
+		}
+		bits += len(m.NodesFor(id))
+	}
+	for n := 0; n < nodes; n++ {
+		mapped += m.MappedTargets(core.NodeID(n))
+		if m.IsMapped(core.NoTarget, core.NodeID(n)) {
+			t.Errorf("NoTarget's bit set at node %d", n)
+		}
+	}
+	if bits != mapped {
+		t.Errorf("%d mask bits set vs %d mapped beliefs", bits, mapped)
+	}
+	if got := in.Len(); got != 64 {
+		t.Errorf("interner holds %d targets, want its cap 64", got)
 	}
 }
 

@@ -62,7 +62,6 @@ func batchCluster(t testing.TB, nodes int, pol string, mech core.Mechanism, cata
 	cfg.SimulateCPU = false
 	cfg.Disk = server.DiskParams{}
 	cfg.CacheBytes = 64 << 20
-	cfg.MaintainInterval = 0
 	// The client writes a batch in one write, which loopback delivers
 	// whole; the window only ends the batch.
 	cfg.BatchWindow = 2 * time.Millisecond
@@ -257,7 +256,6 @@ func TestShortBatchWindowIsNotTimed(t *testing.T) {
 		if waits := len(set) - 2 - (len(c.batch) - 1); waits != tc.waits {
 			t.Errorf("window %v: %d waits on an empty buffer, want %d (%d deadlines set)", tc.window, waits, tc.waits, len(set))
 		}
-		fe.eng.ReleaseBatch(c.batch)
 	}
 }
 

@@ -93,8 +93,7 @@ func TestCrashMidRunRedispatches(t *testing.T) {
 	}
 
 	// The dead node's dispatcher state must be released: extlard's
-	// mapping drops every belief about a Down node (cold-start default),
-	// returning its interner references.
+	// mapping drops every belief about a Down node (cold-start default).
 	type mapper interface{ Mapping() *cache.Mapping }
 	m, ok := cl.FE.Policy().(mapper)
 	if !ok {

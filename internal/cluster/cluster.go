@@ -29,13 +29,10 @@ type Config struct {
 	Catalog    map[core.Target]int64
 	CacheBytes int64
 	// MaxTargets caps the front-end's target interner (see
-	// FrontEndConfig.MaxTargets); 0 pins every target.
+	// FrontEndConfig.MaxTargets); 0 means no cap.
 	MaxTargets int
-	// InternStripes overrides the capped interner's shard count (see
-	// FrontEndConfig.InternStripes); 0 picks the size-based default.
-	InternStripes int
-	Disk          server.DiskParams
-	Costs         server.Costs
+	Disk       server.DiskParams
+	Costs      server.Costs
 
 	// SimulateCPU applies the Apache/Flash CPU cost model at back-ends.
 	SimulateCPU bool
@@ -45,9 +42,6 @@ type Config struct {
 
 	IdleTimeout time.Duration
 	BatchWindow time.Duration
-	// MaintainInterval is the front-end's wall-clock maintenance ticker
-	// (see FrontEndConfig.MaintainInterval); 0 disables it.
-	MaintainInterval time.Duration
 
 	// Membership knobs, passed through to the front-end (see the
 	// FrontEndConfig fields of the same names); zero values take the
@@ -93,8 +87,6 @@ func DefaultConfig(nodes int, catalog map[core.Target]int64) Config {
 		TimeScale:   1,
 		IdleTimeout: 15 * time.Second,
 		BatchWindow: 2 * time.Millisecond,
-
-		MaintainInterval: DefaultMaintainInterval,
 	}
 }
 
@@ -165,10 +157,8 @@ func Start(cfg Config) (*Cluster, error) {
 			Params:           cfg.Params,
 			CacheBytes:       cfg.CacheBytes,
 			MaxTargets:       cfg.MaxTargets,
-			InternStripes:    cfg.InternStripes,
 			IdleTimeout:      cfg.IdleTimeout,
 			BatchWindow:      cfg.BatchWindow,
-			MaintainInterval: cfg.MaintainInterval,
 			DialRetries:      cfg.DialRetries,
 			DialBackoff:      cfg.DialBackoff,
 			HeartbeatTimeout: cfg.HeartbeatTimeout,

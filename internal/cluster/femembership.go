@@ -8,7 +8,7 @@ import (
 	"phttp/internal/membership"
 )
 
-// Elastic membership at the front-end (DESIGN.md §15): the membership
+// Elastic membership at the front-end (DESIGN.md §14): the membership
 // table turns control-link evidence into state transitions, the listener
 // below mirrors them into the dispatch engine's eligibility view, and
 // healthLoop owns the clock — it ticks the failure detector and

@@ -44,29 +44,13 @@ type FrontEndConfig struct {
 	Params policy.Params
 	// CacheBytes sizes the mapping model per node.
 	CacheBytes int64
-	// MaxTargets, when positive, bounds the dispatcher's target interner:
-	// IDs are refcounted (mapping entries and in-flight requests pin
-	// them), recycled after churn, and compacted periodically, so a
-	// front-end facing an unbounded URL space (query strings, crawlers)
-	// holds a bounded table instead of pinning every URL ever seen. Zero
-	// keeps the pinned interner, which is right for benchmark runs and
-	// trace replay.
+	// MaxTargets, when positive, caps the dispatcher's target interner,
+	// so a front-end facing an unbounded URL space (query strings,
+	// crawlers) holds a bounded table: a target first seen once the table
+	// is full gets no ID, is dispatched by load alone, writes no mapping
+	// entry, and is served by name like any other. Zero means no cap,
+	// which is right for benchmark runs and trace replay.
 	MaxTargets int
-	// InternStripes overrides the capped interner's shard count (0 = the
-	// size-based default; see dispatch.Spec.InternStripes). Parallel
-	// connection handlers intern at parse time, so stripes bound how much
-	// of that path serializes on shared locks.
-	InternStripes int
-	// MaintainInterval bounds maintenance staleness by wall clock. The
-	// dispatch engine compacts its evictable interner every
-	// Spec.MaintainEvery connection closes — which never fires on an idle
-	// front-end, so a limbo bloated by a traffic burst used to persist
-	// indefinitely once the burst ended. A positive interval runs a ticker
-	// that calls Engine.Maintain whenever no maintenance pass has run
-	// since the previous tick; 0 disables the ticker (cluster.DefaultConfig
-	// and phttp-frontend default it to DefaultMaintainInterval). No-op
-	// without MaxTargets: maintenance on a pinned interner does nothing.
-	MaintainInterval time.Duration
 	// IdleTimeout closes persistent connections with no request activity
 	// (the paper's configurable interval, typically 15 s).
 	IdleTimeout time.Duration
@@ -259,14 +243,13 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 		cfg.BatchWindow = 2 * time.Millisecond
 	}
 	spec := dispatch.Spec{
-		Policy:        cfg.Policy,
-		Nodes:         cfg.Nodes,
-		Options:       cfg.PolicyOptions,
-		CacheBytes:    cfg.CacheBytes,
-		Params:        cfg.Params,
-		Mechanism:     cfg.Mechanism,
-		MaxTargets:    cfg.MaxTargets,
-		InternStripes: cfg.InternStripes,
+		Policy:     cfg.Policy,
+		Nodes:      cfg.Nodes,
+		Options:    cfg.PolicyOptions,
+		CacheBytes: cfg.CacheBytes,
+		Params:     cfg.Params,
+		Mechanism:  cfg.Mechanism,
+		MaxTargets: cfg.MaxTargets,
 	}
 	var eng *dispatch.Engine
 	var tier *peerTier
@@ -343,44 +326,7 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 	go fe.acceptLoop()
 	fe.wg.Add(1)
 	go fe.healthLoop()
-	if cfg.MaintainInterval > 0 {
-		fe.wg.Add(1)
-		go fe.maintainLoop()
-	}
 	return fe, nil
-}
-
-// DefaultMaintainInterval is the wall-clock maintenance period the
-// calibrated configurations use.
-const DefaultMaintainInterval = 5 * time.Second
-
-// maintainLoop bounds maintenance staleness on an idle front-end: each
-// tick it runs Engine.Maintain unless a maintenance pass already ran
-// since the previous tick — a busy front-end's close-driven maintenance
-// (every Spec.MaintainEvery closes) needs no second pass from here, but
-// a slow trickle of closes that never reaches MaintainEvery must not
-// suppress the wall-clock bound, so the skip keys on Maintains, not on
-// close activity.
-func (fe *FrontEnd) maintainLoop() {
-	defer fe.wg.Done()
-	ticker := time.NewTicker(fe.cfg.MaintainInterval)
-	defer ticker.Stop()
-	last := fe.eng.Maintains()
-	for {
-		select {
-		case <-fe.closed:
-			return
-		case <-ticker.C:
-			if n := fe.eng.Maintains(); n != last {
-				last = n
-				continue
-			}
-			done := fe.trackDispatch()
-			fe.eng.Maintain()
-			done()
-			last = fe.eng.Maintains()
-		}
-	}
 }
 
 func validateFEConfig(cfg FrontEndConfig, backends int) error {
@@ -403,7 +349,7 @@ func validateFEConfig(cfg FrontEndConfig, backends int) error {
 			// The sharded prototype forwards only connection-open
 			// transactions to shard owners; a per-request mechanism would
 			// need per-request forwarding, which the prototype does not
-			// implement (DESIGN.md §18).
+			// implement (DESIGN.md §17).
 			if cfg.Mechanism != core.SingleHandoff {
 				return fmt.Errorf("cluster: sharded dispatch state requires the single-handoff mechanism (got %v)", cfg.Mechanism)
 			}
@@ -863,14 +809,7 @@ func (fe *FrontEnd) serveClient(conn net.Conn) {
 		if err := fe.readBatch(c); err != nil {
 			return
 		}
-		err := fe.serveBatch(c)
-		// The parse-time interner references are dropped once the batch
-		// has been dispatched (or abandoned): the mapping holds its own
-		// references and back-ends address content by target string, so
-		// under a capped interner unpopular URLs become recyclable the
-		// moment their requests are on the wire.
-		fe.eng.ReleaseBatch(c.batch)
-		if err != nil {
+		if err := fe.serveBatch(c); err != nil {
 			return
 		}
 		if !c.reqs[len(c.reqs)-1].KeepAlive() {

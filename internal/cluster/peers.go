@@ -62,13 +62,6 @@ type remoteKey struct {
 	id core.ConnID
 }
 
-// remoteConn is the owner-side state of a peer's connection: the policy's
-// connection state plus the interner reference pinned for its lifetime.
-type remoteConn struct {
-	cs *core.ConnState
-	id core.TargetID
-}
-
 // peerLink is one outbound connection to a tier peer. RPCs serialize on
 // mu (write + optional reply read under one critical section — the
 // sharded store's state transactions are short and rare relative to
@@ -110,7 +103,7 @@ type peerTier struct {
 
 	// remote holds connections owned here for peer front-ends (sharded).
 	rmu    sync.Mutex
-	remote map[remoteKey]*remoteConn
+	remote map[remoteKey]*core.ConnState
 
 	// inbound tracks accepted peer sessions so Close can unblock their
 	// read loops: a peer tears its outbound links down only in its own
@@ -152,7 +145,7 @@ func newPeerTier(cfg FrontEndConfig, pol core.Policy) (*peerTier, error) {
 		fe:           cfg.FEID,
 		pol:          pol,
 		peers:        make([]*peerLink, cfg.Frontends),
-		remote:       make(map[remoteKey]*remoteConn),
+		remote:       make(map[remoteKey]*core.ConnState),
 		peerLoads:    make([][]float64, cfg.Frontends),
 		peerConns:    make([][]int64, cfg.Frontends),
 		inbound:      make(map[net.Conn]struct{}),
@@ -293,9 +286,11 @@ func (t *peerTier) Owner(id core.TargetID) int {
 // ConnOpen decides the handling node. Replicated mode decides on the
 // local replica; sharded mode forwards the whole state transaction to
 // the shard owner, falling back to a local decision when the owner is
-// unreachable (availability over locality).
+// unreachable (availability over locality). A target past a capped
+// interner's cap (NoTarget) has no shard and no entry to consult: it is
+// decided locally, by load.
 func (t *peerTier) ConnOpen(c *core.ConnState, first core.Request) core.NodeID {
-	if t.ring != nil {
+	if t.ring != nil && first.ID != core.NoTarget {
 		if owner := t.ring.Owner(first.ID); owner != t.fe {
 			if n, ok := t.remoteOpen(owner, c, first); ok {
 				c.OwnerFE = int32(owner)
@@ -374,16 +369,12 @@ func (t *peerTier) remoteOpen(owner int, c *core.ConnState, first core.Request) 
 	if p == nil || p.down.Load() {
 		return core.NoNode, false
 	}
-	name := t.in.Name(first.ID)
-	if name == "" {
-		name = first.Target
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.conn == nil {
 		return core.NoNode, false
 	}
-	if _, err := fmt.Fprintf(p.conn, "POPEN %d %d %d %s\n", t.fe, c.ID, first.Size, name); err != nil {
+	if _, err := fmt.Fprintf(p.conn, "POPEN %d %d %d %s\n", t.fe, c.ID, first.Size, first.Target); err != nil {
 		t.markDown(p)
 		return core.NoNode, false
 	}
@@ -578,13 +569,12 @@ func (t *peerTier) handleOpen(args []string) (string, bool) {
 	cs.OwnerFE = int32(t.fe)
 	n := t.pol.ConnOpen(cs, core.Request{Target: core.Target(args[3]), ID: tid, Size: size})
 	t.rmu.Lock()
-	t.remote[remoteKey{fe: fe, id: core.ConnID(id)}] = &remoteConn{cs: cs, id: tid}
+	t.remote[remoteKey{fe: fe, id: core.ConnID(id)}] = cs
 	t.rmu.Unlock()
 	return fmt.Sprintf("PNODE %d\n", n), true
 }
 
-// handleClose closes a peer's connection on our shard, releasing its
-// load and the target reference pinned at open.
+// handleClose closes a peer's connection on our shard, releasing its load.
 func (t *peerTier) handleClose(args []string) {
 	if len(args) != 2 {
 		return
@@ -601,10 +591,7 @@ func (t *peerTier) handleClose(args []string) {
 	if rc == nil {
 		return
 	}
-	t.pol.ConnClose(rc.cs)
-	if t.in.Evictable() {
-		t.in.Release(rc.id)
-	}
+	t.pol.ConnClose(rc)
 }
 
 // handleMove transfers a peer connection's load unit between nodes.
@@ -624,8 +611,8 @@ func (t *peerTier) handleMove(args []string) {
 	if rc == nil {
 		return
 	}
-	t.pol.Loads().MoveConn(rc.cs.Handling, core.NodeID(to))
-	rc.cs.Handling = core.NodeID(to)
+	t.pol.Loads().MoveConn(rc.Handling, core.NodeID(to))
+	rc.Handling = core.NodeID(to)
 }
 
 // handleMapDelta applies one replicated mapping write to the local
@@ -645,11 +632,6 @@ func (t *peerTier) handleMapDelta(args []string) {
 	}
 	id := t.in.Intern(core.Target(args[2]))
 	mp.Mapping().ApplySynced(id, size, core.NodeID(node))
-	if t.in.Evictable() {
-		// The mapping holds its own reference (SetRefCounter); drop the
-		// parse-time one.
-		t.in.Release(id)
-	}
 }
 
 // handleLoadVector stores a peer's load vector and refreshes the local

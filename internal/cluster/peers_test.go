@@ -46,6 +46,33 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// A request whose target a full capped interner turned away (NoTarget)
+// has no shard: each member decides it locally, by load, with no POPEN
+// round trip to whichever member owns ID 0's ring point.
+func TestPeerTierDecidesOverflowLocally(t *testing.T) {
+	const nodes = 2
+	t0, _ := newTestPeerTier(t, 0, 2, nodes)
+	defer t0.Close()
+	t1, _ := newTestPeerTier(t, 1, 2, nodes)
+	defer t1.Close()
+	if err := t0.connect([]string{"", t1.Addr()}); err != nil {
+		t.Fatalf("fe0 connect: %v", err)
+	}
+	if err := t1.connect([]string{t0.Addr(), ""}); err != nil {
+		t.Fatalf("fe1 connect: %v", err)
+	}
+	overflow := core.Request{Target: "/past-the-cap", Size: 4096}
+	for fe, tier := range []*peerTier{t0, t1} {
+		c := core.NewConnState(core.ConnID(fe + 1))
+		tier.ConnOpen(c, overflow)
+		if int(c.OwnerFE) != fe || tier.remoteOpens.Load() != 0 || tier.fallbacks.Load() != 0 {
+			t.Errorf("fe %d: overflow open owned by %d, %d remote opens, %d fallbacks; want local, 0, 0",
+				fe, c.OwnerFE, tier.remoteOpens.Load(), tier.fallbacks.Load())
+		}
+		tier.ConnClose(c)
+	}
+}
+
 // TestPeerTierShardedRPCs drives the full sharded state-transaction
 // surface over a real two-member tier: remote open (POPEN/PNODE),
 // pinned batch assignment, move (PMOVE) and close (PCLOSE) on the owner,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"phttp/internal/cache"
 	"phttp/internal/cluster"
 	"phttp/internal/core"
 	"phttp/internal/dispatch"
@@ -16,14 +17,14 @@ import (
 )
 
 // TestCappedDispatchMatchesPinnedReference replays one unbounded-URL
-// workload through two dispatch engines in lockstep — one with a capped,
-// recycling interner (the long-haul front-end configuration) and one with
-// the pinned interner whose IDs are a stable 1:1 image of the target
-// strings — and asserts every dispatch decision is identical. ID recycling
-// must be invisible to policy behavior: the mapping tables age by byte
-// budget and the refcount protocol guarantees a recycled ID carries no
-// stale mapping state, so the capped engine's decisions match the
-// string-keyed reference exactly while its tables stay bounded.
+// workload through two dispatch engines in lockstep: one with a capped
+// interner (the long-haul front-end configuration) and one uncapped
+// reference. Past the cap the capped engine gets NoTarget; the reference
+// is handed a never-seen target in its place (zero bytes, unmapped again
+// after the batch), i.e. exactly the placement of a target no node maps.
+// Every dispatch decision must agree, a connection opened on an overflow
+// target must leave every node's MappedTargets unchanged, and in the end
+// the two mappings hold the same beliefs per node.
 func TestCappedDispatchMatchesPinnedReference(t *testing.T) {
 	const (
 		maxTargets = 512
@@ -44,27 +45,27 @@ func TestCappedDispatchMatchesPinnedReference(t *testing.T) {
 		{"extlard", core.BEForwarding},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mkEngine := func(maxT int) *dispatch.Engine {
+			mkEngine := func(maxT int) (*dispatch.Engine, *cache.Mapping) {
 				eng, err := dispatch.NewEngine(dispatch.Spec{
 					Policy:     tc.name,
 					Nodes:      nodes,
-					CacheBytes: 256 << 10, // 32 mapping entries per node: refs stay far under the cap
+					CacheBytes: 256 << 10, // 32 mapping entries per node: beliefs age out
 					Params:     policy.DefaultParams(),
 					Mechanism:  tc.mech,
 					MaxTargets: maxT,
-					// A prime off-cycle period so compaction lands at
-					// arbitrary points of the connection stream.
-					MaintainEvery: 97,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return eng
+				return eng, eng.Policy().(interface{ Mapping() *cache.Mapping }).Mapping()
 			}
-			capped := mkEngine(maxTargets)
-			pinned := mkEngine(0)
-			if !capped.Interner().Evictable() || pinned.Interner().Evictable() {
-				t.Fatal("engine interner modes wired wrong")
+			capped, cm := mkEngine(maxTargets)
+			pinned, pm := mkEngine(0)
+			mapped := func(m *cache.Mapping) (per [nodes]int) {
+				for n := range per {
+					per[n] = m.MappedTargets(core.NodeID(n))
+				}
+				return per
 			}
 
 			rng := rand.New(rand.NewSource(7))
@@ -74,6 +75,8 @@ func TestCappedDispatchMatchesPinnedReference(t *testing.T) {
 				}
 				return core.Target(fmt.Sprintf("/once-%d-%d", i, rng.Intn(1<<20)))
 			}
+			overflowed, fresh := 0, 0
+			var transient []core.TargetID
 			for i := 0; i < conns; i++ {
 				nBatches := rng.Intn(3) + 1
 				var cc, cp *dispatch.Conn
@@ -84,13 +87,24 @@ func TestCappedDispatchMatchesPinnedReference(t *testing.T) {
 						tgt := next(i)
 						batchC[j] = core.Request{Target: tgt, ID: capped.Interner().Intern(tgt), Size: reqSize}
 						batchP[j] = core.Request{Target: tgt, ID: pinned.Interner().Intern(tgt), Size: reqSize}
+						if batchC[j].ID == core.NoTarget {
+							overflowed++
+							fresh++
+							never := core.Target(fmt.Sprintf("/never-mapped-%d", fresh))
+							batchP[j] = core.Request{Target: never, ID: pinned.Interner().Intern(never)}
+							transient = append(transient, batchP[j].ID)
+						}
 					}
 					if b == 0 {
+						before := mapped(cm)
 						var hc, hp core.NodeID
 						cc, hc = capped.ConnOpen(batchC[0])
 						cp, hp = pinned.ConnOpen(batchP[0])
 						if hc != hp {
-							t.Fatalf("conn %d: handling diverged: capped %v, reference %v", i, hc, hp)
+							t.Fatalf("conn %d (%q): handling diverged: capped %v, reference %v", i, batchC[0].Target, hc, hp)
+						}
+						if after := mapped(cm); batchC[0].ID == core.NoTarget && after != before {
+							t.Fatalf("conn %d: opening on an overflow target changed MappedTargets %v -> %v", i, before, after)
 						}
 					}
 					ac := capped.AssignBatch(cc, batchC)
@@ -101,8 +115,12 @@ func TestCappedDispatchMatchesPinnedReference(t *testing.T) {
 								i, b, j, batchC[j].Target, ac[j], ap[j])
 						}
 					}
-					capped.ReleaseBatch(batchC)
-					pinned.ReleaseBatch(batchP)
+					for _, id := range transient {
+						for n := 0; n < nodes; n++ {
+							pm.Unmap(id, core.NodeID(n))
+						}
+					}
+					transient = transient[:0]
 				}
 				if rng.Intn(64) == 0 {
 					// Same disk feedback to both: flips extLARD between
@@ -116,18 +134,14 @@ func TestCappedDispatchMatchesPinnedReference(t *testing.T) {
 			}
 
 			in := capped.Interner()
-			capped.Maintain()
-			if got := in.Len(); got > maxTargets {
-				t.Errorf("capped table holds %d targets, cap %d", got, maxTargets)
+			if got, hw := in.Len(), int(in.HighWater()); got != maxTargets || hw != maxTargets {
+				t.Errorf("capped table holds %d targets (high water %d), want the cap %d", got, hw, maxTargets)
 			}
-			if hw := int(in.HighWater()); hw > maxTargets {
-				t.Errorf("capped ID space grew to %d, cap %d", hw, maxTargets)
+			if overflowed == 0 {
+				t.Error("no request overflowed the cap despite an unbounded URL stream")
 			}
-			if in.Recycles() == 0 {
-				t.Error("no recycling despite unbounded URL stream")
-			}
-			if ref := pinned.Interner().Len(); ref <= maxTargets {
-				t.Fatalf("reference interner saw only %d targets; workload not unbounded enough", ref)
+			if c, p := mapped(cm), mapped(pm); c != p {
+				t.Errorf("MappedTargets per node: capped %v, reference %v", c, p)
 			}
 		})
 	}
@@ -174,22 +188,30 @@ func churnTrace(conns, hotSet int) *trace.Trace {
 // workload replayed through the real prototype front-end (parse-time
 // interning, capped interner, handoff data path) with end-to-end
 // verification on — every response must match the string-keyed catalog,
-// byte for byte — while the dispatcher's target table and ID space stay
-// bounded by the configured cap.
+// byte for byte, including the targets past the cap, which are served by
+// name — while the dispatcher's target table and ID space stay bounded by
+// the configured cap. A second run of only new targets then gets no IDs
+// and writes no mapping entry.
 func TestFrontEndUnboundedURLSoak(t *testing.T) {
-	const maxTargets = 256
+	const (
+		maxTargets = 256
+		lateConns  = 50
+	)
 	conns := 1_000
 	if testing.Short() {
 		conns = 250
 	}
 	tr := churnTrace(conns, 32)
+	late := &trace.Trace{Sizes: tr.Sizes}
+	for i := 0; i < lateConns; i++ {
+		tgt := core.Target(fmt.Sprintf("/late/%d", i))
+		tr.Sizes[tgt] = int64(i%7)<<10 + 300
+		late.Conns = append(late.Conns, core.Connection{Batches: []core.Batch{{{Target: tgt, Size: tr.Sizes[tgt]}}}})
+	}
 
 	cfg := cluster.DefaultConfig(2, tr.Sizes)
 	cfg.Policy = "lard"
 	cfg.Mechanism = core.SingleHandoff
-	// A small mapping budget keeps the dispatcher's live references (32
-	// mapping entries per node at the 8 KB nominal size, plus in-flight
-	// batches) far below the cap, so the ≤-cap assertions are exact.
 	cfg.CacheBytes = 256 << 10
 	cfg.MaxTargets = maxTargets
 	cfg.SimulateCPU = false
@@ -203,26 +225,29 @@ func TestFrontEndUnboundedURLSoak(t *testing.T) {
 	defer cl.Close()
 
 	eng := cl.FE.Engine()
-	if !eng.Interner().Evictable() {
-		t.Fatal("front-end did not build an evictable interner from MaxTargets")
+	if eng.Interner().Cap() != maxTargets {
+		t.Fatalf("front-end interner capped at %d, want %d", eng.Interner().Cap(), maxTargets)
 	}
-
-	res, err := loadgen.Run(loadgen.Config{
-		Addr:        cl.Addr(),
-		Trace:       tr,
-		Concurrency: 8,
-		Verify:      true,
-		IOTimeout:   20 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("loadgen: %v", err)
+	replay := func(tr *trace.Trace) {
+		t.Helper()
+		res, err := loadgen.Run(loadgen.Config{
+			Addr:        cl.Addr(),
+			Trace:       tr,
+			Concurrency: 8,
+			Verify:      true,
+			IOTimeout:   20 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("loadgen: %v", err)
+		}
+		if res.Errors != 0 {
+			t.Errorf("%d responses diverged from the string-keyed reference catalog", res.Errors)
+		}
+		if want := int64(tr.Requests()); res.Requests != want {
+			t.Errorf("served %d requests, want %d", res.Requests, want)
+		}
 	}
-	if res.Errors != 0 {
-		t.Errorf("%d responses diverged from the string-keyed reference catalog", res.Errors)
-	}
-	if want := int64(tr.Requests()); res.Requests != want {
-		t.Errorf("served %d requests, want %d", res.Requests, want)
-	}
+	replay(tr)
 	if got := cl.FE.PolicyName(); got != "lard" {
 		t.Errorf("PolicyName() = %q, want lard", got)
 	}
@@ -233,7 +258,6 @@ func TestFrontEndUnboundedURLSoak(t *testing.T) {
 		t.Errorf("Utilization() = %v, want within [0,1]", u)
 	}
 
-	eng.Maintain()
 	in := eng.Interner()
 	if got := in.Len(); got > maxTargets {
 		t.Errorf("interner table holds %d targets after soak, cap %d", got, maxTargets)
@@ -241,20 +265,29 @@ func TestFrontEndUnboundedURLSoak(t *testing.T) {
 	if hw := int(in.HighWater()); hw > maxTargets {
 		t.Errorf("per-ID slice bound (high water) is %d after soak, cap %d", hw, maxTargets)
 	}
-	if in.Recycles() == 0 {
-		t.Error("no ID recycling despite unbounded URL stream")
-	}
 	if distinct := len(tr.Sizes); distinct <= maxTargets {
 		t.Fatalf("workload has only %d distinct targets; soak is not unbounded", distinct)
 	}
-	// The cap must not have cost correctness of the live set: every node's
-	// mapping entries reference live interned targets (Name panics on a
-	// recycled ID, so this loop is itself the no-aliasing check).
-	if m, ok := cl.FE.Policy().(*policy.LARD); ok {
-		for n := 0; n < m.Mapping().Nodes(); n++ {
-			if b := m.Mapping().MappedBytes(core.NodeID(n)); b > cfg.CacheBytes {
-				t.Errorf("node %d mapping over budget: %d > %d", n, b, cfg.CacheBytes)
-			}
+	m := cl.FE.Policy().(*policy.LARD).Mapping()
+	var before []int
+	for n := 0; n < m.Nodes(); n++ {
+		if b := m.MappedBytes(core.NodeID(n)); b > cfg.CacheBytes {
+			t.Errorf("node %d mapping over budget: %d > %d", n, b, cfg.CacheBytes)
+		}
+		before = append(before, m.MappedTargets(core.NodeID(n)))
+	}
+
+	// The table is full: new targets are served by name, get no ID and
+	// leave the mapping as it was.
+	replay(late)
+	for n := 0; n < m.Nodes(); n++ {
+		if got := m.MappedTargets(core.NodeID(n)); got != before[n] {
+			t.Errorf("node %d: %d mapped targets after the late run, %d before", n, got, before[n])
+		}
+	}
+	for _, c := range late.Conns {
+		if id, ok := in.Lookup(c.Batches[0][0].Target); ok {
+			t.Errorf("late target %q got ID %d past the cap", c.Batches[0][0].Target, id)
 		}
 	}
 }

@@ -176,18 +176,6 @@ func TestInternerNamePanicsOnNoTarget(t *testing.T) {
 	NewInterner().Name(NoTarget)
 }
 
-func TestEnsureIDPrefersExisting(t *testing.T) {
-	in := NewInterner()
-	preset := Request{Target: "/x", ID: 7, Size: 1}
-	if got := in.EnsureID(preset); got != 7 {
-		t.Errorf("EnsureID ignored preset ID: %d", got)
-	}
-	raw := Request{Target: "/x", Size: 1}
-	if got := in.EnsureID(raw); got != 1 {
-		t.Errorf("EnsureID(raw) = %d, want 1", got)
-	}
-}
-
 func TestClearBatchIdempotent(t *testing.T) {
 	lt := NewLoadTracker(2)
 	c := NewConnState(1)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"phttp/internal/cache"
 	"phttp/internal/core"
 	"phttp/internal/dstate"
 )
@@ -27,7 +26,9 @@ import (
 // parser interns at parse time (httpmsg.ReadRequestInterned), so no
 // per-request target hashing survives on any hot path. ConnOpen checks the
 // first request and panics on a missing ID — the one cheap guard that
-// catches a mis-wired driver before the policies corrupt their tables.
+// catches a mis-wired driver before the policies corrupt their tables —
+// unless the interner is capped, where NoTarget marks a target past the
+// cap (placed by load; the mapping ignores it).
 type Engine struct {
 	spec Spec
 	name string // canonical registry name
@@ -35,8 +36,7 @@ type Engine struct {
 	// through: local (one policy owning all state — the single-front-end
 	// default whose decisions are bit-identical to the pre-tier engine),
 	// sharded, or replicated. pol is the store's local policy replica —
-	// the object membership transitions, interner refcounting and
-	// metrics talk to.
+	// the object membership transitions and metrics talk to.
 	store    dstate.Store
 	pol      core.Policy
 	interner *core.Interner
@@ -44,10 +44,9 @@ type Engine struct {
 	nextID atomic.Int64
 	live   atomic.Int64
 
-	conns     atomic.Int64 // connections opened, cumulative
-	reqs      atomic.Int64 // requests assigned, cumulative
-	closes    atomic.Int64 // connections closed, cumulative
-	maintains atomic.Int64 // Maintain passes run, cumulative
+	conns  atomic.Int64 // connections opened, cumulative
+	reqs   atomic.Int64 // requests assigned, cumulative
+	closes atomic.Int64 // connections closed, cumulative
 
 	// connPool recycles Conn records across the run: the record and its
 	// embedded buffers (assignment, scratch, remote-load) survive from one
@@ -56,13 +55,6 @@ type Engine struct {
 	// noise next to the dispatch work between them.
 	poolMu   sync.Mutex
 	connPool []*Conn
-
-	// maintainEvery triggers Maintain every that many connection closes
-	// when the interner is evictable (0 = never).
-	maintainEvery int64
-
-	// compact is the policy's optional dense-slice trim hook, resolved once.
-	compact interface{ CompactTargets(core.TargetID) }
 
 	// membership is the policy's optional membership-transition hook,
 	// resolved once (nil when the policy ignores churn). nodePhases and
@@ -91,16 +83,9 @@ func (c *Conn) Handling() core.NodeID { return c.cs.Handling }
 // State exposes the underlying connection state for metrics and tests.
 func (c *Conn) State() *core.ConnState { return &c.cs }
 
-// maintainDefault is how many connection closes separate two maintenance
-// passes when a Spec with an evictable interner does not say otherwise.
-const maintainDefault = 1024
-
 // NewEngine builds the policy named by spec through the registry and
 // returns an engine dispatching through it. When the spec carries a target
-// cap (MaxTargets) and no interner, an evictable interner is created; an
-// evictable interner (supplied or created) is wired into the policy's
-// mapping tables as the target-lifecycle refcounter and compacted
-// periodically as connections close.
+// cap (MaxTargets) and no interner, a capped interner is created.
 func NewEngine(spec Spec) (*Engine, error) {
 	pol, err := Build(spec)
 	if err != nil {
@@ -112,8 +97,7 @@ func NewEngine(spec Spec) (*Engine, error) {
 // NewEngineWithStore builds an engine dispatching through an externally
 // constructed dispatch-state store: one view of a scale-out tier (the
 // simulator's in-process dstate.Tier, the prototype's networked stores).
-// The engine's membership transitions, interner refcounting and metrics
-// bind to store.Policy() — the front-end's own replica/shard; cross-
+// The engine's membership transitions and metrics bind to store.Policy() — the front-end's own replica/shard; cross-
 // front-end routing is the store's business.
 func NewEngineWithStore(spec Spec, store dstate.Store) (*Engine, error) {
 	name, err := Canonical(spec.Policy)
@@ -124,7 +108,7 @@ func NewEngineWithStore(spec Spec, store dstate.Store) (*Engine, error) {
 	in := spec.Interner
 	if in == nil {
 		if spec.MaxTargets > 0 {
-			in = core.NewEvictableInternerStripes(spec.MaxTargets, spec.InternStripes)
+			in = core.NewCappedInterner(spec.MaxTargets)
 		} else {
 			in = core.NewInterner()
 		}
@@ -133,16 +117,6 @@ func NewEngineWithStore(spec Spec, store dstate.Store) (*Engine, error) {
 	e.nextID.Store(spec.ConnIDBase)
 	e.membership, _ = pol.(core.MembershipPolicy)
 	e.initMembership(spec.Nodes)
-	if in.Evictable() {
-		if m, ok := pol.(interface{ Mapping() *cache.Mapping }); ok {
-			m.Mapping().SetRefCounter(in)
-		}
-		e.compact, _ = pol.(interface{ CompactTargets(core.TargetID) })
-		e.maintainEvery = int64(spec.MaintainEvery)
-		if e.maintainEvery <= 0 {
-			e.maintainEvery = maintainDefault
-		}
-	}
 	return e, nil
 }
 
@@ -204,14 +178,6 @@ func (e *Engine) Requests() int64 { return e.reqs.Load() }
 // Closes returns the cumulative number of connections closed.
 func (e *Engine) Closes() int64 { return e.closes.Load() }
 
-// Maintains returns the cumulative number of Maintain passes run (from
-// any trigger). Drivers running a wall-clock maintenance ticker compare
-// it across ticks to tell an engine whose close-driven maintenance is
-// keeping up from one that has gone stale — counting closes instead
-// would let a slow trickle of closes (well under MaintainEvery per tick)
-// suppress the ticker indefinitely.
-func (e *Engine) Maintains() int64 { return e.maintains.Load() }
-
 // Active returns the number of currently open connections.
 func (e *Engine) Active() int64 { return e.live.Load() }
 
@@ -242,11 +208,12 @@ func (e *Engine) putConn(c *Conn) {
 // ConnOpen admits a new client connection: it recycles (or allocates) the
 // connection state, asks the policy for the handling node based on the
 // first request, and begins tracking the connection. The first request must
-// be interned.
+// be interned; only a capped interner may have answered NoTarget, for a
+// target past its cap.
 //
 //phttp:hotpath
 func (e *Engine) ConnOpen(first core.Request) (*Conn, core.NodeID) {
-	if first.ID == core.NoTarget {
+	if first.ID == core.NoTarget && e.interner.Cap() == 0 {
 		panicUninterned(first.Target)
 	}
 	c := e.getConn()
@@ -279,24 +246,6 @@ func (e *Engine) AssignBatch(c *Conn, batch core.Batch) []core.Assignment {
 	return as
 }
 
-// ReleaseBatch drops the parse-time interner references of a dispatched
-// batch (no-op unless the interner is evictable). The prototype front-end
-// calls it once the batch's requests have been forwarded: back-ends address
-// content by target string, so nothing downstream of dispatch needs the
-// IDs alive.
-//
-//phttp:hotpath
-func (e *Engine) ReleaseBatch(batch core.Batch) {
-	if !e.interner.Evictable() {
-		return
-	}
-	for i := range batch {
-		if batch[i].ID != core.NoTarget {
-			e.interner.Release(batch[i].ID)
-		}
-	}
-}
-
 // BatchDone tells the policy the connection went idle after its current
 // batch, releasing fractional remote loads early.
 //
@@ -323,26 +272,7 @@ func (e *Engine) ConnClose(c *Conn) {
 	e.store.ConnClose(&c.cs)
 	e.live.Add(-1)
 	e.putConn(c)
-	if n := e.closes.Add(1); e.maintainEvery > 0 && n%e.maintainEvery == 0 {
-		e.Maintain()
-	}
-}
-
-// Maintain is the periodic compaction hook for long-haul deployments: it
-// shrinks the evictable interner back to its cap, reclaims trailing dead
-// IDs, and trims the policy's dense per-target slices to the surviving ID
-// range. The engine runs it automatically every Spec.MaintainEvery
-// connection closes; drivers may also call it directly (a front-end ticking
-// on wall clock, tests). No-op with a pinned interner.
-func (e *Engine) Maintain() {
-	if !e.interner.Evictable() {
-		return
-	}
-	e.maintains.Add(1)
-	high := e.interner.Compact()
-	if e.compact != nil {
-		e.compact.CompactTargets(high)
-	}
+	e.closes.Add(1)
 }
 
 // ReportDiskQueue delivers a back-end's disk queue length to the policy

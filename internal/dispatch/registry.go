@@ -301,26 +301,17 @@ type Spec struct {
 	// Interner resolves target strings to the dense TargetIDs the policies
 	// and mapping tables are keyed by. Drivers that pre-intern their
 	// workload (the simulator's trace loader) pass theirs so IDs agree;
-	// when nil the engine creates a private one — pinned, or evictable
+	// when nil the engine creates a private one — uncapped, or capped
 	// when MaxTargets is set — and the driver interns through it at the
 	// edge (the prototype parses with httpmsg.ReadRequestInterned).
 	Interner *core.Interner
-	// MaxTargets, when positive and Interner is nil, makes the engine's
-	// private interner evictable with that target cap: IDs are refcounted
-	// from the mapping tables and in-flight requests, recycled after
-	// churn, and the table stays bounded for front-ends facing an
-	// unbounded URL space. Zero keeps the pinned interner (simulation,
-	// trace replay, benchmarks).
+	// MaxTargets, when positive and Interner is nil, caps the engine's
+	// private interner at that many targets, so a front-end facing an
+	// unbounded URL space holds a bounded table: a target past the cap
+	// gets NoTarget, is placed by load alone and leaves no mapping entry.
+	// Zero keeps the table uncapped (simulation, trace replay,
+	// benchmarks).
 	MaxTargets int
-	// InternStripes overrides the evictable interner's shard count (a
-	// power of two; see core.NewEvictableInternerStripes). Zero picks the
-	// size-based default. Ignored when Interner is supplied or MaxTargets
-	// is zero.
-	InternStripes int
-	// MaintainEvery is how many connection closes separate two automatic
-	// compaction passes (interner + policy dense slices) when the interner
-	// is evictable; 0 means the engine default.
-	MaintainEvery int
 	// ConnIDBase offsets the engine's connection-ID space. Front-ends of
 	// a scale-out tier talking to shared back-ends set distinct bases so
 	// the IDs they put on the wire (handoff frames, control lines) never

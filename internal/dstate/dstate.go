@@ -76,8 +76,7 @@ type Store interface {
 	// Mode identifies the backend.
 	Mode() Mode
 	// Policy returns the front-end's own policy replica/shard — the
-	// object engine-level membership transitions, interner refcounting
-	// and metrics talk to.
+	// object engine-level membership transitions and metrics talk to.
 	Policy() core.Policy
 	// Owner returns the index of the front-end owning target id's state
 	// (always 0 for local and replicated stores: every front-end owns
@@ -154,8 +153,7 @@ func (l *Local) MoveConn(c *core.ConnState, to core.NodeID) {
 	c.Handling = to
 }
 
-// MappingPolicy is the optional mapping accessor the LARD family exposes
-// (the same shape dispatch.NewEngine resolves for interner refcounting);
+// MappingPolicy is the optional mapping accessor the LARD family exposes;
 // stateless policies (wrr, p2c, boundedch) have no mapping to shard or
 // replicate and simply skip the mapping half of the replication protocol.
 type MappingPolicy interface {

@@ -11,10 +11,9 @@ import (
 
 // BenchmarkReadRequestInternedParallel measures the front-end's parse path
 // — request head parse plus parse-time interning — from parallel
-// goroutines, the shape of concurrent connection handlers. The capped
-// variants put the evictable interner's lock-free hit path under real
-// parser traffic; comparing stripes=1 against stripes=auto isolates what
-// interner sharding contributes once GOMAXPROCS > 1.
+// goroutines, the shape of concurrent connection handlers. "capped" holds
+// the whole hot set; "capped/full" holds half of it, so the other half
+// takes the full table's overflow path (NoTarget, raw target string).
 func BenchmarkReadRequestInternedParallel(b *testing.B) {
 	const hotSet = 256
 	raw := make([][]byte, hotSet)
@@ -31,21 +30,19 @@ func BenchmarkReadRequestInternedParallel(b *testing.B) {
 				i = i*1664525 + 1013904223
 				rd.Reset(raw[i%hotSet])
 				br.Reset(rd)
-				req, err := ReadRequestInterned(br, in)
-				if err != nil {
+				if _, err := ReadRequestInterned(br, in); err != nil {
 					b.Fatal(err)
 				}
-				in.Release(req.ID)
 			}
 		})
 	}
 	b.Run("pinned", func(b *testing.B) {
 		run(b, core.NewInterner())
 	})
-	b.Run("capped/stripes=1", func(b *testing.B) {
-		run(b, core.NewEvictableInternerStripes(4096, 1))
+	b.Run("capped", func(b *testing.B) {
+		run(b, core.NewCappedInterner(4096))
 	})
-	b.Run("capped/stripes=auto", func(b *testing.B) {
-		run(b, core.NewEvictableInternerStripes(4096, 0))
+	b.Run("capped/full", func(b *testing.B) {
+		run(b, core.NewCappedInterner(hotSet/2))
 	})
 }

@@ -97,17 +97,24 @@ func FuzzReadRequestInterned(f *testing.F) {
 		if got := in.Name(interned.ID); got != core.Target(interned.Target) {
 			t.Fatalf("interner maps ID %d to %q, target is %q", interned.ID, got, interned.Target)
 		}
-		// Under a capped interner the parse takes a reference the caller
-		// owns: hold, verify, release — no panics, no aliasing.
-		capped := core.NewEvictableInterner(1)
-		r2, err := ReadRequestInterned(bufio.NewReader(bytes.NewReader(data)), capped)
+		// A full cap-1 interner resolves its one target and turns every
+		// other away: the raw target survives either way, and the ID is
+		// NoTarget exactly when the target is new.
+		full := core.NewCappedInterner(1)
+		known := full.Intern("/index.html")
+		r2, err := ReadRequestInterned(bufio.NewReader(bytes.NewReader(data)), full)
 		if err != nil {
 			t.Fatalf("capped interner changed parse outcome: %v", err)
 		}
-		if got := capped.Name(r2.ID); got != core.Target(r2.Target) {
-			t.Fatalf("capped interner aliased %d to %q", r2.ID, got)
+		if r2.Target != plain.Target {
+			t.Fatalf("full interner changed target: %q vs %q", r2.Target, plain.Target)
 		}
-		capped.Release(r2.ID)
+		if isNew := plain.Target != "/index.html"; (r2.ID == core.NoTarget) != isNew || (!isNew && r2.ID != known) {
+			t.Fatalf("full interner gave %q ID %d (new target: %v)", r2.Target, r2.ID, isNew)
+		}
+		if full.Len() != 1 {
+			t.Fatalf("full interner grew to %d targets", full.Len())
+		}
 	})
 }
 

@@ -220,11 +220,10 @@ func ReadRequestInterned(br *bufio.Reader, in *core.Interner) (*Request, error) 
 // non-nil interner the target is interned straight from the read buffer and
 // req.ID is set (everything downstream of the parser — dispatch, policies,
 // mapping tables — works on integer IDs); req.Target is then the interner's
-// canonical string, so a known target costs no allocation. On an evictable
-// interner the ID holds one reference that the caller releases once the
-// request has been dispatched (the front-end does so via the engine's
-// ReleaseBatch). After an error req holds no meaningful request and
-// nothing was interned. Errors are those of ReadRequest.
+// canonical string, so a known target costs no allocation. A full capped
+// interner answers a new target with NoTarget; req.Target is then the raw
+// target, as without an interner. After an error req holds no meaningful
+// request and nothing was interned. Errors are those of ReadRequest.
 //
 //phttp:hotpath
 func ReadRequestInto(br *bufio.Reader, in *core.Interner, req *Request) error {
@@ -256,6 +255,8 @@ func ReadRequestInto(br *bufio.Reader, in *core.Interner, req *Request) error {
 	}
 	if in != nil {
 		req.ID = in.InternBytes(req.target)
+	}
+	if req.ID != core.NoTarget {
 		req.Target = string(in.Name(req.ID))
 	} else if req.Target != string(req.target) {
 		req.Target = string(req.target)

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// The //phttp: directive namespace (DESIGN.md §17.2). A directive is a
+// The //phttp: directive namespace (DESIGN.md §16.2). A directive is a
 // single line comment of the form
 //
 //	//phttp:<name>            e.g. //phttp:hotpath
@@ -25,11 +25,6 @@ const (
 	// a determinism-critical package — benchmarks measuring real elapsed
 	// time, maintenance tickers.
 	DirWallclock = "wallclock"
-
-	// DirHolds marks a function that legitimately keeps an acquired
-	// interner reference beyond its return — it escapes the hold into a
-	// tracked table (a cache or mapping that releases on evict).
-	DirHolds = "holds"
 )
 
 const directivePrefix = "//phttp:"

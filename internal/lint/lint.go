@@ -2,10 +2,8 @@
 // analyzers that prove, at build time, the invariants the test suite can
 // only sample — deterministic simulation (no wall-clock or global-RNG
 // reads in determinism-critical packages), zero-allocation hot paths
-// (functions annotated //phttp:hotpath), paired interner reference
-// counting (every Acquire released on every return path or escaped with
-// //phttp:holds), and unmixed atomic field access (a field touched by
-// sync/atomic anywhere is touched by it everywhere).
+// (functions annotated //phttp:hotpath), and unmixed atomic field access
+// (a field touched by sync/atomic anywhere is touched by it everywhere).
 //
 // The suite is deliberately framework-light: the container this repo is
 // grown in has no network and no golang.org/x/tools, so a ~200-line
@@ -14,7 +12,7 @@
 // go/analysis. The analyzer API mirrors go/analysis closely (Analyzer,
 // Pass, Diagnostic, `// want` golden tests) so a future PR can swap the
 // chassis for the real multichecker without touching analyzer logic.
-// DESIGN.md §17 is the catalog and directive reference.
+// DESIGN.md §16 is the catalog and directive reference.
 package lint
 
 import (
@@ -84,13 +82,12 @@ type Analyzer struct {
 	Facts FactSet
 }
 
-// NewSuite returns fresh instances of the four phttp analyzers, in
-// stable order: nondeterm, hotpath, refpair, atomicmix.
+// NewSuite returns fresh instances of the three phttp analyzers, in
+// stable order: nondeterm, hotpath, atomicmix.
 func NewSuite() []*Analyzer {
 	return []*Analyzer{
 		NewNondeterm(),
 		NewHotpath(),
-		NewRefpair(),
 		NewAtomicmix(),
 	}
 }
@@ -133,7 +130,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // typo (//phttp:wallclok) fails the build instead of silently opting a
 // site out of its analyzer.
 func checkDirectives(pkg *Package, report func(Diagnostic)) {
-	known := map[string]bool{DirHotpath: true, DirWallclock: true, DirHolds: true}
+	known := map[string]bool{DirHotpath: true, DirWallclock: true}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -143,7 +140,7 @@ func checkDirectives(pkg *Package, report func(Diagnostic)) {
 				}
 				report(Diagnostic{
 					Pos:      pkg.Fset.Position(c.Pos()),
-					Message:  fmt.Sprintf("unknown directive //phttp:%s (known: hotpath, wallclock, holds)", name),
+					Message:  fmt.Sprintf("unknown directive //phttp:%s (known: hotpath, wallclock)", name),
 					Analyzer: "directive",
 				})
 			}

@@ -50,10 +50,6 @@ func TestHotpathGolden(t *testing.T) {
 	linttest.Run(t, "testdata/hotreqcache", "phttp/internal/cache", lint.NewHotpath())
 }
 
-func TestRefpairGolden(t *testing.T) {
-	linttest.Run(t, "testdata/refpair", "phttp/internal/lint/testdata/rpfix", lint.NewRefpair())
-}
-
 func TestAtomicmixGolden(t *testing.T) {
 	linttest.Run(t, "testdata/atomicmix", "phttp/internal/lint/testdata/amfix", lint.NewAtomicmix())
 }
@@ -159,11 +155,11 @@ func injectedSprintf(n int64) string { return fmt.Sprintf("conn %d", n) }
 // -analyzers flag.
 func TestByName(t *testing.T) {
 	suite := lint.NewSuite()
-	sel, err := lint.ByName(suite, []string{"hotpath", "refpair"})
+	sel, err := lint.ByName(suite, []string{"hotpath", "atomicmix"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 2 || sel[0].Name != "hotpath" || sel[1].Name != "refpair" {
+	if len(sel) != 2 || sel[0].Name != "hotpath" || sel[1].Name != "atomicmix" {
 		t.Fatalf("wrong selection: %v", sel)
 	}
 	if _, err := lint.ByName(suite, []string{"nosuch"}); err == nil {
@@ -221,7 +217,7 @@ func TestSortDiagnostics(t *testing.T) {
 		d("b.go", 1, 1, "hotpath", "x"),
 		d("a.go", 2, 1, "hotpath", "x"),
 		d("a.go", 1, 2, "hotpath", "x"),
-		d("a.go", 1, 1, "refpair", "x"),
+		d("a.go", 1, 1, "nondeterm", "x"),
 		d("a.go", 1, 1, "hotpath", "y"),
 		d("a.go", 1, 1, "hotpath", "x"),
 	}
@@ -229,7 +225,7 @@ func TestSortDiagnostics(t *testing.T) {
 	want := []string{
 		"a.go:1:1: x [hotpath]",
 		"a.go:1:1: y [hotpath]",
-		"a.go:1:1: x [refpair]",
+		"a.go:1:1: x [nondeterm]",
 		"a.go:1:2: x [hotpath]",
 		"a.go:2:1: x [hotpath]",
 		"b.go:1:1: x [hotpath]",

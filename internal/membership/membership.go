@@ -67,7 +67,7 @@ func (s State) String() string {
 	}
 }
 
-// Config holds the failure-detection timing parameters (DESIGN.md §15).
+// Config holds the failure-detection timing parameters (DESIGN.md §14).
 type Config struct {
 	// HeartbeatTimeout: a node whose last heartbeat is older than this
 	// at Tick time becomes Suspect. The prototype's heartbeat is the

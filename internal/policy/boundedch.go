@@ -106,12 +106,12 @@ func (b *BoundedCH) capacity(mem *memberSet) int {
 	return limit
 }
 
-// pick walks the ring clockwise from the target's hash position and
+// pick walks the ring clockwise from the placement key's hash position and
 // returns the first eligible node with spare capacity. Ineligible nodes'
 // ring points are skipped — removing a node shifts only its own arcs to
 // the next nodes clockwise, the consistent-hashing property.
-func (b *BoundedCH) pick(id core.TargetID) core.NodeID {
-	h := splitmix64(uint64(uint32(id)) ^ b.seed)
+func (b *BoundedCH) pick(key uint64) core.NodeID {
+	h := splitmix64(key ^ b.seed)
 	i := sort.Search(len(b.ring), func(i int) bool { return b.ring[i].hash >= h })
 	mem := b.active()
 	limit := b.capacity(mem)
@@ -138,7 +138,7 @@ func (b *BoundedCH) pick(id core.TargetID) core.NodeID {
 //
 //phttp:hotpath
 func (b *BoundedCH) ConnOpen(c *core.ConnState, first core.Request) core.NodeID {
-	n := b.pick(first.ID)
+	n := b.pick(placementKey(c, first))
 	c.Handling = n
 	b.loads.AddConn(n)
 	return n

@@ -44,7 +44,7 @@ func TestP2CCandidatesDistinct(t *testing.T) {
 	for _, nodes := range []int{2, 3, 7, 32} {
 		p := NewP2C(nodes, 1)
 		for _, r := range internedReqs(512) {
-			a, b := p.candidates(r.ID)
+			a, b := p.candidates(uint64(r.ID))
 			if a == b {
 				t.Fatalf("n=%d target %v: candidates collide on %v", nodes, r.ID, a)
 			}
@@ -69,7 +69,7 @@ func TestP2CBalancesBetterThanSingleHash(t *testing.T) {
 		c := core.NewConnState(core.ConnID(i))
 		p.ConnOpen(c, r)
 		open = append(open, c)
-		a, _ := p.candidates(r.ID)
+		a, _ := p.candidates(uint64(r.ID))
 		single[a]++
 	}
 	maxP2C, maxSingle := 0, 0
@@ -192,6 +192,31 @@ func TestBoundedCHSpreadsTargets(t *testing.T) {
 	for n := 0; n < nodes; n++ {
 		if seen[core.NodeID(n)] == 0 {
 			t.Errorf("node %d never chosen across 512 targets", n)
+		}
+	}
+}
+
+// Connections whose first target a full capped interner turned away
+// (NoTarget) are placed by their connection ID: 1 000 of them, each closed
+// before the next opens so load never breaks the tie, land on every node
+// under both hash-keyed policies instead of all on one key's placement.
+func TestHashPoliciesSpreadOverflowConnections(t *testing.T) {
+	const nodes, conns = 4, 1000
+	overflow := core.Request{Target: "/past-the-cap", Size: 4 << 10}
+	for name, p := range map[string]core.Policy{
+		"p2c":       NewP2C(nodes, 1),
+		"boundedch": NewBoundedCH(nodes, 16, 1.25, 1),
+	} {
+		var per [nodes]int
+		for i := 0; i < conns; i++ {
+			c := core.NewConnState(core.ConnID(i + 1))
+			per[p.ConnOpen(c, overflow)]++
+			p.ConnClose(c)
+		}
+		for n, got := range per {
+			if got == 0 {
+				t.Errorf("%s: no overflow connection on node %d (per node %v)", name, n, per)
+			}
 		}
 	}
 }

@@ -57,8 +57,7 @@ func NewLARD(n int, cacheBytes int64, params Params) *LARD {
 
 // NodeUp, NodeDown and NodeDraining implement core.MembershipPolicy:
 // ineligible nodes disappear from the cost minimization, and a Down
-// node's mapping entries are invalidated when DownColdStart is set (the
-// interner references they held are released with them).
+// node's mapping entries are invalidated when DownColdStart is set.
 func (l *LARD) NodeUp(n core.NodeID)       { l.mem.setEligible(n, true) }
 func (l *LARD) NodeDraining(n core.NodeID) { l.mem.setEligible(n, false) }
 func (l *LARD) NodeDown(n core.NodeID) {

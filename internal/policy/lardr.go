@@ -229,34 +229,6 @@ func (l *LARDR) filterEligible(set []core.NodeID, mem *memberSet) []core.NodeID 
 	return kept
 }
 
-// CompactTargets trims the dense per-target assignment counters to the
-// interner's high water as of the caller's last compaction. Under an
-// evictable interner the dispatch engine calls this from its maintenance
-// hook after compacting the interner, so the counter table shrinks with
-// the ID space after churn instead of staying sized for the all-time peak.
-// Counter values are decision cadence, not correctness state, so the two
-// lossy cases are both benign: a stale counter on a recycled ID inside the
-// retained range is never read (the recycled target has no mapping entries
-// — the refcount protocol guarantees it — so it re-enters through the
-// empty-set path above, which resets its counter), and a counter for an ID
-// minted concurrently above the bound is dropped and regrows zeroed (the
-// mutex serializes the truncation against assign, so the table itself is
-// never torn), at worst delaying that one target's next grow/shrink
-// decision by one interval.
-func (l *LARDR) CompactTargets(highWater core.TargetID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	want := int(highWater) + 1
-	if want >= len(l.assigns) {
-		return
-	}
-	if cap(l.assigns) > 2*want+64 {
-		l.assigns = append(make([]int32, 0, want), l.assigns[:want]...)
-	} else {
-		l.assigns = l.assigns[:want]
-	}
-}
-
 // AssignBatch sends every request to the handling node (connection
 // granularity, as with basic LARD). The returned slice is the connection's
 // reusable buffer: valid until the next AssignBatch on the same connection.

@@ -160,7 +160,7 @@ func TestWRRMembership(t *testing.T) {
 func TestP2CMembership(t *testing.T) {
 	p := NewP2C(4, 1)
 	r := req("/churn/p2c", 10)
-	a, b := p.candidates(r.ID)
+	a, b := p.candidates(uint64(r.ID))
 	// One candidate down: the other must win regardless of load.
 	p.NodeDown(a)
 	for i := 0; i < 5; i++ {

@@ -51,14 +51,25 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// candidates returns the two candidate nodes for a target ID: distinct
-// whenever the cluster has two nodes, deterministic per (id, seed).
-func (p *P2C) candidates(id core.TargetID) (core.NodeID, core.NodeID) {
+// placementKey is what the hash-keyed policies place a connection by: its
+// first target's ID, or — for a target a full capped interner turned away
+// (NoTarget) — the connection's own ID, so overflow connections spread
+// over the nodes instead of piling onto one key's placement.
+func placementKey(c *core.ConnState, first core.Request) uint64 {
+	if first.ID == core.NoTarget {
+		return uint64(c.ID) | 1<<63
+	}
+	return uint64(uint32(first.ID))
+}
+
+// candidates returns the two candidate nodes for a placement key: distinct
+// whenever the cluster has two nodes, deterministic per (key, seed).
+func (p *P2C) candidates(key uint64) (core.NodeID, core.NodeID) {
 	n := p.loads.Nodes()
 	if n == 1 {
 		return 0, 0
 	}
-	h := splitmix64(uint64(uint32(id)) ^ p.seed)
+	h := splitmix64(key ^ p.seed)
 	a := core.NodeID(h % uint64(n))
 	// Second choice over the remaining n-1 nodes, shifted past the first:
 	// distinct by construction, no rejection loop.
@@ -78,7 +89,7 @@ func (p *P2C) candidates(id core.TargetID) (core.NodeID, core.NodeID) {
 //
 //phttp:hotpath
 func (p *P2C) ConnOpen(c *core.ConnState, first core.Request) core.NodeID {
-	a, b := p.candidates(first.ID)
+	a, b := p.candidates(placementKey(c, first))
 	best := a
 	if p.loads.Load(b) < p.loads.Load(a) {
 		best = b

@@ -282,15 +282,14 @@ func (s *Spec) ToFrontEndConfig(nodes int) (cluster.FrontEndConfig, error) {
 		return cluster.FrontEndConfig{}, err
 	}
 	cfg := cluster.FrontEndConfig{
-		Nodes:            nodes,
-		Policy:           s.Policy.Name,
-		PolicyOptions:    dispatch.Options(s.Policy.Options),
-		Mechanism:        mech,
-		Params:           policy.DefaultParams(),
-		CacheBytes:       cluster.PrototypeCacheBytes,
-		MaxTargets:       s.Cluster.MaxTargets,
-		IdleTimeout:      15 * time.Second,
-		MaintainInterval: cluster.DefaultMaintainInterval,
+		Nodes:         nodes,
+		Policy:        s.Policy.Name,
+		PolicyOptions: dispatch.Options(s.Policy.Options),
+		Mechanism:     mech,
+		Params:        policy.DefaultParams(),
+		CacheBytes:    cluster.PrototypeCacheBytes,
+		MaxTargets:    s.Cluster.MaxTargets,
+		IdleTimeout:   15 * time.Second,
 	}
 	if s.Cluster.CacheMB > 0 {
 		cfg.CacheBytes = s.Cluster.CacheMB << 20

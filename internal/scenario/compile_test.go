@@ -124,8 +124,7 @@ func TestToClusterConfigDefaults(t *testing.T) {
 	want.Policy = "extlard"
 	want.Mechanism = core.BEForwarding
 	if cfg.CacheBytes != want.CacheBytes || cfg.Mechanism != want.Mechanism ||
-		cfg.Policy != want.Policy || cfg.TimeScale != want.TimeScale ||
-		cfg.MaintainInterval != want.MaintainInterval {
+		cfg.Policy != want.Policy || cfg.TimeScale != want.TimeScale {
 		t.Errorf("compiled %+v, want defaults %+v", cfg, want)
 	}
 }

@@ -119,8 +119,9 @@ type ClusterSpec struct {
 	WarmupFrac *float64 `json:"warmupFrac,omitempty"`
 	// FESpeedup scales the simulated front-end CPU (default 1).
 	FESpeedup float64 `json:"feSpeedup,omitempty"`
-	// MaxTargets caps the prototype dispatcher's target interner
-	// (0 pins every target).
+	// MaxTargets caps the prototype dispatcher's target interner: targets
+	// first seen past the cap are placed by load and never mapped (0 means
+	// no cap).
 	MaxTargets int `json:"maxTargets,omitempty"`
 	// TimeScale divides the prototype's simulated latencies (default 1).
 	TimeScale float64 `json:"timeScale,omitempty"`
@@ -134,7 +135,7 @@ type ClusterSpec struct {
 	// State selects the dispatch-state backend: "local" (default),
 	// "sharded" (target space partitioned across the tier) or
 	// "replicated" (full replicas with bounded-staleness sync). See
-	// DESIGN.md §18.
+	// DESIGN.md §17.
 	State string `json:"state,omitempty"`
 	// StalenessMs is the replicated backend's sync interval in
 	// milliseconds (simulated time in the simulator, wall clock in the
@@ -217,7 +218,7 @@ type SweepSpec struct {
 	Loads []int `json:"loads,omitempty"`
 	// Frontends is the front-end-tier-size axis, run at Cluster.Nodes
 	// with Cluster.State's backend (which must be sharded or
-	// replicated) — the locality-degradation curve of DESIGN.md §18.
+	// replicated) — the locality-degradation curve of DESIGN.md §17.
 	Frontends []int `json:"frontends,omitempty"`
 	// StalenessMs is the replication-staleness axis in milliseconds, run
 	// at Cluster.Frontends replicas (cluster.state must be

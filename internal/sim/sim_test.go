@@ -234,7 +234,7 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 // TestReplicatedTierLocality pins the front-end tier's locality-vs-freshness
-// result (DESIGN §18.5): four extLARD replicas synced every 10 ms keep the
+// result (DESIGN §17.5): four extLARD replicas synced every 10 ms keep the
 // single front-end's hit rate, and replicas that never sync lose a large
 // part of it. On the 4000-connection default workload: 71.6 %, 71.5 %,
 // 54.2 %.

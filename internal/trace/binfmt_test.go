@@ -308,8 +308,13 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("re-encoded trace does not decode: %v", err)
 		}
 		if hash2 != hash || !reflect.DeepEqual(got.Conns, again.Conns) || !reflect.DeepEqual(got.Sizes, again.Sizes) ||
-			!reflect.DeepEqual(got.Interner.AppendNames(nil), again.Interner.AppendNames(nil)) {
+			got.Interner.HighWater() != again.Interner.HighWater() {
 			t.Fatal("re-encoded trace differs from the accepted one")
+		}
+		for id := core.TargetID(1); id <= got.Interner.HighWater(); id++ {
+			if got.Interner.Name(id) != again.Interner.Name(id) {
+				t.Fatalf("re-encoded trace names ID %d %q, accepted %q", id, again.Interner.Name(id), got.Interner.Name(id))
+			}
 		}
 	})
 }
