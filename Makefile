@@ -53,10 +53,10 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # Short coverage-guided runs of the fuzz targets: every parser that faces
-# a socket — the httpmsg request/response parsers and the control line
-# between front-end and back-ends, HANDOFF included — the binary trace
-# decoder, and the simulator's event order against its reference heap; CI
-# runs the same on each push.
+# a socket — the httpmsg request/response parsers and the one codec of
+# every line between nodes (control, relay, lateral fetch, peer tier) —
+# the binary trace decoder, and the simulator's event order against its
+# reference heap; CI runs the same on each push.
 # Longer local sessions: go test -fuzz <target> -fuzztime 5m <package>
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadRequest$$' -fuzztime=10s ./internal/httpmsg/

@@ -5,7 +5,7 @@
 // or the node axis of one declarative policy scenario.
 //
 //	phttp-bench                          # Figure 13, 1-6 nodes
-//	phttp-bench -time-scale 20           # faster wall clock, same shape
+//	phttp-bench -time-scale 20           # faster; HTTP/1.0 combos read low (DESIGN §4.5)
 //	phttp-bench -only WRR -max-nodes 2   # one combination
 //	phttp-bench -scenario p2c            # a policy scenario on real sockets
 //

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"phttp/internal/core"
-	"phttp/internal/httpmsg"
 	"phttp/internal/server"
 )
 
@@ -47,24 +46,35 @@ type BackendConfig struct {
 	DiskReportEvery time.Duration
 }
 
-// cpuGate models the node's single CPU: callers serialize through it for
-// the modeled duration. Because time.Sleep overshoots by scheduler
-// granularity (often hundreds of microseconds on a busy host — comparable
-// to the scaled costs themselves), the gate tracks the overshoot as a debt
-// and discounts future charges, so long-run throughput follows the modeled
-// costs rather than the host's timer resolution.
-type cpuGate struct {
-	mu      sync.Mutex
-	scale   float64
-	enabled bool
-	debt    time.Duration
+// gate models one of a node's serial resources, its CPU or its disk:
+// callers take turns holding it for a modelled time divided by the time
+// scale. time.Sleep overshoots by the host's timer granularity (often
+// hundreds of microseconds on a busy host, comparable to the scaled costs
+// themselves), so the gate keeps the overshoot as a debt and discounts the
+// next holds by it: over many holds the resource is busy for the modelled
+// time, not for the modelled time plus one overshoot per hold.
+type gate struct {
+	scale float64 // time scale divisor; zero when the resource is not modelled
+	mu    sync.Mutex
+	debt  time.Duration
 }
 
-func (g *cpuGate) use(m core.Micros) {
-	if !g.enabled || m <= 0 {
+// duration is modelled time m on the wall clock: zero when the gate
+// models nothing.
+func (g *gate) duration(m core.Micros) time.Duration {
+	if g.scale == 0 || m <= 0 {
+		return 0
+	}
+	return time.Duration(float64(m) / g.scale * float64(time.Microsecond))
+}
+
+// use holds the gate for modelled time m. A zero time returns at once,
+// without taking the lock.
+func (g *gate) use(m core.Micros) {
+	want := g.duration(m)
+	if want <= 0 {
 		return
 	}
-	want := time.Duration(float64(m) / g.scale * float64(time.Microsecond))
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.debt >= want {
@@ -74,17 +84,14 @@ func (g *cpuGate) use(m core.Micros) {
 	want -= g.debt
 	start := time.Now()
 	time.Sleep(want)
-	g.debt = time.Since(start) - want
-	if g.debt < 0 {
-		g.debt = 0
-	}
+	g.debt = max(time.Since(start)-want, 0)
 }
 
 // Backend is one running back-end node.
 type Backend struct {
 	cfg   BackendConfig
 	store *DocStore
-	cpu   cpuGate
+	cpu   gate // the node's single CPU, modelled when SimulateCPU is set
 
 	ctrlLn    net.Listener
 	handoffLn *net.UnixListener
@@ -108,7 +115,7 @@ type Backend struct {
 	tracked map[net.Conn]struct{}
 
 	peersMu sync.Mutex
-	peers   map[core.NodeID]*peerPool
+	peers   map[core.NodeID]peerPool
 
 	// served counts the 200 responses written to clients. It is raised
 	// before a response's bytes can go out and lowered again if the write
@@ -138,12 +145,14 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 	b := &Backend{
 		cfg:     cfg,
 		store:   NewDocStore(cfg.Catalog, cfg.CacheBytes, cfg.Disk, cfg.TimeScale),
-		cpu:     cpuGate{scale: cfg.TimeScale, enabled: cfg.SimulateCPU},
 		conns:   make(map[core.ConnID]*beConn),
 		ctrls:   make(map[net.Conn]struct{}),
-		peers:   make(map[core.NodeID]*peerPool),
+		peers:   make(map[core.NodeID]peerPool),
 		tracked: make(map[net.Conn]struct{}),
 		closed:  make(chan struct{}),
+	}
+	if cfg.SimulateCPU {
+		b.cpu.scale = cfg.TimeScale
 	}
 	if cfg.CtrlListen == "" {
 		cfg.CtrlListen = "127.0.0.1:0"
@@ -284,15 +293,13 @@ func (b *Backend) serveSession(conn net.Conn) {
 // line announces the role: the control session or the data session.
 func (b *Backend) serveCtrlConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, ctrlBufBytes)
-	hello, err := br.ReadString('\n')
-	if err != nil {
+	hello, err := readCtrl(br)
+	switch {
+	case err != nil:
 		conn.Close()
-		return
-	}
-	switch hello {
-	case "HELLO CTRL\n":
+	case hello.Kind == kindHelloCtrl:
 		b.runSession(conn, br, nil)
-	case "HELLO DATA\n":
+	case hello.Kind == kindHelloData:
 		b.dataMu.Lock()
 		b.data = conn
 		b.dataMu.Unlock()
@@ -426,184 +433,118 @@ func (b *Backend) reportDiskLoop() {
 	}
 }
 
-// servePeer serves lateral fetches from another back-end: plain HTTP over
-// a persistent connection.
+// servePeer serves lateral fetches from another back-end over a persistent
+// connection: a FETCH line in, SIZE and the body or MISS out.
 func (b *Backend) servePeer(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, ctrlBufBytes)
 	bw := bufio.NewWriterSize(conn, 32<<10)
-	var req httpmsg.Request
-	var hb [128]byte
+	var line []byte
 	for {
-		if err := httpmsg.ReadRequestInto(br, nil, &req); err != nil {
+		msg, err := readCtrl(br)
+		if err != nil || msg.Kind != kindFetch {
 			return
 		}
 		// The remote side of a lateral fetch: per-request work plus the
 		// forwarding overhead, content from cache or disk.
 		b.cpu.use(b.cfg.Costs.PerRequest + b.cfg.Costs.ForwardPerRequest)
-		dc := b.store.docs[core.Target(req.Target)]
-		if dc == nil {
-			body := "Not Found\n"
-			bw.Write(httpmsg.AppendResponseHead(hb[:0], "HTTP/1.1", 404, int64(len(body)), true))
-			bw.WriteString(body)
-			if err := bw.Flush(); err != nil {
-				return
+		if dc := b.store.lookup(msg.Target); dc == nil {
+			bw.Write(appendMiss(line[:0]))
+		} else {
+			if !b.store.cached(dc) {
+				b.store.read(dc)
 			}
-			continue
+			line = appendSize(line[:0], dc.size)
+			bw.Write(line)
+			writePattern(bw, dc.pattern(), dc.size)
 		}
-		if !b.store.cached(dc) {
-			b.store.read(dc)
-		}
-		if _, err := bw.Write(httpmsg.AppendResponseHead(hb[:0], "HTTP/1.1", 200, dc.size, true)); err != nil {
-			return
-		}
-		if err := writePattern(bw, dc.pattern(), dc.size); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if bw.Flush() != nil {
 			return
 		}
 	}
 }
 
-// peerPool multiplexes lateral fetches over a few persistent connections to
-// one peer back-end, so concurrent forwarded requests do not serialize
-// behind a single connection (the paper's NFS transport likewise carried
-// concurrent reads).
-type peerPool struct {
-	clients []*peerClient
-	free    chan *peerClient
-}
+// peerPool is a fixed set of persistent lateral-fetch connections to one
+// peer back-end, one fetch in flight on each, so concurrent forwarded
+// requests do not serialize behind one connection (the paper's NFS
+// transport likewise carried concurrent reads). A fetch takes a connection
+// out of the channel and puts it back once the body is relayed; a body
+// that fits the response chunk is read whole before the client is written
+// to, so a slow client holds a connection only while a larger body streams.
+type peerPool chan *peerConn
 
 // peerPoolSize is the number of persistent connections per peer pair.
 const peerPoolSize = 4
 
-func newPeerPool(addr string) *peerPool {
-	p := &peerPool{free: make(chan *peerClient, peerPoolSize)}
-	for i := 0; i < peerPoolSize; i++ {
-		c := newPeerClient(addr)
-		p.clients = append(p.clients, c)
-		p.free <- c
+func newPeerPool(addr string) peerPool {
+	p := make(peerPool, peerPoolSize)
+	for range peerPoolSize {
+		p <- &peerConn{addr: addr}
 	}
 	return p
 }
 
-// fetch checks a connection out of the pool; it is returned when the body
-// is closed (or immediately on error).
-func (p *peerPool) fetch(t core.Target) (int64, io.ReadCloser, error) {
-	c := <-p.free
-	size, body, err := c.fetch(t)
-	if err != nil {
-		p.free <- c
-		return 0, nil, err
+// close closes every connection of the pool, once the fetches in flight on
+// them are done. The records stay in the pool and redial on their next
+// fetch.
+func (p peerPool) close() {
+	var all [peerPoolSize]*peerConn
+	for i := range all {
+		all[i] = <-p
+		all[i].reset()
 	}
-	return size, &pooledBody{ReadCloser: body, pool: p, client: c}, nil
-}
-
-func (p *peerPool) close() {
-	for _, c := range p.clients {
-		c.close()
+	for _, pc := range all {
+		p <- pc
 	}
 }
 
-// pooledBody returns the underlying client to the pool on Close.
-type pooledBody struct {
-	io.ReadCloser
-	pool   *peerPool
-	client *peerClient
-}
-
-func (b *pooledBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.pool.free <- b.client
-	return err
-}
-
-// peerClient is a lateral-fetch client holding one persistent connection to
-// a peer back-end (reconnecting on failure).
-type peerClient struct {
+// peerConn is one persistent connection to a peer back-end, dialled on its
+// first fetch and redialled after a failure.
+type peerConn struct {
 	addr string
-	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
-	wbuf []byte // request serialization scratch
+	line []byte // the FETCH line
+	// body is the current fetch's body: the next body.N bytes of br.
+	body io.LimitedReader
 }
 
-func newPeerClient(addr string) *peerClient { return &peerClient{addr: addr} }
-
-// fetch requests target from the peer and returns its size and a body
-// reader that must be fully consumed and closed before the next fetch. The
-// returned reader is only valid while the caller holds it (the client is
-// locked until Close).
-func (p *peerClient) fetch(t core.Target) (int64, io.ReadCloser, error) {
-	p.mu.Lock() // released by the returned body's Close
-	size, body, err := p.fetchLocked(t)
-	if err != nil {
-		p.mu.Unlock()
-		return 0, nil, err
+// fetch asks the peer for target and returns the size its reply announced;
+// the body then waits in pc.body. A connection that fails is redialled and
+// the fetch tried once more. MISS is an error.
+func (pc *peerConn) fetch(target core.Target) (int64, error) {
+	if pc.body.N > 0 { // the last body was not read to its end: out of step
+		pc.reset()
 	}
-	return size, body, nil
-}
-
-func (p *peerClient) fetchLocked(t core.Target) (int64, io.ReadCloser, error) {
 	for attempt := 0; attempt < 2; attempt++ {
-		if p.conn == nil {
-			conn, err := net.Dial("tcp", p.addr)
+		if pc.conn == nil {
+			conn, err := net.Dial("tcp", pc.addr)
 			if err != nil {
-				return 0, nil, err
+				return 0, err
 			}
-			p.conn = conn
-			p.br = bufio.NewReaderSize(conn, 32<<10)
+			pc.conn, pc.br = conn, bufio.NewReaderSize(conn, 32<<10)
 		}
-		req := httpmsg.Request{
-			Method: "GET", Target: string(t), Proto: "HTTP/1.1",
-			Headers: []httpmsg.Header{{Name: "Host", Value: "peer"}},
-		}
-		if _, err := req.WriteTo(p.conn); err != nil {
-			p.reset()
+		pc.line = appendFetch(pc.line[:0], target)
+		if _, err := pc.conn.Write(pc.line); err != nil {
+			pc.reset()
 			continue
 		}
-		resp, err := httpmsg.ReadResponse(p.br)
-		if err != nil {
-			p.reset()
-			continue
+		msg, err := readCtrl(pc.br)
+		switch {
+		case err == nil && msg.Kind == kindSize:
+			pc.body = io.LimitedReader{R: pc.br, N: msg.Size}
+			return msg.Size, nil
+		case err == nil && msg.Kind == kindMiss:
+			return 0, fmt.Errorf("cluster: peer %s does not hold %q", pc.addr, target)
 		}
-		if resp.Status != 200 {
-			// Drain the error body to keep the connection usable.
-			io.CopyN(io.Discard, p.br, resp.ContentLength)
-			return 0, nil, fmt.Errorf("cluster: peer fetch %q: status %d", t, resp.Status)
-		}
-		return resp.ContentLength, &peerBody{p: p, r: io.LimitReader(p.br, resp.ContentLength)}, nil
+		pc.reset()
 	}
-	return 0, nil, fmt.Errorf("cluster: peer %s unreachable", p.addr)
+	return 0, fmt.Errorf("cluster: peer %s unreachable", pc.addr)
 }
 
-func (p *peerClient) reset() {
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-		p.br = nil
+func (pc *peerConn) reset() {
+	if pc.conn != nil {
+		pc.conn.Close()
 	}
-}
-
-func (p *peerClient) close() {
-	p.mu.Lock()
-	p.reset()
-	p.mu.Unlock()
-}
-
-// peerBody hands the peer connection back (unlocking the client) once the
-// body has been consumed.
-type peerBody struct {
-	p *peerClient
-	r io.Reader
-}
-
-func (b *peerBody) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *peerBody) Close() error {
-	// Drain any remainder so the next fetch starts aligned.
-	io.Copy(io.Discard, b.r)
-	b.p.mu.Unlock()
-	return nil
+	pc.conn, pc.br, pc.body = nil, nil, io.LimitedReader{}
 }

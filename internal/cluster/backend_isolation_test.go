@@ -157,6 +157,38 @@ func TestBackendLateralFetchProducesRemoteContent(t *testing.T) {
 	fe.send("CLOSE 2\n")
 }
 
+// A miss at the peer (MISS) is a 502 that leaves the fetch connection in
+// step: after more misses than the pool has connections, a fetch on the
+// same pool still gets the peer's document, byte for byte.
+func TestBackendLateralPoolReusedAfterMiss(t *testing.T) {
+	_, be1, fe := newBackendPair(t)
+	client := fe.handoff(4)
+	client.SetDeadline(time.Now().Add(20 * time.Second))
+	const misses = 9 // the pool holds four connections per peer
+	for seq := 0; seq < misses; seq++ {
+		fe.send(fmt.Sprintf("REQ 4 %d HTTP/1.1 1 1 /nowhere\n", seq))
+	}
+	fe.send(fmt.Sprintf("REQ 4 %d HTTP/1.1 1 1 /remote\n", misses))
+	br := bufio.NewReader(client)
+	for seq := 0; seq < misses; seq++ {
+		if resp, _ := readFullResponse(t, br); resp.Status != 502 {
+			t.Fatalf("request %d for a document the peer lacks: status %d, want 502", seq, resp.Status)
+		}
+	}
+	resp, body := readFullResponse(t, br)
+	want := make([]byte, 5000)
+	for i := range want {
+		want[i] = cluster.ContentByte("/remote", int64(i))
+	}
+	if resp.Status != 200 || string(body) != string(want) {
+		t.Fatalf("fetch after the misses: status %d, %d bytes, want 200 with the peer's 5000", resp.Status, len(body))
+	}
+	if h, m := be1.Store().Counters(); h+m != 1 {
+		t.Errorf("peer store accesses = %d, want 1", h+m)
+	}
+	fe.send("CLOSE 4\n")
+}
+
 func TestBackendPipelinedOrderPreserved(t *testing.T) {
 	_, _, fe := newBackendPair(t)
 	client := fe.handoff(3)

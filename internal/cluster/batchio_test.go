@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -561,6 +562,48 @@ func TestPipelinedConnectionAllocBudget(t *testing.T) {
 	t.Logf("%.1f allocations per connection, %.2f per request", perConn, perReq)
 	if perReq > connAllocBudget {
 		t.Errorf("%.2f allocations per request on a warmed pipelined connection, budget %d", perReq, connAllocBudget)
+	}
+}
+
+// TestLateralFetchAllocs pins the allocations of one lateral fetch of a
+// cached 64 KB document, across every goroutine of the process: the
+// fetching side (FETCH line, reply, body read from a pooled connection)
+// and the serving back-end (line parsed in place, target resolved in the
+// read buffer, SIZE line and body). The fetch spoke HTTP before, at 15.
+func TestLateralFetchAllocs(t *testing.T) {
+	const size = 64 << 10
+	be, err := NewBackend(BackendConfig{
+		ID: 1, Catalog: map[core.Target]int64{"/doc": size}, CacheBytes: 1 << 20,
+		HandoffSocket: filepath.Join(t.TempDir(), "be1.sock"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	pool := newPeerPool(be.PeerAddr())
+	defer pool.close()
+	body := make([]byte, size)
+	fetch := func() {
+		pc := <-pool
+		defer func() { pool <- pc }()
+		n, err := pc.fetch("/doc")
+		if err != nil || n != size {
+			t.Fatalf("fetch: %d bytes, %v", n, err)
+		}
+		if _, err := io.ReadFull(&pc.body, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 * peerPoolSize {
+		fetch() // warm: dial, cache, content pattern
+	}
+	if !bytes.Equal(body[:64], []byte(contentChunk("/doc")[:64])) {
+		t.Fatalf("fetched body starts %q", body[:64])
+	}
+	allocs := testing.AllocsPerRun(100, fetch)
+	t.Logf("%.2f allocations per lateral fetch", allocs)
+	if allocs > 2 {
+		t.Errorf("%.2f allocations per lateral fetch, want <= 2", allocs)
 	}
 }
 

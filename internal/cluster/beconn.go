@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -492,8 +491,8 @@ func (b *Backend) serveRequest(w *respWriter, r beReq) error {
 }
 
 // serveForwarded performs the lateral fetch: request the content from the
-// tagged back-end over a persistent peer connection and forward it on the
-// client connection.
+// tagged back-end over one of the persistent connections to it and forward
+// it on the client connection.
 func (b *Backend) serveForwarded(w *respWriter, r beReq) error {
 	costs := b.cfg.Costs
 	b.peersMu.Lock()
@@ -506,16 +505,17 @@ func (b *Backend) serveForwarded(w *respWriter, r beReq) error {
 	if err := w.flush(); err != nil {
 		return err
 	}
-	size, body, err := peer.fetch(r.doc.target)
+	pc := <-peer
+	defer func() { peer <- pc }()
+	size, err := pc.fetch(r.doc.target)
 	if err != nil {
 		// The peer may have died; surface a gateway error rather than
 		// wedging the client connection.
 		return w.respondError(r, 502)
 	}
-	defer body.Close()
 	b.cpu.use(costs.PerRequest + costs.ForwardPerRequest +
 		costs.ForwardRecv(size) + costs.Transmit(size))
-	return w.respond(r, size, nil, body)
+	return w.respond(r, size, nil, &pc.body)
 }
 
 // respWriter is the serve goroutine's output side. For a handed-off
@@ -636,16 +636,21 @@ func (w *respWriter) respondError(r beReq, status int) error {
 	return err
 }
 
+// writeBody writes size bytes of body: the repeating pattern, or read from
+// body, which ends after them, into the chunk.
 func writeBody(cw *chunkWriter, size int64, pattern []byte, body io.Reader) error {
 	if pattern != nil {
 		return writePattern(cw, pattern, size)
 	}
-	_, err := io.CopyN(cw, body, size)
+	n, err := cw.ReadFrom(body)
+	if err == nil && n != size {
+		err = io.ErrUnexpectedEOF
+	}
 	return err
 }
 
 // writeRelayFrame ships a framed response to the front-end's data
-// connection: "RESP <connID> <seq> <len>\n" + len raw HTTP bytes (head,
+// connection: a RESP line, then its count of raw HTTP bytes (head,
 // then size body bytes). The data session is shared by every relayed
 // connection of the node, so a frame is written whole under its lock.
 func (b *Backend) writeRelayFrame(c *beConn, r beReq, head []byte, size int64, pattern []byte, body io.Reader) error {
@@ -658,14 +663,7 @@ func (b *Backend) writeRelayFrame(c *beConn, r beReq, head []byte, size int64, p
 	cw := newChunkWriter(b.data, total+64)
 	defer cw.release()
 	var lb [64]byte
-	line := append(lb[:0], "RESP "...)
-	line = strconv.AppendInt(line, int64(c.id), 10)
-	line = append(line, ' ')
-	line = strconv.AppendInt(line, int64(r.seq), 10)
-	line = append(line, ' ')
-	line = strconv.AppendInt(line, total, 10)
-	line = append(line, '\n')
-	if _, err := cw.Write(line); err != nil {
+	if _, err := cw.Write(appendResp(lb[:0], c.id, r.seq, total)); err != nil {
 		return err
 	}
 	if _, err := cw.Write(head); err != nil {

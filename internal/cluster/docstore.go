@@ -9,9 +9,10 @@
 // connection's file descriptor over a UNIX domain socket (the back-end then
 // writes responses directly to the client, bypassing the front-end data
 // path, while the front-end keeps reading requests — the same control/data
-// split the kernel module provides); NFS cross-mounts become persistent
-// inter-back-end HTTP connections (the alternative the paper itself names);
-// and physical disks become a per-node simulated disk in the doc store.
+// split the kernel module provides); NFS cross-mounts become a pool of
+// persistent connections between back-ends speaking protocol.go's
+// FETCH/SIZE lines; and physical disks become a per-node simulated disk in
+// the doc store.
 package cluster
 
 import (
@@ -59,18 +60,17 @@ func (dc *doc) pattern() []byte {
 
 // DocStore is a back-end node's document subsystem: a table of the catalog's
 // documents, a byte-budgeted LRU cache standing in for the OS file cache,
-// and a simulated disk (FIFO via a single-slot gate, seek+transfer latency
-// per miss).
+// and a simulated disk (one read at a time, seek+transfer latency per
+// miss).
 type DocStore struct {
 	docs  map[core.Target]*doc // the catalog
-	disk  server.DiskParams
-	scale float64 // time scale divisor (1 = real modeled latency)
+	model server.DiskParams
 
 	mu    sync.Mutex
 	cache *cache.IDLRU // keyed by doc.idx
 
-	diskGate chan struct{}
-	queued   atomic.Int64
+	disk   gate
+	queued atomic.Int64
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -91,26 +91,16 @@ func NewDocStore(catalog map[core.Target]int64, cacheBytes int64, disk server.Di
 		docs[t] = dc
 	}
 	return &DocStore{
-		docs:     docs,
-		disk:     disk,
-		scale:    timeScale,
-		cache:    cache.NewIDLRU(cacheBytes),
-		diskGate: make(chan struct{}, 1),
+		docs:  docs,
+		model: disk,
+		cache: cache.NewIDLRU(cacheBytes),
+		disk:  gate{scale: timeScale},
 	}
 }
 
 // lookup resolves a target still in a read buffer to its doc, or nil; the
 // conversion in the map index does not allocate.
 func (d *DocStore) lookup(target []byte) *doc { return d.docs[core.Target(target)] }
-
-// Size returns the target's size, or an error if it is not in the catalog.
-func (d *DocStore) Size(t core.Target) (int64, error) {
-	dc := d.docs[t]
-	if dc == nil {
-		return 0, fmt.Errorf("cluster: no such target %q", t)
-	}
-	return dc.size, nil
-}
 
 // Open makes the target's content available, blocking for the simulated
 // disk read on a cache miss, and returns its size. Local reads always enter
@@ -144,9 +134,7 @@ func (d *DocStore) cached(dc *doc) bool {
 func (d *DocStore) read(dc *doc) {
 	d.misses.Add(1)
 	d.queued.Add(1)
-	d.diskGate <- struct{}{} // FIFO-ish single disk
-	time.Sleep(d.readTime(dc.size))
-	<-d.diskGate
+	d.disk.use(d.model.ReadTime(dc.size))
 	d.queued.Add(-1)
 	d.mu.Lock()
 	d.cache.Insert(dc.idx, dc.size)
@@ -157,7 +145,7 @@ func (d *DocStore) read(dc *doc) {
 // service time divided by the time scale, zero for a store without a disk
 // model.
 func (d *DocStore) readTime(size int64) time.Duration {
-	return time.Duration(float64(d.disk.ReadTime(size)) / d.scale * float64(time.Microsecond))
+	return d.disk.duration(d.model.ReadTime(size))
 }
 
 // DiskQueue returns the number of disk reads queued or in progress — the

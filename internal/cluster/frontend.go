@@ -7,8 +7,6 @@ import (
 	"math"
 	"net"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -406,8 +404,8 @@ func (fe *FrontEnd) dial(id core.NodeID, ep BackendEndpoints) (*beLink, error) {
 	var err error
 	if !fe.relaying() {
 		link.ctrl, err = net.Dial("unix", ep.Handoff)
-	} else if link.ctrl, err = dialHello(ep.Ctrl, "HELLO CTRL\n"); err == nil {
-		if link.data, err = dialHello(ep.Ctrl, "HELLO DATA\n"); err != nil {
+	} else if link.ctrl, err = dialHello(ep.Ctrl, appendHelloCtrl(nil)); err == nil {
+		if link.data, err = dialHello(ep.Ctrl, appendHelloData(nil)); err != nil {
 			link.ctrl.Close()
 		}
 	}
@@ -425,12 +423,12 @@ func (fe *FrontEnd) dial(id core.NodeID, ep BackendEndpoints) (*beLink, error) {
 }
 
 // dialHello opens a TCP session to addr that announces its role.
-func dialHello(addr, hello string) (net.Conn, error) {
+func dialHello(addr string, hello []byte) (net.Conn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := io.WriteString(conn, hello); err != nil {
+	if _, err := conn.Write(hello); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -605,25 +603,15 @@ func (fe *FrontEnd) relayReadLoop(link *beLink, data net.Conn) {
 	defer fe.suspect(link.id)
 	br := bufio.NewReaderSize(data, 64<<10)
 	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
+		msg, err := readCtrl(br)
+		if err != nil || msg.Kind != kindResp {
 			return
 		}
-		fields := strings.Fields(strings.TrimSpace(line))
-		if len(fields) != 4 || fields[0] != "RESP" {
-			return
-		}
-		id, err1 := strconv.ParseInt(fields[1], 10, 64)
-		seq, err2 := strconv.Atoi(fields[2])
-		length, err3 := strconv.ParseInt(fields[3], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil || length < 0 {
-			return
-		}
-		buf := make([]byte, length)
+		buf := make([]byte, msg.Size)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return
 		}
-		fe.deliverRelay(core.ConnID(id), seq, buf)
+		fe.deliverRelay(msg.Conn, msg.Seq, buf)
 	}
 }
 

@@ -3,10 +3,7 @@ package cluster
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,19 +14,19 @@ import (
 )
 
 // Peer protocol of the scale-out front-end tier: one TCP stream per
-// (dialer, acceptor) front-end pair, newline-framed text, mirroring the
-// back-end control protocol's framing. Interner IDs are per-process, so
-// targets travel as strings (URL paths, whitespace-free) and each side
-// interns locally.
+// (dialer, acceptor) front-end pair, opened by HELLO PEER and speaking
+// protocol.go's lines. In sharded mode POPEN (answered by PNODE), PCLOSE
+// and PMOVE carry connection-state transactions from the origin to the
+// shard owner; in replicated mode every member sends every peer its PMAPD
+// mapping deltas and one PLOADV load vector per sync round, unanswered.
+// Interner IDs are per-process, so targets travel as strings (URL paths,
+// whitespace-free) and each side interns locally.
 //
-//	on dial:        HELLO PEER <feid>
-//	sharded (origin -> shard owner, connection-state transactions):
-//	  POPEN <originFE> <connID> <size> <target>   -> reply PNODE <node>
-//	  PCLOSE <originFE> <connID>                  (no reply)
-//	  PMOVE <originFE> <connID> <to>              (no reply)
-//	replicated (origin -> every peer, bounded-staleness sync; no replies):
-//	  PMAPD <node> <size> <target>                (one mapping delta)
-//	  PLOADV <originFE> <nodes> <load0> <conns0> ...  (full load vector)
+// A receiver acts only on what fits its tier: an origin that is another
+// member, a node of the cluster, a vector of one pair per node. A one-way
+// line that does not is dropped, as a lost one would be; a malformed
+// POPEN, or any other line it cannot read, ends the session, and the
+// dialer falls back to deciding locally.
 //
 // Mapping deltas are journaled in origin write order and applied in
 // arrival order, so a conflict between origins on the same target
@@ -69,7 +66,6 @@ type remoteKey struct {
 // back to local decisions: peer loss degrades locality, never
 // availability.
 type peerLink struct {
-	addr string
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
@@ -91,15 +87,15 @@ type peerTier struct {
 	peers []*peerLink // index = front-end id; nil at our own slot
 
 	// Replication journal (replicated mode): mapping writes observed on
-	// the local replica, pending broadcast.
+	// the local replica, pending broadcast, as PMAPD lines. Targets travel
+	// by name because interner IDs are per-process.
 	jmu     sync.Mutex
-	pending []wireDelta
+	pending []byte
 
-	// peerLoads/peerConns hold the latest load vector received from each
-	// peer; remote bases are the per-node sums over peers.
+	// peerLoads holds the latest load vector received from each peer;
+	// remote bases are the per-node sums over peers.
 	lmu       sync.Mutex
-	peerLoads [][]float64
-	peerConns [][]int64
+	peerLoads [][]nodeLoad
 
 	// remote holds connections owned here for peer front-ends (sharded).
 	rmu    sync.Mutex
@@ -126,14 +122,6 @@ type peerTier struct {
 	wg      sync.WaitGroup
 }
 
-// wireDelta is one journaled mapping write awaiting broadcast; the target
-// travels by name because interner IDs are per-process.
-type wireDelta struct {
-	target core.Target
-	node   core.NodeID
-	size   int64
-}
-
 var _ dstate.Store = (*peerTier)(nil)
 
 // newPeerTier binds the peer listener and prepares the tier state; links
@@ -146,8 +134,7 @@ func newPeerTier(cfg FrontEndConfig, pol core.Policy) (*peerTier, error) {
 		pol:          pol,
 		peers:        make([]*peerLink, cfg.Frontends),
 		remote:       make(map[remoteKey]*core.ConnState),
-		peerLoads:    make([][]float64, cfg.Frontends),
-		peerConns:    make([][]int64, cfg.Frontends),
+		peerLoads:    make([][]nodeLoad, cfg.Frontends),
 		inbound:      make(map[net.Conn]struct{}),
 		nodes:        cfg.Nodes,
 		syncInterval: cfg.SyncInterval,
@@ -214,11 +201,11 @@ func (t *peerTier) connect(addrs []string) error {
 		if err != nil {
 			return fmt.Errorf("cluster: frontend %d dial peer %d at %s: %w", t.fe, f, addr, err)
 		}
-		if _, err := fmt.Fprintf(conn, "HELLO PEER %d\n", t.fe); err != nil {
+		if _, err := conn.Write(appendHelloPeer(nil, t.fe)); err != nil {
 			conn.Close()
 			return err
 		}
-		t.peers[f] = &peerLink{addr: addr, conn: conn, br: bufio.NewReader(conn)}
+		t.peers[f] = &peerLink{conn: conn, br: bufio.NewReader(conn)}
 	}
 	if t.mode == dstate.ModeReplicated {
 		t.wg.Add(1)
@@ -333,7 +320,7 @@ func (t *peerTier) ConnClose(c *core.ConnState) {
 		t.pol.ConnClose(c)
 		return
 	}
-	if !t.send(owner, fmt.Sprintf("PCLOSE %d %d\n", t.fe, c.ID)) {
+	if !t.send(owner, appendPClose(nil, t.fe, c.ID), nil) {
 		// Owner unreachable: its replica keeps the connection charged
 		// until the link (or the owner) restarts; nothing to release
 		// locally — we never charged this connection here.
@@ -349,7 +336,7 @@ func (t *peerTier) MoveConn(c *core.ConnState, to core.NodeID) {
 		c.Handling = to
 		return
 	}
-	if !t.send(owner, fmt.Sprintf("PMOVE %d %d %d\n", t.fe, c.ID, to)) {
+	if !t.send(owner, appendPMove(nil, t.fe, c.ID, to), nil) {
 		t.fallbacks.Add(1)
 	}
 	c.Handling = to
@@ -365,40 +352,18 @@ func (t *peerTier) ReportDiskQueue(n core.NodeID, queued int) {
 // returns its decision; ok is false when the owner is unreachable or the
 // reply is malformed (the caller decides locally).
 func (t *peerTier) remoteOpen(owner int, c *core.ConnState, first core.Request) (core.NodeID, bool) {
-	p := t.peers[owner]
-	if p == nil || p.down.Load() {
+	var reply ctrlMsg
+	if !t.send(owner, appendPOpen(nil, t.fe, c.ID, first.Size, first.Target), &reply) ||
+		reply.Node < 0 || int(reply.Node) >= t.nodes {
 		return core.NoNode, false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn == nil {
-		return core.NoNode, false
-	}
-	if _, err := fmt.Fprintf(p.conn, "POPEN %d %d %d %s\n", t.fe, c.ID, first.Size, first.Target); err != nil {
-		t.markDown(p)
-		return core.NoNode, false
-	}
-	p.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	line, err := p.br.ReadString('\n')
-	p.conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		t.markDown(p)
-		return core.NoNode, false
-	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != 2 || fields[0] != "PNODE" {
-		t.markDown(p)
-		return core.NoNode, false
-	}
-	n, err := strconv.Atoi(fields[1])
-	if err != nil || n < 0 || n >= t.nodes {
-		return core.NoNode, false
-	}
-	return core.NodeID(n), true
+	return reply.Node, true
 }
 
-// send writes one fire-and-forget line to peer f, reporting success.
-func (t *peerTier) send(f int, line string) bool {
+// send writes lines to peer f, reporting success. The one RPC, POPEN,
+// passes reply, which receives the PNODE answer, read under the same lock;
+// a link that fails, or answers anything else, goes down.
+func (t *peerTier) send(f int, lines []byte, reply *ctrlMsg) bool {
 	if f < 0 || f >= len(t.peers) {
 		return false
 	}
@@ -411,7 +376,13 @@ func (t *peerTier) send(f int, line string) bool {
 	if p.conn == nil {
 		return false
 	}
-	if _, err := io.WriteString(p.conn, line); err != nil {
+	_, err := p.conn.Write(lines)
+	if err == nil && reply != nil {
+		p.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		*reply, err = readCtrl(p.br)
+		p.conn.SetReadDeadline(time.Time{})
+	}
+	if err != nil || reply != nil && reply.Kind != kindPNode {
 		t.markDown(p)
 		return false
 	}
@@ -438,7 +409,7 @@ func (t *peerTier) journal(id core.TargetID, size int64, n core.NodeID) {
 		return
 	}
 	t.jmu.Lock()
-	t.pending = append(t.pending, wireDelta{target: name, node: n, size: size})
+	t.pending = appendPMapD(t.pending, n, size, name)
 	t.jmu.Unlock()
 }
 
@@ -462,24 +433,19 @@ func (t *peerTier) syncLoop() {
 // write order) then the full load vector, to every live peer.
 func (t *peerTier) syncOnce() {
 	t.jmu.Lock()
-	deltas := t.pending
+	msg := t.pending
 	t.pending = nil
 	t.jmu.Unlock()
 
-	var b strings.Builder
-	for _, d := range deltas {
-		fmt.Fprintf(&b, "PMAPD %d %d %s\n", d.node, d.size, d.target)
-	}
 	loads := t.pol.Loads()
-	fmt.Fprintf(&b, "PLOADV %d %d", t.fe, t.nodes)
-	for i := 0; i < t.nodes; i++ {
+	vec := make([]nodeLoad, t.nodes)
+	for i := range vec {
 		n := core.NodeID(i)
-		fmt.Fprintf(&b, " %g %d", loads.LocalLoad(n), loads.LocalConns(n))
+		vec[i] = nodeLoad{Load: loads.LocalLoad(n), Conns: int64(loads.LocalConns(n))}
 	}
-	b.WriteByte('\n')
-	msg := b.String()
+	msg = appendPLoadV(msg, t.fe, vec)
 	for f := range t.peers {
-		t.send(f, msg)
+		t.send(f, msg, nil)
 	}
 	t.syncs.Add(1)
 }
@@ -511,170 +477,119 @@ func (t *peerTier) acceptLoop() {
 	}
 }
 
-// servePeer runs one inbound peer session: HELLO, then a line loop over
-// the sharded RPCs and replication messages.
+// servePeer runs one inbound peer session: HELLO from another member,
+// then a line loop over the sharded RPCs and replication messages.
 func (t *peerTier) servePeer(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	hello, err := br.ReadString('\n')
-	if err != nil || !strings.HasPrefix(hello, "HELLO PEER ") {
+	br := bufio.NewReaderSize(conn, ctrlBufBytes)
+	if hello, err := readCtrl(br); err != nil || hello.Kind != kindHelloPeer || !t.isPeer(hello.FE) {
 		return
 	}
+	var reply []byte
 	for {
-		line, err := br.ReadString('\n')
+		msg, err := readCtrl(br)
 		if err != nil {
+			switch msg.Kind {
+			case kindPClose, kindPMove, kindPMapD, kindPLoadV:
+				continue // a malformed one-way line is dropped
+			}
 			return
 		}
-		fields := strings.Fields(strings.TrimSpace(line))
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "POPEN":
-			if reply, ok := t.handleOpen(fields[1:]); ok {
-				if _, err := io.WriteString(conn, reply); err != nil {
-					return
-				}
-			} else {
-				return // malformed RPC: drop the session, dialer falls back
+		switch msg.Kind {
+		case kindPOpen:
+			n, ok := t.handleOpen(msg)
+			if !ok {
+				return // the dialer falls back
 			}
-		case "PCLOSE":
-			t.handleClose(fields[1:])
-		case "PMOVE":
-			t.handleMove(fields[1:])
-		case "PMAPD":
-			t.handleMapDelta(fields[1:])
-		case "PLOADV":
-			t.handleLoadVector(fields[1:])
+			reply = appendPNode(reply[:0], n)
+			if _, err := conn.Write(reply); err != nil {
+				return
+			}
+		case kindPClose:
+			t.handleClose(msg)
+		case kindPMove:
+			t.handleMove(msg)
+		case kindPMapD:
+			t.handleMapDelta(msg)
+		case kindPLoadV:
+			t.handleLoadVector(msg)
 		default:
 			return
 		}
 	}
 }
 
+// isPeer reports whether fe names another member of the tier.
+func (t *peerTier) isPeer(fe int) bool { return fe < len(t.peers) && fe != t.fe }
+
 // handleOpen serves a peer's connection-open transaction on our shard:
 // intern the target, run the policy open on an owner-side connection
-// state, remember it for the later PCLOSE/PMOVE, reply with the decision.
-func (t *peerTier) handleOpen(args []string) (string, bool) {
-	if len(args) != 4 {
-		return "", false
+// state, remember it for the later PCLOSE/PMOVE, and return the decision.
+func (t *peerTier) handleOpen(m ctrlMsg) (core.NodeID, bool) {
+	if !t.isPeer(m.FE) {
+		return core.NoNode, false
 	}
-	fe, err1 := strconv.Atoi(args[0])
-	id, err2 := strconv.ParseInt(args[1], 10, 64)
-	size, err3 := strconv.ParseInt(args[2], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil || size < 0 {
-		return "", false
-	}
-	tid := t.in.Intern(core.Target(args[3]))
-	cs := core.NewConnState(core.ConnID(id))
+	target := core.Target(m.Target)
+	cs := core.NewConnState(m.Conn)
 	cs.OwnerFE = int32(t.fe)
-	n := t.pol.ConnOpen(cs, core.Request{Target: core.Target(args[3]), ID: tid, Size: size})
+	n := t.pol.ConnOpen(cs, core.Request{Target: target, ID: t.in.Intern(target), Size: m.Size})
 	t.rmu.Lock()
-	t.remote[remoteKey{fe: fe, id: core.ConnID(id)}] = cs
+	t.remote[remoteKey{fe: m.FE, id: m.Conn}] = cs
 	t.rmu.Unlock()
-	return fmt.Sprintf("PNODE %d\n", n), true
+	return n, true
 }
 
 // handleClose closes a peer's connection on our shard, releasing its load.
-func (t *peerTier) handleClose(args []string) {
-	if len(args) != 2 {
-		return
-	}
-	fe, err1 := strconv.Atoi(args[0])
-	id, err2 := strconv.ParseInt(args[1], 10, 64)
-	if err1 != nil || err2 != nil {
-		return
-	}
+func (t *peerTier) handleClose(m ctrlMsg) {
 	t.rmu.Lock()
-	rc := t.remote[remoteKey{fe: fe, id: core.ConnID(id)}]
-	delete(t.remote, remoteKey{fe: fe, id: core.ConnID(id)})
+	key := remoteKey{fe: m.FE, id: m.Conn}
+	rc := t.remote[key]
+	delete(t.remote, key)
 	t.rmu.Unlock()
-	if rc == nil {
-		return
+	if rc != nil {
+		t.pol.ConnClose(rc)
 	}
-	t.pol.ConnClose(rc)
 }
 
 // handleMove transfers a peer connection's load unit between nodes.
-func (t *peerTier) handleMove(args []string) {
-	if len(args) != 3 {
-		return
-	}
-	fe, err1 := strconv.Atoi(args[0])
-	id, err2 := strconv.ParseInt(args[1], 10, 64)
-	to, err3 := strconv.Atoi(args[2])
-	if err1 != nil || err2 != nil || err3 != nil || to < 0 || to >= t.nodes {
-		return
-	}
+func (t *peerTier) handleMove(m ctrlMsg) {
 	t.rmu.Lock()
-	rc := t.remote[remoteKey{fe: fe, id: core.ConnID(id)}]
+	rc := t.remote[remoteKey{fe: m.FE, id: m.Conn}]
 	t.rmu.Unlock()
-	if rc == nil {
-		return
+	if rc != nil && int(m.Node) < t.nodes {
+		t.pol.Loads().MoveConn(rc.Handling, m.Node)
+		rc.Handling = m.Node
 	}
-	t.pol.Loads().MoveConn(rc.Handling, core.NodeID(to))
-	rc.Handling = core.NodeID(to)
 }
 
 // handleMapDelta applies one replicated mapping write to the local
 // replica, bypassing the write observer (no re-broadcast).
-func (t *peerTier) handleMapDelta(args []string) {
-	if len(args) != 3 {
-		return
-	}
-	node, err1 := strconv.Atoi(args[0])
-	size, err2 := strconv.ParseInt(args[1], 10, 64)
-	if err1 != nil || err2 != nil || node < 0 || node >= t.nodes || size < 0 {
-		return
-	}
+func (t *peerTier) handleMapDelta(m ctrlMsg) {
 	mp, ok := t.pol.(dstate.MappingPolicy)
-	if !ok {
+	if !ok || int(m.Node) >= t.nodes {
 		return
 	}
-	id := t.in.Intern(core.Target(args[2]))
-	mp.Mapping().ApplySynced(id, size, core.NodeID(node))
+	mp.Mapping().ApplySynced(t.in.Intern(core.Target(m.Target)), m.Size, m.Node)
 }
 
 // handleLoadVector stores a peer's load vector and refreshes the local
 // replica's remote base (per node: the sum over peers' local charges).
-func (t *peerTier) handleLoadVector(args []string) {
-	if len(args) < 2 {
+func (t *peerTier) handleLoadVector(m ctrlMsg) {
+	if !t.isPeer(m.FE) || len(m.Loads) != t.nodes {
 		return
-	}
-	fe, err1 := strconv.Atoi(args[0])
-	nodes, err2 := strconv.Atoi(args[1])
-	if err1 != nil || err2 != nil || nodes != t.nodes || len(args) != 2+2*nodes {
-		return
-	}
-	if fe < 0 || fe >= len(t.peerLoads) || fe == t.fe {
-		return
-	}
-	loadv := make([]float64, nodes)
-	connv := make([]int64, nodes)
-	for i := 0; i < nodes; i++ {
-		l, err1 := strconv.ParseFloat(args[2+2*i], 64)
-		c, err2 := strconv.ParseInt(args[3+2*i], 10, 64)
-		if err1 != nil || err2 != nil {
-			return
-		}
-		loadv[i] = l
-		connv[i] = c
 	}
 	lt := t.pol.Loads()
 	t.lmu.Lock()
-	t.peerLoads[fe] = loadv
-	t.peerConns[fe] = connv
-	for i := 0; i < nodes; i++ {
-		var load float64
-		var conns int64
-		for f := range t.peerLoads {
-			if t.peerLoads[f] == nil {
-				continue
+	t.peerLoads[m.FE] = m.Loads
+	for i := 0; i < t.nodes; i++ {
+		var sum nodeLoad
+		for _, v := range t.peerLoads {
+			if v != nil {
+				sum.Load += v[i].Load
+				sum.Conns += v[i].Conns
 			}
-			load += t.peerLoads[f][i]
-			conns += t.peerConns[f][i]
 		}
-		lt.SetRemote(core.NodeID(i), load)
-		lt.SetRemoteConns(core.NodeID(i), conns)
+		lt.SetRemote(core.NodeID(i), sum.Load)
+		lt.SetRemoteConns(core.NodeID(i), sum.Conns)
 	}
 	t.lmu.Unlock()
 }

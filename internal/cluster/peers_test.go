@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -221,5 +222,59 @@ func TestPeerTierRejectsNegativeSize(t *testing.T) {
 	waitFor(t, "the valid PMAPD after the negative one", func() bool { return m.IsMapped(ok, 0) })
 	if m.IsMapped(in.Intern("/neg"), 0) {
 		t.Error("PMAPD with a negative size was applied")
+	}
+}
+
+// TestPeerTierRejectsHostileLoadVector sends a tier member load vectors no
+// member can have produced — NaN, infinite, negative, a connection count
+// below zero — then a valid one from another member. Only the valid vector
+// reaches the remote load base: one poisoned entry would otherwise turn
+// every least-loaded comparison on the member. An origin outside the tier
+// is refused too.
+func TestPeerTierRejectsHostileLoadVector(t *testing.T) {
+	tier, in := newTestPeerTier(t, 0, 3, 2)
+	defer tier.Close()
+	dial := func(fe int) net.Conn {
+		conn, err := net.Dial("tcp", tier.Addr())
+		if err != nil {
+			t.Fatalf("dial peer listener: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := fmt.Fprintf(conn, "HELLO PEER %d\n", fe); err != nil {
+			t.Fatalf("hello: %v", err)
+		}
+		return conn
+	}
+	m := tier.pol.(dstate.MappingPolicy).Mapping()
+
+	hostile := dial(2)
+	if _, err := io.WriteString(hostile, "PLOADV 2 2 1 -3 0 0\nPLOADV 2 2 -1 0 0 0\n"+
+		"PLOADV 2 2 Inf 0 0 0\nPLOADV 2 2 NaN 0 0 0\nPMAPD 0 10 /sync\n"); err != nil {
+		t.Fatalf("write hostile vectors: %v", err)
+	}
+	// Lines of one session apply in order: once the PMAPD behind them has
+	// landed, so has whatever the vectors did.
+	sync := in.Intern("/sync")
+	waitFor(t, "the PMAPD behind the hostile vectors", func() bool { return m.IsMapped(sync, 0) })
+
+	valid := dial(1)
+	if _, err := io.WriteString(valid, "PLOADV 1 2 1.5 2 0.25 1\n"); err != nil {
+		t.Fatalf("write valid vector: %v", err)
+	}
+	lt := tier.pol.Loads()
+	waitFor(t, "the valid vector", func() bool { return lt.Conns(1) != 0 })
+	if l0, l1, c0, c1 := lt.Load(0), lt.Load(1), lt.Conns(0), lt.Conns(1); l0 != 1.5 || l1 != 0.25 || c0 != 2 || c1 != 1 {
+		t.Errorf("remote base: loads %v %v, conns %d %d; want 1.5 0.25, 2 1 (the valid vector alone)", l0, l1, c0, c1)
+	}
+
+	outside := dial(7)
+	if _, err := io.WriteString(outside, "POPEN 7 1 10 /x\n"); err != nil {
+		t.Fatalf("write POPEN: %v", err)
+	}
+	outside.SetReadDeadline(time.Now().Add(2 * time.Second))
+	// Dropped at its HELLO, the session may end in a reset: the POPEN was
+	// never read.
+	if n, err := outside.Read(make([]byte, 64)); n > 0 || err == nil || os.IsTimeout(err) {
+		t.Fatalf("POPEN from front-end 7 of 3: read %d bytes, err %v; want the session dropped", n, err)
 	}
 }

@@ -15,39 +15,50 @@ import (
 	"phttp/internal/core"
 )
 
-// Control protocol between front-end and back-ends: one session per
-// back-end, newline-framed text messages. As the paper's control session
-// does, it carries the handoffs, the tagged requests and the disk queue
-// reports:
+// The wire codec: every hop between nodes speaks newline-framed text lines,
+// encoded by the append* functions below and parsed by parseCtrl.
 //
-//	FE -> BE:
-//	  HANDOFF <connID>          (the client socket's descriptor rides this sendmsg)
-//	  REQ <connID> <seq> <proto> <keep 0|1> <remote|-> <target>
-//	  CLOSE <connID>
-//	  RELAY <connID>            (open a relayed connection, no handoff fd)
-//	BE -> FE:
+//	front-end -> back-end, one control session per back-end:
+//	  HELLO CTRL                (opens a relaying front-end's TCP session)
+//	  HANDOFF <conn>            (the client socket's descriptor rides this sendmsg)
+//	  REQ <conn> <seq> <proto> <keep 0|1> <remote|-> <target>
+//	  CLOSE <conn>
+//	  RELAY <conn>              (open a relayed connection, no handoff fd)
+//	back-end -> front-end:
 //	  DISKQ <depth>             (periodic disk queue report)
-//	  CLOSE <connID>            (refused a relayed connection: close its client)
+//	  CLOSE <conn>              (refused a relayed connection: close its client)
+//	relay data session (opened by HELLO DATA), back-end -> front-end:
+//	  RESP <conn> <seq> <n>     (followed by n bytes of HTTP response)
+//	back-end -> back-end, lateral fetch:
+//	  FETCH <target>            (answered by SIZE <n> and n body bytes, or MISS)
+//	front-end -> front-end, the peer tier (peers.go):
+//	  HELLO PEER <fe>
+//	  POPEN <fe> <conn> <size> <target>   (answered by PNODE <node|->)
+//	  PCLOSE <fe> <conn>
+//	  PMOVE <fe> <conn> <node>
+//	  PMAPD <node> <size> <target>
+//	  PLOADV <fe> <nodes> <load> <conns> ...   (one pair per node)
 //
 // Fields are separated by exactly one space and numbers are canonical
-// decimals (no sign, no leading zero), so a line the parser accepts is the
-// line the encoder would have produced. Targets contain no space (the HTTP
-// parser splits the request line on them); REQ places the target last so
-// future extensions stay simple.
+// decimals (no sign, no leading zero), each bounded; a load is the shortest
+// decimal that reads back as the same float64 (strconv's 'g', -1), finite
+// and not negative. A line the parser accepts is therefore the line the
+// encoder would have produced (FuzzParseCtrl). Targets contain no space
+// (the HTTP parser splits the request line on them) and come last.
 //
-// Under handoff and back-end forwarding the session is a UNIX stream. A
-// connection's first batch is one sendmsg — HANDOFF, its REQ lines and, if
-// its last request ends the connection, CLOSE — with the client socket's
-// descriptor attached (writeHandoff); later batches are plain writes. Linux
-// attaches a sendmsg's descriptors to its first bytes, and a recvmsg that
-// reaches them returns with them: the back-end, reading only with recvmsg
-// (sessionReader), holds each descriptor no later than its HANDOFF line.
-// Relay, the cross-host mechanism, keeps a TCP session.
+// Under handoff and back-end forwarding the control session is a UNIX
+// stream. A connection's first batch is one sendmsg — HANDOFF, its REQ lines
+// and, if its last request ends the connection, CLOSE — with the client
+// socket's descriptor attached (writeHandoff); later batches are plain
+// writes. Linux attaches a sendmsg's descriptors to its first bytes, and a
+// recvmsg that reaches them returns with them: the back-end, reading only
+// with recvmsg (sessionReader), holds each descriptor no later than its
+// HANDOFF line. Relay, the cross-host mechanism, keeps TCP sessions.
 //
 // A batch travels as one write per destination, under the link's lock; the
 // back-end's control loop parses each line in place in its read buffer.
 
-// ctrlKind is the type of a control message.
+// ctrlKind is the type of a wire message.
 type ctrlKind uint8
 
 const (
@@ -56,7 +67,29 @@ const (
 	kindRelay
 	kindDiskQ
 	kindHandoff
+	kindHelloCtrl
+	kindHelloData
+	kindResp
+	kindFetch
+	kindSize
+	kindMiss
+	kindHelloPeer
+	kindPOpen
+	kindPNode
+	kindPClose
+	kindPMove
+	kindPMapD
+	kindPLoadV
 )
+
+// verbs spells each kind on the wire.
+var verbs = [...]string{
+	kindReq: "REQ", kindClose: "CLOSE", kindRelay: "RELAY", kindDiskQ: "DISKQ", kindHandoff: "HANDOFF",
+	kindHelloCtrl: "HELLO CTRL", kindHelloData: "HELLO DATA", kindResp: "RESP",
+	kindFetch: "FETCH", kindSize: "SIZE", kindMiss: "MISS",
+	kindHelloPeer: "HELLO PEER", kindPOpen: "POPEN", kindPNode: "PNODE", kindPClose: "PCLOSE",
+	kindPMove: "PMOVE", kindPMapD: "PMAPD", kindPLoadV: "PLOADV",
+}
 
 // protoVer is the HTTP version a response must echo.
 type protoVer uint8
@@ -82,157 +115,275 @@ func protoOf(proto string) protoVer {
 	return proto10
 }
 
-// Bounds on the numbers a control line may carry; anything beyond them is
-// a malformed message, not a value to act on.
+// Bounds on the numbers a line may carry; anything beyond them is a
+// malformed message, not a value to act on.
 const (
-	maxWireNode = 1<<16 - 1
-	maxWireInt  = math.MaxInt32 // sequence numbers, disk queue depths
-	// ctrlBufBytes sizes control-session readers: the longest legal line
-	// is a REQ carrying a target of httpmsg.MaxLineBytes.
+	maxWireNode = 1<<16 - 1     // node and front-end IDs
+	maxWireInt  = math.MaxInt32 // sequence numbers, disk queue depths, loads, connection counts
+	maxWireSize = 1 << 40       // byte counts: document sizes, bodies, relay frames
+	// ctrlBufBytes sizes the readers of every session: the longest legal
+	// line is a REQ carrying a target of httpmsg.MaxLineBytes.
 	ctrlBufBytes = 16 << 10
 )
 
-// ctrlMsg is a parsed control message.
+// ctrlMsg is a parsed wire message. A field is set by the kinds named
+// beside it.
 type ctrlMsg struct {
 	Kind   ctrlKind
 	Proto  protoVer
 	Keep   bool
-	Conn   core.ConnID
-	Seq    int
-	Remote core.NodeID // NoNode when the request is served locally
-	// Target aliases the parsed line: valid until the reader that produced
-	// the line is read again.
+	Conn   core.ConnID // REQ, CLOSE, RELAY, HANDOFF, RESP, POPEN, PCLOSE, PMOVE
+	Seq    int         // REQ, RESP
+	Remote core.NodeID // REQ: NoNode when the request is served locally
+	Node   core.NodeID // PNODE, PMOVE (the destination), PMAPD
+	FE     int         // HELLO PEER, POPEN, PCLOSE, PMOVE, PLOADV: the origin
+	Depth  int         // DISKQ
+	Size   int64       // RESP, SIZE, POPEN, PMAPD: a byte count
+	// Target (REQ, FETCH, POPEN, PMAPD) aliases the parsed line: valid
+	// until the reader that produced the line is read again.
 	Target []byte
-	Depth  int // DISKQ
+	// Loads (PLOADV) is allocated for the message and is the caller's.
+	Loads []nodeLoad
+}
+
+// nodeLoad is one node's entry in a PLOADV load vector.
+type nodeLoad struct {
+	Load  float64
+	Conns int64
 }
 
 // appendReq appends a REQ message to dst.
 //
 //phttp:hotpath
 func appendReq(dst []byte, id core.ConnID, seq int, proto protoVer, keep bool, remote core.NodeID, target core.Target) []byte {
-	dst = append(dst, "REQ "...)
-	dst = strconv.AppendInt(dst, int64(id), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(seq), 10)
-	dst = append(dst, ' ')
-	dst = append(dst, proto.String()...)
-	dst = append(dst, ' ')
+	dst = strconv.AppendInt(append(dst, "REQ "...), int64(id), 10)
+	dst = strconv.AppendInt(append(dst, ' '), int64(seq), 10)
+	dst = append(append(dst, ' '), proto.String()...)
 	if keep {
-		dst = append(dst, "1 "...)
+		dst = append(dst, " 1 "...)
 	} else {
-		dst = append(dst, "0 "...)
+		dst = append(dst, " 0 "...)
 	}
 	if remote == core.NoNode {
 		dst = append(dst, '-')
 	} else {
 		dst = strconv.AppendInt(dst, int64(remote), 10)
 	}
-	dst = append(dst, ' ')
-	dst = append(dst, target...)
+	return append(append(append(dst, ' '), target...), '\n')
+}
+
+// appendLine appends kind's verb, a decimal per number and, when there is
+// one, the target.
+func appendLine(dst []byte, kind ctrlKind, target core.Target, ns ...int64) []byte {
+	dst = append(dst, verbs[kind]...)
+	for _, n := range ns {
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, n, 10)
+	}
+	if target != "" {
+		dst = append(append(dst, ' '), target...)
+	}
 	return append(dst, '\n')
 }
 
-// appendIDMsg appends a "<verb> <n>\n" message: HANDOFF, CLOSE, RELAY and
-// DISKQ.
-func appendIDMsg(dst []byte, verb string, n int64) []byte {
-	dst = append(dst, verb...)
-	dst = strconv.AppendInt(dst, n, 10)
+// The encoders of the grammar above, one per message.
+
+func appendHandoff(dst []byte, c core.ConnID) []byte {
+	return appendLine(dst, kindHandoff, "", int64(c))
+}
+func appendClose(dst []byte, id core.ConnID) []byte { return appendLine(dst, kindClose, "", int64(id)) }
+func appendRelay(dst []byte, id core.ConnID) []byte { return appendLine(dst, kindRelay, "", int64(id)) }
+func appendDiskQ(dst []byte, depth int) []byte      { return appendLine(dst, kindDiskQ, "", int64(depth)) }
+func appendHelloCtrl(dst []byte) []byte             { return appendLine(dst, kindHelloCtrl, "") }
+func appendHelloData(dst []byte) []byte             { return appendLine(dst, kindHelloData, "") }
+func appendResp(dst []byte, id core.ConnID, seq int, n int64) []byte {
+	return appendLine(dst, kindResp, "", int64(id), int64(seq), n)
+}
+func appendFetch(dst []byte, target core.Target) []byte { return appendLine(dst, kindFetch, target) }
+func appendSize(dst []byte, n int64) []byte             { return appendLine(dst, kindSize, "", n) }
+func appendMiss(dst []byte) []byte                      { return appendLine(dst, kindMiss, "") }
+func appendHelloPeer(dst []byte, fe int) []byte         { return appendLine(dst, kindHelloPeer, "", int64(fe)) }
+func appendPOpen(dst []byte, fe int, id core.ConnID, size int64, target core.Target) []byte {
+	return appendLine(dst, kindPOpen, target, int64(fe), int64(id), size)
+}
+func appendPNode(dst []byte, n core.NodeID) []byte {
+	if n == core.NoNode { // the policy found no node to take the connection
+		return appendLine(dst, kindPNode, "-")
+	}
+	return appendLine(dst, kindPNode, "", int64(n))
+}
+func appendPClose(dst []byte, fe int, id core.ConnID) []byte {
+	return appendLine(dst, kindPClose, "", int64(fe), int64(id))
+}
+func appendPMove(dst []byte, fe int, id core.ConnID, to core.NodeID) []byte {
+	return appendLine(dst, kindPMove, "", int64(fe), int64(id), int64(to))
+}
+func appendPMapD(dst []byte, n core.NodeID, size int64, target core.Target) []byte {
+	return appendLine(dst, kindPMapD, target, int64(n), size)
+}
+
+// appendPLoadV appends a PLOADV message carrying one pair per node.
+func appendPLoadV(dst []byte, fe int, loads []nodeLoad) []byte {
+	dst = appendLine(dst, kindPLoadV, "", int64(fe), int64(len(loads)))
+	dst = dst[:len(dst)-1]
+	for _, l := range loads {
+		// Charging and releasing fractions of a unit can leave a node's
+		// load a rounding error below zero; the wire carries no sign.
+		dst = strconv.AppendFloat(append(dst, ' '), max(l.Load, 0), 'g', -1, 64)
+		dst = strconv.AppendInt(append(dst, ' '), max(l.Conns, 0), 10)
+	}
 	return append(dst, '\n')
 }
 
-func appendHandoff(dst []byte, id core.ConnID) []byte { return appendIDMsg(dst, "HANDOFF ", int64(id)) }
-func appendClose(dst []byte, id core.ConnID) []byte   { return appendIDMsg(dst, "CLOSE ", int64(id)) }
-func appendRelay(dst []byte, id core.ConnID) []byte   { return appendIDMsg(dst, "RELAY ", int64(id)) }
-func appendDiskQ(dst []byte, depth int) []byte        { return appendIDMsg(dst, "DISKQ ", int64(depth)) }
-
-// parseCtrl parses one control line (without its newline) in place.
+// parseCtrl parses one line (without its newline) in place. A malformed
+// line's error comes with the Kind its verb names (zero for an unknown
+// verb), so that a reader can tell which message it lost.
 //
 //phttp:hotpath
 func parseCtrl(line []byte) (ctrlMsg, error) {
-	verb, rest, _ := cutSpace(line)
+	l := wireLine{rest: line, more: true, ok: true}
+	verb := l.field()
+	if string(verb) == "HELLO" && l.more { // the role is part of the verb
+		verb = line[:len(verb)+1+len(l.field())]
+	}
 	m := ctrlMsg{Remote: core.NoNode}
-	switch string(verb) {
-	case "REQ":
-		m.Kind = kindReq
-		conn, rest, ok1 := cutSpace(rest)
-		seq, rest, ok2 := cutSpace(rest)
-		proto, rest, ok3 := cutSpace(rest)
-		keep, rest, ok4 := cutSpace(rest)
-		remote, target, ok5 := cutSpace(rest)
-		if !(ok1 && ok2 && ok3 && ok4 && ok5) || len(target) == 0 || bytes.IndexByte(target, ' ') >= 0 {
-			return badCtrl(line)
+	for k, v := range verbs[1:] { // REQ, the per-request line, first
+		if v == string(verb) {
+			m.Kind = ctrlKind(k + 1)
+			break
 		}
-		id, ok := parseWireInt(conn, math.MaxInt64)
-		n, okSeq := parseWireInt(seq, maxWireInt)
-		if !ok || !okSeq {
-			return badCtrl(line)
-		}
-		m.Conn, m.Seq = core.ConnID(id), int(n)
-		switch string(proto) {
+	}
+	switch m.Kind {
+	case 0:
+		return badCtrl(0, line)
+	case kindReq:
+		m.Conn, m.Seq = l.conn(), l.seq()
+		switch string(l.field()) {
 		case "HTTP/1.1":
 			m.Proto = proto11
 		case "HTTP/1.0":
-			m.Proto = proto10
 		default:
-			return badCtrl(line)
+			l.ok = false
 		}
-		switch string(keep) {
+		switch string(l.field()) {
 		case "1":
 			m.Keep = true
 		case "0":
 		default:
-			return badCtrl(line)
+			l.ok = false
 		}
-		if string(remote) != "-" {
-			r, ok := parseWireInt(remote, maxWireNode)
-			if !ok {
-				return badCtrl(line)
-			}
-			m.Remote = core.NodeID(r)
-		}
-		m.Target = target
-		return m, nil
-	case "CLOSE", "RELAY", "HANDOFF":
-		switch verb[0] {
-		case 'C':
-			m.Kind = kindClose
-		case 'R':
-			m.Kind = kindRelay
-		default:
-			m.Kind = kindHandoff
-		}
-		id, ok := parseWireInt(rest, math.MaxInt64)
-		if !ok {
-			return badCtrl(line)
-		}
-		m.Conn = core.ConnID(id)
-		return m, nil
-	case "DISKQ":
-		m.Kind = kindDiskQ
-		d, ok := parseWireInt(rest, maxWireInt)
-		if !ok {
-			return badCtrl(line)
-		}
-		m.Depth = int(d)
-		return m, nil
+		m.Remote, m.Target = l.nodeOrNone(), l.target()
+	case kindClose, kindRelay, kindHandoff:
+		m.Conn = l.conn()
+	case kindDiskQ:
+		m.Depth = int(l.num(l.field(), maxWireInt))
+	case kindResp:
+		m.Conn, m.Seq, m.Size = l.conn(), l.seq(), l.size()
+	case kindFetch:
+		m.Target = l.target()
+	case kindSize:
+		m.Size = l.size()
+	case kindHelloPeer:
+		m.FE = l.fe()
+	case kindPOpen:
+		m.FE, m.Conn, m.Size, m.Target = l.fe(), l.conn(), l.size(), l.target()
+	case kindPNode:
+		m.Node = l.nodeOrNone()
+	case kindPClose:
+		m.FE, m.Conn = l.fe(), l.conn()
+	case kindPMove:
+		m.FE, m.Conn, m.Node = l.fe(), l.conn(), l.node()
+	case kindPMapD:
+		m.Node, m.Size, m.Target = l.node(), l.size(), l.target()
+	case kindPLoadV:
+		m.FE, m.Loads = l.fe(), l.loads()
 	}
-	return badCtrl(line)
+	if !l.end() {
+		return badCtrl(m.Kind, line)
+	}
+	return m, nil
 }
 
 // badCtrl is parseCtrl's cold error path. It formats a copy of the line, so
 // that a caller's buffer does not escape.
-func badCtrl(line []byte) (ctrlMsg, error) {
-	return ctrlMsg{}, fmt.Errorf("cluster: malformed control message %q", string(line))
+func badCtrl(kind ctrlKind, line []byte) (ctrlMsg, error) {
+	return ctrlMsg{Kind: kind}, fmt.Errorf("cluster: malformed wire message %q", string(line))
 }
 
-// cutSpace splits b at its first space.
-func cutSpace(b []byte) (field, rest []byte, ok bool) {
-	i := bytes.IndexByte(b, ' ')
-	if i < 0 {
-		return b, nil, false
-	}
-	return b[:i], b[i+1:], true
+// wireLine walks the space-separated fields of one line. A field that is
+// missing or malformed clears ok, and with it the whole parse.
+type wireLine struct {
+	rest []byte
+	more bool // rest holds one more field at least
+	ok   bool
 }
+
+func (l *wireLine) field() []byte {
+	if !l.more {
+		l.ok = false
+		return nil
+	}
+	i := bytes.IndexByte(l.rest, ' ')
+	if i < 0 {
+		f := l.rest
+		l.rest, l.more = nil, false
+		return f
+	}
+	f := l.rest[:i]
+	l.rest = l.rest[i+1:]
+	return f
+}
+
+// num parses field f as a wire number no larger than max.
+func (l *wireLine) num(f []byte, max int64) int64 {
+	n, ok := parseWireInt(f, max)
+	l.ok = l.ok && ok
+	return n
+}
+
+func (l *wireLine) conn() core.ConnID { return core.ConnID(l.num(l.field(), math.MaxInt64)) }
+func (l *wireLine) seq() int          { return int(l.num(l.field(), maxWireInt)) }
+func (l *wireLine) size() int64       { return l.num(l.field(), maxWireSize) }
+func (l *wireLine) node() core.NodeID { return core.NodeID(l.num(l.field(), maxWireNode)) }
+func (l *wireLine) fe() int           { return int(l.num(l.field(), maxWireNode)) }
+
+// nodeOrNone takes a node ID, or "-" for NoNode.
+func (l *wireLine) nodeOrNone() core.NodeID {
+	if f := l.field(); string(f) != "-" {
+		return core.NodeID(l.num(f, maxWireNode))
+	}
+	return core.NoNode
+}
+
+// target takes a target: a non-empty field, the line's last.
+func (l *wireLine) target() []byte {
+	f := l.field()
+	l.ok = l.ok && len(f) > 0
+	return f
+}
+
+// loads takes a PLOADV vector: a node count, then a load and a connection
+// count per node.
+func (l *wireLine) loads() []nodeLoad {
+	n := l.num(l.field(), maxWireNode+1)
+	// A pair takes four bytes at least ("0 0 "): a count the line cannot
+	// hold allocates nothing.
+	if !l.ok || n > int64(len(l.rest)+1)/4 {
+		l.ok = false
+		return nil
+	}
+	v := make([]nodeLoad, n)
+	for i := range v {
+		load, ok := parseWireFloat(l.field(), maxWireInt)
+		v[i].Load, l.ok = load, l.ok && ok
+		v[i].Conns = l.num(l.field(), maxWireInt)
+	}
+	return v
+}
+
+// end reports whether the line parsed whole: every field well formed and
+// none left over.
+func (l *wireLine) end() bool { return l.ok && !l.more }
 
 // parseWireInt parses a canonical non-negative decimal no larger than max:
 // digits only, no leading zero, no overflow.
@@ -254,14 +405,29 @@ func parseWireInt(b []byte, max int64) (int64, bool) {
 	return n, true
 }
 
-// readCtrl reads and parses the next control message. The message's Target
-// aliases br's buffer and is valid until the next read. A line that does
-// not fit the buffer (size readers with ctrlBufBytes) is an error.
+// parseWireFloat parses a canonical float no larger than max: not negative
+// (nor a negative zero), finite, and spelled as strconv.AppendFloat(…, 'g',
+// -1, 64) spells it, so that no two lines carry the same value.
+func parseWireFloat(b []byte, max float64) (float64, bool) {
+	if len(b) == 0 || len(b) > 32 || b[0] == '-' {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil || !(v >= 0 && v <= max) { // NaN fails both
+		return 0, false
+	}
+	var buf [32]byte
+	return v, string(strconv.AppendFloat(buf[:0], v, 'g', -1, 64)) == string(b)
+}
+
+// readCtrl reads and parses the next message. The message's Target aliases
+// br's buffer and is valid until the next read. A line that does not fit
+// the buffer (size readers with ctrlBufBytes) is an error.
 func readCtrl(br *bufio.Reader) (ctrlMsg, error) {
 	line, err := br.ReadSlice('\n')
 	if err != nil {
 		if err == bufio.ErrBufferFull {
-			err = fmt.Errorf("cluster: control message over %d bytes", br.Size())
+			err = fmt.Errorf("cluster: wire message over %d bytes", br.Size())
 		}
 		return ctrlMsg{}, err
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"phttp/internal/core"
 	"phttp/internal/httpmsg"
@@ -102,11 +103,71 @@ func TestCtrlMalformed(t *testing.T) {
 		"CLOSE 99999999999999999999", "DISKQ 2147483648",
 		// Unknown protocol or keep flag.
 		"REQ 1 0 HTTP/2.0 1 - /t", "REQ 1 0 http/1.1 1 - /t", "REQ 1 0 HTTP/1.1 2 - /t",
-		"REQ 1 0 HTTP/1.1 true - /t",
+		"REQ 1 0 HTTP/1.1 true - /t", "REQ 1 0 HTTP/1.0 2 - /t",
+		// The lines between back-ends, on the relay data session and in the
+		// front-end peer tier.
+		"HELLO", "HELLO ", "HELLO CTRL ", "HELLO ctrl", "HELLO PEER", "HELLO PEER -1", "HELLO PEER 65536",
+		"RESP 1 2", "RESP 1 2 -3", "RESP 1 2 1099511627777", "FETCH", "FETCH ", "FETCH /a /b",
+		"SIZE", "SIZE -1", "SIZE 07", "SIZE 1099511627777", "MISS ", "MISS 1",
+		"POPEN 1 7 -5 /x", "POPEN 1 7 5", "POPEN 1 7 5 ", "POPEN 65536 7 5 /x", "PNODE", "PNODE 65536", "PNODE -1", "PNODE - ",
+		"PCLOSE 1", "PCLOSE 1 2 3", "PMOVE 1 2", "PMOVE 1 2 -1", "PMAPD 0 -5 /neg", "PMAPD 0 5",
+		"PLOADV", "PLOADV 1", "PLOADV 1 2 1 2", "PLOADV 1 2 1 2 3 4 5 6", "PLOADV 1 1 1 2 ",
+		"PLOADV 1 2 NaN 0 0 0", "PLOADV 1 1 Inf 0", "PLOADV 1 1 +Inf 0", "PLOADV 1 1 -1 0", "PLOADV 1 1 -0 0",
+		"PLOADV 1 1 1 -2", "PLOADV 1 1 1.50 0", "PLOADV 1 1 01 0", "PLOADV 1 1 1e400 0",
+		"PLOADV 1 1 1e+10 0", "PLOADV 1 1 2147483648 0", "PLOADV 1 1 0x1p-2 0", "PLOADV 1 1 .5 0",
+		"PLOADV 1 16384 0 0",
 	}
 	for _, line := range bad {
 		if m, err := parseCtrl([]byte(line)); err == nil {
 			t.Errorf("accepted malformed control message %q as %+v", line, m)
+		}
+	}
+}
+
+// Every line between nodes has the form its encoder gives it, and parses
+// back to the values encoded.
+func TestWireLinesGolden(t *testing.T) {
+	loads := []nodeLoad{{Load: 1.5, Conns: 2}, {Load: 0, Conns: 0}, {Load: 1.0 / 3, Conns: 7}, {Load: -1e-17, Conns: 1}}
+	for _, c := range []struct {
+		line []byte
+		want string
+		ok   func(m ctrlMsg) bool
+	}{
+		{appendHelloCtrl(nil), "HELLO CTRL\n", func(m ctrlMsg) bool { return m.Kind == kindHelloCtrl }},
+		{appendHelloData(nil), "HELLO DATA\n", func(m ctrlMsg) bool { return m.Kind == kindHelloData }},
+		{appendResp(nil, 1<<40|5, 3, 4096), "RESP 1099511627781 3 4096\n", func(m ctrlMsg) bool {
+			return m.Kind == kindResp && m.Conn == 1<<40|5 && m.Seq == 3 && m.Size == 4096
+		}},
+		{appendFetch(nil, "/a/b.html"), "FETCH /a/b.html\n", func(m ctrlMsg) bool {
+			return m.Kind == kindFetch && string(m.Target) == "/a/b.html"
+		}},
+		{appendSize(nil, maxWireSize), "SIZE 1099511627776\n", func(m ctrlMsg) bool { return m.Kind == kindSize && m.Size == maxWireSize }},
+		{appendMiss(nil), "MISS\n", func(m ctrlMsg) bool { return m.Kind == kindMiss }},
+		{appendHelloPeer(nil, 2), "HELLO PEER 2\n", func(m ctrlMsg) bool { return m.Kind == kindHelloPeer && m.FE == 2 }},
+		{appendPOpen(nil, 1, 7, 4096, "/x"), "POPEN 1 7 4096 /x\n", func(m ctrlMsg) bool {
+			return m.Kind == kindPOpen && m.FE == 1 && m.Conn == 7 && m.Size == 4096 && string(m.Target) == "/x"
+		}},
+		{appendPNode(nil, 3), "PNODE 3\n", func(m ctrlMsg) bool { return m.Kind == kindPNode && m.Node == 3 }},
+		{appendPNode(nil, core.NoNode), "PNODE -\n", func(m ctrlMsg) bool { return m.Kind == kindPNode && m.Node == core.NoNode }},
+		{appendPClose(nil, 1, 7), "PCLOSE 1 7\n", func(m ctrlMsg) bool { return m.Kind == kindPClose && m.FE == 1 && m.Conn == 7 }},
+		{appendPMove(nil, 1, 7, 2), "PMOVE 1 7 2\n", func(m ctrlMsg) bool {
+			return m.Kind == kindPMove && m.FE == 1 && m.Conn == 7 && m.Node == 2
+		}},
+		{appendPMapD(nil, 2, 10, "/y"), "PMAPD 2 10 /y\n", func(m ctrlMsg) bool {
+			return m.Kind == kindPMapD && m.Node == 2 && m.Size == 10 && string(m.Target) == "/y"
+		}},
+		// A rounding error below zero goes out as zero.
+		{appendPLoadV(nil, 1, loads), "PLOADV 1 4 1.5 2 0 0 0.3333333333333333 7 0 1\n", func(m ctrlMsg) bool {
+			return m.Kind == kindPLoadV && m.FE == 1 && len(m.Loads) == 4 &&
+				m.Loads[0] == loads[0] && m.Loads[2] == loads[2] && m.Loads[3] == nodeLoad{Load: 0, Conns: 1}
+		}},
+	} {
+		if string(c.line) != c.want {
+			t.Errorf("encoded %q, want %q", c.line, c.want)
+			continue
+		}
+		if m := parseLine(t, c.line); !c.ok(m) {
+			t.Errorf("%q parsed as %+v", c.line, m)
 		}
 	}
 }
@@ -183,10 +244,10 @@ func TestCtrlCodecZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzParseCtrl: the control-line parser takes bytes from a socket. It
-// never panics; a line it accepts is canonical — re-encoding the parsed
-// message yields the same bytes — and every number it returns is inside
-// the wire bounds.
+// FuzzParseCtrl: the parser of every line between nodes takes bytes from a
+// socket. It never panics; a line it accepts is canonical — re-encoding the
+// parsed message yields the same bytes — and every number it returns is
+// inside the wire bounds.
 func FuzzParseCtrl(f *testing.F) {
 	for _, s := range []string{
 		"REQ 42 7 HTTP/1.1 1 3 /docs/page.html", "REQ 1 0 HTTP/1.0 0 - /x",
@@ -195,6 +256,11 @@ func FuzzParseCtrl(f *testing.F) {
 		"REQ -1 0 HTTP/1.1 1 - /t", "REQ 01 0 HTTP/1.1 1 - /t", "CLOSE 99999999999999999999",
 		"REQ 1 0 HTTP/1.1 1 - /t extra", "REQ  1 0 HTTP/1.1 1 - /t", "", "REQ", "\x00",
 		"HANDOFF 77", "HANDOFF 9223372036854775807", "HANDOFF 9223372036854775808", "HANDOFF 077", "HANDOFF",
+		"HELLO CTRL", "HELLO DATA", "HELLO PEER 3", "RESP 5 1 4096", "FETCH /a", "SIZE 65536", "SIZE 01", "MISS",
+		"POPEN 1 7 4096 /x", "POPEN 1 7 -5 /x", "PNODE 2", "PNODE -", "PCLOSE 1 7", "PMOVE 1 7 2", "PMAPD 0 10 /ok",
+		"PLOADV 1 2 1.5 2 0.25 1", "PLOADV 1 2 NaN 0 0 0", "PLOADV 1 1 Inf 0", "PLOADV 1 1 -0 0",
+		"PLOADV 1 1 -1 0", "PLOADV 1 1 1.50 0", "PLOADV 1 1 1e+400 0", "PLOADV 1 1 1e-05 99999999999",
+		"PLOADV 1 65536 0 0", "PLOADV 0 0",
 	} {
 		f.Add([]byte(s))
 	}
@@ -224,11 +290,43 @@ func FuzzParseCtrl(f *testing.F) {
 				t.Fatalf("accepted depth %d", m.Depth)
 			}
 			back = appendDiskQ(nil, m.Depth)
+		case kindHelloCtrl:
+			back = appendHelloCtrl(nil)
+		case kindHelloData:
+			back = appendHelloData(nil)
+		case kindResp:
+			back = appendResp(nil, m.Conn, m.Seq, m.Size)
+		case kindFetch:
+			back = appendFetch(nil, core.Target(m.Target))
+		case kindSize:
+			back = appendSize(nil, m.Size)
+		case kindMiss:
+			back = appendMiss(nil)
+		case kindHelloPeer:
+			back = appendHelloPeer(nil, m.FE)
+		case kindPOpen:
+			back = appendPOpen(nil, m.FE, m.Conn, m.Size, core.Target(m.Target))
+		case kindPNode:
+			back = appendPNode(nil, m.Node)
+		case kindPClose:
+			back = appendPClose(nil, m.FE, m.Conn)
+		case kindPMove:
+			back = appendPMove(nil, m.FE, m.Conn, m.Node)
+		case kindPMapD:
+			back = appendPMapD(nil, m.Node, m.Size, core.Target(m.Target))
+		case kindPLoadV:
+			for _, l := range m.Loads {
+				if !(l.Load >= 0 && l.Load <= maxWireInt) || math.Signbit(l.Load) || l.Conns < 0 || l.Conns > maxWireInt {
+					t.Fatalf("accepted load vector entry %+v", l)
+				}
+			}
+			back = appendPLoadV(nil, m.FE, m.Loads)
 		default:
 			t.Fatalf("accepted a message of unknown kind: %+v", m)
 		}
-		if m.Conn < 0 {
-			t.Fatalf("accepted negative connection ID %d", m.Conn)
+		if m.Conn < 0 || m.Seq < 0 || m.Seq > maxWireInt || m.Size < 0 || m.Size > maxWireSize ||
+			m.Node < core.NoNode || m.Node > maxWireNode || m.FE < 0 || m.FE > maxWireNode {
+			t.Fatalf("accepted out-of-range numbers %+v", m)
 		}
 		if string(back) != string(line)+"\n" {
 			t.Fatalf("accepted %q, which re-encodes as %q", line, back)
@@ -360,6 +458,33 @@ func TestDocStoreEviction(t *testing.T) {
 	ds.Open("/a") // must miss again
 	if h, m := ds.Counters(); h != 0 || m != 3 {
 		t.Errorf("counters %d/%d, want 0 hits 3 misses", h, m)
+	}
+}
+
+// The simulated disk keeps the modelled time: N back-to-back misses take
+// N read times of wall clock, not N read times plus N timer overshoots. A
+// read time of 1.5 ms is not a whole number of the milliseconds an idle
+// runtime sleeps in, so each sleep ends late.
+func TestDiskGateKeepsModelledTime(t *testing.T) {
+	const (
+		reads = 200
+		read  = 1500 * time.Microsecond
+	)
+	catalog := make(map[core.Target]int64, reads)
+	for i := range reads {
+		catalog[core.Target(fmt.Sprintf("/d%d", i))] = 512
+	}
+	ds := NewDocStore(catalog, 1<<20, server.DiskParams{Position: 1499, TransferPer512: 1}, 1)
+	if got := ds.readTime(512); got != read {
+		t.Fatalf("read time %v, want %v", got, read)
+	}
+	start := time.Now()
+	for _, dc := range ds.docs {
+		ds.read(dc)
+	}
+	ratio := float64(time.Since(start)) / float64(reads*read)
+	if ratio < 1 || ratio > 1.05 {
+		t.Errorf("%d reads of %v took %.3fx the modelled time, want 1.00-1.05x", reads, read, ratio)
 	}
 }
 
