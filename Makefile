@@ -24,12 +24,14 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/httpmsg/... ./internal/cache/... ./internal/dispatch/... ./internal/cluster/... ./internal/sim/... ./internal/trace/... ./internal/scenario/... ./internal/membership/... ./internal/dstate/...
 
 # Scale-out front-end tier acceptance (DESIGN.md §17): the dstate store
-# conformance suite over all three backends, the in-process tier and
-# owner-ring unit tests, and the networked three-front-end prototype
-# cluster end to end — sharded and replicated — under -race.
+# conformance suite over all three backends, the tier-member and
+# owner-ring unit tests, the peer tier's sockets, the networked
+# three-front-end prototype cluster end to end — sharded and replicated —
+# and the simulator's tier runs, all under -race.
 multife:
 	$(GO) test -race -count=1 ./internal/dstate/... ./internal/policy/ -run 'Store|Tier|Mode|OwnerRing'
-	$(GO) test -race -count=1 -run 'TestMultiFE' ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestMultiFE|TestPeerTier' ./internal/cluster/
+	$(GO) test -race -count=1 -run 'Tier' ./internal/sim/
 
 # Churn acceptance (DESIGN.md §14): membership state-machine properties,
 # the engine's up/down/drain view, the simulator's deterministic churn

@@ -167,8 +167,8 @@ type FrontEnd struct {
 
 	eng *dispatch.Engine
 	mem *membership.Table
-	// tier is the networked dispatch-state tier view (nil for the
-	// single-front-end configuration).
+	// tier carries this front-end's dstate.Member over sockets (nil for
+	// the single-front-end configuration).
 	tier *peerTier
 
 	// sweepCh hands nodes just confirmed Down from the membership
@@ -255,8 +255,8 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 	if cfg.Frontends > 1 {
 		// Scale-out tier member: its connection-ID space is salted by its
 		// front-end index (40 bits leave room for a trillion connections
-		// per member), its policy replica/shard sits behind a networked
-		// dstate store, and the engine dispatches through that store.
+		// per member), its policy replica/shard sits behind a tier member,
+		// and the engine dispatches through that member.
 		spec.ConnIDBase = int64(cfg.FEID) << 40
 		pol, berr := dispatch.Build(spec)
 		if berr != nil {
@@ -265,7 +265,7 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 		if tier, err = newPeerTier(cfg, pol); err != nil {
 			return nil, err
 		}
-		if eng, err = dispatch.NewEngineWithStore(spec, tier); err != nil {
+		if eng, err = dispatch.NewEngineWithStore(spec, tier.member); err != nil {
 			tier.Close()
 			return nil, err
 		}
@@ -338,27 +338,13 @@ func validateFEConfig(cfg FrontEndConfig, backends int) error {
 	}
 	// Policy names are validated by the dispatch registry when the engine
 	// is built; no second list of valid names lives here.
-	if cfg.Frontends > 1 {
-		if cfg.FEID < 0 || cfg.FEID >= cfg.Frontends {
-			return fmt.Errorf("cluster: front-end id %d outside tier [0,%d)", cfg.FEID, cfg.Frontends)
-		}
-		switch cfg.State {
-		case dstate.ModeSharded:
-			// The sharded prototype forwards only connection-open
-			// transactions to shard owners; a per-request mechanism would
-			// need per-request forwarding, which the prototype does not
-			// implement (DESIGN.md §17).
-			if cfg.Mechanism != core.SingleHandoff {
-				return fmt.Errorf("cluster: sharded dispatch state requires the single-handoff mechanism (got %v)", cfg.Mechanism)
-			}
-		case dstate.ModeReplicated:
-		default:
-			return fmt.Errorf("cluster: a %d-front-end tier needs state=sharded or state=replicated (got %v)", cfg.Frontends, cfg.State)
-		}
-	} else if cfg.State != dstate.ModeLocal {
+	if cfg.Frontends > 1 && (cfg.FEID < 0 || cfg.FEID >= cfg.Frontends) {
+		return fmt.Errorf("cluster: front-end id %d outside tier [0,%d)", cfg.FEID, cfg.Frontends)
+	}
+	if cfg.Frontends <= 1 && cfg.State != dstate.ModeLocal {
 		return fmt.Errorf("cluster: state=%v needs frontends > 1 (a single front-end is always local)", cfg.State)
 	}
-	return nil
+	return dstate.CheckTier(cfg.State, cfg.Frontends, cfg.Mechanism)
 }
 
 // dialRetry dials one back-end with bounded retries and linear backoff.
@@ -467,7 +453,7 @@ func (fe *FrontEnd) RemoteOpens() int64 {
 	if fe.tier == nil {
 		return 0
 	}
-	return fe.tier.remoteOpens.Load()
+	return fe.tier.member.RemoteOpens()
 }
 
 // TierSyncs returns completed replication rounds (0 without a tier).
@@ -475,7 +461,7 @@ func (fe *FrontEnd) TierSyncs() int64 {
 	if fe.tier == nil {
 		return 0
 	}
-	return fe.tier.Syncs()
+	return fe.tier.member.Syncs()
 }
 
 // TierFallbacks returns state transactions decided locally because the
@@ -484,7 +470,7 @@ func (fe *FrontEnd) TierFallbacks() int64 {
 	if fe.tier == nil {
 		return 0
 	}
-	return fe.tier.Fallbacks()
+	return fe.tier.member.Fallbacks()
 }
 
 // RemoteConnsSeen reports whether the local load view includes any peer

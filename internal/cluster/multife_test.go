@@ -10,6 +10,7 @@ import (
 	"phttp/internal/core"
 	"phttp/internal/dstate"
 	"phttp/internal/loadgen"
+	"phttp/internal/sim"
 	"phttp/internal/trace"
 )
 
@@ -165,5 +166,24 @@ func TestMultiFEConfigValidation(t *testing.T) {
 			cl.Close()
 			t.Errorf("%s: Start accepted an invalid tier configuration", tc.name)
 		}
+	}
+}
+
+// TestMultiFETierRuleSharedWithSimulator: the simulator and the prototype
+// refuse a sharded tier under BE forwarding with one message — the tier
+// rule both apply, dstate.CheckTier.
+func TestMultiFETierRuleSharedWithSimulator(t *testing.T) {
+	combo, err := sim.ComboByName("BEforward-extLARD-PHTTP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	simCfg := sim.DefaultConfig(6, combo)
+	simCfg.Frontends, simCfg.FEState = 4, dstate.ModeSharded
+	simErr := simCfg.Validate()
+	_, feErr := cluster.NewFrontEnd(cluster.FrontEndConfig{
+		Nodes: 6, Policy: "extlard", Mechanism: core.BEForwarding, Frontends: 4, State: dstate.ModeSharded,
+	}, make([]cluster.BackendEndpoints, 6))
+	if simErr == nil || feErr == nil || simErr.Error() != feErr.Error() {
+		t.Fatalf("simulator: %v\nprototype: %v\nwant both refused with one message", simErr, feErr)
 	}
 }

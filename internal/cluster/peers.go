@@ -10,29 +10,25 @@ import (
 
 	"phttp/internal/core"
 	"phttp/internal/dstate"
-	"phttp/internal/policy"
 )
 
-// Peer protocol of the scale-out front-end tier: one TCP stream per
-// (dialer, acceptor) front-end pair, opened by HELLO PEER and speaking
-// protocol.go's lines. In sharded mode POPEN (answered by PNODE), PCLOSE
-// and PMOVE carry connection-state transactions from the origin to the
-// shard owner; in replicated mode every member sends every peer its PMAPD
-// mapping deltas and one PLOADV load vector per sync round, unanswered.
-// Interner IDs are per-process, so targets travel as strings (URL paths,
-// whitespace-free) and each side interns locally.
+// Sockets of the scale-out front-end tier. The tier's protocol is
+// dstate.Member, the same one the simulator runs; this file carries it
+// between processes. One TCP stream per (dialer, acceptor) front-end pair
+// opens with HELLO PEER and speaks protocol.go's lines: a peerLink is the
+// dialer's dstate.Peer and encodes each call as a line — POPEN (answered
+// by PNODE), PCLOSE, PMOVE, or one sync round's PMAPD deltas and PLOADV
+// load vector — and servePeer decodes the acceptor's side into the
+// member's Peer methods. Interner IDs are per-process, so targets travel
+// as names (URL paths, whitespace-free) and each side interns locally;
+// IDs are never recycled, so a journaled ID still names its target when
+// the round is sent.
 //
-// A receiver acts only on what fits its tier: an origin that is another
-// member, a node of the cluster, a vector of one pair per node. A one-way
-// line that does not is dropped, as a lost one would be; a malformed
-// POPEN, or any other line it cannot read, ends the session, and the
-// dialer falls back to deciding locally.
-//
-// Mapping deltas are journaled in origin write order and applied in
-// arrival order, so a conflict between origins on the same target
-// resolves last-writer-wins, exactly like the in-process dstate.Tier.
-// PLOADV carries each origin's *locally charged* load so a receiver sums
-// peers without double-counting (see core.LoadTracker.SetRemote).
+// A malformed POPEN, or any line the acceptor cannot read, ends the
+// session and the dialer falls back to deciding locally; a malformed
+// one-way line is dropped, as a lost one would be. When an inbound
+// session ends, the member releases the connections it held for that
+// origin (dstate.Member.PeerLost).
 
 // DefaultSyncInterval is the replicated store's sync period when the
 // configuration does not set one: fresh enough that a mapping learned on
@@ -53,53 +49,31 @@ const (
 	defaultPeerDialBackoff = 100 * time.Millisecond
 )
 
-// remoteKey names a connection owned here on behalf of a peer front-end.
-type remoteKey struct {
-	fe int
-	id core.ConnID
-}
-
-// peerLink is one outbound connection to a tier peer. RPCs serialize on
-// mu (write + optional reply read under one critical section — the
-// sharded store's state transactions are short and rare relative to
-// request work). A link that errors is marked down and the store falls
-// back to local decisions: peer loss degrades locality, never
-// availability.
+// peerLink is one outbound connection to a tier peer, and the member's
+// dstate.Peer for it. Calls serialize on mu (write + optional reply read
+// under one critical section — state transactions are short and rare
+// relative to request work). A link that errors goes down for good and
+// every later call reports the peer unreachable: peer loss degrades
+// locality, never availability.
 type peerLink struct {
+	in   *core.Interner
 	mu   sync.Mutex
-	conn net.Conn
+	conn net.Conn // nil until connect, and once down
 	br   *bufio.Reader
 	down atomic.Bool
 }
 
-// peerTier is a front-end's view of the networked dispatch-state tier:
-// it owns the peer listener, the outbound links, and — per mode — the
-// shard-ownership ring or the replication journal, and implements
-// dstate.Store over the front-end's local policy replica/shard.
+var _ dstate.Peer = (*peerLink)(nil)
+
+// peerTier carries a front-end's tier member over sockets: the peer
+// listener, one outbound link per peer, the inbound sessions and the sync
+// ticker.
 type peerTier struct {
-	mode dstate.Mode
-	fe   int
-	pol  core.Policy
-	in   *core.Interner
-	ring *policy.OwnerRing // sharded mode only
-
-	ln    net.Listener
-	peers []*peerLink // index = front-end id; nil at our own slot
-
-	// Replication journal (replicated mode): mapping writes observed on
-	// the local replica, pending broadcast, as PMAPD lines. Targets travel
-	// by name because interner IDs are per-process.
-	jmu     sync.Mutex
-	pending []byte
-
-	// peerLoads holds the latest load vector received from each peer;
-	// remote bases are the per-node sums over peers.
-	lmu       sync.Mutex
-	peerLoads [][]nodeLoad
-
-	// remote holds connections owned here for peer front-ends (sharded).
-	rmu    sync.Mutex
-	remote map[remoteKey]*core.ConnState
+	member *dstate.Member
+	fe     int
+	in     *core.Interner
+	ln     net.Listener
+	links  []*peerLink // index = front-end id; nil at our own slot
 
 	// inbound tracks accepted peer sessions so Close can unblock their
 	// read loops: a peer tears its outbound links down only in its own
@@ -107,62 +81,49 @@ type peerTier struct {
 	imu     sync.Mutex
 	inbound map[net.Conn]struct{}
 
-	nodes        int
-	syncInterval time.Duration
-	syncs        atomic.Int64
-	// remoteOpens counts connection opens whose dispatch decision came
-	// from a peer shard owner.
-	remoteOpens atomic.Int64
-	// fallbacks counts state transactions decided locally because the
-	// owning peer was unreachable (metrics: locality lost, not requests).
-	fallbacks atomic.Int64
-
-	closed  chan struct{}
-	closeMu sync.Once
-	wg      sync.WaitGroup
+	syncInterval time.Duration // replicated only; 0 runs no sync loop
+	closed       chan struct{}
+	closeMu      sync.Once
+	wg           sync.WaitGroup
 }
 
-var _ dstate.Store = (*peerTier)(nil)
-
-// newPeerTier binds the peer listener and prepares the tier state; links
-// are established later by ConnectPeers, once every member's listener
-// exists. pol is the front-end's own policy replica/shard.
+// newPeerTier binds the peer listener and builds the front-end's member
+// over pol, its own policy replica/shard; links are established later by
+// connect, once every member's listener exists.
 func newPeerTier(cfg FrontEndConfig, pol core.Policy) (*peerTier, error) {
 	t := &peerTier{
-		mode:         cfg.State,
-		fe:           cfg.FEID,
-		pol:          pol,
-		peers:        make([]*peerLink, cfg.Frontends),
-		remote:       make(map[remoteKey]*core.ConnState),
-		peerLoads:    make([][]nodeLoad, cfg.Frontends),
-		inbound:      make(map[net.Conn]struct{}),
-		nodes:        cfg.Nodes,
-		syncInterval: cfg.SyncInterval,
-		closed:       make(chan struct{}),
+		fe:      cfg.FEID,
+		links:   make([]*peerLink, cfg.Frontends),
+		inbound: make(map[net.Conn]struct{}),
+		closed:  make(chan struct{}),
 	}
-	if t.syncInterval <= 0 {
-		t.syncInterval = DefaultSyncInterval
+	if cfg.State == dstate.ModeReplicated {
+		t.syncInterval = cfg.SyncInterval
+		if t.syncInterval <= 0 {
+			t.syncInterval = DefaultSyncInterval
+		}
 	}
 	seed := cfg.StateSeed
 	if seed == 0 {
 		seed = DefaultStateSeed
 	}
-	if cfg.State == dstate.ModeSharded {
-		t.ring = policy.NewOwnerRing(cfg.Frontends, 0, seed)
+	peers := make([]dstate.Peer, cfg.Frontends)
+	for f := range peers {
+		if f != cfg.FEID {
+			t.links[f] = &peerLink{}
+			peers[f] = t.links[f]
+		}
+	}
+	var err error
+	if t.member, err = dstate.NewMember(cfg.State, cfg.FEID, pol, peers, seed); err != nil {
+		return nil, err
 	}
 	listen := cfg.PeerListen
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
+	if t.ln, err = net.Listen("tcp", listen); err != nil {
 		return nil, fmt.Errorf("cluster: frontend %d peer listen: %w", cfg.FEID, err)
-	}
-	t.ln = ln
-	if cfg.State == dstate.ModeReplicated {
-		if mp, ok := pol.(dstate.MappingPolicy); ok {
-			mp.Mapping().SetWriteObserver(t.journal)
-		}
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -170,34 +131,34 @@ func newPeerTier(cfg FrontEndConfig, pol core.Policy) (*peerTier, error) {
 }
 
 // finishInit hands the tier the engine's interner once the engine
-// exists (the engine owns interner construction). Wire messages carry
-// target strings; the interner is how the tier translates them to and
-// from this process's IDs. Must run before any traffic is served.
-func (t *peerTier) finishInit(in *core.Interner) { t.in = in }
+// exists (the engine owns interner construction): wire messages carry
+// target names, and the interner translates them to and from this
+// process's IDs. Must run before any traffic is served.
+func (t *peerTier) finishInit(in *core.Interner) {
+	t.in = in
+	for _, l := range t.links {
+		if l != nil {
+			l.in = in
+		}
+	}
+}
 
 // Addr is the peer listener's address (what other members dial).
 func (t *peerTier) Addr() string { return t.ln.Addr().String() }
 
-// Syncs returns completed replication rounds (metrics, tests).
-func (t *peerTier) Syncs() int64 { return t.syncs.Load() }
-
-// Fallbacks returns state transactions decided locally because the
-// owning peer was unreachable.
-func (t *peerTier) Fallbacks() int64 { return t.fallbacks.Load() }
-
 // connect dials every peer slot in addrs (index = front-end id; our own
 // slot and empty entries are skipped). Called once at tier bring-up;
 // replicated tiers also start their sync loop here, so journaled writes
-// from the pre-connect window broadcast in the first round.
+// from the pre-connect window go in the first round.
 func (t *peerTier) connect(addrs []string) error {
 	for f, addr := range addrs {
 		if f == t.fe || addr == "" {
 			continue
 		}
-		if f < 0 || f >= len(t.peers) {
-			return fmt.Errorf("cluster: peer index %d out of tier [0,%d)", f, len(t.peers))
+		if f < 0 || f >= len(t.links) {
+			return fmt.Errorf("cluster: peer index %d out of tier [0,%d)", f, len(t.links))
 		}
-		conn, err := t.dialPeer(addr)
+		conn, err := dialPeer(addr)
 		if err != nil {
 			return fmt.Errorf("cluster: frontend %d dial peer %d at %s: %w", t.fe, f, addr, err)
 		}
@@ -205,9 +166,12 @@ func (t *peerTier) connect(addrs []string) error {
 			conn.Close()
 			return err
 		}
-		t.peers[f] = &peerLink{conn: conn, br: bufio.NewReader(conn)}
+		l := t.links[f]
+		l.mu.Lock()
+		l.conn, l.br = conn, bufio.NewReader(conn)
+		l.mu.Unlock()
 	}
-	if t.mode == dstate.ModeReplicated {
+	if t.syncInterval > 0 {
 		t.wg.Add(1)
 		go t.syncLoop()
 	}
@@ -217,7 +181,7 @@ func (t *peerTier) connect(addrs []string) error {
 // dialPeer dials one peer listener, retrying refused connections with
 // linear backoff: a tier's member processes start in arbitrary order, so
 // the peers launched first must outwait the last listener's bind.
-func (t *peerTier) dialPeer(addr string) (net.Conn, error) {
+func dialPeer(addr string) (net.Conn, error) {
 	var lastErr error
 	for attempt := 0; attempt <= defaultPeerDialRetries; attempt++ {
 		if attempt > 0 {
@@ -237,15 +201,12 @@ func (t *peerTier) Close() {
 	t.closeMu.Do(func() {
 		close(t.closed)
 		t.ln.Close()
-		for _, p := range t.peers {
-			if p == nil {
-				continue
+		for _, l := range t.links {
+			if l != nil {
+				l.mu.Lock()
+				l.markDown()
+				l.mu.Unlock()
 			}
-			p.mu.Lock()
-			if p.conn != nil {
-				p.conn.Close()
-			}
-			p.mu.Unlock()
 		}
 		t.imu.Lock()
 		for conn := range t.inbound {
@@ -256,165 +217,8 @@ func (t *peerTier) Close() {
 	t.wg.Wait()
 }
 
-// --- dstate.Store ---
-
-func (t *peerTier) Mode() dstate.Mode   { return t.mode }
-func (t *peerTier) Policy() core.Policy { return t.pol }
-
-// Owner returns the front-end owning target id's shard (ourselves
-// outside sharded mode).
-func (t *peerTier) Owner(id core.TargetID) int {
-	if t.ring == nil {
-		return t.fe
-	}
-	return t.ring.Owner(id)
-}
-
-// ConnOpen decides the handling node. Replicated mode decides on the
-// local replica; sharded mode forwards the whole state transaction to
-// the shard owner, falling back to a local decision when the owner is
-// unreachable (availability over locality). A target past a capped
-// interner's cap (NoTarget) has no shard and no entry to consult: it is
-// decided locally, by load.
-func (t *peerTier) ConnOpen(c *core.ConnState, first core.Request) core.NodeID {
-	if t.ring != nil && first.ID != core.NoTarget {
-		if owner := t.ring.Owner(first.ID); owner != t.fe {
-			if n, ok := t.remoteOpen(owner, c, first); ok {
-				c.OwnerFE = int32(owner)
-				c.Handling = n
-				t.remoteOpens.Add(1)
-				return n
-			}
-			t.fallbacks.Add(1)
-		}
-	}
-	c.OwnerFE = int32(t.fe)
-	return t.pol.ConnOpen(c, first)
-}
-
-// AssignBatch: locally owned connections get the policy's full
-// assignment; connections whose state lives on a peer pin every request
-// to the handling node decided at open — the sharded prototype is
-// restricted to connection-granular mechanisms (see validateFEConfig),
-// where that is exactly the policy's behavior.
-func (t *peerTier) AssignBatch(c *core.ConnState, batch core.Batch) []core.Assignment {
-	if int(c.OwnerFE) == t.fe {
-		return t.pol.AssignBatch(c, batch)
-	}
-	as := make([]core.Assignment, len(batch))
-	for i := range as {
-		as[i] = core.Assignment{Node: c.Handling}
-	}
-	return as
-}
-
-func (t *peerTier) BatchDone(c *core.ConnState) {
-	if int(c.OwnerFE) == t.fe {
-		t.pol.BatchDone(c)
-	}
-}
-
-func (t *peerTier) ConnClose(c *core.ConnState) {
-	owner := int(c.OwnerFE)
-	if owner == t.fe {
-		t.pol.ConnClose(c)
-		return
-	}
-	if !t.send(owner, appendPClose(nil, t.fe, c.ID), nil) {
-		// Owner unreachable: its replica keeps the connection charged
-		// until the link (or the owner) restarts; nothing to release
-		// locally — we never charged this connection here.
-		t.fallbacks.Add(1)
-	}
-	c.Handling = core.NoNode
-}
-
-func (t *peerTier) MoveConn(c *core.ConnState, to core.NodeID) {
-	owner := int(c.OwnerFE)
-	if owner == t.fe {
-		t.pol.Loads().MoveConn(c.Handling, to)
-		c.Handling = to
-		return
-	}
-	if !t.send(owner, appendPMove(nil, t.fe, c.ID, to), nil) {
-		t.fallbacks.Add(1)
-	}
-	c.Handling = to
-}
-
-func (t *peerTier) ReportDiskQueue(n core.NodeID, queued int) {
-	t.pol.ReportDiskQueue(n, queued)
-}
-
-// --- origin side of the sharded RPCs ---
-
-// remoteOpen runs the connection-open transaction on the shard owner and
-// returns its decision; ok is false when the owner is unreachable or the
-// reply is malformed (the caller decides locally).
-func (t *peerTier) remoteOpen(owner int, c *core.ConnState, first core.Request) (core.NodeID, bool) {
-	var reply ctrlMsg
-	if !t.send(owner, appendPOpen(nil, t.fe, c.ID, first.Size, first.Target), &reply) ||
-		reply.Node < 0 || int(reply.Node) >= t.nodes {
-		return core.NoNode, false
-	}
-	return reply.Node, true
-}
-
-// send writes lines to peer f, reporting success. The one RPC, POPEN,
-// passes reply, which receives the PNODE answer, read under the same lock;
-// a link that fails, or answers anything else, goes down.
-func (t *peerTier) send(f int, lines []byte, reply *ctrlMsg) bool {
-	if f < 0 || f >= len(t.peers) {
-		return false
-	}
-	p := t.peers[f]
-	if p == nil || p.down.Load() {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn == nil {
-		return false
-	}
-	_, err := p.conn.Write(lines)
-	if err == nil && reply != nil {
-		p.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		*reply, err = readCtrl(p.br)
-		p.conn.SetReadDeadline(time.Time{})
-	}
-	if err != nil || reply != nil && reply.Kind != kindPNode {
-		t.markDown(p)
-		return false
-	}
-	return true
-}
-
-// markDown records a failed link; callers hold p.mu.
-func (t *peerTier) markDown(p *peerLink) {
-	p.down.Store(true)
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-	}
-}
-
-// --- replication ---
-
-// journal records one local mapping write for the next sync round
-// (installed as the mapping's write observer; synced applies bypass it,
-// so gossip never re-broadcasts).
-func (t *peerTier) journal(id core.TargetID, size int64, n core.NodeID) {
-	name := t.in.Name(id)
-	if name == "" {
-		return
-	}
-	t.jmu.Lock()
-	t.pending = appendPMapD(t.pending, n, size, name)
-	t.jmu.Unlock()
-}
-
-// syncLoop broadcasts the journal and the local load vector every
-// syncInterval — the tier's bounded-staleness sync protocol.
+// syncLoop runs the member's replication round every syncInterval — the
+// tier's staleness bound.
 func (t *peerTier) syncLoop() {
 	defer t.wg.Done()
 	ticker := time.NewTicker(t.syncInterval)
@@ -424,30 +228,71 @@ func (t *peerTier) syncLoop() {
 		case <-t.closed:
 			return
 		case <-ticker.C:
-			t.syncOnce()
+			t.member.Sync()
 		}
 	}
 }
 
-// syncOnce runs one replication round: pending mapping deltas (in origin
-// write order) then the full load vector, to every live peer.
-func (t *peerTier) syncOnce() {
-	t.jmu.Lock()
-	msg := t.pending
-	t.pending = nil
-	t.jmu.Unlock()
+// --- dialer side: dstate.Peer over one link ---
 
-	loads := t.pol.Loads()
-	vec := make([]nodeLoad, t.nodes)
-	for i := range vec {
-		n := core.NodeID(i)
-		vec[i] = nodeLoad{Load: loads.LocalLoad(n), Conns: int64(loads.LocalConns(n))}
+func (l *peerLink) PeerOpen(origin int, conn core.ConnID, first core.Request) (core.NodeID, bool) {
+	var reply ctrlMsg
+	if !l.send(appendPOpen(nil, origin, conn, first.Size, first.Target), &reply) {
+		return core.NoNode, false
 	}
-	msg = appendPLoadV(msg, t.fe, vec)
-	for f := range t.peers {
-		t.send(f, msg, nil)
+	return reply.Node, true
+}
+
+func (l *peerLink) PeerClose(origin int, conn core.ConnID) bool {
+	return l.send(appendPClose(nil, origin, conn), nil)
+}
+
+func (l *peerLink) PeerMove(origin int, conn core.ConnID, to core.NodeID) bool {
+	return l.send(appendPMove(nil, origin, conn, to), nil)
+}
+
+func (l *peerLink) PeerSync(origin int, deltas []dstate.MapDelta, loads []dstate.NodeLoad) bool {
+	var msg []byte
+	for _, d := range deltas {
+		if name := l.in.Name(d.ID); name != "" {
+			msg = appendPMapD(msg, d.Node, d.Size, name)
+		}
 	}
-	t.syncs.Add(1)
+	return l.send(appendPLoadV(msg, origin, loads), nil)
+}
+
+// send writes lines to the peer, reporting success. The one RPC, POPEN,
+// passes reply, which receives the PNODE answer, read under the same lock;
+// a link that fails, or answers anything else, goes down.
+func (l *peerLink) send(lines []byte, reply *ctrlMsg) bool {
+	if l.down.Load() {
+		return false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conn == nil {
+		return false
+	}
+	_, err := l.conn.Write(lines)
+	if err == nil && reply != nil {
+		l.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		*reply, err = readCtrl(l.br)
+		l.conn.SetReadDeadline(time.Time{})
+	}
+	if err != nil || reply != nil && reply.Kind != kindPNode {
+		l.markDown()
+		return false
+	}
+	return true
+}
+
+// markDown takes the link down for good; callers hold l.mu.
+func (l *peerLink) markDown() {
+	l.down.Store(true)
+	if l.conn != nil {
+		l.conn.Close()
+		l.conn = nil
+	}
 }
 
 // --- acceptor side ---
@@ -478,13 +323,16 @@ func (t *peerTier) acceptLoop() {
 }
 
 // servePeer runs one inbound peer session: HELLO from another member,
-// then a line loop over the sharded RPCs and replication messages.
+// then a line loop handing each decoded message to the member.
 func (t *peerTier) servePeer(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, ctrlBufBytes)
-	if hello, err := readCtrl(br); err != nil || hello.Kind != kindHelloPeer || !t.isPeer(hello.FE) {
+	hello, err := readCtrl(br)
+	if err != nil || hello.Kind != kindHelloPeer || hello.FE >= len(t.links) || hello.FE == t.fe {
 		return
 	}
+	defer t.member.PeerLost(hello.FE)
 	var reply []byte
+	var delta [1]dstate.MapDelta
 	for {
 		msg, err := readCtrl(br)
 		if err != nil {
@@ -496,7 +344,8 @@ func (t *peerTier) servePeer(conn net.Conn) {
 		}
 		switch msg.Kind {
 		case kindPOpen:
-			n, ok := t.handleOpen(msg)
+			target := core.Target(msg.Target)
+			n, ok := t.member.PeerOpen(msg.FE, msg.Conn, core.Request{Target: target, ID: t.in.Intern(target), Size: msg.Size})
 			if !ok {
 				return // the dialer falls back
 			}
@@ -505,91 +354,16 @@ func (t *peerTier) servePeer(conn net.Conn) {
 				return
 			}
 		case kindPClose:
-			t.handleClose(msg)
+			t.member.PeerClose(msg.FE, msg.Conn)
 		case kindPMove:
-			t.handleMove(msg)
+			t.member.PeerMove(msg.FE, msg.Conn, msg.Node)
 		case kindPMapD:
-			t.handleMapDelta(msg)
+			delta[0] = dstate.MapDelta{ID: t.in.Intern(core.Target(msg.Target)), Node: msg.Node, Size: msg.Size}
+			t.member.PeerSync(hello.FE, delta[:], nil)
 		case kindPLoadV:
-			t.handleLoadVector(msg)
+			t.member.PeerSync(msg.FE, nil, msg.Loads)
 		default:
 			return
 		}
 	}
-}
-
-// isPeer reports whether fe names another member of the tier.
-func (t *peerTier) isPeer(fe int) bool { return fe < len(t.peers) && fe != t.fe }
-
-// handleOpen serves a peer's connection-open transaction on our shard:
-// intern the target, run the policy open on an owner-side connection
-// state, remember it for the later PCLOSE/PMOVE, and return the decision.
-func (t *peerTier) handleOpen(m ctrlMsg) (core.NodeID, bool) {
-	if !t.isPeer(m.FE) {
-		return core.NoNode, false
-	}
-	target := core.Target(m.Target)
-	cs := core.NewConnState(m.Conn)
-	cs.OwnerFE = int32(t.fe)
-	n := t.pol.ConnOpen(cs, core.Request{Target: target, ID: t.in.Intern(target), Size: m.Size})
-	t.rmu.Lock()
-	t.remote[remoteKey{fe: m.FE, id: m.Conn}] = cs
-	t.rmu.Unlock()
-	return n, true
-}
-
-// handleClose closes a peer's connection on our shard, releasing its load.
-func (t *peerTier) handleClose(m ctrlMsg) {
-	t.rmu.Lock()
-	key := remoteKey{fe: m.FE, id: m.Conn}
-	rc := t.remote[key]
-	delete(t.remote, key)
-	t.rmu.Unlock()
-	if rc != nil {
-		t.pol.ConnClose(rc)
-	}
-}
-
-// handleMove transfers a peer connection's load unit between nodes.
-func (t *peerTier) handleMove(m ctrlMsg) {
-	t.rmu.Lock()
-	rc := t.remote[remoteKey{fe: m.FE, id: m.Conn}]
-	t.rmu.Unlock()
-	if rc != nil && int(m.Node) < t.nodes {
-		t.pol.Loads().MoveConn(rc.Handling, m.Node)
-		rc.Handling = m.Node
-	}
-}
-
-// handleMapDelta applies one replicated mapping write to the local
-// replica, bypassing the write observer (no re-broadcast).
-func (t *peerTier) handleMapDelta(m ctrlMsg) {
-	mp, ok := t.pol.(dstate.MappingPolicy)
-	if !ok || int(m.Node) >= t.nodes {
-		return
-	}
-	mp.Mapping().ApplySynced(t.in.Intern(core.Target(m.Target)), m.Size, m.Node)
-}
-
-// handleLoadVector stores a peer's load vector and refreshes the local
-// replica's remote base (per node: the sum over peers' local charges).
-func (t *peerTier) handleLoadVector(m ctrlMsg) {
-	if !t.isPeer(m.FE) || len(m.Loads) != t.nodes {
-		return
-	}
-	lt := t.pol.Loads()
-	t.lmu.Lock()
-	t.peerLoads[m.FE] = m.Loads
-	for i := 0; i < t.nodes; i++ {
-		var sum nodeLoad
-		for _, v := range t.peerLoads {
-			if v != nil {
-				sum.Load += v[i].Load
-				sum.Conns += v[i].Conns
-			}
-		}
-		lt.SetRemote(core.NodeID(i), sum.Load)
-		lt.SetRemoteConns(core.NodeID(i), sum.Conns)
-	}
-	t.lmu.Unlock()
 }

@@ -11,6 +11,7 @@ import (
 	"phttp/internal/core"
 	"phttp/internal/dispatch"
 	"phttp/internal/dstate"
+	"phttp/internal/policy"
 )
 
 // newTestPeerTier builds one sharded tier member with its own policy and
@@ -47,6 +48,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// ownerConns sums the connections a member charges on its own shard.
+func ownerConns(tier *peerTier) int {
+	loads := tier.member.Policy().Loads()
+	total := 0
+	for n := 0; n < loads.Nodes(); n++ {
+		total += loads.LocalConns(core.NodeID(n))
+	}
+	return total
+}
+
+// connectPair links two tier members to each other.
+func connectPair(t *testing.T, t0, t1 *peerTier) {
+	t.Helper()
+	if err := t0.connect([]string{"", t1.Addr()}); err != nil {
+		t.Fatalf("fe0 connect: %v", err)
+	}
+	if err := t1.connect([]string{t0.Addr(), ""}); err != nil {
+		t.Fatalf("fe1 connect: %v", err)
+	}
+}
+
 // A request whose target a full capped interner turned away (NoTarget)
 // has no shard: each member decides it locally, by load, with no POPEN
 // round trip to whichever member owns ID 0's ring point.
@@ -56,21 +78,17 @@ func TestPeerTierDecidesOverflowLocally(t *testing.T) {
 	defer t0.Close()
 	t1, _ := newTestPeerTier(t, 1, 2, nodes)
 	defer t1.Close()
-	if err := t0.connect([]string{"", t1.Addr()}); err != nil {
-		t.Fatalf("fe0 connect: %v", err)
-	}
-	if err := t1.connect([]string{t0.Addr(), ""}); err != nil {
-		t.Fatalf("fe1 connect: %v", err)
-	}
+	connectPair(t, t0, t1)
 	overflow := core.Request{Target: "/past-the-cap", Size: 4096}
 	for fe, tier := range []*peerTier{t0, t1} {
+		m := tier.member
 		c := core.NewConnState(core.ConnID(fe + 1))
-		tier.ConnOpen(c, overflow)
-		if int(c.OwnerFE) != fe || tier.remoteOpens.Load() != 0 || tier.fallbacks.Load() != 0 {
+		m.ConnOpen(c, overflow)
+		if int(c.OwnerFE) != fe || m.RemoteOpens() != 0 || m.Fallbacks() != 0 {
 			t.Errorf("fe %d: overflow open owned by %d, %d remote opens, %d fallbacks; want local, 0, 0",
-				fe, c.OwnerFE, tier.remoteOpens.Load(), tier.fallbacks.Load())
+				fe, c.OwnerFE, m.RemoteOpens(), m.Fallbacks())
 		}
-		tier.ConnClose(c)
+		m.ConnClose(c)
 	}
 }
 
@@ -84,15 +102,9 @@ func TestPeerTierShardedRPCs(t *testing.T) {
 	t0, in0 := newTestPeerTier(t, 0, 2, nodes)
 	defer t0.Close()
 	t1, _ := newTestPeerTier(t, 1, 2, nodes)
-	if err := t0.connect([]string{"", t1.Addr()}); err != nil {
-		t.Fatalf("fe0 connect: %v", err)
-	}
-	if err := t1.connect([]string{t0.Addr(), ""}); err != nil {
-		t.Fatalf("fe1 connect: %v", err)
-	}
-	if t0.Mode() != dstate.ModeSharded {
-		t.Fatalf("Mode = %v", t0.Mode())
-	}
+	connectPair(t, t0, t1)
+	m0 := t0.member
+	ring := policy.NewOwnerRing(2, 0, DefaultStateSeed)
 
 	// One target owned by each member (the ring spreads a handful of
 	// distinct names across two front-ends).
@@ -103,63 +115,55 @@ func TestPeerTierShardedRPCs(t *testing.T) {
 		}
 		tg := core.Target(fmt.Sprintf("/obj/%d", i))
 		r := core.Request{Target: tg, ID: in0.Intern(tg), Size: 4096}
-		if t0.Owner(r.ID) == 1 && remoteReq.Target == "" {
+		if ring.Owner(r.ID) == 1 && remoteReq.Target == "" {
 			remoteReq = r
 		}
-		if t0.Owner(r.ID) == 0 && localReq.Target == "" {
+		if ring.Owner(r.ID) == 0 && localReq.Target == "" {
 			localReq = r
 		}
-	}
-
-	ownerConns := func(tier *peerTier) int {
-		total := 0
-		for n := 0; n < nodes; n++ {
-			total += tier.pol.Loads().LocalConns(core.NodeID(n))
-		}
-		return total
 	}
 
 	// Remote-owned connection: the open RPC is synchronous, so by return
 	// the owner's shard carries the charge and we know the node.
 	rc := core.NewConnState(1)
-	n := t0.ConnOpen(rc, remoteReq)
-	if rc.OwnerFE != 1 || t0.remoteOpens.Load() != 1 {
-		t.Fatalf("remote open: OwnerFE %d remoteOpens %d", rc.OwnerFE, t0.remoteOpens.Load())
+	n := m0.ConnOpen(rc, remoteReq)
+	if rc.OwnerFE != 1 || m0.RemoteOpens() != 1 {
+		t.Fatalf("remote open: OwnerFE %d remoteOpens %d", rc.OwnerFE, m0.RemoteOpens())
 	}
 	if got := ownerConns(t1); got != 1 {
 		t.Fatalf("owner charges %d conns after open, want 1", got)
 	}
-	as := t0.AssignBatch(rc, core.Batch{remoteReq, remoteReq})
+	as := m0.AssignBatch(rc, core.Batch{remoteReq, remoteReq})
 	for i, a := range as {
 		if a.Node != rc.Handling {
 			t.Fatalf("assignment %d went to %d, not the pinned node %d", i, a.Node, rc.Handling)
 		}
 	}
-	t0.BatchDone(rc) // remote-owned: must be a safe no-op
+	m0.BatchDone(rc) // remote-owned: must be a safe no-op
 	to := core.NodeID((int(n) + 1) % nodes)
-	t0.MoveConn(rc, to)
+	m0.MoveConn(rc, to)
 	if rc.Handling != to {
 		t.Fatalf("MoveConn left Handling at %d", rc.Handling)
 	}
 	waitFor(t, "PMOVE to land on the owner", func() bool {
-		return t1.pol.Loads().LocalConns(to) == 1
+		return t1.member.Policy().Loads().LocalConns(to) == 1
 	})
-	t0.ConnClose(rc)
+	m0.ConnClose(rc)
 	waitFor(t, "PCLOSE to land on the owner", func() bool {
 		return ownerConns(t1) == 0
 	})
 
 	// Locally owned connection: the whole lifecycle stays on our shard.
 	lc := core.NewConnState(2)
-	ln := t0.ConnOpen(lc, localReq)
+	ln := m0.ConnOpen(lc, localReq)
 	if lc.OwnerFE != 0 || ownerConns(t0) != 1 {
 		t.Fatalf("local open: OwnerFE %d, %d conns", lc.OwnerFE, ownerConns(t0))
 	}
-	t0.AssignBatch(lc, core.Batch{localReq})
-	t0.BatchDone(lc)
-	t0.MoveConn(lc, core.NodeID((int(ln)+1)%nodes))
-	t0.ReportDiskQueue(0, 3)
-	t0.ConnClose(lc)
+	m0.AssignBatch(lc, core.Batch{localReq})
+	m0.BatchDone(lc)
+	m0.MoveConn(lc, core.NodeID((int(ln)+1)%nodes))
+	m0.ReportDiskQueue(0, 3)
+	m0.ConnClose(lc)
 	if got := ownerConns(t0); got != 0 {
 		t.Fatalf("local close left %d conns charged", got)
 	}
@@ -168,19 +172,19 @@ func TestPeerTierShardedRPCs(t *testing.T) {
 	// transactions count fallbacks instead of blocking.
 	t1.Close()
 	rc2 := core.NewConnState(3)
-	t0.ConnOpen(rc2, remoteReq)
+	m0.ConnOpen(rc2, remoteReq)
 	if rc2.OwnerFE != 0 {
 		t.Fatalf("fallback open: OwnerFE %d, want local 0", rc2.OwnerFE)
 	}
 	orphan := core.NewConnState(4)
 	orphan.OwnerFE = 1
 	orphan.Handling = 0
-	t0.MoveConn(orphan, 1)
-	t0.ConnClose(orphan)
-	if got := t0.Fallbacks(); got < 3 {
+	m0.MoveConn(orphan, 1)
+	m0.ConnClose(orphan)
+	if got := m0.Fallbacks(); got < 3 {
 		t.Fatalf("Fallbacks = %d, want >= 3 (open, move, close)", got)
 	}
-	t0.ConnClose(rc2)
+	m0.ConnClose(rc2)
 }
 
 // TestPeerTierRejectsNegativeSize sends a tier member the negative sizes a
@@ -217,7 +221,7 @@ func TestPeerTierRejectsNegativeSize(t *testing.T) {
 	if _, err := io.WriteString(conn2, "PMAPD 0 -5 /neg\nPMAPD 0 10 /ok\n"); err != nil {
 		t.Fatalf("write PMAPD: %v", err)
 	}
-	m := tier.pol.(dstate.MappingPolicy).Mapping()
+	m := tier.member.Policy().(dstate.MappingPolicy).Mapping()
 	ok := in.Intern("/ok")
 	waitFor(t, "the valid PMAPD after the negative one", func() bool { return m.IsMapped(ok, 0) })
 	if m.IsMapped(in.Intern("/neg"), 0) {
@@ -245,7 +249,7 @@ func TestPeerTierRejectsHostileLoadVector(t *testing.T) {
 		}
 		return conn
 	}
-	m := tier.pol.(dstate.MappingPolicy).Mapping()
+	m := tier.member.Policy().(dstate.MappingPolicy).Mapping()
 
 	hostile := dial(2)
 	if _, err := io.WriteString(hostile, "PLOADV 2 2 1 -3 0 0\nPLOADV 2 2 -1 0 0 0\n"+
@@ -261,7 +265,7 @@ func TestPeerTierRejectsHostileLoadVector(t *testing.T) {
 	if _, err := io.WriteString(valid, "PLOADV 1 2 1.5 2 0.25 1\n"); err != nil {
 		t.Fatalf("write valid vector: %v", err)
 	}
-	lt := tier.pol.Loads()
+	lt := tier.member.Policy().Loads()
 	waitFor(t, "the valid vector", func() bool { return lt.Conns(1) != 0 })
 	if l0, l1, c0, c1 := lt.Load(0), lt.Load(1), lt.Conns(0), lt.Conns(1); l0 != 1.5 || l1 != 0.25 || c0 != 2 || c1 != 1 {
 		t.Errorf("remote base: loads %v %v, conns %d %d; want 1.5 0.25, 2 1 (the valid vector alone)", l0, l1, c0, c1)
@@ -277,4 +281,30 @@ func TestPeerTierRejectsHostileLoadVector(t *testing.T) {
 	if n, err := outside.Read(make([]byte, 64)); n > 0 || err == nil || os.IsTimeout(err) {
 		t.Fatalf("POPEN from front-end 7 of 3: read %d bytes, err %v; want the session dropped", n, err)
 	}
+}
+
+// TestPeerTierReleasesLostPeer: an owner releases the connections it holds
+// for a peer whose session ends. The lost peer never sends their PCLOSE
+// lines, so without the release they stay charged for good.
+func TestPeerTierReleasesLostPeer(t *testing.T) {
+	const nodes = 2
+	t0, _ := newTestPeerTier(t, 0, 2, nodes)
+	defer t0.Close()
+	t1, in1 := newTestPeerTier(t, 1, 2, nodes)
+	connectPair(t, t0, t1)
+	ring := policy.NewOwnerRing(2, 0, DefaultStateSeed)
+	for i, opened := 0, 0; opened < 3; i++ {
+		tg := core.Target(fmt.Sprintf("/lost/%d", i))
+		r := core.Request{Target: tg, ID: in1.Intern(tg), Size: 4096}
+		if ring.Owner(r.ID) != 0 {
+			continue
+		}
+		t1.member.ConnOpen(core.NewConnState(core.ConnID(i+1)), r)
+		opened++
+	}
+	if got := ownerConns(t0); got != 3 {
+		t.Fatalf("owner charges %d conns after 3 remote opens, want 3", got)
+	}
+	t1.Close()
+	waitFor(t, "the owner to release the lost peer's connections", func() bool { return ownerConns(t0) == 0 })
 }

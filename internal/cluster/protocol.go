@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"phttp/internal/core"
+	"phttp/internal/dstate"
 )
 
 // The wire codec: every hop between nodes speaks newline-framed text lines,
@@ -143,13 +144,7 @@ type ctrlMsg struct {
 	// until the reader that produced the line is read again.
 	Target []byte
 	// Loads (PLOADV) is allocated for the message and is the caller's.
-	Loads []nodeLoad
-}
-
-// nodeLoad is one node's entry in a PLOADV load vector.
-type nodeLoad struct {
-	Load  float64
-	Conns int64
+	Loads []dstate.NodeLoad
 }
 
 // appendReq appends a REQ message to dst.
@@ -223,7 +218,7 @@ func appendPMapD(dst []byte, n core.NodeID, size int64, target core.Target) []by
 }
 
 // appendPLoadV appends a PLOADV message carrying one pair per node.
-func appendPLoadV(dst []byte, fe int, loads []nodeLoad) []byte {
+func appendPLoadV(dst []byte, fe int, loads []dstate.NodeLoad) []byte {
 	dst = appendLine(dst, kindPLoadV, "", int64(fe), int64(len(loads)))
 	dst = dst[:len(dst)-1]
 	for _, l := range loads {
@@ -364,7 +359,7 @@ func (l *wireLine) target() []byte {
 
 // loads takes a PLOADV vector: a node count, then a load and a connection
 // count per node.
-func (l *wireLine) loads() []nodeLoad {
+func (l *wireLine) loads() []dstate.NodeLoad {
 	n := l.num(l.field(), maxWireNode+1)
 	// A pair takes four bytes at least ("0 0 "): a count the line cannot
 	// hold allocates nothing.
@@ -372,7 +367,7 @@ func (l *wireLine) loads() []nodeLoad {
 		l.ok = false
 		return nil
 	}
-	v := make([]nodeLoad, n)
+	v := make([]dstate.NodeLoad, n)
 	for i := range v {
 		load, ok := parseWireFloat(l.field(), maxWireInt)
 		v[i].Load, l.ok = load, l.ok && ok

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"phttp/internal/core"
+	"phttp/internal/dstate"
 	"phttp/internal/httpmsg"
 	"phttp/internal/server"
 )
@@ -127,7 +128,7 @@ func TestCtrlMalformed(t *testing.T) {
 // Every line between nodes has the form its encoder gives it, and parses
 // back to the values encoded.
 func TestWireLinesGolden(t *testing.T) {
-	loads := []nodeLoad{{Load: 1.5, Conns: 2}, {Load: 0, Conns: 0}, {Load: 1.0 / 3, Conns: 7}, {Load: -1e-17, Conns: 1}}
+	loads := []dstate.NodeLoad{{Load: 1.5, Conns: 2}, {Load: 0, Conns: 0}, {Load: 1.0 / 3, Conns: 7}, {Load: -1e-17, Conns: 1}}
 	for _, c := range []struct {
 		line []byte
 		want string
@@ -159,7 +160,7 @@ func TestWireLinesGolden(t *testing.T) {
 		// A rounding error below zero goes out as zero.
 		{appendPLoadV(nil, 1, loads), "PLOADV 1 4 1.5 2 0 0 0.3333333333333333 7 0 1\n", func(m ctrlMsg) bool {
 			return m.Kind == kindPLoadV && m.FE == 1 && len(m.Loads) == 4 &&
-				m.Loads[0] == loads[0] && m.Loads[2] == loads[2] && m.Loads[3] == nodeLoad{Load: 0, Conns: 1}
+				m.Loads[0] == loads[0] && m.Loads[2] == loads[2] && m.Loads[3] == dstate.NodeLoad{Load: 0, Conns: 1}
 		}},
 	} {
 		if string(c.line) != c.want {

@@ -95,10 +95,10 @@ func NewEngine(spec Spec) (*Engine, error) {
 }
 
 // NewEngineWithStore builds an engine dispatching through an externally
-// constructed dispatch-state store: one view of a scale-out tier (the
-// simulator's in-process dstate.Tier, the prototype's networked stores).
-// The engine's membership transitions and metrics bind to store.Policy() — the front-end's own replica/shard; cross-
-// front-end routing is the store's business.
+// constructed dispatch-state store: a scale-out tier's dstate.Member.
+// The engine's membership transitions and metrics bind to store.Policy() —
+// the front-end's own replica/shard; cross-front-end routing is the
+// store's business.
 func NewEngineWithStore(spec Spec, store dstate.Store) (*Engine, error) {
 	name, err := Canonical(spec.Policy)
 	if err != nil {
@@ -131,35 +131,30 @@ func (e *Engine) Policy() core.Policy { return e.pol }
 // the engine was built for a scale-out tier).
 func (e *Engine) Store() dstate.Store { return e.store }
 
-// NewTierEngines builds one engine per front-end of an in-process
-// dispatch-state tier: N policies from the same spec, a dstate.Tier over
-// them, and an engine around each view. The simulator's N-front-ends
-// model runs on the result; Sync rounds go through the returned tier.
-// All engines share the spec's interner (the caller supplies one — the
-// simulator's workload interner — or the first engine's creation would
-// not be visible to the rest).
-func NewTierEngines(spec Spec, tcfg dstate.TierConfig) ([]*Engine, *dstate.Tier, error) {
-	pols := make([]core.Policy, tcfg.Frontends)
-	for i := range pols {
-		p, err := Build(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		pols[i] = p
-	}
-	tier, err := dstate.NewTier(tcfg, pols)
-	if err != nil {
-		return nil, nil, err
-	}
-	engines := make([]*Engine, tcfg.Frontends)
+// NewTierEngines builds one engine per member of an in-process
+// dispatch-state tier of the given size: a policy from the spec for each,
+// behind a dstate.Member wired directly to the others. The simulator's
+// scale-out model runs on the result and syncs through the returned
+// members. All engines share the spec's interner (the caller supplies one —
+// the simulator's workload interner — or each engine would intern apart).
+func NewTierEngines(spec Spec, mode dstate.Mode, frontends int, seed uint64) ([]*Engine, []*dstate.Member, error) {
+	peers := make([]dstate.Peer, frontends)
+	members := make([]*dstate.Member, frontends)
+	engines := make([]*Engine, frontends)
 	for i := range engines {
-		e, err := NewEngineWithStore(spec, tier.Store(i))
+		pol, err := Build(spec)
 		if err != nil {
 			return nil, nil, err
 		}
-		engines[i] = e
+		if members[i], err = dstate.NewMember(mode, i, pol, peers, seed); err != nil {
+			return nil, nil, err
+		}
+		peers[i] = members[i]
+		if engines[i], err = NewEngineWithStore(spec, members[i]); err != nil {
+			return nil, nil, err
+		}
 	}
-	return engines, tier, nil
+	return engines, members, nil
 }
 
 // PolicyName returns the canonical registry name of the engine's policy

@@ -18,7 +18,7 @@ func TestEngineStoreAccessors(t *testing.T) {
 		t.Errorf("Nodes = %d, want 3", eng.Nodes())
 	}
 	s := eng.Store()
-	if s == nil || s.Mode() != dstate.ModeLocal {
+	if _, ok := s.(*dstate.Local); !ok {
 		t.Errorf("Store = %v, want a local store", s)
 	}
 	if s.Policy() != eng.Policy() {

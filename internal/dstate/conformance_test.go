@@ -7,63 +7,91 @@ import (
 	"phttp/internal/core"
 	"phttp/internal/dispatch"
 	"phttp/internal/dstate"
+	"phttp/internal/policy"
 )
 
 // The store-conformance suite: every dstate.Store backend — local,
 // sharded, replicated — must satisfy the same observable contract when
 // driven through the connection lifecycle. The differences between the
 // backends (where state lives, when peers see it) are pinned by the
-// tier-specific tests in tier_test.go; this file pins what must NOT
-// differ.
+// member tests in member_test.go; this file pins what must NOT differ.
 
-// harness is one tier under test: N store views plus the sync hook
-// (a no-op where the backend has nothing to sync).
+// harness is one tier under test: N store views, the members behind them
+// (nil in local mode) and the sharded ownership ring they route by.
 type harness struct {
-	mode   dstate.Mode
-	stores []dstate.Store
-	sync   func()
-	tier   *dstate.Tier // nil in local mode
-	in     *core.Interner
-	nodes  int
-	nextID core.ConnID
+	mode    dstate.Mode
+	stores  []dstate.Store
+	members []*dstate.Member
+	ring    *policy.OwnerRing
+	in      *core.Interner
+	nodes   int
+	nextID  core.ConnID
 }
 
 const confSeed = 0xc0ffee
 
-// newHarness builds a tier of the given mode over fresh lard policies.
+// newHarness builds a tier of the given mode over fresh lard policies,
+// its members wired directly to each other.
 func newHarness(t *testing.T, mode dstate.Mode, frontends, nodes int) *harness {
 	t.Helper()
-	spec := dispatch.Spec{Policy: "lard", Nodes: nodes, CacheBytes: 32 << 20}
 	h := &harness{mode: mode, in: core.NewInterner(), nodes: nodes}
 	if mode == dstate.ModeLocal {
-		pol, err := dispatch.Build(spec)
-		if err != nil {
-			t.Fatalf("build policy: %v", err)
-		}
-		h.stores = []dstate.Store{dstate.NewLocal(pol)}
-		h.sync = func() {}
+		h.stores = []dstate.Store{dstate.NewLocal(newPolicy(t, nodes))}
 		return h
 	}
-	pols := make([]core.Policy, frontends)
-	for i := range pols {
-		p, err := dispatch.Build(spec)
-		if err != nil {
-			t.Fatalf("build policy %d: %v", i, err)
-		}
-		pols[i] = p
+	h.members = newMembers(t, mode, frontends, nodes, nil)
+	for _, m := range h.members {
+		h.stores = append(h.stores, m)
 	}
-	tier, err := dstate.NewTier(dstate.TierConfig{
-		Mode: mode, Frontends: frontends, Seed: confSeed,
-	}, pols)
-	if err != nil {
-		t.Fatalf("build tier: %v", err)
-	}
-	for i := 0; i < frontends; i++ {
-		h.stores = append(h.stores, tier.Store(i))
-	}
-	h.tier = tier
-	h.sync = tier.Sync
+	h.ring = policy.NewOwnerRing(frontends, 0, confSeed)
 	return h
+}
+
+// newPolicy builds one lard policy over nodes.
+func newPolicy(t *testing.T, nodes int) core.Policy {
+	t.Helper()
+	pol, err := dispatch.Build(dispatch.Spec{Policy: "lard", Nodes: nodes, CacheBytes: 32 << 20})
+	if err != nil {
+		t.Fatalf("build policy: %v", err)
+	}
+	return pol
+}
+
+// newMembers builds the n members of one tier over fresh lard policies.
+// Member f reaches member g through link(f, g, member g), or directly when
+// link is nil.
+func newMembers(t *testing.T, mode dstate.Mode, n, nodes int, link func(f, g int, to *dstate.Member) dstate.Peer) []*dstate.Member {
+	t.Helper()
+	members := make([]*dstate.Member, n)
+	peers := make([][]dstate.Peer, n)
+	for f := range members {
+		peers[f] = make([]dstate.Peer, n)
+		m, err := dstate.NewMember(mode, f, newPolicy(t, nodes), peers[f], confSeed)
+		if err != nil {
+			t.Fatalf("member %d: %v", f, err)
+		}
+		members[f] = m
+	}
+	for f := range peers {
+		for g, to := range members {
+			if g == f {
+				continue
+			}
+			peers[f][g] = to
+			if link != nil {
+				peers[f][g] = link(f, g, to)
+			}
+		}
+	}
+	return members
+}
+
+// sync runs one replication round: every member's Sync in front-end
+// order, as the simulator does (a no-op where nothing replicates).
+func (h *harness) sync() {
+	for _, m := range h.members {
+		m.Sync()
+	}
 }
 
 // req interns a target and builds its request.

@@ -6,8 +6,9 @@
 // consistent-hashing ring the boundedch policy ships, and non-owned
 // targets forward their state transactions to the owner), or be fully
 // replicated with bounded staleness (replicated — every front-end decides
-// on its own replica, and a periodic sync exchanges versioned mapping
-// deltas and load vectors, last-writer-wins on conflicts).
+// on its own replica, and a periodic sync exchanges mapping deltas and
+// load vectors, last-writer-wins on conflicts). Both scale-out modes run
+// one protocol, Member, in the simulator and in the prototype alike.
 //
 // The Store sits exactly where dispatch.Engine used to call its policy:
 // every implementation routes the connection lifecycle
@@ -64,6 +65,30 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("dstate: unknown state mode %q (valid modes: local, sharded, replicated)", s)
 }
 
+// CheckTier is the one tier-configuration rule of both worlds: it
+// reports why a tier of frontends members cannot run state mode mode
+// under mechanism mech, or nil. The simulator's Config.Validate and the
+// prototype's front-end configuration both return its error as is.
+func CheckTier(mode Mode, frontends int, mech core.Mechanism) error {
+	switch mode {
+	case ModeLocal:
+		if frontends > 1 {
+			return fmt.Errorf("dstate: local dispatch state is single-front-end; a %d-front-end tier needs sharded or replicated state", frontends)
+		}
+	case ModeSharded:
+		// A member forwards a connection's open, move and close to the
+		// target's owner, never its requests: the connection's batches
+		// stay on the node the owner chose at open.
+		if mech != core.SingleHandoff {
+			return fmt.Errorf("dstate: sharded dispatch state requires the single-handoff mechanism (got %v)", mech)
+		}
+	case ModeReplicated:
+	default:
+		return fmt.Errorf("dstate: invalid state mode %v", mode)
+	}
+	return nil
+}
+
 // Store is one front-end's view of the dispatch-state tier. A dispatch
 // engine calls it exactly where it used to call its policy; the store
 // routes each call to the policy replica/shard owning the connection's
@@ -73,15 +98,9 @@ func ParseMode(s string) (Mode, error) {
 // calls for different connections may run in parallel, calls for one
 // connection are serialized by its owner.
 type Store interface {
-	// Mode identifies the backend.
-	Mode() Mode
 	// Policy returns the front-end's own policy replica/shard — the
 	// object engine-level membership transitions and metrics talk to.
 	Policy() core.Policy
-	// Owner returns the index of the front-end owning target id's state
-	// (always 0 for local and replicated stores: every front-end owns
-	// its replica).
-	Owner(id core.TargetID) int
 
 	// The connection lifecycle, routed to the owning state.
 	ConnOpen(c *core.ConnState, first core.Request) core.NodeID
@@ -111,14 +130,8 @@ var _ Store = (*Local)(nil)
 // NewLocal wraps pol as a local store.
 func NewLocal(pol core.Policy) *Local { return &Local{pol: pol} }
 
-// Mode implements Store.
-func (l *Local) Mode() Mode { return ModeLocal }
-
 // Policy implements Store.
 func (l *Local) Policy() core.Policy { return l.pol }
-
-// Owner implements Store: a local store owns everything.
-func (l *Local) Owner(core.TargetID) int { return 0 }
 
 // ConnOpen implements Store.
 //

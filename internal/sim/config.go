@@ -286,14 +286,8 @@ func (c Config) Validate() error {
 	if c.Frontends < 0 {
 		return fmt.Errorf("sim: Frontends must be non-negative, got %d", c.Frontends)
 	}
-	switch c.FEState {
-	case dstate.ModeLocal:
-		if c.Frontends > 1 {
-			return fmt.Errorf("sim: local dispatch state is single-front-end; %d front-ends need FEState sharded or replicated", c.Frontends)
-		}
-	case dstate.ModeSharded, dstate.ModeReplicated:
-	default:
-		return fmt.Errorf("sim: invalid FEState %d", int(c.FEState))
+	if err := dstate.CheckTier(c.FEState, c.Frontends, c.Combo.Mechanism); err != nil {
+		return err
 	}
 	if c.Staleness < 0 {
 		return fmt.Errorf("sim: Staleness must be non-negative, got %d", c.Staleness)

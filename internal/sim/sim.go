@@ -68,12 +68,12 @@ type Sim struct {
 	// single front-end. disp is front-end 0's dispatch engine — the
 	// whole tier in single-front-end runs, and the engine-level phase
 	// view (identical on every member) in scale-out ones. engs lists
-	// every front-end's engine; tier carries a replicated run's
-	// journals and sync machinery (nil otherwise).
-	fes  []simcore.Resource
-	disp *dispatch.Engine
-	engs []*dispatch.Engine
-	tier *dstate.Tier
+	// every front-end's engine; members, a scale-out run's tier members
+	// (nil otherwise).
+	fes     []simcore.Resource
+	disp    *dispatch.Engine
+	engs    []*dispatch.Engine
+	members []*dstate.Member
 	// multiFE gates every scale-out check the way hasChurn gates churn:
 	// a single-front-end run takes none of them, so its event sequence —
 	// and therefore its result — stays bit-identical to the pre-tier
@@ -177,8 +177,8 @@ func runOnWorker(cfg Config, workload *trace.Trace, w *worker) (Result, error) {
 		frontends = 1
 	}
 	var (
-		engs []*dispatch.Engine
-		tier *dstate.Tier
+		engs    []*dispatch.Engine
+		members []*dstate.Member
 	)
 	if frontends == 1 && cfg.FEState == dstate.ModeLocal {
 		// The single-front-end path builds exactly the pre-tier engine
@@ -191,11 +191,7 @@ func runOnWorker(cfg Config, workload *trace.Trace, w *worker) (Result, error) {
 		engs = []*dispatch.Engine{disp}
 	} else {
 		var err error
-		engs, tier, err = dispatch.NewTierEngines(spec, dstate.TierConfig{
-			Mode:      cfg.FEState,
-			Frontends: frontends,
-			Seed:      shardRingSeed,
-		})
+		engs, members, err = dispatch.NewTierEngines(spec, cfg.FEState, frontends, shardRingSeed)
 		if err != nil {
 			return Result{}, err
 		}
@@ -208,7 +204,7 @@ func runOnWorker(cfg Config, workload *trace.Trace, w *worker) (Result, error) {
 		fes:     make([]simcore.Resource, frontends),
 		disp:    engs[0],
 		engs:    engs,
-		tier:    tier,
+		members: members,
 		multiFE: frontends > 1,
 		trace:   workload,
 		hist:    core.NewLatencyHist(),
@@ -243,7 +239,7 @@ func runOnWorker(cfg Config, workload *trace.Trace, w *worker) (Result, error) {
 		}
 	}
 
-	if tier != nil && cfg.FEState == dstate.ModeReplicated && cfg.Staleness > 0 {
+	if cfg.Staleness > 0 { // replicated only (Validate)
 		s.eng.Call(cfg.Staleness, syncStep, s, 0, 0)
 	}
 
@@ -282,12 +278,15 @@ func releaseCPU(obj any, _, node int64) {
 	obj.(*Sim).nodes[node].cpu.Release()
 }
 
-// syncStep fires one replication round and schedules the next while
-// connections remain in flight (the event queue must drain when the
-// trace completes).
+// syncStep fires one replication round — every member's Sync, in
+// front-end order, so each receiver applies the origins' deltas in
+// ascending origin order — and schedules the next while connections
+// remain in flight (the event queue must drain when the trace completes).
 func syncStep(obj any, _, _ int64) {
 	s := obj.(*Sim)
-	s.tier.Sync()
+	for _, m := range s.members {
+		m.Sync()
+	}
 	if s.active > 0 {
 		s.eng.Call(s.eng.Now()+s.cfg.Staleness, syncStep, s, 0, 0)
 	}
