@@ -57,15 +57,14 @@ cover:
 # Short coverage-guided runs of the fuzz targets: every parser that faces
 # a socket — the httpmsg request/response parsers and the one codec of
 # every line between nodes (control, relay, lateral fetch, peer tier) —
-# the binary trace decoder, and the simulator's event order against its
-# reference heap; CI runs the same on each push.
+# and the simulator's event order against its reference heap; CI runs the
+# same on each push.
 # Longer local sessions: go test -fuzz <target> -fuzztime 5m <package>
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadRequest$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadRequestInterned$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadResponse$$' -fuzztime=10s ./internal/httpmsg/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCtrl$$' -fuzztime=10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz 'FuzzReadBinary$$' -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineOrder$$' -fuzztime=10s ./internal/simcore/
 
 # The benchmark (BENCHMARK.json, benchmark/) is a module of its own,

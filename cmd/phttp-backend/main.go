@@ -57,22 +57,11 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		if spec.Workload.TraceFile != "" {
-			// The catalog must describe the trace actually replayed: a
-			// trace-file workload carries its own target sizes, which the
-			// synth defaults would not reproduce.
-			wl, err := spec.LoadWorkload()
-			if err != nil {
-				fatalf("%v", err)
-			}
-			catalog = wl.PHTTP.Catalog()
-		} else {
-			catalogCfg := spec.SynthConfig()
-			if set["seed"] {
-				catalogCfg.Seed = *seed
-			}
-			catalog = trace.NewSynth(catalogCfg).Sizes()
+		catalogCfg := spec.SynthConfig()
+		if set["seed"] {
+			catalogCfg.Seed = *seed
 		}
+		catalog = trace.NewSynth(catalogCfg).Sizes()
 		kind, err := spec.ServerKind()
 		if err != nil {
 			fatalf("%v", err)

@@ -141,10 +141,7 @@ func runScenarioBench(arg string, scale float64, clients int) {
 	if set["time-scale"] || spec.Cluster.TimeScale <= 0 {
 		spec.Cluster.TimeScale = scale
 	}
-	wl, err := spec.LoadWorkload()
-	if err != nil {
-		fatalf("%v", err)
-	}
+	wl := spec.LoadWorkload()
 	fmt.Fprint(os.Stderr, trace.ComputeStats(wl.PHTTP))
 
 	nodesAxis := []int{spec.Cluster.Nodes}

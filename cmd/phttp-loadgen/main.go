@@ -1,7 +1,9 @@
 // phttp-loadgen replays the synthetic trace against a running prototype
 // front-end and reports throughput, the prototype-side analogue of the
 // paper's client software ("an event-driven program that simulates multiple
-// HTTP clients... as fast as the server cluster can handle").
+// HTTP clients... as fast as the server cluster can handle"). The trace
+// is regenerated from -seed/-connections, or from a scenario's
+// workload.synth, exactly as the back-ends regenerate their catalog.
 //
 //	phttp-loadgen -addr 127.0.0.1:8080 -clients 64
 //	phttp-loadgen -addr 127.0.0.1:8080 -http10
@@ -28,7 +30,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload seed (must match the back-ends)")
 		warmup   = flag.Float64("warmup", 0.2, "fraction of connections excluded from measurement")
 		verify   = flag.Bool("verify", true, "verify response sizes and content")
-		in       = flag.String("in", "", "replay a binary trace file instead of generating the synthetic workload")
 		scenFlag = flag.String("scenario", "", "take workload, client concurrency, warmup and HTTP flavor from a scenario (builtin name or JSON file); -addr and explicitly set flags still apply")
 	)
 	flag.Parse()
@@ -36,8 +37,7 @@ func main() {
 	if *scenFlag != "" {
 		runScenario(scenarioArgs{
 			arg: *scenFlag, addr: *addr, clients: *clients, verify: *verify,
-			http10: *http10, warmup: *warmup, in: *in,
-			seed: *seed, conns: *conns,
+			http10: *http10, warmup: *warmup, seed: *seed, conns: *conns,
 		})
 		return
 	}
@@ -45,20 +45,7 @@ func main() {
 	cfg := trace.DefaultSynthConfig()
 	cfg.Seed = *seed
 	cfg.Connections = *conns
-	var tr *trace.Trace
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		tr, _, err = trace.ReadBinary(f)
-		f.Close()
-		if err != nil {
-			fatalf("read %s: %v", *in, err)
-		}
-	} else {
-		tr = trace.NewSynth(cfg).Generate()
-	}
+	tr := trace.NewSynth(cfg).Generate()
 
 	start := time.Now()
 	res, err := loadgen.Run(loadgen.Config{
@@ -78,7 +65,7 @@ func main() {
 // scenarioArgs carries the flag values runScenario may need to overlay on
 // the spec.
 type scenarioArgs struct {
-	arg, addr, in  string
+	arg, addr      string
 	clients, conns int
 	seed           uint64
 	warmup         float64
@@ -88,8 +75,8 @@ type scenarioArgs struct {
 // runScenario compiles the load-generation half of a scenario and replays
 // its workload against addr. Explicitly set flags win over the scenario's
 // values — both the client-shape flags (-clients, -verify, -http10,
-// -warmup) and the workload-source flags (-in, -seed, -connections),
-// which are folded into the spec before the workload loads.
+// -warmup) and the workload flags (-seed, -connections), which are
+// folded into the spec's synth section before the workload is generated.
 func runScenario(a scenarioArgs) {
 	spec, err := scenario.LoadOrBuiltin(a.arg)
 	if err != nil {
@@ -97,14 +84,7 @@ func runScenario(a scenarioArgs) {
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["in"] {
-		spec.Workload.TraceFile = a.in
-		spec.Workload.Synth = nil
-	}
 	if set["seed"] || set["connections"] {
-		if spec.Workload.TraceFile != "" {
-			fatalf("-seed/-connections do not apply to a trace-file workload")
-		}
 		if spec.Workload.Synth == nil {
 			spec.Workload.Synth = &scenario.SynthSpec{}
 		}
@@ -115,11 +95,7 @@ func runScenario(a scenarioArgs) {
 			spec.Workload.Synth.Connections = a.conns
 		}
 	}
-	wl, err := spec.LoadWorkload()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	cfg, err := spec.ToLoadgenConfig(a.addr, wl)
+	cfg, err := spec.ToLoadgenConfig(a.addr, spec.LoadWorkload())
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -14,8 +14,8 @@ func TestHelpSmoke(t *testing.T) {
 	if out, err := exec.Command(bin, "-h").CombinedOutput(); err != nil {
 		t.Fatalf("-h: %v\n%s", err, out)
 	}
-	// A bad trace file must fail cleanly, not replay garbage.
-	if out, err := exec.Command(bin, "-in", filepath.Join(t.TempDir(), "missing.bin")).CombinedOutput(); err == nil {
-		t.Errorf("missing -in file accepted:\n%s", out)
+	// A trace is named by its config: there is no trace file to replay.
+	if out, err := exec.Command(bin, "-in", filepath.Join(t.TempDir(), "t.bin")).CombinedOutput(); err == nil {
+		t.Errorf("-in accepted:\n%s", out)
 	}
 }

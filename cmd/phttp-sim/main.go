@@ -121,10 +121,7 @@ func runScenario(arg string, workers int, plot, verbose bool) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	wl, err := spec.LoadWorkload()
-	if err != nil {
-		fatalf("%v", err)
-	}
+	wl := spec.LoadWorkload()
 	fmt.Fprint(os.Stderr, trace.ComputeStats(wl.PHTTP))
 	kind, err := spec.ServerKind()
 	if err != nil {

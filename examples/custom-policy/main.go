@@ -129,10 +129,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	wl, err := spec.LoadWorkload()
-	if err != nil {
-		log.Fatal(err)
-	}
+	wl := spec.LoadWorkload()
 	cfg, err := spec.ToSimConfig()
 	if err != nil {
 		log.Fatal(err)

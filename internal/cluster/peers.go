@@ -28,7 +28,7 @@ import (
 // session and the dialer falls back to deciding locally; a malformed
 // one-way line is dropped, as a lost one would be. When an inbound
 // session ends, the member releases the connections it held for that
-// origin (dstate.Member.PeerLost).
+// origin and drops its load vector (dstate.Member.PeerLost).
 
 // DefaultSyncInterval is the replicated store's sync period when the
 // configuration does not set one: fresh enough that a mapping learned on

@@ -86,32 +86,6 @@ func NewCappedInterner(max int) *Interner {
 	return in
 }
 
-// NewInternerFromNames builds an uncapped interner whose table is exactly
-// names in order (names[i] ↔ ID i+1), taking ownership of the slice —
-// callers must not mutate it afterwards. This is the bulk path for loaders
-// that already hold a trace's target table: one presized map fill instead
-// of a lock round trip per target. Duplicate names collapse to the first
-// occurrence, so Len() < len(names) reports one.
-func NewInternerFromNames(names []Target) *Interner {
-	in := &Interner{ids: make(map[Target]TargetID, len(names))}
-	nchunks := (len(names) + nameChunkSize - 1) >> nameChunkBits
-	slab := make([]Target, nchunks<<nameChunkBits)
-	copy(slab, names)
-	chunks := make([]*nameChunk, nchunks)
-	for i := range chunks {
-		chunks[i] = (*nameChunk)(slab[i<<nameChunkBits : (i+1)<<nameChunkBits])
-	}
-	in.chunks.Store(&chunks)
-	in.length.Store(int32(len(names)))
-	for i, t := range names {
-		if _, ok := in.ids[t]; !ok {
-			in.ids[t] = TargetID(i + 1)
-		}
-	}
-	in.rebuildLocked()
-	return in
-}
-
 // Cap returns the target cap (0 for an uncapped interner).
 func (in *Interner) Cap() int { return in.max }
 
@@ -238,8 +212,8 @@ func (in *Interner) Len() int {
 }
 
 // HighWater returns the largest ID assigned: dense per-ID slices downstream
-// need exactly this many slots. It equals Len() unless a bulk load
-// collapsed duplicate names.
+// need exactly this many slots. IDs are dense, so it equals Len(), read
+// without the lock.
 func (in *Interner) HighWater() TargetID {
 	return TargetID(in.length.Load())
 }

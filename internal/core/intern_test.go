@@ -148,14 +148,13 @@ func TestInternBytesZeroAllocsPastCap(t *testing.T) {
 	}
 }
 
-// InternBytes must be Intern: same IDs on uncapped, capped (past its cap
-// too) and bulk-loaded tables, for hits and misses, interleaving the two
-// forms over one table.
+// InternBytes must be Intern: same IDs on uncapped and capped (past its
+// cap too) tables, for hits and misses, interleaving the two forms over
+// one table.
 func TestInternBytesAgreesWithIntern(t *testing.T) {
 	for name, mk := range map[string]func() *Interner{
-		"pinned":      NewInterner,
-		"capped":      func() *Interner { return NewCappedInterner(8) },
-		"bulk-loaded": func() *Interner { return NewInternerFromNames([]Target{"/t0", "/t1", "/t2"}) },
+		"pinned": NewInterner,
+		"capped": func() *Interner { return NewCappedInterner(8) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			in, model := mk(), mk()

@@ -306,8 +306,18 @@ func (m *Member) PeerMove(origin int, conn core.ConnID, to core.NodeID) bool {
 }
 
 // PeerLost releases every connection held for origin, in connection
-// order: a lost peer never sends their closes.
+// order: a lost peer never sends their closes. Its last load vector
+// leaves the remote base, which is summed again over the survivors.
 func (m *Member) PeerLost(origin int) {
+	if !m.isPeer(origin) {
+		return
+	}
+	m.lmu.Lock()
+	if m.peerLoads[origin] != nil {
+		m.peerLoads[origin] = nil
+		m.setRemoteLocked()
+	}
+	m.lmu.Unlock()
 	m.rmu.Lock()
 	var lost []*core.ConnState
 	for key, cs := range m.remote {
@@ -341,10 +351,17 @@ func (m *Member) PeerSync(origin int, deltas []MapDelta, loads []NodeLoad) bool 
 	if len(loads) != m.nodes {
 		return true
 	}
-	lt := m.pol.Loads()
 	m.lmu.Lock()
 	defer m.lmu.Unlock()
 	m.peerLoads[origin] = append(m.peerLoads[origin][:0], loads...)
+	m.setRemoteLocked()
+	return true
+}
+
+// setRemoteLocked sets every node's remote base to the sum of the peers'
+// load vectors, in index order. m.lmu must be held.
+func (m *Member) setRemoteLocked() {
+	lt := m.pol.Loads()
 	for i := 0; i < m.nodes; i++ {
 		var sum NodeLoad
 		for _, v := range m.peerLoads {
@@ -356,5 +373,4 @@ func (m *Member) PeerSync(origin int, deltas []MapDelta, loads []NodeLoad) bool 
 		lt.SetRemote(core.NodeID(i), sum.Load)
 		lt.SetRemoteConns(core.NodeID(i), sum.Conns)
 	}
-	return true
 }

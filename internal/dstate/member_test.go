@@ -160,6 +160,29 @@ func TestTierReplicatedLoadSync(t *testing.T) {
 	}
 }
 
+// TestTierReplicatedPeerLostDropsLoad: a lost replica's last synced load
+// vector leaves every survivor's remote base, and the surviving peers'
+// charges stay in it.
+func TestTierReplicatedPeerLostDropsLoad(t *testing.T) {
+	h := newHarness(t, dstate.ModeReplicated, 3, 4)
+	kept := make(map[core.NodeID]int)
+	for i := 0; i < 5; i++ {
+		h.open(1, fmt.Sprintf("/lost/%d", i))
+	}
+	for i := 0; i < 3; i++ {
+		_, n := h.open(2, fmt.Sprintf("/kept/%d", i))
+		kept[n]++
+	}
+	h.sync()
+	h.members[0].PeerLost(1)
+	survivor := h.stores[0].Policy().Loads()
+	for n := core.NodeID(0); n < core.NodeID(h.nodes); n++ {
+		if got := survivor.Conns(n); got != kept[n] {
+			t.Errorf("replica 0 sees %d conns on node %v after losing replica 1, want replica 2's %d", got, n, kept[n])
+		}
+	}
+}
+
 // recorder is a Peer that records every sync round it carries from
 // member from to the member behind it.
 type recorder struct {

@@ -59,10 +59,7 @@ func TestNewPoliciesSimAndPrototypeFromOneScenario(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ToSimConfig: %v", tc.wantPolicy, err)
 		}
-		wl, err := s.LoadWorkload()
-		if err != nil {
-			t.Fatal(err)
-		}
+		wl := s.LoadWorkload()
 		res, err := sim.Run(simCfg, wl.PHTTP)
 		if err != nil {
 			t.Fatalf("%s: sim.Run: %v", tc.wantPolicy, err)
@@ -173,39 +170,6 @@ func TestToLoadgenConfigFlattens(t *testing.T) {
 	}
 	if !lg.HTTP10 || lg.Trace != wl.PHTTP || lg.Concurrency != 16 || lg.Addr != "127.0.0.1:1" {
 		t.Errorf("compiled %+v", lg)
-	}
-}
-
-func TestLoadWorkloadTraceFile(t *testing.T) {
-	cfg := trace.SmallSynthConfig()
-	cfg.Connections = 200
-	tr := trace.NewSynth(cfg).Generate()
-	path := t.TempDir() + "/t.bin"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.WriteBinary(f, tr, trace.ConfigHash(cfg)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s, err := Parse([]byte(`{"version":1,"workload":{"traceFile":"` + path + `"},
-		"policy":{"name":"wrr"},"cluster":{"nodes":1}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := s.LoadWorkload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wl.PHTTP.Requests() != tr.Requests() {
-		t.Errorf("trace file round trip: %d vs %d requests", wl.PHTTP.Requests(), tr.Requests())
-	}
-
-	s.Workload.TraceFile = path + ".missing"
-	if _, err := s.LoadWorkload(); err == nil {
-		t.Error("missing trace file accepted")
 	}
 }
 

@@ -66,14 +66,12 @@ type Spec struct {
 	SLO *SLOSpec `json:"slo,omitempty"`
 }
 
-// WorkloadSpec selects the request trace: a synthetic-generator
-// configuration (the default) or a binary trace file. HTTP10 flattens the
-// trace to one request per connection.
+// WorkloadSpec selects the request trace: the synthetic generator's
+// configuration, from which the trace is regenerated on every run. HTTP10
+// flattens the trace to one request per connection.
 type WorkloadSpec struct {
 	// Synth overrides the synthetic generator's defaults.
 	Synth *SynthSpec `json:"synth,omitempty"`
-	// TraceFile is a binary trace file (trace.ReadBinary) replayed as-is.
-	TraceFile string `json:"traceFile,omitempty"`
 	// HTTP10 flattens the trace to HTTP/1.0 (one request per connection).
 	HTTP10 bool `json:"http10,omitempty"`
 }
@@ -260,15 +258,12 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
-// Validate checks the spec against the schema: version, workload source,
-// policy name and options (via the dispatch registry), mechanism and
-// server names, sweep axis consistency, and numeric ranges.
+// Validate checks the spec against the schema: version, policy name and
+// options (via the dispatch registry), mechanism and server names, sweep
+// axis consistency, and numeric ranges.
 func (s *Spec) Validate() error {
 	if s.Version != SpecVersion {
 		return fmt.Errorf("scenario: unsupported version %d (want %d)", s.Version, SpecVersion)
-	}
-	if s.Workload.TraceFile != "" && s.Workload.Synth != nil {
-		return fmt.Errorf("scenario: workload names both traceFile and synth; pick one")
 	}
 	if _, err := s.ServerKind(); err != nil {
 		return err
@@ -491,22 +486,10 @@ func (s *Spec) SynthConfig() trace.SynthConfig {
 	return cfg
 }
 
-// LoadWorkload materializes the scenario's workload: a binary trace file,
-// or a fresh synthetic generation.
-func (s *Spec) LoadWorkload() (*trace.Workload, error) {
-	if s.Workload.TraceFile == "" {
-		return trace.NewWorkload(trace.NewSynth(s.SynthConfig()).Generate()), nil
-	}
-	f, err := os.Open(s.Workload.TraceFile)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	defer f.Close()
-	tr, _, err := trace.ReadBinary(f)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: read %s: %w", s.Workload.TraceFile, err)
-	}
-	return trace.NewWorkload(tr), nil
+// LoadWorkload materializes the scenario's workload: a fresh synthetic
+// generation from its config.
+func (s *Spec) LoadWorkload() *trace.Workload {
+	return trace.NewWorkload(trace.NewSynth(s.SynthConfig()).Generate())
 }
 
 // label is the series label for policy-driven scenarios: the explicit

@@ -104,12 +104,15 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
-// TestParseRejectsTraceCache: traceCache is not a workload field, so a
-// spec naming it fails to parse, and the error names the field.
+// TestParseRejectsTraceCache: a workload is its synth config, so neither
+// traceCache nor traceFile is a workload field; a spec naming either fails
+// to parse, and the error names the field.
 func TestParseRejectsTraceCache(t *testing.T) {
-	_, err := Parse([]byte(`{"version":1,"workload":{"traceCache":"b"},"policy":{"name":"wrr"},"cluster":{"nodes":2}}`))
-	if err == nil || !strings.Contains(err.Error(), "traceCache") {
-		t.Errorf("Parse error = %v, want one naming traceCache", err)
+	for _, field := range []string{"traceCache", "traceFile"} {
+		_, err := Parse([]byte(`{"version":1,"workload":{"` + field + `":"b"},"policy":{"name":"wrr"},"cluster":{"nodes":2}}`))
+		if want := `unknown field "` + field + `"`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse error = %v, want one containing %s", err, want)
+		}
 	}
 }
 

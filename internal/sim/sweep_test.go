@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"reflect"
 	"slices"
 	"strings"
@@ -324,33 +323,6 @@ func TestRunJobsZeroesResultsOnError(t *testing.T) {
 				t.Errorf("workers=%d: slot %d left populated after error: %+v", workers, i, r)
 			}
 		}
-	}
-}
-
-// TestClusterSweepWorkloadMatchesDirect pins the traceFile path: a sweep
-// over a workload that went through WriteBinary / ReadBinary produces
-// results identical to one over the freshly generated trace.
-func TestClusterSweepWorkloadMatchesDirect(t *testing.T) {
-	tr := sweepTrace()
-	_, direct, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, Combos(), trace.NewWorkload(tr), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if _, err := trace.WriteBinary(&buf, tr, 0); err != nil {
-		t.Fatal(err)
-	}
-	loaded, _, err := trace.ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, replayed, err := ClusterSweepWorkload(core.Apache, []int{1, 2}, Combos(), trace.NewWorkload(loaded), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, replayed) {
-		t.Error("sweep over the decoded workload diverged from the direct trace")
 	}
 }
 

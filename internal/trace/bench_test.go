@@ -1,12 +1,9 @@
 package trace
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // Sweep-startup benchmarks: catalog build plus connection generation
-// (serial and block-parallel) and the binary decode, on a small workload.
+// (serial and block-parallel), on a small workload.
 // The benchmark module's setup_s times the full-size one; these keep the
 // paths under bench-smoke in CI.
 
@@ -29,43 +26,5 @@ func BenchmarkSynthGenerateParallel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NewSynth(cfg).GenerateParallel(0)
-	}
-}
-
-// The decode benchmarks isolate ReadBinaryBytes per layout: the nested
-// P-HTTP structure and the layoutSingle flattened form.
-
-func benchEncoded(b *testing.B, flat bool) []byte {
-	b.Helper()
-	tr := NewSynth(benchSynthConfig()).Generate()
-	if flat {
-		tr = tr.Flatten10()
-	}
-	var buf bytes.Buffer
-	if _, err := WriteBinary(&buf, tr, 1); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func BenchmarkReadBinaryPHTTP(b *testing.B) {
-	data := benchEncoded(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ReadBinaryBytes(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReadBinaryFlat(b *testing.B) {
-	data := benchEncoded(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ReadBinaryBytes(data); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

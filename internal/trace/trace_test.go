@@ -227,8 +227,8 @@ func TestSynthParallelDeterminism(t *testing.T) {
 }
 
 // TestSynthBlockSizePinsDraw documents that BlockSize is part of the
-// deterministic format: changing it changes the draw (each block is an
-// independent stream), which is why ConfigHash covers it.
+// config a trace is a function of: changing it changes the draw (each
+// block is an independent stream).
 func TestSynthBlockSizePinsDraw(t *testing.T) {
 	cfg := SmallSynthConfig()
 	cfg.Connections = 2000

@@ -1,10 +1,5 @@
 package trace
 
-import (
-	"fmt"
-	"hash/fnv"
-)
-
 // Workload pairs the P-HTTP trace with its HTTP/1.0 flattening so sweep
 // drivers and load generators take whichever form a grid point needs
 // without re-flattening per sweep.
@@ -28,20 +23,4 @@ func (w *Workload) Flatten() *Trace {
 		w.flat = w.PHTTP.Flatten10()
 	}
 	return w.flat
-}
-
-// ConfigHash fingerprints everything the deterministic draw depends on:
-// every SynthConfig field (with defaults resolved, so a zero BlockSize and
-// an explicit DefaultBlockSize hash identically), plus the binary format
-// version. phttp-tracegen -out stamps it into the files it writes, so a
-// binary trace records which configuration generated it.
-func ConfigHash(cfg SynthConfig) uint64 {
-	cfg.GenVersion = cfg.genVersion()
-	cfg.BlockSize = cfg.blockSize()
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 4 // NewSynth's default
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "bin%d|%+v", BinFormatVersion, cfg)
-	return h.Sum64()
 }
