@@ -100,11 +100,8 @@ type Backend struct {
 	// ctrls holds every live front-end control session — a scale-out
 	// tier connects one per front-end — so disk-queue reports (which
 	// double as heartbeats) broadcast to all of them.
-	ctrlMu sync.Mutex // guards the set and ctrl writes (disk reports)
-	ctrls  map[net.Conn]struct{}
-
-	dataMu sync.Mutex // guards relay data conn writes
-	data   net.Conn
+	ctrlMu sync.Mutex // guards the set
+	ctrls  map[*session]struct{}
 
 	connMu sync.Mutex
 	conns  map[core.ConnID]*beConn
@@ -146,7 +143,7 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 		cfg:     cfg,
 		store:   NewDocStore(cfg.Catalog, cfg.CacheBytes, cfg.Disk, cfg.TimeScale),
 		conns:   make(map[core.ConnID]*beConn),
-		ctrls:   make(map[net.Conn]struct{}),
+		ctrls:   make(map[*session]struct{}),
 		peers:   make(map[core.NodeID]peerPool),
 		tracked: make(map[net.Conn]struct{}),
 		closed:  make(chan struct{}),
@@ -178,7 +175,7 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 		return nil, fmt.Errorf("cluster: backend %v handoff listen: %w", cfg.ID, err)
 	}
 	b.wg.Add(4)
-	go b.acceptLoop(b.ctrlLn, b.serveCtrlConn)
+	go b.acceptLoop(b.ctrlLn, b.serveSession)
 	go b.acceptLoop(b.handoffLn, b.serveSession)
 	go b.acceptLoop(b.peerLn, b.servePeer)
 	go b.reportDiskLoop()
@@ -281,46 +278,40 @@ func (b *Backend) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 	}
 }
 
-// serveSession serves a front-end's session on the UNIX socket, which
-// carries the handed-off descriptors ahead of the lines that use them.
+// session is one front-end control session: its conn and the lock that
+// keeps what the node writes on it — DISKQ, CLOSE, relayed RESP frames —
+// whole.
+type session struct {
+	mu   sync.Mutex
+	conn net.Conn
+}
+
+func (s *session) write(p []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.conn.Write(p)
+}
+
+// serveSession serves one front-end control session until it ends: it joins
+// the set that disk-queue reports go to, and ctrlLoop consumes its lines. A
+// session on the UNIX socket carries the handed-off descriptors ahead of the
+// lines that use them, and is read only with recvmsg; a relaying front-end's
+// is TCP.
 func (b *Backend) serveSession(conn net.Conn) {
-	sr := &sessionReader{uc: conn.(*net.UnixConn)}
-	b.runSession(conn, bufio.NewReaderSize(sr, ctrlBufBytes), sr)
-	sr.close()
-}
-
-// serveCtrlConn serves a relaying front-end's TCP connections. The first
-// line announces the role: the control session or the data session.
-func (b *Backend) serveCtrlConn(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, ctrlBufBytes)
-	hello, err := readCtrl(br)
-	switch {
-	case err != nil:
-		conn.Close()
-	case hello.Kind == kindHelloCtrl:
-		b.runSession(conn, br, nil)
-	case hello.Kind == kindHelloData:
-		b.dataMu.Lock()
-		b.data = conn
-		b.dataMu.Unlock()
-		// Held open for relay writes; closed via Close.
-		<-b.closed
-		conn.Close()
-	default:
-		conn.Close()
+	s := &session{conn: conn}
+	var r io.Reader = conn
+	var fds *sessionReader
+	if uc, ok := conn.(*net.UnixConn); ok {
+		fds = &sessionReader{uc: uc}
+		defer fds.close()
+		r = fds
 	}
-}
-
-// runSession serves one front-end control session until it ends: it joins
-// the set that disk-queue reports and refusals go to, and ctrlLoop consumes
-// its lines. fds is a UNIX session's received descriptors (nil for TCP).
-func (b *Backend) runSession(conn net.Conn, br *bufio.Reader, fds *sessionReader) {
 	b.ctrlMu.Lock()
-	b.ctrls[conn] = struct{}{}
+	b.ctrls[s] = struct{}{}
 	b.ctrlMu.Unlock()
-	b.ctrlLoop(br, fds)
+	b.ctrlLoop(bufio.NewReaderSize(r, ctrlBufBytes), fds, s)
 	b.ctrlMu.Lock()
-	delete(b.ctrls, conn)
+	delete(b.ctrls, s)
 	b.ctrlMu.Unlock()
 	conn.Close()
 }
@@ -332,8 +323,9 @@ func (b *Backend) runSession(conn net.Conn, br *bufio.Reader, fds *sessionReader
 // the lines already read hold nothing more for it, so its serve goroutine
 // finds the whole batch. Nothing here waits on a client: a connection that
 // cannot take more is refused (see enqueue), and the cost of taking over a
-// handed-off connection is charged on its own goroutine (serveConn).
-func (b *Backend) ctrlLoop(br *bufio.Reader, fds *sessionReader) {
+// handed-off connection is charged on its own goroutine (serveConn). A
+// relayed connection answers on s, the session its RELAY line came on.
+func (b *Backend) ctrlLoop(br *bufio.Reader, fds *sessionReader, s *session) {
 	var queued *beConn // has entries its serve goroutine was not told about
 	for {
 		if queued != nil && !lineBuffered(br) {
@@ -363,7 +355,7 @@ func (b *Backend) ctrlLoop(br *bufio.Reader, fds *sessionReader) {
 			})
 		case kindRelay:
 			b.connMu.Lock()
-			b.connLocked(msg.Conn, true, nil)
+			b.connLocked(msg.Conn, s, nil)
 			b.connMu.Unlock()
 			continue
 		case kindClose:
@@ -404,7 +396,7 @@ func (b *Backend) adopt(id core.ConnID, fds *sessionReader) error {
 		f.Close()
 		return nil
 	}
-	b.connLocked(id, false, f)
+	b.connLocked(id, nil, f)
 	return nil
 }
 
@@ -420,11 +412,11 @@ func (b *Backend) reportDiskLoop() {
 		case <-t.C:
 			line = appendDiskQ(line[:0], b.store.DiskQueue())
 			b.ctrlMu.Lock()
-			for conn := range b.ctrls {
+			for s := range b.ctrls {
 				// A dead session drops out of the set when its ctrlLoop
 				// exits; a transient write error here is not grounds to
 				// silence the other front-ends.
-				conn.Write(line)
+				s.write(line)
 			}
 			b.ctrlMu.Unlock()
 		case <-b.closed:

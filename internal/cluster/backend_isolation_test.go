@@ -317,35 +317,33 @@ func TestDeepBurstFromReadingClientIsServed(t *testing.T) {
 }
 
 // A relayed connection has no socket at the back-end to reset, so a refusal
-// is said on the control sessions: CLOSE <conn>, on which the front-end
-// closes the client. Here the data session is not read, so frames stop
-// leaving and the connection's queue runs into its bound. Relay runs over
-// TCP sessions.
+// is said on its session: CLOSE <conn>, on which the front-end closes the
+// client. The session is read only once the node has refused, so frames
+// stop leaving and the connection's queue runs into its bound; then it
+// carries the frames already written and the CLOSE behind them. Relay runs
+// over one TCP session, which announces nothing.
 func TestRelayedRefusalIsReported(t *testing.T) {
 	be, _, fe := newBackendPair(t)
-	hello := func(role string) net.Conn {
-		conn, err := net.Dial("tcp", be.CtrlAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		if _, err := io.WriteString(conn, role); err != nil {
-			t.Fatal(err)
-		}
-		return conn
+	sess, err := net.Dial("tcp", be.CtrlAddr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctrl := hello("HELLO CTRL\n")
-	hello("HELLO DATA\n")
+	t.Cleanup(func() { sess.Close() })
 
 	var burst strings.Builder
 	burst.WriteString("RELAY 20\n")
-	for seq := 0; seq < 12000; seq++ { // 36 MB of frames nobody reads
+	for seq := 0; seq < 12000; seq++ { // 36 MB of frames, more than maxQueued requests
 		fmt.Fprintf(&burst, "REQ 20 %d HTTP/1.1 1 - /local\n", seq)
 	}
-	go io.WriteString(ctrl, burst.String())
+	go io.WriteString(sess, burst.String())
+	for deadline := time.Now().Add(30 * time.Second); be.Aborted() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the back-end never refused the relayed connection")
+		}
+	}
 
-	ctrl.SetReadDeadline(time.Now().Add(30 * time.Second))
-	br := bufio.NewReader(ctrl)
+	sess.SetReadDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(sess)
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil {
@@ -354,8 +352,13 @@ func TestRelayedRefusalIsReported(t *testing.T) {
 		if line == "CLOSE 20\n" {
 			break
 		}
-		if !strings.HasPrefix(line, "DISKQ ") {
-			t.Fatalf("unexpected control message %q", line)
+		var conn, seq, n int64
+		if _, err := fmt.Sscanf(line, "RESP %d %d %d\n", &conn, &seq, &n); err == nil && conn == 20 {
+			if _, err := io.CopyN(io.Discard, br, n); err != nil {
+				t.Fatal(err)
+			}
+		} else if !strings.HasPrefix(line, "DISKQ ") {
+			t.Fatalf("unexpected message %q", line)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -336,7 +337,7 @@ func (s *scriptConn) SetWriteDeadline(time.Time) error {
 func handedOff(be *Backend, id core.ConnID, out clientSocket) *beConn {
 	be.connMu.Lock()
 	defer be.connMu.Unlock()
-	return be.connLocked(id, false, out)
+	return be.connLocked(id, nil, out)
 }
 
 // The back-end answers what one drain of a connection's queue produced with
@@ -607,40 +608,92 @@ func TestLateralFetchAllocs(t *testing.T) {
 	}
 }
 
-// A relayed client that pipelines without reading ends up refused by the
-// back-end (its frames stop leaving, its queue reaches the bound), which has
-// no client socket to close: it tells the front-end, and the front-end
-// closes the client and forgets the requests it was still waiting on.
-func TestRelayedStalledClientIsClosed(t *testing.T) {
-	catalog, targets := batchCatalog(4, 16<<10)
+// relayCluster starts a one-node relaying cluster over four documents of
+// docSize bytes, with no simulated CPU or disk.
+func relayCluster(t *testing.T, docSize int64, idle time.Duration) (*Cluster, []core.Target) {
+	t.Helper()
+	catalog, targets := batchCatalog(4, docSize)
 	cfg := DefaultConfig(1, catalog)
 	cfg.Policy = "wrr"
 	cfg.Mechanism = core.RelayFrontEnd
 	cfg.SimulateCPU = false
 	cfg.Disk = server.DiskParams{}
 	cfg.CacheBytes = 64 << 20
-	cfg.IdleTimeout = 10 * time.Minute // the idle sweep must not be what closes the client
+	cfg.IdleTimeout = idle
 	cl, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
+	return cl, targets
+}
 
-	stalled, err := net.Dial("tcp", cl.Addr())
+// stallingClient connects to cl and pipelines n requests, which it will not
+// read the responses of. Its receive buffer is held small: the kernel would
+// otherwise grow it to megabytes and take in a burst that should stall.
+func stallingClient(t *testing.T, cl *Cluster, targets []core.Target, n int) net.Conn {
+	t.Helper()
+	d := net.Dialer{Control: func(_, _ string, rc syscall.RawConn) error {
+		return rc.Control(func(fd uintptr) {
+			syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 16<<10)
+		})
+	}}
+	conn, err := d.Dial("tcp", cl.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stalled.Close()
-	// 12000 requests: more than the queue bound once responses (190 MB,
-	// far beyond every socket buffer on the way) have stopped moving.
+	t.Cleanup(func() { conn.Close() })
 	var burst bytes.Buffer
-	for i := 0; i < 12000; i++ {
+	for i := 0; i < n; i++ {
 		fmt.Fprintf(&burst, "GET %s HTTP/1.1\r\nHost: cluster\r\n\r\n", targets[i%len(targets)])
 	}
-	stalled.SetWriteDeadline(time.Now().Add(20 * time.Second))
-	if _, err := stalled.Write(burst.Bytes()); err != nil {
+	conn.SetWriteDeadline(time.Now().Add(20 * time.Second))
+	if _, err := conn.Write(burst.Bytes()); err != nil {
 		t.Fatalf("sending the burst: %v", err)
 	}
+	return conn
+}
+
+// awaitNoRelays waits until the front-end holds no relayed connection.
+func awaitNoRelays(t *testing.T, fe *FrontEnd, within time.Duration) {
+	t.Helper()
+	for deadline := time.Now().Add(within); ; time.Sleep(10 * time.Millisecond) {
+		fe.relayMu.Lock()
+		routes := len(fe.relays)
+		fe.relayMu.Unlock()
+		if routes == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("front-end still holds %d relayed connections", routes)
+		}
+	}
+}
+
+// readToClose reads a stalled client's stream to its end, which must come
+// short of the full burst of want bytes.
+func readToClose(t *testing.T, conn net.Conn, want int64) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+	n, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled relayed client still open after %d bytes", n)
+	}
+	if n >= want {
+		t.Errorf("stalled relayed client was served in full (%d bytes)", n)
+	}
+}
+
+// A relayed client that pipelines without reading ends up refused by the
+// back-end (its frames stop leaving, its queue reaches the bound), which has
+// no client socket to close: it tells the front-end, and the front-end
+// closes the client and forgets the requests it was still waiting on.
+func TestRelayedStalledClientIsClosed(t *testing.T) {
+	// The idle timeout must not be what closes the client.
+	cl, targets := relayCluster(t, 16<<10, 10*time.Minute)
+	// 12000 requests: more than the queue bound once responses (190 MB,
+	// far beyond every socket buffer on the way) have stopped moving.
+	stalled := stallingClient(t, cl, targets, 12000)
 	for deadline := time.Now().Add(20 * time.Second); cl.BEs[0].Aborted() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("back-end never refused the stalled relayed connection")
@@ -648,30 +701,10 @@ func TestRelayedStalledClientIsClosed(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	// Reading only now. The stream ends short of the full burst.
-	stalled.SetReadDeadline(time.Now().Add(20 * time.Second))
-	n, err := io.Copy(io.Discard, stalled)
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatalf("stalled relayed client still open after %d bytes", n)
-	}
-	if n >= 12000*(16<<10) {
-		t.Errorf("stalled relayed client was served in full (%d bytes)", n)
-	}
+	readToClose(t, stalled, 12000*(16<<10))
 
 	// Nothing of it is left at the front-end, and the cluster serves on.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		cl.FE.pendingMu.Lock()
-		pending := len(cl.FE.pending)
-		cl.FE.pendingMu.Unlock()
-		cl.FE.relayMu.Lock()
-		routes := len(cl.FE.relayConns)
-		cl.FE.relayMu.Unlock()
-		if pending == 0 && routes == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("front-end still holds %d pending-request sets and %d relay routes", pending, routes)
-		}
-	}
+	awaitNoRelays(t, cl.FE, 10*time.Second)
 	conn, err := net.Dial("tcp", cl.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -681,6 +714,110 @@ func TestRelayedStalledClientIsClosed(t *testing.T) {
 	if len(statuses) != 2 || statuses[0] != 200 || statuses[1] != 200 {
 		t.Errorf("after the refusal: statuses %v", statuses)
 	}
+}
+
+// A relayed client that pipelines and reads nothing costs only itself: its
+// responses wait at the front-end for its own goroutine to write them, and
+// the session it shares with every other relayed connection of the node
+// moves on. A neighbour on the same back-end is answered at once.
+func TestRelayedStalledClientDoesNotStallNeighbours(t *testing.T) {
+	cl, targets := relayCluster(t, 64<<10, 6*time.Second)
+	const burstReqs = 200 // 12.8 MB of responses
+	stallingClient(t, cl, targets, burstReqs)
+	// Let the back-end answer the burst (or get as far as it can).
+	for deadline := time.Now().Add(time.Second); cl.BEs[0].Served() < burstReqs && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	conn, err := net.Dial("tcp", cl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for i := 0; i < 20; i++ {
+		start := time.Now()
+		statuses, _ := pipeline(t, conn, br, targets[i%len(targets)])
+		if took := time.Since(start); statuses[0] != 200 || took >= 100*time.Millisecond {
+			t.Fatalf("round trip %d beside a stalled client: status %d in %v, want 200 in under 100ms", i, statuses[0], took)
+		}
+	}
+}
+
+// A relayed client that reads nothing is closed by the front-end, by the
+// back-end's rule: once a write to it has moved nothing for stallGrace
+// while maxPending or more of its responses wait, and otherwise for
+// IdleTimeout, as a client that sends nothing is. Neither batch reaches the
+// back-end's own bound.
+func TestRelayedNonReaderIsClosedByFrontEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		reqs int
+		idle time.Duration
+	}{
+		{"shallow", 200, 300 * time.Millisecond},
+		// Deep enough that maxPending still wait once the socket buffers
+		// on the way (about 4 MB) are full; the idle timeout never fires.
+		{"deep", 400, 10 * time.Minute},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, targets := relayCluster(t, 64<<10, tc.idle)
+			stalled := stallingClient(t, cl, targets, tc.reqs)
+			for deadline := time.Now().Add(10 * time.Second); cl.BEs[0].Served() < int64(tc.reqs); time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("back-end served %d of %d", cl.BEs[0].Served(), tc.reqs)
+				}
+			}
+			// An attempt that moved some bytes before it stalled earns
+			// another.
+			awaitNoRelays(t, cl.FE, 2*min(tc.idle, stallGrace)+5*time.Second)
+			readToClose(t, stalled, int64(tc.reqs)*(64<<10))
+			if n := cl.BEs[0].Aborted(); n != 0 {
+				t.Errorf("the back-end refused %d connections", n)
+			}
+		})
+	}
+}
+
+// A relayed request whose response never comes — its node lost it without
+// being confirmed Down — costs the client IdleTimeout, as waiting and
+// sending nothing always has: the front-end closes the connection.
+func TestRelayedLostResponseTimesOut(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() { // a back-end that takes every line and answers none
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.Copy(io.Discard, conn)
+	}()
+	fe, err := NewFrontEnd(FrontEndConfig{
+		Nodes: 1, Policy: "wrr", Mechanism: core.RelayFrontEnd,
+		IdleTimeout: 200 * time.Millisecond, BatchWindow: time.Millisecond,
+		HeartbeatTimeout: time.Minute, // the stub reports no disk queue
+	}, []BackendEndpoints{{Ctrl: ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fe.Close)
+	client, err := net.Dial("tcp", fe.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	if _, err := io.WriteString(client, "GET /x HTTP/1.1\r\nHost: cluster\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := client.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read %d bytes, %v; want the connection closed", n, err)
+	}
+	awaitNoRelays(t, fe, 5*time.Second)
 }
 
 // The request ring starts empty, keeps order across growth and wrap-around,

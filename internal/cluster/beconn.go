@@ -44,9 +44,8 @@ const (
 
 // maxQueued bounds the queue outright. It is what refuses an open-loop
 // client that reads but asks faster than the node serves, and the bound on
-// a relayed connection, whose frames go to the session it shares with every
-// other relayed connection of the node and so say nothing about its own
-// client.
+// a relayed connection, whose frames go to its front-end's session and so
+// say nothing about its own client.
 const maxQueued = 16 * maxPending
 
 // reqQueue is a connection's request queue: a ring that starts empty and
@@ -64,12 +63,7 @@ type reqQueue struct {
 	wake chan struct{}
 }
 
-func (q *reqQueue) signal() {
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
-}
+func (q *reqQueue) signal() { wake(q.wake) }
 
 // push appends r and returns the queue's depth with it, or 0 when it was not
 // accepted: the queue is shut or holds maxQueued entries. It does not wake
@@ -171,9 +165,11 @@ func (q *reqQueue) reset() {
 // processed (see shutdown, enqueue), so that requests in flight for it are
 // dropped instead of conjuring a fresh record nothing will ever serve.
 type beConn struct {
-	id    core.ConnID
-	relay bool
-	q     reqQueue
+	id core.ConnID
+	// sess is a relayed connection's session, the one its RELAY line came
+	// on and its responses go back on; nil for a handed-off connection.
+	sess *session
+	q    reqQueue
 
 	outMu sync.Mutex
 	out   clientSocket // handed-off client socket (nil for relay, and after close)
@@ -314,9 +310,8 @@ func (c *beConn) abort() bool {
 
 // giveUp aborts a connection whose response could not be written: its
 // client learns it from the socket. A relayed connection's frame fails only
-// with the node's data session, which the front-end sees fail too: it
-// suspects the node and re-dispatches what it was waiting for, so nothing
-// is said here. Called by the serve goroutine, which then pops the CLOSE
+// with its session, which the front-end sees fail too: it suspects the node
+// and re-dispatches what it was waiting for, so nothing is said here. Called by the serve goroutine, which then pops the CLOSE
 // that retires the record, if one is queued (see shutdown).
 func (b *Backend) giveUp(c *beConn) {
 	if c.abort() {
@@ -324,18 +319,12 @@ func (b *Backend) giveUp(c *beConn) {
 	}
 }
 
-// tellClosed reports on the control sessions that this node has refused
-// relayed connection id, which has no socket here to close: the front-end
-// that owns it closes the client and forgets the requests it was still
-// waiting on; to any other the ID means nothing.
-func (b *Backend) tellClosed(id core.ConnID) {
+// tellClosed reports on session s that this node has refused relayed
+// connection id, which has no socket here to close: the front-end that owns
+// it closes the client and forgets the requests it was still waiting on.
+func tellClosed(s *session, id core.ConnID) {
 	var lb [32]byte
-	line := appendClose(lb[:0], id)
-	b.ctrlMu.Lock()
-	for conn := range b.ctrls {
-		conn.Write(line)
-	}
-	b.ctrlMu.Unlock()
+	s.write(appendClose(lb[:0], id))
 }
 
 // enqueue hands one REQ or CLOSE to connection id, creating the record on
@@ -344,13 +333,13 @@ func (b *Backend) tellClosed(id core.ConnID) {
 // cannot take more is refused (see reqQueue.push).
 func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 	b.connMu.Lock()
-	c := b.connLocked(id, false, nil)
-	refused := false
+	c := b.connLocked(id, nil, nil)
+	var refused *session
 	switch c.q.push(r) {
 	case 0:
 		if c.abort() {
 			b.aborted.Add(1)
-			refused = c.relay
+			refused = c.sess
 		}
 		if r.kind == kindClose {
 			// The front-end is done with a connection we already gave up on:
@@ -361,21 +350,21 @@ func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 		c.watched() // a write in progress is now on the clock
 	}
 	b.connMu.Unlock()
-	if refused {
-		b.tellClosed(id)
+	if refused != nil {
+		tellClosed(refused, id)
 	}
 	return c
 }
 
 // connLocked returns the connection record, creating it (and its serve
-// goroutine) on first reference, with client socket out. Callers hold
-// connMu.
-func (b *Backend) connLocked(id core.ConnID, relay bool, out clientSocket) *beConn {
+// goroutine) on first reference, relayed on session sess or with client
+// socket out. Callers hold connMu.
+func (b *Backend) connLocked(id core.ConnID, sess *session, out clientSocket) *beConn {
 	if c, ok := b.conns[id]; ok {
 		return c
 	}
 	c := beConnPool.Get().(*beConn)
-	c.id, c.relay, c.out = id, relay, out
+	c.id, c.sess, c.out = id, sess, out
 	b.conns[id] = c
 	b.wg.Add(1)
 	go b.serveConn(c)
@@ -393,7 +382,7 @@ func (b *Backend) retire(c *beConn) {
 	b.connMu.Unlock()
 	// Nobody else can reach c any more.
 	c.q.reset()
-	c.id, c.relay = 0, false
+	c.id, c.sess = 0, nil
 	beConnPool.Put(c)
 }
 
@@ -449,7 +438,7 @@ func (b *Backend) serveConn(c *beConn) {
 			b.giveUp(c)
 			continue
 		}
-		if !r.keep && !c.relay {
+		if !r.keep && c.sess == nil {
 			if w.flush() != nil {
 				b.giveUp(c)
 				continue
@@ -522,8 +511,8 @@ func (b *Backend) serveForwarded(w *respWriter, r beReq) error {
 // connection it accumulates responses in a pooled chunk, checked out when
 // the first response of a drain is produced and returned by flush; a
 // response larger than the chunk streams through it as before. For a
-// relayed connection every response is one frame on the node's shared data
-// session, written under that session's lock.
+// relayed connection every response is one frame on its session, written
+// under that session's lock.
 type respWriter struct {
 	b  *Backend
 	c  *beConn
@@ -589,7 +578,7 @@ func (w *respWriter) drop() {
 func (w *respWriter) respond(r beReq, size int64, pattern []byte, body io.Reader) error {
 	var hb [128]byte
 	head := httpmsg.AppendResponseHead(hb[:0], r.proto.String(), 200, size, r.keep)
-	if w.c.relay {
+	if w.c.sess != nil {
 		w.b.served.Add(1)
 		err := w.b.writeRelayFrame(w.c, r, head, size, pattern, body)
 		if err != nil {
@@ -626,7 +615,7 @@ func (w *respWriter) respondError(r beReq, status int) error {
 	var hb [160]byte
 	head := httpmsg.AppendResponseHead(hb[:0], r.proto.String(), status, size, r.keep)
 	head = append(append(head, text...), '\n')
-	if w.c.relay {
+	if w.c.sess != nil {
 		return w.b.writeRelayFrame(w.c, r, head, 0, nil, nil)
 	}
 	if err := w.room(int64(len(head))); err != nil {
@@ -649,18 +638,17 @@ func writeBody(cw *chunkWriter, size int64, pattern []byte, body io.Reader) erro
 	return err
 }
 
-// writeRelayFrame ships a framed response to the front-end's data
-// connection: a RESP line, then its count of raw HTTP bytes (head,
-// then size body bytes). The data session is shared by every relayed
-// connection of the node, so a frame is written whole under its lock.
+// writeRelayFrame ships a framed response to the front-end on the
+// connection's session: a RESP line, then its count of raw HTTP bytes
+// (head, then size body bytes). The session carries every relayed
+// connection of its front-end and the node's control lines, so a frame is
+// written whole under the session's lock.
 func (b *Backend) writeRelayFrame(c *beConn, r beReq, head []byte, size int64, pattern []byte, body io.Reader) error {
-	b.dataMu.Lock()
-	defer b.dataMu.Unlock()
-	if b.data == nil {
-		return errors.New("cluster: relay response with no data connection")
-	}
+	s := c.sess
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	total := int64(len(head)) + size
-	cw := newChunkWriter(b.data, total+64)
+	cw := newChunkWriter(s.conn, total+64)
 	defer cw.release()
 	var lb [64]byte
 	if _, err := cw.Write(appendResp(lb[:0], c.id, r.seq, total)); err != nil {

@@ -14,35 +14,6 @@ import (
 // healthLoop owns the clock — it ticks the failure detector and
 // re-dispatches in-flight relayed work off nodes confirmed Down.
 
-// pendingReq is one relayed request awaiting its response frame — the
-// unit of re-dispatch. Created by the connection goroutine and published
-// under pendingMu; after that only healthLoop mutates it (tries, node),
-// so no per-request lock is needed.
-type pendingReq struct {
-	c     *feConn
-	node  core.NodeID
-	line  []byte // the REQ message, kept for re-dispatch
-	tries int
-	// start is the batch-completion instant of the request's original
-	// dispatch — the latency clock's zero. Re-dispatch never resets it,
-	// so a re-sent request's sample includes the detection and retry
-	// delay instead of being dropped.
-	start time.Time
-}
-
-// addPending registers a relayed request before it is written to its
-// back-end, so a node death between write and response finds it.
-func (fe *FrontEnd) addPending(c *feConn, seq int, n core.NodeID, line []byte) {
-	fe.pendingMu.Lock()
-	m := fe.pending[c.id]
-	if m == nil {
-		m = make(map[int]*pendingReq)
-		fe.pending[c.id] = m
-	}
-	m[seq] = &pendingReq{c: c, node: n, line: line, start: c.batchStart}
-	fe.pendingMu.Unlock()
-}
-
 // onMembership mirrors table transitions into the dispatch engine. It
 // runs under the table lock (membership.Listener contract), so it must
 // not call back into the table; Down sweeps are handed to healthLoop
@@ -102,24 +73,24 @@ func (fe *FrontEnd) healthLoop() {
 }
 
 // sweepNode re-dispatches every relayed request still in flight on a
-// node just confirmed Down.
+// node just confirmed Down: sent there, its response not arrived.
 func (fe *FrontEnd) sweepNode(dead core.NodeID) {
 	type victim struct {
-		seq int
-		p   *pendingReq
+		c *feConn
+		r *relayReq
 	}
-	fe.pendingMu.Lock()
+	fe.relayMu.Lock()
 	var victims []victim
-	for _, m := range fe.pending {
-		for seq, p := range m {
-			if p.node == dead {
-				victims = append(victims, victim{seq, p})
+	for _, c := range fe.relays {
+		for _, r := range c.relayed {
+			if r.node == dead && r.frame == nil {
+				victims = append(victims, victim{c, r})
 			}
 		}
 	}
-	fe.pendingMu.Unlock()
+	fe.relayMu.Unlock()
 	for _, v := range victims {
-		fe.redispatchPending(v.p, dead)
+		fe.redispatchPending(v.c, v.r, dead)
 	}
 }
 
@@ -128,7 +99,7 @@ func (fe *FrontEnd) sweepNode(dead core.NodeID) {
 // falls back to closing the client connection: serveClient errors out,
 // the connection tears down cleanly, and the client retries on a fresh
 // connection that dispatches to live nodes.
-func (fe *FrontEnd) redispatchPending(p *pendingReq, dead core.NodeID) {
+func (fe *FrontEnd) redispatchPending(c *feConn, p *relayReq, dead core.NodeID) {
 	budget := fe.cfg.RetryBudget
 	if budget == 0 {
 		budget = DefaultRetryBudget
@@ -141,10 +112,9 @@ func (fe *FrontEnd) redispatchPending(p *pendingReq, dead core.NodeID) {
 		done()
 	}
 	if to == core.NoNode {
-		p.c.conn.Close()
+		fe.dropRelayed(c.id)
 		return
 	}
-	c := p.c
 	// The connection-load move must run on the connection's own
 	// goroutine (the engine's Conn state is owner-serialized), so only
 	// record the target here; dispatchBatch applies it next batch.
@@ -196,7 +166,7 @@ func (fe *FrontEnd) AddBackend(id core.NodeID, ep BackendEndpoints) error {
 		return err
 	}
 	link.ctrlMu.Lock()
-	link.ctrl, link.data = fresh.ctrl, fresh.data
+	link.ctrl = fresh.ctrl
 	link.ctrlMu.Unlock()
 	fe.endpoints[id] = ep
 	fe.mem.MarkUp(id, time.Now())

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -136,23 +137,21 @@ type beLink struct {
 	id core.NodeID
 
 	// ctrl is the control session: the back-end's UNIX socket, which also
-	// carries the handed-off descriptors, or when relaying a TCP stream.
-	ctrlMu sync.Mutex // guards the conns and serializes writes to ctrl
+	// carries the handed-off descriptors, or when relaying a TCP stream,
+	// which also carries the relayed responses back.
+	ctrlMu sync.Mutex // guards ctrl and serializes writes to it
 	ctrl   net.Conn
-	data   net.Conn // relay data connection (reads only at FE)
 }
 
-// close tears the link's sessions down; their read loops drain and exit on
-// their own conns.
+// close tears the link's session down; its read loop drains and exits on
+// its own conn.
 func (l *beLink) close() {
 	l.ctrlMu.Lock()
 	defer l.ctrlMu.Unlock()
-	for _, c := range []net.Conn{l.ctrl, l.data} {
-		if c != nil {
-			c.Close()
-		}
+	if l.ctrl != nil {
+		l.ctrl.Close()
+		l.ctrl = nil
 	}
-	l.ctrl, l.data = nil, nil
 }
 
 // FrontEnd is the running front-end node: client listener, dispatch engine,
@@ -176,10 +175,13 @@ type FrontEnd struct {
 	// re-dispatches their in-flight relayed requests.
 	sweepCh chan core.NodeID
 
-	// pending tracks relayed requests awaiting their response frame, by
-	// (connection, sequence) — the unit of re-dispatch when a node dies.
-	pendingMu sync.Mutex
-	pending   map[core.ConnID]map[int]*pendingReq
+	// relays is the route table of relayed connections, by ID. relayMu
+	// guards it and each entry's relayed requests (feConn.relayed): the
+	// session readers file response frames there, the health loop
+	// re-dispatches from there, and the connection's own goroutine writes
+	// the frames out.
+	relayMu sync.Mutex
+	relays  map[core.ConnID]*feConn
 
 	// unavailable counts connections refused with 503 (no Up back-end);
 	// redispatched counts in-flight requests re-sent after a node death.
@@ -188,17 +190,13 @@ type FrontEnd struct {
 
 	// lat is the wall-clock per-request latency histogram behind the
 	// /status endpoint, in microseconds from batch completion at the
-	// front-end. Relay records end-to-end at response delivery (a
-	// re-dispatched request keeps its original start, so the retry delay
-	// is in the sample, not dropped); handoff and BE forwarding record at
-	// request forward — the front-end never sees those responses — and a
-	// 503 refusal records the refusal itself rather than vanishing from
-	// the distribution.
+	// front-end. Relay records end-to-end when the response is written to
+	// the client (a re-dispatched request keeps its batch's start, so the
+	// retry delay is in the sample, not dropped); handoff and BE
+	// forwarding record at request forward — the front-end never sees
+	// those responses — and a 503 refusal records the refusal itself
+	// rather than vanishing from the distribution.
 	lat *core.LatencyHist
-
-	// relayConns routes relay frames back to client connections.
-	relayMu    sync.Mutex
-	relayConns map[core.ConnID]*relayConn
 
 	// busyNanos accumulates dispatcher + forwarding-module processing
 	// time for the Section 8.2 front-end utilization figure.
@@ -212,24 +210,21 @@ type FrontEnd struct {
 	wg      sync.WaitGroup
 }
 
-// relayConn is the reordering buffer for one relayed client connection.
-type relayConn struct {
-	client net.Conn // the client socket, for closing from outside; never changes
-
-	mu      sync.Mutex
-	out     net.Conn // client until a write to it fails, then nil
-	nextSeq int
-	pending map[int][]byte
-	// endAt is the nextSeq at which the response stream ends: one past the
-	// request that ended the connection (0 while none has).
-	endAt int
+// relayReq is one relayed request whose response is not yet written to the
+// client — the unit of re-dispatch. fe.relayMu guards frame; node and tries
+// change only on the health loop.
+type relayReq struct {
+	node  core.NodeID
+	line  []byte // the REQ message, kept for re-dispatch
+	tries int
+	frame []byte // the response, once it has arrived
 }
 
 // NewFrontEnd starts the front-end: it listens for clients on loopback and
-// connects a control session (and, for relay, a data session) to every
-// back-end endpoint. Endpoints may belong to in-process Backends or
-// to separate phttp-backend processes on the same machine (the handoff
-// mechanism requires a shared kernel; see DESIGN.md §4.2).
+// connects a control session to every back-end endpoint. Endpoints may
+// belong to in-process Backends or to separate phttp-backend processes on
+// the same machine (the handoff mechanism requires a shared kernel; see
+// DESIGN.md §4.2).
 func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, error) {
 	if err := validateFEConfig(cfg, len(backends)); err != nil {
 		return nil, err
@@ -274,16 +269,15 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 		return nil, err
 	}
 	fe := &FrontEnd{
-		cfg:        cfg,
-		tier:       tier,
-		eng:        eng,
-		endpoints:  append([]BackendEndpoints(nil), backends...),
-		relayConns: make(map[core.ConnID]*relayConn),
-		pending:    make(map[core.ConnID]map[int]*pendingReq),
-		sweepCh:    make(chan core.NodeID, 4*cfg.Nodes),
-		lat:        core.NewLatencyHist(),
-		started:    time.Now(),
-		closed:     make(chan struct{}),
+		cfg:       cfg,
+		tier:      tier,
+		eng:       eng,
+		endpoints: append([]BackendEndpoints(nil), backends...),
+		relays:    make(map[core.ConnID]*feConn),
+		sweepCh:   make(chan core.NodeID, 4*cfg.Nodes),
+		lat:       core.NewLatencyHist(),
+		started:   time.Now(),
+		closed:    make(chan struct{}),
 	}
 	fe.mem = membership.New(cfg.Nodes, membership.Config{
 		HeartbeatTimeout: cfg.HeartbeatTimeout,
@@ -383,42 +377,22 @@ func (fe *FrontEnd) dialRetry(id core.NodeID, ep BackendEndpoints) (*beLink, err
 func (fe *FrontEnd) relaying() bool { return fe.cfg.Mechanism == core.RelayFrontEnd }
 
 // dial establishes the control session to one back-end — its UNIX socket,
-// or when relaying a TCP session (HELLO CTRL) and the relay data session
-// (HELLO DATA) — and starts their read loops.
+// or when relaying a TCP session — and starts its read loop.
 func (fe *FrontEnd) dial(id core.NodeID, ep BackendEndpoints) (*beLink, error) {
 	link := &beLink{id: id}
 	var err error
-	if !fe.relaying() {
+	if fe.relaying() {
+		link.ctrl, err = net.Dial("tcp", ep.Ctrl)
+	} else {
 		link.ctrl, err = net.Dial("unix", ep.Handoff)
-	} else if link.ctrl, err = dialHello(ep.Ctrl, appendHelloCtrl(nil)); err == nil {
-		if link.data, err = dialHello(ep.Ctrl, appendHelloData(nil)); err != nil {
-			link.ctrl.Close()
-		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial backend %v: %w", id, err)
 	}
-	ctrl, data := link.ctrl, link.data
+	ctrl := link.ctrl
 	fe.wg.Add(1)
 	go func() { defer fe.wg.Done(); fe.ctrlReadLoop(link, ctrl) }()
-	if data != nil {
-		fe.wg.Add(1)
-		go func() { defer fe.wg.Done(); fe.relayReadLoop(link, data) }()
-	}
 	return link, nil
-}
-
-// dialHello opens a TCP session to addr that announces its role.
-func dialHello(addr string, hello []byte) (net.Conn, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return conn, nil
 }
 
 // Addr returns the client-facing listen address.
@@ -544,16 +518,24 @@ func (fe *FrontEnd) Close() {
 	fe.wg.Wait()
 }
 
-// ctrlReadLoop consumes back-end → front-end control traffic: disk queue
-// reports, which feed the policy, and the CLOSE by which a back-end says it
-// has refused a relayed connection. The conn is passed explicitly —
-// AddBackend swaps link conns in place, and a loop must drain exactly the
-// conn it was started for. Each DISKQ report doubles as a heartbeat; a
-// read error is liveness evidence and marks the node Suspect.
+// ctrlReadLoop consumes back-end → front-end traffic: disk queue reports,
+// which feed the policy, relayed responses, and the CLOSE by which a
+// back-end says it has refused a relayed connection. It never waits on a
+// client: a frame is filed under its connection, whose own goroutine writes
+// it out (relayOut). The conn is passed explicitly — AddBackend swaps link
+// conns in place, and a loop must drain exactly the conn it was started
+// for. Each DISKQ report doubles as a heartbeat; a read error is liveness
+// evidence and marks the node Suspect.
 func (fe *FrontEnd) ctrlReadLoop(link *beLink, conn net.Conn) {
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
 		msg, err := readCtrl(br)
+		if err == nil && msg.Kind == kindResp {
+			frame := make([]byte, msg.Size)
+			if _, err = io.ReadFull(br, frame); err == nil {
+				fe.fileFrame(msg.Conn, msg.Seq, frame)
+			}
+		}
 		if err != nil {
 			fe.suspect(link.id)
 			return
@@ -570,89 +552,98 @@ func (fe *FrontEnd) ctrlReadLoop(link *beLink, conn net.Conn) {
 	}
 }
 
-// dropRelayed closes the client of a relayed connection a back-end has
-// refused (back-ends tell every front-end; the ID is ours or unknown). The
-// connection's own goroutine, reading the socket, takes it from there as
-// for any closed client: CLOSE to the back-ends, pending requests dropped.
+// fileFrame files a relayed response under its request. A frame for a
+// connection gone, or a second one for a re-dispatched request, is dropped.
+func (fe *FrontEnd) fileFrame(id core.ConnID, seq int, frame []byte) {
+	fe.relayMu.Lock()
+	defer fe.relayMu.Unlock()
+	c := fe.relays[id]
+	if c == nil {
+		return
+	}
+	if r := c.relayed[seq]; r != nil && r.frame == nil {
+		r.frame = frame
+		wake(c.ready)
+	}
+}
+
+// dropRelayed takes relayed connection id — refused by a back-end, or with
+// nowhere left to re-dispatch — out of the route table, closes its client
+// and wakes its goroutine should it be waiting for a response: it then
+// tears the connection down as for any closed client. An ID no longer in
+// the table is closed already.
 func (fe *FrontEnd) dropRelayed(id core.ConnID) {
 	fe.relayMu.Lock()
-	rc := fe.relayConns[id]
-	fe.relayMu.Unlock()
-	if rc != nil {
-		rc.client.Close()
+	defer fe.relayMu.Unlock()
+	if c := fe.relays[id]; c != nil {
+		delete(fe.relays, id)
+		c.conn.Close()
+		wake(c.ready)
 	}
 }
 
-// relayReadLoop consumes relay frames from one back-end and forwards them
-// to the owning client connection in sequence order.
-func (fe *FrontEnd) relayReadLoop(link *beLink, data net.Conn) {
-	defer fe.suspect(link.id)
-	br := bufio.NewReaderSize(data, 64<<10)
-	for {
-		msg, err := readCtrl(br)
-		if err != nil || msg.Kind != kindResp {
-			return
-		}
-		buf := make([]byte, msg.Size)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return
-		}
-		fe.deliverRelay(msg.Conn, msg.Seq, buf)
+// wake leaves a token in a one-slot channel.
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
-// deliverRelay writes the frame to the client in order, buffering
-// out-of-order responses of a pipelined batch served by different nodes.
-func (fe *FrontEnd) deliverRelay(id core.ConnID, seq int, frame []byte) {
-	var started time.Time
-	fe.pendingMu.Lock()
-	if m := fe.pending[id]; m != nil {
-		if p := m[seq]; p != nil {
-			started = p.start
+var errRelayDropped = errors.New("cluster: relayed connection dropped")
+
+// relayOut writes a relayed batch's responses, seq from first up to c.seq,
+// to the client in sequence order as their frames arrive, and returns once
+// the last is written. A write gets IdleTimeout to move a byte, and only
+// stallGrace while maxPending or more responses wait: the rule by which a
+// back-end refuses a handed-off client that does not read (beConn.Write).
+// A wait for frames gets IdleTimeout too. A response can be lost with no
+// sweep to re-send it — its node's session replaced by AddBackend, or its
+// request filed just after its node's sweep — and the client that waits
+// for it is then closed as one that waits and sends nothing is.
+func (fe *FrontEnd) relayOut(c *feConn, first int) error {
+	for seq := first; seq < c.seq; {
+		fe.relayMu.Lock()
+		r, dropped := c.relayed[seq], fe.relays[c.id] != c
+		var frame []byte
+		if r != nil && r.frame != nil {
+			frame = r.frame
+			delete(c.relayed, seq)
 		}
-		delete(m, seq)
-		if len(m) == 0 {
-			delete(fe.pending, id)
+		fe.relayMu.Unlock()
+		if dropped {
+			return errRelayDropped
 		}
-	}
-	fe.pendingMu.Unlock()
-	if !started.IsZero() {
-		// End-to-end relay latency; a re-dispatched request keeps the
-		// start of its original batch, so retries lengthen the sample.
-		fe.lat.Record(time.Since(started).Microseconds())
-	}
-	fe.relayMu.Lock()
-	rc := fe.relayConns[id]
-	fe.relayMu.Unlock()
-	if rc == nil {
-		return // connection already closed
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.pending == nil {
-		rc.pending = make(map[int][]byte)
-	}
-	rc.pending[seq] = frame
-	for {
-		next, ok := rc.pending[rc.nextSeq]
-		if !ok {
-			return
+		if frame == nil {
+			idle := time.NewTimer(fe.cfg.IdleTimeout)
+			select {
+			case <-c.ready:
+				idle.Stop()
+			case <-idle.C:
+				return errRelayDropped
+			case <-fe.closed:
+				return errRelayDropped
+			}
+			continue
 		}
-		delete(rc.pending, rc.nextSeq)
-		rc.nextSeq++
-		if rc.out != nil {
-			if _, err := rc.out.Write(next); err != nil {
-				rc.out = nil
-			} else if rc.nextSeq == rc.endAt {
-				// The last response is followed by the end of the
-				// stream, as on a handed-off connection
-				// (beConn.endStream).
-				if hc, ok := rc.out.(interface{ CloseWrite() error }); ok {
-					hc.CloseWrite()
-				}
+		// End-to-end relay latency, from the batch's arrival: a
+		// re-dispatched request's sample includes its retry.
+		fe.lat.Record(time.Since(c.batchStart).Microseconds())
+		grace := fe.cfg.IdleTimeout
+		if c.seq-seq >= maxPending {
+			grace = stallGrace
+		}
+		for done := 0; done < len(frame); {
+			c.conn.SetWriteDeadline(time.Now().Add(grace))
+			n, err := c.conn.Write(frame[done:])
+			done += n
+			if err != nil && (n == 0 || !errors.Is(err, os.ErrDeadlineExceeded)) {
+				return err
 			}
 		}
+		seq++
 	}
+	return nil
 }
 
 // acceptLoop admits client connections.
@@ -678,16 +669,14 @@ func (fe *FrontEnd) acceptLoop() {
 // costs the front-end no allocation of its own; what a batch needs is
 // reused from one batch to the next.
 type feConn struct {
-	id    core.ConnID
-	ec    *dispatch.Conn // nil until openConn admits the connection
-	conn  net.Conn
-	br    *bufio.Reader
-	relay *relayConn
+	id   core.ConnID
+	ec   *dispatch.Conn // nil until openConn admits the connection
+	conn net.Conn
+	br   *bufio.Reader
 
 	// batchStart is when the current pipelined batch finished arriving —
 	// the latency clock's zero, matching the simulator's delay
-	// definition. Owner-goroutine only (stamped by readBatch; relayed
-	// requests copy it into their pendingReq before publication).
+	// definition. Owner-goroutine only (stamped by readBatch).
 	batchStart time.Time
 
 	// reqNodes lists the back-ends that received traffic for this
@@ -713,8 +702,15 @@ type feConn struct {
 	batch core.Batch
 	line  []byte
 	// lines is the relay path's per-batch list of request lines (each is
-	// also held by its pendingReq, for re-dispatch).
+	// also held by its relayReq, for re-dispatch).
 	lines [][]byte
+
+	// Relay only, from openConn on: the connection's entry in fe.relays.
+	// relayed holds its requests whose responses are not yet written, by
+	// sequence number (under fe.relayMu); ready wakes relayOut when a frame
+	// arrives or the entry is dropped.
+	relayed map[int]*relayReq
+	ready   chan struct{}
 
 	// The handoff's RawConn.Control callback, bound to this record once so
 	// that a handoff instantiates no closure, with its argument and result:
@@ -743,10 +739,11 @@ func (fe *FrontEnd) newConn(conn net.Conn) *feConn {
 }
 
 // recycle returns a closed connection's record to the pool. A relayed
-// connection's record has been published to the health loop through its
-// pendingReqs, which may still hold it; that one is left to the collector.
+// connection's record has been published to the health loop through the
+// route table, and a sweep may still hold it; that one is left to the
+// collector.
 func (c *feConn) recycle() {
-	if c.relay != nil {
+	if c.ready != nil {
 		return
 	}
 	c.br.Reset(nil)
@@ -790,6 +787,12 @@ func (fe *FrontEnd) serveClient(conn net.Conn) {
 			// The connection ends with this batch. What the client still
 			// sends is discarded, not served, until it closes (its response
 			// stream ends behind the last response) or goes idle.
+			if tc, ok := c.conn.(*net.TCPConn); ok && c.ready != nil {
+				// Relayed: the last response is written, and the stream
+				// ends behind it as a back-end ends a handed-off one
+				// (beConn.endStream).
+				tc.CloseWrite()
+			}
 			c.conn.SetReadDeadline(time.Now().Add(fe.cfg.IdleTimeout))
 			c.br.Discard(math.MaxInt)
 			return
@@ -922,10 +925,9 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 	c.id = ec.ID()
 
 	if fe.relaying() {
-		rc := &relayConn{client: c.conn, out: c.conn}
-		c.relay = rc
+		c.relayed, c.ready = make(map[int]*relayReq), make(chan struct{}, 1)
 		fe.relayMu.Lock()
-		fe.relayConns[c.id] = rc
+		fe.relays[c.id] = c
 		fe.relayMu.Unlock()
 	}
 	return nil
@@ -996,7 +998,7 @@ func (fe *FrontEnd) dispatchBatch(c *feConn) error {
 
 	if fe.relaying() {
 		fe.relayBatch(c, assignments)
-		return nil
+		return fe.relayOut(c, c.seq-len(assignments))
 	}
 	line := c.line[:0]
 	first := !c.setReqNode(handling)
@@ -1048,18 +1050,15 @@ func (fe *FrontEnd) dispatchBatch(c *feConn) error {
 // and its response must find the request sweepable.
 func (fe *FrontEnd) relayBatch(c *feConn, assignments []core.Assignment) {
 	c.lines = c.lines[:0]
+	fe.relayMu.Lock()
 	for i, a := range assignments {
 		req := &c.reqs[i]
 		line := appendReq(nil, c.id, c.seq, protoOf(req.Proto), req.KeepAlive(), core.NoNode, core.Target(req.Target))
-		fe.addPending(c, c.seq, a.Node, line)
+		c.relayed[c.seq] = &relayReq{node: a.Node, line: line}
 		c.lines = append(c.lines, line)
 		c.seq++
-		if !req.KeepAlive() {
-			c.relay.mu.Lock()
-			c.relay.endAt = c.seq
-			c.relay.mu.Unlock()
-		}
 	}
+	fe.relayMu.Unlock()
 	for i, a := range assignments {
 		if c.lines[i] == nil {
 			continue // went out with an earlier node's write
@@ -1111,12 +1110,9 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 			fe.sendCtrl(n, c.line)
 		}
 	}
-	fe.pendingMu.Lock()
-	delete(fe.pending, c.id)
-	fe.pendingMu.Unlock()
-	if c.relay != nil {
+	if c.ready != nil {
 		fe.relayMu.Lock()
-		delete(fe.relayConns, c.id)
+		delete(fe.relays, c.id)
 		fe.relayMu.Unlock()
 	}
 	if c.ec != nil {

@@ -166,7 +166,7 @@ func TestBackendDeathSurfacesErrors(t *testing.T) {
 // A pipelined batch [ok, missing, ok] comes back in that order through the
 // whole cluster, over the handed-off socket (where the back-end coalesces
 // the three responses into one buffered write) and over the relay (where
-// the front-end reorders frames by sequence number).
+// the front-end writes the frames out in sequence order).
 func TestErrorResponseKeepsPipelineOrderEndToEnd(t *testing.T) {
 	for _, mech := range []core.Mechanism{core.BEForwarding, core.SingleHandoff, core.RelayFrontEnd} {
 		t.Run(mech.String(), func(t *testing.T) {

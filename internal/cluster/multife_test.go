@@ -140,6 +140,19 @@ func TestMultiFEReplicated(t *testing.T) {
 	}
 }
 
+// TestMultiFEReplicatedRelay runs a replicated tier that relays. Each
+// front-end's responses come back on its own session to each back-end, the
+// one that carried its requests, so every member serves the whole trace.
+func TestMultiFEReplicatedRelay(t *testing.T) {
+	cfg, tr := tierConfig(t, "extlard", core.RelayFrontEnd, dstate.ModeReplicated)
+	cl, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatalf("start tier: %v", err)
+	}
+	defer cl.Close()
+	runTierLoad(t, cl, tr)
+}
+
 // TestMultiFEConfigValidation pins the tier configuration rules: a plural
 // tier must pick a non-local state backend, sharded requires the
 // single-handoff mechanism, and member IDs must lie inside the tier.

@@ -20,7 +20,6 @@ import (
 // encoded by the append* functions below and parsed by parseCtrl.
 //
 //	front-end -> back-end, one control session per back-end:
-//	  HELLO CTRL                (opens a relaying front-end's TCP session)
 //	  HANDOFF <conn>            (the client socket's descriptor rides this sendmsg)
 //	  REQ <conn> <seq> <proto> <keep 0|1> <remote|-> <target>
 //	  CLOSE <conn>
@@ -28,8 +27,7 @@ import (
 //	back-end -> front-end:
 //	  DISKQ <depth>             (periodic disk queue report)
 //	  CLOSE <conn>              (refused a relayed connection: close its client)
-//	relay data session (opened by HELLO DATA), back-end -> front-end:
-//	  RESP <conn> <seq> <n>     (followed by n bytes of HTTP response)
+//	  RESP <conn> <seq> <n>     (a relayed response: n bytes of HTTP follow)
 //	back-end -> back-end, lateral fetch:
 //	  FETCH <target>            (answered by SIZE <n> and n body bytes, or MISS)
 //	front-end -> front-end, the peer tier (peers.go):
@@ -54,7 +52,9 @@ import (
 // writes. Linux attaches a sendmsg's descriptors to its first bytes, and a
 // recvmsg that reaches them returns with them: the back-end, reading only
 // with recvmsg (sessionReader), holds each descriptor no later than its
-// HANDOFF line. Relay, the cross-host mechanism, keeps TCP sessions.
+// HANDOFF line. Relay, the cross-host mechanism, runs on a TCP session: a
+// relayed connection's responses come back on the session that carried its
+// RELAY line.
 //
 // A batch travels as one write per destination, under the link's lock; the
 // back-end's control loop parses each line in place in its read buffer.
@@ -68,8 +68,6 @@ const (
 	kindRelay
 	kindDiskQ
 	kindHandoff
-	kindHelloCtrl
-	kindHelloData
 	kindResp
 	kindFetch
 	kindSize
@@ -86,8 +84,7 @@ const (
 // verbs spells each kind on the wire.
 var verbs = [...]string{
 	kindReq: "REQ", kindClose: "CLOSE", kindRelay: "RELAY", kindDiskQ: "DISKQ", kindHandoff: "HANDOFF",
-	kindHelloCtrl: "HELLO CTRL", kindHelloData: "HELLO DATA", kindResp: "RESP",
-	kindFetch: "FETCH", kindSize: "SIZE", kindMiss: "MISS",
+	kindResp: "RESP", kindFetch: "FETCH", kindSize: "SIZE", kindMiss: "MISS",
 	kindHelloPeer: "HELLO PEER", kindPOpen: "POPEN", kindPNode: "PNODE", kindPClose: "PCLOSE",
 	kindPMove: "PMOVE", kindPMapD: "PMAPD", kindPLoadV: "PLOADV",
 }
@@ -189,8 +186,6 @@ func appendHandoff(dst []byte, c core.ConnID) []byte {
 func appendClose(dst []byte, id core.ConnID) []byte { return appendLine(dst, kindClose, "", int64(id)) }
 func appendRelay(dst []byte, id core.ConnID) []byte { return appendLine(dst, kindRelay, "", int64(id)) }
 func appendDiskQ(dst []byte, depth int) []byte      { return appendLine(dst, kindDiskQ, "", int64(depth)) }
-func appendHelloCtrl(dst []byte) []byte             { return appendLine(dst, kindHelloCtrl, "") }
-func appendHelloData(dst []byte) []byte             { return appendLine(dst, kindHelloData, "") }
 func appendResp(dst []byte, id core.ConnID, seq int, n int64) []byte {
 	return appendLine(dst, kindResp, "", int64(id), int64(seq), n)
 }

@@ -105,9 +105,10 @@ func TestCtrlMalformed(t *testing.T) {
 		// Unknown protocol or keep flag.
 		"REQ 1 0 HTTP/2.0 1 - /t", "REQ 1 0 http/1.1 1 - /t", "REQ 1 0 HTTP/1.1 2 - /t",
 		"REQ 1 0 HTTP/1.1 true - /t", "REQ 1 0 HTTP/1.0 2 - /t",
-		// The lines between back-ends, on the relay data session and in the
-		// front-end peer tier.
-		"HELLO", "HELLO ", "HELLO CTRL ", "HELLO ctrl", "HELLO PEER", "HELLO PEER -1", "HELLO PEER 65536",
+		// The lines between back-ends, of relayed responses and in the
+		// front-end peer tier. A session announces no role but the peer
+		// tier's.
+		"HELLO", "HELLO ", "HELLO CTRL", "HELLO DATA", "HELLO CTRL ", "HELLO ctrl", "HELLO PEER", "HELLO PEER -1", "HELLO PEER 65536",
 		"RESP 1 2", "RESP 1 2 -3", "RESP 1 2 1099511627777", "FETCH", "FETCH ", "FETCH /a /b",
 		"SIZE", "SIZE -1", "SIZE 07", "SIZE 1099511627777", "MISS ", "MISS 1",
 		"POPEN 1 7 -5 /x", "POPEN 1 7 5", "POPEN 1 7 5 ", "POPEN 65536 7 5 /x", "PNODE", "PNODE 65536", "PNODE -1", "PNODE - ",
@@ -134,8 +135,6 @@ func TestWireLinesGolden(t *testing.T) {
 		want string
 		ok   func(m ctrlMsg) bool
 	}{
-		{appendHelloCtrl(nil), "HELLO CTRL\n", func(m ctrlMsg) bool { return m.Kind == kindHelloCtrl }},
-		{appendHelloData(nil), "HELLO DATA\n", func(m ctrlMsg) bool { return m.Kind == kindHelloData }},
 		{appendResp(nil, 1<<40|5, 3, 4096), "RESP 1099511627781 3 4096\n", func(m ctrlMsg) bool {
 			return m.Kind == kindResp && m.Conn == 1<<40|5 && m.Seq == 3 && m.Size == 4096
 		}},
@@ -257,7 +256,9 @@ func FuzzParseCtrl(f *testing.F) {
 		"REQ -1 0 HTTP/1.1 1 - /t", "REQ 01 0 HTTP/1.1 1 - /t", "CLOSE 99999999999999999999",
 		"REQ 1 0 HTTP/1.1 1 - /t extra", "REQ  1 0 HTTP/1.1 1 - /t", "", "REQ", "\x00",
 		"HANDOFF 77", "HANDOFF 9223372036854775807", "HANDOFF 9223372036854775808", "HANDOFF 077", "HANDOFF",
-		"HELLO CTRL", "HELLO DATA", "HELLO PEER 3", "RESP 5 1 4096", "FETCH /a", "SIZE 65536", "SIZE 01", "MISS",
+		// The retired session roles: the parser must now refuse them.
+		"HELLO CTRL", "HELLO DATA",
+		"HELLO PEER 3", "RESP 5 1 4096", "FETCH /a", "SIZE 65536", "SIZE 01", "MISS",
 		"POPEN 1 7 4096 /x", "POPEN 1 7 -5 /x", "PNODE 2", "PNODE -", "PCLOSE 1 7", "PMOVE 1 7 2", "PMAPD 0 10 /ok",
 		"PLOADV 1 2 1.5 2 0.25 1", "PLOADV 1 2 NaN 0 0 0", "PLOADV 1 1 Inf 0", "PLOADV 1 1 -0 0",
 		"PLOADV 1 1 -1 0", "PLOADV 1 1 1.50 0", "PLOADV 1 1 1e+400 0", "PLOADV 1 1 1e-05 99999999999",
@@ -291,10 +292,6 @@ func FuzzParseCtrl(f *testing.F) {
 				t.Fatalf("accepted depth %d", m.Depth)
 			}
 			back = appendDiskQ(nil, m.Depth)
-		case kindHelloCtrl:
-			back = appendHelloCtrl(nil)
-		case kindHelloData:
-			back = appendHelloData(nil)
 		case kindResp:
 			back = appendResp(nil, m.Conn, m.Seq, m.Size)
 		case kindFetch:
