@@ -91,9 +91,8 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own invariant analyzers (DESIGN.md §16): determinism,
-# zero-alloc hot paths, unmixed atomic access. Standalone mode sees
-# every package in one process; the same
-# binary also works as `go vet -vettool` (see cmd/phttp-lint).
+# zero-alloc hot paths, typed atomics only. One process loads every
+# package; each analyzer decides each package alone.
 lint-phttp:
 	$(GO) run ./cmd/phttp-lint ./...
 

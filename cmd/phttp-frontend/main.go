@@ -75,7 +75,6 @@ func main() {
 		peerLn   = flag.String("peer-listen", "", "listen address for peer state links (required when -frontends > 1; port 0 picks a free port)")
 		peers    = flag.String("peers", "", "comma-separated peer state addresses, one per tier member in fe-id order (this member's own slot is ignored)")
 		syncInt  = flag.Duration("sync-interval", cluster.DefaultSyncInterval, "replicated-state sync interval: the bounded-staleness window between delta exchanges")
-		stSeed   = flag.Uint64("state-seed", cluster.DefaultStateSeed, "shard-ownership ring seed; every tier member must use the same value")
 	)
 	flag.Var(&backends, "backend", "back-end endpoint as ctrlAddr,handoffPath (repeat per node)")
 	flag.Parse()
@@ -138,7 +137,6 @@ func main() {
 		cfg.State = mode
 		cfg.PeerListen = *peerLn
 		cfg.SyncInterval = *syncInt
-		cfg.StateSeed = *stSeed
 	}
 
 	fe, err := cluster.NewFrontEnd(cfg, backends)

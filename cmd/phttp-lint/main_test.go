@@ -1,87 +1,18 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// TestListAnalyzers exercises the standalone -list path.
+// TestListAnalyzers exercises the -list path.
 func TestListAnalyzers(t *testing.T) {
-	if code := runStandalone([]string{"-list"}); code != 0 {
-		t.Fatalf("runStandalone(-list) = %d, want 0", code)
+	if code := run([]string{"-list"}); code != 0 {
+		t.Fatalf("run(-list) = %d, want 0", code)
 	}
 }
 
 // TestStandaloneCleanPackage runs the full suite over one real package,
 // which must be clean.
 func TestStandaloneCleanPackage(t *testing.T) {
-	if code := runStandalone([]string{"-C", "../..", "./internal/cache/..."}); code != 0 {
-		t.Fatalf("runStandalone(./internal/cache/...) = %d, want 0", code)
-	}
-}
-
-// writeCfg serializes a vet config for runUnit.
-func writeCfg(t *testing.T, dir string, cfg vetConfig) string {
-	t.Helper()
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "unit.cfg")
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestUnitSkipsForeignModule checks the vettool scoping contract: a unit
-// outside the phttp module is not analyzed, but its vetx file is still
-// written so the go command's protocol stays satisfied.
-func TestUnitSkipsForeignModule(t *testing.T) {
-	dir := t.TempDir()
-	vetx := filepath.Join(dir, "out.vetx")
-	cfg := writeCfg(t, dir, vetConfig{
-		ImportPath: "fmt",
-		GoFiles:    []string{"/nonexistent/print.go"}, // must never be read
-		VetxOutput: vetx,
-	})
-	if code := runUnit(cfg); code != 0 {
-		t.Fatalf("runUnit(fmt) = %d, want 0", code)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("vetx not written for skipped unit: %v", err)
-	}
-}
-
-// TestUnitSkipsTestVariants checks that test binaries and test-augmented
-// package variants are skipped.
-func TestUnitSkipsTestVariants(t *testing.T) {
-	dir := t.TempDir()
-	for _, ip := range []string{
-		"phttp/internal/core.test",
-		"phttp/internal/core [phttp/internal/core.test]",
-	} {
-		cfg := writeCfg(t, dir, vetConfig{
-			ImportPath: ip,
-			GoFiles:    []string{"/nonexistent/x.go"},
-			VetxOutput: filepath.Join(dir, "v.vetx"),
-		})
-		if code := runUnit(cfg); code != 0 {
-			t.Fatalf("runUnit(%q) = %d, want 0", ip, code)
-		}
-	}
-}
-
-// TestSelfHashStable checks the -V=full stamp is a stable fingerprint of
-// the executable.
-func TestSelfHashStable(t *testing.T) {
-	a, b := selfHash(), selfHash()
-	if a != b {
-		t.Fatalf("selfHash not stable: %q vs %q", a, b)
-	}
-	if a == "" {
-		t.Fatal("selfHash returned empty string")
+	if code := run([]string{"-C", "../..", "./internal/cache/..."}); code != 0 {
+		t.Fatalf("run(./internal/cache/...) = %d, want 0", code)
 	}
 }

@@ -61,10 +61,9 @@ type Config struct {
 	// State selects the tier's dispatch-state backend (sharded or
 	// replicated; required when Frontends > 1).
 	State dstate.Mode
-	// SyncInterval and StateSeed pass through to the front-ends (see
-	// FrontEndConfig fields of the same names).
+	// SyncInterval passes through to the front-ends (see
+	// FrontEndConfig.SyncInterval).
 	SyncInterval time.Duration
-	StateSeed    uint64
 }
 
 // PrototypeCacheBytes is the default prototype back-end cache: the paper's
@@ -171,7 +170,6 @@ func Start(cfg Config) (*Cluster, error) {
 			fecfg.FEID = f
 			fecfg.State = cfg.State
 			fecfg.SyncInterval = cfg.SyncInterval
-			fecfg.StateSeed = cfg.StateSeed
 		}
 		fe, err := NewFrontEnd(fecfg, eps)
 		if err != nil {

@@ -110,9 +110,6 @@ type FrontEndConfig struct {
 	// DefaultSyncInterval; ignored by the sharded store (forwarding is
 	// synchronous, there is no staleness to bound).
 	SyncInterval time.Duration
-	// StateSeed salts the shard-ownership ring; every member of one tier
-	// must agree (zero takes DefaultStateSeed).
-	StateSeed uint64
 }
 
 // Default knobs for the elastic-membership machinery.

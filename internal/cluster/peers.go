@@ -36,10 +36,6 @@ import (
 // enough that sync traffic stays negligible next to request traffic.
 const DefaultSyncInterval = 50 * time.Millisecond
 
-// DefaultStateSeed salts the shard-ownership ring when the configuration
-// does not; every member of one tier must agree on it.
-const DefaultStateSeed = 0x9e3779b97f4a7c15
-
 // Peer dial bring-up tolerates refused connections with bounded linear
 // backoff, like back-end dials: tier members are sibling processes
 // typically launched in sequence, so the first members up must wait for
@@ -103,10 +99,6 @@ func newPeerTier(cfg FrontEndConfig, pol core.Policy) (*peerTier, error) {
 			t.syncInterval = DefaultSyncInterval
 		}
 	}
-	seed := cfg.StateSeed
-	if seed == 0 {
-		seed = DefaultStateSeed
-	}
 	peers := make([]dstate.Peer, cfg.Frontends)
 	for f := range peers {
 		if f != cfg.FEID {
@@ -115,7 +107,7 @@ func newPeerTier(cfg FrontEndConfig, pol core.Policy) (*peerTier, error) {
 		}
 	}
 	var err error
-	if t.member, err = dstate.NewMember(cfg.State, cfg.FEID, pol, peers, seed); err != nil {
+	if t.member, err = dstate.NewMember(cfg.State, cfg.FEID, pol, peers); err != nil {
 		return nil, err
 	}
 	listen := cfg.PeerListen

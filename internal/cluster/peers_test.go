@@ -104,7 +104,7 @@ func TestPeerTierShardedRPCs(t *testing.T) {
 	t1, _ := newTestPeerTier(t, 1, 2, nodes)
 	connectPair(t, t0, t1)
 	m0 := t0.member
-	ring := policy.NewOwnerRing(2, 0, DefaultStateSeed)
+	ring := policy.NewOwnerRing(2, 0, dstate.ShardRingSeed)
 
 	// One target owned by each member (the ring spreads a handful of
 	// distinct names across two front-ends).
@@ -292,7 +292,7 @@ func TestPeerTierReleasesLostPeer(t *testing.T) {
 	defer t0.Close()
 	t1, in1 := newTestPeerTier(t, 1, 2, nodes)
 	connectPair(t, t0, t1)
-	ring := policy.NewOwnerRing(2, 0, DefaultStateSeed)
+	ring := policy.NewOwnerRing(2, 0, dstate.ShardRingSeed)
 	for i, opened := 0, 0; opened < 3; i++ {
 		tg := core.Target(fmt.Sprintf("/lost/%d", i))
 		r := core.Request{Target: tg, ID: in1.Intern(tg), Size: 4096}

@@ -14,8 +14,8 @@ import (
 // Record is lock-free — two atomic adds and a CAS loop for the max —
 // so the prototype front-end records from concurrent connection handlers
 // without a mutex, and the single-threaded simulator pays only the
-// uncontended-atomic cost (a few ns) per request. All counters use
-// atomic operations on both the write and the read side; readers see
+// uncontended-atomic cost (a few ns) per request. Every counter is a
+// typed atomic, so no read or write of one can be plain; readers see
 // each bucket's count with at least acquire semantics (the Go memory
 // model makes every sync/atomic operation sequentially consistent), but
 // a scrape concurrent with writers observes buckets at slightly
@@ -29,9 +29,9 @@ import (
 // There is no separate sample counter: the count is the sum of the
 // buckets, so a Prometheus _count equals the +Inf bucket by construction.
 type LatencyHist struct {
-	sum     int64
-	max     int64
-	buckets [histBuckets]int64
+	sum     atomic.Int64
+	max     atomic.Int64
+	buckets [histBuckets]atomic.Int64
 }
 
 const (
@@ -83,11 +83,11 @@ func (h *LatencyHist) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddInt64(&h.buckets[histIndex(v)], 1)
-	atomic.AddInt64(&h.sum, v)
+	h.buckets[histIndex(v)].Add(1)
+	h.sum.Add(v)
 	for {
-		m := atomic.LoadInt64(&h.max)
-		if v <= m || atomic.CompareAndSwapInt64(&h.max, m, v) {
+		m := h.max.Load()
+		if v <= m || h.max.CompareAndSwap(m, v) {
 			return
 		}
 	}
@@ -98,16 +98,16 @@ func (h *LatencyHist) Record(v int64) {
 func (h *LatencyHist) Count() int64 {
 	var n int64
 	for i := range h.buckets {
-		n += atomic.LoadInt64(&h.buckets[i])
+		n += h.buckets[i].Load()
 	}
 	return n
 }
 
 // Sum returns the sum of all recorded samples.
-func (h *LatencyHist) Sum() int64 { return atomic.LoadInt64(&h.sum) }
+func (h *LatencyHist) Sum() int64 { return h.sum.Load() }
 
 // Max returns the largest recorded sample (0 when empty).
-func (h *LatencyHist) Max() int64 { return atomic.LoadInt64(&h.max) }
+func (h *LatencyHist) Max() int64 { return h.max.Load() }
 
 // Mean returns the mean sample, 0 when empty.
 func (h *LatencyHist) Mean() float64 {
@@ -136,7 +136,7 @@ func (h *LatencyHist) Quantile(q float64) int64 {
 	}
 	var cum int64
 	for i := range h.buckets {
-		if c := atomic.LoadInt64(&h.buckets[i]); c != 0 {
+		if c := h.buckets[i].Load(); c != 0 {
 			cum += c
 			if cum >= rank {
 				_, hi := histBounds(i)
@@ -162,7 +162,7 @@ func (h *LatencyHist) CountAbove(v int64) int64 {
 	}
 	var n int64
 	for i := histIndex(v) + 1; i < histBuckets; i++ {
-		n += atomic.LoadInt64(&h.buckets[i])
+		n += h.buckets[i].Load()
 	}
 	return n
 }
@@ -175,14 +175,14 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 		return
 	}
 	for i := range o.buckets {
-		if c := atomic.LoadInt64(&o.buckets[i]); c != 0 {
-			atomic.AddInt64(&h.buckets[i], c)
+		if c := o.buckets[i].Load(); c != 0 {
+			h.buckets[i].Add(c)
 		}
 	}
-	atomic.AddInt64(&h.sum, atomic.LoadInt64(&o.sum))
+	h.sum.Add(o.sum.Load())
 	for {
-		m, om := atomic.LoadInt64(&h.max), atomic.LoadInt64(&o.max)
-		if om <= m || atomic.CompareAndSwapInt64(&h.max, m, om) {
+		m, om := h.max.Load(), o.max.Load()
+		if om <= m || h.max.CompareAndSwap(m, om) {
 			return
 		}
 	}
@@ -197,11 +197,11 @@ func (h *LatencyHist) Sub(o *LatencyHist) {
 		return
 	}
 	for i := range o.buckets {
-		if c := atomic.LoadInt64(&o.buckets[i]); c != 0 {
-			atomic.AddInt64(&h.buckets[i], -c)
+		if c := o.buckets[i].Load(); c != 0 {
+			h.buckets[i].Add(-c)
 		}
 	}
-	atomic.AddInt64(&h.sum, -atomic.LoadInt64(&o.sum))
+	h.sum.Add(-o.sum.Load())
 }
 
 // Snapshot returns a copy that is consistent with itself while Record runs
@@ -211,18 +211,14 @@ func (h *LatencyHist) Sub(o *LatencyHist) {
 // Sum and Max are read after the buckets and may include samples the
 // buckets do not (or, by the same few in-flight records, lag them); they
 // are monitoring figures, not part of the invariant. One allocation; not
-// for hot paths. The copy's fields are populated with atomic stores even
-// though it is unpublished here: every field is accessed through
-// sync/atomic, and mixing in plain writes would break that invariant (and
-// trip the race detector if a caller ever shared the copy before this
-// returns).
+// for hot paths.
 func (h *LatencyHist) Snapshot() *LatencyHist {
 	c := &LatencyHist{}
 	for i := range h.buckets {
-		atomic.StoreInt64(&c.buckets[i], atomic.LoadInt64(&h.buckets[i]))
+		c.buckets[i].Store(h.buckets[i].Load())
 	}
-	atomic.StoreInt64(&c.sum, atomic.LoadInt64(&h.sum))
-	atomic.StoreInt64(&c.max, atomic.LoadInt64(&h.max))
+	c.sum.Store(h.sum.Load())
+	c.max.Store(h.max.Load())
 	return c
 }
 
@@ -231,7 +227,7 @@ func (h *LatencyHist) Snapshot() *LatencyHist {
 // quantile tests are built on it.
 func (h *LatencyHist) Each(fn func(lo, hi int64, count int64)) {
 	for i := range h.buckets {
-		if c := atomic.LoadInt64(&h.buckets[i]); c != 0 {
+		if c := h.buckets[i].Load(); c != 0 {
 			lo, hi := histBounds(i)
 			fn(lo, hi, c)
 		}

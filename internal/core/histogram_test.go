@@ -152,8 +152,8 @@ func TestLatencyHistMergeAssociative(t *testing.T) {
 			left.Count(), left.Sum(), left.Max(), right.Count(), right.Sum(), right.Max())
 	}
 	for i := range left.buckets {
-		if left.buckets[i] != right.buckets[i] {
-			t.Fatalf("merge associativity: bucket %d differs: %d vs %d", i, left.buckets[i], right.buckets[i])
+		if l, r := left.buckets[i].Load(), right.buckets[i].Load(); l != r {
+			t.Fatalf("merge associativity: bucket %d differs: %d vs %d", i, l, r)
 		}
 	}
 }

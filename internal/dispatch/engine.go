@@ -137,7 +137,7 @@ func (e *Engine) Store() dstate.Store { return e.store }
 // scale-out model runs on the result and syncs through the returned
 // members. All engines share the spec's interner (the caller supplies one —
 // the simulator's workload interner — or each engine would intern apart).
-func NewTierEngines(spec Spec, mode dstate.Mode, frontends int, seed uint64) ([]*Engine, []*dstate.Member, error) {
+func NewTierEngines(spec Spec, mode dstate.Mode, frontends int) ([]*Engine, []*dstate.Member, error) {
 	peers := make([]dstate.Peer, frontends)
 	members := make([]*dstate.Member, frontends)
 	engines := make([]*Engine, frontends)
@@ -146,7 +146,7 @@ func NewTierEngines(spec Spec, mode dstate.Mode, frontends int, seed uint64) ([]
 		if err != nil {
 			return nil, nil, err
 		}
-		if members[i], err = dstate.NewMember(mode, i, pol, peers, seed); err != nil {
+		if members[i], err = dstate.NewMember(mode, i, pol, peers); err != nil {
 			return nil, nil, err
 		}
 		peers[i] = members[i]

@@ -28,8 +28,6 @@ type harness struct {
 	nextID  core.ConnID
 }
 
-const confSeed = 0xc0ffee
-
 // newHarness builds a tier of the given mode over fresh lard policies,
 // its members wired directly to each other.
 func newHarness(t *testing.T, mode dstate.Mode, frontends, nodes int) *harness {
@@ -43,7 +41,7 @@ func newHarness(t *testing.T, mode dstate.Mode, frontends, nodes int) *harness {
 	for _, m := range h.members {
 		h.stores = append(h.stores, m)
 	}
-	h.ring = policy.NewOwnerRing(frontends, 0, confSeed)
+	h.ring = policy.NewOwnerRing(frontends, 0, dstate.ShardRingSeed)
 	return h
 }
 
@@ -66,7 +64,7 @@ func newMembers(t *testing.T, mode dstate.Mode, n, nodes int, link func(f, g int
 	peers := make([][]dstate.Peer, n)
 	for f := range members {
 		peers[f] = make([]dstate.Peer, n)
-		m, err := dstate.NewMember(mode, f, newPolicy(t, nodes), peers[f], confSeed)
+		m, err := dstate.NewMember(mode, f, newPolicy(t, nodes), peers[f])
 		if err != nil {
 			t.Fatalf("member %d: %v", f, err)
 		}

@@ -101,12 +101,18 @@ var (
 	_ Peer  = (*Member)(nil)
 )
 
+// ShardRingSeed salts the shard-ownership ring of every sharded tier, in
+// the simulator and the prototype alike: the members of one tier must
+// agree on it, and a fixed value keeps simulator runs a pure function of
+// (config, trace).
+const ShardRingSeed = 0x1d15a7c4
+
 // NewMember builds member fe of a tier of len(peers) front-ends over its
 // own policy pol (every member's built from the same spec). peers may be
-// filled in after the call, but before traffic. seed salts the sharded
-// ownership ring; every member of a tier must agree on it. A replicated
-// member journals its mapping writes from here on.
-func NewMember(mode Mode, fe int, pol core.Policy, peers []Peer, seed uint64) (*Member, error) {
+// filled in after the call, but before traffic. A sharded member owns
+// its slice of the ShardRingSeed ring. A replicated member journals its
+// mapping writes from here on.
+func NewMember(mode Mode, fe int, pol core.Policy, peers []Peer) (*Member, error) {
 	if fe < 0 || fe >= len(peers) {
 		return nil, fmt.Errorf("dstate: front-end %d outside a tier of %d", fe, len(peers))
 	}
@@ -121,7 +127,7 @@ func NewMember(mode Mode, fe int, pol core.Policy, peers []Peer, seed uint64) (*
 	}
 	switch mode {
 	case ModeSharded:
-		m.ring = policy.NewOwnerRing(len(peers), 0, seed)
+		m.ring = policy.NewOwnerRing(len(peers), 0, ShardRingSeed)
 	case ModeReplicated:
 		if mp, ok := pol.(MappingPolicy); ok {
 			mp.Mapping().SetWriteObserver(m.record)

@@ -428,7 +428,7 @@ func TestTierConfigValidation(t *testing.T) {
 		{"negative index", dstate.ModeSharded, -1, 2},
 		{"local member", dstate.ModeLocal, 0, 2},
 	} {
-		if _, err := dstate.NewMember(tc.mode, tc.fe, pol, make([]dstate.Peer, tc.peers), confSeed); err == nil {
+		if _, err := dstate.NewMember(tc.mode, tc.fe, pol, make([]dstate.Peer, tc.peers)); err == nil {
 			t.Errorf("%s: NewMember accepted an invalid tier", tc.name)
 		}
 	}

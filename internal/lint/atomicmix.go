@@ -1,345 +1,39 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
-// NewAtomicmix returns the atomicmix analyzer: a struct field that is
-// accessed through sync/atomic anywhere in the program must never be
-// read or written plainly anywhere else. This is the classic mixed-
-// access race that the race detector only catches when the two accesses
-// actually collide under contention — statically it is a property of
-// the whole program, so the analyzer accumulates per-field facts across
-// every package (Run) and reports the mixes at the end (Finish).
-//
-// Fields are keyed by "pkgpath.StructType.field". Only fields whose
-// type sync/atomic can operate on are tracked (int32/int64/uint32/
-// uint64/uintptr/unsafe.Pointer and arrays of them); fields of the
-// modern atomic.Int64-style types cannot be accessed plainly and need
-// no checking. Struct-literal keys count as plain writes — initializing
-// an unpublished struct plainly is technically safe, but keeping
-// constructors atomic too is cheap and makes the invariant checkable
-// without an escape hatch.
+// NewAtomicmix returns the atomicmix analyzer: no package may use a
+// package-level function of sync/atomic (AddInt64, LoadPointer, …),
+// whether it calls one or takes it as a value. A field reached through
+// such a function can also be read or written plainly, and that mix
+// races under contention. A typed atomic (atomic.Int64,
+// atomic.Pointer[T], atomic.Value) has no plain access, so code that
+// uses only typed atomics cannot write the mix; their methods stay
+// silent. The rule decides each package alone.
 func NewAtomicmix() *Analyzer {
-	facts := &atomicFacts{
-		Atomic: map[string]string{},
-		Plain:  map[string][]string{},
-	}
 	a := &Analyzer{
-		Name:  "atomicmix",
-		Doc:   "a field accessed via sync/atomic must be accessed that way everywhere",
-		Facts: facts,
+		Name: "atomicmix",
+		Doc:  "sync/atomic is used through typed atomics, never its package-level functions",
 	}
 	a.Run = func(pass *Pass) error {
-		collectAtomicFacts(pass, facts)
-		return nil
-	}
-	a.Finish = func(report func(Diagnostic)) error {
-		facts.reportMixes(a.Name, report)
+		for _, file := range pass.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+				if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
+					fn.Type().(*types.Signature).Recv() == nil {
+					pass.Reportf(id.Pos(), "sync/atomic.%s: use a typed atomic (atomic.Int64, atomic.Pointer[T], …), which admits no plain access to mix with it", fn.Name())
+				}
+				return true
+			})
+		}
 		return nil
 	}
 	return a
-}
-
-// atomicFacts is the cross-package field-access table. Positions are
-// pre-rendered strings so facts serialize across vettool compilation
-// units.
-type atomicFacts struct {
-	Atomic map[string]string   // field key -> one atomic-access position
-	Plain  map[string][]string // field key -> plain-access positions
-}
-
-func (f *atomicFacts) Export() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(f)
-	return buf.Bytes(), err
-}
-
-func (f *atomicFacts) Import(data []byte) error {
-	var in atomicFacts
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
-		return err
-	}
-	for k, v := range in.Atomic {
-		if _, ok := f.Atomic[k]; !ok {
-			f.Atomic[k] = v
-		}
-	}
-	for k, v := range in.Plain {
-		f.Plain[k] = append(f.Plain[k], v...)
-	}
-	return nil
-}
-
-func (f *atomicFacts) reportMixes(analyzer string, report func(Diagnostic)) {
-	keys := make([]string, 0, len(f.Atomic))
-	for k := range f.Atomic {
-		if len(f.Plain[k]) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		plains := append([]string(nil), f.Plain[k]...)
-		sort.Strings(plains)
-		for _, pos := range plains {
-			report(Diagnostic{
-				Pos:      parsePosition(pos),
-				Message:  fmt.Sprintf("non-atomic access to field %s, which is accessed with sync/atomic at %s: mixed access races under contention", k, f.Atomic[k]),
-				Analyzer: analyzer,
-			})
-		}
-	}
-}
-
-// atomicFuncPrefixes are the sync/atomic operations that take &field.
-var atomicFuncPrefixes = []string{
-	"Add", "Load", "Store", "Swap", "CompareAndSwap", "And", "Or",
-}
-
-func isAtomicOpName(name string) bool {
-	for _, p := range atomicFuncPrefixes {
-		if len(name) > len(p) && name[:len(p)] == p {
-			return true
-		}
-	}
-	return false
-}
-
-func collectAtomicFacts(pass *Pass, facts *atomicFacts) {
-	// consumed maps selector nodes already accounted as atomic accesses
-	// or proven benign (len/cap and index-only range over array fields
-	// read no element values).
-	consumed := map[*ast.SelectorExpr]bool{}
-	for _, file := range pass.Files {
-		// Pass 0: mark benign array-field selectors.
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.RangeStmt:
-				if n.Value == nil {
-					if sel, ok := n.X.(*ast.SelectorExpr); ok && isArrayField(pass, sel) {
-						consumed[sel] = true
-					}
-				}
-			case *ast.CallExpr:
-				id, ok := n.Fun.(*ast.Ident)
-				if !ok || (id.Name != "len" && id.Name != "cap") || len(n.Args) != 1 {
-					return true
-				}
-				if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
-					return true
-				}
-				if sel, ok := n.Args[0].(*ast.SelectorExpr); ok && isArrayField(pass, sel) {
-					consumed[sel] = true
-				}
-			}
-			return true
-		})
-		// Pass 1: find &x.f (or &x.f[i]) arguments to sync/atomic calls.
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			pkgPath, name := pkgFunc(pass, call)
-			if pkgPath != "sync/atomic" || !isAtomicOpName(name) || len(call.Args) == 0 {
-				return true
-			}
-			if sel := addrFieldOperand(call.Args[0]); sel != nil {
-				if key := fieldKey(pass, sel); key != "" {
-					consumed[sel] = true
-					if _, have := facts.Atomic[key]; !have {
-						facts.Atomic[key] = pass.Fset.Position(call.Pos()).String()
-					}
-				}
-			}
-			return true
-		})
-		// Pass 2: every other access to an atomically-eligible field.
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if consumed[n] {
-					return true
-				}
-				if key := fieldKey(pass, n); key != "" {
-					facts.Plain[key] = append(facts.Plain[key], pass.Fset.Position(n.Pos()).String())
-				}
-			case *ast.CompositeLit:
-				collectLiteralFieldKeys(pass, n, facts)
-			}
-			return true
-		})
-	}
-}
-
-// isArrayField reports whether sel names a tracked field whose type is
-// an array — the one shape where len/cap/index-only-range over the
-// field is value-free and therefore race-free.
-func isArrayField(pass *Pass, sel *ast.SelectorExpr) bool {
-	if fieldKey(pass, sel) == "" {
-		return false
-	}
-	tv, ok := pass.TypesInfo.Types[sel]
-	if !ok {
-		return false
-	}
-	_, isArr := tv.Type.Underlying().(*types.Array)
-	return isArr
-}
-
-// addrFieldOperand unwraps &x.f and &x.f[i] to the field selector.
-func addrFieldOperand(arg ast.Expr) *ast.SelectorExpr {
-	un, ok := arg.(*ast.UnaryExpr)
-	if !ok || un.Op.String() != "&" {
-		return nil
-	}
-	inner := un.X
-	if idx, ok := inner.(*ast.IndexExpr); ok {
-		inner = idx.X
-	}
-	sel, _ := inner.(*ast.SelectorExpr)
-	return sel
-}
-
-// fieldKey resolves a selector to its canonical field key when it names
-// a struct field of atomically-eligible type declared on a named type,
-// or "" otherwise.
-func fieldKey(pass *Pass, sel *ast.SelectorExpr) string {
-	selection, ok := pass.TypesInfo.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return ""
-	}
-	field, ok := selection.Obj().(*types.Var)
-	if !ok || !atomicEligible(field.Type()) {
-		return ""
-	}
-	return ownedFieldKey(selection.Recv(), selection.Index())
-}
-
-// ownedFieldKey walks the (possibly embedded) selection path to the
-// named struct type that declares the field.
-func ownedFieldKey(recv types.Type, index []int) string {
-	t := recv
-	for step, idx := range index {
-		if ptr, ok := t.Underlying().(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok {
-			return "" // anonymous struct: unkeyable, skip
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok || idx >= st.NumFields() {
-			return ""
-		}
-		f := st.Field(idx)
-		if step == len(index)-1 {
-			pkg := "_"
-			if named.Obj().Pkg() != nil {
-				pkg = named.Obj().Pkg().Path()
-			}
-			return pkg + "." + named.Obj().Name() + "." + f.Name()
-		}
-		t = f.Type()
-	}
-	return ""
-}
-
-// collectLiteralFieldKeys records keyed struct-literal initializations
-// of eligible fields as plain writes.
-func collectLiteralFieldKeys(pass *Pass, lit *ast.CompositeLit, facts *atomicFacts) {
-	tv, ok := pass.TypesInfo.Types[lit]
-	if !ok {
-		return
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return
-	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return
-	}
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		field, ok := pass.TypesInfo.Uses[key].(*types.Var)
-		if !ok || !field.IsField() || !atomicEligible(field.Type()) {
-			continue
-		}
-		pkg := "_"
-		if named.Obj().Pkg() != nil {
-			pkg = named.Obj().Pkg().Path()
-		}
-		k := pkg + "." + named.Obj().Name() + "." + field.Name()
-		facts.Plain[k] = append(facts.Plain[k], pass.Fset.Position(kv.Pos()).String())
-	}
-}
-
-// atomicEligible reports whether sync/atomic functions can address a
-// field of type t (directly or as an array element).
-func atomicEligible(t types.Type) bool {
-	if arr, ok := t.Underlying().(*types.Array); ok {
-		t = arr.Elem()
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		switch u.Kind() {
-		case types.Int32, types.Int64, types.Uint32, types.Uint64, types.Uintptr, types.UnsafePointer:
-			return true
-		}
-	case *types.Pointer:
-		return false // atomic.LoadPointer needs unsafe.Pointer, not *T
-	}
-	return false
-}
-
-// parsePosition round-trips a rendered token.Position ("file:line:col").
-func parsePosition(s string) token.Position {
-	var p token.Position
-	// Split from the right: filenames may contain colons on some systems,
-	// but ours never do; a simple right-to-left parse is robust enough.
-	rest := s
-	for i := 0; i < 2; i++ {
-		j := lastIndexByte(rest, ':')
-		if j < 0 {
-			p.Filename = s
-			return p
-		}
-		n := 0
-		fmt.Sscanf(rest[j+1:], "%d", &n)
-		if i == 0 {
-			p.Column = n
-		} else {
-			p.Line = n
-		}
-		rest = rest[:j]
-	}
-	p.Filename = rest
-	return p
-}
-
-func lastIndexByte(s string, b byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

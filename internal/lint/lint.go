@@ -2,8 +2,9 @@
 // analyzers that prove, at build time, the invariants the test suite can
 // only sample — deterministic simulation (no wall-clock or global-RNG
 // reads in determinism-critical packages), zero-allocation hot paths
-// (functions annotated //phttp:hotpath), and unmixed atomic field access
-// (a field touched by sync/atomic anywhere is touched by it everywhere).
+// (functions annotated //phttp:hotpath), and atomics that cannot be
+// mixed with plain access (sync/atomic only through its typed atomics).
+// Every analyzer decides each package alone.
 //
 // The suite is deliberately framework-light: the container this repo is
 // grown in has no network and no golang.org/x/tools, so a ~200-line
@@ -24,7 +25,7 @@ import (
 )
 
 // Diagnostic is one analyzer finding, carrying a resolved position so
-// reports survive across packages and (in vettool mode) across processes.
+// reports from every package sort into one list.
 type Diagnostic struct {
 	Pos      token.Position
 	Message  string
@@ -55,31 +56,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// FactSet is the cross-package state of an analyzer that cannot decide
-// per package (atomicmix): Run accumulates into it, Finish reports from
-// it, and the vettool driver serializes it between compilation units.
-type FactSet interface {
-	// Export serializes the facts gathered so far.
-	Export() ([]byte, error)
-	// Import merges a previously exported fact set.
-	Import([]byte) error
-}
-
-// Analyzer is one named check. Run is invoked once per package; Finish,
-// when set, once after every package has been seen (cross-package
-// analyzers report there). Analyzers are stateful per suite instance —
-// always analyze with a fresh NewSuite().
+// Analyzer is one named check. Run is invoked once per package and
+// reports from that package alone: no analyzer keeps state across
+// packages.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
-
-	// Finish reports diagnostics that need the whole program.
-	Finish func(report func(Diagnostic)) error
-
-	// Facts, when non-nil, exposes the analyzer's cross-package state
-	// for the vettool driver.
-	Facts FactSet
 }
 
 // NewSuite returns fresh instances of the three phttp analyzers, in
@@ -92,8 +75,8 @@ func NewSuite() []*Analyzer {
 	}
 }
 
-// Run applies every analyzer to every package, then runs the Finish
-// hooks, returning all diagnostics sorted by position. Analyzer errors
+// Run applies every analyzer to every package, returning all
+// diagnostics sorted by position. Analyzer errors
 // (not diagnostics) abort the run.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
@@ -112,14 +95,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Types.Path(), err)
 			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		if err := a.Finish(report); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	SortDiagnostics(diags)

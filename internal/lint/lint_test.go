@@ -167,42 +167,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestAtomicmixFactRoundTrip proves the vettool fact transport: facts
-// exported after analyzing the fixture, imported into a fresh analyzer
-// instance, must reproduce the exact same Finish diagnostics.
-func TestAtomicmixFactRoundTrip(t *testing.T) {
-	files, err := filepath.Glob("testdata/atomicmix/*.go")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no fixture files: %v", err)
-	}
-	am := lint.NewAtomicmix()
-	direct := linttest.Check(t, repoRoot(t), files, "phttp/internal/lint/testdata/amfix", am)
-	if len(direct) == 0 {
-		t.Fatal("fixture produced no diagnostics")
-	}
-	blob, err := am.Facts.Export()
-	if err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	am2 := lint.NewAtomicmix()
-	if err := am2.Facts.Import(blob); err != nil {
-		t.Fatalf("import: %v", err)
-	}
-	var replayed []lint.Diagnostic
-	if err := am2.Finish(func(d lint.Diagnostic) { replayed = append(replayed, d) }); err != nil {
-		t.Fatalf("finish: %v", err)
-	}
-	lint.SortDiagnostics(replayed)
-	if len(replayed) != len(direct) {
-		t.Fatalf("round trip changed diagnostic count: %d vs %d", len(replayed), len(direct))
-	}
-	for i := range direct {
-		if direct[i].String() != replayed[i].String() {
-			t.Errorf("diagnostic %d diverged:\n direct:   %s\n replayed: %s", i, direct[i], replayed[i])
-		}
-	}
-}
-
 // TestSortDiagnostics pins the stable output order through every
 // tie-breaker: file, line, column, analyzer, message.
 func TestSortDiagnostics(t *testing.T) {
@@ -237,8 +201,8 @@ func TestSortDiagnostics(t *testing.T) {
 	}
 }
 
-// TestRunErrors covers the abort paths: an analyzer whose Run or Finish
-// fails must abort the whole run with a named error.
+// TestRunErrors covers the abort path: an analyzer whose Run fails must
+// abort the whole run with a named error.
 func TestRunErrors(t *testing.T) {
 	pkgs, err := lint.Load(repoRoot(t), "./internal/lint/linttest")
 	if err != nil {
@@ -251,14 +215,6 @@ func TestRunErrors(t *testing.T) {
 	if _, err := lint.Run(pkgs, []*lint.Analyzer{boom}); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("Run error not propagated: %v", err)
 	}
-	lateBoom := &lint.Analyzer{
-		Name:   "latebound",
-		Run:    func(*lint.Pass) error { return nil },
-		Finish: func(func(lint.Diagnostic)) error { return errors.New("kaput") },
-	}
-	if _, err := lint.Run(pkgs, []*lint.Analyzer{lateBoom}); err == nil || !strings.Contains(err.Error(), "latebound") {
-		t.Fatalf("Finish error not propagated: %v", err)
-	}
 }
 
 // TestLoadErrors covers the loader's failure mode on a pattern matching
@@ -266,13 +222,5 @@ func TestRunErrors(t *testing.T) {
 func TestLoadErrors(t *testing.T) {
 	if _, err := lint.Load(repoRoot(t), "./does/not/exist/..."); err == nil {
 		t.Fatal("expected error loading a nonexistent pattern")
-	}
-}
-
-// TestFactImportGarbage: a corrupt vetx payload must error, not panic.
-func TestFactImportGarbage(t *testing.T) {
-	am := lint.NewAtomicmix()
-	if err := am.Facts.Import([]byte("not a gob stream")); err == nil {
-		t.Fatal("expected error importing garbage facts")
 	}
 }

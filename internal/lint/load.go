@@ -146,9 +146,8 @@ func check(fset *token.FileSet, importPath string, files []string, imp types.Imp
 
 // CheckFiles type-checks already-listed source files as one package under
 // the given import path, resolving imports through exportLookup. The
-// vettool driver (unitchecker protocol) and the linttest fixture loader
-// are built on it — both know their file sets up front and must control
-// the package path the analyzers see.
+// linttest fixture loader is built on it: it knows its file set up front
+// and must control the package path the analyzers see.
 func CheckFiles(fset *token.FileSet, importPath string, files []string, exportLookup func(path string) (string, bool)) (*Package, error) {
 	return check(fset, importPath, files, exportImporter(fset, exportLookup))
 }

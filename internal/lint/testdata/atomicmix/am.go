@@ -1,57 +1,48 @@
-// Package amfix is the atomicmix golden fixture: the hits and total
-// fields are accessed through sync/atomic, so every plain read, write
-// or keyed-literal initialization of them must be flagged. Fields never
-// touched atomically (cold), fields of the modern atomic.Int64 types,
-// and non-eligible field types stay silent.
+// Package amfix is the atomicmix golden fixture: every use of a
+// sync/atomic package-level function, called or taken as a value, must
+// be flagged, and the methods of the typed atomics must stay silent.
 package amfix
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 type counters struct {
 	hits  int64
-	total int64
-	cold  int64
-	name  string
-	mod   atomic.Int64
-}
-
-func (c *counters) recordHit() {
-	atomic.AddInt64(&c.hits, 1)
-	atomic.AddInt64(&c.total, 1)
-	c.mod.Add(1)
-}
-
-func (c *counters) Hits() int64 {
-	return atomic.LoadInt64(&c.hits)
-}
-
-func (c *counters) reset() {
-	c.hits = 0  // want "non-atomic access to field phttp/internal/lint/testdata/amfix.counters.hits"
-	c.cold = 0  // legal: cold is never accessed atomically
-	c.name = "" // legal: strings are not atomics
-}
-
-func (c *counters) snapshot() counters {
-	return counters{
-		hits:  atomic.LoadInt64(&c.hits), // want "non-atomic access to field phttp/internal/lint/testdata/amfix.counters.hits"
-		total: c.total,                   // want "non-atomic access to field phttp/internal/lint/testdata/amfix.counters.total" "non-atomic access to field phttp/internal/lint/testdata/amfix.counters.total"
-	}
-}
-
-// shards proves array fields work: &s.lanes[i] marks the whole field.
-type shards struct {
 	lanes [8]uint64
+	head  unsafe.Pointer
 }
 
-func (s *shards) bump(i int) {
-	atomic.AddUint64(&s.lanes[i], 1)
+func (c *counters) legacy(p unsafe.Pointer) bool {
+	atomic.AddInt64(&c.hits, 1)                          // want "sync/atomic.AddInt64: use a typed atomic"
+	_ = atomic.LoadUint64(&c.lanes[0])                   // want "sync/atomic.LoadUint64"
+	return atomic.CompareAndSwapPointer(&c.head, nil, p) // want "sync/atomic.CompareAndSwapPointer"
 }
 
-func (s *shards) drain() uint64 {
-	var sum uint64
-	_ = len(s.lanes)         // legal: len of an array field reads no values
-	for i := range s.lanes { // legal: index-only range reads no values
-		sum += s.lanes[i] // want "non-atomic access to field phttp/internal/lint/testdata/amfix.shards.lanes"
-	}
-	return sum
+// Function values are uses too: the field they reach is still plain.
+var (
+	add  = atomic.AddInt64              // want "sync/atomic.AddInt64"
+	load = atomic.LoadUint64            // want "sync/atomic.LoadUint64"
+	cas  = atomic.CompareAndSwapPointer // want "sync/atomic.CompareAndSwapPointer"
+)
+
+type node struct{ next *node }
+
+// typed has no plain access to mix with; its methods are legal.
+type typed struct {
+	hits  atomic.Int64
+	lanes [8]atomic.Uint64
+	head  atomic.Pointer[node]
+	cfg   atomic.Value
+}
+
+func (t *typed) modern(n *node) bool {
+	t.hits.Add(1)
+	_ = t.lanes[0].Load()
+	t.cfg.Store("x")
+	_ = t.cfg.Load()
+	inc := t.hits.Add // a method value is a typed access too
+	inc(1)
+	return t.head.CompareAndSwap(nil, n)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"phttp/internal/cluster"
 	"phttp/internal/core"
 	"phttp/internal/sim"
 	"phttp/internal/trace"
@@ -100,8 +101,8 @@ func TestChurnRetryBudgetDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grid[0].Config.RetryBudget != DefaultChurnRetryBudget {
-		t.Fatalf("default retry budget = %d, want %d", grid[0].Config.RetryBudget, DefaultChurnRetryBudget)
+	if grid[0].Config.RetryBudget != cluster.DefaultRetryBudget {
+		t.Fatalf("default retry budget = %d, want %d", grid[0].Config.RetryBudget, cluster.DefaultRetryBudget)
 	}
 	// An explicit zero must survive (fail on first loss).
 	s2, err := Parse([]byte(strings.Replace(churnSpecJSON, `"retryBudget": 2`, `"retryBudget": 0`, 1)))

@@ -38,12 +38,12 @@ func (c *ChurnSpec) compile() []sim.ChurnEvent {
 }
 
 // retryBudget resolves the schedule's budget (default
-// DefaultChurnRetryBudget).
+// cluster.DefaultRetryBudget, the prototype's).
 func (c *ChurnSpec) retryBudget() int {
 	if c.RetryBudget != nil {
 		return *c.RetryBudget
 	}
-	return DefaultChurnRetryBudget
+	return cluster.DefaultRetryBudget
 }
 
 // SimPoint is one grid point of a compiled simulation scenario: the series

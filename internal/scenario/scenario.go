@@ -153,7 +153,7 @@ type ChurnSpec struct {
 	// RetryBudget caps crash re-dispatch attempts per request (and per
 	// connection open); work exceeding it fails and its connection
 	// closes. Pointer so an explicit 0 (fail on first loss) is
-	// distinguishable from the default (DefaultChurnRetryBudget).
+	// distinguishable from the default (cluster.DefaultRetryBudget).
 	RetryBudget *int `json:"retryBudget,omitempty"`
 }
 
@@ -169,10 +169,6 @@ type ChurnEventSpec struct {
 	// Node is the affected back-end index.
 	Node int `json:"node"`
 }
-
-// DefaultChurnRetryBudget is the re-dispatch budget a churn scenario
-// gets when it does not set one.
-const DefaultChurnRetryBudget = 2
 
 // SLOSpec is a per-request tail-latency objective. A grid point passes
 // when its post-warmup p99 delay is at or under P99Ms and at most

@@ -119,11 +119,6 @@ type Sim struct {
 	warmDiskBusy []core.Micros
 }
 
-// shardRingSeed salts the simulator's shard-ownership ring (sharded
-// dispatch state). Fixed, like every simulator seed, so runs are a pure
-// function of (config, trace).
-const shardRingSeed = 0x1d15a7c4
-
 // Run simulates the trace under cfg and returns the measured result. For
 // non-P-HTTP combos the trace is flattened to HTTP/1.0 form per call;
 // RunGrid flattens once per grid.
@@ -191,7 +186,7 @@ func runOnWorker(cfg Config, workload *trace.Trace, w *worker) (Result, error) {
 		engs = []*dispatch.Engine{disp}
 	} else {
 		var err error
-		engs, members, err = dispatch.NewTierEngines(spec, cfg.FEState, frontends, shardRingSeed)
+		engs, members, err = dispatch.NewTierEngines(spec, cfg.FEState, frontends)
 		if err != nil {
 			return Result{}, err
 		}
