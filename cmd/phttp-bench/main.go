@@ -23,47 +23,41 @@ import (
 	"time"
 
 	"phttp/internal/cluster"
-	"phttp/internal/core"
 	"phttp/internal/loadgen"
 	"phttp/internal/metrics"
 	"phttp/internal/scenario"
+	"phttp/internal/sim"
 	"phttp/internal/trace"
 )
 
-// protoCombo is one prototype policy/mechanism/workload combination of
-// Figure 13.
-type protoCombo struct {
-	name   string
-	policy string
-	mech   core.Mechanism
-	http10 bool
-}
-
-func protoCombos() []protoCombo {
-	return []protoCombo{
-		{"BEforward-extLARD-PHTTP", "extlard", core.BEForwarding, false},
-		{"simple-LARD", "lard", core.SingleHandoff, true},
-		{"simple-LARD-PHTTP", "lard", core.SingleHandoff, false},
-		{"WRR-PHTTP", "wrr", core.SingleHandoff, false},
-		{"WRR", "wrr", core.SingleHandoff, true},
-	}
-}
-
-// selectCombos returns the combinations -only names: all of them when it
-// is empty, else the one it matches, else an error listing the valid names.
-func selectCombos(only string) ([]protoCombo, error) {
-	all := protoCombos()
+// benchCombos returns the combinations -only names: with it empty, the
+// entries of sim.Combos() whose mechanism the prototype runs, in legend
+// order (Figure 13's five); else the one combination it names, if the
+// prototype runs it.
+func benchCombos(only string) ([]sim.Combo, error) {
 	if only == "" {
-		return all, nil
+		return runnable(sim.Combos()), nil
 	}
-	names := make([]string, len(all))
-	for i, c := range all {
-		if c.name == only {
-			return all[i : i+1], nil
+	if c, err := sim.ComboByName(only); err == nil && cluster.Runs(c.Mechanism) {
+		return []sim.Combo{c}, nil
+	}
+	var names []string
+	for _, c := range runnable(sim.AllCombos()) {
+		names = append(names, c.Name)
+	}
+	return nil, fmt.Errorf("unknown combination %q for -only, or one the prototype does not run (valid: %s)", only, strings.Join(names, ", "))
+}
+
+// runnable filters combos, in place, to those whose mechanism the
+// prototype runs.
+func runnable(combos []sim.Combo) []sim.Combo {
+	out := combos[:0]
+	for _, c := range combos {
+		if cluster.Runs(c.Mechanism) {
+			out = append(out, c)
 		}
-		names[i] = c.name
 	}
-	return nil, fmt.Errorf("unknown combination %q for -only (valid: %s)", only, strings.Join(names, ", "))
+	return out
 }
 
 func main() {
@@ -83,7 +77,7 @@ func main() {
 		runScenarioBench(*scenFlag, *scale, *clients)
 		return
 	}
-	combos, err := selectCombos(*only)
+	combos, err := benchCombos(*only)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -97,18 +91,18 @@ func main() {
 	var series []*metrics.Series
 	feUtil := &metrics.Series{Name: "FE-util-%(BEforward-extLARD-PHTTP)"}
 	for _, combo := range combos {
-		s := &metrics.Series{Name: combo.name}
+		s := &metrics.Series{Name: combo.Name}
 		for n := 1; n <= *maxNodes; n++ {
 			thr, util, err := runOne(combo, n, tr, *scale, *clients, *cacheMB<<20)
 			if err != nil {
-				fatalf("%s n=%d: %v", combo.name, n, err)
+				fatalf("%s n=%d: %v", combo.Name, n, err)
 			}
 			s.Add(float64(n), thr)
-			if combo.name == "BEforward-extLARD-PHTTP" {
+			if combo.Name == "BEforward-extLARD-PHTTP" {
 				feUtil.Add(float64(n), 100*util)
 			}
 			fmt.Fprintf(os.Stderr, "%-26s n=%d  %8.1f req/s (normalized)  FE %4.1f%%\n",
-				combo.name, n, thr, 100*util)
+				combo.Name, n, thr, 100*util)
 		}
 		series = append(series, s)
 	}
@@ -193,10 +187,10 @@ func runScenarioBench(arg string, scale float64, clients int) {
 
 // runOne starts a cluster, replays the trace, and returns normalized
 // throughput (req/s on modeled hardware) and front-end utilization.
-func runOne(combo protoCombo, nodes int, tr *trace.Trace, scale float64, clients int, cacheBytes int64) (float64, float64, error) {
+func runOne(combo sim.Combo, nodes int, tr *trace.Trace, scale float64, clients int, cacheBytes int64) (float64, float64, error) {
 	cfg := cluster.DefaultConfig(nodes, tr.Catalog())
-	cfg.Policy = combo.policy
-	cfg.Mechanism = combo.mech
+	cfg.Policy = combo.Policy
+	cfg.Mechanism = combo.Mechanism
 	cfg.TimeScale = scale
 	cfg.CacheBytes = cacheBytes
 	cl, err := cluster.Start(cfg)
@@ -211,7 +205,7 @@ func runOne(combo protoCombo, nodes int, tr *trace.Trace, scale float64, clients
 	res, err := loadgen.Run(loadgen.Config{
 		Addr:        cl.Addr(),
 		Trace:       tr,
-		HTTP10:      combo.http10,
+		HTTP10:      !combo.PHTTP,
 		Concurrency: clients,
 		WarmupFrac:  0.2,
 		IOTimeout:   2 * time.Minute,

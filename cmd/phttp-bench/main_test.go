@@ -29,9 +29,10 @@ func TestOnlyRejectsUnknownCombo(t *testing.T) {
 	if err == nil {
 		t.Fatalf("typo in -only exited 0:\n%s", out)
 	}
-	for _, c := range protoCombos() {
-		if !strings.Contains(string(out), c.name) {
-			t.Errorf("error does not list %s:\n%s", c.name, out)
+	fig13, _ := benchCombos("")
+	for _, c := range fig13 {
+		if !strings.Contains(string(out), c.Name) {
+			t.Errorf("error does not list %s:\n%s", c.Name, out)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func main() {
 		status   = flag.String("status", "", "ops listen address serving Prometheus text metrics at GET /status (per-request latency histogram, membership states, 503 and re-dispatch counters); empty disables it")
 		hbTO     = flag.Duration("heartbeat-timeout", 0, "mark a back-end Suspect after this much control-link silence (0 = membership default)")
 		confirm  = flag.Duration("confirm-window", 0, "confirm a Suspect back-end Down after this long (0 = membership default)")
-		retryBud = flag.Int("retry-budget", 0, "re-dispatch attempts per in-flight request after its node dies, relay mechanism only (0 = default)")
+		retryBud = flag.Int("retry-budget", cluster.DefaultRetryBudget, "re-dispatch attempts per in-flight request after its node dies, relay mechanism only (0 = none)")
 		fes      = flag.Int("frontends", 1, "scale-out tier size: total number of front-end processes sharing dispatch state (1 = classic single front-end)")
 		feID     = flag.Int("fe-id", 0, "this process's index in the tier, 0..frontends-1")
 		state    = flag.String("state", "local", "dispatch-state store backend: local, sharded (consistent-hash ownership, state transactions forward to the owner) or replicated (full replication, bounded-staleness sync)")

@@ -42,8 +42,6 @@ type BackendConfig struct {
 	// in-process harness default). phttp-backend sets fixed ports here.
 	CtrlListen string
 	PeerListen string
-	// DiskReportEvery is the control-session disk queue report interval.
-	DiskReportEvery time.Duration
 }
 
 // gate models one of a node's serial resources, its CPU or its disk:
@@ -135,9 +133,6 @@ type Backend struct {
 func NewBackend(cfg BackendConfig) (*Backend, error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
-	}
-	if cfg.DiskReportEvery <= 0 {
-		cfg.DiskReportEvery = 50 * time.Millisecond
 	}
 	b := &Backend{
 		cfg:     cfg,
@@ -400,11 +395,15 @@ func (b *Backend) adopt(id core.ConnID, fds *sessionReader) error {
 	return nil
 }
 
+// diskReportEvery is the control-session disk queue report interval; each
+// report doubles as the node's heartbeat.
+const diskReportEvery = 50 * time.Millisecond
+
 // reportDiskLoop periodically reports the disk queue depth to the
 // front-end, as the prototype's control sessions do.
 func (b *Backend) reportDiskLoop() {
 	defer b.wg.Done()
-	t := time.NewTicker(b.cfg.DiskReportEvery)
+	t := time.NewTicker(diskReportEvery)
 	defer t.Stop()
 	var line []byte
 	for {

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"phttp/internal/cache"
 	"phttp/internal/cluster"
 	"phttp/internal/core"
+	"phttp/internal/httpmsg"
 	"phttp/internal/loadgen"
 	"phttp/internal/membership"
 	"phttp/internal/policy"
@@ -28,7 +30,6 @@ func churnConfig(t *testing.T, nodes int, pol string, mech core.Mechanism) (clus
 	cfg, tr := testConfig(t, nodes, pol, mech)
 	cfg.HeartbeatTimeout = 150 * time.Millisecond
 	cfg.ConfirmWindow = 150 * time.Millisecond
-	cfg.HealthInterval = 25 * time.Millisecond
 	cfg.RetryBudget = 3
 	return cfg, tr
 }
@@ -122,6 +123,67 @@ func TestCrashMidRunRedispatches(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Errorf("goroutines: %d before, %d after close", before, runtime.NumGoroutine())
+}
+
+// TestCrashBetweenBatchesMovesRelayedConn: a relayed connection whose
+// handling node dies while it has no request outstanding is moved off the
+// dead node before its next batch is assigned. The batch is served by a
+// live node, and the dead node is no longer charged for the connection
+// while it stays open. LARD keeps a connection's requests on its handling
+// node (extLARD would move it through its own relay rule).
+func TestCrashBetweenBatchesMovesRelayedConn(t *testing.T) {
+	cfg, _ := churnConfig(t, 2, "lard", core.RelayFrontEnd)
+	cl, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatalf("start cluster: %v", err)
+	}
+	defer cl.Close()
+	conn, err := net.Dial("tcp", cl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	req := httpmsg.Request{Method: "GET", Target: firstTarget(t), Proto: "HTTP/1.1",
+		Headers: []httpmsg.Header{{Name: "Host", Value: "cluster"}}}
+	get := func() error {
+		if _, err := req.WriteTo(conn); err != nil {
+			return err
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, err := httpmsg.ReadResponse(br)
+		if err != nil {
+			return err
+		}
+		if resp.Status != 200 {
+			return fmt.Errorf("status %d", resp.Status)
+		}
+		_, err = io.CopyN(io.Discard, br, resp.ContentLength)
+		return err
+	}
+
+	if err := get(); err != nil {
+		t.Fatalf("first batch: %v", err)
+	}
+	loads := cl.FE.Policy().Loads()
+	dead := core.NoNode
+	for n := 0; n < cfg.Nodes; n++ {
+		if loads.Conns(core.NodeID(n)) == 1 {
+			dead = core.NodeID(n)
+		}
+	}
+	if dead == core.NoNode {
+		t.Fatal("no node is charged for the open connection")
+	}
+	cl.BEs[dead].Close()
+	waitForState(t, cl.FE, dead, membership.Down)
+
+	if err := get(); err != nil {
+		t.Errorf("second batch, after its handling node %v died: %v", dead, err)
+	}
+	if got := loads.Conns(dead); got != 0 {
+		t.Errorf("dead node %v still charged for %d open connection(s)", dead, got)
+	}
 }
 
 // TestDrainCompletesGracefully: a drained node finishes its work, takes
@@ -244,13 +306,11 @@ func TestStartToleratesRefusedBackend(t *testing.T) {
 		{Ctrl: be.CtrlAddr(), Handoff: be.HandoffPath()},
 	}
 	fe, err := cluster.NewFrontEnd(cluster.FrontEndConfig{
-		Nodes:       2,
-		Policy:      "lard",
-		Mechanism:   core.SingleHandoff,
-		Params:      policy.DefaultParams(),
-		CacheBytes:  8 << 20,
-		DialRetries: 1,
-		DialBackoff: 5 * time.Millisecond,
+		Nodes:      2,
+		Policy:     "lard",
+		Mechanism:  core.SingleHandoff,
+		Params:     policy.DefaultParams(),
+		CacheBytes: 8 << 20,
 	}, eps)
 	if err != nil {
 		t.Fatalf("one refused back-end aborted start: %v", err)
@@ -280,13 +340,11 @@ func TestStartFailsWithZeroReachable(t *testing.T) {
 		{Ctrl: refusedAddr(t), Handoff: "/nonexistent"},
 	}
 	_, err := cluster.NewFrontEnd(cluster.FrontEndConfig{
-		Nodes:       2,
-		Policy:      "wrr",
-		Mechanism:   core.SingleHandoff,
-		Params:      policy.DefaultParams(),
-		CacheBytes:  8 << 20,
-		DialRetries: 1,
-		DialBackoff: time.Millisecond,
+		Nodes:      2,
+		Policy:     "wrr",
+		Mechanism:  core.SingleHandoff,
+		Params:     policy.DefaultParams(),
+		CacheBytes: 8 << 20,
 	}, eps)
 	if err == nil || !strings.Contains(err.Error(), "no reachable back-end") {
 		t.Fatalf("err = %v, want no-reachable-back-end failure", err)

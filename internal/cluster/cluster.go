@@ -44,13 +44,9 @@ type Config struct {
 	BatchWindow time.Duration
 
 	// Membership knobs, passed through to the front-end (see the
-	// FrontEndConfig fields of the same names); zero values take the
-	// front-end defaults.
-	DialRetries      int
-	DialBackoff      time.Duration
+	// FrontEndConfig fields of the same names).
 	HeartbeatTimeout time.Duration
 	ConfirmWindow    time.Duration
-	HealthInterval   time.Duration
 	RetryBudget      int
 
 	// Frontends sizes the scale-out front-end tier; 0 or 1 starts the
@@ -86,6 +82,7 @@ func DefaultConfig(nodes int, catalog map[core.Target]int64) Config {
 		TimeScale:   1,
 		IdleTimeout: 15 * time.Second,
 		BatchWindow: 2 * time.Millisecond,
+		RetryBudget: DefaultRetryBudget,
 	}
 }
 
@@ -158,11 +155,8 @@ func Start(cfg Config) (*Cluster, error) {
 			MaxTargets:       cfg.MaxTargets,
 			IdleTimeout:      cfg.IdleTimeout,
 			BatchWindow:      cfg.BatchWindow,
-			DialRetries:      cfg.DialRetries,
-			DialBackoff:      cfg.DialBackoff,
 			HeartbeatTimeout: cfg.HeartbeatTimeout,
 			ConfirmWindow:    cfg.ConfirmWindow,
-			HealthInterval:   cfg.HealthInterval,
 			RetryBudget:      cfg.RetryBudget,
 		}
 		if frontends > 1 {

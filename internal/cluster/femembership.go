@@ -11,14 +11,16 @@ import (
 // Elastic membership at the front-end (DESIGN.md §14): the membership
 // table turns control-link evidence into state transitions, the listener
 // below mirrors them into the dispatch engine's eligibility view, and
-// healthLoop owns the clock — it ticks the failure detector and
-// re-dispatches in-flight relayed work off nodes confirmed Down.
+// healthLoop ticks the failure detector. Relayed work lost on a node
+// confirmed Down is re-dispatched by its own connection's goroutine,
+// through the engine's one re-dispatch rule (redispatchLost).
 
 // onMembership mirrors table transitions into the dispatch engine. It
 // runs under the table lock (membership.Listener contract), so it must
-// not call back into the table; Down sweeps are handed to healthLoop
-// through sweepCh. Suspect changes nothing here — a Suspect node keeps
-// its traffic until the confirm window expires.
+// not call back into the table. A Down transition wakes every relayed
+// connection, whose goroutine then re-dispatches its own lost requests.
+// Suspect changes nothing here — a Suspect node keeps its traffic until
+// the confirm window expires.
 func (fe *FrontEnd) onMembership(n core.NodeID, from, to membership.State) {
 	_ = from
 	switch to {
@@ -28,12 +30,11 @@ func (fe *FrontEnd) onMembership(n core.NodeID, from, to membership.State) {
 		fe.eng.SetNodeDraining(n)
 	case membership.Down:
 		fe.eng.SetNodeDown(n)
-		select {
-		case fe.sweepCh <- n:
-		default:
-			// Sweep queue full: requests on n fail their sends and the
-			// affected connections close — the coarse fallback.
+		fe.relayMu.Lock()
+		for _, c := range fe.relays {
+			wake(c.ready)
 		}
+		fe.relayMu.Unlock()
 	}
 }
 
@@ -50,87 +51,66 @@ func (fe *FrontEnd) suspect(n core.NodeID) {
 }
 
 // healthLoop owns membership timing: it ticks the failure detector
-// (Suspect after HeartbeatTimeout of silence, Down after ConfirmWindow)
-// and runs the Down sweeps queued by the listener.
+// (Suspect after HeartbeatTimeout of silence, Down after ConfirmWindow).
 func (fe *FrontEnd) healthLoop() {
 	defer fe.wg.Done()
-	interval := fe.cfg.HealthInterval
-	if interval <= 0 {
-		interval = DefaultHealthInterval
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(healthInterval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-fe.closed:
 			return
-		case n := <-fe.sweepCh:
-			fe.sweepNode(n)
 		case <-ticker.C:
 			fe.mem.Tick(time.Now())
 		}
 	}
 }
 
-// sweepNode re-dispatches every relayed request still in flight on a
-// node just confirmed Down: sent there, its response not arrived.
-func (fe *FrontEnd) sweepNode(dead core.NodeID) {
-	type victim struct {
-		c *feConn
-		r *relayReq
-	}
-	fe.relayMu.Lock()
-	var victims []victim
-	for _, c := range fe.relays {
-		for _, r := range c.relayed {
-			if r.node == dead && r.frame == nil {
-				victims = append(victims, victim{c, r})
-			}
+// redispatchLost re-sends c's unanswered relayed requests, seq from up,
+// whose node is confirmed Down, each to the node the engine's re-dispatch
+// rule names; the rule moves the connection too if its handling node is
+// the dead one. Past the retry budget — or with nowhere left to go — it
+// returns errRelayDropped, and the client connection tears down cleanly;
+// the client retries on a fresh connection that dispatches to live nodes.
+// Owner-goroutine only.
+func (fe *FrontEnd) redispatchLost(c *feConn, from int) error {
+	for {
+		r := fe.lostRequest(c, from)
+		if r == nil {
+			return nil
 		}
-	}
-	fe.relayMu.Unlock()
-	for _, v := range victims {
-		fe.redispatchPending(v.c, v.r, dead)
+		r.tries++
+		done := fe.trackDispatch()
+		to := fe.eng.Redispatch(c.ec, r.node, r.tries, fe.cfg.RetryBudget)
+		done()
+		if to == core.NoNode {
+			return errRelayDropped
+		}
+		r.node = to
+		msgs := r.line
+		if !c.setReqNode(to) {
+			c.line = append(appendRelay(c.line[:0], c.id), r.line...)
+			msgs = c.line
+		}
+		if err := fe.sendCtrl(to, msgs); err != nil {
+			fe.suspect(to)
+			continue
+		}
+		fe.redispatched.Inc()
 	}
 }
 
-// redispatchPending re-sends one in-flight request to a surviving node,
-// within the retry budget. Budget exhausted — or nowhere left to go —
-// falls back to closing the client connection: serveClient errors out,
-// the connection tears down cleanly, and the client retries on a fresh
-// connection that dispatches to live nodes.
-func (fe *FrontEnd) redispatchPending(c *feConn, p *relayReq, dead core.NodeID) {
-	budget := fe.cfg.RetryBudget
-	if budget == 0 {
-		budget = DefaultRetryBudget
+// lostRequest returns c's first unanswered relayed request, seq from up,
+// whose node is confirmed Down, or nil.
+func (fe *FrontEnd) lostRequest(c *feConn, from int) *relayReq {
+	fe.relayMu.Lock()
+	defer fe.relayMu.Unlock()
+	for seq := from; seq < c.seq; seq++ {
+		if r := c.relayed[seq]; r != nil && r.frame == nil && fe.eng.NodeIsDown(r.node) {
+			return r
+		}
 	}
-	p.tries++
-	to := core.NoNode
-	if p.tries <= budget {
-		done := fe.trackDispatch()
-		to = fe.eng.PickUp(dead)
-		done()
-	}
-	if to == core.NoNode {
-		fe.dropRelayed(c.id)
-		return
-	}
-	// The connection-load move must run on the connection's own
-	// goroutine (the engine's Conn state is owner-serialized), so only
-	// record the target here; dispatchBatch applies it next batch.
-	c.mu.Lock()
-	c.pendingMove = to
-	c.mu.Unlock()
-	p.node = to
-	msgs := p.line
-	if !c.setReqNode(to) {
-		msgs = append(appendRelay(nil, c.id), p.line...)
-	}
-	if err := fe.sendCtrl(to, msgs); err != nil {
-		fe.suspect(to)
-		return
-	}
-	fe.redispatched.Inc()
+	return nil
 }
 
 // Membership exposes the liveness table (admin surface, tests).

@@ -63,13 +63,6 @@ type FrontEndConfig struct {
 	// ephemeral loopback port.
 	ClientListen string
 
-	// DialRetries and DialBackoff bound the connection attempts per
-	// back-end at start (and in AddBackend): after 1+DialRetries failed
-	// attempts the node starts Down instead of aborting the front-end —
-	// start fails only when zero back-ends are reachable. Zero values
-	// take DefaultDialRetries / DefaultDialBackoff.
-	DialRetries int
-	DialBackoff time.Duration
 	// HeartbeatTimeout and ConfirmWindow parameterize failure detection
 	// (membership.Config): a back-end silent past HeartbeatTimeout — its
 	// periodic DISKQ reports double as heartbeats — turns Suspect, and a
@@ -77,13 +70,11 @@ type FrontEndConfig struct {
 	// keeps the membership package defaults.
 	HeartbeatTimeout time.Duration
 	ConfirmWindow    time.Duration
-	// HealthInterval is the failure detector's evaluation cadence
-	// (membership.Table.Tick); zero takes DefaultHealthInterval.
-	HealthInterval time.Duration
 	// RetryBudget caps re-dispatch attempts per relayed request after its
 	// serving node is confirmed Down; past it the client connection is
-	// closed (the connection-close fallback). Zero takes
-	// DefaultRetryBudget; negative means no retries.
+	// closed (the connection-close fallback). Zero means no retries, as
+	// in the simulator; DefaultConfig and phttp-frontend give
+	// DefaultRetryBudget.
 	RetryBudget int
 
 	// Frontends is the size of the scale-out front-end tier this node
@@ -112,12 +103,17 @@ type FrontEndConfig struct {
 	SyncInterval time.Duration
 }
 
-// Default knobs for the elastic-membership machinery.
+// The elastic-membership machinery's knobs. A back-end gets 1+dialRetries
+// connection attempts at start (and in AddBackend), the waits between them
+// growing by dialBackoff: an unreachable one starts Down instead of
+// aborting the front-end, and start fails only when zero back-ends are
+// reachable. healthInterval is the failure detector's evaluation cadence
+// (membership.Table.Tick).
 const (
-	DefaultDialRetries    = 3
-	DefaultDialBackoff    = 50 * time.Millisecond
-	DefaultHealthInterval = 100 * time.Millisecond
-	DefaultRetryBudget    = 2
+	dialRetries        = 3
+	dialBackoff        = 50 * time.Millisecond
+	healthInterval     = 100 * time.Millisecond
+	DefaultRetryBudget = 2
 )
 
 // BackendEndpoints tells the front-end how to reach one back-end: the TCP
@@ -167,16 +163,12 @@ type FrontEnd struct {
 	// the single-front-end configuration).
 	tier *peerTier
 
-	// sweepCh hands nodes just confirmed Down from the membership
-	// listener (which runs under the table lock) to healthLoop, which
-	// re-dispatches their in-flight relayed requests.
-	sweepCh chan core.NodeID
-
 	// relays is the route table of relayed connections, by ID. relayMu
 	// guards it and each entry's relayed requests (feConn.relayed): the
-	// session readers file response frames there, the health loop
-	// re-dispatches from there, and the connection's own goroutine writes
-	// the frames out.
+	// session readers file response frames there, a Down transition wakes
+	// every entry, and the connection's own goroutine writes the frames
+	// out and re-dispatches what a Down node lost. relayMu is taken after
+	// the membership table's lock, never before it.
 	relayMu sync.Mutex
 	relays  map[core.ConnID]*feConn
 
@@ -209,7 +201,7 @@ type FrontEnd struct {
 
 // relayReq is one relayed request whose response is not yet written to the
 // client — the unit of re-dispatch. fe.relayMu guards frame; node and tries
-// change only on the health loop.
+// are the connection's own goroutine's.
 type relayReq struct {
 	node  core.NodeID
 	line  []byte // the REQ message, kept for re-dispatch
@@ -271,7 +263,6 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 		eng:       eng,
 		endpoints: append([]BackendEndpoints(nil), backends...),
 		relays:    make(map[core.ConnID]*feConn),
-		sweepCh:   make(chan core.NodeID, 4*cfg.Nodes),
 		lat:       core.NewLatencyHist(),
 		started:   time.Now(),
 		closed:    make(chan struct{}),
@@ -318,19 +309,27 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 	return fe, nil
 }
 
+// Runs reports whether the prototype implements mechanism m: single
+// handoff, BE forwarding (the paper's choice) and relaying. Multiple
+// handoff exists only in the simulator, as in the paper.
+func Runs(m core.Mechanism) bool {
+	return m == core.SingleHandoff || m == core.BEForwarding || m == core.RelayFrontEnd
+}
+
 func validateFEConfig(cfg FrontEndConfig, backends int) error {
 	if cfg.Nodes != backends {
 		return fmt.Errorf("cluster: config says %d nodes but %d back-ends supplied", cfg.Nodes, backends)
 	}
-	switch cfg.Mechanism {
-	case core.SingleHandoff, core.BEForwarding, core.RelayFrontEnd:
-	default:
+	if !Runs(cfg.Mechanism) {
 		return fmt.Errorf("cluster: prototype does not implement mechanism %v (simulator only)", cfg.Mechanism)
 	}
 	// Policy names are validated by the dispatch registry when the engine
 	// is built; no second list of valid names lives here.
 	if cfg.Frontends > 1 && (cfg.FEID < 0 || cfg.FEID >= cfg.Frontends) {
 		return fmt.Errorf("cluster: front-end id %d outside tier [0,%d)", cfg.FEID, cfg.Frontends)
+	}
+	if cfg.RetryBudget < 0 {
+		return fmt.Errorf("cluster: RetryBudget must be non-negative, got %d", cfg.RetryBudget)
 	}
 	if cfg.Frontends <= 1 && cfg.State != dstate.ModeLocal {
 		return fmt.Errorf("cluster: state=%v needs frontends > 1 (a single front-end is always local)", cfg.State)
@@ -345,20 +344,10 @@ func (fe *FrontEnd) dialRetry(id core.NodeID, ep BackendEndpoints) (*beLink, err
 	if fe.relaying() && ep.Ctrl == "" || !fe.relaying() && ep.Handoff == "" {
 		return nil, fmt.Errorf("cluster: backend slot %v is vacant (no control endpoint)", id)
 	}
-	retries := fe.cfg.DialRetries
-	if retries == 0 {
-		retries = DefaultDialRetries
-	} else if retries < 0 {
-		retries = 0
-	}
-	backoff := fe.cfg.DialBackoff
-	if backoff <= 0 {
-		backoff = DefaultDialBackoff
-	}
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= dialRetries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * backoff)
+			time.Sleep(time.Duration(attempt) * dialBackoff)
 		}
 		link, err := fe.dial(id, ep)
 		if err == nil {
@@ -594,10 +583,11 @@ var errRelayDropped = errors.New("cluster: relayed connection dropped")
 // the last is written. A write gets IdleTimeout to move a byte, and only
 // stallGrace while maxPending or more responses wait: the rule by which a
 // back-end refuses a handed-off client that does not read (beConn.Write).
-// A wait for frames gets IdleTimeout too. A response can be lost with no
-// sweep to re-send it — its node's session replaced by AddBackend, or its
-// request filed just after its node's sweep — and the client that waits
-// for it is then closed as one that waits and sends nothing is.
+// Before each wait for frames, and so after a Down node's wake-up, the
+// requests a Down node lost are re-dispatched (redispatchLost). A wait
+// gets IdleTimeout too: a response lost on a node that is not Down — its
+// session replaced by AddBackend — closes the client that waits for it
+// as one that waits and sends nothing is.
 func (fe *FrontEnd) relayOut(c *feConn, first int) error {
 	for seq := first; seq < c.seq; {
 		fe.relayMu.Lock()
@@ -612,6 +602,9 @@ func (fe *FrontEnd) relayOut(c *feConn, first int) error {
 			return errRelayDropped
 		}
 		if frame == nil {
+			if err := fe.redispatchLost(c, seq); err != nil {
+				return err
+			}
 			idle := time.NewTimer(fe.cfg.IdleTimeout)
 			select {
 			case <-c.ready:
@@ -678,19 +671,12 @@ type feConn struct {
 
 	// reqNodes lists the back-ends that received traffic for this
 	// connection, in first-use order, for the CLOSE fan-out (one node
-	// unless relaying). mu guards it: the health loop's re-dispatch
-	// touches it from outside the connection's own goroutine. seq stays
-	// owner-only (re-dispatch resends already-sequenced lines).
-	mu       sync.Mutex
+	// unless relaying), and seq numbers its requests. Owner-only.
 	reqNodes []core.NodeID
 	seq      int
 	// closeSent: the CLOSE went out with the batch whose last request ended
-	// the connection, and closeClient owes the back-end none. Owner-only.
+	// the connection, and closeClient owes the back-end none.
 	closeSent bool
-	// pendingMove is a re-dispatch-requested handling change (NoNode
-	// when none): the health loop records it, and the connection's own
-	// goroutine applies it — engine Conn state is owner-serialized.
-	pendingMove core.NodeID
 
 	// Batch scratch, owner-only: the parsed requests (their header
 	// storage is what ReadRequestInto reuses), the batch in the policy's
@@ -731,18 +717,13 @@ func (fe *FrontEnd) newConn(conn net.Conn) *feConn {
 	c := feConnPool.Get().(*feConn)
 	c.conn = conn
 	c.br.Reset(conn)
-	c.pendingMove = core.NoNode
 	return c
 }
 
-// recycle returns a closed connection's record to the pool. A relayed
-// connection's record has been published to the health loop through the
-// route table, and a sweep may still hold it; that one is left to the
-// collector.
+// recycle returns a closed connection's record to the pool. Once
+// closeClient has taken a relayed connection out of the route table, no
+// other goroutine can reach its record either.
 func (c *feConn) recycle() {
-	if c.ready != nil {
-		return
-	}
 	c.br.Reset(nil)
 	reqs, batch, line := c.reqs[:0], c.batch[:0], c.line[:0]
 	if cap(reqs) > feConnScratchMax {
@@ -755,8 +736,6 @@ func (c *feConn) recycle() {
 // setReqNode records that dest received traffic for this connection and
 // reports whether it already had.
 func (c *feConn) setReqNode(dest core.NodeID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, n := range c.reqNodes {
 		if n == dest {
 			return true
@@ -979,13 +958,14 @@ func handoffRefused(n core.NodeID, why string) error {
 //
 //phttp:hotpath
 func (fe *FrontEnd) dispatchBatch(c *feConn) error {
-	c.mu.Lock()
-	move := c.pendingMove
-	c.pendingMove = core.NoNode
-	c.mu.Unlock()
-	if move != core.NoNode && fe.eng.NodeIsDown(c.ec.Handling()) {
+	if h := c.ec.Handling(); fe.relaying() && fe.eng.NodeIsDown(h) {
+		// The handling node died between batches: move the connection
+		// before the batch is assigned, spending no retry, as no work was
+		// lost. A handed-off connection is not moved: its dead node may
+		// have left a response half-written on the client's stream, so it
+		// fails its next send and closes.
 		done := fe.trackDispatch()
-		fe.eng.MoveConn(c.ec, move)
+		fe.eng.Redispatch(c.ec, h, 0, 0)
 		done()
 	}
 	done := fe.trackDispatch()
@@ -1043,8 +1023,8 @@ func (fe *FrontEnd) dispatchBatch(c *feConn) error {
 // relayBatch forwards a relayed batch: each request goes directly to its
 // assigned node, and every node gets its share of the batch in one write.
 // Each request keeps its own line (re-dispatch re-sends it) and is
-// registered before anything is sent: a node that dies between the write
-// and its response must find the request sweepable.
+// registered before anything is sent, so relayOut finds it should its node
+// die before answering.
 func (fe *FrontEnd) relayBatch(c *feConn, assignments []core.Assignment) {
 	c.lines = c.lines[:0]
 	fe.relayMu.Lock()
@@ -1074,8 +1054,8 @@ func (fe *FrontEnd) relayBatch(c *feConn, assignments []core.Assignment) {
 		c.line = buf
 		if err := fe.sendCtrl(dest, buf); err != nil {
 			// Write failure is liveness evidence; the requests stay
-			// pending and are re-dispatched once the node is confirmed
-			// Down.
+			// pending, and relayOut re-dispatches them once the node is
+			// confirmed Down.
 			fe.suspect(dest)
 		}
 	}
@@ -1098,12 +1078,9 @@ func (fe *FrontEnd) sendCtrl(n core.NodeID, msgs []byte) error {
 // closeClient tears one client connection down on EOF, error or idle
 // timeout: back-ends are told to release it and the policy frees its load.
 func (fe *FrontEnd) closeClient(c *feConn) {
-	c.mu.Lock()
-	nodes := c.reqNodes
-	c.mu.Unlock()
-	if len(nodes) > 0 && !c.closeSent {
+	if len(c.reqNodes) > 0 && !c.closeSent {
 		c.line = appendClose(c.line[:0], c.id)
-		for _, n := range nodes {
+		for _, n := range c.reqNodes {
 			fe.sendCtrl(n, c.line)
 		}
 	}

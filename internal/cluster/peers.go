@@ -41,8 +41,8 @@ const DefaultSyncInterval = 50 * time.Millisecond
 // typically launched in sequence, so the first members up must wait for
 // the last member's listener rather than fatal on connection refused.
 const (
-	defaultPeerDialRetries = 10
-	defaultPeerDialBackoff = 100 * time.Millisecond
+	peerRedials       = 10
+	peerRedialBackoff = 100 * time.Millisecond
 )
 
 // peerLink is one outbound connection to a tier peer, and the member's
@@ -175,9 +175,9 @@ func (t *peerTier) connect(addrs []string) error {
 // the peers launched first must outwait the last listener's bind.
 func dialPeer(addr string) (net.Conn, error) {
 	var lastErr error
-	for attempt := 0; attempt <= defaultPeerDialRetries; attempt++ {
+	for attempt := 0; attempt <= peerRedials; attempt++ {
 		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * defaultPeerDialBackoff)
+			time.Sleep(time.Duration(attempt) * peerRedialBackoff)
 		}
 		conn, err := net.Dial("tcp", addr)
 		if err == nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +153,11 @@ func TestClusterStartValidation(t *testing.T) {
 	cfg.Policy = "bogus"
 	if _, err := cluster.Start(cfg); err == nil {
 		t.Error("accepted unknown policy")
+	}
+	cfg = cluster.DefaultConfig(1, map[core.Target]int64{"/x": 1})
+	cfg.RetryBudget = -1
+	if _, err := cluster.Start(cfg); err == nil || !strings.Contains(err.Error(), "RetryBudget") {
+		t.Errorf("negative retry budget: err = %v", err)
 	}
 }
 

@@ -59,7 +59,7 @@ type Engine struct {
 	// membership is the policy's optional membership-transition hook,
 	// resolved once (nil when the policy ignores churn). nodePhases and
 	// upNodes are the engine's own view, kept even for such policies so
-	// HasUp/PickUp still gate admission and re-dispatch.
+	// HasUp and Redispatch still gate admission and re-dispatch.
 	membership core.MembershipPolicy
 	nodePhases []atomic.Int32
 	upNodes    atomic.Int32

@@ -10,9 +10,9 @@ import (
 // view (independent of whether the policy cares) and forwards
 // transitions to policies implementing core.MembershipPolicy. Drivers —
 // the simulator's churn events and the prototype front-end's membership
-// table — call the SetNode* methods; the dispatch paths use HasUp /
-// PickUp / MoveConn to gate admission and re-dispatch work off dead
-// nodes.
+// table — call the SetNode* methods; the dispatch paths gate admission
+// on HasUp, and a connection's owner re-dispatches its work lost on a
+// dead node through Redispatch.
 
 // nodePhase is the engine's coarse per-node view. It mirrors the
 // membership.Table states that matter to dispatch; Joining and Suspect
@@ -94,13 +94,13 @@ func (e *Engine) UpNodes() int { return int(e.upNodes.Load()) }
 // simulator fails the connection against the retry budget.
 func (e *Engine) HasUp() bool { return e.upNodes.Load() > 0 }
 
-// PickUp returns the least-loaded Up node other than exclude (pass
+// pickUp returns the least-loaded Up node other than exclude (pass
 // core.NoNode to exclude nothing), or NoNode when no node qualifies.
 // It is the engine-level re-dispatch target choice: deterministic given
 // the load state (ties break toward the lower node ID), policy-agnostic
 // — the policy already recorded the original placement; moving the
 // refugee work is a mechanism action.
-func (e *Engine) PickUp(exclude core.NodeID) core.NodeID {
+func (e *Engine) pickUp(exclude core.NodeID) core.NodeID {
 	loads := e.pol.Loads()
 	best := core.NoNode
 	for i := 0; i < e.spec.Nodes; i++ {
@@ -115,14 +115,33 @@ func (e *Engine) PickUp(exclude core.NodeID) core.NodeID {
 	return best
 }
 
-// MoveConn forcibly reassigns connection c's handling node to `to`,
-// transferring its connection-load unit. Drivers call it when c's
-// handling node died and its traffic was re-dispatched — a mechanism
-// action, deliberately outside the policy (which finds out through the
-// load tracker it already reads). No-op on a closed connection.
-func (e *Engine) MoveConn(c *Conn, to core.NodeID) {
-	if c == nil || c.closed.Load() || c.cs.Handling == core.NoNode || c.cs.Handling == to {
+// moveConn forcibly reassigns connection c's handling node to `to`,
+// transferring its connection-load unit: Redispatch moves a connection off
+// a dead handling node — a mechanism action, deliberately outside the
+// policy (which finds out through the load tracker it already reads).
+// No-op on a closed connection.
+func (e *Engine) moveConn(c *Conn, to core.NodeID) {
+	if c.closed.Load() || c.cs.Handling == core.NoNode || c.cs.Handling == to {
 		return
 	}
 	e.store.MoveConn(&c.cs, to)
+}
+
+// Redispatch is the one rule for work lost on node dead, in both worlds,
+// called by the connection's owner (Conn state is owner-serialized).
+// tries counts the attempts made for the lost work, this one included;
+// while it is within budget, Redispatch returns the least-loaded Up node
+// other than dead and moves c there if c's handling node is Down. Past
+// the budget, or with no Up node left, it returns NoNode and moves
+// nothing: the caller fails the work. A caller that only moves c off a
+// Down handling node, retrying no work, passes tries 0.
+func (e *Engine) Redispatch(c *Conn, dead core.NodeID, tries, budget int) core.NodeID {
+	if tries > budget {
+		return core.NoNode
+	}
+	to := e.pickUp(dead)
+	if to != core.NoNode && e.NodeIsDown(c.Handling()) {
+		e.moveConn(c, to)
+	}
+	return to
 }

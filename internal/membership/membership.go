@@ -72,16 +72,15 @@ type Config struct {
 	// HeartbeatTimeout: a node whose last heartbeat is older than this
 	// at Tick time becomes Suspect. The prototype's heartbeat is the
 	// DISKQ report every back-end already sends on its control link
-	// (every cluster.DiskReportEvery), so no new protocol traffic is
-	// needed.
+	// every 50 ms, so no new protocol traffic is needed.
 	HeartbeatTimeout time.Duration
 	// ConfirmWindow: a node continuously Suspect for this long becomes
 	// Down.
 	ConfirmWindow time.Duration
 }
 
-// Defaults: the back-end heartbeats every 50ms (DiskReportEvery), so a
-// second of silence is ~20 missed reports.
+// Defaults: the back-end heartbeats every 50ms (its disk queue report), so
+// a second of silence is ~20 missed reports.
 const (
 	DefaultHeartbeatTimeout = 1 * time.Second
 	DefaultConfirmWindow    = 1 * time.Second

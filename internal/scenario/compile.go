@@ -290,6 +290,7 @@ func (s *Spec) ToFrontEndConfig(nodes int) (cluster.FrontEndConfig, error) {
 		CacheBytes:    cluster.PrototypeCacheBytes,
 		MaxTargets:    s.Cluster.MaxTargets,
 		IdleTimeout:   15 * time.Second,
+		RetryBudget:   cluster.DefaultRetryBudget,
 	}
 	if s.Cluster.CacheMB > 0 {
 		cfg.CacheBytes = s.Cluster.CacheMB << 20

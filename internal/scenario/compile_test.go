@@ -147,7 +147,8 @@ func TestToFrontEndConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Policy != "p2c" || cfg.CacheBytes != 8<<20 || cfg.MaxTargets != 1000 || cfg.Nodes != 3 {
+	if cfg.Policy != "p2c" || cfg.CacheBytes != 8<<20 || cfg.MaxTargets != 1000 || cfg.Nodes != 3 ||
+		cfg.RetryBudget != cluster.DefaultRetryBudget {
 		t.Errorf("compiled %+v", cfg)
 	}
 	if cfg.PolicyOptions["seed"] == nil {

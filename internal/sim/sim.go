@@ -585,10 +585,7 @@ func (c *connRun) step(phase int, n core.NodeID) {
 func (c *connRun) reopen(dead core.NodeID) {
 	s := c.sim
 	c.tries++
-	t := core.NoNode
-	if c.tries <= s.cfg.RetryBudget {
-		t = c.disp.PickUp(dead)
-	}
+	t := c.disp.Redispatch(c.ec, dead, c.tries, s.cfg.RetryBudget)
 	if t == core.NoNode {
 		for _, b := range c.conn.Batches[c.batchIdx:] {
 			s.failed += int64(len(b))
@@ -597,7 +594,6 @@ func (c *connRun) reopen(dead core.NodeID) {
 		return
 	}
 	s.redispatches++
-	c.disp.MoveConn(c.ec, t)
 	costs := &s.cfg.Server
 	s.cpuCall(t, costs.HandoffBE+costs.ConnSetup, connStep, c, cpOpenBE)
 }
@@ -805,18 +801,12 @@ func (rr *reqRun) contentReady() {
 func (rr *reqRun) redispatch(dead core.NodeID) {
 	s := rr.cr.sim
 	rr.tries++
-	t := core.NoNode
-	if rr.tries <= s.cfg.RetryBudget {
-		t = rr.cr.disp.PickUp(dead)
-	}
+	t := rr.cr.disp.Redispatch(rr.cr.ec, dead, rr.tries, s.cfg.RetryBudget)
 	if t == core.NoNode {
 		rr.fail()
 		return
 	}
 	s.redispatches++
-	if rr.cr.disp.NodeIsDown(rr.cr.ec.Handling()) {
-		rr.cr.disp.MoveConn(rr.cr.ec, t)
-	}
 	rr.a = core.Assignment{Node: t}
 	s.feCall(rr.cr.fe, s.cfg.Server.FEPerRequest, reqStep, rr, rqFE)
 }

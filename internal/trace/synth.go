@@ -60,44 +60,16 @@ type SynthConfig struct {
 
 	// MaxBatch caps pipelined batch size (browsers bound parallelism).
 	MaxBatch int
-
-	// GenVersion pins the deterministic draw scheme so a (config, trace)
-	// pair stays reproducible across releases. Version 2 — the current and
-	// only supported scheme — builds the catalog from the base seed and
-	// generates connections in independent blocks, each on its own RNG
-	// stream seeded by (Seed, block index). 0 means GenVersionBlocks.
-	GenVersion int
-
-	// BlockSize is the number of connections per generation block — the
-	// unit of determinism. Output is a pure function of (config, BlockSize)
-	// and independent of how many workers generate the blocks. 0 means
-	// DefaultBlockSize.
-	BlockSize int
 }
 
-// GenVersionBlocks is the block-seeded generation scheme (see
-// SynthConfig.GenVersion).
-const GenVersionBlocks = 2
-
-// DefaultBlockSize is the default generation block size: small enough that
-// the default 60k-connection workload spreads over ~60 blocks (ample
-// parallelism), large enough that per-block stream setup is noise.
-const DefaultBlockSize = 1024
-
-// genVersion and blockSize resolve the zero defaults.
-func (c SynthConfig) genVersion() int {
-	if c.GenVersion == 0 {
-		return GenVersionBlocks
-	}
-	return c.GenVersion
-}
-
-func (c SynthConfig) blockSize() int {
-	if c.BlockSize <= 0 {
-		return DefaultBlockSize
-	}
-	return c.BlockSize
-}
+// blockSize is the number of connections per generation block, the unit
+// of determinism: the catalog is built from the base seed, and block b of
+// the connections draws from its own RNG stream seeded by (Seed, b), so a
+// trace is a function of its config whatever the number of workers that
+// generate the blocks. 1024 spreads the default 60k-connection workload
+// over ~60 blocks (ample parallelism) and makes per-block stream setup
+// noise.
+const blockSize = 1024
 
 // DefaultSynthConfig returns the calibrated default: ~60k targets, ~500 MB
 // working set (about 6x one back-end's 85 MB cache, so a single node
@@ -149,7 +121,7 @@ func objectTarget(i int) core.Target { return core.Target(fmt.Sprintf("/img/obj%
 //
 // The catalog (sizes, embedded-object lists, popularity tables) is built
 // once from the base seed; connection generation draws from per-block RNG
-// streams (see SynthConfig.GenVersion), so Generate can fan blocks out over
+// streams (see blockSize), so Generate can fan blocks out over
 // worker goroutines and still produce the identical trace.
 type Synth struct {
 	cfg      SynthConfig
@@ -173,9 +145,6 @@ const embedRetries = 16
 func NewSynth(cfg SynthConfig) *Synth {
 	if cfg.Pages <= 0 || cfg.Objects <= 0 || cfg.Connections < 0 {
 		panic("trace: SynthConfig with non-positive population")
-	}
-	if v := cfg.genVersion(); v != GenVersionBlocks {
-		panic(fmt.Sprintf("trace: unsupported SynthConfig.GenVersion %d (want %d)", v, GenVersionBlocks))
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 4
@@ -264,11 +233,11 @@ func (s *Synth) blockGen(block int) blockGen {
 	return blockGen{s: s, rng: rng, zipf: s.zipf.With(rng)}
 }
 
-// genBlock fills conns[block*BlockSize : ...] from the block's own stream.
+// genBlock fills conns[block*blockSize : ...] from the block's own stream.
 func (s *Synth) genBlock(block int, conns []core.Connection) {
 	g := s.blockGen(block)
-	lo := block * s.cfg.blockSize()
-	hi := lo + s.cfg.blockSize()
+	lo := block * blockSize
+	hi := lo + blockSize
 	if hi > len(conns) {
 		hi = len(conns)
 	}
@@ -279,15 +248,15 @@ func (s *Synth) genBlock(block int, conns []core.Connection) {
 
 // generateConns produces the connection sequence: blocks are generated
 // independently (in parallel when workers allows) and spliced in block
-// order, so the result is deterministic for a (config, BlockSize) pair
-// regardless of worker count. workers < 1 means GOMAXPROCS.
+// order, so the result is deterministic for a config regardless of worker
+// count. workers < 1 means GOMAXPROCS.
 func (s *Synth) generateConns(workers int) []core.Connection {
 	n := s.cfg.Connections
 	if n == 0 {
 		return nil
 	}
 	conns := make([]core.Connection, n)
-	blocks := (n + s.cfg.blockSize() - 1) / s.cfg.blockSize()
+	blocks := (n + blockSize - 1) / blockSize
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}

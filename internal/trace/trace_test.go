@@ -204,12 +204,12 @@ func TestSynthDeterminism(t *testing.T) {
 }
 
 // TestSynthParallelDeterminism is the generation golden: for a fixed
-// (config, BlockSize), the trace must be identical whatever the worker
-// count — block streams, not scheduling, carry the randomness.
+// config, the trace must be identical whatever the worker count — block
+// streams, not scheduling, carry the randomness. The connections span
+// several blocks.
 func TestSynthParallelDeterminism(t *testing.T) {
 	cfg := SmallSynthConfig()
-	cfg.Connections = 3000
-	cfg.BlockSize = 256
+	cfg.Connections = 3*blockSize + 100
 	ref := NewSynth(cfg).GenerateParallel(1)
 	for _, workers := range []int{2, 3, 8, 0} {
 		got := NewSynth(cfg).GenerateParallel(workers)
@@ -224,32 +224,6 @@ func TestSynthParallelDeterminism(t *testing.T) {
 				workers, got.Interner.Len(), ref.Interner.Len())
 		}
 	}
-}
-
-// TestSynthBlockSizePinsDraw documents that BlockSize is part of the
-// config a trace is a function of: changing it changes the draw (each
-// block is an independent stream).
-func TestSynthBlockSizePinsDraw(t *testing.T) {
-	cfg := SmallSynthConfig()
-	cfg.Connections = 2000
-	cfg.BlockSize = 256
-	a := NewSynth(cfg).Generate()
-	cfg.BlockSize = 512
-	b := NewSynth(cfg).Generate()
-	if reflect.DeepEqual(a.Conns, b.Conns) {
-		t.Error("different block sizes produced identical traces; BlockSize is not pinning the draw")
-	}
-}
-
-func TestSynthUnsupportedGenVersionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewSynth accepted an unsupported GenVersion")
-		}
-	}()
-	cfg := SmallSynthConfig()
-	cfg.GenVersion = 1
-	NewSynth(cfg)
 }
 
 // TestGenerateBothMatchesGenerate pins the stream split: connection draws
