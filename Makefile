@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check chaos slo multife
+.PHONY: all build test race bench-smoke benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check chaos slo multife lines
 
 all: build
 
@@ -83,6 +83,17 @@ benchmark-smoke:
 slo:
 	$(GO) run ./cmd/phttp-sim -scenario slo-tail > /dev/null
 	$(GO) run ./cmd/phttp-sim -scenario churn-crash > /dev/null
+
+# Go line counts by ROADMAP's counting rule: .go files outside benchmark/
+# (its own module) and the git-ignored .bench_build/, split into non-test
+# lines (no _test.go, nothing under testdata/) and _test.go lines.
+lines:
+	@find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' \
+		-not -path '*/testdata/*' -not -name '*_test.go' -print0 | \
+		xargs -0 cat | wc -l | awk '{print "non-test", $$1}'
+	@find . -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' \
+		-not -path '*/testdata/*' -print0 | \
+		xargs -0 cat | wc -l | awk '{print "test", $$1}'
 
 fmt:
 	gofmt -l .

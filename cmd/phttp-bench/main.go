@@ -7,7 +7,7 @@
 //	phttp-bench                          # Figure 13, 1-6 nodes
 //	phttp-bench -time-scale 20           # faster; HTTP/1.0 combos read low (DESIGN §4.5)
 //	phttp-bench -only WRR -max-nodes 2   # one combination
-//	phttp-bench -scenario p2c            # a policy scenario on real sockets
+//	phttp-bench -scenario slo-tail       # a policy scenario on real sockets
 //
 // Simulated CPU/disk latencies are divided by -time-scale; reported
 // throughput is normalized back (multiplied by 1/scale) so the numbers are

@@ -1,7 +1,6 @@
 // phttp-frontend runs the prototype front-end as its own process: it
-// accepts client connections, runs the dispatcher (any registered policy:
-// WRR / LARD / extended LARD / p2c / bounded-load consistent hashing) and
-// hands connections off to the back-ends.
+// accepts client connections, runs the dispatcher (WRR, LARD, LARD/R or
+// extended LARD) and hands connections off to the back-ends.
 //
 //	phttp-frontend -listen 127.0.0.1:8080 -policy extlard -mechanism beforward \
 //	               -backend 127.0.0.1:7100,/tmp/phttp/be0.sock \
@@ -11,7 +10,7 @@
 // options, mechanism, cache model, interner cap); explicitly set flags
 // still override it:
 //
-//	phttp-frontend -scenario p2c -backend 127.0.0.1:7100,/tmp/phttp/be0.sock
+//	phttp-frontend -scenario slo-tail -backend 127.0.0.1:7100,/tmp/phttp/be0.sock
 //
 // Several front-end processes can share dispatch state as a scale-out
 // tier: each member names the tier size, its own index, the state backend

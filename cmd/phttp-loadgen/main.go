@@ -7,7 +7,7 @@
 //
 //	phttp-loadgen -addr 127.0.0.1:8080 -clients 64
 //	phttp-loadgen -addr 127.0.0.1:8080 -http10
-//	phttp-loadgen -addr 127.0.0.1:8080 -scenario p2c   # workload + client shape from a scenario
+//	phttp-loadgen -addr 127.0.0.1:8080 -scenario slo-tail   # workload + client shape from a scenario
 package main
 
 import (

@@ -5,7 +5,7 @@
 //	phttp-sim -scenario fig7          # Apache throughput vs cluster size
 //	phttp-sim -scenario fig8          # Flash throughput vs cluster size
 //	phttp-sim -scenario fig3          # single-node delay/throughput curve
-//	phttp-sim -scenario p2c           # open-registry policy across cluster sizes
+//	phttp-sim -scenario churn-crash   # LARD across cluster sizes, one node crashing
 //	phttp-sim -scenario myexp.json    # scenario file
 //	phttp-sim -list-scenarios         # builtin scenario names
 //

@@ -111,7 +111,7 @@ func TestUnknownComboErrorListsNames(t *testing.T) {
 
 func TestListScenariosSmoke(t *testing.T) {
 	out, _ := runSim(t, "-list-scenarios")
-	for _, name := range []string{"fig3", "fig7", "fig8", "p2c", "boundedch"} {
+	for _, name := range []string{"fig3", "fig7", "fig8", "churn-crash", "slo-tail"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list-scenarios missing %s:\n%s", name, out)
 		}
@@ -122,15 +122,18 @@ func TestListScenariosSmoke(t *testing.T) {
 // stdout holds the table and its plot, the per-point result lines go to
 // stderr.
 func TestScenarioSmoke(t *testing.T) {
-	out, errOut := runSim(t, "-scenario", builtinCopy(t, "p2c", 400), "-v", "-plot")
-	if !strings.HasPrefix(out, "# Scenario p2c (apache): cluster throughput (req/s) vs nodes\nnodes\tp2c-PHTTP\n") {
-		t.Errorf("scenario output does not open with the p2c table:\n%s", out)
+	out, errOut := runSim(t, "-scenario", builtinCopy(t, "churn-crash", 400), "-v", "-plot")
+	if !strings.HasPrefix(out, "# Scenario churn-crash (apache): cluster throughput (req/s) vs nodes\nnodes\tlard-PHTTP\n") {
+		t.Errorf("scenario output does not open with the churn-crash table:\n%s", out)
+	}
+	if !strings.Contains(out, "┤") {
+		t.Errorf("no plot on stdout:\n%s", out)
 	}
 	if strings.Contains(out, "req/s  hit=") {
 		t.Errorf("per-point result lines on stdout:\n%s", out)
 	}
-	if n := strings.Count(errOut, "req/s  hit="); n != 10 {
-		t.Errorf("stderr holds %d result lines, want one per grid point (10):\n%s", n, errOut)
+	if n := strings.Count(errOut, "req/s  hit="); n != 2 {
+		t.Errorf("stderr holds %d result lines, want one per grid point (2):\n%s", n, errOut)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 //	phttp-tracegen -connections 60000 > access.log
 //	phttp-tracegen -stats
-//	phttp-tracegen -scenario p2c -stats        # a scenario's workload
+//	phttp-tracegen -scenario slo-tail -stats   # a scenario's workload
 package main
 
 import (

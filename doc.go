@@ -10,9 +10,7 @@
 // evaluation figures, and a runnable prototype cluster whose TCP handoff is
 // emulated with SCM_RIGHTS file-descriptor passing.
 //
-// Policies live behind an open registry (dispatch.Register; p2c and
-// bounded-load consistent hashing ship registered through it, and
-// examples/custom-policy adds one from outside the tree), and whole
+// The four policies are a closed set built by dispatch.Build, and whole
 // experiments are declarative: internal/scenario compiles one versioned
 // JSON spec to simulator, prototype and load-generator configuration, with
 // the paper's figure experiments embedded as named scenarios

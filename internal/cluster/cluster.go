@@ -14,14 +14,14 @@ import (
 )
 
 // Config describes a whole prototype cluster (front-end plus back-ends) for
-// the in-process harness used by tests, benchmarks and the example
-// programs. The standalone binaries (cmd/phttp-frontend, cmd/phttp-backend)
+// the in-process harness used by tests, benchmarks and phttp-bench. The
+// standalone binaries (cmd/phttp-frontend, cmd/phttp-backend)
 // assemble the same pieces across processes.
 type Config struct {
 	Nodes  int
-	Policy string // dispatch registry name (see dispatch.Names)
-	// PolicyOptions are generic policy options forwarded to the dispatch
-	// registry (see FrontEndConfig.PolicyOptions).
+	Policy string // dispatch policy name (see dispatch.Names)
+	// PolicyOptions are policy options forwarded to dispatch.Build (see
+	// FrontEndConfig.PolicyOptions).
 	PolicyOptions dispatch.Options
 	Mechanism     core.Mechanism
 	Params        policy.Params

@@ -26,14 +26,13 @@ import (
 type FrontEndConfig struct {
 	// Nodes is the number of back-ends.
 	Nodes int
-	// Policy is a dispatch registry name ("wrr", "lard", "lardr",
-	// "extlard", "p2c", "boundedch", or any policy added via
-	// dispatch.Register).
+	// Policy is a dispatch policy name ("wrr", "lard", "lardr" or
+	// "extlard").
 	Policy string
-	// PolicyOptions are generic policy construction options forwarded to
-	// the dispatch registry (validated against the policy's schema); they
-	// override the typed fields below per key. Scenario-driven front-ends
-	// are configured through them.
+	// PolicyOptions are policy options forwarded to dispatch.Build
+	// (dispatch.Resolve validates them); they override the typed fields
+	// below per key. Scenario-driven front-ends are configured through
+	// them.
 	PolicyOptions dispatch.Options
 	// Mechanism is the distribution mechanism. The prototype implements
 	// SingleHandoff, BEForwarding (the paper's choice) and RelayFrontEnd;
@@ -323,7 +322,7 @@ func validateFEConfig(cfg FrontEndConfig, backends int) error {
 	if !Runs(cfg.Mechanism) {
 		return fmt.Errorf("cluster: prototype does not implement mechanism %v (simulator only)", cfg.Mechanism)
 	}
-	// Policy names are validated by the dispatch registry when the engine
+	// Policy names are validated by dispatch.Build when the engine
 	// is built; no second list of valid names lives here.
 	if cfg.Frontends > 1 && (cfg.FEID < 0 || cfg.FEID >= cfg.Frontends) {
 		return fmt.Errorf("cluster: front-end id %d outside tier [0,%d)", cfg.FEID, cfg.Frontends)
@@ -452,7 +451,7 @@ func (fe *FrontEnd) Policy() core.Policy { return fe.eng.Policy() }
 // Engine exposes the dispatch engine (interner diagnostics, soak tests).
 func (fe *FrontEnd) Engine() *dispatch.Engine { return fe.eng }
 
-// PolicyName returns the canonical dispatch-registry name of the running
+// PolicyName returns the canonical dispatch name of the running
 // policy ("wrr", "lard", "lardr" or "extlard").
 func (fe *FrontEnd) PolicyName() string { return fe.eng.PolicyName() }
 

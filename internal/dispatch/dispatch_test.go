@@ -30,7 +30,7 @@ func testSpec(pol string) Spec {
 }
 
 func TestRegistryNames(t *testing.T) {
-	want := []string{"boundedch", "extlard", "lard", "lardr", "p2c", "wrr"}
+	want := []string{"extlard", "lard", "lardr", "wrr"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -148,12 +148,10 @@ func TestEngineLifecycle(t *testing.T) {
 // path.
 func TestEngineConcurrentStress(t *testing.T) {
 	mechs := map[string]core.Mechanism{
-		"wrr":       core.SingleHandoff,
-		"lard":      core.SingleHandoff,
-		"lardr":     core.SingleHandoff,
-		"extlard":   core.BEForwarding,
-		"p2c":       core.SingleHandoff,
-		"boundedch": core.SingleHandoff,
+		"wrr":     core.SingleHandoff,
+		"lard":    core.SingleHandoff,
+		"lardr":   core.SingleHandoff,
+		"extlard": core.BEForwarding,
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {

@@ -31,7 +31,7 @@ import (
 // cap (placed by load; the mapping ignores it).
 type Engine struct {
 	spec Spec
-	name string // canonical registry name
+	name string // canonical policy name
 	// store is the dispatch-state tier view every lifecycle call routes
 	// through: local (one policy owning all state — the single-front-end
 	// default whose decisions are bit-identical to the pre-tier engine),
@@ -83,9 +83,9 @@ func (c *Conn) Handling() core.NodeID { return c.cs.Handling }
 // State exposes the underlying connection state for metrics and tests.
 func (c *Conn) State() *core.ConnState { return &c.cs }
 
-// NewEngine builds the policy named by spec through the registry and
-// returns an engine dispatching through it. When the spec carries a target
-// cap (MaxTargets) and no interner, a capped interner is created.
+// NewEngine builds the policy named by spec and returns an engine
+// dispatching through it. When the spec carries a target cap (MaxTargets)
+// and no interner, a capped interner is created.
 func NewEngine(spec Spec) (*Engine, error) {
 	pol, err := Build(spec)
 	if err != nil {
@@ -157,7 +157,7 @@ func NewTierEngines(spec Spec, mode dstate.Mode, frontends int) ([]*Engine, []*d
 	return engines, members, nil
 }
 
-// PolicyName returns the canonical registry name of the engine's policy
+// PolicyName returns the canonical name of the engine's policy
 // ("wrr", "lard", "lardr" or "extlard").
 func (e *Engine) PolicyName() string { return e.name }
 

@@ -72,12 +72,12 @@ func (e *Engine) SetNodeUp(n core.NodeID) { e.setPhase(n, phaseUp) }
 func (e *Engine) SetNodeDraining(n core.NodeID) { e.setPhase(n, phaseDraining) }
 
 // SetNodeDown marks node n dead: policies drop it from candidate sets
-// (and, per their option, invalidate its mappings); the driver
-// re-dispatches n's in-flight work.
+// (the LARD family also drops its mappings, since a crashed back-end
+// restarts cold); the driver re-dispatches n's in-flight work.
 func (e *Engine) SetNodeDown(n core.NodeID) { e.setPhase(n, phaseDown) }
 
-// NodeIsUp reports whether node n is currently Up in the engine's view.
-func (e *Engine) NodeIsUp(n core.NodeID) bool {
+// nodeIsUp reports whether node n is currently Up in the engine's view.
+func (e *Engine) nodeIsUp(n core.NodeID) bool {
 	return nodePhase(e.nodePhases[n].Load()) == phaseUp
 }
 
@@ -85,9 +85,6 @@ func (e *Engine) NodeIsUp(n core.NodeID) bool {
 func (e *Engine) NodeIsDown(n core.NodeID) bool {
 	return nodePhase(e.nodePhases[n].Load()) == phaseDown
 }
-
-// UpNodes returns the number of Up nodes.
-func (e *Engine) UpNodes() int { return int(e.upNodes.Load()) }
 
 // HasUp reports whether any node can accept new work. Drivers gate
 // admission on it: the prototype answers 503 Service Unavailable, the
@@ -105,7 +102,7 @@ func (e *Engine) pickUp(exclude core.NodeID) core.NodeID {
 	best := core.NoNode
 	for i := 0; i < e.spec.Nodes; i++ {
 		n := core.NodeID(i)
-		if n == exclude || !e.NodeIsUp(n) {
+		if n == exclude || !e.nodeIsUp(n) {
 			continue
 		}
 		if best == core.NoNode || loads.Load(n) < loads.Load(best) {

@@ -7,9 +7,9 @@ import (
 	"phttp/internal/policy"
 )
 
-func churnEngine(t *testing.T, pol string, nodes int, opts map[string]any) *Engine {
+func churnEngine(t *testing.T, pol string, nodes int) *Engine {
 	t.Helper()
-	e, err := NewEngine(Spec{Policy: pol, Nodes: nodes, CacheBytes: 1 << 20, Options: opts})
+	e, err := NewEngine(Spec{Policy: pol, Nodes: nodes, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatalf("NewEngine(%s): %v", pol, err)
 	}
@@ -17,31 +17,31 @@ func churnEngine(t *testing.T, pol string, nodes int, opts map[string]any) *Engi
 }
 
 func TestEngineMembershipView(t *testing.T) {
-	e := churnEngine(t, "lard", 3, nil)
-	if !e.HasUp() || e.UpNodes() != 3 {
-		t.Fatalf("fresh engine: HasUp=%v UpNodes=%d", e.HasUp(), e.UpNodes())
+	e := churnEngine(t, "lard", 3)
+	if !e.HasUp() || e.upNodes.Load() != 3 {
+		t.Fatalf("fresh engine: HasUp=%v UpNodes=%d", e.HasUp(), e.upNodes.Load())
 	}
 	e.SetNodeDown(1)
 	e.SetNodeDown(1) // idempotent
-	if e.UpNodes() != 2 || e.NodeIsUp(1) || !e.NodeIsDown(1) {
-		t.Fatalf("after down(1): UpNodes=%d up=%v down=%v", e.UpNodes(), e.NodeIsUp(1), e.NodeIsDown(1))
+	if e.upNodes.Load() != 2 || e.nodeIsUp(1) || !e.NodeIsDown(1) {
+		t.Fatalf("after down(1): UpNodes=%d up=%v down=%v", e.upNodes.Load(), e.nodeIsUp(1), e.NodeIsDown(1))
 	}
 	e.SetNodeDraining(2)
-	if e.UpNodes() != 1 || e.NodeIsDown(2) {
-		t.Fatalf("after drain(2): UpNodes=%d", e.UpNodes())
+	if e.upNodes.Load() != 1 || e.NodeIsDown(2) {
+		t.Fatalf("after drain(2): UpNodes=%d", e.upNodes.Load())
 	}
 	e.SetNodeDown(0)
 	if e.HasUp() {
 		t.Fatal("all nodes down/draining but HasUp still true")
 	}
 	e.SetNodeUp(1)
-	if !e.HasUp() || e.UpNodes() != 1 {
-		t.Fatalf("after rejoin: UpNodes=%d", e.UpNodes())
+	if !e.HasUp() || e.upNodes.Load() != 1 {
+		t.Fatalf("after rejoin: UpNodes=%d", e.upNodes.Load())
 	}
 }
 
 func TestEngineForwardsTransitionsToPolicy(t *testing.T) {
-	e := churnEngine(t, "lard", 2, nil)
+	e := churnEngine(t, "lard", 2)
 	r := internedReq(e.Interner(), "/m/a", 100)
 	c, n := e.ConnOpen(r)
 	l := e.Policy().(*policy.LARD)
@@ -50,25 +50,13 @@ func TestEngineForwardsTransitionsToPolicy(t *testing.T) {
 	}
 	e.SetNodeDown(n)
 	if l.Mapping().MappedTargets(n) != 0 {
-		t.Fatal("policy did not receive the down transition (mapping survived cold-start)")
-	}
-	e.ConnClose(c)
-}
-
-func TestEngineDownColdStartOption(t *testing.T) {
-	e := churnEngine(t, "lard", 2, map[string]any{"down-cold-start": false})
-	r := internedReq(e.Interner(), "/m/warm", 100)
-	c, n := e.ConnOpen(r)
-	e.SetNodeDown(n)
-	l := e.Policy().(*policy.LARD)
-	if !l.Mapping().IsMapped(r.ID, n) {
-		t.Fatal("down-cold-start=false still dropped the mapping")
+		t.Fatal("policy did not receive the down transition (mapping survived)")
 	}
 	e.ConnClose(c)
 }
 
 func TestEnginePickUp(t *testing.T) {
-	e := churnEngine(t, "wrr", 3, nil)
+	e := churnEngine(t, "wrr", 3)
 	// Load node 0 so pickUp prefers an idle node.
 	c0, _ := e.ConnOpen(internedReq(e.Interner(), "/m/p0", 10))
 	if got := e.pickUp(core.NoNode); got == core.NoNode {
@@ -90,7 +78,7 @@ func TestEnginePickUp(t *testing.T) {
 }
 
 func TestEngineMoveConn(t *testing.T) {
-	e := churnEngine(t, "wrr", 2, nil)
+	e := churnEngine(t, "wrr", 2)
 	c, n := e.ConnOpen(internedReq(e.Interner(), "/m/mv", 10))
 	to := core.NodeID(1 - int(n))
 	loads := e.Policy().Loads()
@@ -132,7 +120,7 @@ func TestEngineRedispatch(t *testing.T) {
 		{name: "move without a retry", lostOnHandler: true, wantNode: true, wantMove: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := churnEngine(t, "wrr", 3, nil)
+			e := churnEngine(t, "wrr", 3)
 			c, h := e.ConnOpen(internedReq(e.Interner(), "/m/rd", 10))
 			defer e.ConnClose(c)
 			dead := (h + 1) % 3
@@ -149,7 +137,7 @@ func TestEngineRedispatch(t *testing.T) {
 			if (got != core.NoNode) != tc.wantNode {
 				t.Fatalf("Redispatch = %v, want a node: %v", got, tc.wantNode)
 			}
-			if got != core.NoNode && (got == dead || !e.NodeIsUp(got)) {
+			if got != core.NoNode && (got == dead || !e.nodeIsUp(got)) {
 				t.Fatalf("Redispatch = %v: not an Up node other than dead %v", got, dead)
 			}
 			loads := e.Policy().Loads()

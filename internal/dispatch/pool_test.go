@@ -13,7 +13,7 @@ import (
 // TestDispatchSteadyStateZeroAllocs pins the ROADMAP claim that closed out
 // the last ~0.3 allocs/event: with connection records pooled across the
 // run, a warmed engine opens, assigns and closes connections without
-// allocating, for every registered policy. Requests are pre-interned (the
+// allocating, for every policy. Requests are pre-interned (the
 // drivers intern at the edge), so the measured loop is exactly the
 // simulator's and the prototype's steady-state dispatch path.
 func TestDispatchSteadyStateZeroAllocs(t *testing.T) {

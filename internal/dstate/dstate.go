@@ -2,8 +2,8 @@
 // the mapping/load state a dispatch engine decides against, abstracted
 // behind the Store interface so it can live in one process (local — the
 // paper's single front-end), be partitioned across N front-ends (sharded —
-// each front-end owns one mapping shard, chosen by the same bounded-load
-// consistent-hashing ring the boundedch policy ships, and non-owned
+// each front-end owns one mapping shard, chosen by a consistent-hashing
+// ring (policy.OwnerRing), and non-owned
 // targets forward their state transactions to the owner), or be fully
 // replicated with bounded staleness (replicated — every front-end decides
 // on its own replica, and a periodic sync exchanges mapping deltas and
@@ -167,7 +167,7 @@ func (l *Local) MoveConn(c *core.ConnState, to core.NodeID) {
 }
 
 // MappingPolicy is the optional mapping accessor the LARD family exposes;
-// stateless policies (wrr, p2c, boundedch) have no mapping to shard or
+// the stateless policy (wrr) has no mapping to shard or
 // replicate and simply skip the mapping half of the replication protocol.
 type MappingPolicy interface {
 	Mapping() *cache.Mapping

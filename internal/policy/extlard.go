@@ -54,10 +54,6 @@ type ExtLARD struct {
 	diskQ   []atomic.Int64
 	mem     memberSet
 
-	// DownColdStart: as for LARD — NodeDown drops the dead node's
-	// mapping entries when set (the default). Set before traffic.
-	DownColdStart bool
-
 	// stats
 	localServes   atomic.Int64
 	remoteServes  atomic.Int64
@@ -74,13 +70,12 @@ var (
 // mechanism.
 func NewExtLARD(n int, cacheBytes int64, params Params, mech core.Mechanism) *ExtLARD {
 	e := &ExtLARD{
-		params:        params,
-		mech:          mech,
-		loads:         core.NewLoadTracker(n),
-		mapping:       cache.NewMapping(n, cacheBytes),
-		all:           allNodes(n),
-		diskQ:         make([]atomic.Int64, n),
-		DownColdStart: true,
+		params:  params,
+		mech:    mech,
+		loads:   core.NewLoadTracker(n),
+		mapping: cache.NewMapping(n, cacheBytes),
+		all:     allNodes(n),
+		diskQ:   make([]atomic.Int64, n),
 	}
 	e.mem.init(n)
 	return e
@@ -96,9 +91,7 @@ func (e *ExtLARD) NodeUp(n core.NodeID)       { e.mem.setEligible(n, true) }
 func (e *ExtLARD) NodeDraining(n core.NodeID) { e.mem.setEligible(n, false) }
 func (e *ExtLARD) NodeDown(n core.NodeID) {
 	e.mem.setEligible(n, false)
-	if e.DownColdStart {
-		e.mapping.DropNode(n)
-	}
+	e.mapping.DropNode(n)
 }
 
 // Name implements core.Policy.

@@ -26,14 +26,6 @@ type LARD struct {
 	mapping *cache.Mapping
 	all     []core.NodeID // precomputed 0..n-1, read-only
 	mem     memberSet
-
-	// DownColdStart controls what NodeDown does with the mapping
-	// entries pointing at the dead node: true (the default, matching a
-	// crashed back-end restarting with an empty cache) drops them so
-	// the dispatcher stops believing the node holds anything; false
-	// keeps them for a warm rejoin (a drained node that kept its
-	// cache). Set before traffic.
-	DownColdStart bool
 }
 
 var (
@@ -45,11 +37,10 @@ var (
 // assumes each node caches about cacheBytes of content.
 func NewLARD(n int, cacheBytes int64, params Params) *LARD {
 	l := &LARD{
-		params:        params,
-		loads:         core.NewLoadTracker(n),
-		mapping:       cache.NewMapping(n, cacheBytes),
-		all:           allNodes(n),
-		DownColdStart: true,
+		params:  params,
+		loads:   core.NewLoadTracker(n),
+		mapping: cache.NewMapping(n, cacheBytes),
+		all:     allNodes(n),
 	}
 	l.mem.init(n)
 	return l
@@ -57,14 +48,13 @@ func NewLARD(n int, cacheBytes int64, params Params) *LARD {
 
 // NodeUp, NodeDown and NodeDraining implement core.MembershipPolicy:
 // ineligible nodes disappear from the cost minimization, and a Down
-// node's mapping entries are invalidated when DownColdStart is set.
+// node's mapping entries are dropped, because a crashed back-end
+// restarts with an empty cache (in both worlds).
 func (l *LARD) NodeUp(n core.NodeID)       { l.mem.setEligible(n, true) }
 func (l *LARD) NodeDraining(n core.NodeID) { l.mem.setEligible(n, false) }
 func (l *LARD) NodeDown(n core.NodeID) {
 	l.mem.setEligible(n, false)
-	if l.DownColdStart {
-		l.mapping.DropNode(n)
-	}
+	l.mapping.DropNode(n)
 }
 
 // Name implements core.Policy.

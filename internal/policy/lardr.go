@@ -38,11 +38,6 @@ type LARDR struct {
 	GrowInterval   int
 	ShrinkInterval int
 
-	// DownColdStart: as for LARD — NodeDown drops the dead node's
-	// server-set memberships when set (the default). Set before
-	// traffic.
-	DownColdStart bool
-
 	// mu guards the replication state: the server-set grow/shrink decision
 	// is a read-modify-write over per-target counters and the mapping, so
 	// concurrent ConnOpens serialize here. The lock covers only connection
@@ -73,7 +68,6 @@ func NewLARDR(n int, cacheBytes int64, params Params) *LARDR {
 		all:            allNodes(n),
 		GrowInterval:   20,
 		ShrinkInterval: 200,
-		DownColdStart:  true,
 		// Server sets never exceed the node count, so a cap-n scratch
 		// buffer makes every AppendNodesFor below allocation-free.
 		setBuf: make([]core.NodeID, 0, n),
@@ -84,15 +78,13 @@ func NewLARDR(n int, cacheBytes int64, params Params) *LARDR {
 
 // NodeUp, NodeDown and NodeDraining implement core.MembershipPolicy.
 // Server sets shrink to their eligible members at assignment time, so a
-// kept (warm) mapping on a Down node simply stops attracting traffic
-// until the node rejoins.
+// draining node's memberships stop attracting traffic; a Down node's are
+// dropped, as for LARD.
 func (l *LARDR) NodeUp(n core.NodeID)       { l.mem.setEligible(n, true) }
 func (l *LARDR) NodeDraining(n core.NodeID) { l.mem.setEligible(n, false) }
 func (l *LARDR) NodeDown(n core.NodeID) {
 	l.mem.setEligible(n, false)
-	if l.DownColdStart {
-		l.mapping.DropNode(n)
-	}
+	l.mapping.DropNode(n)
 }
 
 // Name implements core.Policy.

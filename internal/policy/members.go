@@ -60,29 +60,12 @@ func (m *memberSet) active() *memberSet {
 }
 
 // NodeUp, NodeDown and NodeDraining implement core.MembershipPolicy for
-// the policies that need nothing beyond eligibility (WRR, P2C,
-// BoundedCH embed memberSet anonymously and get them promoted). The
-// LARD family overrides NodeDown to also apply its mapping-invalidation
-// option.
+// a policy that needs nothing beyond eligibility (WRR embeds memberSet
+// anonymously and gets them promoted). The LARD family defines its own,
+// because its NodeDown also drops the dead node's mapping entries.
 func (m *memberSet) NodeUp(n core.NodeID)       { m.setEligible(n, true) }
 func (m *memberSet) NodeDown(n core.NodeID)     { m.setEligible(n, false) }
 func (m *memberSet) NodeDraining(n core.NodeID) { m.setEligible(n, false) }
-
-// leastEligibleAll is leastEligible over the whole node universe,
-// without needing a candidate slice (no allocation on fallback paths).
-func (m *memberSet) leastEligibleAll(loads *core.LoadTracker) core.NodeID {
-	least := core.NoNode
-	for i := 0; i < loads.Nodes(); i++ {
-		n := core.NodeID(i)
-		if m != nil && !m.eligible(n) {
-			continue
-		}
-		if least == core.NoNode || loads.Load(n) < loads.Load(least) {
-			least = n
-		}
-	}
-	return least
-}
 
 // leastEligible returns the least-loaded eligible node from candidates
 // (ties to the first seen), or core.NoNode if none is eligible. A nil

@@ -7,8 +7,8 @@ import (
 )
 
 // OwnerRing partitions the target space across the front-ends of a
-// scale-out tier: the same splitmix64 consistent-hashing ring BoundedCH
-// walks over back-ends, reused with front-end indices as the ring members.
+// scale-out tier: a splitmix64 consistent-hashing ring whose members are
+// the front-end indices.
 // dstate's sharded store asks it which front-end owns a target's mapping
 // shard; because the construction is consistent hashing, growing the tier
 // by one front-end moves only ~1/N of the target space.
@@ -65,13 +65,26 @@ func NewOwnerRing(frontends, replicas int, seed uint64) *OwnerRing {
 	return o
 }
 
+type ringPoint struct {
+	hash uint64
+	node core.NodeID
+}
+
+// splitmix64 is the SplitMix64 finalizer: a cheap, well-distributed 64-bit
+// mixer (Steele et al., "Fast splittable pseudorandom number generators").
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Frontends returns the number of front-ends the ring partitions over.
 func (o *OwnerRing) Frontends() int { return o.frontends }
 
 // Owner returns the index of the front-end owning target id's shard: the
-// first ring point clockwise from the target's hash position, exactly
-// BoundedCH's walk with the capacity check removed (ownership is about
-// state placement, not load, so every point accepts).
+// first ring point clockwise from the target's hash position (ownership
+// is about state placement, not load, so every point accepts).
 //
 //phttp:hotpath
 func (o *OwnerRing) Owner(id core.TargetID) int {

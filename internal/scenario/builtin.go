@@ -9,7 +9,7 @@ import (
 )
 
 // The builtin scenarios ship embedded so every binary can run the paper's
-// figure experiments (and the open-registry demo policies) by name with no
+// figure experiments (and the churn and SLO scenarios) by name with no
 // files on disk. They go through the same Parse/Validate path as a user
 // file, and phttp-sim's TestBuiltinScenariosRun runs every one of them —
 // an invalid builtin fails a test, not a user's run.

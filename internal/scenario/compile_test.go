@@ -8,6 +8,7 @@ import (
 	"phttp/internal/cluster"
 	"phttp/internal/core"
 	"phttp/internal/loadgen"
+	"phttp/internal/policy"
 	"phttp/internal/sim"
 	"phttp/internal/trace"
 )
@@ -36,73 +37,80 @@ func smallScenario(t *testing.T, policyJSON string) *Spec {
 	return s
 }
 
-// TestNewPoliciesSimAndPrototypeFromOneScenario is the acceptance test of
-// the tentpole: the two policies registered through the open API (p2c,
-// boundedch) run in the trace-driven simulator AND in the networked
-// prototype cluster from the same scenario file, with no dispatch-internal
-// edits beyond their registry calls.
-func TestNewPoliciesSimAndPrototypeFromOneScenario(t *testing.T) {
+// TestPolicyOptionsSimAndPrototypeFromOneScenario: one scenario file's
+// policy options reach both the trace-driven simulator and the networked
+// prototype cluster, and the prototype's policy honours them (its mapping
+// stays within the option's cache-bytes budget, not cacheMB's).
+func TestPolicyOptionsSimAndPrototypeFromOneScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts real cluster sockets")
 	}
-	for _, tc := range []struct {
-		policyJSON string
-		wantPolicy string
-	}{
-		{`{"name":"p2c","options":{"seed":3}}`, "p2c"},
-		{`{"name":"boundedch","options":{"bound":1.5,"replicas":64}}`, "boundedch"},
-	} {
-		s := smallScenario(t, tc.policyJSON)
+	const budget = 64 << 10
+	s := smallScenario(t, `{"name":"lard","options":{"l-idle":20,"cache-bytes":65536}}`)
 
-		// Simulator leg.
-		simCfg, err := s.ToSimConfig()
-		if err != nil {
-			t.Fatalf("%s: ToSimConfig: %v", tc.wantPolicy, err)
-		}
-		wl := s.LoadWorkload()
-		res, err := sim.Run(simCfg, wl.PHTTP)
-		if err != nil {
-			t.Fatalf("%s: sim.Run: %v", tc.wantPolicy, err)
-		}
-		if res.Policy != tc.wantPolicy {
-			t.Errorf("sim ran policy %q, want %q", res.Policy, tc.wantPolicy)
-		}
-		if res.Requests == 0 || res.Throughput <= 0 {
-			t.Errorf("%s: sim served nothing: %+v", tc.wantPolicy, res)
-		}
+	// Simulator leg.
+	simCfg, err := s.ToSimConfig()
+	if err != nil {
+		t.Fatalf("ToSimConfig: %v", err)
+	}
+	if simCfg.PolicyOptions["l-idle"] != 20.0 || simCfg.PolicyOptions["cache-bytes"] != 65536.0 {
+		t.Errorf("sim config lost the policy options: %v", simCfg.PolicyOptions)
+	}
+	wl := s.LoadWorkload()
+	res, err := sim.Run(simCfg, wl.PHTTP)
+	if err != nil {
+		t.Fatalf("sim.Run: %v", err)
+	}
+	if res.Policy != "lard" {
+		t.Errorf("sim ran policy %q, want lard", res.Policy)
+	}
+	if res.Requests == 0 || res.Throughput <= 0 {
+		t.Errorf("sim served nothing: %+v", res)
+	}
 
-		// Prototype leg: same spec compiles the cluster and the load
-		// generator; the run must complete with zero errors.
-		clCfg, err := s.ToClusterConfig(wl.PHTTP.Catalog())
-		if err != nil {
-			t.Fatalf("%s: ToClusterConfig: %v", tc.wantPolicy, err)
+	// Prototype leg: same spec compiles the cluster and the load
+	// generator; the run must complete with zero errors.
+	clCfg, err := s.ToClusterConfig(wl.PHTTP.Catalog())
+	if err != nil {
+		t.Fatalf("ToClusterConfig: %v", err)
+	}
+	if clCfg.Policy != "lard" || clCfg.TimeScale != 2000 || clCfg.PolicyOptions["cache-bytes"] != 65536.0 {
+		t.Fatalf("compiled cluster config %+v", clCfg)
+	}
+	cl, err := cluster.Start(clCfg)
+	if err != nil {
+		t.Fatalf("cluster.Start: %v", err)
+	}
+	if got := cl.FE.PolicyName(); got != "lard" {
+		t.Errorf("front-end runs %q, want lard", got)
+	}
+	lgCfg, err := s.ToLoadgenConfig(cl.Addr(), wl)
+	if err != nil {
+		t.Fatalf("ToLoadgenConfig: %v", err)
+	}
+	lgCfg.IOTimeout = time.Minute
+	lres, err := loadgen.Run(lgCfg)
+	cl.Close()
+	if err != nil {
+		t.Fatalf("loadgen.Run: %v", err)
+	}
+	if lres.Errors != 0 {
+		t.Errorf("prototype run had %d request errors", lres.Errors)
+	}
+	if lres.Requests == 0 {
+		t.Errorf("prototype served nothing")
+	}
+	m := cl.FE.Policy().(*policy.LARD).Mapping()
+	var mapped int64
+	for n := 0; n < m.Nodes(); n++ {
+		b := m.MappedBytes(core.NodeID(n))
+		if b > budget {
+			t.Errorf("node %d maps %d bytes, over the cache-bytes option's %d", n, b, budget)
 		}
-		if clCfg.Policy != tc.wantPolicy || clCfg.TimeScale != 2000 {
-			t.Fatalf("%s: compiled cluster config %+v", tc.wantPolicy, clCfg)
-		}
-		cl, err := cluster.Start(clCfg)
-		if err != nil {
-			t.Fatalf("%s: cluster.Start: %v", tc.wantPolicy, err)
-		}
-		if got := cl.FE.PolicyName(); got != tc.wantPolicy {
-			t.Errorf("front-end runs %q, want %q", got, tc.wantPolicy)
-		}
-		lgCfg, err := s.ToLoadgenConfig(cl.Addr(), wl)
-		if err != nil {
-			t.Fatalf("%s: ToLoadgenConfig: %v", tc.wantPolicy, err)
-		}
-		lgCfg.IOTimeout = time.Minute
-		lres, err := loadgen.Run(lgCfg)
-		cl.Close()
-		if err != nil {
-			t.Fatalf("%s: loadgen.Run: %v", tc.wantPolicy, err)
-		}
-		if lres.Errors != 0 {
-			t.Errorf("%s: prototype run had %d request errors", tc.wantPolicy, lres.Errors)
-		}
-		if lres.Requests == 0 {
-			t.Errorf("%s: prototype served nothing", tc.wantPolicy)
-		}
+		mapped += b
+	}
+	if mapped == 0 {
+		t.Error("the prototype's mapping holds nothing")
 	}
 }
 
@@ -138,7 +146,7 @@ func TestToClusterConfigRejectsCombos(t *testing.T) {
 
 func TestToFrontEndConfig(t *testing.T) {
 	s, err := Parse([]byte(`{"version":1,"workload":{},
-		"policy":{"name":"p2c","options":{"seed":5}},
+		"policy":{"name":"lard","options":{"miss-cost":50}},
 		"cluster":{"nodes":3,"cacheMB":8,"maxTargets":1000}}`))
 	if err != nil {
 		t.Fatal(err)
@@ -147,11 +155,11 @@ func TestToFrontEndConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Policy != "p2c" || cfg.CacheBytes != 8<<20 || cfg.MaxTargets != 1000 || cfg.Nodes != 3 ||
+	if cfg.Policy != "lard" || cfg.CacheBytes != 8<<20 || cfg.MaxTargets != 1000 || cfg.Nodes != 3 ||
 		cfg.RetryBudget != cluster.DefaultRetryBudget {
 		t.Errorf("compiled %+v", cfg)
 	}
-	if cfg.PolicyOptions["seed"] == nil {
+	if cfg.PolicyOptions["miss-cost"] != 50.0 {
 		t.Errorf("policy options lost: %v", cfg.PolicyOptions)
 	}
 }
@@ -187,8 +195,8 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-// TestGenericNodesSweep covers the policy-driven node-axis grid (the shape
-// the p2c/boundedch builtins use) plus the HTTP/1.0 label default.
+// TestGenericNodesSweep covers the policy-driven node-axis grid plus the
+// HTTP/1.0 label default.
 func TestGenericNodesSweep(t *testing.T) {
 	s, err := Parse([]byte(`{"version":1,"workload":{"http10":true},
 		"policy":{"name":"lardr"},"sweep":{"nodes":[1,2,4]}}`))

@@ -86,15 +86,15 @@ type SynthSpec struct {
 	Clients     int    `json:"clients,omitempty"`
 }
 
-// PolicySpec names a dispatch-registry policy and its options.
+// PolicySpec names a dispatch policy and its options.
 type PolicySpec struct {
-	// Name is a dispatch registry name (dispatch.Names).
+	// Name is a dispatch policy name (dispatch.Names).
 	Name string `json:"name,omitempty"`
 	// Label overrides the series label derived from name and workload
 	// flavor (the figure legends' "single-node" style).
 	Label string `json:"label,omitempty"`
 	// Options are policy construction options, validated against the
-	// policy's registered schema (dispatch.Describe). The "mechanism" key
+	// LARD family's option keys (dispatch.Resolve). The "mechanism" key
 	// is disallowed here: the top-level Mechanism field is the one source,
 	// so the policy's view and the forwarding module's wire behavior
 	// cannot diverge.
@@ -255,7 +255,7 @@ func Load(path string) (*Spec, error) {
 }
 
 // Validate checks the spec against the schema: version, policy name and
-// options (via the dispatch registry), mechanism and server names, sweep
+// options (via dispatch.Resolve), mechanism and server names, sweep
 // axis consistency, and numeric ranges.
 func (s *Spec) Validate() error {
 	if s.Version != SpecVersion {
@@ -303,7 +303,7 @@ func (s *Spec) Validate() error {
 		if _, ok := s.Policy.Options["mechanism"]; ok {
 			return fmt.Errorf("scenario: set the top-level mechanism field, not policy.options[\"mechanism\"]")
 		}
-		if _, err := dispatch.ResolveOptions(dispatch.Spec{
+		if _, err := dispatch.Resolve(dispatch.Spec{
 			Policy:  s.Policy.Name,
 			Options: dispatch.Options(s.Policy.Options),
 		}); err != nil {

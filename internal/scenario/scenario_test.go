@@ -6,7 +6,7 @@ import (
 )
 
 func TestBuiltinNames(t *testing.T) {
-	want := []string{"boundedch", "churn-crash", "fig3", "fig7", "fig8", "p2c", "slo-tail"}
+	want := []string{"churn-crash", "fig3", "fig7", "fig8", "slo-tail"}
 	got := BuiltinNames()
 	if len(got) != len(want) {
 		t.Fatalf("BuiltinNames() = %v, want %v", got, want)
@@ -80,7 +80,7 @@ func TestParseRejects(t *testing.T) {
 		"unknown policy":     `{"version":1,"workload":{},"policy":{"name":"lrad"},"cluster":{"nodes":2}}`,
 		"no policy":          `{"version":1,"workload":{},"cluster":{"nodes":2}}`,
 		"unknown option":     `{"version":1,"workload":{},"policy":{"name":"lard","options":{"cache-byts":1}},"cluster":{"nodes":2}}`,
-		"mistyped option":    `{"version":1,"workload":{},"policy":{"name":"boundedch","options":{"bound":"wide"}},"cluster":{"nodes":2}}`,
+		"mistyped option":    `{"version":1,"workload":{},"policy":{"name":"lard","options":{"l-idle":"wide"}},"cluster":{"nodes":2}}`,
 		"mechanism option":   `{"version":1,"workload":{},"policy":{"name":"extlard","options":{"mechanism":"relayFE"}},"cluster":{"nodes":2}}`,
 		"bad mechanism":      `{"version":1,"workload":{},"policy":{"name":"wrr"},"mechanism":"teleport","cluster":{"nodes":2}}`,
 		"bad server":         `{"version":1,"workload":{},"policy":{"name":"wrr"},"cluster":{"nodes":2},"server":{"model":"iis"}}`,
@@ -159,7 +159,7 @@ func TestToSimConfigRejectsGrids(t *testing.T) {
 
 func TestClusterOverridesApply(t *testing.T) {
 	s, err := Parse([]byte(`{"version":1,"workload":{},
-		"policy":{"name":"boundedch","options":{"bound":2.0}},
+		"policy":{"name":"lard","options":{"l-idle":20.0}},
 		"cluster":{"nodes":3,"connsPerNode":8,"cacheMB":16,"warmupFrac":0.1,"feSpeedup":2,"clients":12}}`))
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestClusterOverridesApply(t *testing.T) {
 	if cfg.ConnsPerNode != 8 || cfg.CacheBytes != 16<<20 || cfg.WarmupFrac != 0.1 || cfg.FESpeedup != 2 {
 		t.Errorf("cluster overrides lost: %+v", cfg)
 	}
-	if cfg.PolicyOptions["bound"] != 2.0 {
+	if cfg.PolicyOptions["l-idle"] != 20.0 {
 		t.Errorf("policy options lost: %v", cfg.PolicyOptions)
 	}
 }

@@ -100,8 +100,8 @@ type ChurnKind int
 const (
 	// ChurnCrash kills a node instantly: its cache restarts cold, its
 	// in-flight work is re-dispatched against the retry budget, and the
-	// dispatch policies stop placing work on it (dropping or keeping its
-	// mappings per the down-cold-start option).
+	// dispatch policies stop placing work on it (the LARD family drops
+	// its mappings).
 	ChurnCrash ChurnKind = iota
 	// ChurnLeave drains a node gracefully: no new placements, existing
 	// connections finish.
@@ -161,11 +161,9 @@ type Config struct {
 	CacheBytes int64
 	// Params are the LARD-family policy constants.
 	Params policy.Params
-	// PolicyOptions are generic policy construction options forwarded to
-	// the dispatch registry (validated against the policy's schema). They
-	// override the typed fields above per key; policies registered through
-	// the open API (p2c, boundedch, third parties) are configured solely
-	// through them. Nil for the paper's figure configurations.
+	// PolicyOptions are policy options forwarded to dispatch.Build
+	// (dispatch.Resolve validates them). They override the typed fields
+	// above per key. Nil for the paper's figure configurations.
 	PolicyOptions dispatch.Options
 	// Combo selects policy, mechanism and workload flavor.
 	Combo Combo
@@ -237,8 +235,7 @@ func DefaultConfig(n int, combo Combo) Config {
 	}
 }
 
-// dispatchSpec maps the configuration onto the shared dispatch registry:
-// the same Spec the prototype front-end builds its engine from, so a
+// dispatchSpec maps the configuration onto a dispatch.Spec: the same Spec the prototype front-end builds its engine from, so a
 // policy/params combination behaves identically in both drivers.
 func (c Config) dispatchSpec() dispatch.Spec {
 	return dispatch.Spec{
@@ -251,13 +248,12 @@ func (c Config) dispatchSpec() dispatch.Spec {
 	}
 }
 
-// buildPolicy instantiates the combo's policy through the dispatch
-// registry.
+// buildPolicy instantiates the combo's policy through dispatch.Build.
 func (c Config) buildPolicy() (core.Policy, error) {
 	return dispatch.Build(c.dispatchSpec())
 }
 
-// PolicyName returns the canonical dispatch-registry name of the combo's
+// PolicyName returns the canonical dispatch name of the combo's
 // policy, or an error listing the valid names.
 func (c Config) PolicyName() (string, error) {
 	return dispatch.Canonical(c.Combo.Policy)

@@ -9,7 +9,7 @@ import (
 // Result is the outcome of one simulation run, measured after warmup.
 type Result struct {
 	Combo string
-	// Policy is the canonical dispatch-registry name of the policy that
+	// Policy is the canonical dispatch name of the policy that
 	// ran ("wrr", "lard", "lardr" or "extlard") — the same string the
 	// prototype front-end reports for the same configuration.
 	Policy string

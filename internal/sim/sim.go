@@ -872,7 +872,7 @@ func (s *Sim) result() Result {
 		Requests: served,
 		SimTime:  elapsed,
 	}
-	// The config validated through the registry before the run started.
+	// The config validated its policy name before the run started.
 	res.Policy, _ = s.cfg.PolicyName()
 	if elapsed > 0 {
 		res.Throughput = float64(served) / elapsed.Seconds()
