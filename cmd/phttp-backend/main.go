@@ -3,12 +3,14 @@
 // a scenario's workload section, with -scenario), so every node (and the
 // load generator) agrees on target sizes without shipping files around.
 //
-//	phttp-backend -id 0 -ctrl 127.0.0.1:7100 -peer 127.0.0.1:7200 \
-//	              -handoff /tmp/phttp/be0.sock -peers 1=127.0.0.1:7201
+//	phttp-backend -id 0 -ctrl 127.0.0.1:7100 \
+//	              -handoff /tmp/phttp/be0.sock -peers 1=/tmp/phttp/be1.sock.peer
 //
-// Handoff uses SCM_RIGHTS file-descriptor passing, so front-end and
-// back-ends must share a kernel (see DESIGN.md §4.2); use the relay
-// mechanism for cross-machine experiments.
+// Lateral fetches arrive on a UNIX socket beside the handoff socket (its
+// path plus ".peer", printed at start-up as peer=); -peers names the other
+// nodes' peer sockets. Handoff uses SCM_RIGHTS file-descriptor passing, so
+// front-end and back-ends must share a kernel (see DESIGN.md §4.2); use the
+// relay mechanism for cross-machine front-end experiments.
 package main
 
 import (
@@ -31,9 +33,8 @@ func main() {
 	var (
 		id        = flag.Int("id", 0, "node ID (0-based)")
 		ctrl      = flag.String("ctrl", "127.0.0.1:0", "control listen address")
-		peer      = flag.String("peer", "127.0.0.1:0", "peer (lateral fetch) listen address")
 		handoff   = flag.String("handoff", "", "handoff UNIX socket path (required)")
-		peersSpec = flag.String("peers", "", "comma-separated id=addr peer endpoints")
+		peersSpec = flag.String("peers", "", "comma-separated id=path peer sockets (each node's handoff path plus .peer)")
 		cacheMB   = flag.Int64("cache-mb", cluster.PrototypeCacheBytes>>20, "file cache budget (MB)")
 		seed      = flag.Uint64("seed", 1, "workload seed (must match the load generator)")
 		scale     = flag.Float64("time-scale", 1, "divide simulated CPU/disk latencies")
@@ -86,7 +87,6 @@ func main() {
 		TimeScale:     timeScale,
 		HandoffSocket: *handoff,
 		CtrlListen:    *ctrl,
-		PeerListen:    *peer,
 	})
 	if err != nil {
 		fatalf("%v", err)
@@ -98,7 +98,7 @@ func main() {
 		for _, kv := range strings.Split(*peersSpec, ",") {
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
-				fatalf("bad -peers entry %q (want id=addr)", kv)
+				fatalf("bad -peers entry %q (want id=path)", kv)
 			}
 			pid, err := strconv.Atoi(k)
 			if err != nil {

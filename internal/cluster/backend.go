@@ -35,14 +35,19 @@ type BackendConfig struct {
 	// TimeScale divides all simulated latencies (CPU and disk).
 	TimeScale float64
 	// HandoffSocket is the path of the UNIX socket on which the node
-	// accepts front-end sessions that hand connections off.
+	// accepts front-end sessions that hand connections off. Lateral
+	// fetches from the other back-ends arrive on a UNIX socket beside it,
+	// at HandoffSocket+".peer" (PeerAddr).
 	HandoffSocket string
-	// CtrlListen (relaying front-ends) and PeerListen (lateral fetches) are
-	// the TCP listen addresses; empty means an ephemeral loopback port (the
-	// in-process harness default). phttp-backend sets fixed ports here.
+	// CtrlListen is the TCP listen address for relaying front-ends; empty
+	// means an ephemeral loopback port (the in-process harness default).
+	// phttp-backend sets a fixed port here.
 	CtrlListen string
-	PeerListen string
 }
+
+// peerSocketSuffix turns a node's handoff socket path into its peer
+// socket path.
+const peerSocketSuffix = ".peer"
 
 // gate models one of a node's serial resources, its CPU or its disk:
 // callers take turns holding it for a modelled time divided by the time
@@ -93,7 +98,7 @@ type Backend struct {
 
 	ctrlLn    net.Listener
 	handoffLn *net.UnixListener
-	peerLn    net.Listener
+	peerLn    *net.UnixListener
 
 	// ctrls holds every live front-end control session — a scale-out
 	// tier connects one per front-end — so disk-queue reports (which
@@ -128,8 +133,8 @@ type Backend struct {
 }
 
 // NewBackend starts a back-end node: control, handoff and peer listeners
-// are bound immediately (to loopback / the configured UNIX path) and their
-// accept loops run until Close.
+// are bound immediately (to loopback / the configured UNIX paths) and their
+// accept loops run until Close, which also removes the socket files.
 func NewBackend(cfg BackendConfig) (*Backend, error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
@@ -149,25 +154,18 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 	if cfg.CtrlListen == "" {
 		cfg.CtrlListen = "127.0.0.1:0"
 	}
-	if cfg.PeerListen == "" {
-		cfg.PeerListen = "127.0.0.1:0"
-	}
 	var err error
 	if b.ctrlLn, err = net.Listen("tcp", cfg.CtrlListen); err != nil {
 		return nil, fmt.Errorf("cluster: backend %v control listen: %w", cfg.ID, err)
 	}
-	if b.peerLn, err = net.Listen("tcp", cfg.PeerListen); err != nil {
+	if b.handoffLn, err = listenUnix(cfg.HandoffSocket); err != nil {
 		b.ctrlLn.Close()
-		return nil, fmt.Errorf("cluster: backend %v peer listen: %w", cfg.ID, err)
-	}
-	addr, err := net.ResolveUnixAddr("unix", cfg.HandoffSocket)
-	if err == nil {
-		b.handoffLn, err = net.ListenUnix("unix", addr)
-	}
-	if err != nil {
-		b.ctrlLn.Close()
-		b.peerLn.Close()
 		return nil, fmt.Errorf("cluster: backend %v handoff listen: %w", cfg.ID, err)
+	}
+	if b.peerLn, err = listenUnix(cfg.HandoffSocket + peerSocketSuffix); err != nil {
+		b.ctrlLn.Close()
+		b.handoffLn.Close()
+		return nil, fmt.Errorf("cluster: backend %v peer listen: %w", cfg.ID, err)
 	}
 	b.wg.Add(4)
 	go b.acceptLoop(b.ctrlLn, b.serveSession)
@@ -177,9 +175,19 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 	return b, nil
 }
 
-// CtrlAddr, PeerAddr and HandoffPath advertise the node's endpoints.
+// listenUnix listens on a UNIX stream socket at path.
+func listenUnix(path string) (*net.UnixListener, error) {
+	addr, err := net.ResolveUnixAddr("unix", path)
+	if err != nil {
+		return nil, err
+	}
+	return net.ListenUnix("unix", addr)
+}
+
+// CtrlAddr, PeerAddr and HandoffPath advertise the node's endpoints:
+// PeerAddr is the path of the UNIX socket that serves lateral fetches.
 func (b *Backend) CtrlAddr() string    { return b.ctrlLn.Addr().String() }
-func (b *Backend) PeerAddr() string    { return b.peerLn.Addr().String() }
+func (b *Backend) PeerAddr() string    { return b.cfg.HandoffSocket + peerSocketSuffix }
 func (b *Backend) HandoffPath() string { return b.cfg.HandoffSocket }
 
 // Store exposes the doc store (metrics, tests).
@@ -193,7 +201,8 @@ func (b *Backend) Served() int64 { return b.served.Load() }
 func (b *Backend) Aborted() int64 { return b.aborted.Load() }
 
 // SetPeers wires the lateral-fetch clients to the other nodes' peer
-// addresses. Must be called before traffic that forwards.
+// socket paths (their PeerAddr). Must be called before traffic that
+// forwards.
 func (b *Backend) SetPeers(addrs map[core.NodeID]string) {
 	b.peersMu.Lock()
 	defer b.peersMu.Unlock()
@@ -509,7 +518,7 @@ func (pc *peerConn) fetch(target core.Target) (int64, error) {
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		if pc.conn == nil {
-			conn, err := net.Dial("tcp", pc.addr)
+			conn, err := net.Dial("unix", pc.addr)
 			if err != nil {
 				return 0, err
 			}

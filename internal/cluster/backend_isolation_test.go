@@ -189,6 +189,35 @@ func TestBackendLateralPoolReusedAfterMiss(t *testing.T) {
 	fe.send("CLOSE 4\n")
 }
 
+// Lateral fetches ride a UNIX socket beside the handoff socket. Closing
+// the peer removes the socket file, and a fetch from it then answers 502
+// at once, with no timeout to wait out.
+func TestBackendPeerSocketClosed(t *testing.T) {
+	_, be1, fe := newBackendPair(t)
+	if want := be1.HandoffPath() + ".peer"; be1.PeerAddr() != want {
+		t.Fatalf("PeerAddr %q, want %q", be1.PeerAddr(), want)
+	}
+	if _, err := os.Stat(be1.PeerAddr()); err != nil {
+		t.Fatalf("peer socket: %v", err)
+	}
+	be1.Close()
+	if _, err := os.Stat(be1.PeerAddr()); !os.IsNotExist(err) {
+		t.Fatalf("peer socket after Close: %v, want it gone", err)
+	}
+	client := fe.handoff(5)
+	client.SetDeadline(time.Now().Add(20 * time.Second))
+	start := time.Now()
+	fe.send("REQ 5 0 HTTP/1.1 1 1 /remote\n")
+	resp, _ := readFullResponse(t, bufio.NewReader(client))
+	if resp.Status != 502 {
+		t.Fatalf("fetch from a closed peer: status %d, want 502", resp.Status)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("fetch from a closed peer answered after %v", d)
+	}
+	fe.send("CLOSE 5\n")
+}
+
 func TestBackendPipelinedOrderPreserved(t *testing.T) {
 	_, _, fe := newBackendPair(t)
 	client := fe.handoff(3)

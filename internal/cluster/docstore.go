@@ -50,12 +50,12 @@ type doc struct {
 // pattern returns the doc's 1 KB content pattern, taking it from the
 // process-wide pattern cache the first time this store serves the doc.
 func (dc *doc) pattern() []byte {
-	if p := dc.pat.Load(); p != nil {
-		return *p
+	p := dc.pat.Load()
+	if p == nil {
+		p = cachedChunk(dc.target)
+		dc.pat.Store(p)
 	}
-	b := contentChunk(dc.target)
-	dc.pat.Store(&b)
-	return b
+	return *p
 }
 
 // DocStore is a back-end node's document subsystem: a table of the catalog's
@@ -170,7 +170,7 @@ func (d *DocStore) Counters() (hits, misses int64) {
 // w. Content depends only on the target name, so any node (or a lateral
 // peer) produces identical bytes — tests verify end-to-end integrity.
 func WriteContent(w io.Writer, t core.Target, size int64) error {
-	return writePattern(w, contentChunk(t), size)
+	return writePattern(w, *cachedChunk(t), size)
 }
 
 // writePattern writes size bytes of the repeating pattern to w.
@@ -190,22 +190,67 @@ func writePattern(w io.Writer, chunk []byte, size int64) error {
 }
 
 // ContentByte returns the expected content byte at offset i of target t,
-// for spot-checking integrity without materializing bodies.
+// for spot-checking integrity without materializing bodies. It reads the
+// byte off the pattern's layout (see contentChunk) rather than building or
+// looking up the pattern.
 func ContentByte(t core.Target, i int64) byte {
-	chunk := contentChunk(t)
-	return chunk[i%int64(len(chunk))]
+	seg := len(t) + 6 // t, '#', four digits, '|'
+	j := int(i % chunkBytes)
+	k, off := j/seg, j%seg
+	switch {
+	case off < len(t):
+		return t[off]
+	case off == len(t):
+		return '#'
+	case off == seg-1:
+		return '|'
+	}
+	for d := seg - 2; d > off; d-- {
+		k /= 10
+	}
+	return byte('0' + k%10)
 }
 
-var chunkCache sync.Map // core.Target -> []byte
+// chunkBytes is the length of a target's content pattern.
+const chunkBytes = 1 << 10
 
-// contentChunk builds (and caches) the repeating 1 KB pattern for a target:
-// the target name followed by a counter, so corruption and cross-target
-// mixups are both detectable.
-func contentChunk(t core.Target) []byte {
-	if v, ok := chunkCache.Load(t); ok {
-		return v.([]byte)
+// chunkCache holds the patterns built so far in the process, so that the
+// stores of an in-process cluster build each target's pattern once, behind
+// one pointer that their docs share (doc.pat).
+var chunkCache struct {
+	sync.RWMutex
+	m map[core.Target]*[]byte
+}
+
+// cachedChunk returns t's pattern from chunkCache, building it on first
+// use.
+func cachedChunk(t core.Target) *[]byte {
+	chunkCache.RLock()
+	p := chunkCache.m[t]
+	chunkCache.RUnlock()
+	if p != nil {
+		return p
 	}
-	const n = 1 << 10
+	b := contentChunk(t)
+	chunkCache.Lock()
+	defer chunkCache.Unlock()
+	if p = chunkCache.m[t]; p == nil {
+		if chunkCache.m == nil {
+			chunkCache.m = make(map[core.Target]*[]byte)
+		}
+		p = &b
+		chunkCache.m[t] = p
+	}
+	return p
+}
+
+// contentChunk builds the repeating 1 KB pattern for a target: segment k
+// is the target name, '#', k in four digits and '|', repeated and cut at
+// chunkBytes, so corruption and cross-target mixups are both detectable.
+// A segment is at least six bytes long, so k stays under 1000 and every
+// segment has the same length.
+func contentChunk(t core.Target) []byte {
+	const n = chunkBytes
 	b := make([]byte, 0, n+len(t)+16)
 	for i := 0; len(b) < n; i++ {
 		b = append(b, t...)
@@ -216,7 +261,5 @@ func contentChunk(t core.Target) []byte {
 		b = strconv.AppendInt(b, int64(i), 10)
 		b = append(b, '|')
 	}
-	b = b[:n:n]
-	chunkCache.Store(t, b)
-	return b
+	return b[:n:n]
 }

@@ -18,9 +18,12 @@ import (
 // onMembership mirrors table transitions into the dispatch engine. It
 // runs under the table lock (membership.Listener contract), so it must
 // not call back into the table. A Down transition wakes every relayed
-// connection, whose goroutine then re-dispatches its own lost requests.
-// Suspect changes nothing here — a Suspect node keeps its traffic until
-// the confirm window expires.
+// connection, whose goroutine then re-dispatches its own lost requests,
+// and every connection handed off to the dead node, whose goroutine then
+// resets it: the simulator re-dispatches such a connection, but here the
+// dead node may have written part of a response to the client. Suspect
+// changes nothing here — a Suspect node keeps its traffic until the
+// confirm window expires.
 func (fe *FrontEnd) onMembership(n core.NodeID, from, to membership.State) {
 	_ = from
 	switch to {
@@ -35,6 +38,13 @@ func (fe *FrontEnd) onMembership(n core.NodeID, from, to membership.State) {
 			wake(c.ready)
 		}
 		fe.relayMu.Unlock()
+		fe.handedMu.Lock()
+		for c := fe.handed; c != nil; c = c.next {
+			if c.node == n {
+				c.wakeDown()
+			}
+		}
+		fe.handedMu.Unlock()
 	}
 }
 

@@ -171,6 +171,15 @@ type FrontEnd struct {
 	relayMu sync.Mutex
 	relays  map[core.ConnID]*feConn
 
+	// handed lists the connections handed off to a back-end (handoff and
+	// BE forwarding), linked through feConn.prev/next under handedMu. A
+	// Down transition wakes those handed off to the dead node through a
+	// read deadline in the past, and each one's own goroutine resets it.
+	// handedMu is taken after the membership table's lock, never before
+	// it.
+	handedMu sync.Mutex
+	handed   *feConn
+
 	// unavailable counts connections refused with 503 (no Up back-end);
 	// redispatched counts in-flight requests re-sent after a node death.
 	unavailable  metrics.Counter
@@ -687,6 +696,13 @@ type feConn struct {
 	// also held by its relayReq, for re-dispatch).
 	lines [][]byte
 
+	// Handoff and BE forwarding, from openConn on: the connection's place
+	// in fe.handed, and node, the back-end it is handed off to. down is
+	// set once that node goes Down.
+	prev, next *feConn
+	node       core.NodeID
+	down       atomic.Bool
+
 	// Relay only, from openConn on: the connection's entry in fe.relays.
 	// relayed holds its requests whose responses are not yet written, by
 	// sequence number (under fe.relayMu); ready wakes relayOut when a frame
@@ -769,7 +785,9 @@ func (fe *FrontEnd) serveClient(conn net.Conn) {
 				tc.CloseWrite()
 			}
 			c.conn.SetReadDeadline(time.Now().Add(fe.cfg.IdleTimeout))
-			c.br.Discard(math.MaxInt)
+			if !c.down.Load() {
+				c.br.Discard(math.MaxInt)
+			}
 			return
 		}
 		yieldThread() // the batch is on its way; next comes a wait for the client
@@ -816,6 +834,9 @@ func (fe *FrontEnd) readBatch(c *feConn) error {
 
 	c.reqs, c.batch = c.reqs[:0], c.batch[:0]
 	c.conn.SetReadDeadline(time.Now().Add(fe.cfg.IdleTimeout))
+	if c.down.Load() { // after the deadline: a wakeDown before it is seen here
+		return errNodeDown
+	}
 	if err := fe.readRequest(c); err != nil {
 		return err
 	}
@@ -904,9 +925,32 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 		fe.relayMu.Lock()
 		fe.relays[c.id] = c
 		fe.relayMu.Unlock()
+		return nil
 	}
+	c.node = ec.Handling()
+	fe.handedMu.Lock()
+	c.next = fe.handed
+	if c.next != nil {
+		c.next.prev = c
+	}
+	fe.handed = c
+	fe.handedMu.Unlock()
 	return nil
 }
+
+// wakeDown tells handed-off connection c that its node went Down: its
+// goroutine, waiting on the client or about to, finds the deadline passed
+// or the flag set, and resets the connection. Called under fe.handedMu.
+func (c *feConn) wakeDown() {
+	c.down.Store(true)
+	c.conn.SetReadDeadline(longAgo)
+}
+
+// longAgo is a deadline that has passed.
+var longAgo = time.Unix(1, 0)
+
+// errNodeDown ends a handed-off connection whose node went Down.
+var errNodeDown = errors.New("cluster: handed-off connection's node is down")
 
 // handOff passes c's client socket to back-end n together with the lines
 // in c.line, HANDOFF first: one sendmsg on the node's session, made while
@@ -961,8 +1005,9 @@ func (fe *FrontEnd) dispatchBatch(c *feConn) error {
 		// The handling node died between batches: move the connection
 		// before the batch is assigned, spending no retry, as no work was
 		// lost. A handed-off connection is not moved: its dead node may
-		// have left a response half-written on the client's stream, so it
-		// fails its next send and closes.
+		// have left a response half-written on the client's stream. The
+		// node's Down transition woke it instead (wakeDown), and it is
+		// reset the moment it next waits on the client.
 		done := fe.trackDispatch()
 		fe.eng.Redispatch(c.ec, h, 0, 0)
 		done()
@@ -1087,11 +1132,27 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 		fe.relayMu.Lock()
 		delete(fe.relays, c.id)
 		fe.relayMu.Unlock()
+	} else if c.ec != nil {
+		fe.handedMu.Lock()
+		if c.prev != nil {
+			c.prev.next = c.next
+		} else {
+			fe.handed = c.next
+		}
+		if c.next != nil {
+			c.next.prev = c.prev
+		}
+		fe.handedMu.Unlock()
 	}
 	if c.ec != nil {
 		done := fe.trackDispatch()
 		fe.eng.ConnClose(c.ec)
 		done()
+	}
+	if tc, ok := c.conn.(*net.TCPConn); ok && c.down.Load() {
+		// Its node died holding the connection: the client sees a reset,
+		// not a clean end of stream it might take for a complete answer.
+		tc.SetLinger(0)
 	}
 	c.conn.Close()
 	c.recycle()

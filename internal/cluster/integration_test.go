@@ -2,8 +2,10 @@ package cluster_test
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -160,6 +162,58 @@ func TestBackendDeathSurfacesErrors(t *testing.T) {
 		// The run must terminate; errors are expected and acceptable.
 	case <-time.After(120 * time.Second):
 		t.Fatal("load run wedged after backend death")
+	}
+}
+
+// A client whose connection was handed off to a node that dies before
+// answering sees the connection reset as soon as the node is confirmed
+// Down, not when the front-end's 15 s idle timeout fires: the front-end
+// cannot re-dispatch a handed-off connection, so it fails it at once.
+func TestHandedOffClientResetOnNodeDeath(t *testing.T) {
+	for _, mech := range []core.Mechanism{core.SingleHandoff, core.BEForwarding} {
+		t.Run(mech.String(), func(t *testing.T) {
+			cfg := cluster.DefaultConfig(2, map[core.Target]int64{"/a": 700, "/b": 900, "/c": 1100})
+			cfg.Mechanism = mech
+			cfg.SimulateCPU = false
+			cfg.Disk = server.DiskParams{Position: 1200 * core.Millisecond} // no answer for 1.2 s
+			cfg.ConfirmWindow = 200 * time.Millisecond
+			cl, err := cluster.Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			conn, err := net.Dial("tcp", cl.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := io.WriteString(conn, "GET /a HTTP/1.1\r\nHost: c\r\n\r\nGET /b HTTP/1.1\r\nHost: c\r\n\r\nGET /c HTTP/1.1\r\nHost: c\r\n\r\n"); err != nil {
+				t.Fatal(err)
+			}
+			var node *cluster.Backend
+			for deadline := time.Now().Add(time.Second); node == nil; time.Sleep(time.Millisecond) {
+				for _, be := range cl.BEs {
+					if _, m := be.Store().Counters(); m > 0 {
+						node = be
+					}
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no back-end took the batch to its disk")
+				}
+			}
+			closed := make(chan struct{})
+			go func() { node.Close(); close(closed) }() // returns once the disk read ends
+			defer func() { <-closed }()
+			start := time.Now()
+			conn.SetReadDeadline(start.Add(5 * time.Second))
+			n, err := io.Copy(io.Discard, conn)
+			if !errors.Is(err, syscall.ECONNRESET) {
+				t.Fatalf("client read %d bytes, then %v after %v; want a connection reset", n, err, time.Since(start))
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("client saw the reset %v after its node died, want under 1 s", d)
+			}
+		})
 	}
 }
 

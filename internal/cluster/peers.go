@@ -298,6 +298,15 @@ func (t *peerTier) acceptLoop() {
 			return
 		}
 		t.imu.Lock()
+		select {
+		case <-t.closed:
+			// Close has closed the sessions it found; this one came in
+			// after.
+			t.imu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		t.inbound[conn] = struct{}{}
 		t.imu.Unlock()
 		t.wg.Add(1)

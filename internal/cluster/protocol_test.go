@@ -524,6 +524,23 @@ func TestContentDeterministic(t *testing.T) {
 	}
 }
 
+// ContentByte reads the pattern's layout without the pattern: it agrees
+// with the built pattern at every offset of three periods, for targets of
+// every length from one byte to past the period.
+func TestContentByteMatchesPattern(t *testing.T) {
+	name := []byte("/")
+	for n := 1; n <= 1100; n++ {
+		tgt := core.Target(name)
+		chunk := contentChunk(tgt)
+		for i := int64(0); i <= 3<<10; i++ {
+			if got, want := ContentByte(tgt, i), chunk[i%int64(len(chunk))]; got != want {
+				t.Fatalf("target of %d bytes, offset %d: ContentByte %q, pattern %q", n, i, got, want)
+			}
+		}
+		name = append(name, byte('a'+n%26))
+	}
+}
+
 // testDisk returns a tiny disk model so unit tests never sleep long.
 func testDisk() server.DiskParams {
 	return server.DiskParams{Position: 100, TransferPer512: 1}

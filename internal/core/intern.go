@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -75,6 +76,21 @@ func NewInterner() *Interner {
 	return in
 }
 
+// NewInternerOf returns an uncapped interner holding names, names[i] under
+// ID i+1 — the table that interning them in turn builds — with its
+// snapshot published once. The names must be distinct.
+func NewInternerOf(names []Target) *Interner {
+	in := &Interner{ids: make(map[Target]TargetID, len(names))}
+	for _, t := range names {
+		in.addLocked(t)
+	}
+	if len(in.ids) != len(names) {
+		panic("core: NewInternerOf with a repeated name")
+	}
+	in.rebuildLocked()
+	return in
+}
+
 // NewCappedInterner returns an empty interner holding at most max targets;
 // max must be positive.
 func NewCappedInterner(max int) *Interner {
@@ -92,10 +108,7 @@ func (in *Interner) Cap() int { return in.max }
 // rebuildLocked publishes a fresh immutable snapshot of the authoritative
 // map. Callers hold in.mu (or own the interner exclusively).
 func (in *Interner) rebuildLocked() {
-	m := make(map[Target]TargetID, len(in.ids))
-	for k, v := range in.ids {
-		m[k] = v
-	}
+	m := maps.Clone(in.ids)
 	in.snap.Store(&m)
 	in.pending = 0
 }
@@ -144,6 +157,21 @@ func (in *Interner) internSlow(t Target) TargetID {
 	if in.max > 0 && len(in.ids) >= in.max {
 		return NoTarget
 	}
+	id := in.addLocked(t)
+	if in.max > 0 && len(in.ids) == in.max {
+		// The table is final: publish all of it, then let misses skip
+		// the lock.
+		in.rebuildLocked()
+		in.full.Store(true)
+	} else {
+		in.touchLocked()
+	}
+	return id
+}
+
+// addLocked assigns t, which the table does not hold, the next ID. Callers
+// hold in.mu (or own the interner exclusively).
+func (in *Interner) addLocked(t Target) TargetID {
 	s := in.length.Load()
 	dir := in.chunks.Load()
 	var cur []*nameChunk
@@ -161,14 +189,6 @@ func (in *Interner) internSlow(t Target) TargetID {
 	in.length.Store(s + 1)
 	id := TargetID(s + 1)
 	in.ids[t] = id
-	if in.max > 0 && len(in.ids) == in.max {
-		// The table is final: publish all of it, then let misses skip
-		// the lock.
-		in.rebuildLocked()
-		in.full.Store(true)
-	} else {
-		in.touchLocked()
-	}
 	return id
 }
 

@@ -114,10 +114,15 @@ func (r *RNG) Geometric(mean float64) int {
 }
 
 // Zipf draws ranks in [0, n) with probability proportional to
-// 1/(rank+1)^alpha, using an inverted-CDF table built by NewZipf.
+// 1/(rank+1)^alpha, using an inverted-CDF table built by NewZipf. A draw
+// is the first rank whose cumulative probability reaches a uniform u; a
+// guide table narrows the search for it to the ranks between two
+// consecutive 1/n steps.
 type Zipf struct {
 	cdf []float64
-	rng *RNG
+	// guide[j] is the first rank whose cdf reaches j/n.
+	guide []int32
+	rng   *RNG
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent alpha.
@@ -134,20 +139,42 @@ func NewZipf(rng *RNG, n int, alpha float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, rng: rng}
+	guide := make([]int32, n)
+	i := 0
+	for j := range guide {
+		for cdf[i] < float64(j)/float64(n) {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide, rng: rng}
 }
 
 // With returns a sampler sharing z's inverted-CDF table but drawing from
 // r. Building the CDF is O(n); With is O(1), so per-block generators can
 // reuse one catalog-wide popularity table with their own RNG streams.
 func (z *Zipf) With(r *RNG) *Zipf {
-	return &Zipf{cdf: z.cdf, rng: r}
+	return &Zipf{cdf: z.cdf, guide: z.guide, rng: r}
 }
 
 // Next returns the next rank sample in [0, n).
 func (z *Zipf) Next() int {
 	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
+	n := len(z.cdf)
+	j := min(int(u*float64(n)), n-1)
+	lo, hi := int(z.guide[j]), n-1
+	if j+1 < n {
+		hi = int(z.guide[j+1])
+	}
+	// Rounding in u*n can put u outside step j; the search then widens
+	// to the whole table, so the draw is always the first rank whose cdf
+	// reaches u.
+	if lo > 0 && z.cdf[lo-1] >= u {
+		lo = 0
+	}
+	if z.cdf[hi] < u {
+		hi = n - 1
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

@@ -271,6 +271,24 @@ func TestZipfWithSharesCDF(t *testing.T) {
 	}
 }
 
+// The guide table only narrows the search: every draw is the first rank
+// whose cdf reaches u, as a search over the whole table finds it.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 1000, 28000} {
+		for _, alpha := range []float64{0.6, 0.78, 1.3} {
+			z := NewZipf(NewRNGStream(9, uint64(n)), n, alpha)
+			ref := NewRNGStream(9, uint64(n))
+			for i := 0; i < 20000; i++ {
+				u := ref.Float64()
+				want := sort.Search(n-1, func(k int) bool { return z.cdf[k] >= u })
+				if got := z.Next(); got != want {
+					t.Fatalf("n=%d alpha=%v draw %d (u=%v): rank %d, full search %d", n, alpha, i, u, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(7)
 	for i := 0; i < 10000; i++ {

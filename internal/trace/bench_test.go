@@ -28,3 +28,15 @@ func BenchmarkSynthGenerateParallel(b *testing.B) {
 		NewSynth(cfg).GenerateParallel(0)
 	}
 }
+
+// BenchmarkSynthBuild is the whole build a sweep driver makes before its
+// first event: the default catalog, 10 000 connections generated and
+// interned, and the HTTP/1.0 flattening.
+func BenchmarkSynthBuild(b *testing.B) {
+	cfg := DefaultSynthConfig()
+	cfg.Connections = 10000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewWorkload(NewSynth(cfg).Generate()).Flatten()
+	}
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -111,24 +112,50 @@ func SmallSynthConfig() SynthConfig {
 	return c
 }
 
-// pageTarget and objectTarget name documents deterministically.
-func pageTarget(i int) core.Target   { return core.Target(fmt.Sprintf("/docs/page%05d.html", i)) }
-func objectTarget(i int) core.Target { return core.Target(fmt.Sprintf("/img/obj%05d", i)) }
+// catalogNames formats every document's name once, all into one string
+// that the names slice. Document d is page d for d < pages, named
+// /docs/page%05d.html, and object d-pages after that, named /img/obj%05d.
+func catalogNames(pages, objects int) []core.Target {
+	var b []byte
+	ends := make([]int, pages+objects)
+	for d := range ends {
+		i, prefix, suffix := d, "/docs/page", ".html"
+		if d >= pages {
+			i, prefix, suffix = d-pages, "/img/obj", ""
+		}
+		b = append(b, prefix...)
+		for w := 10000; w > 1 && i < w; w /= 10 {
+			b = append(b, '0') // at least five digits
+		}
+		b = append(strconv.AppendInt(b, int64(i), 10), suffix...)
+		ends[d] = len(b)
+	}
+	all := core.Target(b)
+	names := make([]core.Target, len(ends))
+	start := 0
+	for d, end := range ends {
+		names[d] = all[start:end]
+		start = end
+	}
+	return names
+}
 
 // Synth is an instantiated generator: the document catalog plus the
 // popularity and session models. Build one with NewSynth, then call
 // Generate (structured trace) or GenerateEntries (CLF log records).
 //
-// The catalog (sizes, embedded-object lists, popularity tables) is built
-// once from the base seed; connection generation draws from per-block RNG
-// streams (see blockSize), so Generate can fan blocks out over
-// worker goroutines and still produce the identical trace.
+// The catalog (names, sizes, embedded-object lists, popularity tables) is
+// built once from the base seed; connection generation draws from
+// per-block RNG streams (see blockSize), so Generate can fan blocks out
+// over worker goroutines and still produce the identical trace. Every
+// request for a document carries the catalog's one string for its name.
 type Synth struct {
-	cfg      SynthConfig
-	zipf     *simcore.Zipf // page popularity; per-block generators view it through their own streams
-	pageSize []int64
-	objSize  []int64
-	embedded [][]int // page -> object indices
+	cfg   SynthConfig
+	zipf  *simcore.Zipf // page popularity; per-block generators view it through their own streams
+	names []core.Target // by document: pages, then objects
+	size  []int64       // by document
+	// embedded[p] lists page p's embedded objects as documents.
+	embedded [][]int32
 }
 
 // embedRetries bounds the uniform redraws used when the popularity-skewed
@@ -139,9 +166,9 @@ type Synth struct {
 // unbounded loop when a page approaches the whole object population.
 const embedRetries = 16
 
-// NewSynth builds the catalog: deterministic sizes and per-page embedded
-// object lists drawn from a skewed object popularity (shared objects such
-// as logos appear on many pages).
+// NewSynth builds the catalog: names, deterministic sizes and per-page
+// embedded object lists drawn from a skewed object popularity (shared
+// objects such as logos appear on many pages).
 func NewSynth(cfg SynthConfig) *Synth {
 	if cfg.Pages <= 0 || cfg.Objects <= 0 || cfg.Connections < 0 {
 		panic("trace: SynthConfig with non-positive population")
@@ -153,35 +180,41 @@ func NewSynth(cfg SynthConfig) *Synth {
 	s := &Synth{
 		cfg:      cfg,
 		zipf:     simcore.NewZipf(rng, cfg.Pages, cfg.ZipfAlpha),
-		pageSize: make([]int64, cfg.Pages),
-		objSize:  make([]int64, cfg.Objects),
-		embedded: make([][]int, cfg.Pages),
+		names:    catalogNames(cfg.Pages, cfg.Objects),
+		size:     make([]int64, cfg.Pages+cfg.Objects),
+		embedded: make([][]int32, cfg.Pages),
 	}
-	for i := range s.pageSize {
-		s.pageSize[i] = s.sample(rng, cfg.PageLogMu, cfg.PageLogSigma)
+	for d := range s.size {
+		if d < cfg.Pages {
+			s.size[d] = s.sample(rng, cfg.PageLogMu, cfg.PageLogSigma)
+		} else {
+			s.size[d] = s.sample(rng, cfg.ObjectLogMu, cfg.ObjectLogSigma)
+		}
 	}
-	for i := range s.objSize {
-		s.objSize[i] = s.sample(rng, cfg.ObjectLogMu, cfg.ObjectLogSigma)
-	}
-	// Object popularity across pages: Zipf over object indices.
+	// Object popularity across pages: Zipf over object indices. The
+	// lists are cut from one backing array; seenBy[o] == p+1 marks object
+	// o as already on page p.
 	objPop := simcore.NewZipf(rng, cfg.Objects, 0.6)
+	seenBy := make([]int32, cfg.Objects)
+	all := make([]int32, 0, int(float64(cfg.Pages)*cfg.ObjectsPerPage))
 	for p := range s.embedded {
 		k := rng.Geometric(cfg.ObjectsPerPage)
 		if k > cfg.Objects {
 			k = cfg.Objects
 		}
-		seen := make(map[int]bool, k)
-		for len(s.embedded[p]) < k {
+		mark, from := int32(p+1), len(all)
+		for n := 0; n < k; n++ {
 			o := objPop.Next()
-			for try := 0; seen[o] && try < embedRetries; try++ {
+			for try := 0; seenBy[o] == mark && try < embedRetries; try++ {
 				o = rng.Intn(cfg.Objects) // fall back to uniform on repeat
 			}
-			if seen[o] {
+			if seenBy[o] == mark {
 				break // population effectively exhausted for this page
 			}
-			seen[o] = true
-			s.embedded[p] = append(s.embedded[p], o)
+			seenBy[o] = mark
+			all = append(all, int32(cfg.Pages+o))
 		}
+		s.embedded[p] = all[from:len(all):len(all)]
 	}
 	return s
 }
@@ -205,12 +238,9 @@ func (s *Synth) sample(rng *simcore.RNG, mu, sigma float64) int64 {
 
 // Sizes returns the full catalog (target → size) without generating traffic.
 func (s *Synth) Sizes() map[core.Target]int64 {
-	m := make(map[core.Target]int64, len(s.pageSize)+len(s.objSize))
-	for i, sz := range s.pageSize {
-		m[pageTarget(i)] = sz
-	}
-	for i, sz := range s.objSize {
-		m[objectTarget(i)] = sz
+	m := make(map[core.Target]int64, len(s.names))
+	for d, name := range s.names {
+		m[name] = s.size[d]
 	}
 	return m
 }
@@ -220,17 +250,30 @@ func (s *Synth) Sizes() map[core.Target]int64 {
 // trace is identical whether or not log entries are generated alongside it.
 const timingStream = 0
 
-// blockGen is one block's generation context: an independent RNG stream
-// plus a per-stream view of the shared page-popularity table.
+// Generated requests and batch lists are cut from per-block slabs of these
+// many entries (more when one connection needs more), each slice capped at
+// its length so that an append to one cannot overwrite the next.
+const (
+	slabRequests = 4096
+	slabBatches  = 1024
+)
+
+// blockGen is one block's generation context: an independent RNG stream,
+// a per-stream view of the shared page-popularity table, and the slabs its
+// connections are cut from.
 type blockGen struct {
 	s    *Synth
 	rng  *simcore.RNG
 	zipf *simcore.Zipf
+
+	reqs    []core.Request
+	batches []core.Batch
+	conn    []core.Batch // the connection being generated
 }
 
-func (s *Synth) blockGen(block int) blockGen {
+func (s *Synth) blockGen(block int) *blockGen {
 	rng := simcore.NewRNGStream(s.cfg.Seed, uint64(block)+1)
-	return blockGen{s: s, rng: rng, zipf: s.zipf.With(rng)}
+	return &blockGen{s: s, rng: rng, zipf: s.zipf.With(rng)}
 }
 
 // genBlock fills conns[block*blockSize : ...] from the block's own stream.
@@ -305,28 +348,42 @@ func (s *Synth) GenerateParallel(workers int) *Trace {
 	return s.assemble(s.generateConns(workers))
 }
 
-// assemble wraps generated connections as a Trace: the sizes table is
-// collected from the requests actually drawn, and targets are interned in
-// trace order.
+// assemble wraps generated connections as a Trace. Until here a generated
+// request's ID is its document plus one; assemble numbers the documents in
+// the order they first appear in the trace — the IDs EnsureIDs would
+// assign — and fills the sizes table and the interner once per distinct
+// document, without hashing a request.
 func (s *Synth) assemble(conns []core.Connection) *Trace {
-	t := &Trace{Conns: conns, Sizes: make(map[core.Target]int64)}
+	ids := make([]core.TargetID, len(s.names)) // by document
+	var docs []int                             // by ID-1
 	for _, c := range conns {
 		for _, b := range c.Batches {
-			for _, r := range b {
-				t.Sizes[r.Target] = r.Size
+			for i := range b {
+				d := int(b[i].ID - 1)
+				if ids[d] == core.NoTarget {
+					docs = append(docs, d)
+					ids[d] = core.TargetID(len(docs))
+				}
+				b[i].ID = ids[d]
 			}
 		}
 	}
-	return t.EnsureIDs()
+	names := make([]core.Target, len(docs))
+	sizes := make(map[core.Target]int64, len(docs))
+	for i, d := range docs {
+		names[i] = s.names[d]
+		sizes[s.names[d]] = s.size[d]
+	}
+	return &Trace{Conns: conns, Sizes: sizes, Interner: core.NewInternerOf(names)}
 }
 
 // genConnection generates one persistent connection: optionally the resumed
 // tail of an interrupted page visit (object requests only), then a sequence
 // of page visits, each a single-request batch (the page) followed by
 // pipelined batches of its embedded objects.
-func (g blockGen) genConnection() core.Connection {
+func (g *blockGen) genConnection() core.Connection {
 	s := g.s
-	var conn core.Connection
+	g.conn = g.conn[:0]
 	if g.rng.Float64() < s.cfg.ResumeProb {
 		p := g.zipf.Next()
 		if objs := s.embedded[p]; len(objs) > 0 {
@@ -335,41 +392,56 @@ func (g blockGen) genConnection() core.Connection {
 			// cannot pipeline before its first round trip), matching
 			// the reconstruction heuristic.
 			from := g.rng.Intn(len(objs))
-			conn.Batches = append(conn.Batches, core.Batch{{
-				Target: objectTarget(objs[from]),
-				Size:   s.objSize[objs[from]],
-			}})
-			g.appendObjectBatches(&conn, objs[from+1:])
+			g.fill(&g.batch(1)[0], objs[from])
+			g.objectBatches(objs[from+1:])
 		}
 	}
 	visits := g.rng.Geometric(s.cfg.PagesPerConn)
 	for v := 0; v < visits; v++ {
 		p := g.zipf.Next()
-		conn.Batches = append(conn.Batches, core.Batch{{
-			Target: pageTarget(p),
-			Size:   s.pageSize[p],
-		}})
-		g.appendObjectBatches(&conn, s.embedded[p])
+		g.fill(&g.batch(1)[0], int32(p))
+		g.objectBatches(s.embedded[p])
 	}
-	return conn
+	if len(g.conn) == 0 {
+		return core.Connection{}
+	}
+	n := len(g.conn)
+	if len(g.batches) < n {
+		g.batches = make([]core.Batch, max(slabBatches, n))
+	}
+	bs := g.batches[:n:n]
+	g.batches = g.batches[n:]
+	copy(bs, g.conn)
+	return core.Connection{Batches: bs}
 }
 
-// appendObjectBatches splits objs into pipelined batches of at most MaxBatch
-// requests and appends them to conn.
-func (g blockGen) appendObjectBatches(conn *core.Connection, objs []int) {
+// batch appends an n-request batch to the connection and returns it.
+func (g *blockGen) batch(n int) core.Batch {
+	if len(g.reqs) < n {
+		g.reqs = make([]core.Request, max(slabRequests, n))
+	}
+	b := g.reqs[:n:n]
+	g.reqs = g.reqs[n:]
+	g.conn = append(g.conn, b)
+	return b
+}
+
+// fill makes r a request for document d.
+func (g *blockGen) fill(r *core.Request, d int32) {
+	r.Target = g.s.names[d]
+	r.ID = core.TargetID(d + 1)
+	r.Size = g.s.size[d]
+}
+
+// objectBatches splits objs into pipelined batches of at most MaxBatch
+// requests and appends them to the connection.
+func (g *blockGen) objectBatches(objs []int32) {
 	for start := 0; start < len(objs); start += g.s.cfg.MaxBatch {
-		end := start + g.s.cfg.MaxBatch
-		if end > len(objs) {
-			end = len(objs)
+		end := min(start+g.s.cfg.MaxBatch, len(objs))
+		b := g.batch(end - start)
+		for i, d := range objs[start:end] {
+			g.fill(&b[i], d)
 		}
-		var b core.Batch
-		for _, o := range objs[start:end] {
-			b = append(b, core.Request{
-				Target: objectTarget(o),
-				Size:   g.s.objSize[o],
-			})
-		}
-		conn.Batches = append(conn.Batches, b)
 	}
 }
 
@@ -392,11 +464,20 @@ func (s *Synth) GenerateEntries() []Entry {
 func (s *Synth) GenerateBoth() ([]Entry, *Trace) {
 	conns := s.generateConns(0)
 	trng := simcore.NewRNGStream(s.cfg.Seed, timingStream)
-	var entries []Entry
-	// Per-client running clocks ensure the >=15 s separation.
+	n := 0
+	for _, conn := range conns {
+		n += conn.Requests()
+	}
+	entries := make([]Entry, 0, n)
+	// Per-client running clocks ensure the >=15 s separation; a client's
+	// host name is formatted on its first connection.
 	clientClock := make([]core.Micros, s.cfg.Clients)
+	clientName := make([]string, s.cfg.Clients)
 	for _, conn := range conns {
 		client := trng.Intn(s.cfg.Clients)
+		if clientName[client] == "" {
+			clientName[client] = fmt.Sprintf("client%04d.example.edu", client)
+		}
 		now := clientClock[client]
 		// Stagger clients so connection start order interleaves.
 		now += core.Micros(trng.Intn(2000)) * core.Millisecond
@@ -413,7 +494,7 @@ func (s *Synth) GenerateBoth() ([]Entry, *Trace) {
 					now += core.Micros(20+trng.Intn(200)) * core.Millisecond
 				}
 				entries = append(entries, Entry{
-					Client: fmt.Sprintf("client%04d.example.edu", client),
+					Client: clientName[client],
 					Time:   now,
 					Target: r.Target,
 					Size:   r.Size,

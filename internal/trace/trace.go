@@ -97,17 +97,26 @@ func (t *Trace) WorkingSetBytes() int64 {
 // Flatten10 converts the trace to HTTP/1.0 form: every request becomes its
 // own single-request connection, in the original order. This produces the
 // paper's "HTTP/1.0 workload" from the same request stream. Interned IDs
-// carry over with the requests.
+// carry over with the requests. The copied requests and the one-batch lists
+// live in two backing arrays, each slice capped at its length.
 func (t *Trace) Flatten10() *Trace {
 	out := &Trace{Sizes: t.Sizes, Interner: t.Interner}
+	n := t.Requests()
+	if n == 0 {
+		return out
+	}
+	out.Conns = make([]core.Connection, n)
+	batches := make([]core.Batch, n)
+	reqs := make([]core.Request, n)
+	k := 0
 	for _, c := range t.Conns {
 		for _, b := range c.Batches {
-			for _, r := range b {
-				out.Conns = append(out.Conns, core.Connection{
-					Batches: []core.Batch{{r}},
-				})
-			}
+			k += copy(reqs[k:], b)
 		}
+	}
+	for i := range reqs {
+		batches[i] = reqs[i : i+1 : i+1]
+		out.Conns[i].Batches = batches[i : i+1 : i+1]
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -343,9 +344,76 @@ func TestFlatten10(t *testing.T) {
 	if len(flat.Conns) != tr.Requests() {
 		t.Errorf("flatten: %d connections, want one per request (%d)", len(flat.Conns), tr.Requests())
 	}
-	for _, c := range flat.Conns {
-		if len(c.Batches) != 1 || len(c.Batches[0]) != 1 {
-			t.Fatal("flattened connection not single-request")
+	var want []core.Connection
+	for _, c := range tr.Conns {
+		for _, b := range c.Batches {
+			for _, r := range b {
+				want = append(want, core.Connection{Batches: []core.Batch{{r}}})
+			}
+		}
+	}
+	if !reflect.DeepEqual(flat.Conns, want) {
+		t.Error("flattened trace differs from one single-request connection per request")
+	}
+	// The connections share backing arrays, so each slice must end where
+	// its neighbour begins.
+	for i, c := range flat.Conns {
+		if cap(c.Batches) != len(c.Batches) || cap(c.Batches[0]) != len(c.Batches[0]) {
+			t.Fatalf("connection %d: batch list cap %d len %d, batch cap %d len %d",
+				i, cap(c.Batches), len(c.Batches), cap(c.Batches[0]), len(c.Batches[0]))
+		}
+	}
+	if empty := (&Trace{}).Flatten10(); empty.Conns != nil {
+		t.Errorf("flattening an empty trace gave %d connections", len(empty.Conns))
+	}
+}
+
+// EnsureIDs still interns traces that no generator built, hand-built or
+// reconstructed from a log, in first-appearance order, as the generator's
+// own numbering does.
+func TestEnsureIDsFirstAppearance(t *testing.T) {
+	hand := (&Trace{Conns: []core.Connection{
+		{Batches: []core.Batch{{{Target: "/b"}}, {{Target: "/a"}, {Target: "/b"}}}},
+		{Batches: []core.Batch{{{Target: "/c"}, {Target: "/a"}}}},
+	}}).EnsureIDs()
+	cfg := SmallSynthConfig()
+	cfg.Connections = 300
+	entries, gen := NewSynth(cfg).GenerateBoth()
+	rec := Reconstruct(entries, DefaultIdleTimeout, DefaultBatchWindow)
+	for name, tr := range map[string]*Trace{"hand-built": hand, "reconstructed": rec, "generated": gen} {
+		next := core.TargetID(1)
+		seen := map[core.Target]core.TargetID{}
+		for _, c := range tr.Conns {
+			for _, b := range c.Batches {
+				for _, r := range b {
+					id, ok := seen[r.Target]
+					if !ok {
+						id = next
+						seen[r.Target] = id
+						next++
+					}
+					if r.ID != id || tr.Interner.Name(id) != r.Target {
+						t.Fatalf("%s: %q has ID %d, want %d in first-appearance order", name, r.Target, r.ID, id)
+					}
+				}
+			}
+		}
+		if tr.Interner.Len() != len(seen) {
+			t.Errorf("%s: interner holds %d targets, the trace %d", name, tr.Interner.Len(), len(seen))
+		}
+	}
+}
+
+// Every generated name is the one the catalog's format gives, including
+// past five digits.
+func TestSynthNames(t *testing.T) {
+	names := catalogNames(100002, 100002)
+	for _, d := range []int{0, 7, 99, 12345, 100001} {
+		if want := core.Target(fmt.Sprintf("/docs/page%05d.html", d)); names[d] != want {
+			t.Errorf("page %d named %q, want %q", d, names[d], want)
+		}
+		if want := core.Target(fmt.Sprintf("/img/obj%05d", d)); names[100002+d] != want {
+			t.Errorf("object %d named %q, want %q", d, names[100002+d], want)
 		}
 	}
 }
@@ -442,5 +510,21 @@ func TestGenerateEntriesMatchesBoth(t *testing.T) {
 	both, _ := NewSynth(cfg).GenerateBoth()
 	if !reflect.DeepEqual(entries, both) {
 		t.Error("GenerateEntries differs from GenerateBoth's entries")
+	}
+}
+
+// The build works per document, not per request: a 10 000-connection
+// trace of the default catalog, generated, interned and flattened, takes
+// a bounded number of allocations (about 510 when this bound was set;
+// the per-request build took some 574 000).
+func TestSynthBuildAllocs(t *testing.T) {
+	cfg := DefaultSynthConfig()
+	cfg.Connections = 10000
+	allocs := testing.AllocsPerRun(2, func() {
+		NewSynth(cfg).Generate().Flatten10()
+	})
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 1000 {
+		t.Errorf("building the trace took %.0f allocations, want at most 1000", allocs)
 	}
 }
