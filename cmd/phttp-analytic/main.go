@@ -1,17 +1,18 @@
 // phttp-analytic evaluates the Section 5 analysis: cluster bandwidth under
 // the multiple handoff mechanism versus back-end request forwarding as a
 // function of mean response size, and the crossover point between them
-// (Figures 5 and 6).
+// (Figures 5 and 6). The server model and cluster size come from a
+// scenario (default: the builtin "default", Apache on 4 nodes; override
+// keys with -set).
 //
-//	phttp-analytic -server apache
-//	phttp-analytic -server flash -max-kb 100
+//	phttp-analytic
+//	phttp-analytic -set server.model=flash -max-kb 100
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"phttp/internal/analytic"
 	"phttp/internal/core"
@@ -21,47 +22,24 @@ import (
 
 func main() {
 	var (
-		srv      = flag.String("server", "apache", "server model: apache or flash")
-		maxKB    = flag.Int("max-kb", 100, "largest mean file size (KB)")
-		nodes    = flag.Int("nodes", 4, "cluster size (the paper uses 4)")
-		reqs     = flag.Int("reqs-per-conn", 6, "average requests per persistent connection")
-		plot     = flag.Bool("plot", false, "append an ASCII rendering of the figure")
-		scenFlag = flag.String("scenario", "", "take cluster size and server model from a scenario (builtin name or JSON file); explicitly set flags override it")
+		maxKB = flag.Int("max-kb", 100, "largest mean file size (KB)")
+		plot  = flag.Bool("plot", false, "append an ASCII rendering of the figure")
 	)
+	resolve := scenario.Flags(flag.CommandLine, "default")
 	flag.Parse()
 
-	kind := core.Apache
-	switch strings.ToLower(*srv) {
-	case "apache":
-	case "flash":
-		kind = core.Flash
-	default:
-		fmt.Fprintf(os.Stderr, "phttp-analytic: unknown -server %q\n", *srv)
-		os.Exit(1)
+	spec, err := resolve()
+	if err != nil {
+		fatalf("%v", err)
 	}
-
-	if *scenFlag != "" {
-		spec, err := scenario.LoadOrBuiltin(*scenFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "phttp-analytic: %v\n", err)
-			os.Exit(1)
-		}
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["server"] {
-			if kind, err = spec.ServerKind(); err != nil {
-				fmt.Fprintf(os.Stderr, "phttp-analytic: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if !set["nodes"] && spec.Cluster.Nodes > 0 {
-			*nodes = spec.Cluster.Nodes
-		}
+	kind, err := spec.ServerKind()
+	if err != nil {
+		fatalf("%v", err)
 	}
-
 	cfg := analytic.DefaultConfig(kind)
-	cfg.Nodes = *nodes
-	cfg.RequestsPerConn = *reqs
+	if spec.Cluster.Nodes > 0 {
+		cfg.Nodes = spec.Cluster.Nodes
+	}
 
 	figure := 5
 	if kind == core.Flash {
@@ -101,4 +79,9 @@ func main() {
 			row.q.MeanUS/1e3, row.q.P50US/1e3, row.q.P95US/1e3,
 			row.q.P99US/1e3, row.q.P999US/1e3, row.q.MaxUS/1e3)
 	}
+}
+
+func fatalf(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "phttp-analytic: "+format+"\n", args...)
+	os.Exit(1)
 }

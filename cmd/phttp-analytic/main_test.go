@@ -16,27 +16,27 @@ func TestHelpAndRunSmoke(t *testing.T) {
 		t.Fatalf("-h: %v\n%s", err, out)
 	}
 	// The analysis is pure computation: run it for real.
-	out, err := exec.Command(bin, "-server", "apache", "-max-kb", "20").Output()
+	out, err := exec.Command(bin, "-set", "server.model=apache", "-max-kb", "20").Output()
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(string(out), "crossover") && len(out) == 0 {
 		t.Errorf("empty analysis output")
 	}
-	if bad, err := exec.Command(bin, "-server", "nonsense").CombinedOutput(); err == nil {
+	if bad, err := exec.Command(bin, "-set", "server.model=nonsense").CombinedOutput(); err == nil {
 		t.Errorf("unknown server model accepted:\n%s", bad)
 	}
 }
 
 // TestDelayColumnsPinned pins the per-request delay section: header shape
 // and the exact Apache quantile values (pure computation, so the golden
-// lines are stable; re-derive by running phttp-analytic -server apache).
+// lines are stable; re-derive by running phttp-analytic -set server.model=apache).
 func TestDelayColumnsPinned(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "phttp-analytic")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin, "-server", "apache", "-max-kb", "5").Output()
+	out, err := exec.Command(bin, "-set", "server.model=apache", "-max-kb", "5").Output()
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

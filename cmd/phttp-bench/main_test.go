@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"phttp/internal/scenario"
 )
 
 func buildBench(t *testing.T) string {
@@ -22,29 +24,30 @@ func TestHelpSmoke(t *testing.T) {
 	}
 }
 
-// TestOnlyRejectsUnknownCombo: a mistyped -only must fail and name the
-// valid combinations, not print empty Figure 13 tables and exit 0.
+// TestOnlyRejectsUnknownCombo: a mistyped combo must fail and name the
+// valid combinations, Figure 13's among them, not print empty tables and
+// exit 0; a combo the prototype does not run fails before any point runs.
 func TestOnlyRejectsUnknownCombo(t *testing.T) {
-	out, err := exec.Command(buildBench(t), "-only", "WRR-PHTP", "-max-nodes", "1", "-connections", "50").CombinedOutput()
+	bin := buildBench(t)
+	out, err := exec.Command(bin, "-scenario", "fig7", "-set", `sweep.combos=["WRR-TELNET"]`).CombinedOutput()
 	if err == nil {
-		t.Fatalf("typo in -only exited 0:\n%s", out)
+		t.Fatalf("unknown combo exited 0:\n%s", out)
 	}
-	fig13, _ := benchCombos("")
-	for _, c := range fig13 {
-		if !strings.Contains(string(out), c.Name) {
-			t.Errorf("error does not list %s:\n%s", c.Name, out)
+	fig13, err := scenario.Builtin("fig13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range fig13.Sweep.Combos {
+		if !strings.Contains(string(out), name) {
+			t.Errorf("error does not list %s:\n%s", name, out)
 		}
 	}
-}
-
-// TestScenarioCombosPointsAtRealCommands: a combos scenario is refused
-// with a hint naming commands that exist.
-func TestScenarioCombosPointsAtRealCommands(t *testing.T) {
-	out, err := exec.Command(buildBench(t), "-scenario", "fig7").CombinedOutput()
-	if err == nil {
-		t.Fatalf("combos scenario accepted:\n%s", out)
+	out, err = exec.Command(bin, "-set", "workload.synth.connections=50",
+		"-set", `sweep.combos=["WRR","zeroCost-extLARD-PHTTP"]`).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "zeroCost-extLARD-PHTTP: scenario: the prototype does not run mechanism zeroCost") {
+		t.Fatalf("simulator-only combo: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "phttp-sim -scenario fig7") || strings.Contains(string(out), "-fig") {
-		t.Errorf("hint does not name a real command:\n%s", out)
+	if strings.Contains(string(out), "req/s") {
+		t.Errorf("a point ran before the refusal:\n%s", out)
 	}
 }

@@ -1,54 +1,42 @@
 // phttp-sim runs the trace-driven cluster simulator. A declarative
-// scenario (DESIGN.md §13) defines every grid, the paper's simulation
-// figures included:
+// scenario (DESIGN.md §13) defines every run, the paper's simulation
+// figures included, and -set overrides any of its keys:
 //
+//	phttp-sim                         # one run: the builtin "default"
+//	phttp-sim -set cluster.nodes=2 -set workload.synth.connections=3000
 //	phttp-sim -scenario fig7          # Apache throughput vs cluster size
 //	phttp-sim -scenario fig8          # Flash throughput vs cluster size
 //	phttp-sim -scenario fig3          # single-node delay/throughput curve
 //	phttp-sim -scenario churn-crash   # LARD across cluster sizes, one node crashing
 //	phttp-sim -scenario myexp.json    # scenario file
 //	phttp-sim -list-scenarios         # builtin scenario names
+//	phttp-sim -list                   # the combos sweep.combos takes
 //
-// Without -scenario it makes one run of one configuration:
-//
-//	phttp-sim -combo BEforward-extLARD-PHTTP -nodes 4
-//
-// A grid prints a tab-separated table, one column per series; a single
-// run prints one result line.
+// A grid prints a tab-separated table, one column per series; a one-point
+// scenario prints one result line.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"phttp/internal/core"
-	"phttp/internal/dstate"
 	"phttp/internal/metrics"
 	"phttp/internal/scenario"
-	"phttp/internal/server"
 	"phttp/internal/sim"
 	"phttp/internal/trace"
 )
 
 func main() {
 	var (
-		combo     = flag.String("combo", "BEforward-extLARD-PHTTP", "policy/mechanism combination for a single run (see -list)")
-		nodes     = flag.Int("nodes", 4, "cluster size for a single run")
-		srv       = flag.String("server", "apache", "single runs: server model, apache or flash")
-		conns     = flag.Int("connections", 0, "single runs: trace connections (0 = generator default)")
-		seed      = flag.Uint64("seed", 1, "single runs: workload seed")
-		verbose   = flag.Bool("v", false, "with -scenario: print every grid point's result line (hit rate, utilizations) to stderr")
-		list      = flag.Bool("list", false, "list the available policy/mechanism combinations and exit")
-		plot      = flag.Bool("plot", false, "with -scenario: append an ASCII rendering of a throughput table")
-		workers   = flag.Int("workers", 0, "parallel grid workers (0 = GOMAXPROCS, 1 = serial); output is identical either way")
-		scenFlag  = flag.String("scenario", "", "run a declarative scenario: a builtin name (see -list-scenarios) or a JSON file")
-		scenList  = flag.Bool("list-scenarios", false, "list the builtin scenarios and exit")
-		fes       = flag.Int("frontends", 1, "single runs: scale-out front-end tier size (1 = the paper's single front-end)")
-		feState   = flag.String("state", "local", "single runs: dispatch-state backend for the tier (local, sharded, replicated)")
-		staleness = flag.Duration("staleness", 0, "single runs: replicated-state sync interval in simulated time (0 = never sync; requires -state replicated)")
+		verbose  = flag.Bool("v", false, "print every grid point's result line (hit rate, utilizations) to stderr")
+		list     = flag.Bool("list", false, "list the policy/mechanism combinations sweep.combos takes and exit")
+		plot     = flag.Bool("plot", false, "append an ASCII rendering of a throughput table")
+		workers  = flag.Int("workers", 0, "parallel grid workers (0 = GOMAXPROCS, 1 = serial); output is identical either way")
+		scenList = flag.Bool("list-scenarios", false, "list the builtin scenarios and exit")
 	)
+	resolve := scenario.Flags(flag.CommandLine, "default")
 	flag.Parse()
 
 	if *list {
@@ -69,58 +57,19 @@ func main() {
 		}
 		return
 	}
-	if *scenFlag != "" {
-		runScenario(*scenFlag, *workers, *plot, *verbose)
-		return
-	}
-
-	cfg := trace.DefaultSynthConfig()
-	cfg.Seed = *seed
-	if *conns > 0 {
-		cfg.Connections = *conns
-	}
-	fmt.Fprintf(os.Stderr, "generating workload (%d connections, seed %d)...\n", cfg.Connections, cfg.Seed)
-	tr := trace.NewSynth(cfg).Generate()
-	fmt.Fprint(os.Stderr, trace.ComputeStats(tr))
-
-	var kind core.ServerKind
-	switch strings.ToLower(*srv) {
-	case "apache":
-		kind = core.Apache
-	case "flash":
-		kind = core.Flash
-	default:
-		fatalf("unknown -server %q (want apache or flash)", *srv)
-	}
-	c, err := sim.ComboByName(*combo)
+	spec, err := resolve()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	rc := sim.DefaultConfig(*nodes, c)
-	rc.Server = server.CostsFor(kind)
-	mode, err := dstate.ParseMode(*feState)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rc.Frontends = *fes
-	rc.FEState = mode
-	rc.Staleness = core.Micros(staleness.Microseconds())
-	res, err := sim.Run(rc, tr)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Println(res)
+	run(spec, *workers, *plot, *verbose)
 }
 
-// runScenario executes a declarative scenario end to end: resolve, load
-// the workload, compile the grid, run it through sim.RunGrid and print the
-// table for the grid's axis. Stdout carries the table (and an SLO
-// verdict) only; progress and -v result lines go to stderr.
-func runScenario(arg string, workers int, plot, verbose bool) {
-	spec, err := scenario.LoadOrBuiltin(arg)
-	if err != nil {
-		fatalf("%v", err)
-	}
+// run executes a scenario end to end: load the workload, compile the
+// grid, run it through sim.RunGrid and print the table for the grid's
+// axis, or a one-point grid's result line. Stdout carries that (and an
+// SLO verdict) only; the workload statistics and -v result lines go to
+// stderr.
+func run(spec *scenario.Spec, workers int, plot, verbose bool) {
 	wl := spec.LoadWorkload()
 	fmt.Fprint(os.Stderr, trace.ComputeStats(wl.PHTTP))
 	kind, err := spec.ServerKind()

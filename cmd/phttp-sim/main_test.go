@@ -98,7 +98,7 @@ func TestListSmoke(t *testing.T) {
 }
 
 func TestUnknownComboErrorListsNames(t *testing.T) {
-	out, err := exec.Command(simBin, "-combo", "WRR-TELNET").CombinedOutput()
+	out, err := exec.Command(simBin, "-scenario", "fig7", "-set", `sweep.combos=["WRR-TELNET"]`).CombinedOutput()
 	if err == nil {
 		t.Fatal("unknown combo accepted")
 	}
@@ -109,9 +109,20 @@ func TestUnknownComboErrorListsNames(t *testing.T) {
 	}
 }
 
+// TestDefaultIsOneRun: with no -scenario the binary makes the builtin
+// default's one run, and -set reshapes it: BEforward-extLARD-PHTTP on 2
+// nodes over 3 000 connections prints this line.
+func TestDefaultIsOneRun(t *testing.T) {
+	out, _ := runSim(t, "-set", "cluster.nodes=2", "-set", "workload.synth.connections=3000")
+	want := "BEforward-extLARD-PHTTP      n=2     465.8 req/s  hit= 67.1%  cpu= 25.7%  disk= 98.3%  fe=  0.5%  p99=843.8ms p999=897.0ms\n"
+	if out != want {
+		t.Errorf("got\n%swant\n%s", out, want)
+	}
+}
+
 func TestListScenariosSmoke(t *testing.T) {
 	out, _ := runSim(t, "-list-scenarios")
-	for _, name := range []string{"fig3", "fig7", "fig8", "churn-crash", "slo-tail"} {
+	for _, name := range []string{"default", "fig3", "fig7", "fig8", "fig13", "churn-crash", "slo-tail"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list-scenarios missing %s:\n%s", name, out)
 		}

@@ -51,15 +51,22 @@ const peerSocketSuffix = ".peer"
 
 // gate models one of a node's serial resources, its CPU or its disk:
 // callers take turns holding it for a modelled time divided by the time
-// scale. time.Sleep overshoots by the host's timer granularity (often
+// scale. A timer overshoots by the host's timer granularity (often
 // hundreds of microseconds on a busy host, comparable to the scaled costs
 // themselves), so the gate keeps the overshoot as a debt and discounts the
 // next holds by it: over many holds the resource is busy for the modelled
-// time, not for the modelled time plus one overshoot per hold.
+// time, not for the modelled time plus one overshoot per hold. Closing
+// done ends every hold and every wait for one, so a node that closes
+// does not wait out its modelled reads.
 type gate struct {
-	scale float64 // time scale divisor; zero when the resource is not modelled
-	mu    sync.Mutex
-	debt  time.Duration
+	scale float64         // time scale divisor; zero when the resource is not modelled
+	done  <-chan struct{} // the node's closing; nil for a gate that never closes
+	turn  chan struct{}   // holds one token while the gate is held
+	debt  time.Duration   // guarded by holding the gate
+}
+
+func newGate(scale float64, done <-chan struct{}) gate {
+	return gate{scale: scale, done: done, turn: make(chan struct{}, 1)}
 }
 
 // duration is modelled time m on the wall clock: zero when the gate
@@ -71,23 +78,32 @@ func (g *gate) duration(m core.Micros) time.Duration {
 	return time.Duration(float64(m) / g.scale * float64(time.Microsecond))
 }
 
-// use holds the gate for modelled time m. A zero time returns at once,
-// without taking the lock.
+// use holds the gate for modelled time m, or until done closes. A zero
+// time returns at once, without taking the gate.
 func (g *gate) use(m core.Micros) {
 	want := g.duration(m)
 	if want <= 0 {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	select {
+	case g.turn <- struct{}{}:
+	case <-g.done:
+		return
+	}
+	defer func() { <-g.turn }()
 	if g.debt >= want {
 		g.debt -= want
 		return
 	}
 	want -= g.debt
 	start := time.Now()
-	time.Sleep(want)
-	g.debt = max(time.Since(start)-want, 0)
+	t := time.NewTimer(want)
+	select {
+	case <-t.C:
+		g.debt = max(time.Since(start)-want, 0)
+	case <-g.done:
+		t.Stop()
+	}
 }
 
 // Backend is one running back-end node.
@@ -139,17 +155,18 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
+	closed := make(chan struct{})
 	b := &Backend{
 		cfg:     cfg,
-		store:   NewDocStore(cfg.Catalog, cfg.CacheBytes, cfg.Disk, cfg.TimeScale),
+		store:   newDocStore(cfg.Catalog, cfg.CacheBytes, cfg.Disk, cfg.TimeScale, closed),
 		conns:   make(map[core.ConnID]*beConn),
 		ctrls:   make(map[*session]struct{}),
 		peers:   make(map[core.NodeID]peerPool),
 		tracked: make(map[net.Conn]struct{}),
-		closed:  make(chan struct{}),
+		closed:  closed,
 	}
 	if cfg.SimulateCPU {
-		b.cpu.scale = cfg.TimeScale
+		b.cpu = newGate(cfg.TimeScale, closed)
 	}
 	if cfg.CtrlListen == "" {
 		cfg.CtrlListen = "127.0.0.1:0"

@@ -86,6 +86,47 @@ func DefaultConfig(nodes int, catalog map[core.Target]int64) Config {
 	}
 }
 
+// FrontEnd projects the configuration onto front-end fe of the tier (the
+// only one when Frontends is 0 or 1: the tier fields are then left zero).
+func (c Config) FrontEnd(fe int) FrontEndConfig {
+	cfg := FrontEndConfig{
+		Nodes:            c.Nodes,
+		Policy:           c.Policy,
+		PolicyOptions:    c.PolicyOptions,
+		Mechanism:        c.Mechanism,
+		Params:           c.Params,
+		CacheBytes:       c.CacheBytes,
+		MaxTargets:       c.MaxTargets,
+		IdleTimeout:      c.IdleTimeout,
+		BatchWindow:      c.BatchWindow,
+		HeartbeatTimeout: c.HeartbeatTimeout,
+		ConfirmWindow:    c.ConfirmWindow,
+		RetryBudget:      c.RetryBudget,
+	}
+	if c.Frontends > 1 {
+		cfg.Frontends = c.Frontends
+		cfg.FEID = fe
+		cfg.State = c.State
+		cfg.SyncInterval = c.SyncInterval
+	}
+	return cfg
+}
+
+// Backend projects the configuration onto back-end id, listening for
+// front-end sessions on the UNIX socket at handoff.
+func (c Config) Backend(id core.NodeID, handoff string) BackendConfig {
+	return BackendConfig{
+		ID:            id,
+		Catalog:       c.Catalog,
+		CacheBytes:    c.CacheBytes,
+		Disk:          c.Disk,
+		Costs:         c.Costs,
+		SimulateCPU:   c.SimulateCPU,
+		TimeScale:     c.TimeScale,
+		HandoffSocket: handoff,
+	}
+}
+
 // Cluster is a running in-process prototype cluster. FE is the first
 // (or only) front-end; a scale-out tier's members are all in FEs.
 type Cluster struct {
@@ -113,16 +154,7 @@ func Start(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{dir: dir, cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
-		be, err := NewBackend(BackendConfig{
-			ID:            core.NodeID(i),
-			Catalog:       cfg.Catalog,
-			CacheBytes:    cfg.CacheBytes,
-			Disk:          cfg.Disk,
-			Costs:         cfg.Costs,
-			SimulateCPU:   cfg.SimulateCPU,
-			TimeScale:     cfg.TimeScale,
-			HandoffSocket: filepath.Join(dir, fmt.Sprintf("be%d.sock", i)),
-		})
+		be, err := NewBackend(cfg.Backend(core.NodeID(i), filepath.Join(dir, fmt.Sprintf("be%d.sock", i))))
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -140,32 +172,9 @@ func Start(cfg Config) (*Cluster, error) {
 	for i, be := range c.BEs {
 		eps[i] = BackendEndpoints{Ctrl: be.CtrlAddr(), Handoff: be.HandoffPath()}
 	}
-	frontends := cfg.Frontends
-	if frontends < 1 {
-		frontends = 1
-	}
+	frontends := max(cfg.Frontends, 1)
 	for f := 0; f < frontends; f++ {
-		fecfg := FrontEndConfig{
-			Nodes:            cfg.Nodes,
-			Policy:           cfg.Policy,
-			PolicyOptions:    cfg.PolicyOptions,
-			Mechanism:        cfg.Mechanism,
-			Params:           cfg.Params,
-			CacheBytes:       cfg.CacheBytes,
-			MaxTargets:       cfg.MaxTargets,
-			IdleTimeout:      cfg.IdleTimeout,
-			BatchWindow:      cfg.BatchWindow,
-			HeartbeatTimeout: cfg.HeartbeatTimeout,
-			ConfirmWindow:    cfg.ConfirmWindow,
-			RetryBudget:      cfg.RetryBudget,
-		}
-		if frontends > 1 {
-			fecfg.Frontends = frontends
-			fecfg.FEID = f
-			fecfg.State = cfg.State
-			fecfg.SyncInterval = cfg.SyncInterval
-		}
-		fe, err := NewFrontEnd(fecfg, eps)
+		fe, err := NewFrontEnd(cfg.FrontEnd(f), eps)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -237,16 +246,7 @@ func (c *Cluster) AddBackend(id core.NodeID) (*Backend, error) {
 		old.Close()
 	}
 	c.gen++
-	be, err := NewBackend(BackendConfig{
-		ID:            id,
-		Catalog:       c.cfg.Catalog,
-		CacheBytes:    c.cfg.CacheBytes,
-		Disk:          c.cfg.Disk,
-		Costs:         c.cfg.Costs,
-		SimulateCPU:   c.cfg.SimulateCPU,
-		TimeScale:     c.cfg.TimeScale,
-		HandoffSocket: filepath.Join(c.dir, fmt.Sprintf("be%d-g%d.sock", id, c.gen)),
-	})
+	be, err := NewBackend(c.cfg.Backend(id, filepath.Join(c.dir, fmt.Sprintf("be%d-g%d.sock", id, c.gen))))
 	if err != nil {
 		return nil, err
 	}

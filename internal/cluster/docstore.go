@@ -80,6 +80,11 @@ type DocStore struct {
 // budget and disk model. timeScale > 1 divides simulated latencies, letting
 // tests run the full system quickly with identical relative costs.
 func NewDocStore(catalog map[core.Target]int64, cacheBytes int64, disk server.DiskParams, timeScale float64) *DocStore {
+	return newDocStore(catalog, cacheBytes, disk, timeScale, nil)
+}
+
+// newDocStore is NewDocStore whose disk reads end when done closes.
+func newDocStore(catalog map[core.Target]int64, cacheBytes int64, disk server.DiskParams, timeScale float64, done <-chan struct{}) *DocStore {
 	if timeScale <= 0 {
 		timeScale = 1
 	}
@@ -94,7 +99,7 @@ func NewDocStore(catalog map[core.Target]int64, cacheBytes int64, disk server.Di
 		docs:  docs,
 		model: disk,
 		cache: cache.NewIDLRU(cacheBytes),
-		disk:  gate{scale: timeScale},
+		disk:  newGate(timeScale, done),
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"net"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -484,6 +486,46 @@ func TestDiskGateKeepsModelledTime(t *testing.T) {
 	if ratio < 1 || ratio > 1.05 {
 		t.Errorf("%d reads of %v took %.3fx the modelled time, want 1.00-1.05x", reads, read, ratio)
 	}
+}
+
+// Closing a back-end ends its modelled disk reads: Close returns at once
+// while one lateral fetch holds the disk for a modelled second and
+// another waits for its turn.
+func TestBackendCloseEndsModelledRead(t *testing.T) {
+	be, err := NewBackend(BackendConfig{
+		ID: 1, Catalog: map[core.Target]int64{"/a": 512, "/b": 512}, CacheBytes: 1 << 20,
+		Disk:          server.DiskParams{Position: core.Second},
+		HandoffSocket: filepath.Join(t.TempDir(), "be1.sock"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := newPeerPool(be.PeerAddr())
+	defer pool.close()
+	var fetches sync.WaitGroup
+	for _, target := range []core.Target{"/a", "/b"} {
+		fetches.Add(1)
+		go func() {
+			defer fetches.Done()
+			pc := <-pool
+			defer func() { pool <- pc }()
+			pc.fetch(target) // fails once the node closes
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, m := be.Store().Counters(); m == 2 && be.Store().queued.Load() == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the two fetches never reached the disk")
+		}
+	}
+	start := time.Now()
+	be.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("Close took %v with a 1 s read in progress, want under 100 ms", d)
+	}
+	fetches.Wait()
 }
 
 func TestContentDeterministic(t *testing.T) {

@@ -435,7 +435,7 @@ func TestTierConfigValidation(t *testing.T) {
 }
 
 // TestModeRoundTrip: Mode's string forms parse back, and garbage is
-// rejected — the -state flag and scenario schema depend on both.
+// rejected — the scenario schema's cluster.state key depends on both.
 func TestModeRoundTrip(t *testing.T) {
 	for _, m := range []dstate.Mode{dstate.ModeLocal, dstate.ModeSharded, dstate.ModeReplicated} {
 		got, err := dstate.ParseMode(m.String())

@@ -18,14 +18,13 @@ const churnSpecJSON = `{
   "name": "churn-test",
   "workload": {"synth": {"connections": 2000}},
   "policy": {"name": "lard"},
-  "cluster": {"nodes": 3},
+  "cluster": {"nodes": 3, "retryBudget": 2},
   "sweep": {"nodes": [3, 4]},
   "churn": {
     "events": [
       {"atMs": 50, "kind": "crash", "node": 1},
       {"atMs": 200, "kind": "join", "node": 1}
-    ],
-    "retryBudget": 2
+    ]
   }
 }`
 
@@ -37,8 +36,8 @@ func TestChurnSpecParses(t *testing.T) {
 	if s.Churn == nil || len(s.Churn.Events) != 2 {
 		t.Fatalf("churn block not parsed: %+v", s.Churn)
 	}
-	if s.Churn.RetryBudget == nil || *s.Churn.RetryBudget != 2 {
-		t.Fatalf("retryBudget not parsed: %+v", s.Churn.RetryBudget)
+	if s.Cluster.RetryBudget == nil || *s.Cluster.RetryBudget != 2 {
+		t.Fatalf("retryBudget not parsed: %+v", s.Cluster.RetryBudget)
 	}
 }
 
@@ -51,6 +50,7 @@ func TestChurnSpecValidation(t *testing.T) {
 		{"node beyond smallest sweep point", `"node": 1`, `"node": 3`, "out of range"},
 		{"negative time", `"atMs": 50`, `"atMs": -1`, "atMs"},
 		{"negative budget", `"retryBudget": 2`, `"retryBudget": -1`, "retryBudget"},
+		{"budget under churn", `"events": [`, `"retryBudget": 2, "events": [`, "unknown field"},
 		{"empty events", `"events": [
       {"atMs": 50, "kind": "crash", "node": 1},
       {"atMs": 200, "kind": "join", "node": 1}
@@ -92,8 +92,7 @@ func TestChurnCompilesToSimEvents(t *testing.T) {
 }
 
 func TestChurnRetryBudgetDefault(t *testing.T) {
-	s, err := Parse([]byte(strings.Replace(churnSpecJSON, `,
-    "retryBudget": 2`, "", 1)))
+	s, err := Parse([]byte(strings.Replace(churnSpecJSON, `, "retryBudget": 2`, "", 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestChurnIsSimulatorOnly(t *testing.T) {
 	if _, err := s.ToClusterConfig(map[core.Target]int64{"/a": 1}); err == nil || !strings.Contains(err.Error(), "simulator-only") {
 		t.Errorf("ToClusterConfig with churn: err = %v", err)
 	}
-	if _, err := s.ToFrontEndConfig(3); err == nil || !strings.Contains(err.Error(), "simulator-only") {
+	if _, err := s.ToFrontEndConfig(3, 0); err == nil || !strings.Contains(err.Error(), "simulator-only") {
 		t.Errorf("ToFrontEndConfig with churn: err = %v", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"phttp/internal/dispatch"
 	"phttp/internal/dstate"
 	"phttp/internal/loadgen"
-	"phttp/internal/policy"
 	"phttp/internal/server"
 	"phttp/internal/sim"
 	"phttp/internal/trace"
@@ -37,9 +36,9 @@ func (c *ChurnSpec) compile() []sim.ChurnEvent {
 	return evs
 }
 
-// retryBudget resolves the schedule's budget (default
-// cluster.DefaultRetryBudget, the prototype's).
-func (c *ChurnSpec) retryBudget() int {
+// retryBudget resolves the re-dispatch budget (default
+// cluster.DefaultRetryBudget, the same in both worlds).
+func (c *ClusterSpec) retryBudget() int {
 	if c.RetryBudget != nil {
 		return *c.RetryBudget
 	}
@@ -62,7 +61,7 @@ func (s *Spec) combo() (sim.Combo, error) {
 		return sim.Combo{}, err
 	}
 	return sim.Combo{
-		Name:      s.label(),
+		Name:      s.Label(),
 		Policy:    s.Policy.Name,
 		Mechanism: mech,
 		PHTTP:     !s.Workload.HTTP10,
@@ -93,10 +92,11 @@ func (s *Spec) simBase(nodes int, combo sim.Combo, kind core.ServerKind) sim.Con
 		cfg.PolicyOptions = dispatch.Options(s.Policy.Options)
 	}
 	// Churn-free scenarios leave both fields zero, keeping the compiled
-	// config sim.DefaultConfig's.
+	// config sim.DefaultConfig's: without a schedule no simulated node is
+	// lost, so the budget has nothing to bound.
 	if s.Churn != nil {
 		cfg.Churn = s.Churn.compile()
-		cfg.RetryBudget = s.Churn.retryBudget()
+		cfg.RetryBudget = s.Cluster.retryBudget()
 	}
 	// Likewise zero without an slo block, for the same golden guarantee.
 	if s.SLO != nil {
@@ -221,16 +221,18 @@ func (s *Spec) LoadsSweep() ([]int, bool) {
 	return s.Sweep.Loads, true
 }
 
-// ToClusterConfig compiles the scenario for the in-process prototype
-// cluster over the given catalog (cluster.Start). The standalone binaries
-// compile the same spec piecewise: the front-end takes the dispatcher half
-// (ToFrontEndConfig), the back-ends the catalog and cost model.
+// ToClusterConfig compiles a one-point scenario for the prototype over
+// the given catalog: the in-process cluster (cluster.Start), and through
+// Config.FrontEnd and Config.Backend the standalone front-end and
+// back-end processes. The tier keys carry over with cluster.stalenessMs
+// as the wall-clock sync interval; churn schedules, combos sweeps,
+// simulator-only mechanisms and never-synced replicas are refused.
 func (s *Spec) ToClusterConfig(catalog map[core.Target]int64) (cluster.Config, error) {
 	if err := s.Validate(); err != nil {
 		return cluster.Config{}, err
 	}
 	if s.Policy.Name == "" {
-		return cluster.Config{}, fmt.Errorf("scenario: prototype compilation needs policy.name (combos sweeps are simulator-only)")
+		return cluster.Config{}, fmt.Errorf("scenario: prototype compilation needs policy.name (expand a combos sweep with PrototypeGrid)")
 	}
 	if s.Churn != nil {
 		return cluster.Config{}, fmt.Errorf("scenario: churn schedules are simulator-only; churn a prototype cluster through the front-end's admin surface")
@@ -239,9 +241,19 @@ func (s *Spec) ToClusterConfig(catalog map[core.Target]int64) (cluster.Config, e
 	if err != nil {
 		return cluster.Config{}, err
 	}
+	if !cluster.Runs(mech) {
+		return cluster.Config{}, fmt.Errorf("scenario: the prototype does not run mechanism %v (simulator only)", mech)
+	}
 	kind, err := s.ServerKind()
 	if err != nil {
 		return cluster.Config{}, err
+	}
+	mode, err := s.StateMode()
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	if mode == dstate.ModeReplicated && s.Cluster.StalenessMs == 0 {
+		return cluster.Config{}, fmt.Errorf("scenario: replicated state with cluster.stalenessMs 0 never syncs, which only the simulator runs; give the prototype a sync interval")
 	}
 	if s.Cluster.Nodes <= 0 {
 		return cluster.Config{}, fmt.Errorf("scenario: prototype compilation needs cluster.nodes")
@@ -258,44 +270,70 @@ func (s *Spec) ToClusterConfig(catalog map[core.Target]int64) (cluster.Config, e
 	if s.Cluster.TimeScale > 0 {
 		cfg.TimeScale = s.Cluster.TimeScale
 	}
+	cfg.RetryBudget = s.Cluster.retryBudget()
+	cfg.Frontends = s.Cluster.Frontends
+	cfg.State = mode
+	cfg.SyncInterval = time.Duration(s.Cluster.StalenessMs * float64(time.Millisecond))
 	return cfg, nil
 }
 
-// ToFrontEndConfig compiles the dispatcher half of the scenario for a
-// standalone front-end over nodes back-ends (phttp-frontend -scenario):
-// policy, options, mechanism, mapping-model cache size and interner cap,
-// with the prototype's calibrated defaults elsewhere. The back-end count
-// comes from the caller's -backend flags — the scenario describes the
-// experiment, the flags describe where the processes actually live.
-func (s *Spec) ToFrontEndConfig(nodes int) (cluster.FrontEndConfig, error) {
-	if err := s.Validate(); err != nil {
-		return cluster.FrontEndConfig{}, err
-	}
-	if s.Policy.Name == "" {
-		return cluster.FrontEndConfig{}, fmt.Errorf("scenario: front-end compilation needs policy.name (combos sweeps are simulator-only)")
-	}
-	if s.Churn != nil {
-		return cluster.FrontEndConfig{}, fmt.Errorf("scenario: churn schedules are simulator-only; churn a prototype cluster through the front-end's admin surface")
-	}
-	mech, err := s.mechanism()
+// ToFrontEndConfig compiles the scenario for member fe of a standalone
+// front-end tier over nodes back-ends (phttp-frontend): ToClusterConfig
+// projected through Config.FrontEnd, as cluster.Start projects each of its
+// members. The back-end count comes from the caller's -backend flags —
+// the scenario describes the experiment, the flags where the processes
+// live.
+func (s *Spec) ToFrontEndConfig(nodes, fe int) (cluster.FrontEndConfig, error) {
+	at := *s
+	at.Cluster.Nodes = nodes
+	cfg, err := at.ToClusterConfig(nil)
 	if err != nil {
 		return cluster.FrontEndConfig{}, err
 	}
-	cfg := cluster.FrontEndConfig{
-		Nodes:         nodes,
-		Policy:        s.Policy.Name,
-		PolicyOptions: dispatch.Options(s.Policy.Options),
-		Mechanism:     mech,
-		Params:        policy.DefaultParams(),
-		CacheBytes:    cluster.PrototypeCacheBytes,
-		MaxTargets:    s.Cluster.MaxTargets,
-		IdleTimeout:   15 * time.Second,
-		RetryBudget:   cluster.DefaultRetryBudget,
+	return cfg.FrontEnd(fe), nil
+}
+
+// PrototypeGrid expands the scenario's node axis into one one-point spec
+// per prototype run, in ToSimGrid's order: each combo of a combos sweep
+// becomes its policy, mechanism, HTTP flavor and label. The other axes
+// are the simulator's alone.
+func (s *Spec) PrototypeGrid() ([]*Spec, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
-	if s.Cluster.CacheMB > 0 {
-		cfg.CacheBytes = s.Cluster.CacheMB << 20
+	sw := s.Sweep
+	if sw != nil && (len(sw.Loads) > 0 || len(sw.Frontends) > 0 || len(sw.StalenessMs) > 0) {
+		return nil, fmt.Errorf("scenario: the prototype runs node-axis grids only (loads, frontends and stalenessMs sweeps are simulator-only)")
 	}
-	return cfg, nil
+	nodes := []int{s.Cluster.Nodes}
+	if sw != nil && len(sw.Nodes) > 0 {
+		nodes = sw.Nodes
+	}
+	series := []Spec{*s}
+	if sw != nil && len(sw.Combos) > 0 {
+		series = series[:0]
+		for _, name := range sw.Combos {
+			c, err := simComboByName(name)
+			if err != nil {
+				return nil, fmt.Errorf("scenario: %w", err)
+			}
+			p := *s
+			p.Policy = PolicySpec{Name: c.Policy, Label: c.Name}
+			p.Mechanism = c.Mechanism.String()
+			p.Workload.HTTP10 = !c.PHTTP
+			series = append(series, p)
+		}
+	}
+	var points []*Spec
+	for _, p := range series {
+		for _, n := range nodes {
+			pt := p
+			pt.Sweep = nil
+			pt.Cluster.Nodes = n
+			points = append(points, &pt)
+		}
+	}
+	return points, nil
 }
 
 // ToLoadgenConfig compiles the scenario for the load generator replaying

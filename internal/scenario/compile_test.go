@@ -139,7 +139,7 @@ func TestToClusterConfigRejectsCombos(t *testing.T) {
 	if _, err := s.ToClusterConfig(map[core.Target]int64{"/x": 1}); err == nil {
 		t.Error("combos sweep compiled for the prototype")
 	}
-	if _, err := s.ToFrontEndConfig(2); err == nil {
+	if _, err := s.ToFrontEndConfig(2, 0); err == nil {
 		t.Error("combos sweep compiled for the front-end")
 	}
 }
@@ -151,7 +151,7 @@ func TestToFrontEndConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := s.ToFrontEndConfig(3)
+	cfg, err := s.ToFrontEndConfig(3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@
 // spec describes workload, policy, mechanism, cluster shape, server cost
 // model and sweep axes, and compiles to the configuration of every driver —
 // the trace-driven simulator (ToSimGrid / ToSimConfig), the networked
-// prototype cluster (ToClusterConfig) and the load generator
-// (ToLoadgenConfig). The paper's figure experiments ship as embedded named
+// prototype (ToClusterConfig, ToFrontEndConfig, PrototypeGrid) and the
+// load generator (ToLoadgenConfig). It is the one way every binary is
+// told what to run: a scenario plus -set key=value overrides (Flags,
+// Spec.With). The paper's figure experiments ship as embedded named
 // scenarios (Builtin("fig7")) — the only definition of those grids, their
 // output pinned by golden tables in cmd/phttp-sim/testdata — and the same
 // file that drives a simulation drives the prototype: the acceptance
@@ -138,8 +140,16 @@ type ClusterSpec struct {
 	// StalenessMs is the replicated backend's sync interval in
 	// milliseconds (simulated time in the simulator, wall clock in the
 	// prototype). 0 with a replicated backend means the replicas never
-	// sync — the infinite-staleness endpoint of the freshness curve.
+	// sync — the infinite-staleness endpoint of the freshness curve, which
+	// only the simulator runs.
 	StalenessMs float64 `json:"stalenessMs,omitempty"`
+
+	// RetryBudget caps re-dispatch attempts per request (and per
+	// connection open) after its node is lost, in both worlds; work
+	// exceeding it fails and its connection closes. Pointer so an
+	// explicit 0 (fail on first loss) is distinguishable from the
+	// default (cluster.DefaultRetryBudget).
+	RetryBudget *int `json:"retryBudget,omitempty"`
 }
 
 // ChurnSpec schedules deterministic membership events into a simulated
@@ -149,12 +159,8 @@ type ClusterSpec struct {
 // configuration, not a random process.
 type ChurnSpec struct {
 	// Events is the membership-event schedule; at least one is required.
+	// Re-dispatch is bounded by cluster.retryBudget.
 	Events []ChurnEventSpec `json:"events"`
-	// RetryBudget caps crash re-dispatch attempts per request (and per
-	// connection open); work exceeding it fails and its connection
-	// closes. Pointer so an explicit 0 (fail on first loss) is
-	// distinguishable from the default (cluster.DefaultRetryBudget).
-	RetryBudget *int `json:"retryBudget,omitempty"`
 }
 
 // ChurnEventSpec is one scheduled membership transition.
@@ -380,6 +386,9 @@ func (s *Spec) Validate() error {
 	if c.StalenessMs > 0 && mode != dstate.ModeReplicated {
 		return fmt.Errorf("scenario: cluster.stalenessMs applies to the replicated state backend only")
 	}
+	if c.RetryBudget != nil && *c.RetryBudget < 0 {
+		return fmt.Errorf("scenario: cluster.retryBudget must be non-negative, got %d", *c.RetryBudget)
+	}
 	w := s.Workload.Synth
 	if w != nil && (w.Connections < 0 || w.Pages < 0 || w.Objects < 0 || w.Clients < 0) {
 		return fmt.Errorf("scenario: negative workload dimension")
@@ -387,9 +396,6 @@ func (s *Spec) Validate() error {
 	if ch := s.Churn; ch != nil {
 		if len(ch.Events) == 0 {
 			return fmt.Errorf("scenario: churn.events is empty")
-		}
-		if ch.RetryBudget != nil && *ch.RetryBudget < 0 {
-			return fmt.Errorf("scenario: churn.retryBudget must be non-negative, got %d", *ch.RetryBudget)
 		}
 		// The schedule is shared by every grid point, so each event's
 		// node must exist in the smallest swept cluster.
@@ -488,9 +494,9 @@ func (s *Spec) LoadWorkload() *trace.Workload {
 	return trace.NewWorkload(trace.NewSynth(s.SynthConfig()).Generate())
 }
 
-// label is the series label for policy-driven scenarios: the explicit
+// Label is the series label for policy-driven scenarios: the explicit
 // Label, or "<policy>[-PHTTP]" in the figure legends' style.
-func (s *Spec) label() string {
+func (s *Spec) Label() string {
 	if s.Policy.Label != "" {
 		return s.Policy.Label
 	}

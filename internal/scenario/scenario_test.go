@@ -6,7 +6,7 @@ import (
 )
 
 func TestBuiltinNames(t *testing.T) {
-	want := []string{"churn-crash", "fig3", "fig7", "fig8", "slo-tail"}
+	want := []string{"churn-crash", "default", "fig13", "fig3", "fig7", "fig8", "slo-tail"}
 	got := BuiltinNames()
 	if len(got) != len(want) {
 		t.Fatalf("BuiltinNames() = %v, want %v", got, want)

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"phttp/internal/cluster"
 	"phttp/internal/core"
 	"phttp/internal/dstate"
 )
@@ -175,5 +178,63 @@ func TestTierValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestTierKeysReachPrototype: the tier keys compile into the prototype's
+// cluster config, and through the same projection into every standalone
+// front-end's, with cluster.stalenessMs as the wall-clock sync interval.
+func TestTierKeysReachPrototype(t *testing.T) {
+	for _, tc := range []struct {
+		name, cluster, mechanism string
+		state                    dstate.Mode
+		sync                     time.Duration
+	}{
+		{"replicated", `{"nodes":2,"frontends":3,"state":"replicated","stalenessMs":20}`, "relay", dstate.ModeReplicated, 20 * time.Millisecond},
+		{"sharded", `{"nodes":2,"frontends":3,"state":"sharded"}`, "singleHandoff", dstate.ModeSharded, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Parse([]byte(`{"version":1,"workload":{},"policy":{"name":"lard"},
+				"mechanism":"` + tc.mechanism + `","cluster":` + tc.cluster + `}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := s.ToClusterConfig(map[core.Target]int64{"/x": 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Frontends != 3 || cfg.State != tc.state || cfg.SyncInterval != tc.sync {
+				t.Errorf("cluster config: frontends=%d state=%v sync=%v", cfg.Frontends, cfg.State, cfg.SyncInterval)
+			}
+			for fe := 0; fe < 3; fe++ {
+				fecfg, err := s.ToFrontEndConfig(2, fe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fecfg, cfg.FrontEnd(fe)) {
+					t.Errorf("fe %d: ToFrontEndConfig %+v, want the cluster's projection %+v", fe, fecfg, cfg.FrontEnd(fe))
+				}
+				if fecfg.Frontends != 3 || fecfg.FEID != fe || fecfg.State != tc.state || fecfg.SyncInterval != tc.sync ||
+					fecfg.IdleTimeout != 15*time.Second || fecfg.RetryBudget != cluster.DefaultRetryBudget {
+					t.Errorf("fe %d: %+v", fe, fecfg)
+				}
+			}
+		})
+	}
+}
+
+// TestPrototypeRefusesNeverSync: replicas that never sync are the
+// simulator's endpoint only; both prototype compilers refuse them.
+func TestPrototypeRefusesNeverSync(t *testing.T) {
+	s, err := Parse([]byte(`{"version":1,"workload":{},"policy":{"name":"lard"},
+		"cluster":{"nodes":2,"frontends":2,"state":"replicated"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ToClusterConfig(map[core.Target]int64{"/x": 1}); err == nil || !strings.Contains(err.Error(), "stalenessMs") {
+		t.Errorf("ToClusterConfig: %v, want a stalenessMs refusal", err)
+	}
+	if _, err := s.ToFrontEndConfig(2, 0); err == nil || !strings.Contains(err.Error(), "stalenessMs") {
+		t.Errorf("ToFrontEndConfig: %v, want a stalenessMs refusal", err)
 	}
 }
