@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke benchmark-smoke cover fuzz-smoke fmt vet lint lint-phttp check chaos slo multife lines
+.PHONY: all build test race bench-smoke benchmark-smoke bench-pairs cover fuzz-smoke fmt vet lint lint-phttp check chaos slo multife lines
 
 all: build
 
@@ -74,6 +74,18 @@ fuzz-smoke:
 benchmark-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh --smoke
+
+# Alternating pairs of the benchmark, BASE against this checkout (see
+# scripts/bench-pairs.sh): one row per workload and end-to-end metric
+# appended to OUT (BENCH_e2e.json). BASE=HEAD on a clean checkout is an A/A
+# run. CLAIM=<workload>:<metric> marks the claimed row.
+BASE ?= HEAD
+PAIRS ?= 6
+SECONDS ?= 5
+SEED0 ?= 0
+bench-pairs:
+	bash scripts/bench-pairs.sh --base '$(BASE)' --pairs '$(PAIRS)' --seconds '$(SECONDS)' --seed0 '$(SEED0)' \
+		--workloads '$(WORKLOADS)' --claim '$(CLAIM)' --note '$(subst ','\'',$(NOTE))' --out '$(OUT)'
 
 # Tail-latency acceptance: the SLO-gated builtin scenarios, each of which
 # exits non-zero when its p99 target or violation budget is broken.

@@ -109,6 +109,22 @@ func TestUnknownComboErrorListsNames(t *testing.T) {
 	}
 }
 
+// A tier no world runs fails before any work: the error names the key, and
+// no workload was generated (its statistics are the first thing a run
+// prints).
+func TestBadTierFailsBeforeWorkload(t *testing.T) {
+	out, err := exec.Command(simBin, "-set", "cluster.frontends=4", "-set", "cluster.state=sharded").CombinedOutput()
+	if err == nil {
+		t.Fatal("a sharded tier under back-end forwarding ran")
+	}
+	if !strings.Contains(string(out), "cluster.frontends 4 with cluster.state") {
+		t.Errorf("the error does not name the key:\n%s", out)
+	}
+	if strings.Contains(string(out), "trace:") {
+		t.Errorf("a workload was generated before the error:\n%s", out)
+	}
+}
+
 // TestDefaultIsOneRun: with no -scenario the binary makes the builtin
 // default's one run, and -set reshapes it: BEforward-extLARD-PHTTP on 2
 // nodes over 3 000 connections prints this line.

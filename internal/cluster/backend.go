@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"phttp/internal/core"
@@ -376,7 +377,7 @@ func (b *Backend) ctrlLoop(br *bufio.Reader, fds *sessionReader, s *session) {
 			})
 		case kindRelay:
 			b.connMu.Lock()
-			b.connLocked(msg.Conn, s, nil)
+			b.connLocked(msg.Conn, s, -1)
 			b.connMu.Unlock()
 			continue
 		case kindClose:
@@ -400,24 +401,24 @@ func lineBuffered(br *bufio.Reader) bool {
 
 // adopt creates handed-off connection id's record around the oldest
 // descriptor the session received, which travels ahead of its HANDOFF
-// line: a HANDOFF that finds none ends the session. A second HANDOFF of a
-// live connection leaves the first socket in place.
+// line: a HANDOFF that finds none ends the session. The descriptor stays
+// raw (see beConn): adopting it is one fcntl and no allocation. A second
+// HANDOFF of a live connection leaves the first socket in place.
 func (b *Backend) adopt(id core.ConnID, fds *sessionReader) error {
 	fd, ok := fds.claim()
 	if !ok {
 		return errors.New("cluster: HANDOFF with no descriptor")
 	}
-	f, err := adoptFD(fd)
-	if err != nil {
+	if err := adoptRaw(fd); err != nil {
 		return err
 	}
 	b.connMu.Lock()
 	defer b.connMu.Unlock()
 	if _, dup := b.conns[id]; dup {
-		f.Close()
+		syscall.Close(fd)
 		return nil
 	}
-	b.connLocked(id, nil, f)
+	b.connLocked(id, nil, fd)
 	return nil
 }
 
@@ -451,11 +452,11 @@ func (b *Backend) reportDiskLoop() {
 }
 
 // servePeer serves lateral fetches from another back-end over a persistent
-// connection: a FETCH line in, SIZE and the body or MISS out.
+// connection: a FETCH line in, SIZE and the body or MISS out, through a
+// pooled chunk.
 func (b *Backend) servePeer(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, ctrlBufBytes)
-	bw := bufio.NewWriterSize(conn, 32<<10)
 	var line []byte
 	for {
 		msg, err := readCtrl(br)
@@ -465,17 +466,27 @@ func (b *Backend) servePeer(conn net.Conn) {
 		// The remote side of a lateral fetch: per-request work plus the
 		// forwarding overhead, content from cache or disk.
 		b.cpu.use(b.cfg.Costs.PerRequest + b.cfg.Costs.ForwardPerRequest)
-		if dc := b.store.lookup(msg.Target); dc == nil {
-			bw.Write(appendMiss(line[:0]))
+		dc := b.store.lookup(msg.Target)
+		var size int64
+		if dc == nil {
+			line = appendMiss(line[:0])
 		} else {
 			if !b.store.cached(dc) {
 				b.store.read(dc)
 			}
-			line = appendSize(line[:0], dc.size)
-			bw.Write(line)
-			writePattern(bw, dc.pattern(), dc.size)
+			size = dc.size
+			line = appendSize(line[:0], size)
 		}
-		if bw.Flush() != nil {
+		cw := newChunkWriter(conn, int64(len(line))+size)
+		cw.Write(line)
+		if dc != nil {
+			err = cw.writeContent(dc.target, size)
+		}
+		if err == nil {
+			err = cw.Flush()
+		}
+		cw.release()
+		if err != nil {
 			return
 		}
 	}

@@ -237,7 +237,7 @@ func TestShortBatchWindowIsNotTimed(t *testing.T) {
 		client, accepted := tcpPair(t)
 		log := &deadlineLog{Conn: accepted}
 		fe := &FrontEnd{cfg: FrontEndConfig{IdleTimeout: idle, BatchWindow: tc.window}, eng: eng}
-		c := fe.newConn(log)
+		c := fe.newConn(log, -1)
 		const burst = "GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\r\nHost: x\r\n\r\n"
 		if _, err := io.WriteString(client, burst); err != nil {
 			t.Fatal(err)
@@ -333,11 +333,15 @@ func (s *scriptConn) SetWriteDeadline(time.Time) error {
 }
 
 // handedOff creates connection id's record around client socket out, as a
-// HANDOFF does.
+// HANDOFF does, the socket wrapped already.
 func handedOff(be *Backend, id core.ConnID, out clientSocket) *beConn {
 	be.connMu.Lock()
 	defer be.connMu.Unlock()
-	return be.connLocked(id, nil, out)
+	c := be.connLocked(id, nil, -1)
+	c.outMu.Lock()
+	c.out = out
+	c.outMu.Unlock()
+	return c
 }
 
 // The back-end answers what one drain of a connection's queue produced with

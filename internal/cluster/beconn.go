@@ -164,6 +164,14 @@ func (q *reqQueue) reset() {
 // that failed or was refused stays in the table, shut, until its CLOSE is
 // processed (see shutdown, enqueue), so that requests in flight for it are
 // dropped instead of conjuring a fresh record nothing will ever serve.
+//
+// A handed-off client socket starts raw: the descriptor the session
+// brought, written with write(2) and shut down and closed directly, under
+// outMu, so that abort — on the control loop — never closes it while a
+// write is in flight and its number could go to another client. The
+// poller comes in only when a write would block or must be timed (wrap):
+// from then on the socket is an *os.File, whose Close is safe against a
+// concurrent Write, and writes are made outside outMu.
 type beConn struct {
 	id core.ConnID
 	// sess is a relayed connection's session, the one its RELAY line came
@@ -172,43 +180,79 @@ type beConn struct {
 	q    reqQueue
 
 	outMu sync.Mutex
-	out   clientSocket // handed-off client socket (nil for relay, and after close)
-	timed bool         // out has a write deadline set (see watched)
+	raw   int          // the handed-off socket's descriptor until wrapped; -1 otherwise
+	out   clientSocket // the socket once wrapped; nil before, for relay, and after close
+	timed bool         // out has a write deadline set (see watchedLocked)
 }
 
-// clientSocket is what a back-end uses of a handed-off client socket: the
-// *os.File adoptFD makes of the descriptor.
+// clientSocket is what a back-end uses of a handed-off client socket once
+// it is wrapped: the *os.File that wrap makes of the descriptor.
 type clientSocket interface {
 	io.WriteCloser
 	SetWriteDeadline(time.Time) error
 }
 
 var beConnPool = sync.Pool{New: func() any {
-	return &beConn{q: reqQueue{wake: make(chan struct{}, 1)}}
+	return &beConn{q: reqQueue{wake: make(chan struct{}, 1)}, raw: -1}
 }}
-
-// resetSocket ends a client connection from the back-end's side. Closing
-// the handed-off descriptor alone would not: the front-end holds another
-// on the same socket. Shutting the socket down acts on the connection
-// itself — the client sees the end of the stream, and the front-end's read
-// of the same connection ends, so it sends the CLOSE that clears the
-// back-end's record.
-func resetSocket(conn clientSocket) {
-	shutdownSocket(conn, shutBoth)
-	conn.Close()
-}
 
 func shutBoth(fd uintptr)  { syscall.Shutdown(int(fd), syscall.SHUT_RDWR) }
 func shutWrite(fd uintptr) { syscall.Shutdown(int(fd), syscall.SHUT_WR) }
 
-// shutdownSocket shuts the connection behind conn down — the socket, not
-// this process's descriptor for it.
-func shutdownSocket(conn clientSocket, how func(fd uintptr)) {
+// control runs f on the descriptor behind conn, if it has one.
+func control(conn any, f func(fd uintptr)) {
 	if sc, ok := conn.(syscall.Conn); ok {
 		if rc, err := sc.SyscallConn(); err == nil {
-			rc.Control(how)
+			rc.Control(f)
 		}
 	}
+}
+
+// hasSocket reports whether the connection has a client socket: it was
+// handed off and is not closed.
+func (c *beConn) hasSocket() bool {
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	return c.raw >= 0 || c.out != nil
+}
+
+// wrap registers the raw descriptor with the poller, as an *os.File: a
+// write that would block then parks the goroutine, not a thread, and can
+// carry a deadline. Callers hold outMu.
+func (c *beConn) wrap() {
+	if c.raw >= 0 {
+		c.out = os.NewFile(uintptr(c.raw), "handoff-conn")
+		c.raw = -1
+	}
+}
+
+// shutdownLocked shuts the connection behind the client socket down — the
+// socket, not this process's descriptor for it (how is shutBoth or
+// shutWrite). Callers hold outMu.
+func (c *beConn) shutdownLocked(how func(fd uintptr)) {
+	if c.raw >= 0 {
+		how(uintptr(c.raw))
+	} else if c.out != nil {
+		control(c.out, how)
+	}
+}
+
+// closeLocked closes the client socket. With reset it first ends the
+// connection itself: closing the handed-off descriptor alone would not, as
+// the front-end holds another on the same socket. The client then sees
+// the end of the stream, and the front-end's read of the same connection
+// ends, so it sends the CLOSE that clears the back-end's record. Callers
+// hold outMu.
+func (c *beConn) closeLocked(reset bool) {
+	if reset {
+		c.shutdownLocked(shutBoth)
+	}
+	if c.raw >= 0 {
+		syscall.Close(c.raw)
+	} else if c.out != nil {
+		c.out.Close()
+	}
+	c.raw, c.out, c.timed = -1, nil, false
 }
 
 // endStream ends the response stream after the connection's last response
@@ -224,32 +268,31 @@ func shutdownSocket(conn clientSocket, how func(fd uintptr)) {
 func (c *beConn) endStream() {
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
-	if c.out != nil {
-		shutdownSocket(c.out, shutWrite)
-	}
+	c.shutdownLocked(shutWrite)
 }
 
-func (c *beConn) writer() clientSocket {
+// watched puts the client socket's write deadline in step with the queue
+// (see watchedLocked). The control loop calls it when a push takes the
+// queue to maxPending, which puts a write already in progress on the
+// clock.
+func (c *beConn) watched() {
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
-	return c.out
+	c.watchedLocked()
 }
 
-// watched returns the client socket with its write deadline matching the
-// queue: stallGrace from now while maxPending or more requests wait, none
-// otherwise. The serve goroutine calls it before every write attempt, and
-// the control loop when a push takes the queue to maxPending — which puts a
-// write already in progress on the clock. The common write, with a shallow
-// queue behind it, touches no deadline at all.
-func (c *beConn) watched() clientSocket {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	if c.out == nil {
-		return nil
-	}
+// watchedLocked returns the wrapped client socket with its write deadline
+// matching the queue: stallGrace from now while maxPending or more
+// requests wait — a raw socket is wrapped to take it — none otherwise. The
+// common write, raw with a shallow queue behind it, touches no deadline at
+// all. Callers hold outMu.
+func (c *beConn) watchedLocked() clientSocket {
 	if c.q.len() >= maxPending {
-		c.out.SetWriteDeadline(time.Now().Add(stallGrace))
-		c.timed = true
+		c.wrap()
+		if c.out != nil {
+			c.out.SetWriteDeadline(time.Now().Add(stallGrace))
+			c.timed = true
+		}
 	} else if c.timed {
 		c.out.SetWriteDeadline(time.Time{})
 		c.timed = false
@@ -262,13 +305,11 @@ func (c *beConn) watched() clientSocket {
 // long as it takes. With more, every attempt gets stallGrace to move a
 // byte, and one that moves none fails — the connection's serve goroutine
 // then gives it up.
+//
+//phttp:hotpath
 func (c *beConn) Write(p []byte) (int, error) {
-	done := 0
-	for {
-		out := c.watched()
-		if out == nil {
-			return done, errNoClientSocket
-		}
+	out, done, err := c.writeRaw(p)
+	for out != nil {
 		n, err := out.Write(p[done:])
 		done += n
 		if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
@@ -277,7 +318,45 @@ func (c *beConn) Write(p []byte) (int, error) {
 		if n == 0 && c.q.len() >= maxPending {
 			return done, err
 		}
+		c.outMu.Lock()
+		out = c.watchedLocked()
+		c.outMu.Unlock()
+		if out == nil {
+			return done, errNoClientSocket
+		}
 	}
+	return done, err
+}
+
+// writeRaw writes p to a raw client socket with write(2), for as long as
+// the socket takes it and the queue stays shallow. It returns the wrapped
+// socket, with its deadline in step, when the rest of p must go through
+// the poller: the socket was wrapped already, was full, or is now to be
+// timed.
+//
+//phttp:hotpath
+func (c *beConn) writeRaw(p []byte) (clientSocket, int, error) {
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	n := 0
+	for c.raw >= 0 && c.q.len() < maxPending {
+		if n == len(p) {
+			return nil, n, nil
+		}
+		m, err := syscall.Write(c.raw, p[n:])
+		switch {
+		case err == nil:
+			n += m
+		case err == syscall.EAGAIN:
+			c.wrap()
+		case err != syscall.EINTR:
+			return nil, n, err
+		}
+	}
+	if out := c.watchedLocked(); out != nil {
+		return out, n, nil
+	}
+	return nil, n, errNoClientSocket
 }
 
 var errNoClientSocket = errors.New("cluster: response with no client socket")
@@ -285,10 +364,7 @@ var errNoClientSocket = errors.New("cluster: response with no client socket")
 func (c *beConn) closeOut() {
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
-	if c.out != nil {
-		c.out.Close()
-		c.out, c.timed = nil, false
-	}
+	c.closeLocked(false)
 }
 
 // abort shuts the connection's queue and resets the client socket under
@@ -301,10 +377,7 @@ func (c *beConn) abort() bool {
 	}
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
-	if c.out != nil {
-		resetSocket(c.out)
-		c.out, c.timed = nil, false
-	}
+	c.closeLocked(true)
 	return true
 }
 
@@ -333,7 +406,7 @@ func tellClosed(s *session, id core.ConnID) {
 // cannot take more is refused (see reqQueue.push).
 func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 	b.connMu.Lock()
-	c := b.connLocked(id, nil, nil)
+	c := b.connLocked(id, nil, -1)
 	var refused *session
 	switch c.q.push(r) {
 	case 0:
@@ -357,14 +430,14 @@ func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 }
 
 // connLocked returns the connection record, creating it (and its serve
-// goroutine) on first reference, relayed on session sess or with client
-// socket out. Callers hold connMu.
-func (b *Backend) connLocked(id core.ConnID, sess *session, out clientSocket) *beConn {
+// goroutine) on first reference: relayed on session sess, or handed off
+// with raw client socket descriptor fd (-1 for none). Callers hold connMu.
+func (b *Backend) connLocked(id core.ConnID, sess *session, fd int) *beConn {
 	if c, ok := b.conns[id]; ok {
 		return c
 	}
 	c := beConnPool.Get().(*beConn)
-	c.id, c.sess, c.out = id, sess, out
+	c.id, c.sess, c.raw = id, sess, fd
 	b.conns[id] = c
 	b.wg.Add(1)
 	go b.serveConn(c)
@@ -397,7 +470,7 @@ func (b *Backend) retire(c *beConn) {
 func (b *Backend) serveConn(c *beConn) {
 	defer b.wg.Done()
 	w := respWriter{b: b, c: c}
-	if c.writer() != nil {
+	if c.hasSocket() {
 		// The paper's handoff costs (taking the connection over, creating
 		// the server-side socket state), charged here, not on the session,
 		// which goes on feeding every other connection meanwhile.
@@ -476,7 +549,7 @@ func (b *Backend) serveRequest(w *respWriter, r beReq) error {
 		b.store.read(dc)
 	}
 	b.cpu.use(costs.PerRequest + costs.Transmit(dc.size))
-	return w.respond(r, dc.size, dc.pattern(), nil)
+	return w.respond(r, dc.size, nil)
 }
 
 // serveForwarded performs the lateral fetch: request the content from the
@@ -504,7 +577,7 @@ func (b *Backend) serveForwarded(w *respWriter, r beReq) error {
 	}
 	b.cpu.use(costs.PerRequest + costs.ForwardPerRequest +
 		costs.ForwardRecv(size) + costs.Transmit(size))
-	return w.respond(r, size, nil, &pc.body)
+	return w.respond(r, size, &pc.body)
 }
 
 // respWriter is the serve goroutine's output side. For a handed-off
@@ -529,7 +602,7 @@ type respWriter struct {
 // written in chunks of the largest class.
 func (w *respWriter) room(total int64) error {
 	if w.cw == nil {
-		if w.c.writer() == nil {
+		if !w.c.hasSocket() {
 			return errNoClientSocket
 		}
 		w.cw = newChunkWriter(w.c, total)
@@ -571,16 +644,16 @@ func (w *respWriter) drop() {
 	w.unflushed = 0
 }
 
-// respond emits status 200 with size body bytes: the repeating pattern, or
-// read from body when pattern is nil.
+// respond emits status 200 with size body bytes: the requested document's
+// content, or read from body when body is non-nil.
 //
 //phttp:hotpath
-func (w *respWriter) respond(r beReq, size int64, pattern []byte, body io.Reader) error {
+func (w *respWriter) respond(r beReq, size int64, body io.Reader) error {
 	var hb [128]byte
 	head := httpmsg.AppendResponseHead(hb[:0], r.proto.String(), 200, size, r.keep)
 	if w.c.sess != nil {
 		w.b.served.Add(1)
-		err := w.b.writeRelayFrame(w.c, r, head, size, pattern, body)
+		err := w.b.writeRelayFrame(w.c, r, head, size, body)
 		if err != nil {
 			w.b.served.Add(-1)
 		}
@@ -597,7 +670,7 @@ func (w *respWriter) respond(r beReq, size int64, pattern []byte, body io.Reader
 	if _, err := cw.Write(head); err != nil {
 		return err
 	}
-	if err := writeBody(cw, size, pattern, body); err != nil {
+	if err := writeBody(cw, r.doc.target, size, body); err != nil {
 		return err
 	}
 	if cw.flushes != before {
@@ -616,7 +689,7 @@ func (w *respWriter) respondError(r beReq, status int) error {
 	head := httpmsg.AppendResponseHead(hb[:0], r.proto.String(), status, size, r.keep)
 	head = append(append(head, text...), '\n')
 	if w.c.sess != nil {
-		return w.b.writeRelayFrame(w.c, r, head, 0, nil, nil)
+		return w.b.writeRelayFrame(w.c, r, head, 0, nil)
 	}
 	if err := w.room(int64(len(head))); err != nil {
 		return err
@@ -625,11 +698,11 @@ func (w *respWriter) respondError(r beReq, status int) error {
 	return err
 }
 
-// writeBody writes size bytes of body: the repeating pattern, or read from
-// body, which ends after them, into the chunk.
-func writeBody(cw *chunkWriter, size int64, pattern []byte, body io.Reader) error {
-	if pattern != nil {
-		return writePattern(cw, pattern, size)
+// writeBody writes size bytes of body into the chunk: t's content, or read
+// from body, which ends after them, when body is non-nil.
+func writeBody(cw *chunkWriter, t core.Target, size int64, body io.Reader) error {
+	if body == nil {
+		return cw.writeContent(t, size)
 	}
 	n, err := cw.ReadFrom(body)
 	if err == nil && n != size {
@@ -643,7 +716,7 @@ func writeBody(cw *chunkWriter, size int64, pattern []byte, body io.Reader) erro
 // (head, then size body bytes). The session carries every relayed
 // connection of its front-end and the node's control lines, so a frame is
 // written whole under the session's lock.
-func (b *Backend) writeRelayFrame(c *beConn, r beReq, head []byte, size int64, pattern []byte, body io.Reader) error {
+func (b *Backend) writeRelayFrame(c *beConn, r beReq, head []byte, size int64, body io.Reader) error {
 	s := c.sess
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -658,7 +731,7 @@ func (b *Backend) writeRelayFrame(c *beConn, r beReq, head []byte, size int64, p
 		return err
 	}
 	if size > 0 {
-		if err := writeBody(cw, size, pattern, body); err != nil {
+		if err := writeBody(cw, r.doc.target, size, body); err != nil {
 			return err
 		}
 	}

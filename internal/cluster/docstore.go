@@ -18,7 +18,6 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,20 +41,6 @@ type doc struct {
 	// carries the name (a lateral fetch still asks the tagged peer) and is
 	// answered 404 locally.
 	missing bool
-	// pat caches the target's repeating content pattern, built on first
-	// use (see pattern).
-	pat atomic.Pointer[[]byte]
-}
-
-// pattern returns the doc's 1 KB content pattern, taking it from the
-// process-wide pattern cache the first time this store serves the doc.
-func (dc *doc) pattern() []byte {
-	p := dc.pat.Load()
-	if p == nil {
-		p = cachedChunk(dc.target)
-		dc.pat.Store(p)
-	}
-	return *p
 }
 
 // DocStore is a back-end node's document subsystem: a table of the catalog's
@@ -171,33 +156,52 @@ func (d *DocStore) Counters() (hits, misses int64) {
 	return d.hits.Load(), d.misses.Load()
 }
 
-// WriteContent streams the target's deterministic content (size bytes) to
+// WriteContent writes the target's deterministic content (size bytes) to
 // w. Content depends only on the target name, so any node (or a lateral
-// peer) produces identical bytes — tests verify end-to-end integrity.
+// peer) produces identical bytes — tests verify end-to-end integrity. A
+// chunk writer takes it in its own chunk; any other writer through a
+// pooled one.
 func WriteContent(w io.Writer, t core.Target, size int64) error {
-	return writePattern(w, *cachedChunk(t), size)
+	if cw, ok := w.(*chunkWriter); ok {
+		return cw.writeContent(t, size)
+	}
+	cw := newChunkWriter(w, size)
+	defer cw.release()
+	if err := cw.writeContent(t, size); err != nil {
+		return err
+	}
+	return cw.Flush()
 }
 
-// writePattern writes size bytes of the repeating pattern to w.
-func writePattern(w io.Writer, chunk []byte, size int64) error {
-	var written int64
-	for written < size {
-		n := int64(len(chunk))
-		if size-written < n {
-			n = size - written
+// writeContent writes size bytes of t's content into the chunk, generating
+// them in place (fillContent) and flushing whenever the chunk fills.
+func (cw *chunkWriter) writeContent(t core.Target, size int64) error {
+	for off := int64(0); off < size; {
+		if cw.n == len(cw.buf) {
+			if err := cw.Flush(); err != nil {
+				return err
+			}
 		}
-		if _, err := w.Write(chunk[:n]); err != nil {
-			return err
-		}
-		written += n
+		n := int(min(int64(len(cw.buf)-cw.n), size-off))
+		fillContent(cw.buf[cw.n:cw.n+n], t, off)
+		cw.n += n
+		off += int64(n)
 	}
 	return nil
 }
 
+// chunkBytes is the period of a target's content.
+const chunkBytes = 1 << 10
+
+// A target's content repeats with a period of chunkBytes: segment k is the
+// target name, '#', k in four digits and '|', repeated and cut at
+// chunkBytes, so corruption and cross-target mixups are both detectable. A
+// segment is at least six bytes long, so k stays under 1000 and every
+// segment has the same length. Nothing stores it: ContentByte reads one
+// byte off the layout, and fillContent generates a span.
+
 // ContentByte returns the expected content byte at offset i of target t,
-// for spot-checking integrity without materializing bodies. It reads the
-// byte off the pattern's layout (see contentChunk) rather than building or
-// looking up the pattern.
+// for spot-checking integrity without materializing bodies.
 func ContentByte(t core.Target, i int64) byte {
 	seg := len(t) + 6 // t, '#', four digits, '|'
 	j := int(i % chunkBytes)
@@ -216,55 +220,46 @@ func ContentByte(t core.Target, i int64) byte {
 	return byte('0' + k%10)
 }
 
-// chunkBytes is the length of a target's content pattern.
-const chunkBytes = 1 << 10
-
-// chunkCache holds the patterns built so far in the process, so that the
-// stores of an in-process cluster build each target's pattern once, behind
-// one pointer that their docs share (doc.pat).
-var chunkCache struct {
-	sync.RWMutex
-	m map[core.Target]*[]byte
+// fillContent fills b with t's content from offset off on: one period,
+// rotated to off's phase, then doubled by copying until b is full.
+func fillContent(b []byte, t core.Target, off int64) {
+	var p [chunkBytes]byte
+	j := int(off % chunkBytes)
+	fillPeriod(p[:min(j+len(b), chunkBytes)], t)
+	n := copy(b, p[j:])
+	n += copy(b[n:], p[:j])
+	for n < len(b) {
+		n += copy(b[n:], b[:n])
+	}
 }
 
-// cachedChunk returns t's pattern from chunkCache, building it on first
-// use.
-func cachedChunk(t core.Target) *[]byte {
-	chunkCache.RLock()
-	p := chunkCache.m[t]
-	chunkCache.RUnlock()
-	if p != nil {
-		return p
-	}
-	b := contentChunk(t)
-	chunkCache.Lock()
-	defer chunkCache.Unlock()
-	if p = chunkCache.m[t]; p == nil {
-		if chunkCache.m == nil {
-			chunkCache.m = make(map[core.Target]*[]byte)
+// fillPeriod writes the first len(p) bytes of a period of t's content
+// into p. Segments 0 to 9 are written one by one; every later block of ten
+// is a copy of the block before it with its hundreds and tens digits
+// rewritten, as only those differ. Digits are stored byte by byte: built
+// as an array and copied, they would stall the load that reads them back.
+func fillPeriod(p []byte, t core.Target) {
+	seg := len(t) + 6
+	n := 0
+	for k := 0; k < 10 && n < len(p); k++ {
+		n += copy(p[n:], t)
+		if r := p[n:]; len(r) >= 6 {
+			r[0], r[1], r[2], r[3], r[4], r[5] = '#', '0', '0', '0', byte('0'+k), '|'
+			n += 6
+			continue
 		}
-		p = &b
-		chunkCache.m[t] = p
-	}
-	return p
-}
-
-// contentChunk builds the repeating 1 KB pattern for a target: segment k
-// is the target name, '#', k in four digits and '|', repeated and cut at
-// chunkBytes, so corruption and cross-target mixups are both detectable.
-// A segment is at least six bytes long, so k stays under 1000 and every
-// segment has the same length.
-func contentChunk(t core.Target) []byte {
-	const n = chunkBytes
-	b := make([]byte, 0, n+len(t)+16)
-	for i := 0; len(b) < n; i++ {
-		b = append(b, t...)
-		b = append(b, '#')
-		for pad := 1000; pad > 1 && i < pad; pad /= 10 {
-			b = append(b, '0') // the counter is at least four digits wide
+		for ; n < len(p); n++ {
+			p[n] = ContentByte(t, int64(n))
 		}
-		b = strconv.AppendInt(b, int64(i), 10)
-		b = append(b, '|')
 	}
-	return b[:n:n]
+	for block := 10 * seg; n < len(p); {
+		end := n + copy(p[n:], p[n-block:n])
+		for k, d := n/seg, n+len(t)+2; d < end; k, d = k+1, d+seg {
+			p[d] = byte('0' + k/100)
+			if d+1 < end {
+				p[d+1] = byte('0' + k/10%10)
+			}
+		}
+		n = end
+	}
 }

@@ -151,8 +151,11 @@ func (l *beLink) close() {
 // concurrently per client connection — the engine's policy state is safe
 // for parallel callers, so there is no front-end-wide policy lock.
 type FrontEnd struct {
-	cfg       FrontEndConfig
-	ln        net.Listener
+	cfg FrontEndConfig
+	// ln is the client listening socket as an *os.File, whose RawConn
+	// accepts through the poller (acceptLoop); addr is its address.
+	ln        *os.File
+	addr      string
 	links     []*beLink
 	endpoints []BackendEndpoints
 
@@ -284,7 +287,7 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
-	if fe.ln, err = net.Listen("tcp", listen); err != nil {
+	if fe.ln, fe.addr, err = listenTCP(listen); err != nil {
 		return nil, fmt.Errorf("cluster: frontend listen: %w", err)
 	}
 	// One refused back-end must not abort the whole front-end: each slot
@@ -390,7 +393,7 @@ func (fe *FrontEnd) dial(id core.NodeID, ep BackendEndpoints) (*beLink, error) {
 }
 
 // Addr returns the client-facing listen address.
-func (fe *FrontEnd) Addr() string { return fe.ln.Addr().String() }
+func (fe *FrontEnd) Addr() string { return fe.addr }
 
 // PeerAddr returns the peer-protocol listen address of a tier member
 // ("" for a single front-end). Tier bring-up collects every member's
@@ -644,21 +647,84 @@ func (fe *FrontEnd) relayOut(c *feConn, first int) error {
 	return nil
 }
 
-// acceptLoop admits client connections.
+// listenTCP listens for clients on addr (net.Listen: socket, SO_REUSEADDR,
+// bind, listen) and keeps the listening socket as an *os.File, returning
+// it with the address it is bound to. A net.TCPListener's RawConn supports
+// only Control, not the Read that acceptLoop accepts through.
+func listenTCP(addr string) (*os.File, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	defer ln.Close() // the file holds a descriptor of its own
+	f, err := ln.(*net.TCPListener).File()
+	return f, ln.Addr().String(), err
+}
+
+// acceptLoop admits client connections: one accept4 per connection, made
+// when the poller finds the listening socket readable, and an *os.File
+// around what it returns. That is all of Go's accept the front-end keeps:
+// no peer and local address lookups and objects, no keep-alive probes
+// (IdleTimeout closes a client gone silent) and no net.Conn.
 func (fe *FrontEnd) acceptLoop() {
 	defer fe.wg.Done()
+	rc, err := fe.ln.SyscallConn()
+	if err != nil {
+		return
+	}
+	var a acceptor
+	accept := a.accept // bound once: an accept instantiates no closure
 	for {
-		conn, err := fe.ln.Accept()
-		if err != nil {
+		if err := rc.Read(accept); err != nil || a.err != nil {
 			return
 		}
+		conn, fd := os.NewFile(uintptr(a.fd), "client"), a.fd
 		fe.conns.Add(1)
 		fe.wg.Add(1)
 		go func() {
 			defer fe.wg.Done()
-			fe.serveClient(conn)
+			fe.serveClient(conn, fd)
 		}()
 	}
+}
+
+// acceptor is the accept loop's RawConn.Read callback with its result.
+type acceptor struct {
+	fd  int
+	err error
+}
+
+// accept takes one connection off listening socket s, non-blocking and
+// close-on-exec, and sets TCP_NODELAY on it — back-ends write responses
+// on it — and nothing else. It reports false, to wait for the socket to be
+// readable, while no connection is pending; an error other than a
+// connection aborted before it was taken ends the accept loop.
+//
+//phttp:hotpath
+func (a *acceptor) accept(s uintptr) bool {
+	for {
+		fd, err := accept4(int(s))
+		switch err {
+		case nil:
+			syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1)
+			a.fd, a.err = fd, nil
+			return true
+		case syscall.EAGAIN:
+			return false
+		case syscall.ECONNABORTED, syscall.EINTR:
+			continue
+		}
+		a.fd, a.err = -1, err
+		return true
+	}
+}
+
+// clientConn is what the front-end uses of a client connection: the
+// *os.File acceptLoop makes of it.
+type clientConn interface {
+	io.ReadWriteCloser
+	SetReadDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
 }
 
 // feConn tracks one client connection at the front-end. The record — with
@@ -669,8 +735,12 @@ func (fe *FrontEnd) acceptLoop() {
 type feConn struct {
 	id   core.ConnID
 	ec   *dispatch.Conn // nil until openConn admits the connection
-	conn net.Conn
-	br   *bufio.Reader
+	conn clientConn
+	// fd is conn's descriptor, which handOff sends as it is: only this
+	// connection's own goroutine closes conn (closeClient), so the number
+	// cannot go to another socket while a handoff is sent.
+	fd int
+	br *bufio.Reader
 
 	// batchStart is when the current pipelined batch finished arriving —
 	// the latency clock's zero, matching the simulator's delay
@@ -709,13 +779,6 @@ type feConn struct {
 	// arrives or the entry is dropped.
 	relayed map[int]*relayReq
 	ready   chan struct{}
-
-	// The handoff's RawConn.Control callback, bound to this record once so
-	// that a handoff instantiates no closure, with its argument and result:
-	// it sends line on hoTo (see FrontEnd.handOff).
-	sendFD func(fd uintptr)
-	hoTo   *net.UnixConn
-	hoErr  error
 }
 
 // feConnScratchMax is the pipeline depth past which a closing connection's
@@ -723,14 +786,14 @@ type feConn struct {
 const feConnScratchMax = 64
 
 var feConnPool = sync.Pool{New: func() any {
-	c := &feConn{br: bufio.NewReaderSize(nil, 16<<10)}
-	c.sendFD = func(fd uintptr) { c.hoErr = writeHandoff(c.hoTo, c.line, int(fd)) }
-	return c
+	return &feConn{br: bufio.NewReaderSize(nil, 16<<10)}
 }}
 
-func (fe *FrontEnd) newConn(conn net.Conn) *feConn {
+// newConn takes a record for client connection conn, whose descriptor is
+// fd (-1 for none: it cannot be handed off).
+func (fe *FrontEnd) newConn(conn clientConn, fd int) *feConn {
 	c := feConnPool.Get().(*feConn)
-	c.conn = conn
+	c.conn, c.fd = conn, fd
 	c.br.Reset(conn)
 	return c
 }
@@ -744,7 +807,7 @@ func (c *feConn) recycle() {
 	if cap(reqs) > feConnScratchMax {
 		reqs, batch, line = nil, nil, nil
 	}
-	*c = feConn{br: c.br, sendFD: c.sendFD, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line}
+	*c = feConn{br: c.br, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line}
 	feConnPool.Put(c)
 }
 
@@ -763,8 +826,8 @@ func (c *feConn) setReqNode(dest core.NodeID) bool {
 // serveClient runs the forwarding-module read loop for one client
 // connection: parse requests, group pipelined bursts into batches, dispatch
 // through the policy, tag and forward to back-ends.
-func (fe *FrontEnd) serveClient(conn net.Conn) {
-	c := fe.newConn(conn)
+func (fe *FrontEnd) serveClient(conn clientConn, fd int) {
+	c := fe.newConn(conn, fd)
 	defer fe.closeClient(c)
 
 	for {
@@ -778,11 +841,11 @@ func (fe *FrontEnd) serveClient(conn net.Conn) {
 			// The connection ends with this batch. What the client still
 			// sends is discarded, not served, until it closes (its response
 			// stream ends behind the last response) or goes idle.
-			if tc, ok := c.conn.(*net.TCPConn); ok && c.ready != nil {
+			if c.ready != nil {
 				// Relayed: the last response is written, and the stream
 				// ends behind it as a back-end ends a handed-off one
 				// (beConn.endStream).
-				tc.CloseWrite()
+				control(c.conn, shutWrite)
 			}
 			c.conn.SetReadDeadline(time.Now().Add(fe.cfg.IdleTimeout))
 			if !c.down.Load() {
@@ -953,21 +1016,16 @@ var longAgo = time.Unix(1, 0)
 var errNodeDown = errors.New("cluster: handed-off connection's node is down")
 
 // handOff passes c's client socket to back-end n together with the lines
-// in c.line, HANDOFF first: one sendmsg on the node's session, made while
-// the connection lends its descriptor (RawConn.Control). Nothing is dupped
-// or closed and the socket's mode is not touched — the front-end goes on
+// in c.line, HANDOFF first: one sendmsg on the node's session, with the
+// descriptor accept4 returned attached as it is. Nothing is dupped or
+// closed and the socket's mode is not touched — the front-end goes on
 // reading the connection through the poller, deadlines and all, while the
 // back-end writes to the descriptor the kernel installed for it.
 //
 //phttp:hotpath
 func (fe *FrontEnd) handOff(c *feConn, n core.NodeID) error {
-	sc, ok := c.conn.(syscall.Conn)
-	if !ok {
+	if c.fd < 0 {
 		return handoffRefused(n, "the client connection has no descriptor")
-	}
-	rc, err := sc.SyscallConn()
-	if err != nil {
-		return err
 	}
 	link := fe.links[n]
 	link.ctrlMu.Lock()
@@ -976,14 +1034,11 @@ func (fe *FrontEnd) handOff(c *feConn, n core.NodeID) error {
 		link.ctrlMu.Unlock()
 		return handoffRefused(n, "no UNIX session")
 	}
-	c.hoTo = uc
-	err = rc.Control(c.sendFD)
+	err := writeHandoff(uc, c.line, c.fd)
 	link.ctrlMu.Unlock()
-	if err == nil && c.hoErr != nil {
-		err = c.hoErr
-		fe.suspect(n) // a failed send is liveness evidence; a client fault is not
+	if err != nil {
+		fe.suspect(n) // a failed send is liveness evidence
 	}
-	c.hoTo, c.hoErr = nil, nil
 	return err
 }
 
@@ -1149,13 +1204,18 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 		fe.eng.ConnClose(c.ec)
 		done()
 	}
-	if tc, ok := c.conn.(*net.TCPConn); ok && c.down.Load() {
+	if c.down.Load() {
 		// Its node died holding the connection: the client sees a reset,
 		// not a clean end of stream it might take for a complete answer.
-		tc.SetLinger(0)
+		control(c.conn, lingerOff)
 	}
 	c.conn.Close()
 	c.recycle()
+}
+
+// lingerOff makes closing socket fd reset the connection (SO_LINGER 0).
+func lingerOff(fd uintptr) {
+	syscall.SetsockoptLinger(int(fd), syscall.SOL_SOCKET, syscall.SO_LINGER, &syscall.Linger{Onoff: 1})
 }
 
 // HandoffSocketDir creates a private directory for handoff sockets.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"phttp/internal/core"
+	"phttp/internal/httpmsg"
 	"phttp/internal/policy"
 	"phttp/internal/server"
 )
@@ -62,6 +64,18 @@ func tcpPair(t testing.TB) (client net.Conn, accepted *net.TCPConn) {
 	return client, conn.(*net.TCPConn)
 }
 
+// fdOf returns conn's descriptor, as accept4 returns it to the front-end.
+func fdOf(t testing.TB, conn *net.TCPConn) int {
+	t.Helper()
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := -1
+	rc.Control(func(s uintptr) { fd = int(s) })
+	return fd
+}
+
 // readWithin reads from r on a goroutine of its own, so that a read that
 // ignores its deadline fails the test instead of hanging it.
 func readWithin(t *testing.T, r io.Reader, d time.Duration) (string, error) {
@@ -93,7 +107,7 @@ func TestHandOffBorrowsDescriptor(t *testing.T) {
 	client, accepted := tcpPair(t)
 	send, recv := unixPair(t)
 	fe := &FrontEnd{links: []*beLink{{id: 0, ctrl: send}}}
-	c := fe.newConn(accepted)
+	c := fe.newConn(accepted, fdOf(t, accepted))
 	c.id = 77
 	c.line = appendHandoff(c.line, c.id)
 	if err := fe.handOff(c, 0); err != nil {
@@ -135,10 +149,12 @@ func TestHandOffBorrowsDescriptor(t *testing.T) {
 }
 
 // handoffAllocBudget is what one handoff costs in allocations, both ends
-// together, as measured: the front-end's RawConn (1) and the back-end's
-// os.File (2). It was 22 when the front-end dupped the socket into an
-// *os.File and the back-end dupped that again into a net.Conn.
-const handoffAllocBudget = 3
+// together: none. The front-end sends the descriptor accept4 returned, and
+// the back-end keeps the one it receives raw. It was 3 while the front-end
+// borrowed the descriptor through a RawConn (1) and the back-end wrapped
+// it in an *os.File (2), and 22 when the front-end dupped the socket into
+// an *os.File and the back-end dupped that again into a net.Conn.
+const handoffAllocBudget = 0
 
 // The handoff as the two nodes make it — the first batch sent with the
 // descriptor, read off the session, the descriptor claimed and adopted —
@@ -147,7 +163,7 @@ func TestHandoffAllocs(t *testing.T) {
 	_, accepted := tcpPair(t)
 	send, recv := unixPair(t)
 	fe := &FrontEnd{links: []*beLink{{id: 0, ctrl: send}}}
-	c := fe.newConn(accepted)
+	c := fe.newConn(accepted, fdOf(t, accepted))
 	sr := &sessionReader{uc: recv}
 	br := bufio.NewReaderSize(sr, ctrlBufBytes)
 	got := testing.AllocsPerRun(200, func() {
@@ -165,14 +181,47 @@ func TestHandoffAllocs(t *testing.T) {
 		if !ok {
 			t.Fatal("no descriptor came with the HANDOFF")
 		}
-		f, err := adoptFD(fd)
-		if err != nil {
+		if err := adoptRaw(fd); err != nil {
 			t.Fatal(err)
 		}
-		f.Close()
+		syscall.Close(fd)
 	})
 	if got > handoffAllocBudget {
 		t.Errorf("handoff: %v allocs per connection (send + receive + close), budget %d", got, handoffAllocBudget)
+	}
+}
+
+// The front-end's accept allocates the *os.File it wraps the connection
+// in (two objects) and nothing else: no address objects, no net.Conn, no
+// closure per accept. net.Listener.Accept made 6 (and Close none).
+func TestAcceptAllocs(t *testing.T) {
+	const runs = 50
+	ln, addr, err := listenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for range runs + 1 {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+	}
+	rc, err := ln.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a acceptor
+	accept := a.accept
+	got := testing.AllocsPerRun(runs, func() {
+		if err := rc.Read(accept); err != nil || a.err != nil {
+			t.Fatalf("accept: %v, %v", err, a.err)
+		}
+		os.NewFile(uintptr(a.fd), "client").Close()
+	})
+	if got > 2 {
+		t.Errorf("accept: %v allocs per connection, want the *os.File's 2", got)
 	}
 }
 
@@ -192,7 +241,7 @@ type stubMsg struct {
 	fds  []rawHandoff
 }
 
-type rawHandoff struct{ fd, flags int }
+type rawHandoff struct{ fd, flags, nodelay, keepalive int }
 
 func newStubBackend(t *testing.T) *stubBackend {
 	t.Helper()
@@ -222,7 +271,9 @@ func newStubBackend(t *testing.T) *stubBackend {
 				fds, _ := syscall.ParseUnixRights(&cmsgs[i])
 				for _, fd := range fds {
 					flags, _, _ := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_GETFL, 0)
-					m.fds = append(m.fds, rawHandoff{fd, int(flags)})
+					nodelay, _ := syscall.GetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY)
+					keepalive, _ := syscall.GetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_KEEPALIVE)
+					m.fds = append(m.fds, rawHandoff{fd, int(flags), nodelay, keepalive})
 				}
 			}
 			sb.msgs <- m
@@ -293,7 +344,9 @@ func awaitClosed(t *testing.T, fe *FrontEnd) {
 }
 
 // The handoff leaves the client socket's mode alone: the descriptor the
-// back-end receives is still non-blocking before anything wraps it, and the
+// back-end receives is still non-blocking before anything wraps it — and
+// as the front-end's accept left it: TCP_NODELAY on, since back-ends write
+// responses on it, and no keep-alive probes — and the
 // front-end's reads of the connection still honour their deadlines — it
 // closes an idle connection on time even if the back-end never touches
 // the socket. (Taking the descriptor out with File and Fd cleared
@@ -312,6 +365,9 @@ func TestHandoffLeavesSocketNonBlocking(t *testing.T) {
 	id := handoffID(t, m)
 	if m.fds[0].flags&syscall.O_NONBLOCK == 0 {
 		t.Errorf("handed-off socket arrived in blocking mode (flags %#x)", m.fds[0].flags)
+	}
+	if h := m.fds[0]; h.nodelay == 0 || h.keepalive != 0 {
+		t.Errorf("accepted socket has TCP_NODELAY %d and SO_KEEPALIVE %d, want on and off", h.nodelay, h.keepalive)
 	}
 	if want := "HANDOFF " + id + "\nREQ " + id + " 0 HTTP/1.1 1 - /x\n"; m.data != want {
 		t.Fatalf("the handoff carries %q, want %q", m.data, want)
@@ -567,6 +623,70 @@ func TestSessionPairsDescriptorsInOrder(t *testing.T) {
 	defer be.connMu.Unlock()
 	if len(be.conns) != 0 {
 		t.Errorf("%d connection records after a HANDOFF without a descriptor", len(be.conns))
+	}
+}
+
+// wrapped reports whether handed-off connection id's socket has gone over
+// to the poller.
+func wrapped(be *Backend, id core.ConnID) bool {
+	be.connMu.Lock()
+	defer be.connMu.Unlock()
+	c := be.conns[id]
+	if c == nil {
+		return false
+	}
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	return c.out != nil
+}
+
+// A handed-off socket is written raw until the kernel takes no more: a
+// response larger than both socket buffers, to a client that starts
+// reading only once the socket is full, goes on through the poller and
+// arrives byte for byte, and so does the next batch on the connection.
+func TestFullSocketGoesToPoller(t *testing.T) {
+	const big = 16 << 20 // past the loopback send and receive buffers together
+	be, err := NewBackend(BackendConfig{
+		ID: 0, Catalog: map[core.Target]int64{"/big": big, "/small": 700}, CacheBytes: 1 << 20,
+		HandoffSocket: filepath.Join(t.TempDir(), "be.sock"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	sess := dialSession(t, be)
+	client, accepted := tcpPair(t)
+	sendWith(t, sess, accepted, "HANDOFF 1\nREQ 1 0 HTTP/1.1 1 - /big\n")
+	for deadline := time.Now().Add(10 * time.Second); !wrapped(be, 1); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the socket never went over to the poller")
+		}
+	}
+	client.SetReadDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(client)
+	check := func(tgt core.Target, size int64) {
+		t.Helper()
+		resp, err := httpmsg.ReadResponse(br)
+		if err != nil || resp.Status != 200 || resp.ContentLength != size {
+			t.Fatalf("%s: %+v, %v; want 200 with %d bytes", tgt, resp, err, size)
+		}
+		body := make([]byte, size)
+		if _, err := io.ReadFull(br, body); err != nil {
+			t.Fatalf("%s: body: %v", tgt, err)
+		}
+		var want bytes.Buffer
+		WriteContent(&want, tgt, size)
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("%s: body differs from its content", tgt)
+		}
+	}
+	check("/big", big)
+	if _, err := io.WriteString(sess, "REQ 1 1 HTTP/1.1 1 - /small\n"); err != nil {
+		t.Fatal(err)
+	}
+	check("/small", 700)
+	if _, err := io.WriteString(sess, "CLOSE 1\n"); err != nil {
+		t.Fatal(err)
 	}
 }
 

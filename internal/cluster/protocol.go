@@ -472,11 +472,12 @@ func closeRights(m rightsMsg, oobn int) {
 // writeHandoff sends msgs, a HANDOFF line first, in one sendmsg with
 // descriptor fd attached as SCM_RIGHTS. The kernel installs a descriptor of
 // the same socket in the receiving process and leaves the sender's as it
-// was, mode included: the front-end lends its client socket's descriptor
-// for the call (FrontEnd.handOff) and goes on reading requests from it,
-// while the back-end's responses bypass the front-end as with the paper's
-// in-kernel handoff. What a full socket did not take follows in a plain
-// write (the descriptor left with the first bytes), under the caller's lock.
+// was, mode included: the front-end sends its client socket's descriptor
+// as accept4 returned it (FrontEnd.handOff) and goes on reading requests
+// from it, while the back-end's responses bypass the front-end as with the
+// paper's in-kernel handoff. What a full socket did not take follows in a
+// plain write (the descriptor left with the first bytes), under the
+// caller's lock.
 //
 //phttp:hotpath
 func writeHandoff(uc *net.UnixConn, msgs []byte, fd int) error {
@@ -508,8 +509,9 @@ func SendConnFD(uc *net.UnixConn, id core.ConnID, f *os.File) error {
 const handoffLineMax = 32
 
 // RecvConnFD receives one message SendConnFD sent, as a back-end's session
-// does (sessionReader, parseCtrl, claim, adoptFD). Anything but a HANDOFF
-// line with one descriptor is an error, and the descriptors it brought close.
+// does (sessionReader, parseCtrl, claim), and returns the descriptor as an
+// *os.File (adoptFD). Anything but a HANDOFF line with one descriptor is an
+// error, and the descriptors it brought close.
 func RecvConnFD(uc *net.UnixConn) (core.ConnID, *os.File, error) {
 	sr := sessionReader{uc: uc}
 	defer sr.close() // what no HANDOFF claimed
@@ -527,17 +529,26 @@ func RecvConnFD(uc *net.UnixConn) (core.ConnID, *os.File, error) {
 	return msg.Conn, f, err
 }
 
-// adoptFD takes a received client socket's descriptor as it is:
-// close-on-exec already (the receiving call sets it), non-blocking,
-// registered with the poller once, so that a write honours a deadline and a
-// full socket buffer parks the goroutine, not a thread. No dup, no address
-// lookups. Do not ask the file for its Fd: that would put the socket, which
-// the front-end still reads, in blocking mode.
-func adoptFD(fd int) (*os.File, error) {
-	// NewFile registers with the poller only a descriptor it finds
-	// non-blocking; the front-end's is, an *os.File sender's is not.
+// adoptRaw readies a received client socket's descriptor for the
+// back-end's writes as it is: close-on-exec already (the receiving call
+// sets it) and non-blocking — one fcntl, and a second only for a sender
+// that cleared O_NONBLOCK (an *os.File sender, see SendConnFD). No dup, no
+// address lookups, no poller. On failure the descriptor is closed.
+func adoptRaw(fd int) error {
 	if err := syscall.SetNonblock(fd, true); err != nil {
 		syscall.Close(fd)
+		return err
+	}
+	return nil
+}
+
+// adoptFD is adoptRaw for RecvConnFD's callers, who get the descriptor as
+// an *os.File registered with the poller, so that a write honours a
+// deadline and a full socket buffer parks the goroutine, not a thread. Do
+// not ask the file for its Fd: that would put the socket, which the
+// front-end still reads, in blocking mode.
+func adoptFD(fd int) (*os.File, error) {
+	if err := adoptRaw(fd); err != nil {
 		return nil, err
 	}
 	return os.NewFile(uintptr(fd), "handoff-conn"), nil

@@ -566,20 +566,37 @@ func TestContentDeterministic(t *testing.T) {
 	}
 }
 
-// ContentByte reads the pattern's layout without the pattern: it agrees
-// with the built pattern at every offset of three periods, for targets of
-// every length from one byte to past the period.
+// contentChunk is one period of t's content, as the generator writes it.
+func contentChunk(t core.Target) []byte {
+	b := make([]byte, chunkBytes)
+	fillContent(b, t, 0)
+	return b
+}
+
+// The generator agrees with ContentByte, the layout clients check against:
+// for targets of every length from one byte to past the period, over three
+// periods from offset 0; and for three targets, a span of every length
+// from 1 to 1100 bytes started at every offset from 0 to 3072.
 func TestContentByteMatchesPattern(t *testing.T) {
-	name := []byte("/")
-	for n := 1; n <= 1100; n++ {
-		tgt := core.Target(name)
-		chunk := contentChunk(tgt)
-		for i := int64(0); i <= 3<<10; i++ {
-			if got, want := ContentByte(tgt, i), chunk[i%int64(len(chunk))]; got != want {
-				t.Fatalf("target of %d bytes, offset %d: ContentByte %q, pattern %q", n, i, got, want)
+	check := func(tgt core.Target, b []byte, off int64) {
+		t.Helper()
+		fillContent(b, tgt, off)
+		for i := range b {
+			if got, want := b[i], ContentByte(tgt, off+int64(i)); got != want {
+				t.Fatalf("target of %d bytes, %d bytes from offset %d: byte %d is %q, ContentByte %q", len(tgt), len(b), off, i, got, want)
 			}
 		}
+	}
+	name := []byte("/")
+	buf := make([]byte, 3<<10+1)
+	for n := 1; n <= 1100; n++ {
+		check(core.Target(name), buf, 0)
 		name = append(name, byte('a'+n%26))
+	}
+	for _, tgt := range []core.Target{"/x", "/a/longer/target.html", core.Target(name)} {
+		for off := int64(0); off <= 3<<10; off++ {
+			check(tgt, buf[:1+(off*37)%1100], off)
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ func NewHotpath() *Analyzer {
 var hotpathRequired = map[string][]string{
 	"phttp/internal/cache":   {"Mapping.IsMapped", "Mapping.MaskWord", "Mapping.AppendNodesFor", "nodeMasks.word", "nodeMasks.setBit", "nodeMasks.clearBit"},
 	"phttp/internal/httpmsg": {"ReadRequestInto", "AppendResponseHead"},
-	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "writeHandoff"},
+	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "writeHandoff", "acceptor.accept", "beConn.writeRaw"},
 	"phttp/internal/simcore": {"Engine.Step", "Engine.Call", "Engine.enqueue", "Resource.Call"},
 	"phttp/internal/sim":     {"connStep", "reqStep", "Sim.cpuCall", "Sim.diskCall", "Sim.feCall"},
 }

@@ -69,9 +69,7 @@ func (s *Spec) With(sets ...string) (*Spec, error) {
 		if data, err = json.Marshal(obj); err != nil {
 			return nil, fmt.Errorf("scenario: -set %s: %w", kv, err)
 		}
-		strict := json.NewDecoder(bytes.NewReader(data))
-		strict.DisallowUnknownFields()
-		if err := strict.Decode(new(Spec)); err != nil {
+		if err := decodeStrict(json.NewDecoder(bytes.NewReader(data)), new(Spec)); err != nil {
 			return nil, fmt.Errorf("scenario: -set %s: %w", kv, err)
 		}
 	}

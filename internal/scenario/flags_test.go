@@ -211,6 +211,7 @@ func TestSetValueKinds(t *testing.T) {
 func TestSetErrorsNameTheOverride(t *testing.T) {
 	for _, tc := range []struct{ set, want string }{
 		{"cluster.cachMB=4", `-set cluster.cachMB=4: json: unknown field "cachMB"`},
+		{"cluster.cachemb=4", `-set cluster.cachemb=4: json: unknown field "cluster.cachemb"`},
 		{"cluster.nodes=abc", "-set cluster.nodes=abc: json: cannot unmarshal string"},
 		{"cluster.nodes.x=1", "-set cluster.nodes.x=1: cluster.nodes is not an object"},
 		{"policy.name=nosuch", "-set policy.name=nosuch: dispatch: unknown policy"},

@@ -17,10 +17,13 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"sort"
 	"strings"
 
 	"phttp/internal/core"
@@ -230,9 +233,8 @@ type SweepSpec struct {
 // a misspelled key must fail loudly, not silently fall back to a default.
 func Parse(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(dec, &s); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	// Content after the spec object (a stray brace, a concatenated second
@@ -245,6 +247,67 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// decodeStrict decodes the next JSON value of dec into s, refusing every
+// key that is not a field's own spelling: an unknown key, and one that
+// encoding/json, matching case-insensitively, would take for a field
+// ("cacheMb" for cacheMB).
+func decodeStrict(dec *json.Decoder, s *Spec) error {
+	var raw json.RawMessage
+	if err := dec.Decode(&raw); err != nil {
+		return err
+	}
+	var obj any
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		return err
+	}
+	if err := checkKeys(obj, reflect.TypeOf(s).Elem(), ""); err != nil {
+		return err
+	}
+	strict := json.NewDecoder(bytes.NewReader(raw))
+	strict.DisallowUnknownFields()
+	return strict.Decode(s)
+}
+
+// checkKeys walks JSON value v against type t and reports the first key,
+// in sorted order, that names one of t's fields only when case is ignored.
+// Keys of a map field (policy.options) are data, not schema; a key that
+// names no field at all is left to the decoder's unknown-field error.
+func checkKeys(v any, t reflect.Type, path string) error {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	switch t.Kind() {
+	case reflect.Struct:
+		obj, _ := v.(map[string]any)
+		keys := make([]string, 0, len(obj))
+		for k := range obj {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			for i := 0; i < t.NumField(); i++ {
+				f := t.Field(i)
+				tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+				if tag == k {
+					if err := checkKeys(obj[k], f.Type, path+k+"."); err != nil {
+						return err
+					}
+				} else if strings.EqualFold(tag, k) {
+					return fmt.Errorf("json: unknown field %q: the key is %q (keys match case-sensitively)", path+k, path+tag)
+				}
+			}
+		}
+	case reflect.Slice:
+		arr, _ := v.([]any)
+		for i, e := range arr {
+			if err := checkKeys(e, t.Elem(), fmt.Sprintf("%s%d.", path, i)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Load reads and parses a scenario file.
@@ -389,6 +452,9 @@ func (s *Spec) Validate() error {
 	if c.RetryBudget != nil && *c.RetryBudget < 0 {
 		return fmt.Errorf("scenario: cluster.retryBudget must be non-negative, got %d", *c.RetryBudget)
 	}
+	if err := s.checkTier(mode); err != nil {
+		return err
+	}
 	w := s.Workload.Synth
 	if w != nil && (w.Connections < 0 || w.Pages < 0 || w.Objects < 0 || w.Clients < 0) {
 		return fmt.Errorf("scenario: negative workload dimension")
@@ -426,6 +492,35 @@ func (s *Spec) Validate() error {
 		}
 		if o.MaxViolations < 0 {
 			return fmt.Errorf("scenario: slo.maxViolations must be non-negative, got %d", o.MaxViolations)
+		}
+	}
+	return nil
+}
+
+// checkTier applies the one tier rule (dstate.CheckTier) to every tier the
+// spec runs: the cluster's, or each sweep.frontends entry's, under the
+// spec's mechanism or each combo's. It runs in Validate, so a tier no
+// world can run fails before a trace is built.
+func (s *Spec) checkTier(mode dstate.Mode) error {
+	key, tiers := "cluster.frontends", []int{s.Cluster.Frontends}
+	if s.Sweep != nil && len(s.Sweep.Frontends) > 0 {
+		key, tiers = "sweep.frontends", s.Sweep.Frontends
+	}
+	var mechs []core.Mechanism
+	if s.Sweep != nil && len(s.Sweep.Combos) > 0 {
+		for _, name := range s.Sweep.Combos {
+			c, _ := simComboByName(name) // Validate checked the names
+			mechs = append(mechs, c.Mechanism)
+		}
+	} else {
+		m, _ := s.mechanism() // Validate checked it
+		mechs = append(mechs, m)
+	}
+	for _, fes := range tiers {
+		for _, m := range mechs {
+			if err := dstate.CheckTier(mode, fes, m); err != nil {
+				return fmt.Errorf("scenario: %s %d with cluster.state %q: %w", key, fes, s.Cluster.State, err)
+			}
 		}
 	}
 	return nil

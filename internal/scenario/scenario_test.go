@@ -77,6 +77,7 @@ func TestParseRejects(t *testing.T) {
 		"missing version":    `{"workload":{},"policy":{"name":"wrr"},"cluster":{"nodes":2}}`,
 		"future version":     `{"version":9,"workload":{},"policy":{"name":"wrr"},"cluster":{"nodes":2}}`,
 		"unknown field":      `{"version":1,"workload":{},"policy":{"name":"wrr"},"cluster":{"nodes":2},"wat":1}`,
+		"case-variant key":   `{"version":1,"workload":{},"policy":{"name":"wrr"},"cluster":{"nodes":2,"cacheMb":4}}`,
 		"unknown policy":     `{"version":1,"workload":{},"policy":{"name":"lrad"},"cluster":{"nodes":2}}`,
 		"no policy":          `{"version":1,"workload":{},"cluster":{"nodes":2}}`,
 		"unknown option":     `{"version":1,"workload":{},"policy":{"name":"lard","options":{"cache-byts":1}},"cluster":{"nodes":2}}`,

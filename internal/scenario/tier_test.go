@@ -181,6 +181,30 @@ func TestTierValidation(t *testing.T) {
 	}
 }
 
+// TestTierRuleInValidate: a tier that no world runs — sharded state under
+// back-end forwarding, the default's mechanism — fails in Validate, naming
+// the key, with dstate.CheckTier's own message: for the cluster's tier and
+// for each sweep.frontends entry.
+func TestTierRuleInValidate(t *testing.T) {
+	const rule = "dstate: sharded dispatch state requires the single-handoff mechanism"
+	def, err := Builtin("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sets []string
+		key  string
+	}{
+		{[]string{"cluster.frontends=4", "cluster.state=sharded"}, `cluster.frontends 4 with cluster.state "sharded"`},
+		{[]string{"cluster.state=sharded", "sweep.frontends=[1,3]"}, `sweep.frontends 1 with cluster.state "sharded"`},
+	} {
+		_, err := def.With(tc.sets...)
+		if err == nil || !strings.Contains(err.Error(), tc.key+": "+rule) {
+			t.Errorf("-set %v: err = %v, want %q", tc.sets, err, tc.key+": "+rule)
+		}
+	}
+}
+
 // TestTierKeysReachPrototype: the tier keys compile into the prototype's
 // cluster config, and through the same projection into every standalone
 // front-end's, with cluster.stalenessMs as the wall-clock sync interval.
