@@ -125,6 +125,9 @@ type Backend struct {
 
 	connMu sync.Mutex
 	conns  map[core.ConnID]*beConn
+	// servers serves each connection record on a reused worker
+	// (connWorker).
+	servers *workers[*beConn]
 
 	// tracked holds every accepted network connection so Close can
 	// unblock reader goroutines.
@@ -185,6 +188,7 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 		b.handoffLn.Close()
 		return nil, fmt.Errorf("cluster: backend %v peer listen: %w", cfg.ID, err)
 	}
+	b.servers = newWorkers(b.connWorker, closed, &b.wg)
 	b.wg.Add(4)
 	go b.acceptLoop(b.ctrlLn, b.serveSession)
 	go b.acceptLoop(b.handoffLn, b.serveSession)

@@ -209,17 +209,6 @@ func TestNoDispatchAfterConnectionClose(t *testing.T) {
 	}
 }
 
-// deadlineLog is a net.Conn wrapper recording every read deadline set.
-type deadlineLog struct {
-	net.Conn
-	set []time.Time
-}
-
-func (d *deadlineLog) SetReadDeadline(t time.Time) error {
-	d.set = append(d.set, t)
-	return d.Conn.SetReadDeadline(t)
-}
-
 // A batch window the runtime cannot time (below timerResolution) is not
 // waited out: the batch is what has arrived when its last request is parsed,
 // and the only deadline a read waits on is the idle timeout. A window the
@@ -232,12 +221,11 @@ func TestShortBatchWindowIsNotTimed(t *testing.T) {
 	const idle = time.Minute
 	for _, tc := range []struct {
 		window time.Duration
-		waits  int // deadlines a read waited on besides the idle timeout
+		waits  int // waits on the poller, for the window only: the burst is in
 	}{{50 * time.Microsecond, 0}, {timerResolution, 1}} {
 		client, accepted := tcpPair(t)
-		log := &deadlineLog{Conn: accepted}
 		fe := &FrontEnd{cfg: FrontEndConfig{IdleTimeout: idle, BatchWindow: tc.window}, eng: eng}
-		c := fe.newConn(log, -1)
+		c := clientRecord(t, fdOf(t, accepted))
 		const burst = "GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\r\nHost: x\r\n\r\n"
 		if _, err := io.WriteString(client, burst); err != nil {
 			t.Fatal(err)
@@ -248,15 +236,8 @@ func TestShortBatchWindowIsNotTimed(t *testing.T) {
 		if len(c.batch) != 2 {
 			t.Errorf("window %v: batch of %d requests, want the 2 sent in one write", tc.window, len(c.batch))
 		}
-		// The idle timeout first and none left behind; in between, one
-		// deadline ahead of each further request — already buffered here,
-		// so nothing waits on it — and one per wait on an empty buffer.
-		set := log.set
-		if len(set) < 2 || time.Until(set[0]) < idle/2 || !set[len(set)-1].IsZero() {
-			t.Fatalf("window %v: read deadlines %v, want the idle timeout first and none last", tc.window, set)
-		}
-		if waits := len(set) - 2 - (len(c.batch) - 1); waits != tc.waits {
-			t.Errorf("window %v: %d waits on an empty buffer, want %d (%d deadlines set)", tc.window, waits, tc.waits, len(set))
+		if c.sock.waits != tc.waits {
+			t.Errorf("window %v: %d waits on an empty buffer, want %d", tc.window, c.sock.waits, tc.waits)
 		}
 	}
 }
@@ -567,6 +548,97 @@ func TestPipelinedConnectionAllocBudget(t *testing.T) {
 	t.Logf("%.1f allocations per connection, %.2f per request", perConn, perReq)
 	if perReq > connAllocBudget {
 		t.Errorf("%.2f allocations per request on a warmed pipelined connection, budget %d", perReq, connAllocBudget)
+	}
+}
+
+// rawClient is an HTTP/1.0 client made of raw system calls on a blocking
+// socket, so that it allocates nothing: connect, one request, the response
+// read to the end of the stream, close.
+type rawClient struct {
+	sa  *syscall.SockaddrInet4
+	tv  syscall.Timeval
+	buf []byte
+}
+
+func newRawClient(t testing.TB, addr string) *rawClient {
+	t.Helper()
+	ta, err := net.ResolveTCPAddr("tcp4", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa := &syscall.SockaddrInet4{Port: ta.Port}
+	copy(sa.Addr[:], ta.IP.To4())
+	return &rawClient{sa: sa, tv: syscall.NsecToTimeval(int64(20 * time.Second)), buf: make([]byte, 64<<10)}
+}
+
+// get sends req on a new connection and returns how many bytes came back.
+func (rc *rawClient) get(t testing.TB, req []byte) int {
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer syscall.Close(fd)
+	syscall.SetsockoptTimeval(fd, syscall.SOL_SOCKET, syscall.SO_RCVTIMEO, &rc.tv)
+	if err := syscall.Connect(fd, rc.sa); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := syscall.Write(fd, req); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for {
+		m, err := syscall.Read(fd, rc.buf[n:])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m == 0 {
+			return n
+		}
+		n += m
+	}
+}
+
+// http10AllocBudget is the ceiling on heap allocations for one warmed
+// HTTP/1.0 connection under single handoff, across every goroutine of the
+// process: accept, dispatch, handoff, response and teardown on both nodes,
+// for a client that allocates nothing. It was 4 while each connection
+// started a goroutine on each node and the front-end wrapped it in an
+// *os.File.
+const http10AllocBudget = 0.5
+
+func TestHTTP10ConnectionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts through sync.Pool mean nothing under -race")
+	}
+	catalog, targets := batchCatalog(4, 300)
+	cl := batchCluster(t, 2, "lard", core.SingleHandoff, catalog)
+	var reqs [][]byte
+	for _, tgt := range targets {
+		reqs = append(reqs, fmt.Appendf(nil, "GET %s HTTP/1.0\r\n\r\n", tgt))
+	}
+	want := len("HTTP/1.0 200 OK\r\nServer: phttp-cluster\r\nContent-Length: 300\r\nConnection: close\r\n\r\n") + 300
+	client := newRawClient(t, cl.Addr())
+	closed, i := cl.FE.Engine().Closes(), 0
+	one := func() {
+		if n := client.get(t, reqs[i%len(reqs)]); n != want {
+			t.Fatalf("response of %d bytes, want %d", n, want)
+		}
+		i++
+		closed++
+		for cl.FE.Engine().Closes() < closed {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	for range 50 {
+		one() // warm: workers, pools, interner, mapping
+	}
+	perConn := testing.AllocsPerRun(200, one)
+	t.Logf("%.2f allocations per HTTP/1.0 connection", perConn)
+	if perConn > http10AllocBudget {
+		t.Errorf("%.2f allocations per warmed HTTP/1.0 connection, budget %v", perConn, http10AllocBudget)
 	}
 }
 

@@ -429,8 +429,8 @@ func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 	return c
 }
 
-// connLocked returns the connection record, creating it (and its serve
-// goroutine) on first reference: relayed on session sess, or handed off
+// connLocked returns the connection record, creating it (and starting it
+// on a worker) on first reference: relayed on session sess, or handed off
 // with raw client socket descriptor fd (-1 for none). Callers hold connMu.
 func (b *Backend) connLocked(id core.ConnID, sess *session, fd int) *beConn {
 	if c, ok := b.conns[id]; ok {
@@ -439,9 +439,16 @@ func (b *Backend) connLocked(id core.ConnID, sess *session, fd int) *beConn {
 	c := beConnPool.Get().(*beConn)
 	c.id, c.sess, c.raw = id, sess, fd
 	b.conns[id] = c
-	b.wg.Add(1)
-	go b.serveConn(c)
+	b.servers.start(c)
 	return c
+}
+
+// connWorker is one back-end worker: it serves connection c, then each
+// next hands it, until it retires.
+func (b *Backend) connWorker(c *beConn, next func() (*beConn, bool)) {
+	for ok := true; ok; c, ok = next() {
+		b.serveConn(c)
+	}
 }
 
 // retire removes a connection whose CLOSE has been processed (or whose node
@@ -468,7 +475,6 @@ func (b *Backend) retire(c *beConn) {
 //
 //phttp:hotpath
 func (b *Backend) serveConn(c *beConn) {
-	defer b.wg.Done()
 	w := respWriter{b: b, c: c}
 	if c.hasSocket() {
 		// The paper's handoff costs (taking the connection over, creating

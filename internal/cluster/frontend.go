@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -154,8 +155,11 @@ type FrontEnd struct {
 	cfg FrontEndConfig
 	// ln is the client listening socket as an *os.File, whose RawConn
 	// accepts through the poller (acceptLoop); addr is its address.
-	ln        *os.File
-	addr      string
+	ln   *os.File
+	addr string
+	// clients serves each accepted connection on a reused worker
+	// (clientWorker).
+	clients   *workers[int]
 	links     []*beLink
 	endpoints []BackendEndpoints
 
@@ -313,6 +317,7 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 		fe.Close()
 		return nil, fmt.Errorf("cluster: no reachable back-end among %d: %w", len(backends), lastErr)
 	}
+	fe.clients = newWorkers(fe.clientWorker, fe.closed, &fe.wg)
 	fe.wg.Add(1)
 	go fe.acceptLoop()
 	fe.wg.Add(1)
@@ -565,16 +570,17 @@ func (fe *FrontEnd) fileFrame(id core.ConnID, seq int, frame []byte) {
 }
 
 // dropRelayed takes relayed connection id — refused by a back-end, or with
-// nowhere left to re-dispatch — out of the route table, closes its client
-// and wakes its goroutine should it be waiting for a response: it then
-// tears the connection down as for any closed client. An ID no longer in
-// the table is closed already.
+// nowhere left to re-dispatch — out of the route table, shuts its client
+// socket down and wakes its goroutine should it be waiting for a response:
+// it then tears the connection down as for any closed client, and closes
+// the descriptor, which it may be using still. An ID no longer in the
+// table is closed already (closeClient takes it out before closing).
 func (fe *FrontEnd) dropRelayed(id core.ConnID) {
 	fe.relayMu.Lock()
 	defer fe.relayMu.Unlock()
 	if c := fe.relays[id]; c != nil {
 		delete(fe.relays, id)
-		c.conn.Close()
+		shutBoth(uintptr(c.sock.fd))
 		wake(c.ready)
 	}
 }
@@ -635,8 +641,8 @@ func (fe *FrontEnd) relayOut(c *feConn, first int) error {
 			grace = stallGrace
 		}
 		for done := 0; done < len(frame); {
-			c.conn.SetWriteDeadline(time.Now().Add(grace))
-			n, err := c.conn.Write(frame[done:])
+			c.sock.deadline(time.Now().Add(grace))
+			n, err := c.sock.Write(frame[done:])
 			done += n
 			if err != nil && (n == 0 || !errors.Is(err, os.ErrDeadlineExceeded)) {
 				return err
@@ -648,11 +654,18 @@ func (fe *FrontEnd) relayOut(c *feConn, first int) error {
 }
 
 // listenTCP listens for clients on addr (net.Listen: socket, SO_REUSEADDR,
-// bind, listen) and keeps the listening socket as an *os.File, returning
-// it with the address it is bound to. A net.TCPListener's RawConn supports
-// only Control, not the Read that acceptLoop accepts through.
+// bind, listen) with TCP_NODELAY set on the listening socket — back-ends
+// write responses on what it accepts, and Linux copies the option to every
+// accepted socket — and keeps it as an *os.File, returning it with the
+// address it is bound to. A net.TCPListener's RawConn supports only
+// Control, not the Read that acceptLoop accepts through.
 func listenTCP(addr string) (*os.File, string, error) {
-	ln, err := net.Listen("tcp", addr)
+	lc := net.ListenConfig{Control: func(_, _ string, rc syscall.RawConn) error {
+		var err error
+		rc.Control(func(s uintptr) { err = syscall.SetsockoptInt(int(s), syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1) })
+		return err
+	}}
+	ln, err := lc.Listen(context.Background(), "tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
@@ -662,10 +675,11 @@ func listenTCP(addr string) (*os.File, string, error) {
 }
 
 // acceptLoop admits client connections: one accept4 per connection, made
-// when the poller finds the listening socket readable, and an *os.File
-// around what it returns. That is all of Go's accept the front-end keeps:
-// no peer and local address lookups and objects, no keep-alive probes
-// (IdleTimeout closes a client gone silent) and no net.Conn.
+// when the poller finds the listening socket readable, and the descriptor
+// it returns handed to a worker. That is all of Go's accept the front-end
+// keeps: no peer and local address lookups and objects, no keep-alive
+// probes (IdleTimeout closes a client gone silent), no net.Conn and no
+// *os.File.
 func (fe *FrontEnd) acceptLoop() {
 	defer fe.wg.Done()
 	rc, err := fe.ln.SyscallConn()
@@ -678,13 +692,8 @@ func (fe *FrontEnd) acceptLoop() {
 		if err := rc.Read(accept); err != nil || a.err != nil {
 			return
 		}
-		conn, fd := os.NewFile(uintptr(a.fd), "client"), a.fd
 		fe.conns.Add(1)
-		fe.wg.Add(1)
-		go func() {
-			defer fe.wg.Done()
-			fe.serveClient(conn, fd)
-		}()
+		fe.clients.start(a.fd)
 	}
 }
 
@@ -695,10 +704,9 @@ type acceptor struct {
 }
 
 // accept takes one connection off listening socket s, non-blocking and
-// close-on-exec, and sets TCP_NODELAY on it — back-ends write responses
-// on it — and nothing else. It reports false, to wait for the socket to be
-// readable, while no connection is pending; an error other than a
-// connection aborted before it was taken ends the accept loop.
+// close-on-exec, and nothing else. It reports false, to wait for the
+// socket to be readable, while no connection is pending; an error other
+// than a connection aborted before it was taken ends the accept loop.
 //
 //phttp:hotpath
 func (a *acceptor) accept(s uintptr) bool {
@@ -706,7 +714,6 @@ func (a *acceptor) accept(s uintptr) bool {
 		fd, err := accept4(int(s))
 		switch err {
 		case nil:
-			syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1)
 			a.fd, a.err = fd, nil
 			return true
 		case syscall.EAGAIN:
@@ -719,28 +726,19 @@ func (a *acceptor) accept(s uintptr) bool {
 	}
 }
 
-// clientConn is what the front-end uses of a client connection: the
-// *os.File acceptLoop makes of it.
-type clientConn interface {
-	io.ReadWriteCloser
-	SetReadDeadline(time.Time) error
-	SetWriteDeadline(time.Time) error
-}
-
 // feConn tracks one client connection at the front-end. The record — with
-// its 16 KB read buffer and the per-batch scratch below — comes from
-// feConnPool and goes back when the connection closes, so a connection
-// costs the front-end no allocation of its own; what a batch needs is
-// reused from one batch to the next.
+// its 16 KB read buffer, its epoll set and the per-batch scratch below —
+// belongs to a worker (clientWorker) and serves its connections one after
+// another, so a connection costs the front-end no allocation of its own;
+// what a batch needs is reused from one batch to the next.
 type feConn struct {
-	id   core.ConnID
-	ec   *dispatch.Conn // nil until openConn admits the connection
-	conn clientConn
-	// fd is conn's descriptor, which handOff sends as it is: only this
-	// connection's own goroutine closes conn (closeClient), so the number
-	// cannot go to another socket while a handoff is sent.
-	fd int
-	br *bufio.Reader
+	id core.ConnID
+	ec *dispatch.Conn // nil until openConn admits the connection
+	// sock is the client socket. Its descriptor is what handOff sends as
+	// it is: only this record's worker closes it (closeClient), so the
+	// number cannot go to another socket while a handoff is sent.
+	sock clientSock
+	br   *bufio.Reader
 
 	// batchStart is when the current pipelined batch finished arriving —
 	// the latency clock's zero, matching the simulator's delay
@@ -782,33 +780,26 @@ type feConn struct {
 }
 
 // feConnScratchMax is the pipeline depth past which a closing connection's
-// batch scratch is dropped instead of pooled.
+// batch scratch is dropped instead of kept for the next.
 const feConnScratchMax = 64
 
-var feConnPool = sync.Pool{New: func() any {
-	return &feConn{br: bufio.NewReaderSize(nil, 16<<10)}
-}}
-
-// newConn takes a record for client connection conn, whose descriptor is
-// fd (-1 for none: it cannot be handed off).
-func (fe *FrontEnd) newConn(conn clientConn, fd int) *feConn {
-	c := feConnPool.Get().(*feConn)
-	c.conn, c.fd = conn, fd
-	c.br.Reset(conn)
-	return c
+// newFEConn makes a worker's client record, with its epoll set.
+func newFEConn() (*feConn, error) {
+	c := &feConn{br: bufio.NewReaderSize(nil, 16<<10)}
+	return c, c.sock.open()
 }
 
-// recycle returns a closed connection's record to the pool. Once
-// closeClient has taken a relayed connection out of the route table, no
-// other goroutine can reach its record either.
+// recycle readies a closed connection's record for the worker's next one.
+// Once closeClient has taken the connection out of fe.handed or the route
+// table, no other goroutine can reach the record: a late wakeDown or
+// dropRelayed cannot touch the next connection.
 func (c *feConn) recycle() {
 	c.br.Reset(nil)
 	reqs, batch, line := c.reqs[:0], c.batch[:0], c.line[:0]
 	if cap(reqs) > feConnScratchMax {
 		reqs, batch, line = nil, nil, nil
 	}
-	*c = feConn{br: c.br, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line}
-	feConnPool.Put(c)
+	*c = feConn{sock: c.sock, br: c.br, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line}
 }
 
 // setReqNode records that dest received traffic for this connection and
@@ -823,11 +814,29 @@ func (c *feConn) setReqNode(dest core.NodeID) bool {
 	return false
 }
 
-// serveClient runs the forwarding-module read loop for one client
-// connection: parse requests, group pipelined bursts into batches, dispatch
-// through the policy, tag and forward to back-ends.
-func (fe *FrontEnd) serveClient(conn clientConn, fd int) {
-	c := fe.newConn(conn, fd)
+// clientWorker is one front-end worker: it serves client connections, the
+// first fd and then each next hands it, on one record until it retires.
+func (fe *FrontEnd) clientWorker(fd int, next func() (int, bool)) {
+	c, err := newFEConn()
+	if err != nil {
+		syscall.Close(fd)
+		return
+	}
+	defer c.sock.release()
+	for ok := true; ok; fd, ok = next() {
+		fe.serveClient(c, fd)
+	}
+}
+
+// serveClient runs the forwarding-module read loop for client connection
+// fd on record c: parse requests, group pipelined bursts into batches,
+// dispatch through the policy, tag and forward to back-ends.
+func (fe *FrontEnd) serveClient(c *feConn, fd int) {
+	if c.sock.attach(fd) != nil {
+		syscall.Close(fd)
+		return
+	}
+	c.br.Reset(&c.sock)
 	defer fe.closeClient(c)
 
 	for {
@@ -845,9 +854,9 @@ func (fe *FrontEnd) serveClient(conn clientConn, fd int) {
 				// Relayed: the last response is written, and the stream
 				// ends behind it as a back-end ends a handed-off one
 				// (beConn.endStream).
-				control(c.conn, shutWrite)
+				shutWrite(uintptr(c.sock.fd))
 			}
-			c.conn.SetReadDeadline(time.Now().Add(fe.cfg.IdleTimeout))
+			c.sock.deadline(time.Now().Add(fe.cfg.IdleTimeout))
 			if !c.down.Load() {
 				c.br.Discard(math.MaxInt)
 			}
@@ -896,7 +905,7 @@ func (fe *FrontEnd) readBatch(c *feConn) error {
 	window := fe.cfg.BatchWindow
 
 	c.reqs, c.batch = c.reqs[:0], c.batch[:0]
-	c.conn.SetReadDeadline(time.Now().Add(fe.cfg.IdleTimeout))
+	c.sock.deadline(time.Now().Add(fe.cfg.IdleTimeout))
 	if c.down.Load() { // after the deadline: a wakeDown before it is seen here
 		return errNodeDown
 	}
@@ -913,17 +922,17 @@ func (fe *FrontEnd) readBatch(c *feConn) error {
 			// Give closely spaced pipelined requests a brief chance to
 			// land, then call the batch complete. The wait itself is
 			// idle time, not dispatcher work.
-			c.conn.SetReadDeadline(time.Now().Add(window))
+			c.sock.deadline(time.Now().Add(window))
 			if _, err := c.br.Peek(1); err != nil {
 				break
 			}
 		}
-		c.conn.SetReadDeadline(time.Now().Add(window))
+		c.sock.deadline(time.Now().Add(window))
 		if fe.readRequest(c) != nil {
 			break
 		}
 	}
-	c.conn.SetReadDeadline(time.Time{})
+	c.sock.deadline(time.Time{})
 	c.batchStart = time.Now()
 	return nil
 }
@@ -973,7 +982,7 @@ const unavailableResponse = "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\
 func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 	if !fe.eng.HasUp() {
 		fe.unavailable.Inc()
-		io.WriteString(c.conn, unavailableResponse)
+		io.WriteString(&c.sock, unavailableResponse)
 		fe.lat.Record(time.Since(c.batchStart).Microseconds())
 		return fmt.Errorf("cluster: no Up back-end")
 	}
@@ -1006,7 +1015,7 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 // or the flag set, and resets the connection. Called under fe.handedMu.
 func (c *feConn) wakeDown() {
 	c.down.Store(true)
-	c.conn.SetReadDeadline(longAgo)
+	c.sock.deadline(longAgo)
 }
 
 // longAgo is a deadline that has passed.
@@ -1019,14 +1028,12 @@ var errNodeDown = errors.New("cluster: handed-off connection's node is down")
 // in c.line, HANDOFF first: one sendmsg on the node's session, with the
 // descriptor accept4 returned attached as it is. Nothing is dupped or
 // closed and the socket's mode is not touched — the front-end goes on
-// reading the connection through the poller, deadlines and all, while the
-// back-end writes to the descriptor the kernel installed for it.
+// reading the connection through its worker's epoll set, deadlines and
+// all, while the back-end writes to the descriptor the kernel installed
+// for it.
 //
 //phttp:hotpath
 func (fe *FrontEnd) handOff(c *feConn, n core.NodeID) error {
-	if c.fd < 0 {
-		return handoffRefused(n, "the client connection has no descriptor")
-	}
 	link := fe.links[n]
 	link.ctrlMu.Lock()
 	uc, ok := link.ctrl.(*net.UnixConn)
@@ -1034,7 +1041,7 @@ func (fe *FrontEnd) handOff(c *feConn, n core.NodeID) error {
 		link.ctrlMu.Unlock()
 		return handoffRefused(n, "no UNIX session")
 	}
-	err := writeHandoff(uc, c.line, c.fd)
+	err := writeHandoff(uc, c.line, c.sock.fd)
 	link.ctrlMu.Unlock()
 	if err != nil {
 		fe.suspect(n) // a failed send is liveness evidence
@@ -1207,9 +1214,9 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 	if c.down.Load() {
 		// Its node died holding the connection: the client sees a reset,
 		// not a clean end of stream it might take for a complete answer.
-		control(c.conn, lingerOff)
+		lingerOff(uintptr(c.sock.fd))
 	}
-	c.conn.Close()
+	c.sock.close()
 	c.recycle()
 }
 

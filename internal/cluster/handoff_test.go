@@ -76,6 +76,23 @@ func fdOf(t testing.TB, conn *net.TCPConn) int {
 	return fd
 }
 
+// clientRecord returns a front-end worker's client record serving
+// connection fd, as serveClient attaches it. The descriptor stays the
+// caller's to close.
+func clientRecord(t testing.TB, fd int) *feConn {
+	t.Helper()
+	c, err := newFEConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.sock.release)
+	if err := c.sock.attach(fd); err != nil {
+		t.Fatal(err)
+	}
+	c.br.Reset(&c.sock)
+	return c
+}
+
 // readWithin reads from r on a goroutine of its own, so that a read that
 // ignores its deadline fails the test instead of hanging it.
 func readWithin(t *testing.T, r io.Reader, d time.Duration) (string, error) {
@@ -107,7 +124,7 @@ func TestHandOffBorrowsDescriptor(t *testing.T) {
 	client, accepted := tcpPair(t)
 	send, recv := unixPair(t)
 	fe := &FrontEnd{links: []*beLink{{id: 0, ctrl: send}}}
-	c := fe.newConn(accepted, fdOf(t, accepted))
+	c := clientRecord(t, fdOf(t, accepted))
 	c.id = 77
 	c.line = appendHandoff(c.line, c.id)
 	if err := fe.handOff(c, 0); err != nil {
@@ -163,7 +180,7 @@ func TestHandoffAllocs(t *testing.T) {
 	_, accepted := tcpPair(t)
 	send, recv := unixPair(t)
 	fe := &FrontEnd{links: []*beLink{{id: 0, ctrl: send}}}
-	c := fe.newConn(accepted, fdOf(t, accepted))
+	c := clientRecord(t, fdOf(t, accepted))
 	sr := &sessionReader{uc: recv}
 	br := bufio.NewReaderSize(sr, ctrlBufBytes)
 	got := testing.AllocsPerRun(200, func() {
@@ -191,9 +208,11 @@ func TestHandoffAllocs(t *testing.T) {
 	}
 }
 
-// The front-end's accept allocates the *os.File it wraps the connection
-// in (two objects) and nothing else: no address objects, no net.Conn, no
-// closure per accept. net.Listener.Accept made 6 (and Close none).
+// The front-end's accept allocates nothing: one accept4, the descriptor
+// added to the worker's epoll set, and, when the connection ends, taken
+// out of it and closed. No address objects, no net.Conn, no closure per
+// accept and no *os.File: net.Listener.Accept made 6, and an *os.File per
+// connection 2.
 func TestAcceptAllocs(t *testing.T) {
 	const runs = 50
 	ln, addr, err := listenTCP("127.0.0.1:0")
@@ -212,16 +231,24 @@ func TestAcceptAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := newFEConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.sock.release()
 	var a acceptor
 	accept := a.accept
 	got := testing.AllocsPerRun(runs, func() {
 		if err := rc.Read(accept); err != nil || a.err != nil {
 			t.Fatalf("accept: %v, %v", err, a.err)
 		}
-		os.NewFile(uintptr(a.fd), "client").Close()
+		if err := c.sock.attach(a.fd); err != nil {
+			t.Fatalf("attach: %v", err)
+		}
+		c.sock.close()
 	})
-	if got > 2 {
-		t.Errorf("accept: %v allocs per connection, want the *os.File's 2", got)
+	if got > 0 {
+		t.Errorf("accept: %v allocs per connection, want 0", got)
 	}
 }
 

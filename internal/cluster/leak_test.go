@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -11,33 +12,55 @@ import (
 )
 
 // TestCloseLeavesNoGoroutines verifies a full start/traffic/close cycle
-// returns the process to (approximately) its original goroutine count: the
-// prototype's accept loops, per-connection servers, control sessions and
-// disk reporters must all terminate on Close.
+// returns the process to (approximately) its original goroutine count and
+// to its original open descriptors: the prototype's accept loops,
+// connection workers (and each front-end worker's epoll set), control
+// sessions and disk reporters must all end on Close. P-HTTP under BE
+// forwarding, and HTTP/1.0 under single handoff, whose every request is a
+// connection of its own on each node's workers.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name   string
+		mech   core.Mechanism
+		http10 bool
+	}{{"BEforward", core.BEForwarding, false}, {"http10Handoff", core.SingleHandoff, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
 
-	cfg, tr := testConfig(t, 2, "extlard", core.BEForwarding)
-	cl, err := cluster.Start(cfg)
+			cfg, tr := testConfig(t, 2, "extlard", tc.mech)
+			cl, err := cluster.Start(cfg)
+			if err != nil {
+				t.Fatalf("start: %v", err)
+			}
+			if _, err := loadgen.Run(loadgen.Config{
+				Addr: cl.Addr(), Trace: tr, Concurrency: 8, HTTP10: tc.http10,
+				IOTimeout: 20 * time.Second,
+			}); err != nil {
+				cl.Close()
+				t.Fatalf("loadgen: %v", err)
+			}
+			cl.Close()
+
+			// Give lingering netpoll wakeups a moment to drain.
+			deadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(deadline) {
+				if runtime.NumGoroutine() <= before+3 && openFDs(t) <= fdsBefore {
+					return
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+			t.Errorf("goroutines: %d before, %d after close; descriptors: %d before, %d after",
+				before, runtime.NumGoroutine(), fdsBefore, openFDs(t))
+		})
+	}
+}
+
+// openFDs counts the process's open descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
-		t.Fatalf("start: %v", err)
+		t.Skipf("no /proc/self/fd: %v", err)
 	}
-	if _, err := loadgen.Run(loadgen.Config{
-		Addr: cl.Addr(), Trace: tr, Concurrency: 8,
-		IOTimeout: 20 * time.Second,
-	}); err != nil {
-		cl.Close()
-		t.Fatalf("loadgen: %v", err)
-	}
-	cl.Close()
-
-	// Give lingering netpoll wakeups a moment to drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+3 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Errorf("goroutines: %d before, %d after close", before, runtime.NumGoroutine())
+	return len(fds)
 }

@@ -322,9 +322,23 @@ func (r *Request) AppendTo(dst []byte) []byte {
 	return append(dst, "\r\n"...)
 }
 
-// WriteTo serializes the request head.
+// WriteTo serializes the request head. A bytes.Buffer is grown to hold it
+// and has it appended in its own spare room, so that a write into one with
+// room allocates nothing; any other writer gets it in one buffer of the
+// right size.
 func (r *Request) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(r.AppendTo(nil))
+	size := len(r.Method) + len(r.Target) + len(r.Proto) + 6
+	for _, h := range r.Headers {
+		size += len(h.Name) + len(h.Value) + 4
+	}
+	var dst []byte
+	if b, ok := w.(*bytes.Buffer); ok {
+		b.Grow(size)
+		dst = b.AvailableBuffer()
+	} else {
+		dst = make([]byte, 0, size)
+	}
+	n, err := w.Write(r.AppendTo(dst))
 	return int64(n), err
 }
 

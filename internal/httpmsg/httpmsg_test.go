@@ -375,3 +375,38 @@ func TestRequestAppendToMatchesWriteTo(t *testing.T) {
 		t.Errorf("serialized %q / %q, want %q", sb.String(), req.AppendTo(nil), want)
 	}
 }
+
+// A request head written into a bytes.Buffer with room for it is appended
+// in the buffer's own spare room: no allocation. It made 4 while WriteTo
+// serialized into a growing buffer of its own first, and 5 into a buffer
+// without room, which now costs only its growth.
+func TestRequestWriteToBufferAllocs(t *testing.T) {
+	req := Request{Method: "GET", Target: "/doc/000123", Proto: "HTTP/1.1",
+		Headers: []Header{{"Host", "cluster"}}}
+	want := string(req.AppendTo(nil))
+	var buf bytes.Buffer
+	buf.Grow(4 << 10)
+	if n := testing.AllocsPerRun(200, func() {
+		buf.Reset()
+		if _, err := req.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteTo into a bytes.Buffer with room: %v allocs, want 0", n)
+	}
+	if buf.String() != want {
+		t.Errorf("WriteTo wrote %q, want %q", buf.String(), want)
+	}
+	// Into a bytes.Buffer without room, the buffer's growth is the one
+	// allocation, and into any other writer one buffer of the head's size.
+	fresh := new(bytes.Buffer)
+	if n := testing.AllocsPerRun(200, func() {
+		*fresh = bytes.Buffer{}
+		req.WriteTo(fresh)
+	}); n != 1 {
+		t.Errorf("WriteTo into an empty bytes.Buffer: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { req.WriteTo(io.Discard) }); n != 1 {
+		t.Errorf("WriteTo into io.Discard: %v allocs, want 1", n)
+	}
+}

@@ -17,9 +17,10 @@ import (
 //     non-annotated helper for panic/diagnostic paths)
 //   - the standard-library calls the wire layer was rid of: the
 //     allocating strings.Fields/Split, strconv.Itoa/FormatInt,
-//     bufio.NewReaderSize and bufio.Reader's ReadString/ReadBytes, and
+//     bufio.NewReaderSize and bufio.Reader's ReadString/ReadBytes,
 //     net connections' File and os.File's Fd, which take a descriptor out
-//     of a live connection at the cost of its mode (hotAllocCalls)
+//     of a live connection at the cost of its mode, and os.NewFile, which
+//     allocates and registers a descriptor with the poller (hotAllocCalls)
 //   - string concatenation between non-constant operands
 //   - map literals (always heap-allocated)
 //   - interface boxing of non-pointer values: passing, assigning or
@@ -91,7 +92,7 @@ func NewHotpath() *Analyzer {
 var hotpathRequired = map[string][]string{
 	"phttp/internal/cache":   {"Mapping.IsMapped", "Mapping.MaskWord", "Mapping.AppendNodesFor", "nodeMasks.word", "nodeMasks.setBit", "nodeMasks.clearBit"},
 	"phttp/internal/httpmsg": {"ReadRequestInto", "AppendResponseHead"},
-	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "writeHandoff", "acceptor.accept", "beConn.writeRaw"},
+	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "writeHandoff", "acceptor.accept", "clientSock.attach", "workers.start", "clientSock.Read", "clientSock.Write", "beConn.writeRaw"},
 	"phttp/internal/simcore": {"Engine.Step", "Engine.Call", "Engine.enqueue", "Resource.Call"},
 	"phttp/internal/sim":     {"connStep", "reqStep", "Sim.cpuCall", "Sim.diskCall", "Sim.feCall"},
 }
@@ -129,6 +130,7 @@ var hotAllocCalls = map[string]string{
 	"bufio.Reader.ReadBytes":  "allocates its result (use ReadSlice and parse in place)",
 	"net.conn.File":           fdEscapes,
 	"os.File.Fd":              fdEscapes,
+	"os.NewFile":              "allocates and registers the descriptor with the runtime poller (wait through the worker's epoll set instead)",
 }
 
 // fdEscapes is what is wrong with taking a descriptor out of a live

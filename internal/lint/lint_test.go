@@ -151,6 +151,30 @@ func injectedSprintf(n int64) string { return fmt.Sprintf("conn %d", n) }
 	}
 }
 
+// An *os.File per connection is what the front-end's workers were rid of:
+// os.NewFile in a hot path is reported, with what to do instead.
+func TestHotpathFlagsNewFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks a fixture")
+	}
+	src := filepath.Join(t.TempDir(), "newfile.go")
+	if err := os.WriteFile(src, []byte(`package nf
+
+import "os"
+
+//phttp:hotpath
+func adopt(fd int) *os.File { return os.NewFile(uintptr(fd), "client") }
+
+func cold(fd int) *os.File { return os.NewFile(uintptr(fd), "client") }
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	diags := linttest.Check(t, repoRoot(t), []string{src}, "phttp/internal/lint/testdata/nffix", lint.NewHotpath())
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "os.NewFile call in hot path adopt allocates and registers the descriptor with the runtime poller (wait through the worker's epoll set instead)") {
+		t.Errorf("diagnostics %v, want one for os.NewFile in adopt", diags)
+	}
+}
+
 // TestByName covers the analyzer selection used by cmd/phttp-lint's
 // -analyzers flag.
 func TestByName(t *testing.T) {

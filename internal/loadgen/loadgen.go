@@ -7,10 +7,10 @@ package loadgen
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,18 +165,19 @@ func (st *runState) driveConn(c core.Connection) error {
 	if st.cfg.HTTP10 {
 		proto = "HTTP/1.0"
 	}
+	var wire bytes.Buffer
 	for _, batch := range c.Batches {
 		// Pipelining: the whole batch goes out in one write.
-		var sb strings.Builder
+		wire.Reset()
 		for _, r := range batch {
 			req := httpmsg.Request{
 				Method: "GET", Target: string(r.Target), Proto: proto,
 				Headers: []httpmsg.Header{{Name: "Host", Value: "cluster"}},
 			}
-			req.WriteTo(&sb)
+			req.WriteTo(&wire)
 		}
 		conn.SetWriteDeadline(time.Now().Add(st.cfg.IOTimeout))
-		if _, err := io.WriteString(conn, sb.String()); err != nil {
+		if _, err := conn.Write(wire.Bytes()); err != nil {
 			return err
 		}
 		for _, r := range batch {
