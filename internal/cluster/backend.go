@@ -281,6 +281,7 @@ func (b *Backend) Close() {
 		b.peersMu.Unlock()
 	})
 	b.wg.Wait()
+	b.store.releasePages()
 }
 
 // acceptLoop accepts connections on ln until it closes and serves each on a
@@ -456,10 +457,13 @@ func (b *Backend) reportDiskLoop() {
 }
 
 // servePeer serves lateral fetches from another back-end over a persistent
-// connection: a FETCH line in, SIZE and the body or MISS out, through a
+// connection: a FETCH line in, SIZE and the body or MISS out, a large body
+// from its content page through the session's pipe, any other through a
 // pooled chunk.
 func (b *Backend) servePeer(conn net.Conn) {
 	defer conn.Close()
+	var out peerOut
+	defer out.close()
 	br := bufio.NewReaderSize(conn, ctrlBufBytes)
 	var line []byte
 	for {
@@ -480,6 +484,14 @@ func (b *Backend) servePeer(conn net.Conn) {
 			}
 			size = dc.size
 			line = appendSize(line[:0], size)
+			if size >= pageBodyMin {
+				if sent, err := out.send(conn, line, b.store.page(dc), size); sent {
+					if err != nil {
+						return
+					}
+					continue
+				}
+			}
 		}
 		cw := newChunkWriter(conn, int64(len(line))+size)
 		cw.Write(line)
@@ -535,6 +547,7 @@ func (p peerPool) close() {
 type peerConn struct {
 	addr string
 	conn net.Conn
+	rc   syscall.RawConn // conn's, taken once per dial, for splicing bodies
 	br   *bufio.Reader
 	line []byte // the FETCH line
 	// body is the current fetch's body: the next body.N bytes of br.
@@ -554,7 +567,10 @@ func (pc *peerConn) fetch(target core.Target) (int64, error) {
 			if err != nil {
 				return 0, err
 			}
-			pc.conn, pc.br = conn, bufio.NewReaderSize(conn, 32<<10)
+			// The reader holds the reply line and what came with it; a
+			// body is read past it, or spliced (pages_linux.go).
+			pc.conn, pc.br = conn, bufio.NewReaderSize(conn, peerBufBytes)
+			pc.rawConn()
 		}
 		pc.line = appendFetch(pc.line[:0], target)
 		if _, err := pc.conn.Write(pc.line); err != nil {
@@ -578,5 +594,9 @@ func (pc *peerConn) reset() {
 	if pc.conn != nil {
 		pc.conn.Close()
 	}
-	pc.conn, pc.br, pc.body = nil, nil, io.LimitedReader{}
+	pc.conn, pc.rc, pc.br, pc.body = nil, nil, nil, io.LimitedReader{}
 }
+
+// peerBufBytes sizes a peer connection's reader: a SIZE or MISS line with
+// room to spare.
+const peerBufBytes = 512

@@ -180,9 +180,10 @@ type beConn struct {
 	q    reqQueue
 
 	outMu sync.Mutex
-	raw   int          // the handed-off socket's descriptor until wrapped; -1 otherwise
-	out   clientSocket // the socket once wrapped; nil before, for relay, and after close
-	timed bool         // out has a write deadline set (see watchedLocked)
+	raw   int             // the handed-off socket's descriptor until wrapped; -1 otherwise
+	out   clientSocket    // the socket once wrapped; nil before, for relay, and after close
+	rc    syscall.RawConn // out's, once a splice has waited on it (pages_linux.go)
+	timed bool            // out has a write deadline set (see watchedLocked)
 }
 
 // clientSocket is what a back-end uses of a handed-off client socket once
@@ -252,7 +253,7 @@ func (c *beConn) closeLocked(reset bool) {
 	} else if c.out != nil {
 		c.out.Close()
 	}
-	c.raw, c.out, c.timed = -1, nil, false
+	c.raw, c.out, c.rc, c.timed = -1, nil, nil, false
 }
 
 // endStream ends the response stream after the connection's last response
@@ -444,10 +445,13 @@ func (b *Backend) connLocked(id core.ConnID, sess *session, fd int) *beConn {
 }
 
 // connWorker is one back-end worker: it serves connection c, then each
-// next hands it, until it retires.
+// next hands it, until it retires. Its pipe carries the large bodies of
+// every connection it serves (pages_linux.go).
 func (b *Backend) connWorker(c *beConn, next func() (*beConn, bool)) {
+	pipe := new(bodyPipe)
+	defer pipe.close()
 	for ok := true; ok; c, ok = next() {
-		b.serveConn(c)
+		b.serveConn(c, pipe)
 	}
 }
 
@@ -471,11 +475,12 @@ func (b *Backend) retire(c *beConn) {
 // waits to be woken before each drain — the first too: the control loop
 // wakes a connection once its batch is queued whole. Each time the queue
 // runs dry it flushes what the drain produced — one write for a pipelined
-// batch — and gives the buffer back before it waits.
+// batch — and gives the buffer back before it waits. Large bodies go
+// through pipe.
 //
 //phttp:hotpath
-func (b *Backend) serveConn(c *beConn) {
-	w := respWriter{b: b, c: c}
+func (b *Backend) serveConn(c *beConn, pipe *bodyPipe) {
+	w := respWriter{b: b, c: c, pipe: pipe}
 	if c.hasSocket() {
 		// The paper's handoff costs (taking the connection over, creating
 		// the server-side socket state), charged here, not on the session,
@@ -555,7 +560,7 @@ func (b *Backend) serveRequest(w *respWriter, r beReq) error {
 		b.store.read(dc)
 	}
 	b.cpu.use(costs.PerRequest + costs.Transmit(dc.size))
-	return w.respond(r, dc.size, nil)
+	return w.respond(r, dc.size)
 }
 
 // serveForwarded performs the lateral fetch: request the content from the
@@ -574,7 +579,8 @@ func (b *Backend) serveForwarded(w *respWriter, r beReq) error {
 		return err
 	}
 	pc := <-peer
-	defer func() { peer <- pc }()
+	w.from, w.pool = pc, peer
+	defer w.releasePeer()
 	size, err := pc.fetch(r.doc.target)
 	if err != nil {
 		// The peer may have died; surface a gateway error rather than
@@ -583,7 +589,7 @@ func (b *Backend) serveForwarded(w *respWriter, r beReq) error {
 	}
 	b.cpu.use(costs.PerRequest + costs.ForwardPerRequest +
 		costs.ForwardRecv(size) + costs.Transmit(size))
-	return w.respond(r, size, &pc.body)
+	return w.respond(r, size)
 }
 
 // respWriter is the serve goroutine's output side. For a handed-off
@@ -593,13 +599,27 @@ func (b *Backend) serveForwarded(w *respWriter, r beReq) error {
 // relayed connection every response is one frame on its session, written
 // under that session's lock.
 type respWriter struct {
-	b  *Backend
-	c  *beConn
-	cw *chunkWriter // non-nil while responses are buffered
+	b    *Backend
+	c    *beConn
+	cw   *chunkWriter // non-nil while responses are buffered
+	pipe *bodyPipe    // the worker's, for large bodies (sendPages)
+	// from is the peer connection whose fetched body is the response
+	// being written, taken from pool; nil for local content.
+	from *peerConn
+	pool peerPool
 	// unflushed counts the 200 responses added to Backend.served whose
 	// bytes are not yet known to be on the wire; a failed write takes
 	// them back out (see Backend.served).
 	unflushed int64
+}
+
+// releasePeer gives the lateral fetch's peer connection back to its pool,
+// unless the response did already.
+func (w *respWriter) releasePeer() {
+	if w.from != nil {
+		w.pool <- w.from
+		w.from = nil
+	}
 }
 
 // room makes sure a chunk is checked out and suits a response of total
@@ -607,6 +627,9 @@ type respWriter struct {
 // so a drain of small responses leaves as one write and a large body is
 // written in chunks of the largest class.
 func (w *respWriter) room(total int64) error {
+	if err := w.drainPipe(); err != nil {
+		return err
+	}
 	if w.cw == nil {
 		if !w.c.hasSocket() {
 			return errNoClientSocket
@@ -625,14 +648,18 @@ func (w *respWriter) room(total int64) error {
 	return nil
 }
 
-// flush writes out what is buffered and returns the chunk to its pool.
+// flush writes out what is buffered — in the pipe or the chunk; never
+// both, as the pipe takes in the chunk — and returns the chunk to its
+// pool.
 func (w *respWriter) flush() error {
-	if w.cw == nil {
-		return nil
+	err := w.drainPipe()
+	if w.cw != nil {
+		if err == nil {
+			err = w.cw.Flush()
+		}
+		w.cw.release()
+		w.cw = nil
 	}
-	err := w.cw.Flush()
-	w.cw.release()
-	w.cw = nil
 	if err != nil {
 		w.b.served.Add(-w.unflushed)
 	}
@@ -646,23 +673,33 @@ func (w *respWriter) drop() {
 		w.cw.release()
 		w.cw = nil
 	}
+	w.pipe.discard()
 	w.b.served.Add(-w.unflushed)
 	w.unflushed = 0
 }
 
 // respond emits status 200 with size body bytes: the requested document's
-// content, or read from body when body is non-nil.
+// content, or the fetched body of w.from. A large body leaves through the
+// worker's pipe where the socket allows (sendPages), any other through the
+// chunk.
 //
 //phttp:hotpath
-func (w *respWriter) respond(r beReq, size int64, body io.Reader) error {
+func (w *respWriter) respond(r beReq, size int64) error {
 	var hb [128]byte
 	head := httpmsg.AppendResponseHead(hb[:0], r.proto.String(), 200, size, r.keep)
+	var body io.Reader // nil: local content
+	if w.from != nil {
+		body = &w.from.body
+	}
 	if w.c.sess != nil {
 		w.b.served.Add(1)
 		err := w.b.writeRelayFrame(w.c, r, head, size, body)
 		if err != nil {
 			w.b.served.Add(-1)
 		}
+		return err
+	}
+	if sent, err := w.sendPages(r, head, size); sent {
 		return err
 	}
 	if err := w.room(int64(len(head)) + size); err != nil {

@@ -41,7 +41,22 @@ type doc struct {
 	// carries the name (a lateral fetch still asks the tagged peer) and is
 	// answered 404 locally.
 	missing bool
+	// page is the doc's content page once a body of pageBodyMin bytes or
+	// more has been sent (DocStore.page): written once, before it is
+	// published here, and never again.
+	page atomic.Pointer[contentPage]
 }
+
+// pageSize is the size of a content page: four periods of a target's
+// content, so body offset off is page byte off % pageSize.
+const pageSize = 4 * chunkBytes
+
+// contentPage holds the first pageSize bytes of a target's content, in
+// memory outside the Go heap (pageArena).
+type contentPage [pageSize]byte
+
+// arenaBytes counts the page memory mapped in the process (pageArena).
+var arenaBytes atomic.Int64
 
 // DocStore is a back-end node's document subsystem: a table of the catalog's
 // documents, a byte-budgeted LRU cache standing in for the OS file cache,
@@ -56,6 +71,8 @@ type DocStore struct {
 
 	disk   gate
 	queued atomic.Int64
+
+	pages pageArena
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -136,6 +153,25 @@ func (d *DocStore) read(dc *doc) {
 // model.
 func (d *DocStore) readTime(size int64) time.Duration {
 	return d.disk.duration(d.model.ReadTime(size))
+}
+
+// page returns dc's content page, making it on the doc's first large
+// body, or nil where pages cannot be made (see pageArena).
+func (d *DocStore) page(dc *doc) *contentPage {
+	if pg := dc.page.Load(); pg != nil {
+		return pg
+	}
+	return d.pages.publish(dc)
+}
+
+// releasePages unpublishes every page and unmaps the arena. Bytes already
+// handed to the kernel stay valid: it holds references to their pages.
+// Called once nothing serves any more.
+func (d *DocStore) releasePages() {
+	for _, dc := range d.docs {
+		dc.page.Store(nil)
+	}
+	d.pages.release()
 }
 
 // DiskQueue returns the number of disk reads queued or in progress — the

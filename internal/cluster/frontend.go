@@ -622,13 +622,18 @@ func (fe *FrontEnd) relayOut(c *feConn, first int) error {
 			if err := fe.redispatchLost(c, seq); err != nil {
 				return err
 			}
-			idle := time.NewTimer(fe.cfg.IdleTimeout)
+			if c.idle == nil {
+				c.idle = time.NewTimer(fe.cfg.IdleTimeout)
+			} else {
+				c.idle.Reset(fe.cfg.IdleTimeout)
+			}
 			select {
 			case <-c.ready:
-				idle.Stop()
-			case <-idle.C:
+				stopTimer(c.idle)
+			case <-c.idle.C:
 				return errRelayDropped
 			case <-fe.closed:
+				stopTimer(c.idle)
 				return errRelayDropped
 			}
 			continue
@@ -771,12 +776,16 @@ type feConn struct {
 	node       core.NodeID
 	down       atomic.Bool
 
-	// Relay only, from openConn on: the connection's entry in fe.relays.
-	// relayed holds its requests whose responses are not yet written, by
-	// sequence number (under fe.relayMu); ready wakes relayOut when a frame
-	// arrives or the entry is dropped.
-	relayed map[int]*relayReq
-	ready   chan struct{}
+	// Relay only: relaying is set from openConn on, while the connection
+	// has its entry in fe.relays. relayed holds its requests whose
+	// responses are not yet written, by sequence number (under
+	// fe.relayMu); ready wakes relayOut when a frame arrives or the entry
+	// is dropped; idle times relayOut's wait for a frame. The three are
+	// made for the record's first relayed connection and kept for the next.
+	relaying bool
+	relayed  map[int]*relayReq
+	ready    chan struct{}
+	idle     *time.Timer
 }
 
 // feConnScratchMax is the pipeline depth past which a closing connection's
@@ -799,7 +808,23 @@ func (c *feConn) recycle() {
 	if cap(reqs) > feConnScratchMax {
 		reqs, batch, line = nil, nil, nil
 	}
-	*c = feConn{sock: c.sock, br: c.br, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line}
+	clear(c.relayed)
+	select {
+	case <-c.ready:
+	default:
+	}
+	*c = feConn{sock: c.sock, br: c.br, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line,
+		relayed: c.relayed, ready: c.ready, idle: c.idle}
+}
+
+// stopTimer stops t and empties its channel, ready for Reset.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
 }
 
 // setReqNode records that dest received traffic for this connection and
@@ -850,7 +875,7 @@ func (fe *FrontEnd) serveClient(c *feConn, fd int) {
 			// The connection ends with this batch. What the client still
 			// sends is discarded, not served, until it closes (its response
 			// stream ends behind the last response) or goes idle.
-			if c.ready != nil {
+			if c.relaying {
 				// Relayed: the last response is written, and the stream
 				// ends behind it as a back-end ends a handed-off one
 				// (beConn.endStream).
@@ -993,7 +1018,10 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 	c.id = ec.ID()
 
 	if fe.relaying() {
-		c.relayed, c.ready = make(map[int]*relayReq), make(chan struct{}, 1)
+		if c.relayed == nil {
+			c.relayed, c.ready = make(map[int]*relayReq), make(chan struct{}, 1)
+		}
+		c.relaying = true
 		fe.relayMu.Lock()
 		fe.relays[c.id] = c
 		fe.relayMu.Unlock()
@@ -1190,7 +1218,7 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 			fe.sendCtrl(n, c.line)
 		}
 	}
-	if c.ready != nil {
+	if c.relaying {
 		fe.relayMu.Lock()
 		delete(fe.relays, c.id)
 		fe.relayMu.Unlock()

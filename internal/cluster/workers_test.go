@@ -232,7 +232,7 @@ func TestDropRelayedLeavesDescriptorToOwner(t *testing.T) {
 	if err := syscall.Fstat(fd, &st); err != nil {
 		t.Fatal(err)
 	}
-	c.id, c.ready = 5, make(chan struct{}, 1)
+	c.id, c.ready, c.relaying = 5, make(chan struct{}, 1), true
 	fe.relays[c.id] = c
 
 	wrote := make(chan error, 1)
@@ -264,5 +264,50 @@ func TestDropRelayedLeavesDescriptorToOwner(t *testing.T) {
 	fe.closeClient(c)
 	if c.sock.fd != -1 {
 		t.Errorf("closeClient left descriptor %d", c.sock.fd)
+	}
+}
+
+// A worker's record keeps what a relayed connection needs — the map of
+// requests awaiting frames, the wake channel and relayOut's wait timer —
+// for its next connection, emptied: a relayed connection on a reused
+// record makes none of them again.
+func TestRecycleKeepsRelayStorage(t *testing.T) {
+	c, err := newFEConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.sock.release()
+	c.relaying = true
+	c.relayed, c.ready, c.idle = make(map[int]*relayReq), make(chan struct{}, 1), time.NewTimer(time.Hour)
+	relayed, ready, idle := c.relayed, c.ready, c.idle
+	c.relayed[3] = &relayReq{}
+	wake(c.ready)
+	stopTimer(c.idle)
+	c.recycle()
+	if c.relaying {
+		t.Error("the next connection starts out relaying")
+	}
+	if c.relayed == nil {
+		t.Fatal("the map of requests awaiting frames was dropped")
+	}
+	if len(c.relayed) != 0 {
+		t.Errorf("the kept map holds %d requests, want none", len(c.relayed))
+	}
+	if c.relayed[1] = nil; len(relayed) != 1 {
+		t.Error("the map of requests awaiting frames was not kept")
+	}
+	if c.ready != ready || c.idle != idle {
+		t.Error("the wake channel or the wait timer was not kept")
+	}
+	select {
+	case <-c.ready:
+		t.Error("a stale wake-up was kept for the next connection")
+	default:
+	}
+	c.idle.Reset(time.Millisecond)
+	select {
+	case <-c.idle.C:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the kept timer does not fire after Reset")
 	}
 }

@@ -19,8 +19,10 @@ import (
 //     allocating strings.Fields/Split, strconv.Itoa/FormatInt,
 //     bufio.NewReaderSize and bufio.Reader's ReadString/ReadBytes,
 //     net connections' File and os.File's Fd, which take a descriptor out
-//     of a live connection at the cost of its mode, and os.NewFile, which
-//     allocates and registers a descriptor with the poller (hotAllocCalls)
+//     of a live connection at the cost of its mode, os.NewFile, which
+//     allocates and registers a descriptor with the poller, and a
+//     connection's or file's SyscallConn, which allocates the RawConn it
+//     returns (hotAllocCalls)
 //   - string concatenation between non-constant operands
 //   - map literals (always heap-allocated)
 //   - interface boxing of non-pointer values: passing, assigning or
@@ -92,7 +94,8 @@ func NewHotpath() *Analyzer {
 var hotpathRequired = map[string][]string{
 	"phttp/internal/cache":   {"Mapping.IsMapped", "Mapping.MaskWord", "Mapping.AppendNodesFor", "nodeMasks.word", "nodeMasks.setBit", "nodeMasks.clearBit"},
 	"phttp/internal/httpmsg": {"ReadRequestInto", "AppendResponseHead"},
-	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "writeHandoff", "acceptor.accept", "clientSock.attach", "workers.start", "clientSock.Read", "clientSock.Write", "beConn.writeRaw"},
+	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "writeHandoff", "acceptor.accept", "clientSock.attach", "workers.start", "clientSock.Read", "clientSock.Write", "beConn.writeRaw",
+		"respWriter.sendPages", "bodyPipe.put", "bodyPipe.putPage", "bodyPipe.putBody", "bodyPipe.spliceTo", "bodyPipe.drainTo", "bodyPipe.fillFrom", "beConn.drainPipe", "beConn.drainRaw", "respWriter.forward", "peerConn.fill", "peerOut.drainPipe"},
 	"phttp/internal/simcore": {"Engine.Step", "Engine.Call", "Engine.enqueue", "Resource.Call"},
 	"phttp/internal/sim":     {"connStep", "reqStep", "Sim.cpuCall", "Sim.diskCall", "Sim.feCall"},
 }
@@ -121,21 +124,29 @@ var hotLockCalls = map[string]bool{
 // declared on net.conn, which TCPConn, UnixConn and the rest embed). Add
 // an entry when a regression shows the need.
 var hotAllocCalls = map[string]string{
-	"strings.Fields":          "allocates its result (index the bytes in place)",
-	"strings.Split":           "allocates its result (use strings.Cut or index in place)",
-	"strconv.Itoa":            "allocates its result (use strconv.AppendInt)",
-	"strconv.FormatInt":       "allocates its result (use strconv.AppendInt)",
-	"bufio.NewReaderSize":     "allocates its result (reuse a pooled reader with Reset)",
-	"bufio.Reader.ReadString": "allocates its result (use ReadSlice and parse in place)",
-	"bufio.Reader.ReadBytes":  "allocates its result (use ReadSlice and parse in place)",
-	"net.conn.File":           fdEscapes,
-	"os.File.Fd":              fdEscapes,
-	"os.NewFile":              "allocates and registers the descriptor with the runtime poller (wait through the worker's epoll set instead)",
+	"strings.Fields":           "allocates its result (index the bytes in place)",
+	"strings.Split":            "allocates its result (use strings.Cut or index in place)",
+	"strconv.Itoa":             "allocates its result (use strconv.AppendInt)",
+	"strconv.FormatInt":        "allocates its result (use strconv.AppendInt)",
+	"bufio.NewReaderSize":      "allocates its result (reuse a pooled reader with Reset)",
+	"bufio.Reader.ReadString":  "allocates its result (use ReadSlice and parse in place)",
+	"bufio.Reader.ReadBytes":   "allocates its result (use ReadSlice and parse in place)",
+	"net.conn.File":            fdEscapes,
+	"os.File.Fd":               fdEscapes,
+	"os.NewFile":               "allocates and registers the descriptor with the runtime poller (wait through the worker's epoll set instead)",
+	"net.TCPConn.SyscallConn":  rawConnAllocs,
+	"net.UnixConn.SyscallConn": rawConnAllocs,
+	"os.File.SyscallConn":      rawConnAllocs,
+	"syscall.Conn.SyscallConn": rawConnAllocs,
 }
+
+// rawConnAllocs is what is wrong with asking a connection for its RawConn
+// per request.
+const rawConnAllocs = "allocates a RawConn on every call (take it once per connection or session, and bind its callbacks once)"
 
 // fdEscapes is what is wrong with taking a descriptor out of a live
 // connection in order to pass it on.
-const fdEscapes = "dups and sets the shared socket blocking; borrow it with SyscallConn().Control"
+const fdEscapes = "dups and sets the shared socket blocking; borrow it through the connection's RawConn"
 
 // funcDeclName returns "Func" or "Type.Method".
 func funcDeclName(fn *ast.FuncDecl) string {

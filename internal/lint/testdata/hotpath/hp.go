@@ -13,6 +13,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"syscall"
 )
 
 type ring struct{ vals []int64 }
@@ -151,16 +152,36 @@ func hotReadString(br *bufio.Reader) (int, error) {
 
 //phttp:hotpath
 func hotFile(tcp *net.TCPConn, send func(fd uintptr)) error {
-	f, err := tcp.File() // want "net.conn.File call in hot path hotFile dups and sets the shared socket blocking; borrow it with SyscallConn\\(\\).Control"
+	f, err := tcp.File() // want "net.conn.File call in hot path hotFile dups and sets the shared socket blocking; borrow it through the connection's RawConn"
 	if err != nil {
 		return err
 	}
 	send(f.Fd())                 // want "os.File.Fd call in hot path hotFile dups and sets the shared socket blocking"
-	rc, err := tcp.SyscallConn() // legal: lends the descriptor, mode untouched
+	rc, err := tcp.SyscallConn() // want "net.TCPConn.SyscallConn call in hot path hotFile allocates a RawConn on every call"
 	if err != nil {
 		return err
 	}
 	return rc.Control(send)
+}
+
+//phttp:hotpath
+func hotSyscallConn(f *os.File, sc syscall.Conn) error {
+	if _, err := f.SyscallConn(); err != nil { // want "os.File.SyscallConn call in hot path hotSyscallConn allocates a RawConn"
+		return err
+	}
+	_, err := sc.SyscallConn() // want "syscall.Conn.SyscallConn call in hot path hotSyscallConn allocates a RawConn"
+	return err
+}
+
+// rawSock holds a connection's RawConn and its callback, both taken once.
+type rawSock struct {
+	rc   syscall.RawConn
+	send func(fd uintptr)
+}
+
+//phttp:hotpath
+func (s *rawSock) hotControl() error {
+	return s.rc.Control(s.send) // legal: the RawConn and its callback were made once
 }
 
 func coldFile(f *os.File) uintptr { return f.Fd() } // legal: not annotated
