@@ -257,7 +257,9 @@ func (b *Backend) untrack(c net.Conn) {
 	b.trackMu.Unlock()
 }
 
-// Close shuts the node down and waits for its goroutines.
+// Close shuts the node down and waits for its goroutines. It shuts every
+// connection's queue and leaves closing the client sockets to their
+// workers, which it waits for.
 func (b *Backend) Close() {
 	b.closeMu.Do(func() {
 		close(b.closed)
@@ -271,7 +273,10 @@ func (b *Backend) Close() {
 		b.trackMu.Unlock()
 		b.connMu.Lock()
 		for _, c := range b.conns {
-			c.closeOut()
+			// A write waiting wakes, its deadline passed. The client is
+			// left to the front-end, which resets it once the node is Down.
+			c.q.shutdown()
+			c.clock()
 		}
 		b.connMu.Unlock()
 		b.peersMu.Lock()

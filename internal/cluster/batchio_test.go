@@ -236,8 +236,8 @@ func TestShortBatchWindowIsNotTimed(t *testing.T) {
 		if len(c.batch) != 2 {
 			t.Errorf("window %v: batch of %d requests, want the 2 sent in one write", tc.window, len(c.batch))
 		}
-		if c.sock.waits != tc.waits {
-			t.Errorf("window %v: %d waits on an empty buffer, want %d", tc.window, c.sock.waits, tc.waits)
+		if int(c.sock.waits.Load()) != tc.waits {
+			t.Errorf("window %v: %d waits on an empty buffer, want %d", tc.window, c.sock.waits.Load(), tc.waits)
 		}
 	}
 }
@@ -286,52 +286,58 @@ func TestFrontEndOneControlWritePerRelayDestination(t *testing.T) {
 	}
 }
 
-// scriptConn is the client socket of a back-end connection under test: it
-// records writes and discards them.
-type scriptConn struct {
-	net.Conn  // nil: only Write, SetWriteDeadline and Close are used
-	mu        sync.Mutex
-	writes    [][]byte
-	deadlines int // SetWriteDeadline calls
-	wrote     chan struct{}
+// handedOff hands the accepted end of a fresh TCP connection to be as
+// connection id, with a HANDOFF on a session of its own, and returns the
+// client's end and the clientSock of the worker the connection is
+// attached to, whose counters the tests read.
+func handedOff(t *testing.T, be *Backend, id core.ConnID) (net.Conn, *clientSock) {
+	t.Helper()
+	client, accepted := tcpPair(t)
+	sendWith(t, dialSession(t, be), accepted, fmt.Sprintf("HANDOFF %d\n", id))
+	client.SetReadDeadline(time.Now().Add(30 * time.Second))
+	return client, workerSock(t, be, id)
 }
 
-func (s *scriptConn) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	s.writes = append(s.writes, append([]byte(nil), p...))
-	s.mu.Unlock()
-	s.wrote <- struct{}{}
-	return len(p), nil
+// workerSock waits until connection id is attached to its worker's
+// clientSock, and returns that.
+func workerSock(t *testing.T, be *Backend, id core.ConnID) *clientSock {
+	t.Helper()
+	var s *clientSock
+	waitFor(t, fmt.Sprintf("connection %d on a worker", id), func() bool {
+		be.connMu.Lock()
+		defer be.connMu.Unlock()
+		if c := be.conns[id]; c != nil {
+			c.outMu.Lock()
+			s = c.sock
+			c.outMu.Unlock()
+		}
+		return s != nil
+	})
+	return s
 }
 
-func (s *scriptConn) Close() error { return nil }
-
-func (s *scriptConn) SetWriteDeadline(time.Time) error {
-	s.mu.Lock()
-	s.deadlines++
-	s.mu.Unlock()
-	return nil
-}
-
-// handedOff creates connection id's record around client socket out, as a
-// HANDOFF does, the socket wrapped already.
-func handedOff(be *Backend, id core.ConnID, out clientSocket) *beConn {
-	be.connMu.Lock()
-	defer be.connMu.Unlock()
-	c := be.connLocked(id, nil, -1)
-	c.outMu.Lock()
-	c.out = out
-	c.outMu.Unlock()
-	return c
+// requests queues a keep-alive request for each of names on connection id
+// of be, as the control loop does, and wakes the connection once they are
+// all queued.
+func requests(be *Backend, id core.ConnID, names ...core.Target) {
+	var c *beConn
+	for seq, name := range names {
+		dc := be.store.lookup([]byte(name))
+		if dc == nil {
+			dc = &doc{target: name, missing: true}
+		}
+		c = be.enqueue(id, beReq{kind: kindReq, proto: proto11, keep: true, seq: seq, remote: core.NoNode, doc: dc})
+	}
+	c.q.signal()
 }
 
 // The back-end answers what one drain of a connection's queue produced with
-// one write on the client socket — here: the batch the connection is handed
-// off with, then a batch queued while the connection idles — and error
-// responses travel in the same write, in order. Neither a cache miss that
-// costs no time (the second batch's documents are not cached; the store has
-// no disk model) nor anything else splits the write, and a write with a
-// shallow queue behind it sets no deadline.
+// one write on the client socket — here: a batch queued on a connection
+// just handed off, then a batch queued while the connection idles — and
+// error responses travel in the same write, in order. Neither a cache miss
+// that costs no time (the second batch's documents are not cached; the
+// store has no disk model) nor anything else splits the write, and a
+// client that reads never makes a write wait.
 func TestBackendOneClientWritePerDrain(t *testing.T) {
 	catalog, targets := batchCatalog(8, 300)
 	be, err := NewBackend(BackendConfig{
@@ -347,53 +353,27 @@ func TestBackendOneClientWritePerDrain(t *testing.T) {
 	}
 
 	const id = 7
-	queue := func(names ...core.Target) *beConn {
-		var c *beConn
-		for seq, name := range names {
-			dc := be.store.lookup([]byte(name))
-			if dc == nil {
-				dc = &doc{target: name, missing: true}
-			}
-			c = be.enqueue(id, beReq{kind: kindReq, proto: proto11, keep: true, seq: seq, remote: core.NoNode, doc: dc})
-		}
-		return c
-	}
-	out := &scriptConn{wrote: make(chan struct{}, 16)}
-	awaitWrite := func(what string) []byte {
+	client, sock := handedOff(t, be, id)
+	br := bufio.NewReader(client)
+	drains := int32(0)
+	drain := func(what string, want ...int) {
 		t.Helper()
-		select {
-		case <-out.wrote:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: no write", what)
+		for i, status := range want {
+			if got, _ := readResponse(t, br); got != status {
+				t.Errorf("%s, response %d: status %d, want %d", what, i, got, status)
+			}
 		}
-		select {
-		case <-out.wrote:
-			t.Fatalf("%s: a second write", what)
-		case <-time.After(50 * time.Millisecond):
-		}
-		out.mu.Lock()
-		defer out.mu.Unlock()
-		w := out.writes[len(out.writes)-1]
-		return w
-	}
-
-	handedOff(be, id, out)
-	queue(targets[0], targets[1], targets[2], targets[3]).q.signal()
-	first := awaitWrite("first batch")
-	if got := bytes.Count(first, []byte("HTTP/1.1 200 OK\r\n")); got != 4 {
-		t.Errorf("first write carries %d responses, want 4", got)
-	}
-
-	queue(targets[4], "/missing", targets[5]).q.signal() // as the control loop does after a batch
-	second := awaitWrite("second batch")
-	br := bufio.NewReader(bytes.NewReader(second))
-	for i, want := range []int{200, 404, 200} {
-		if status, _ := readResponse(t, br); status != want {
-			t.Errorf("second write, response %d: status %d, want %d", i, status, want)
+		if drains++; sock.writes.Load() != drains {
+			t.Errorf("%s: %d writes for %d drains", what, sock.writes.Load(), drains)
 		}
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		t.Errorf("second write carries more than its three responses")
+	requests(be, id, targets[0], targets[1], targets[2], targets[3])
+	drain("first batch", 200, 200, 200, 200)
+	requests(be, id, targets[4], "/missing", targets[5]) // as the control loop does after a batch
+	drain("second batch", 200, 404, 200)
+	client.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, err := br.ReadByte(); err == nil {
+		t.Errorf("the client socket carries more than the seven responses")
 	}
 	if got := be.Served(); got != 6 {
 		t.Errorf("Served() = %d, want 6 (error responses are not counted)", got)
@@ -401,11 +381,12 @@ func TestBackendOneClientWritePerDrain(t *testing.T) {
 	if _, misses := be.store.Counters(); misses != 6 {
 		t.Errorf("%d cache misses, want 6 (four warmed, two served cold)", misses)
 	}
-	out.mu.Lock()
-	if out.deadlines != 0 {
-		t.Errorf("%d write deadlines set with never more than 4 requests waiting, want none", out.deadlines)
+	if n := sock.waits.Load(); n != 0 {
+		t.Errorf("%d writes waited on a client that reads, want none", n)
 	}
-	out.mu.Unlock()
+	if n := sock.deadlines.Load(); n != 0 {
+		t.Errorf("%d deadlines set on a connection whose queue stayed shallow, want none", n)
+	}
 	be.enqueue(id, beReq{kind: kindClose}).q.signal()
 }
 
@@ -424,30 +405,23 @@ func TestBackendFlushesBeforeDiskRead(t *testing.T) {
 	defer be.Close()
 	be.store.Open(targets[0])
 
-	out := &scriptConn{wrote: make(chan struct{}, 4)}
-	c := handedOff(be, 9, out)
-	for seq, name := range targets { // cached, then not
-		be.enqueue(9, beReq{kind: kindReq, proto: proto11, keep: true, seq: seq, remote: core.NoNode, doc: be.store.lookup([]byte(name))})
-	}
-	c.q.signal()
-	for i := 0; i < 2; i++ {
-		select {
-		case <-out.wrote:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("write %d of 2 did not happen", i+1)
+	client, sock := handedOff(t, be, 9)
+	requests(be, 9, targets...) // cached, then not
+	br := bufio.NewReader(client)
+	for i := range targets {
+		if status, _ := readResponse(t, br); status != 200 {
+			t.Fatalf("response %d: status %d, want 200", i, status)
 		}
 	}
-	out.mu.Lock()
-	defer out.mu.Unlock()
-	for i, w := range out.writes {
-		if got := bytes.Count(w, []byte("HTTP/1.1 200 OK\r\n")); got != 1 {
-			t.Errorf("write %d carries %d responses, want 1", i, got)
-		}
+	if n := sock.writes.Load(); n != 2 {
+		t.Errorf("two responses took %d writes, want 2: one before the disk read, one after", n)
 	}
+	be.enqueue(9, beReq{kind: kindClose}).q.signal()
 }
 
-// A body beyond the largest chunk class is written in chunks of that class,
-// as before batching: coalescing must not shrink the writes of large
+// A body beyond the largest chunk class takes the chunk path in writes of
+// that class, as before batching, where it has no content page (as where
+// there is no splice): coalescing must not shrink the writes of large
 // transfers.
 func TestBackendLargeBodyKeepsWriteSize(t *testing.T) {
 	const size = 300 << 10
@@ -459,36 +433,26 @@ func TestBackendLargeBodyKeepsWriteSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer be.Close()
+	be.store.releasePages() // no content page: the chunk path
 	be.store.Open("/big")
 	be.store.Open("/small")
-	out := &scriptConn{wrote: make(chan struct{}, 64)}
-	c := handedOff(be, 9, out)
-	for seq, name := range []string{"/small", "/big", "/small"} {
-		be.enqueue(9, beReq{kind: kindReq, proto: proto11, keep: true, seq: seq, remote: core.NoNode, doc: be.store.lookup([]byte(name))})
-	}
-	c.q.signal()
-	deadline := time.After(10 * time.Second)
+	client, sock := handedOff(t, be, 9)
+	requests(be, 9, "/small", "/big", "/small")
 	total := 0
-	for total < size+400 {
-		select {
-		case <-out.wrote:
-			out.mu.Lock()
-			total = 0
-			for _, w := range out.writes {
-				total += len(w)
-			}
-			out.mu.Unlock()
-		case <-deadline:
-			t.Fatalf("only %d bytes written", total)
+	br := bufio.NewReader(client)
+	for i := 0; i < 3; i++ {
+		resp, err := httpmsg.ReadResponse(br)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
 		}
+		if _, err := io.CopyN(io.Discard, br, resp.ContentLength); err != nil {
+			t.Fatalf("response %d body: %v", i, err)
+		}
+		total += len(fmt.Sprintf("HTTP/1.1 200 OK\r\nServer: phttp-cluster\r\nContent-Length: %d\r\nConnection: keep-alive\r\n\r\n", resp.ContentLength)) + int(resp.ContentLength)
 	}
-	out.mu.Lock()
-	defer out.mu.Unlock()
 	largest := chunkClasses[len(chunkClasses)-1]
-	for i, w := range out.writes[:len(out.writes)-1] {
-		if len(w) != largest {
-			t.Errorf("write %d of %d is %d bytes, want full %d-byte chunks until the last", i, len(out.writes), len(w), largest)
-		}
+	if n, want := int(sock.writes.Load()), (total+largest-1)/largest; n != want {
+		t.Errorf("%d bytes took %d writes, want %d: full %d-byte chunks until the last", total, n, want, largest)
 	}
 	be.enqueue(9, beReq{kind: kindClose}).q.signal()
 }
@@ -553,11 +517,12 @@ func TestPipelinedConnectionAllocBudget(t *testing.T) {
 
 // rawClient is an HTTP/1.0 client made of raw system calls on a blocking
 // socket, so that it allocates nothing: connect, one request, the response
-// read to the end of the stream, close.
+// read to the end of the stream into one buffer, close.
 type rawClient struct {
-	sa  *syscall.SockaddrInet4
-	tv  syscall.Timeval
-	buf []byte
+	sa     *syscall.SockaddrInet4
+	tv     syscall.Timeval
+	rcvbuf int // the socket's SO_RCVBUF, when not 0
+	buf    []byte
 }
 
 func newRawClient(t testing.TB, addr string) *rawClient {
@@ -579,6 +544,9 @@ func (rc *rawClient) get(t testing.TB, req []byte) int {
 	}
 	defer syscall.Close(fd)
 	syscall.SetsockoptTimeval(fd, syscall.SOL_SOCKET, syscall.SO_RCVTIMEO, &rc.tv)
+	if rc.rcvbuf != 0 {
+		syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF, rc.rcvbuf)
+	}
 	if err := syscall.Connect(fd, rc.sa); err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +555,7 @@ func (rc *rawClient) get(t testing.TB, req []byte) int {
 	}
 	n := 0
 	for {
-		m, err := syscall.Read(fd, rc.buf[n:])
+		m, err := syscall.Read(fd, rc.buf)
 		if err == syscall.EINTR {
 			continue
 		}
@@ -601,6 +569,41 @@ func (rc *rawClient) get(t testing.TB, req []byte) int {
 	}
 }
 
+// servingSock sends req on a connection of its own and returns the
+// clientSock of the back-end worker that answers it, caught while the
+// response, too large for the socket, waits for the client to read.
+func servingSock(t *testing.T, cl *Cluster, req []byte) *clientSock {
+	t.Helper()
+	conn, err := net.Dial("tcp", cl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	var s *clientSock
+	waitFor(t, "a back-end worker writing the response", func() bool {
+		for _, be := range cl.BEs {
+			be.connMu.Lock()
+			for _, c := range be.conns {
+				c.outMu.Lock()
+				if c.sock != nil {
+					s = c.sock
+				}
+				c.outMu.Unlock()
+			}
+			be.connMu.Unlock()
+		}
+		return s != nil
+	})
+	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // http10AllocBudget is the ceiling on heap allocations for one warmed
 // HTTP/1.0 connection under single handoff, across every goroutine of the
 // process: accept, dispatch, handoff, response and teardown on both nodes,
@@ -609,36 +612,77 @@ func (rc *rawClient) get(t testing.TB, req []byte) int {
 // *os.File.
 const http10AllocBudget = 0.5
 
+// The budget holds for a response that fills the client socket too, on
+// the page path and on the chunk path: its write waits in the back-end
+// worker's epoll set, opened once, where it once made an *os.File of the
+// socket (3 allocations) and, on the page path, took its RawConn.
 func TestHTTP10ConnectionAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts through sync.Pool mean nothing under -race")
 	}
-	catalog, targets := batchCatalog(4, 300)
-	cl := batchCluster(t, 2, "lard", core.SingleHandoff, catalog)
-	var reqs [][]byte
-	for _, tgt := range targets {
-		reqs = append(reqs, fmt.Appendf(nil, "GET %s HTTP/1.0\r\n\r\n", tgt))
-	}
-	want := len("HTTP/1.0 200 OK\r\nServer: phttp-cluster\r\nContent-Length: 300\r\nConnection: close\r\n\r\n") + 300
-	client := newRawClient(t, cl.Addr())
-	closed, i := cl.FE.Engine().Closes(), 0
-	one := func() {
-		if n := client.get(t, reqs[i%len(reqs)]); n != want {
-			t.Fatalf("response of %d bytes, want %d", n, want)
-		}
-		i++
-		closed++
-		for cl.FE.Engine().Closes() < closed {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	for range 50 {
-		one() // warm: workers, pools, interner, mapping
-	}
-	perConn := testing.AllocsPerRun(200, one)
-	t.Logf("%.2f allocations per HTTP/1.0 connection", perConn)
-	if perConn > http10AllocBudget {
-		t.Errorf("%.2f allocations per warmed HTTP/1.0 connection, budget %v", perConn, http10AllocBudget)
+	for _, tc := range []struct {
+		name   string
+		size   int64
+		rcvbuf int
+		pages  bool
+		runs   int
+	}{
+		{"small", 300, 0, true, 200},
+		// 8 MB is past the largest send buffer Linux grows to (tcp_wmem),
+		// with the client's window.
+		{"full-socket-page", 8 << 20, 16 << 10, true, 50},
+		{"full-socket-chunk", 8 << 20, 16 << 10, false, 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			catalog, targets := batchCatalog(4, tc.size)
+			cl := batchCluster(t, 2, "lard", core.SingleHandoff, catalog)
+			if !tc.pages {
+				for _, be := range cl.BEs {
+					be.store.releasePages() // no content page: every body takes the chunk path
+				}
+			}
+			var reqs [][]byte
+			for _, tgt := range targets {
+				reqs = append(reqs, fmt.Appendf(nil, "GET %s HTTP/1.0\r\n\r\n", tgt))
+			}
+			want := len(fmt.Sprintf("HTTP/1.0 200 OK\r\nServer: phttp-cluster\r\nContent-Length: %d\r\nConnection: close\r\n\r\n", tc.size)) + int(tc.size)
+			client := newRawClient(t, cl.Addr())
+			client.rcvbuf = tc.rcvbuf
+			closed, i := cl.FE.Engine().Closes(), 0
+			settle := func() {
+				closed++
+				for cl.FE.Engine().Closes() < closed {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			var sock *clientSock
+			if tc.rcvbuf != 0 {
+				sock = servingSock(t, cl, reqs[0])
+				settle()
+			}
+			one := func() {
+				if n := client.get(t, reqs[i%len(reqs)]); n != want {
+					t.Fatalf("response of %d bytes, want %d", n, want)
+				}
+				i++
+				settle()
+			}
+			for range 20 {
+				one() // warm: workers, pools, interner, mapping, pages
+			}
+			var waits int32
+			if sock != nil {
+				waits = sock.waits.Load()
+			}
+			perConn := testing.AllocsPerRun(tc.runs, one)
+			t.Logf("%.2f allocations per HTTP/1.0 connection", perConn)
+			if sock != nil && sock.waits.Load() == waits {
+				t.Fatal("no response filled its socket: the test measured nothing")
+			}
+			if perConn > http10AllocBudget {
+				t.Errorf("%.2f allocations per warmed HTTP/1.0 connection, budget %v", perConn, http10AllocBudget)
+			}
+		})
 	}
 }
 
@@ -917,11 +961,11 @@ func TestReqQueueBounds(t *testing.T) {
 			next++
 		}
 	}
-	for q.len() < maxQueued {
+	for q.n < maxQueued {
 		q.push(beReq{kind: kindReq, seq: -1})
 	}
 	if q.push(beReq{kind: kindReq}) != 0 {
-		t.Errorf("push accepted with %d queued", q.len())
+		t.Errorf("push accepted with %d queued", q.n)
 	}
 	for ; next < maxQueued; next++ {
 		if r, ok, _ := q.pop(); !ok || r.seq != next {

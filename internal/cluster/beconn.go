@@ -35,8 +35,8 @@ type beReq struct {
 // (closed): its client is not reading, and what it sends would otherwise
 // grow a queue or, as it once did, block the control loop that every
 // connection shares. Only such a connection's writes are timed (see
-// beConn.watched): a write with a shallow queue behind it sets no deadline
-// and so leaves no timer behind.
+// beConn.clock): a write with a shallow queue behind it waits with no
+// deadline and so leaves no timer behind.
 const (
 	maxPending = 256
 	stallGrace = time.Second
@@ -83,10 +83,11 @@ func (q *reqQueue) push(r beReq) int {
 	return q.n
 }
 
-func (q *reqQueue) len() int {
+// depth returns how many entries wait, and whether the queue is shut.
+func (q *reqQueue) depth() (int, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.n
+	return q.n, q.shut
 }
 
 func (q *reqQueue) grow() {
@@ -165,95 +166,67 @@ func (q *reqQueue) reset() {
 // processed (see shutdown, enqueue), so that requests in flight for it are
 // dropped instead of conjuring a fresh record nothing will ever serve.
 //
-// A handed-off client socket starts raw: the descriptor the session
-// brought, written with write(2) and shut down and closed directly, under
-// outMu, so that abort — on the control loop — never closes it while a
-// write is in flight and its number could go to another client. The
-// poller comes in only when a write would block or must be timed (wrap):
-// from then on the socket is an *os.File, whose Close is safe against a
-// concurrent Write, and writes are made outside outMu.
+// A handed-off client socket is the descriptor the session brought,
+// written raw by the connection's worker through the worker's clientSock,
+// which waits in the worker's epoll set only while the socket is full.
+// One rule keeps the descriptor's number from going to another socket
+// under a goroutine that still uses it, as on the front-end: only the
+// worker closes it (closeSocket, under outMu). Any other goroutine only
+// shuts the connection down (abort) or wakes a waiting write with a
+// deadline (clock), under outMu, and its writes take no lock.
 type beConn struct {
 	id core.ConnID
 	// sess is a relayed connection's session, the one its RELAY line came
 	// on and its responses go back on; nil for a handed-off connection.
 	sess *session
 	q    reqQueue
-
+	// fd is the handed-off client socket's descriptor; -1 for a relayed
+	// connection and once the worker has closed it.
+	fd    int
 	outMu sync.Mutex
-	raw   int             // the handed-off socket's descriptor until wrapped; -1 otherwise
-	out   clientSocket    // the socket once wrapped; nil before, for relay, and after close
-	rc    syscall.RawConn // out's, once a splice has waited on it (pages_linux.go)
-	timed bool            // out has a write deadline set (see watchedLocked)
-}
-
-// clientSocket is what a back-end uses of a handed-off client socket once
-// it is wrapped: the *os.File that wrap makes of the descriptor.
-type clientSocket interface {
-	io.WriteCloser
-	SetWriteDeadline(time.Time) error
+	// sock is the serving worker's, with fd attached; nil before attach
+	// and after close. The worker sets it under outMu and reads it
+	// without.
+	sock *clientSock
 }
 
 var beConnPool = sync.Pool{New: func() any {
-	return &beConn{q: reqQueue{wake: make(chan struct{}, 1)}, raw: -1}
+	return &beConn{q: reqQueue{wake: make(chan struct{}, 1)}, fd: -1}
 }}
 
-func shutBoth(fd uintptr)  { syscall.Shutdown(int(fd), syscall.SHUT_RDWR) }
-func shutWrite(fd uintptr) { syscall.Shutdown(int(fd), syscall.SHUT_WR) }
+func shutBoth(fd int)  { syscall.Shutdown(fd, syscall.SHUT_RDWR) }
+func shutWrite(fd int) { syscall.Shutdown(fd, syscall.SHUT_WR) }
 
-// control runs f on the descriptor behind conn, if it has one.
-func control(conn any, f func(fd uintptr)) {
-	if sc, ok := conn.(syscall.Conn); ok {
-		if rc, err := sc.SyscallConn(); err == nil {
-			rc.Control(f)
-		}
+// attach puts the handed-off socket on the worker's clientSock. A set that
+// cannot be opened leaves the connection without a socket to answer on.
+func (c *beConn) attach(s *clientSock) error {
+	if err := s.attach(c.fd, false); err != nil {
+		return err
 	}
-}
-
-// hasSocket reports whether the connection has a client socket: it was
-// handed off and is not closed.
-func (c *beConn) hasSocket() bool {
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
-	return c.raw >= 0 || c.out != nil
+	c.sock, s.be = s, c
+	return nil
 }
 
-// wrap registers the raw descriptor with the poller, as an *os.File: a
-// write that would block then parks the goroutine, not a thread, and can
-// carry a deadline. Callers hold outMu.
-func (c *beConn) wrap() {
-	if c.raw >= 0 {
-		c.out = os.NewFile(uintptr(c.raw), "handoff-conn")
-		c.raw = -1
-	}
-}
+// hasSocket reports whether the connection has a client socket to answer
+// on: it was handed off and attached, and is not closed. Worker only.
+func (c *beConn) hasSocket() bool { return c.sock != nil }
 
-// shutdownLocked shuts the connection behind the client socket down — the
-// socket, not this process's descriptor for it (how is shutBoth or
-// shutWrite). Callers hold outMu.
-func (c *beConn) shutdownLocked(how func(fd uintptr)) {
-	if c.raw >= 0 {
-		how(uintptr(c.raw))
-	} else if c.out != nil {
-		control(c.out, how)
+// closeSocket closes the handed-off descriptor, if the connection still
+// has one. Worker only: see beConn.
+func (c *beConn) closeSocket() {
+	if c.fd < 0 {
+		return
 	}
-}
-
-// closeLocked closes the client socket. With reset it first ends the
-// connection itself: closing the handed-off descriptor alone would not, as
-// the front-end holds another on the same socket. The client then sees
-// the end of the stream, and the front-end's read of the same connection
-// ends, so it sends the CLOSE that clears the back-end's record. Callers
-// hold outMu.
-func (c *beConn) closeLocked(reset bool) {
-	if reset {
-		c.shutdownLocked(shutBoth)
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	if c.sock != nil {
+		c.sock.close()
+	} else {
+		syscall.Close(c.fd)
 	}
-	if c.raw >= 0 {
-		syscall.Close(c.raw)
-	} else if c.out != nil {
-		c.out.Close()
-	}
-	c.raw, c.out, c.rc, c.timed = -1, nil, nil, false
+	c.fd, c.sock = -1, nil
 }
 
 // endStream ends the response stream after the connection's last response
@@ -266,39 +239,37 @@ func (c *beConn) closeLocked(reset bool) {
 // again, a second or more later, and one client host opening more
 // connections a second than it has ports to turn over (seen from about
 // 14 000 a second) spends the rest of every second searching in connect.
-func (c *beConn) endStream() {
+// Worker only.
+func (c *beConn) endStream() { shutWrite(c.fd) }
+
+// clock sets the deadline of the worker's set for a write of c's that
+// waits, if c is attached: stallGrace from now while maxPending or more
+// requests wait, none while fewer, and one passed once the queue is shut.
+// The worker calls it as each wait starts (clientSock.run), so that every
+// wait has stallGrace to move a byte; the control loop when a push takes
+// the queue to maxPending, and Backend.Close, for a write waiting already.
+func (c *beConn) clock() {
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
-	c.shutdownLocked(shutWrite)
-}
-
-// watched puts the client socket's write deadline in step with the queue
-// (see watchedLocked). The control loop calls it when a push takes the
-// queue to maxPending, which puts a write already in progress on the
-// clock.
-func (c *beConn) watched() {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	c.watchedLocked()
-}
-
-// watchedLocked returns the wrapped client socket with its write deadline
-// matching the queue: stallGrace from now while maxPending or more
-// requests wait — a raw socket is wrapped to take it — none otherwise. The
-// common write, raw with a shallow queue behind it, touches no deadline at
-// all. Callers hold outMu.
-func (c *beConn) watchedLocked() clientSocket {
-	if c.q.len() >= maxPending {
-		c.wrap()
-		if c.out != nil {
-			c.out.SetWriteDeadline(time.Now().Add(stallGrace))
-			c.timed = true
-		}
-	} else if c.timed {
-		c.out.SetWriteDeadline(time.Time{})
-		c.timed = false
+	if c.sock == nil {
+		return
 	}
-	return c.out
+	var t time.Time
+	switch n, shut := c.q.depth(); {
+	case shut:
+		t = longAgo
+	case n >= maxPending:
+		t = time.Now().Add(stallGrace)
+	}
+	c.sock.deadline(t)
+}
+
+// goesOn tells a write whose wait timed out whether it goes on: not once
+// the queue is shut, and, while maxPending or more requests wait, only if
+// it moved bytes. Its next wait is timed afresh (clock).
+func (c *beConn) goesOn(moved bool) bool {
+	n, shut := c.q.depth()
+	return !shut && (moved || n < maxPending)
 }
 
 // Write puts response bytes on the client socket. A slow client costs only
@@ -309,76 +280,35 @@ func (c *beConn) watchedLocked() clientSocket {
 //
 //phttp:hotpath
 func (c *beConn) Write(p []byte) (int, error) {
-	out, done, err := c.writeRaw(p)
-	for out != nil {
-		n, err := out.Write(p[done:])
+	done := 0
+	for {
+		n, err := c.sock.Write(p[done:])
 		done += n
-		if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
+		if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) || !c.goesOn(n > 0) {
 			return done, err
 		}
-		if n == 0 && c.q.len() >= maxPending {
-			return done, err
-		}
-		c.outMu.Lock()
-		out = c.watchedLocked()
-		c.outMu.Unlock()
-		if out == nil {
-			return done, errNoClientSocket
-		}
 	}
-	return done, err
-}
-
-// writeRaw writes p to a raw client socket with write(2), for as long as
-// the socket takes it and the queue stays shallow. It returns the wrapped
-// socket, with its deadline in step, when the rest of p must go through
-// the poller: the socket was wrapped already, was full, or is now to be
-// timed.
-//
-//phttp:hotpath
-func (c *beConn) writeRaw(p []byte) (clientSocket, int, error) {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	n := 0
-	for c.raw >= 0 && c.q.len() < maxPending {
-		if n == len(p) {
-			return nil, n, nil
-		}
-		m, err := syscall.Write(c.raw, p[n:])
-		switch {
-		case err == nil:
-			n += m
-		case err == syscall.EAGAIN:
-			c.wrap()
-		case err != syscall.EINTR:
-			return nil, n, err
-		}
-	}
-	if out := c.watchedLocked(); out != nil {
-		return out, n, nil
-	}
-	return nil, n, errNoClientSocket
 }
 
 var errNoClientSocket = errors.New("cluster: response with no client socket")
 
-func (c *beConn) closeOut() {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	c.closeLocked(false)
-}
-
-// abort shuts the connection's queue and resets the client socket under
-// whoever is using it: a serve goroutine blocked writing to a client that
-// does not read fails out. It reports whether this call did it; later ones
-// change nothing.
+// abort shuts the connection's queue and the connection itself down under
+// whoever is using it: a write waiting for a client that does not read
+// fails out. Shutting the connection down, not closing this process's
+// descriptor, is what ends it, as the front-end holds another on the same
+// socket: the client sees the end of the stream, and the front-end's read
+// of the same connection ends, so it sends the CLOSE that clears the
+// back-end's record. It reports whether this call did it; later ones change
+// nothing.
 func (c *beConn) abort() bool {
 	if !c.q.shutdown() {
 		return false
 	}
 	c.outMu.Lock()
 	defer c.outMu.Unlock()
-	c.closeLocked(true)
+	if c.fd >= 0 {
+		shutBoth(c.fd)
+	}
 	return true
 }
 
@@ -421,7 +351,7 @@ func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 			delete(b.conns, id)
 		}
 	case maxPending:
-		c.watched() // a write in progress is now on the clock
+		c.clock() // a write waiting now is on the clock
 	}
 	b.connMu.Unlock()
 	if refused != nil {
@@ -432,33 +362,35 @@ func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 
 // connLocked returns the connection record, creating it (and starting it
 // on a worker) on first reference: relayed on session sess, or handed off
-// with raw client socket descriptor fd (-1 for none). Callers hold connMu.
+// with client socket descriptor fd (-1 for none). Callers hold connMu.
 func (b *Backend) connLocked(id core.ConnID, sess *session, fd int) *beConn {
 	if c, ok := b.conns[id]; ok {
 		return c
 	}
 	c := beConnPool.Get().(*beConn)
-	c.id, c.sess, c.raw = id, sess, fd
+	c.id, c.sess, c.fd = id, sess, fd
 	b.conns[id] = c
 	b.servers.start(c)
 	return c
 }
 
 // connWorker is one back-end worker: it serves connection c, then each
-// next hands it, until it retires. Its pipe carries the large bodies of
-// every connection it serves (pages_linux.go).
+// next hands it, until it retires. Its clientSock carries every handed-off
+// connection it serves, and its pipe their large bodies (pages_linux.go).
 func (b *Backend) connWorker(c *beConn, next func() (*beConn, bool)) {
+	sock := new(clientSock)
+	defer sock.release()
 	pipe := new(bodyPipe)
 	defer pipe.close()
 	for ok := true; ok; c, ok = next() {
-		b.serveConn(c, pipe)
+		b.serveConn(c, sock, pipe)
 	}
 }
 
 // retire removes a connection whose CLOSE has been processed (or whose node
 // is shutting down) and recycles its record.
 func (b *Backend) retire(c *beConn) {
-	c.closeOut()
+	c.closeSocket()
 	b.connMu.Lock()
 	if b.conns[c.id] == c {
 		delete(b.conns, c.id)
@@ -475,13 +407,16 @@ func (b *Backend) retire(c *beConn) {
 // waits to be woken before each drain — the first too: the control loop
 // wakes a connection once its batch is queued whole. Each time the queue
 // runs dry it flushes what the drain produced — one write for a pipelined
-// batch — and gives the buffer back before it waits. Large bodies go
-// through pipe.
+// batch — and gives the buffer back before it waits. A handed-off socket
+// is written through sock, large bodies through pipe.
 //
 //phttp:hotpath
-func (b *Backend) serveConn(c *beConn, pipe *bodyPipe) {
+func (b *Backend) serveConn(c *beConn, sock *clientSock, pipe *bodyPipe) {
 	w := respWriter{b: b, c: c, pipe: pipe}
-	if c.hasSocket() {
+	if c.fd >= 0 {
+		if c.attach(sock) != nil {
+			b.giveUp(c)
+		}
 		// The paper's handoff costs (taking the connection over, creating
 		// the server-side socket state), charged here, not on the session,
 		// which goes on feeding every other connection meanwhile.
@@ -500,6 +435,7 @@ func (b *Backend) serveConn(c *beConn, pipe *bodyPipe) {
 		r, ok, shut := c.q.pop()
 		if shut {
 			w.drop()
+			c.closeSocket()
 			return
 		}
 		if !ok {

@@ -580,7 +580,7 @@ func (fe *FrontEnd) dropRelayed(id core.ConnID) {
 	defer fe.relayMu.Unlock()
 	if c := fe.relays[id]; c != nil {
 		delete(fe.relays, id)
-		shutBoth(uintptr(c.sock.fd))
+		shutBoth(c.sock.fd)
 		wake(c.ready)
 	}
 }
@@ -611,8 +611,9 @@ func (fe *FrontEnd) relayOut(c *feConn, first int) error {
 		r, dropped := c.relayed[seq], fe.relays[c.id] != c
 		var frame []byte
 		if r != nil && r.frame != nil {
-			frame = r.frame
+			frame, r.frame = r.frame, nil
 			delete(c.relayed, seq)
+			c.spare = append(c.spare, r)
 		}
 		fe.relayMu.Unlock()
 		if dropped {
@@ -742,7 +743,7 @@ type feConn struct {
 	// sock is the client socket. Its descriptor is what handOff sends as
 	// it is: only this record's worker closes it (closeClient), so the
 	// number cannot go to another socket while a handoff is sent.
-	sock clientSock
+	sock *clientSock
 	br   *bufio.Reader
 
 	// batchStart is when the current pipelined batch finished arriving —
@@ -781,21 +782,24 @@ type feConn struct {
 	// responses are not yet written, by sequence number (under
 	// fe.relayMu); ready wakes relayOut when a frame arrives or the entry
 	// is dropped; idle times relayOut's wait for a frame. The three are
-	// made for the record's first relayed connection and kept for the next.
+	// made for the record's first relayed connection and kept for the
+	// next, and so are the records of written requests, with their lines'
+	// storage, in spare: relayBatch takes its records from there.
 	relaying bool
 	relayed  map[int]*relayReq
 	ready    chan struct{}
 	idle     *time.Timer
+	spare    []*relayReq
 }
 
 // feConnScratchMax is the pipeline depth past which a closing connection's
 // batch scratch is dropped instead of kept for the next.
 const feConnScratchMax = 64
 
-// newFEConn makes a worker's client record, with its epoll set.
-func newFEConn() (*feConn, error) {
-	c := &feConn{br: bufio.NewReaderSize(nil, 16<<10)}
-	return c, c.sock.open()
+// newFEConn makes a worker's client record; its epoll set is opened with
+// the first connection (clientSock.attach).
+func newFEConn() *feConn {
+	return &feConn{sock: new(clientSock), br: bufio.NewReaderSize(nil, 16<<10)}
 }
 
 // recycle readies a closed connection's record for the worker's next one.
@@ -804,9 +808,9 @@ func newFEConn() (*feConn, error) {
 // dropRelayed cannot touch the next connection.
 func (c *feConn) recycle() {
 	c.br.Reset(nil)
-	reqs, batch, line := c.reqs[:0], c.batch[:0], c.line[:0]
+	reqs, batch, line, spare := c.reqs[:0], c.batch[:0], c.line[:0], c.spare
 	if cap(reqs) > feConnScratchMax {
-		reqs, batch, line = nil, nil, nil
+		reqs, batch, line, spare = nil, nil, nil, nil
 	}
 	clear(c.relayed)
 	select {
@@ -814,7 +818,20 @@ func (c *feConn) recycle() {
 	default:
 	}
 	*c = feConn{sock: c.sock, br: c.br, reqNodes: c.reqNodes[:0], reqs: reqs, batch: batch, line: line,
-		relayed: c.relayed, ready: c.ready, idle: c.idle}
+		relayed: c.relayed, ready: c.ready, idle: c.idle, spare: spare}
+}
+
+// spareReq returns a request record for relayBatch to fill: a spare one,
+// emptied, its line's storage kept.
+func (c *feConn) spareReq() *relayReq {
+	n := len(c.spare)
+	if n == 0 {
+		return new(relayReq)
+	}
+	r := c.spare[n-1]
+	c.spare = c.spare[:n-1]
+	*r = relayReq{line: r.line[:0]}
+	return r
 }
 
 // stopTimer stops t and empties its channel, ready for Reset.
@@ -842,11 +859,7 @@ func (c *feConn) setReqNode(dest core.NodeID) bool {
 // clientWorker is one front-end worker: it serves client connections, the
 // first fd and then each next hands it, on one record until it retires.
 func (fe *FrontEnd) clientWorker(fd int, next func() (int, bool)) {
-	c, err := newFEConn()
-	if err != nil {
-		syscall.Close(fd)
-		return
-	}
+	c := newFEConn()
 	defer c.sock.release()
 	for ok := true; ok; fd, ok = next() {
 		fe.serveClient(c, fd)
@@ -857,11 +870,11 @@ func (fe *FrontEnd) clientWorker(fd int, next func() (int, bool)) {
 // fd on record c: parse requests, group pipelined bursts into batches,
 // dispatch through the policy, tag and forward to back-ends.
 func (fe *FrontEnd) serveClient(c *feConn, fd int) {
-	if c.sock.attach(fd) != nil {
+	if c.sock.attach(fd, true) != nil {
 		syscall.Close(fd)
 		return
 	}
-	c.br.Reset(&c.sock)
+	c.br.Reset(c.sock)
 	defer fe.closeClient(c)
 
 	for {
@@ -879,7 +892,7 @@ func (fe *FrontEnd) serveClient(c *feConn, fd int) {
 				// Relayed: the last response is written, and the stream
 				// ends behind it as a back-end ends a handed-off one
 				// (beConn.endStream).
-				shutWrite(uintptr(c.sock.fd))
+				shutWrite(c.sock.fd)
 			}
 			c.sock.deadline(time.Now().Add(fe.cfg.IdleTimeout))
 			if !c.down.Load() {
@@ -1007,7 +1020,7 @@ const unavailableResponse = "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\
 func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 	if !fe.eng.HasUp() {
 		fe.unavailable.Inc()
-		io.WriteString(&c.sock, unavailableResponse)
+		io.WriteString(c.sock, unavailableResponse)
 		fe.lat.Record(time.Since(c.batchStart).Microseconds())
 		return fmt.Errorf("cluster: no Up back-end")
 	}
@@ -1164,9 +1177,11 @@ func (fe *FrontEnd) relayBatch(c *feConn, assignments []core.Assignment) {
 	fe.relayMu.Lock()
 	for i, a := range assignments {
 		req := &c.reqs[i]
-		line := appendReq(nil, c.id, c.seq, protoOf(req.Proto), req.KeepAlive(), core.NoNode, core.Target(req.Target))
-		c.relayed[c.seq] = &relayReq{node: a.Node, line: line}
-		c.lines = append(c.lines, line)
+		r := c.spareReq()
+		r.node = a.Node
+		r.line = appendReq(r.line, c.id, c.seq, protoOf(req.Proto), req.KeepAlive(), core.NoNode, core.Target(req.Target))
+		c.relayed[c.seq] = r
+		c.lines = append(c.lines, r.line)
 		c.seq++
 	}
 	fe.relayMu.Unlock()
@@ -1242,15 +1257,15 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 	if c.down.Load() {
 		// Its node died holding the connection: the client sees a reset,
 		// not a clean end of stream it might take for a complete answer.
-		lingerOff(uintptr(c.sock.fd))
+		lingerOff(c.sock.fd)
 	}
 	c.sock.close()
 	c.recycle()
 }
 
 // lingerOff makes closing socket fd reset the connection (SO_LINGER 0).
-func lingerOff(fd uintptr) {
-	syscall.SetsockoptLinger(int(fd), syscall.SOL_SOCKET, syscall.SO_LINGER, &syscall.Linger{Onoff: 1})
+func lingerOff(fd int) {
+	syscall.SetsockoptLinger(fd, syscall.SOL_SOCKET, syscall.SO_LINGER, &syscall.Linger{Onoff: 1})
 }
 
 // HandoffSocketDir creates a private directory for handoff sockets.

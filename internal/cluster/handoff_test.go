@@ -81,15 +81,12 @@ func fdOf(t testing.TB, conn *net.TCPConn) int {
 // caller's to close.
 func clientRecord(t testing.TB, fd int) *feConn {
 	t.Helper()
-	c, err := newFEConn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newFEConn()
 	t.Cleanup(c.sock.release)
-	if err := c.sock.attach(fd); err != nil {
+	if err := c.sock.attach(fd, true); err != nil {
 		t.Fatal(err)
 	}
-	c.br.Reset(&c.sock)
+	c.br.Reset(c.sock)
 	return c
 }
 
@@ -231,10 +228,7 @@ func TestAcceptAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := newFEConn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newFEConn()
 	defer c.sock.release()
 	var a acceptor
 	accept := a.accept
@@ -242,7 +236,7 @@ func TestAcceptAllocs(t *testing.T) {
 		if err := rc.Read(accept); err != nil || a.err != nil {
 			t.Fatalf("accept: %v, %v", err, a.err)
 		}
-		if err := c.sock.attach(a.fd); err != nil {
+		if err := c.sock.attach(a.fd, true); err != nil {
 			t.Fatalf("attach: %v", err)
 		}
 		c.sock.close()
@@ -653,20 +647,6 @@ func TestSessionPairsDescriptorsInOrder(t *testing.T) {
 	}
 }
 
-// wrapped reports whether handed-off connection id's socket has gone over
-// to the poller.
-func wrapped(be *Backend, id core.ConnID) bool {
-	be.connMu.Lock()
-	defer be.connMu.Unlock()
-	c := be.conns[id]
-	if c == nil {
-		return false
-	}
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	return c.out != nil
-}
-
 // A handed-off socket is written raw until the kernel takes no more: a
 // response larger than both socket buffers, to a client that starts
 // reading only once the socket is full, goes on through the poller and
@@ -684,11 +664,7 @@ func TestFullSocketGoesToPoller(t *testing.T) {
 	sess := dialSession(t, be)
 	client, accepted := tcpPair(t)
 	sendWith(t, sess, accepted, "HANDOFF 1\nREQ 1 0 HTTP/1.1 1 - /big\n")
-	for deadline := time.Now().Add(10 * time.Second); !wrapped(be, 1); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the socket never went over to the poller")
-		}
-	}
+	waitParked(t, "clientSock).run")
 	client.SetReadDeadline(time.Now().Add(30 * time.Second))
 	br := bufio.NewReader(client)
 	check := func(tgt core.Target, size int64) {

@@ -325,78 +325,18 @@ func inq(fd int) int {
 	return int(v)
 }
 
-// spliceable reports whether the client socket has a descriptor to splice
-// to: raw, or wrapped in an *os.File.
-func (c *beConn) spliceable() bool {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	if c.raw >= 0 {
-		return true
-	}
-	_, ok := c.out.(*os.File)
-	return ok
-}
-
-// drainPipe empties p onto the client socket: spliced straight to the raw
-// descriptor under outMu while it takes the bytes and the queue stays
-// shallow, then through the wrapped socket's poller under Write's rule —
-// with maxPending or more requests waiting, stallGrace to move a byte.
+// drainPipe empties p onto the client socket under Write's rule: with
+// maxPending or more requests waiting, stallGrace to move a byte.
 //
 //phttp:hotpath
 func (c *beConn) drainPipe(p *bodyPipe) error {
-	rc, err := c.drainRaw(p)
-	for rc != nil {
+	for {
 		held := p.held
-		p.err = nil
-		err = rc.Write(p.drainCB)
-		if err == nil {
-			return p.err
-		}
-		if !errors.Is(err, os.ErrDeadlineExceeded) || p.held == held && c.q.len() >= maxPending {
+		err := c.sock.splice(p)
+		if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) || !c.goesOn(p.held != held) {
 			return err
 		}
-		c.outMu.Lock()
-		rc = c.watchedRawLocked()
-		c.outMu.Unlock()
-		if rc == nil {
-			return errNoClientSocket
-		}
 	}
-	return err
-}
-
-// drainRaw is drainPipe's raw part, writeRaw's twin: it returns the
-// wrapped socket's RawConn, deadline in step, when the rest must wait.
-//
-//phttp:hotpath
-func (c *beConn) drainRaw(p *bodyPipe) (syscall.RawConn, error) {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
-	for c.raw >= 0 && c.q.len() < maxPending {
-		if p.held == 0 {
-			return nil, nil
-		}
-		switch err := p.spliceTo(c.raw); err {
-		case nil, syscall.EINTR:
-		case syscall.EAGAIN:
-			c.wrap()
-		default:
-			return nil, err
-		}
-	}
-	if rc := c.watchedRawLocked(); rc != nil {
-		return rc, nil
-	}
-	return nil, errNoClientSocket
-}
-
-// watchedRawLocked is watchedLocked for a splice: the wrapped socket's
-// RawConn, taken once per connection. Callers hold outMu.
-func (c *beConn) watchedRawLocked() syscall.RawConn {
-	if f, ok := c.watchedLocked().(*os.File); ok && c.rc == nil {
-		c.rc, _ = f.SyscallConn()
-	}
-	return c.rc
 }
 
 // sendPages sends a 200 response of size bytes — the document's
@@ -408,7 +348,7 @@ func (c *beConn) watchedRawLocked() syscall.RawConn {
 //
 //phttp:hotpath
 func (w *respWriter) sendPages(r beReq, head []byte, size int64) (bool, error) {
-	if size < pageBodyMin || w.from != nil && w.from.rc == nil || !w.c.spliceable() || !w.pipe.ready() {
+	if size < pageBodyMin || w.from != nil && w.from.rc == nil || !w.c.hasSocket() || !w.pipe.ready() {
 		return false, nil
 	}
 	var pg *contentPage

@@ -171,11 +171,7 @@ func TestPageBodiesByteExact(t *testing.T) {
 		accepted.SetWriteBuffer(16 << 10)
 		before, aborted := be.Served(), be.Aborted()
 		sendWith(t, sess, accepted, fmt.Sprintf("HANDOFF %d\nREQ %d 0 HTTP/1.1 1 %s /pg/sevens7\n", id, id, remote))
-		for deadline := time.Now().Add(10 * time.Second); !wrapped(be, core.ConnID(id)); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("the body never filled the socket")
-			}
-		}
+		waitParked(t, "clientSock).run") // the body filled the socket
 		head := make([]byte, 4<<10)
 		if _, err := io.ReadFull(client, head); err != nil {
 			t.Fatal(err)
@@ -286,5 +282,54 @@ func TestPageBodyStalledClientIsRefused(t *testing.T) {
 	expectResponses(t, bufio.NewReader(next), []pageReq{{"/pg/three", "-", 200}, {"/pg/sevens7", "1", 200}})
 	if _, err := io.WriteString(sess, "CLOSE 2\n"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// slowReader reads at most 16 KB from r every 200 ms until its time is
+// up, then as fast as it is asked.
+type slowReader struct {
+	r     io.Reader
+	until time.Time
+}
+
+func (s *slowReader) Read(p []byte) (int, error) {
+	if time.Now().Before(s.until) {
+		time.Sleep(200 * time.Millisecond)
+		p = p[:min(len(p), 16<<10)]
+	}
+	return s.r.Read(p)
+}
+
+// A client with a deep pipeline that reads slowly but steadily is served
+// whole, on the page path and on the chunk path: every write that waits
+// on it has stallGrace afresh to move a byte, however long its queue has
+// been maxPending deep, so that only a client that stops reading is
+// refused.
+func TestSlowReaderWithDeepPipelineIsServed(t *testing.T) {
+	reqs := make([]pageReq, 2*maxPending)
+	for i := range reqs {
+		reqs[i] = pageReq{"/pg/twenty1", "-", 200}
+	}
+	for _, path := range []string{"page", "chunk"} {
+		t.Run(path, func(t *testing.T) {
+			be, _, sess := pagePair(t)
+			if path == "chunk" {
+				be.store.releasePages() // no content page: every body takes the chunk path
+			}
+			client, accepted := tcpPair(t)
+			client.(*net.TCPConn).SetReadBuffer(16 << 10)
+			accepted.SetWriteBuffer(16 << 10)
+			sendWith(t, sess, accepted, "HANDOFF 1\n"+reqLines(1, reqs))
+			client.SetReadDeadline(time.Now().Add(time.Minute))
+			slow := &slowReader{r: client, until: time.Now().Add(3 * time.Second)}
+			expectResponses(t, bufio.NewReaderSize(slow, 16<<10), reqs)
+			if n := be.Aborted(); n != 0 {
+				t.Errorf("%d connections refused, want none", n)
+			}
+			if _, err := io.WriteString(sess, "CLOSE 1\n"); err != nil {
+				t.Fatal(err)
+			}
+			settled(t, be)
+		})
 	}
 }

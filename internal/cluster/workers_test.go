@@ -15,6 +15,7 @@ import (
 
 	"phttp/internal/core"
 	"phttp/internal/dispatch"
+	"phttp/internal/httpmsg"
 	"phttp/internal/membership"
 )
 
@@ -109,17 +110,14 @@ func TestWokenRecordServesNextConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe := &FrontEnd{cfg: FrontEndConfig{IdleTimeout: time.Minute, BatchWindow: 50 * time.Microsecond}, eng: eng, lat: core.NewLatencyHist()}
-	c, err := newFEConn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newFEConn()
 	defer c.sock.release()
 	sweep := func() { fe.onMembership(0, membership.Up, membership.Down) }
 	serve := func(client net.Conn, fd int) error {
-		if err := c.sock.attach(fd); err != nil {
+		if err := c.sock.attach(fd, true); err != nil {
 			t.Fatal(err)
 		}
-		c.br.Reset(&c.sock)
+		c.br.Reset(c.sock)
 		if _, err := io.WriteString(client, "GET /a HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
 			t.Fatal(err)
 		}
@@ -219,13 +217,10 @@ func waitParked(t *testing.T, fn string) {
 // connection's own socket when it does — only closeClient closes it.
 func TestDropRelayedLeavesDescriptorToOwner(t *testing.T) {
 	fe := &FrontEnd{relays: make(map[core.ConnID]*feConn)}
-	c, err := newFEConn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newFEConn()
 	defer c.sock.release()
 	client, fd := acceptedPair(t)
-	if err := c.sock.attach(fd); err != nil {
+	if err := c.sock.attach(fd, true); err != nil {
 		t.Fatal(err)
 	}
 	var st syscall.Stat_t
@@ -272,10 +267,7 @@ func TestDropRelayedLeavesDescriptorToOwner(t *testing.T) {
 // for its next connection, emptied: a relayed connection on a reused
 // record makes none of them again.
 func TestRecycleKeepsRelayStorage(t *testing.T) {
-	c, err := newFEConn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newFEConn()
 	defer c.sock.release()
 	c.relaying = true
 	c.relayed, c.ready, c.idle = make(map[int]*relayReq), make(chan struct{}, 1), time.NewTimer(time.Hour)
@@ -309,5 +301,64 @@ func TestRecycleKeepsRelayStorage(t *testing.T) {
 	case <-c.idle.C:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the kept timer does not fire after Reset")
+	}
+}
+
+// discardConn is a control session that takes every write and keeps none.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// A warmed relayed batch allocates nothing on the front-end's way from the
+// batch's assignments to its responses on the client socket: relayBatch
+// takes its request records, with their REQ lines' storage, from the
+// connection's record, and relayOut gives each back once it has written
+// its response. They were four allocations a request: the record, and
+// its line grown from nothing.
+func TestRelayedBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	client, accepted := tcpPair(t)
+	c := clientRecord(t, fdOf(t, accepted))
+	fe := &FrontEnd{
+		cfg:    FrontEndConfig{IdleTimeout: time.Minute},
+		relays: make(map[core.ConnID]*feConn),
+		links:  []*beLink{{ctrl: discardConn{}}},
+		lat:    core.NewLatencyHist(),
+		closed: make(chan struct{}),
+	}
+	c.id, c.relaying = 1, true
+	c.relayed, c.ready = make(map[int]*relayReq), make(chan struct{}, 1)
+	fe.relays[c.id] = c
+	assignments := make([]core.Assignment, 4)
+	for i, tgt := range []string{"/a", "/b", "/c", "/d"} {
+		c.reqs = append(c.reqs, httpmsg.Request{Method: "GET", Target: tgt, Proto: "HTTP/1.1"})
+		assignments[i].Node = 0
+	}
+	frame := []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+	buf := make([]byte, len(assignments)*len(frame))
+	one := func() {
+		first := c.seq
+		fe.relayBatch(c, assignments)
+		fe.relayMu.Lock()
+		for seq := first; seq < c.seq; seq++ {
+			c.relayed[seq].frame = frame // as the session reader files it
+		}
+		fe.relayMu.Unlock()
+		if err := fe.relayOut(c, first); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(client, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 {
+		one() // warm: the records, the lines, the node list
+	}
+	perReq := testing.AllocsPerRun(100, one) / float64(len(assignments))
+	t.Logf("%.2f allocations per relayed request", perReq)
+	if perReq != 0 {
+		t.Errorf("%.2f allocations per relayed request of a warmed batch, want 0", perReq)
 	}
 }

@@ -273,10 +273,6 @@ type Assignment struct {
 	Migrate bool
 	// From is the previous handling node of a migrating assignment.
 	From NodeID
-	// CacheLocally reports the extended LARD caching heuristic's verdict:
-	// whether content fetched from disk or from a peer should be inserted
-	// into the handling node's cache (replicating it) or bypass it.
-	CacheLocally bool
 }
 
 // ServerKind selects the back-end HTTP server cost model.

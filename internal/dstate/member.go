@@ -187,7 +187,7 @@ func (m *Member) AssignBatch(c *core.ConnState, batch core.Batch) []core.Assignm
 	}
 	out := c.AssignBuf(len(batch))
 	for i := range batch {
-		out[i] = core.Assignment{Node: c.Handling, CacheLocally: true}
+		out[i] = core.Assignment{Node: c.Handling}
 		c.Requests++
 	}
 	c.Batches++

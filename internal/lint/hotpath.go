@@ -94,8 +94,8 @@ func NewHotpath() *Analyzer {
 var hotpathRequired = map[string][]string{
 	"phttp/internal/cache":   {"Mapping.IsMapped", "Mapping.MaskWord", "Mapping.AppendNodesFor", "nodeMasks.word", "nodeMasks.setBit", "nodeMasks.clearBit"},
 	"phttp/internal/httpmsg": {"ReadRequestInto", "AppendResponseHead"},
-	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "writeHandoff", "acceptor.accept", "clientSock.attach", "workers.start", "clientSock.Read", "clientSock.Write", "beConn.writeRaw",
-		"respWriter.sendPages", "bodyPipe.put", "bodyPipe.putPage", "bodyPipe.putBody", "bodyPipe.spliceTo", "bodyPipe.drainTo", "bodyPipe.fillFrom", "beConn.drainPipe", "beConn.drainRaw", "respWriter.forward", "peerConn.fill", "peerOut.drainPipe"},
+	"phttp/internal/cluster": {"appendReq", "parseCtrl", "Backend.serveConn", "FrontEnd.handOff", "writeHandoff", "acceptor.accept", "clientSock.attach", "workers.start", "clientSock.Read", "clientSock.Write", "clientSock.splice", "clientSock.run", "beConn.Write",
+		"respWriter.sendPages", "bodyPipe.put", "bodyPipe.putPage", "bodyPipe.putBody", "bodyPipe.spliceTo", "bodyPipe.drainTo", "bodyPipe.fillFrom", "beConn.drainPipe", "respWriter.forward", "peerConn.fill", "peerOut.drainPipe"},
 	"phttp/internal/simcore": {"Engine.Step", "Engine.Call", "Engine.enqueue", "Resource.Call"},
 	"phttp/internal/sim":     {"connStep", "reqStep", "Sim.cpuCall", "Sim.diskCall", "Sim.feCall"},
 }

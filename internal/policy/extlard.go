@@ -147,7 +147,7 @@ func (e *ExtLARD) AssignBatch(c *core.ConnState, batch core.Batch) []core.Assign
 		var a core.Assignment
 		if c.Requests == 0 {
 			// The handoff decision already placed this request.
-			a = core.Assignment{Node: c.Handling, CacheLocally: true}
+			a = core.Assignment{Node: c.Handling}
 			e.localServes.Add(1)
 		} else {
 			a = e.assignNext(c, r)
@@ -173,7 +173,7 @@ func (e *ExtLARD) assignNext(c *core.ConnState, r core.Request) core.Assignment 
 	switch e.mech {
 	case core.SingleHandoff:
 		e.localServes.Add(1)
-		return core.Assignment{Node: h, CacheLocally: true}
+		return core.Assignment{Node: h}
 
 	case core.BEForwarding, core.MultipleHandoff:
 		mappedHere := e.mapping.IsMapped(r.ID, h)
@@ -184,7 +184,7 @@ func (e *ExtLARD) assignNext(c *core.ConnState, r core.Request) core.Assignment 
 			// overhead.
 			e.localServes.Add(1)
 			e.mapping.Map(r.ID, r.Size, h)
-			return core.Assignment{Node: h, CacheLocally: true}
+			return core.Assignment{Node: h}
 		}
 		// Candidates: the handling node plus any node caching the target.
 		// The stack buffer covers any realistic cluster; pick only reads
@@ -201,7 +201,7 @@ func (e *ExtLARD) assignNext(c *core.ConnState, r core.Request) core.Assignment 
 			// dispatcher records the target as cached here.
 			e.localServes.Add(1)
 			e.mapping.Map(r.ID, r.Size, h)
-			return core.Assignment{Node: h, CacheLocally: true}
+			return core.Assignment{Node: h}
 		}
 		if e.mech == core.MultipleHandoff {
 			// Migrate the connection to the node caching the target.
@@ -209,14 +209,14 @@ func (e *ExtLARD) assignNext(c *core.ConnState, r core.Request) core.Assignment 
 			e.loads.MoveConn(h, win)
 			c.Handling = win
 			e.mapping.Touch(r.ID, win)
-			return core.Assignment{Node: win, Migrate: true, From: h, CacheLocally: true}
+			return core.Assignment{Node: win, Migrate: true, From: h}
 		}
 		// Lateral fetch. NFS client caching is disabled in the paper's
 		// prototype, so forwarded content is never cached at the
 		// handling node.
 		e.remoteServes.Add(1)
 		e.mapping.Touch(r.ID, win)
-		return core.Assignment{Node: win, Forward: true, CacheLocally: false}
+		return core.Assignment{Node: win, Forward: true}
 
 	case core.ZeroCostHandoff, core.RelayFrontEnd:
 		// Per-request basic LARD over all nodes.
@@ -224,12 +224,12 @@ func (e *ExtLARD) assignNext(c *core.ConnState, r core.Request) core.Assignment 
 		e.mapping.Map(r.ID, r.Size, win)
 		if win == h {
 			e.localServes.Add(1)
-			return core.Assignment{Node: h, CacheLocally: true}
+			return core.Assignment{Node: h}
 		}
 		e.migrations.Add(1)
 		e.loads.MoveConn(h, win)
 		c.Handling = win
-		return core.Assignment{Node: win, Migrate: true, From: h, CacheLocally: true}
+		return core.Assignment{Node: win, Migrate: true, From: h}
 
 	default:
 		panicUnknownMechanism(e.mech)

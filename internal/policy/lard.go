@@ -140,7 +140,7 @@ func (l *LARD) ConnOpen(c *core.ConnState, first core.Request) core.NodeID {
 func (l *LARD) AssignBatch(c *core.ConnState, batch core.Batch) []core.Assignment {
 	out := c.AssignBuf(len(batch))
 	for i := range batch {
-		out[i] = core.Assignment{Node: c.Handling, CacheLocally: true}
+		out[i] = core.Assignment{Node: c.Handling}
 		c.Requests++
 	}
 	c.Batches++

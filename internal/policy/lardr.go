@@ -229,7 +229,7 @@ func (l *LARDR) filterEligible(set []core.NodeID, mem *memberSet) []core.NodeID 
 func (l *LARDR) AssignBatch(c *core.ConnState, batch core.Batch) []core.Assignment {
 	out := c.AssignBuf(len(batch))
 	for i := range batch {
-		out[i] = core.Assignment{Node: c.Handling, CacheLocally: true}
+		out[i] = core.Assignment{Node: c.Handling}
 		c.Requests++
 	}
 	c.Batches++

@@ -260,9 +260,6 @@ func TestExtLARDForwardsWhenDiskBusyAndMappedElsewhere(t *testing.T) {
 	if !as[0].Forward || as[0].Node != objNode {
 		t.Errorf("busy-disk foreign request: %+v, want forward to %v", as[0], objNode)
 	}
-	if as[0].CacheLocally {
-		t.Error("forwarded content must not be cached locally (NFS client caching disabled)")
-	}
 	// Remote node carries 1/N load for the batch.
 	if got := e.Loads().Load(objNode); got != 1+1.0 {
 		// objNode has its own connection (1) plus 1/1 for this batch.

@@ -102,7 +102,7 @@ func (w *WRR) ConnOpen(c *core.ConnState, _ core.Request) core.NodeID {
 func (w *WRR) AssignBatch(c *core.ConnState, batch core.Batch) []core.Assignment {
 	out := c.AssignBuf(len(batch))
 	for i := range batch {
-		out[i] = core.Assignment{Node: c.Handling, CacheLocally: true}
+		out[i] = core.Assignment{Node: c.Handling}
 		c.Requests++
 	}
 	c.Batches++

@@ -751,9 +751,6 @@ func (rr *reqRun) step(phase int, n core.NodeID) {
 			rr.redispatch(n)
 			return
 		}
-		if rr.a.CacheLocally {
-			s.nodes[n].cache.Insert(rr.id, rr.size)
-		}
 		rr.done()
 
 	case rqMigFE:
