@@ -210,13 +210,3 @@ func BenchmarkTraceGenerate(b *testing.B) {
 		b.ReportMetric(float64(tr.Requests()), "requests")
 	}
 }
-
-func BenchmarkTraceReconstruct(b *testing.B) {
-	cfg := trace.SmallSynthConfig()
-	cfg.Connections = 2000
-	entries := trace.NewSynth(cfg).GenerateEntries()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trace.Reconstruct(entries, trace.DefaultIdleTimeout, trace.DefaultBatchWindow)
-	}
-}

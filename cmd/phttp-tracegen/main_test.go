@@ -15,8 +15,8 @@ func TestHelpSmoke(t *testing.T) {
 		t.Fatalf("-h: %v\n%s", err, out)
 	}
 	// A trace is named by its config: nothing writes or reads a trace file.
-	for _, f := range []string{"-in", "-out", "-block-size"} {
-		if out, err := exec.Command(bin, f, "1", "-stats").CombinedOutput(); err == nil {
+	for _, f := range []string{"-in", "-out", "-block-size", "-stats"} {
+		if out, err := exec.Command(bin, f, "1").CombinedOutput(); err == nil {
 			t.Errorf("%s accepted:\n%s", f, out)
 		}
 	}

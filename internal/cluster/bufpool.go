@@ -15,7 +15,9 @@ import (
 // connection's request queue (see respWriter): the responses of a
 // pipelined batch share a chunk — the smallest class that holds them — and
 // leave in one write; a body beyond the largest class streams through it
-// in writes of that size. A relay frame owns a chunk for one response.
+// in writes of that size. A relay frame owns a chunk for one response, on
+// each node: the back-end writes it into one, and the front-end reads it
+// into one (frameChunk) and keeps it until it is written to the client.
 
 // chunkClasses are the pooled buffer sizes. The smallest covers the
 // response head plus the workload's median bodies (~3-6 KB), the middle
@@ -70,11 +72,26 @@ func newChunkWriter(w io.Writer, hint int64) *chunkWriter {
 	return cw
 }
 
+// frameChunk checks out a chunk for a relayed response frame of n bytes,
+// which it holds as buf[:n]: the smallest class that holds it. A frame
+// past the largest class gets a buffer of its own, which release leaves
+// to the collector.
+func frameChunk(n int) *chunkWriter {
+	if n > chunkClasses[len(chunkClasses)-1] {
+		return &chunkWriter{buf: make([]byte, n), n: n, class: -1}
+	}
+	cw := newChunkWriter(nil, int64(n))
+	cw.n = n
+	return cw
+}
+
 // release returns the writer (and its buffer) to its class pool. It does
 // not flush; callers flush explicitly so write errors stay visible.
 func (cw *chunkWriter) release() {
 	cw.w = nil
-	chunkWriters[cw.class].Put(cw)
+	if cw.class >= 0 {
+		chunkWriters[cw.class].Put(cw)
+	}
 }
 
 // Write implements io.Writer.

@@ -38,13 +38,13 @@ func (fe *FrontEnd) onMembership(n core.NodeID, from, to membership.State) {
 			wake(c.ready)
 		}
 		fe.relayMu.Unlock()
-		fe.handedMu.Lock()
-		for c := fe.handed; c != nil; c = c.next {
-			if c.node == n {
-				c.wakeDown()
+		fe.socksMu.Lock()
+		for s, node := range fe.socks {
+			if node == n {
+				s.wake(&s.down)
 			}
 		}
-		fe.handedMu.Unlock()
+		fe.socksMu.Unlock()
 	}
 }
 

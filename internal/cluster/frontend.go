@@ -178,14 +178,15 @@ type FrontEnd struct {
 	relayMu sync.Mutex
 	relays  map[core.ConnID]*feConn
 
-	// handed lists the connections handed off to a back-end (handoff and
-	// BE forwarding), linked through feConn.prev/next under handedMu. A
-	// Down transition wakes those handed off to the dead node through a
-	// read deadline in the past, and each one's own goroutine resets it.
-	// handedMu is taken after the membership table's lock, never before
-	// it.
-	handedMu sync.Mutex
-	handed   *feConn
+	// socks holds every client worker's socket, from the worker's start,
+	// its epoll set open, to its retirement, with the back-end its
+	// connection is handed off to (handoff and BE forwarding), or NoNode.
+	// A Down transition wakes the sockets handed off to the dead node, and
+	// Close wakes them all (clientSock.wake); each one's own goroutine
+	// then resets its connection. socksMu is taken after the membership
+	// table's lock, never before it.
+	socksMu sync.Mutex
+	socks   map[*clientSock]core.NodeID
 
 	// unavailable counts connections refused with 503 (no Up back-end);
 	// redispatched counts in-flight requests re-sent after a node death.
@@ -221,7 +222,7 @@ type relayReq struct {
 	node  core.NodeID
 	line  []byte // the REQ message, kept for re-dispatch
 	tries int
-	frame []byte // the response, once it has arrived
+	frame *chunkWriter // the response, once it has arrived (frameChunk)
 }
 
 // NewFrontEnd starts the front-end: it listens for clients on loopback and
@@ -278,6 +279,7 @@ func NewFrontEnd(cfg FrontEndConfig, backends []BackendEndpoints) (*FrontEnd, er
 		eng:       eng,
 		endpoints: append([]BackendEndpoints(nil), backends...),
 		relays:    make(map[core.ConnID]*feConn),
+		socks:     make(map[*clientSock]core.NodeID),
 		lat:       core.NewLatencyHist(),
 		started:   time.Now(),
 		closed:    make(chan struct{}),
@@ -503,7 +505,8 @@ func (fe *FrontEnd) Utilization() float64 {
 	return u
 }
 
-// Close shuts the front-end down.
+// Close shuts the front-end down in bounded time: it wakes every client
+// worker's socket for good (DESIGN §4.2).
 func (fe *FrontEnd) Close() {
 	fe.closeMu.Do(func() {
 		close(fe.closed)
@@ -516,6 +519,11 @@ func (fe *FrontEnd) Close() {
 		for _, l := range fe.links {
 			l.close()
 		}
+		fe.socksMu.Lock()
+		for s := range fe.socks {
+			s.wake(&s.stopped)
+		}
+		fe.socksMu.Unlock()
 	})
 	fe.wg.Wait()
 }
@@ -523,8 +531,9 @@ func (fe *FrontEnd) Close() {
 // ctrlReadLoop consumes back-end → front-end traffic: disk queue reports,
 // which feed the policy, relayed responses, and the CLOSE by which a
 // back-end says it has refused a relayed connection. It never waits on a
-// client: a frame is filed under its connection, whose own goroutine writes
-// it out (relayOut). The conn is passed explicitly — AddBackend swaps link
+// client: a frame is read into a pooled chunk and filed under its
+// connection, whose own goroutine writes it out (relayOut) and releases
+// the chunk. The conn is passed explicitly — AddBackend swaps link
 // conns in place, and a loop must drain exactly the conn it was started
 // for. Each DISKQ report doubles as a heartbeat; a read error is liveness
 // evidence and marks the node Suspect.
@@ -533,9 +542,11 @@ func (fe *FrontEnd) ctrlReadLoop(link *beLink, conn net.Conn) {
 	for {
 		msg, err := readCtrl(br)
 		if err == nil && msg.Kind == kindResp {
-			frame := make([]byte, msg.Size)
-			if _, err = io.ReadFull(br, frame); err == nil {
+			frame := frameChunk(int(msg.Size))
+			if _, err = io.ReadFull(br, frame.buf[:frame.n]); err == nil {
 				fe.fileFrame(msg.Conn, msg.Seq, frame)
+			} else {
+				frame.release()
 			}
 		}
 		if err != nil {
@@ -555,18 +566,19 @@ func (fe *FrontEnd) ctrlReadLoop(link *beLink, conn net.Conn) {
 }
 
 // fileFrame files a relayed response under its request. A frame for a
-// connection gone, or a second one for a re-dispatched request, is dropped.
-func (fe *FrontEnd) fileFrame(id core.ConnID, seq int, frame []byte) {
+// connection gone, or a second one for a re-dispatched request, is dropped
+// and its chunk released.
+func (fe *FrontEnd) fileFrame(id core.ConnID, seq int, frame *chunkWriter) {
 	fe.relayMu.Lock()
 	defer fe.relayMu.Unlock()
-	c := fe.relays[id]
-	if c == nil {
-		return
+	if c := fe.relays[id]; c != nil {
+		if r := c.relayed[seq]; r != nil && r.frame == nil {
+			r.frame = frame
+			wake(c.ready)
+			return
+		}
 	}
-	if r := c.relayed[seq]; r != nil && r.frame == nil {
-		r.frame = frame
-		wake(c.ready)
-	}
+	frame.release()
 }
 
 // dropRelayed takes relayed connection id — refused by a back-end, or with
@@ -609,7 +621,7 @@ func (fe *FrontEnd) relayOut(c *feConn, first int) error {
 	for seq := first; seq < c.seq; {
 		fe.relayMu.Lock()
 		r, dropped := c.relayed[seq], fe.relays[c.id] != c
-		var frame []byte
+		var frame *chunkWriter
 		if r != nil && r.frame != nil {
 			frame, r.frame = r.frame, nil
 			delete(c.relayed, seq)
@@ -646,14 +658,16 @@ func (fe *FrontEnd) relayOut(c *feConn, first int) error {
 		if c.seq-seq >= maxPending {
 			grace = stallGrace
 		}
-		for done := 0; done < len(frame); {
+		for done := 0; done < frame.n; {
 			c.sock.deadline(time.Now().Add(grace))
-			n, err := c.sock.Write(frame[done:])
+			n, err := c.sock.Write(frame.buf[done:frame.n])
 			done += n
 			if err != nil && (n == 0 || !errors.Is(err, os.ErrDeadlineExceeded)) {
+				frame.release()
 				return err
 			}
 		}
+		frame.release()
 		seq++
 	}
 	return nil
@@ -770,13 +784,6 @@ type feConn struct {
 	// also held by its relayReq, for re-dispatch).
 	lines [][]byte
 
-	// Handoff and BE forwarding, from openConn on: the connection's place
-	// in fe.handed, and node, the back-end it is handed off to. down is
-	// set once that node goes Down.
-	prev, next *feConn
-	node       core.NodeID
-	down       atomic.Bool
-
 	// Relay only: relaying is set from openConn on, while the connection
 	// has its entry in fe.relays. relayed holds its requests whose
 	// responses are not yet written, by sequence number (under
@@ -796,16 +803,16 @@ type feConn struct {
 // batch scratch is dropped instead of kept for the next.
 const feConnScratchMax = 64
 
-// newFEConn makes a worker's client record; its epoll set is opened with
-// the first connection (clientSock.attach).
+// newFEConn makes a worker's client record; clientWorker opens its epoll
+// set.
 func newFEConn() *feConn {
 	return &feConn{sock: new(clientSock), br: bufio.NewReaderSize(nil, 16<<10)}
 }
 
 // recycle readies a closed connection's record for the worker's next one.
-// Once closeClient has taken the connection out of fe.handed or the route
-// table, no other goroutine can reach the record: a late wakeDown or
-// dropRelayed cannot touch the next connection.
+// Once closeClient has taken the connection out of the route table, or its
+// socket's node out of fe.socks, no Down sweep or dropRelayed reaches the
+// next connection.
 func (c *feConn) recycle() {
 	c.br.Reset(nil)
 	reqs, batch, line, spare := c.reqs[:0], c.batch[:0], c.line[:0], c.spare
@@ -858,9 +865,28 @@ func (c *feConn) setReqNode(dest core.NodeID) bool {
 
 // clientWorker is one front-end worker: it serves client connections, the
 // first fd and then each next hands it, on one record until it retires.
+// Its socket is in fe.socks meanwhile; one that joins after Close has
+// walked them finds the front-end closed and wakes its own.
 func (fe *FrontEnd) clientWorker(fd int, next func() (int, bool)) {
 	c := newFEConn()
 	defer c.sock.release()
+	if c.sock.open() != nil {
+		syscall.Close(fd)
+		return
+	}
+	fe.socksMu.Lock()
+	fe.socks[c.sock] = core.NoNode
+	fe.socksMu.Unlock()
+	defer func() {
+		fe.socksMu.Lock()
+		delete(fe.socks, c.sock)
+		fe.socksMu.Unlock()
+	}()
+	select {
+	case <-fe.closed:
+		c.sock.wake(&c.sock.stopped)
+	default:
+	}
 	for ok := true; ok; fd, ok = next() {
 		fe.serveClient(c, fd)
 	}
@@ -895,9 +921,7 @@ func (fe *FrontEnd) serveClient(c *feConn, fd int) {
 				shutWrite(c.sock.fd)
 			}
 			c.sock.deadline(time.Now().Add(fe.cfg.IdleTimeout))
-			if !c.down.Load() {
-				c.br.Discard(math.MaxInt)
-			}
+			c.br.Discard(math.MaxInt)
 			return
 		}
 		yieldThread() // the batch is on its way; next comes a wait for the client
@@ -944,7 +968,7 @@ func (fe *FrontEnd) readBatch(c *feConn) error {
 
 	c.reqs, c.batch = c.reqs[:0], c.batch[:0]
 	c.sock.deadline(time.Now().Add(fe.cfg.IdleTimeout))
-	if c.down.Load() { // after the deadline: a wakeDown before it is seen here
+	if c.sock.down.Load() { // what is buffered is not dispatched to a dead node
 		return errNodeDown
 	}
 	if err := fe.readRequest(c); err != nil {
@@ -1040,23 +1064,10 @@ func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 		fe.relayMu.Unlock()
 		return nil
 	}
-	c.node = ec.Handling()
-	fe.handedMu.Lock()
-	c.next = fe.handed
-	if c.next != nil {
-		c.next.prev = c
-	}
-	fe.handed = c
-	fe.handedMu.Unlock()
+	fe.socksMu.Lock()
+	fe.socks[c.sock] = ec.Handling()
+	fe.socksMu.Unlock()
 	return nil
-}
-
-// wakeDown tells handed-off connection c that its node went Down: its
-// goroutine, waiting on the client or about to, finds the deadline passed
-// or the flag set, and resets the connection. Called under fe.handedMu.
-func (c *feConn) wakeDown() {
-	c.down.Store(true)
-	c.sock.deadline(longAgo)
 }
 
 // longAgo is a deadline that has passed.
@@ -1109,7 +1120,7 @@ func (fe *FrontEnd) dispatchBatch(c *feConn) error {
 		// before the batch is assigned, spending no retry, as no work was
 		// lost. A handed-off connection is not moved: its dead node may
 		// have left a response half-written on the client's stream. The
-		// node's Down transition woke it instead (wakeDown), and it is
+		// node's Down transition woke it instead (clientSock.wake), and it is
 		// reset the moment it next waits on the client.
 		done := fe.trackDispatch()
 		fe.eng.Redispatch(c.ec, h, 0, 0)
@@ -1236,27 +1247,26 @@ func (fe *FrontEnd) closeClient(c *feConn) {
 	if c.relaying {
 		fe.relayMu.Lock()
 		delete(fe.relays, c.id)
+		for _, r := range c.relayed {
+			if r.frame != nil {
+				r.frame.release()
+			}
+		}
 		fe.relayMu.Unlock()
 	} else if c.ec != nil {
-		fe.handedMu.Lock()
-		if c.prev != nil {
-			c.prev.next = c.next
-		} else {
-			fe.handed = c.next
-		}
-		if c.next != nil {
-			c.next.prev = c.prev
-		}
-		fe.handedMu.Unlock()
+		fe.socksMu.Lock()
+		fe.socks[c.sock] = core.NoNode
+		fe.socksMu.Unlock()
 	}
 	if c.ec != nil {
 		done := fe.trackDispatch()
 		fe.eng.ConnClose(c.ec)
 		done()
 	}
-	if c.down.Load() {
-		// Its node died holding the connection: the client sees a reset,
-		// not a clean end of stream it might take for a complete answer.
+	if c.sock.down.Load() || c.sock.stopped.Load() {
+		// Its node died holding the connection, or the front-end closed:
+		// the client sees a reset, not a clean end of stream it might take
+		// for a complete answer.
 		lingerOff(c.sock.fd)
 	}
 	c.sock.close()

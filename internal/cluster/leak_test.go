@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"os"
@@ -52,11 +53,6 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				cfg.Catalog = tr.Sizes
 				cfg.CacheBytes = 64 << 20
 			}
-			if tc.stall {
-				// The front-end's Close waits for its workers, and a worker
-				// for its client's idle timeout.
-				cfg.IdleTimeout = 4 * time.Second
-			}
 			cl, err := cluster.Start(cfg)
 			if err != nil {
 				t.Fatalf("start: %v", err)
@@ -89,16 +85,79 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				t.Errorf("%d bytes of content pages mapped after Close, %d before", got, pagesBefore)
 			}
 
-			// Give lingering netpoll wakeups a moment to drain.
-			deadline := time.Now().Add(5 * time.Second)
-			for time.Now().Before(deadline) {
-				if runtime.NumGoroutine() <= before+3 && openFDs(t) <= fdsBefore {
-					return
-				}
-				time.Sleep(50 * time.Millisecond)
+			settles(t, before, fdsBefore)
+		})
+	}
+}
+
+// TestFrontEndCloseIsBounded: the front-end's Close wakes every client
+// worker at once, at the default 15 s IdleTimeout, whatever it waits in:
+// idle keep-alive clients, one that has connected and sent nothing, and
+// one whose responses are mid-stream when it stops reading — relayed,
+// the front-end's own write waits; handed off, its worker waits for the
+// next request. Close returns within 200 ms, and the cluster leaves the
+// process's goroutines and descriptors as it found them.
+func TestFrontEndCloseIsBounded(t *testing.T) {
+	for _, mech := range []core.Mechanism{core.RelayFrontEnd, core.BEForwarding} {
+		t.Run(mech.String(), func(t *testing.T) {
+			before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
+			cfg, _ := testConfig(t, 2, "extlard", mech)
+			sc := trace.SmallSynthConfig()
+			sc.Connections, sc.MinSize, sc.MaxSize = 100, 32<<10, 256<<10
+			tr := trace.NewSynth(sc).Generate()
+			cfg.Catalog, cfg.CacheBytes = tr.Sizes, 64<<20
+			cl, err := cluster.Start(cfg)
+			if err != nil {
+				t.Fatalf("start: %v", err)
 			}
-			t.Errorf("goroutines: %d before, %d after close; descriptors: %d before, %d after",
-				before, runtime.NumGoroutine(), fdsBefore, openFDs(t))
+			var conns []net.Conn
+			defer func() {
+				cl.Close()
+				for _, conn := range conns {
+					conn.Close()
+				}
+			}()
+			dial := func() net.Conn {
+				conn, err := net.Dial("tcp", cl.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				conns = append(conns, conn)
+				return conn
+			}
+			var big core.Target
+			for tgt, size := range tr.Sizes {
+				if size > tr.Sizes[big] || size == tr.Sizes[big] && tgt < big {
+					big = tgt
+				}
+			}
+			req := "GET " + string(big) + " HTTP/1.1\r\nHost: c\r\n\r\n"
+			for range 3 {
+				conn := dial()
+				io.WriteString(conn, req)
+				readFullResponse(t, bufio.NewReader(conn))
+			}
+			dial()
+			stalled := dial()
+			stalled.(*net.TCPConn).SetReadBuffer(16 << 10)
+			io.WriteString(stalled, strings.Repeat(req, 64))
+			stalled.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := io.ReadFull(stalled, make([]byte, 64)); err != nil {
+				t.Fatalf("no response began: %v", err)
+			}
+			time.Sleep(100 * time.Millisecond) // the client's socket fills
+
+			start := time.Now()
+			cl.FE.Close()
+			if took := time.Since(start); took > 200*time.Millisecond {
+				t.Errorf("the front-end's Close took %v", took)
+			}
+			cl.Close()
+			for _, conn := range conns {
+				conn.Close()
+			}
+			conns = nil
+			settles(t, before, fdsBefore)
 		})
 	}
 }
@@ -142,6 +201,20 @@ func stallClients(t *testing.T, cl *cluster.Cluster, tr *trace.Trace) []net.Conn
 		}
 	}
 	return conns
+}
+
+// settles waits for the process to return to (about) before goroutines
+// and to at most fds open descriptors, giving lingering netpoll wakeups a
+// moment to drain.
+func settles(t *testing.T, before, fds int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		if runtime.NumGoroutine() <= before+3 && openFDs(t) <= fds {
+			return
+		}
+	}
+	t.Errorf("goroutines: %d before, %d after close; descriptors: %d before, %d after",
+		before, runtime.NumGoroutine(), fds, openFDs(t))
 }
 
 // openFDs counts the process's open descriptors.

@@ -14,11 +14,12 @@ import (
 // accept4 returned to a front-end, or the one a back-end received with the
 // connection's HANDOFF, and the worker's own epoll set. The set is the
 // worker's one registration with the runtime's poller, as an *os.File,
-// opened on its first connection, and its RawConn.Read runs every wait of
-// the connection: the callback makes the raw system call, and when that
-// would block the goroutine parks until the set turns readable — the
-// socket is ready for it — or the file's read deadline, every deadline of
-// the connection, passes. A front-end's socket is in the set from attach
+// opened as a front-end worker starts or with a back-end worker's first
+// connection, and its RawConn.Read runs every wait of the connection: the
+// callback makes the raw system call, and when that would block the
+// goroutine parks until the set turns readable — the socket is ready for
+// it — or the file's read deadline, every deadline of the connection,
+// passes. A front-end's socket is in the set from attach
 // to close, for reads; a back-end never reads its client socket, and its
 // socket joins the set only while a write waits. Writes are raw first: a
 // socket with room takes them with no call on the set. So a connection
@@ -36,6 +37,10 @@ type clientSock struct {
 	err                     error
 	out                     bool // EPOLLOUT is in the set: a write waits
 	ev                      syscall.EpollEvent
+	// While down or stopped holds, every deadline of the socket is in the
+	// past (wake): down from a front-end connection's node going Down to
+	// the next attach, stopped from the front-end's Close on.
+	down, stopped atomic.Bool
 	// be is a back-end's connection, whose clock times each wait of a
 	// write; nil on a front-end, which sets its deadlines itself.
 	be *beConn
@@ -67,7 +72,7 @@ func (s *clientSock) release() { s.ep.Close() }
 const clientEvents = syscall.EPOLLIN | syscall.EPOLLRDHUP
 
 // attach makes fd the socket's connection, in the set from now on when
-// the worker reads it. The worker's first connection opens the set.
+// the worker reads it. A back-end worker's first connection opens the set.
 //
 //phttp:hotpath
 func (s *clientSock) attach(fd int, reads bool) error {
@@ -77,6 +82,7 @@ func (s *clientSock) attach(fd int, reads bool) error {
 		}
 	}
 	s.fd, s.events = fd, 0
+	s.down.Store(false)
 	if !reads {
 		return nil
 	}
@@ -103,6 +109,16 @@ func (s *clientSock) close() {
 func (s *clientSock) deadline(t time.Time) {
 	s.deadlines.Add(1)
 	s.ep.SetReadDeadline(t)
+	if s.down.Load() || s.stopped.Load() { // after the deadline: a wake before it is seen here
+		s.ep.SetReadDeadline(longAgo)
+	}
+}
+
+// wake sets flag, s.down or s.stopped, and ends the wait in progress on
+// the socket, if any. Any goroutine may call it once the set is open.
+func (s *clientSock) wake(flag *atomic.Bool) {
+	flag.Store(true)
+	s.ep.SetReadDeadline(longAgo)
 }
 
 //phttp:hotpath

@@ -100,16 +100,18 @@ func TestSequentialConnectionsReuseWorkers(t *testing.T) {
 }
 
 // A worker's record outlives its connection. A handed-off connection whose
-// node went Down leaves the record with the down flag set and its epoll
-// set's deadline in the past; closeClient takes it off fe.handed before
-// the worker can take another connection, so no Down sweep reaches the
-// next one, which reads with a deadline of its own and no flag.
+// node went Down leaves the record's socket with the down flag set and its
+// epoll set's deadline in the past; closeClient takes the node off the
+// socket's entry in fe.socks before the worker can take another
+// connection, so no Down sweep reaches the next one, which reads with a
+// deadline of its own and no flag.
 func TestWokenRecordServesNextConnection(t *testing.T) {
 	eng, err := dispatch.NewEngine(dispatch.Spec{Policy: "wrr", Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := &FrontEnd{cfg: FrontEndConfig{IdleTimeout: time.Minute, BatchWindow: 50 * time.Microsecond}, eng: eng, lat: core.NewLatencyHist()}
+	fe := &FrontEnd{cfg: FrontEndConfig{IdleTimeout: time.Minute, BatchWindow: 50 * time.Microsecond}, eng: eng, lat: core.NewLatencyHist(),
+		socks: make(map[*clientSock]core.NodeID)}
 	c := newFEConn()
 	defer c.sock.release()
 	sweep := func() { fe.onMembership(0, membership.Up, membership.Down) }
@@ -132,15 +134,15 @@ func TestWokenRecordServesNextConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep()
-	if !c.down.Load() {
+	if !c.sock.down.Load() {
 		t.Fatal("the Down sweep did not reach the handed-off connection")
 	}
 	if err := fe.readBatch(c); !errors.Is(err, errNodeDown) {
 		t.Fatalf("read after the Down sweep: %v, want errNodeDown", err)
 	}
 	fe.closeClient(c)
-	if fe.handed != nil {
-		t.Fatal("closeClient left the connection on fe.handed")
+	if fe.socks[c.sock] != core.NoNode {
+		t.Fatal("closeClient left the connection's node in fe.socks")
 	}
 
 	// The next connection on the same record, with Down sweeps running
@@ -166,7 +168,7 @@ func TestWokenRecordServesNextConnection(t *testing.T) {
 	if err != nil || len(c.batch) != 1 {
 		t.Fatalf("next connection: %d requests, %v", len(c.batch), err)
 	}
-	if c.down.Load() {
+	if c.sock.down.Load() {
 		t.Error("the next connection carries the down flag")
 	}
 	c.sock.close()
@@ -312,40 +314,58 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 // A warmed relayed batch allocates nothing on the front-end's way from the
 // batch's assignments to its responses on the client socket: relayBatch
 // takes its request records, with their REQ lines' storage, from the
-// connection's record, and relayOut gives each back once it has written
-// its response. They were four allocations a request: the record, and
-// its line grown from nothing.
+// connection's record; the session reader reads each RESP frame into a
+// pooled chunk of the smallest class that holds it; and relayOut gives
+// record and chunk back once it has written the response. They were four
+// allocations a request, the record and its line grown from nothing, and
+// then one, the frame. The frames here take each class.
 func TestRelayedBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under -race")
 	}
 	client, accepted := tcpPair(t)
+	client.(*net.TCPConn).SetReadBuffer(256 << 10)
+	accepted.SetWriteBuffer(256 << 10)
 	c := clientRecord(t, fdOf(t, accepted))
+	eng, err := dispatch.NewEngine(dispatch.Spec{Policy: "wrr", Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fe := &FrontEnd{
 		cfg:    FrontEndConfig{IdleTimeout: time.Minute},
+		eng:    eng,
 		relays: make(map[core.ConnID]*feConn),
 		links:  []*beLink{{ctrl: discardConn{}}},
 		lat:    core.NewLatencyHist(),
 		closed: make(chan struct{}),
 	}
+	be, session := tcpPair(t)
+	go fe.ctrlReadLoop(fe.links[0], session)
+	defer close(fe.closed) // before the session closes: no suspicion
 	c.id, c.relaying = 1, true
 	c.relayed, c.ready = make(map[int]*relayReq), make(chan struct{}, 1)
 	fe.relays[c.id] = c
-	assignments := make([]core.Assignment, 4)
-	for i, tgt := range []string{"/a", "/b", "/c", "/d"} {
-		c.reqs = append(c.reqs, httpmsg.Request{Method: "GET", Target: tgt, Proto: "HTTP/1.1"})
-		assignments[i].Node = 0
+	var frames [][]byte
+	total := 0
+	for _, body := range []int{0, 3000, 10000, 30000} {
+		head := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", body)
+		frames = append(frames, append([]byte(head), make([]byte, body)...))
+		total += len(head) + body
+		c.reqs = append(c.reqs, httpmsg.Request{Method: "GET", Target: "/a", Proto: "HTTP/1.1"})
 	}
-	frame := []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
-	buf := make([]byte, len(assignments)*len(frame))
+	assignments := make([]core.Assignment, len(frames))
+	msgs := make([]byte, 0, total+len(frames)*64)
+	buf := make([]byte, total)
 	one := func() {
 		first := c.seq
 		fe.relayBatch(c, assignments)
-		fe.relayMu.Lock()
-		for seq := first; seq < c.seq; seq++ {
-			c.relayed[seq].frame = frame // as the session reader files it
+		msgs = msgs[:0]
+		for i, frame := range frames { // as the back-end writes them
+			msgs = append(appendResp(msgs, c.id, first+i, int64(len(frame))), frame...)
 		}
-		fe.relayMu.Unlock()
+		if _, err := be.Write(msgs); err != nil {
+			t.Fatal(err)
+		}
 		if err := fe.relayOut(c, first); err != nil {
 			t.Fatal(err)
 		}
@@ -354,11 +374,37 @@ func TestRelayedBatchAllocs(t *testing.T) {
 		}
 	}
 	for range 10 {
-		one() // warm: the records, the lines, the node list
+		one() // warm: the records, the lines, the node list, the chunks
 	}
-	perReq := testing.AllocsPerRun(100, one) / float64(len(assignments))
+	perReq := testing.AllocsPerRun(100, one) / float64(len(frames))
 	t.Logf("%.2f allocations per relayed request", perReq)
 	if perReq != 0 {
 		t.Errorf("%.2f allocations per relayed request of a warmed batch, want 0", perReq)
+	}
+}
+
+// A frame the front-end drops — for a connection gone, or a second one for
+// a request that holds one already — goes back to its class pool: frames
+// dropped one after another reuse one chunk. A frame past the largest
+// class is the collector's.
+func TestDroppedFramesReturnToPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	fe := &FrontEnd{relays: make(map[core.ConnID]*feConn)}
+	c := &feConn{id: 1, relayed: map[int]*relayReq{0: {}}, ready: make(chan struct{}, 1)}
+	fe.relays[c.id] = c
+	fe.fileFrame(c.id, 0, frameChunk(100))
+	for _, tc := range []struct {
+		name string
+		id   core.ConnID
+	}{{"connection gone", 2}, {"second frame", 1}} {
+		fe.fileFrame(tc.id, 0, frameChunk(5000)) // warm
+		if n := testing.AllocsPerRun(100, func() { fe.fileFrame(tc.id, 0, frameChunk(5000)) }); n != 0 {
+			t.Errorf("%s: %.2f allocations per dropped frame, want 0", tc.name, n)
+		}
+	}
+	if big := frameChunk(chunkClasses[len(chunkClasses)-1] + 1); big.class >= 0 || len(big.buf) != big.n {
+		t.Errorf("a frame past the largest class got class %d, %d bytes for %d", big.class, len(big.buf), big.n)
 	}
 }

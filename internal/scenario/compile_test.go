@@ -23,7 +23,7 @@ func smallScenario(t *testing.T, policyJSON string) *Spec {
 	t.Helper()
 	path := t.TempDir() + "/s.json"
 	src := `{"version":1,
-		"workload":{"synth":{"connections":800,"pages":120,"objects":260,"clients":60}},
+		"workload":{"synth":{"connections":800,"pages":120,"objects":260}},
 		"policy":` + policyJSON + `,
 		"mechanism":"singleHandoff",
 		"cluster":{"nodes":3,"cacheMB":4,"timeScale":2000,"clients":24,"warmupFrac":0.1}}`

@@ -214,6 +214,7 @@ func TestSetErrorsNameTheOverride(t *testing.T) {
 		{"cluster.cachemb=4", `-set cluster.cachemb=4: json: unknown field "cluster.cachemb"`},
 		{"cluster.nodes=abc", "-set cluster.nodes=abc: json: cannot unmarshal string"},
 		{"cluster.nodes.x=1", "-set cluster.nodes.x=1: cluster.nodes is not an object"},
+		{"workload.synth.clients=60", `-set workload.synth.clients=60: json: unknown field "clients"`},
 		{"policy.name=nosuch", "-set policy.name=nosuch: dispatch: unknown policy"},
 	} {
 		_, err := mustBuiltin(t, "default").With("cluster.nodes=2", tc.set)

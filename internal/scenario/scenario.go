@@ -88,7 +88,6 @@ type SynthSpec struct {
 	Connections int    `json:"connections,omitempty"`
 	Pages       int    `json:"pages,omitempty"`
 	Objects     int    `json:"objects,omitempty"`
-	Clients     int    `json:"clients,omitempty"`
 }
 
 // PolicySpec names a dispatch policy and its options.
@@ -456,7 +455,7 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	w := s.Workload.Synth
-	if w != nil && (w.Connections < 0 || w.Pages < 0 || w.Objects < 0 || w.Clients < 0) {
+	if w != nil && (w.Connections < 0 || w.Pages < 0 || w.Objects < 0) {
 		return fmt.Errorf("scenario: negative workload dimension")
 	}
 	if ch := s.Churn; ch != nil {
@@ -575,9 +574,6 @@ func (s *Spec) SynthConfig() trace.SynthConfig {
 		}
 		if w.Objects > 0 {
 			cfg.Objects = w.Objects
-		}
-		if w.Clients > 0 {
-			cfg.Clients = w.Clients
 		}
 	}
 	return cfg

@@ -119,13 +119,13 @@ func TestParseRejectsTraceCache(t *testing.T) {
 
 func TestSynthConfigOverrides(t *testing.T) {
 	s, err := Parse([]byte(`{"version":1,
-		"workload":{"synth":{"seed":7,"connections":1234,"pages":100,"objects":200,"clients":50}},
+		"workload":{"synth":{"seed":7,"connections":1234,"pages":100,"objects":200}},
 		"policy":{"name":"wrr"},"cluster":{"nodes":2}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := s.SynthConfig()
-	if cfg.Seed != 7 || cfg.Connections != 1234 || cfg.Pages != 100 || cfg.Objects != 200 || cfg.Clients != 50 {
+	if cfg.Seed != 7 || cfg.Connections != 1234 || cfg.Pages != 100 || cfg.Objects != 200 {
 		t.Errorf("overrides not applied: %+v", cfg)
 	}
 	// Unset knobs keep the calibrated defaults.

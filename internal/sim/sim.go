@@ -123,7 +123,7 @@ type Sim struct {
 // non-P-HTTP combos the trace is flattened to HTTP/1.0 form per call;
 // RunGrid flattens once per grid.
 //
-// Traces built by the loaders (Synth.Generate, Reconstruct) arrive interned
+// Traces built by the generator (Synth.Generate) arrive interned
 // and are only read, so concurrent Run calls may share one. A hand-built
 // trace (Interner == nil) is interned in place on first use — run it once,
 // or call EnsureIDs yourself, before sharing it across goroutines.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -40,9 +39,6 @@ type SynthConfig struct {
 	TailScale      float64
 	MinSize        int64
 	MaxSize        int64
-
-	// Clients is the population of distinct client hosts.
-	Clients int
 
 	// Connections is the number of persistent connections to generate.
 	Connections int
@@ -93,7 +89,6 @@ func DefaultSynthConfig() SynthConfig {
 		TailScale:      64 << 10,
 		MinSize:        96,
 		MaxSize:        4 << 20,
-		Clients:        2500,
 		Connections:    60000,
 		PagesPerConn:   1.3,
 		ResumeProb:     0.25,
@@ -107,7 +102,6 @@ func SmallSynthConfig() SynthConfig {
 	c := DefaultSynthConfig()
 	c.Pages = 600
 	c.Objects = 1400
-	c.Clients = 300
 	c.Connections = 4000
 	return c
 }
@@ -142,7 +136,7 @@ func catalogNames(pages, objects int) []core.Target {
 
 // Synth is an instantiated generator: the document catalog plus the
 // popularity and session models. Build one with NewSynth, then call
-// Generate (structured trace) or GenerateEntries (CLF log records).
+// Generate.
 //
 // The catalog (names, sizes, embedded-object lists, popularity tables) is
 // built once from the base seed; connection generation draws from
@@ -245,11 +239,6 @@ func (s *Synth) Sizes() map[core.Target]int64 {
 	return m
 }
 
-// Stream indices. Connection block b draws from stream b+1; stream 0 is
-// reserved for the timing/client draws of GenerateBoth, so the structured
-// trace is identical whether or not log entries are generated alongside it.
-const timingStream = 0
-
 // Generated requests and batch lists are cut from per-block slabs of these
 // many entries (more when one connection needs more), each slice capped at
 // its length so that an append to one cannot overwrite the next.
@@ -271,6 +260,8 @@ type blockGen struct {
 	conn    []core.Batch // the connection being generated
 }
 
+// blockGen starts block b's context. Block b draws from stream b+1:
+// stream 0 is left unused, so that every trace stays as it was.
 func (s *Synth) blockGen(block int) *blockGen {
 	rng := simcore.NewRNGStream(s.cfg.Seed, uint64(block)+1)
 	return &blockGen{s: s, rng: rng, zipf: s.zipf.With(rng)}
@@ -389,8 +380,7 @@ func (g *blockGen) genConnection() core.Connection {
 		if objs := s.embedded[p]; len(objs) > 0 {
 			// Resume partway through the page's objects. The first
 			// request of a connection always stands alone (the client
-			// cannot pipeline before its first round trip), matching
-			// the reconstruction heuristic.
+			// cannot pipeline before its first round trip).
 			from := g.rng.Intn(len(objs))
 			g.fill(&g.batch(1)[0], objs[from])
 			g.objectBatches(objs[from+1:])
@@ -443,67 +433,4 @@ func (g *blockGen) objectBatches(objs []int32) {
 			g.fill(&b[i], d)
 		}
 	}
-}
-
-// GenerateEntries produces per-request log entries whose timestamps encode
-// the connection/batch structure under the paper's reconstruction
-// heuristics: requests within a batch are spaced well under the batch
-// window, batches are separated by 1-10 s, and connections from the same
-// client are separated by more than the idle timeout. Feeding the result to
-// Reconstruct recovers the structured trace (a property the tests verify).
-func (s *Synth) GenerateEntries() []Entry {
-	entries, _ := s.GenerateBoth()
-	return entries
-}
-
-// GenerateBoth produces the log entries and the structured trace they
-// encode from the same generator draw, so the two views describe the
-// identical workload. The connection draws come from the per-block streams
-// — the returned trace equals Generate()'s — while client assignment and
-// timestamps draw from the reserved timing stream.
-func (s *Synth) GenerateBoth() ([]Entry, *Trace) {
-	conns := s.generateConns(0)
-	trng := simcore.NewRNGStream(s.cfg.Seed, timingStream)
-	n := 0
-	for _, conn := range conns {
-		n += conn.Requests()
-	}
-	entries := make([]Entry, 0, n)
-	// Per-client running clocks ensure the >=15 s separation; a client's
-	// host name is formatted on its first connection.
-	clientClock := make([]core.Micros, s.cfg.Clients)
-	clientName := make([]string, s.cfg.Clients)
-	for _, conn := range conns {
-		client := trng.Intn(s.cfg.Clients)
-		if clientName[client] == "" {
-			clientName[client] = fmt.Sprintf("client%04d.example.edu", client)
-		}
-		now := clientClock[client]
-		// Stagger clients so connection start order interleaves.
-		now += core.Micros(trng.Intn(2000)) * core.Millisecond
-
-		for bi, b := range conn.Batches {
-			if bi > 0 {
-				// Inter-batch gap: client parses and requests more,
-				// 1.2-9 s (>= batch window, < idle timeout).
-				now += core.Micros(1200+trng.Intn(7800)) * core.Millisecond
-			}
-			for ri, r := range b {
-				if ri > 0 {
-					// Pipelined spacing well inside the window.
-					now += core.Micros(20+trng.Intn(200)) * core.Millisecond
-				}
-				entries = append(entries, Entry{
-					Client: clientName[client],
-					Time:   now,
-					Target: r.Target,
-					Size:   r.Size,
-					Status: 200,
-				})
-			}
-		}
-		// Next connection from this client comes after the idle timeout.
-		clientClock[client] = now + DefaultIdleTimeout + core.Micros(1+trng.Intn(30))*core.Second
-	}
-	return entries, s.assemble(conns)
 }

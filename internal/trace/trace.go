@@ -1,8 +1,8 @@
-// Package trace provides the workload side of the reproduction: Web server
-// log entries (Common Log Format), the paper's heuristic reconstruction of
-// HTTP/1.1 persistent connections and pipelined batches from per-request
-// logs, a synthetic generator standing in for the Rice University trace, and
-// working-set statistics.
+// Package trace provides the workload side of the reproduction: a
+// synthetic generator standing in for the Rice University trace, whose
+// P-HTTP connections and pipelined batches the paper reconstructed from
+// per-request server logs, and working-set statistics. A trace is a
+// function of its SynthConfig; no log is read or written.
 package trace
 
 import (
@@ -12,30 +12,14 @@ import (
 	"phttp/internal/core"
 )
 
-// Entry is one Web server log record: who asked for what, when, and how many
-// response bytes it produced.
-type Entry struct {
-	// Client is the requesting host (the trace's client field).
-	Client string
-	// Time is the access timestamp, microseconds since the trace epoch.
-	Time core.Micros
-	// Target is the requested document.
-	Target core.Target
-	// Size is the response body size in bytes.
-	Size int64
-	// Status is the HTTP status code (only 200s become requests).
-	Status int
-}
-
-// Trace is a reconstructed workload: an ordered sequence of client
-// connections (each a sequence of pipelined batches) plus the table of
-// target sizes, which doubles as the synthetic document store's catalog.
+// Trace is a workload: an ordered sequence of client connections (each a
+// sequence of pipelined batches) plus the table of target sizes, which
+// doubles as the synthetic document store's catalog.
 //
 // Interner holds the dense TargetIDs stamped onto every Request by
-// EnsureIDs. The loaders (synthetic generator, log reconstruction) intern
-// at build time, so everything downstream — simulator caches, policies,
-// mapping tables — runs on integer IDs and only the edges ever see target
-// strings.
+// EnsureIDs. The synthetic generator interns at build time, so everything
+// downstream — simulator caches, policies, mapping tables — runs on
+// integer IDs and only the edges ever see target strings.
 type Trace struct {
 	Conns []core.Connection
 	// Sizes is the target→size catalog.
@@ -48,8 +32,8 @@ func (t *Trace) Catalog() map[core.Target]int64 { return t.Sizes }
 
 // EnsureIDs interns every request's target, assigning dense IDs in trace
 // order (first appearance wins), and returns the trace for chaining. It is
-// idempotent and must be called — or inherited from the loader — before the
-// trace is replayed. Not safe to call concurrently with replay: parallel
+// idempotent and must be called — or inherited from the generator —
+// before the trace is replayed. Not safe to call concurrently with replay: parallel
 // sweep drivers intern once up front and then share the trace read-only.
 func (t *Trace) EnsureIDs() *Trace {
 	if t.Interner == nil {

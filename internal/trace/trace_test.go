@@ -1,192 +1,13 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"phttp/internal/core"
 )
-
-// --- CLF parse/format ---
-
-func TestCLFRoundTrip(t *testing.T) {
-	e := Entry{
-		Client: "client0001.example.edu",
-		Time:   90061*core.Second + 120,
-		Target: "/docs/page00042.html",
-		Size:   34567,
-		Status: 200,
-	}
-	line := FormatCLF(e)
-	got, err := ParseCLF(line)
-	if err != nil {
-		t.Fatalf("ParseCLF(%q): %v", line, err)
-	}
-	// CLF carries second-resolution timestamps.
-	e.Time -= e.Time % core.Second
-	if got != e {
-		t.Errorf("round trip = %+v, want %+v", got, e)
-	}
-}
-
-func TestCLFParseDashSize(t *testing.T) {
-	e, err := ParseCLF(`h - - [01/Oct/1998:00:00:01 +0000] "GET /x HTTP/1.0" 304 -`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Size != 0 || e.Status != 304 {
-		t.Errorf("got %+v", e)
-	}
-}
-
-func TestCLFParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"host",
-		"host - - no timestamp",
-		`h - - [01/Oct/1998:00:00:01 +0000] "GET" 200 5`,
-		`h - - [01/Oct/1998:00:00:01 +0000] "GET /x HTTP/1.0" abc 5`,
-		`h - - [01/Oct/1998:00:00:01 +0000] "GET /x HTTP/1.0" 200 xyz`,
-		`h - - [bad time] "GET /x HTTP/1.0" 200 5`,
-		`h - - [01/Oct/1998:00:00:01 +0000] "GET /x HTTP/1.0`,
-	}
-	for _, line := range bad {
-		if _, err := ParseCLF(line); err == nil {
-			t.Errorf("ParseCLF(%q) accepted malformed input", line)
-		}
-	}
-}
-
-func TestReadCLFSkipsJunk(t *testing.T) {
-	log := `h1 - - [01/Oct/1998:00:00:01 +0000] "GET /a HTTP/1.0" 200 100
-garbage line that is not CLF
-
-h2 - - [01/Oct/1998:00:00:02 +0000] "GET /b HTTP/1.0" 200 200
-`
-	entries, malformed, err := ReadCLF(strings.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || malformed != 1 {
-		t.Errorf("got %d entries, %d malformed; want 2, 1", len(entries), malformed)
-	}
-}
-
-func TestWriteReadCLF(t *testing.T) {
-	entries := []Entry{
-		{Client: "a", Time: 1 * core.Second, Target: "/x", Size: 1, Status: 200},
-		{Client: "b", Time: 2 * core.Second, Target: "/y", Size: 2, Status: 200},
-	}
-	var buf bytes.Buffer
-	if err := WriteCLF(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	got, malformed, err := ReadCLF(&buf)
-	if err != nil || malformed != 0 {
-		t.Fatalf("ReadCLF: %v (%d malformed)", err, malformed)
-	}
-	if !reflect.DeepEqual(got, entries) {
-		t.Errorf("round trip:\ngot  %+v\nwant %+v", got, entries)
-	}
-}
-
-// --- reconstruction heuristics ---
-
-func entry(client string, at core.Micros, target string) Entry {
-	return Entry{Client: client, Time: at, Target: core.Target(target), Size: 100, Status: 200}
-}
-
-func TestReconstructSplitsConnectionsAtIdleTimeout(t *testing.T) {
-	entries := []Entry{
-		entry("c", 0, "/a"),
-		entry("c", 5*core.Second, "/b"),  // same connection (< 15s)
-		entry("c", 25*core.Second, "/c"), // new connection (>= 15s gap)
-	}
-	tr := Reconstruct(entries, DefaultIdleTimeout, DefaultBatchWindow)
-	if len(tr.Conns) != 2 {
-		t.Fatalf("got %d connections, want 2", len(tr.Conns))
-	}
-	if tr.Conns[0].Requests() != 2 || tr.Conns[1].Requests() != 1 {
-		t.Errorf("request split %d/%d, want 2/1",
-			tr.Conns[0].Requests(), tr.Conns[1].Requests())
-	}
-}
-
-func TestReconstructBatching(t *testing.T) {
-	// First request alone; then two requests 100ms apart (one batch);
-	// then, after 2s, another request (new batch).
-	entries := []Entry{
-		entry("c", 0, "/page"),
-		entry("c", 2*core.Second, "/o1"),
-		entry("c", 2*core.Second+100*core.Millisecond, "/o2"),
-		entry("c", 5*core.Second, "/o3"),
-	}
-	tr := Reconstruct(entries, DefaultIdleTimeout, DefaultBatchWindow)
-	if len(tr.Conns) != 1 {
-		t.Fatalf("got %d connections, want 1", len(tr.Conns))
-	}
-	b := tr.Conns[0].Batches
-	if len(b) != 3 {
-		t.Fatalf("got %d batches, want 3 (first alone, pipelined pair, straggler)", len(b))
-	}
-	if len(b[0]) != 1 || b[0][0].Target != "/page" {
-		t.Errorf("batch 0 = %v", b[0])
-	}
-	if len(b[1]) != 2 {
-		t.Errorf("batch 1 has %d requests, want 2", len(b[1]))
-	}
-	if len(b[2]) != 1 || b[2][0].Target != "/o3" {
-		t.Errorf("batch 2 = %v", b[2])
-	}
-}
-
-func TestReconstructDropsErrors(t *testing.T) {
-	entries := []Entry{
-		entry("c", 0, "/a"),
-		{Client: "c", Time: core.Second, Target: "/404", Size: 0, Status: 404},
-	}
-	tr := Reconstruct(entries, DefaultIdleTimeout, DefaultBatchWindow)
-	if tr.Requests() != 1 {
-		t.Errorf("got %d requests, want 1 (non-2xx dropped)", tr.Requests())
-	}
-}
-
-func TestReconstructInterleavedClients(t *testing.T) {
-	entries := []Entry{
-		entry("a", 0, "/a1"),
-		entry("b", 100*core.Millisecond, "/b1"),
-		entry("a", 200*core.Millisecond, "/a2"),
-		entry("b", 300*core.Millisecond, "/b2"),
-	}
-	tr := Reconstruct(entries, DefaultIdleTimeout, DefaultBatchWindow)
-	if len(tr.Conns) != 2 {
-		t.Fatalf("got %d connections, want 2 (one per client)", len(tr.Conns))
-	}
-	for _, c := range tr.Conns {
-		if c.Requests() != 2 {
-			t.Errorf("connection has %d requests, want 2", c.Requests())
-		}
-	}
-}
-
-func TestReconstructUnsortedInput(t *testing.T) {
-	entries := []Entry{
-		entry("c", 2*core.Second, "/b"),
-		entry("c", 0, "/a"),
-	}
-	tr := Reconstruct(entries, DefaultIdleTimeout, DefaultBatchWindow)
-	if len(tr.Conns) != 1 {
-		t.Fatalf("got %d connections", len(tr.Conns))
-	}
-	if tr.Conns[0].Batches[0][0].Target != "/a" {
-		t.Error("reconstruction did not sort by time")
-	}
-}
 
 // --- synthetic generator ---
 
@@ -224,19 +45,6 @@ func TestSynthParallelDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d interned %d targets, serial %d",
 				workers, got.Interner.Len(), ref.Interner.Len())
 		}
-	}
-}
-
-// TestGenerateBothMatchesGenerate pins the stream split: connection draws
-// come from the block streams and timing from the reserved timing stream,
-// so the structured trace is the same with or without entry generation.
-func TestGenerateBothMatchesGenerate(t *testing.T) {
-	cfg := SmallSynthConfig()
-	cfg.Connections = 800
-	_, both := NewSynth(cfg).GenerateBoth()
-	direct := NewSynth(cfg).Generate()
-	if !reflect.DeepEqual(both.Conns, direct.Conns) {
-		t.Error("GenerateBoth's trace differs from Generate's")
 	}
 }
 
@@ -292,47 +100,6 @@ func TestSynthSizesMatchTrace(t *testing.T) {
 	}
 }
 
-// The round-trip property at the heart of the workload path: generating
-// CLF entries and reconstructing them with the paper's heuristics yields
-// the same connection/batch structure the generator intended.
-func TestSynthEntriesReconstructRoundTrip(t *testing.T) {
-	cfg := SmallSynthConfig()
-	cfg.Connections = 500
-	entries, direct := NewSynth(cfg).GenerateBoth()
-	rec := Reconstruct(entries, DefaultIdleTimeout, DefaultBatchWindow)
-
-	if rec.Requests() != direct.Requests() {
-		t.Fatalf("reconstructed %d requests, generated %d", rec.Requests(), direct.Requests())
-	}
-	if len(rec.Conns) != len(direct.Conns) {
-		t.Fatalf("reconstructed %d connections, generated %d", len(rec.Conns), len(direct.Conns))
-	}
-	// Connection order differs (per-client clocks), so compare multisets
-	// of connection shapes.
-	shape := func(tr *Trace) []string {
-		out := make([]string, 0, len(tr.Conns))
-		for _, c := range tr.Conns {
-			var b strings.Builder
-			for _, batch := range c.Batches {
-				for _, r := range batch {
-					b.WriteString(string(r.Target))
-					b.WriteByte(',')
-				}
-				b.WriteByte('|')
-			}
-			out = append(out, b.String())
-		}
-		sort.Strings(out)
-		return out
-	}
-	got, want := shape(rec), shape(direct)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("connection shape mismatch at %d:\ngot  %s\nwant %s", i, got[i], want[i])
-		}
-	}
-}
-
 // --- stats ---
 
 func TestFlatten10(t *testing.T) {
@@ -368,9 +135,8 @@ func TestFlatten10(t *testing.T) {
 	}
 }
 
-// EnsureIDs still interns traces that no generator built, hand-built or
-// reconstructed from a log, in first-appearance order, as the generator's
-// own numbering does.
+// EnsureIDs interns a trace that no generator built in first-appearance
+// order, as the generator's own numbering does.
 func TestEnsureIDsFirstAppearance(t *testing.T) {
 	hand := (&Trace{Conns: []core.Connection{
 		{Batches: []core.Batch{{{Target: "/b"}}, {{Target: "/a"}, {Target: "/b"}}}},
@@ -378,9 +144,8 @@ func TestEnsureIDsFirstAppearance(t *testing.T) {
 	}}).EnsureIDs()
 	cfg := SmallSynthConfig()
 	cfg.Connections = 300
-	entries, gen := NewSynth(cfg).GenerateBoth()
-	rec := Reconstruct(entries, DefaultIdleTimeout, DefaultBatchWindow)
-	for name, tr := range map[string]*Trace{"hand-built": hand, "reconstructed": rec, "generated": gen} {
+	gen := NewSynth(cfg).Generate()
+	for name, tr := range map[string]*Trace{"hand-built": hand, "generated": gen} {
 		next := core.TargetID(1)
 		seen := map[core.Target]core.TargetID{}
 		for _, c := range tr.Conns {
@@ -453,40 +218,6 @@ func TestComputeStatsSkewed(t *testing.T) {
 	}
 }
 
-// Property: reconstruction preserves request counts and never invents
-// targets, for arbitrary well-formed entry streams.
-func TestReconstructPreservesRequests(t *testing.T) {
-	f := func(raw []uint16) bool {
-		entries := make([]Entry, 0, len(raw))
-		for i, r := range raw {
-			entries = append(entries, Entry{
-				Client: string(rune('a' + int(r)%5)),
-				Time:   core.Micros(i) * 700 * core.Millisecond,
-				Target: core.Target(rune('A' + int(r)%11)),
-				Size:   int64(r%1000) + 1,
-				Status: 200,
-			})
-		}
-		tr := Reconstruct(entries, DefaultIdleTimeout, DefaultBatchWindow)
-		if tr.Requests() != len(entries) {
-			return false
-		}
-		for _, c := range tr.Conns {
-			for _, b := range c.Batches {
-				for _, r := range b {
-					if _, ok := tr.Sizes[r.Target]; !ok {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestStatsString pins the Section 6-style rendering: one coverage line
 // per requested point, sizes in MB.
 func TestStatsString(t *testing.T) {
@@ -498,18 +229,6 @@ func TestStatsString(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Stats.String() missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestGenerateEntriesMatchesBoth pins the convenience wrapper to the
-// two-view generator it delegates to.
-func TestGenerateEntriesMatchesBoth(t *testing.T) {
-	cfg := SmallSynthConfig()
-	cfg.Connections = 400
-	entries := NewSynth(cfg).GenerateEntries()
-	both, _ := NewSynth(cfg).GenerateBoth()
-	if !reflect.DeepEqual(entries, both) {
-		t.Error("GenerateEntries differs from GenerateBoth's entries")
 	}
 }
 
