@@ -64,6 +64,7 @@ type gate struct {
 	done  <-chan struct{} // the node's closing; nil for a gate that never closes
 	turn  chan struct{}   // holds one token while the gate is held
 	debt  time.Duration   // guarded by holding the gate
+	asked atomic.Int64    // the modelled µs of every hold asked for
 }
 
 func newGate(scale float64, done <-chan struct{}) gate {
@@ -86,6 +87,7 @@ func (g *gate) use(m core.Micros) {
 	if want <= 0 {
 		return
 	}
+	g.asked.Add(int64(m))
 	select {
 	case g.turn <- struct{}{}:
 	case <-g.done:
@@ -346,6 +348,27 @@ func (b *Backend) serveSession(conn net.Conn) {
 	delete(b.ctrls, s)
 	b.ctrlMu.Unlock()
 	conn.Close()
+	b.endSession(s)
+}
+
+// endSession finishes every connection whose record session s made, as
+// its CLOSE would: the front-end that would send one is gone, or has a new
+// session (AddBackend) and has reset the connections it handed off on the
+// old one. A connection's queued responses are written, then its worker
+// closes its descriptor, and its client sees the end of the stream.
+func (b *Backend) endSession(s *session) {
+	var ended []*beConn
+	b.connMu.Lock()
+	for _, c := range b.conns {
+		if c.from == s {
+			b.pushLocked(c, beReq{kind: kindClose})
+			ended = append(ended, c)
+		}
+	}
+	b.connMu.Unlock()
+	for _, c := range ended {
+		c.q.signal()
+	}
 }
 
 // ctrlLoop consumes control messages from the front-end. A pipelined batch
@@ -366,7 +389,7 @@ func (b *Backend) ctrlLoop(br *bufio.Reader, fds *sessionReader, s *session) {
 		}
 		msg, err := readCtrl(br)
 		if err == nil && msg.Kind == kindHandoff {
-			err = b.adopt(msg.Conn, fds)
+			err = b.adopt(msg.Conn, fds, s)
 		}
 		if err != nil {
 			if queued != nil {
@@ -410,11 +433,11 @@ func lineBuffered(br *bufio.Reader) bool {
 }
 
 // adopt creates handed-off connection id's record around the oldest
-// descriptor the session received, which travels ahead of its HANDOFF
-// line: a HANDOFF that finds none ends the session. The descriptor stays
-// raw (see beConn): adopting it is one fcntl and no allocation. A second
+// descriptor session s received, which travels ahead of its HANDOFF line:
+// a HANDOFF that finds none ends the session. The descriptor stays raw
+// (see beConn): adopting it is one fcntl and no allocation. A second
 // HANDOFF of a live connection leaves the first socket in place.
-func (b *Backend) adopt(id core.ConnID, fds *sessionReader) error {
+func (b *Backend) adopt(id core.ConnID, fds *sessionReader, s *session) error {
 	fd, ok := fds.claim()
 	if !ok {
 		return errors.New("cluster: HANDOFF with no descriptor")
@@ -428,7 +451,7 @@ func (b *Backend) adopt(id core.ConnID, fds *sessionReader) error {
 		syscall.Close(fd)
 		return nil
 	}
-	b.connLocked(id, nil, fd)
+	b.connLocked(id, s, fd)
 	return nil
 }
 

@@ -28,20 +28,29 @@ type fakeFE struct {
 
 func newBackendPair(t *testing.T) (*cluster.Backend, *cluster.Backend, *fakeFE) {
 	t.Helper()
+	return newBackendPairWith(t, func(*cluster.BackendConfig) {})
+}
+
+// newBackendPairWith is newBackendPair with both nodes' configurations
+// passed through set first.
+func newBackendPairWith(t *testing.T, set func(*cluster.BackendConfig)) (*cluster.Backend, *cluster.Backend, *fakeFE) {
+	t.Helper()
 	dir := t.TempDir()
 	catalog := map[core.Target]int64{
 		"/local":  3000,
 		"/remote": 5000,
 	}
 	mk := func(id int) *cluster.Backend {
-		be, err := cluster.NewBackend(cluster.BackendConfig{
+		cfg := cluster.BackendConfig{
 			ID:            core.NodeID(id),
 			Catalog:       catalog,
 			CacheBytes:    1 << 20,
 			Disk:          server.DiskParams{Position: 100, TransferPer512: 1},
 			TimeScale:     100,
 			HandoffSocket: filepath.Join(dir, fmt.Sprintf("be%d.sock", id)),
-		})
+		}
+		set(&cfg)
+		be, err := cluster.NewBackend(cfg)
 		if err != nil {
 			t.Fatalf("backend %d: %v", id, err)
 		}
@@ -155,6 +164,67 @@ func TestBackendLateralFetchProducesRemoteContent(t *testing.T) {
 		t.Errorf("peer store accesses = %d, want 1", h+m)
 	}
 	fe.send("CLOSE 2\n")
+}
+
+// With the CPU model on, each node is charged what the simulator charges
+// it: a forwarded request costs its remote node PerRequest and
+// ForwardPerRequest and its handling node ForwardPerRequest, ForwardRecv
+// and Transmit — PerRequest once, not on both nodes; a handed-off
+// connection costs its node HandoffBE and ConnSetup, then ConnTeardown; a
+// relayed connection costs a back-end PerRequest and Transmit a request
+// and no teardown, which its relaying front-end pays.
+func TestCPUChargesMatchSimulator(t *testing.T) {
+	costs := server.Costs{ConnSetup: 1, ConnTeardown: 2, PerRequest: 4, TransmitPer512: 8,
+		HandoffBE: 16, ForwardPerRequest: 32, ForwardPer512: 64}
+	be0, be1, fe := newBackendPairWith(t, func(cfg *cluster.BackendConfig) {
+		cfg.SimulateCPU, cfg.Costs = true, costs
+	})
+	client := fe.handoff(1)
+	client.SetDeadline(time.Now().Add(20 * time.Second))
+	fe.send("REQ 1 0 HTTP/1.1 1 1 /remote\n") // forwarded: be1 has the content
+	readFullResponse(t, bufio.NewReader(client))
+	fe.send("CLOSE 1\n")
+
+	relay, err := net.Dial("tcp", be1.CtrlAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relay.Close() })
+	relay.SetDeadline(time.Now().Add(20 * time.Second))
+	if _, err := io.WriteString(relay, "RELAY 2\nREQ 2 0 HTTP/1.1 1 - /local\n"); err != nil {
+		t.Fatal(err)
+	}
+	for br := bufio.NewReader(relay); ; {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		if _, err := fmt.Sscanf(line, "RESP 2 0 %d\n", &n); err == nil {
+			if _, err := io.CopyN(io.Discard, br, n); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	if _, err := io.WriteString(relay, "CLOSE 2\n"); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); be0.Conns()+be1.Conns() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d and %d connection records after both CLOSEs", be0.Conns(), be1.Conns())
+		}
+	}
+	handling := costs.HandoffBE + costs.ConnSetup +
+		costs.ForwardPerRequest + costs.ForwardRecv(5000) + costs.Transmit(5000) + costs.ConnTeardown
+	remote := costs.PerRequest + costs.ForwardPerRequest + // the lateral fetch
+		costs.PerRequest + costs.Transmit(3000) // the relayed request
+	if got := be0.CPUAsked(); got != handling {
+		t.Errorf("handling node charged %d µs, want %d", got, handling)
+	}
+	if got := be1.CPUAsked(); got != remote {
+		t.Errorf("remote and relaying node charged %d µs, want %d", got, remote)
+	}
 }
 
 // A miss at the peer (MISS) is a 502 that leaves the fetch connection in

@@ -156,10 +156,10 @@ func (q *reqQueue) reset() {
 //
 // Lifetime: created by the HANDOFF that brings its client socket (or, for a
 // relayed connection, the first control message that names it), with its
-// serve goroutine; retired by that goroutine when the
-// connection's CLOSE has been processed, and only then returned to
-// beConnPool. Every other goroutine reaches a beConn through
-// Backend.conns under connMu and lets go of it before unlocking — except
+// serve goroutine; retired by that goroutine when the connection's CLOSE —
+// or the one its session's end queues (endSession) — has been processed,
+// and only then returned to beConnPool. Every other goroutine reaches a
+// beConn through Backend.conns under connMu and lets go of it before unlocking — except
 // to signal its queue, which is harmless on a record that has moved on —
 // so a recycled record is never written to under its old identity. A connection
 // that failed or was refused stays in the table, shut, until its CLOSE is
@@ -179,6 +179,9 @@ type beConn struct {
 	// sess is a relayed connection's session, the one its RELAY line came
 	// on and its responses go back on; nil for a handed-off connection.
 	sess *session
+	// from is the session whose HANDOFF or RELAY line made the record;
+	// when it ends, so does the connection (Backend.endSession).
+	from *session
 	q    reqQueue
 	// fd is the handed-off client socket's descriptor; -1 for a relayed
 	// connection and once the worker has closed it.
@@ -338,7 +341,18 @@ func tellClosed(s *session, id core.ConnID) {
 func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 	b.connMu.Lock()
 	c := b.connLocked(id, nil, -1)
-	var refused *session
+	refused := b.pushLocked(c, r)
+	b.connMu.Unlock()
+	if refused != nil {
+		tellClosed(refused, id)
+	}
+	return c
+}
+
+// pushLocked queues r on c, refusing c if its queue takes no more, and
+// returns the session to tell of a relayed connection's refusal, or nil.
+// Callers hold connMu.
+func (b *Backend) pushLocked(c *beConn, r beReq) (refused *session) {
 	switch c.q.push(r) {
 	case 0:
 		if c.abort() {
@@ -348,27 +362,27 @@ func (b *Backend) enqueue(id core.ConnID, r beReq) *beConn {
 		if r.kind == kindClose {
 			// The front-end is done with a connection we already gave up on:
 			// its serve goroutine has left or is leaving without retiring it.
-			delete(b.conns, id)
+			delete(b.conns, c.id)
 		}
 	case maxPending:
 		c.clock() // a write waiting now is on the clock
 	}
-	b.connMu.Unlock()
-	if refused != nil {
-		tellClosed(refused, id)
-	}
-	return c
+	return refused
 }
 
 // connLocked returns the connection record, creating it (and starting it
-// on a worker) on first reference: relayed on session sess, or handed off
-// with client socket descriptor fd (-1 for none). Callers hold connMu.
-func (b *Backend) connLocked(id core.ConnID, sess *session, fd int) *beConn {
+// on a worker) on first reference: made by session from (nil for none),
+// handed off with client socket descriptor fd, or relayed on from when fd
+// is -1. Callers hold connMu.
+func (b *Backend) connLocked(id core.ConnID, from *session, fd int) *beConn {
 	if c, ok := b.conns[id]; ok {
 		return c
 	}
 	c := beConnPool.Get().(*beConn)
-	c.id, c.sess, c.fd = id, sess, fd
+	c.id, c.from, c.fd = id, from, fd
+	if fd < 0 {
+		c.sess = from
+	}
 	b.conns[id] = c
 	b.servers.start(c)
 	return c
@@ -398,7 +412,7 @@ func (b *Backend) retire(c *beConn) {
 	b.connMu.Unlock()
 	// Nobody else can reach c any more.
 	c.q.reset()
-	c.id, c.sess = 0, nil
+	c.id, c.sess, c.from = 0, nil, nil
 	beConnPool.Put(c)
 }
 
@@ -448,7 +462,9 @@ func (b *Backend) serveConn(c *beConn, sock *clientSock, pipe *bodyPipe) {
 			continue
 		}
 		if r.kind == kindClose {
-			b.cpu.use(b.cfg.Costs.ConnTeardown)
+			if c.fd >= 0 { // a relaying front-end pays the teardown itself
+				b.cpu.use(b.cfg.Costs.ConnTeardown)
+			}
 			w.flush() // the connection is going away either way
 			b.retire(c)
 			return
@@ -523,8 +539,8 @@ func (b *Backend) serveForwarded(w *respWriter, r beReq) error {
 		// wedging the client connection.
 		return w.respondError(r, 502)
 	}
-	b.cpu.use(costs.PerRequest + costs.ForwardPerRequest +
-		costs.ForwardRecv(size) + costs.Transmit(size))
+	// The request's PerRequest was the remote node's (servePeer).
+	b.cpu.use(costs.ForwardPerRequest + costs.ForwardRecv(size) + costs.Transmit(size))
 	return w.respond(r, size)
 }
 

@@ -17,7 +17,7 @@ import (
 // leave in one write; a body beyond the largest class streams through it
 // in writes of that size. A relay frame owns a chunk for one response, on
 // each node: the back-end writes it into one, and the front-end reads it
-// into one (frameChunk) and keeps it until it is written to the client.
+// into one (readFrame) and keeps it until it is written to the client.
 
 // chunkClasses are the pooled buffer sizes. The smallest covers the
 // response head plus the workload's median bodies (~3-6 KB), the middle
@@ -72,17 +72,33 @@ func newChunkWriter(w io.Writer, hint int64) *chunkWriter {
 	return cw
 }
 
-// frameChunk checks out a chunk for a relayed response frame of n bytes,
-// which it holds as buf[:n]: the smallest class that holds it. A frame
-// past the largest class gets a buffer of its own, which release leaves
-// to the collector.
-func frameChunk(n int) *chunkWriter {
-	if n > chunkClasses[len(chunkClasses)-1] {
-		return &chunkWriter{buf: make([]byte, n), n: n, class: -1}
+// readFrame reads a relayed response frame of n bytes from r into a chunk
+// that holds it as buf[:n]: the smallest class that holds it. A frame past
+// the largest class gets a buffer of its own, which release leaves to the
+// collector, grown as its bytes arrive — each stage at most twice what has
+// arrived — so a frame line that claims more than the back-end sends costs
+// about what it did send, not what it claimed.
+func readFrame(r io.Reader, n int64) (*chunkWriter, error) {
+	largest := int64(chunkClasses[len(chunkClasses)-1])
+	if n <= largest {
+		cw := newChunkWriter(nil, n)
+		cw.n = int(n)
+		if _, err := io.ReadFull(r, cw.buf[:n]); err != nil {
+			cw.release()
+			return nil, err
+		}
+		return cw, nil
 	}
-	cw := newChunkWriter(nil, int64(n))
-	cw.n = n
-	return cw
+	buf := make([]byte, min(n, 2*largest))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(buf); int64(got) == n {
+			return &chunkWriter{buf: buf, n: got, class: -1}, nil
+		}
+		buf = append(buf, make([]byte, min(n, 2*int64(got))-int64(got))...)
+	}
 }
 
 // release returns the writer (and its buffer) to its class pool. It does

@@ -38,13 +38,19 @@ func (fe *FrontEnd) onMembership(n core.NodeID, from, to membership.State) {
 			wake(c.ready)
 		}
 		fe.relayMu.Unlock()
-		fe.socksMu.Lock()
-		for s, node := range fe.socks {
-			if node == n {
-				s.wake(&s.down)
-			}
+		fe.resetHandedTo(n)
+	}
+}
+
+// resetHandedTo wakes every client socket handed off to node n; each one's
+// own goroutine then resets its connection.
+func (fe *FrontEnd) resetHandedTo(n core.NodeID) {
+	fe.socksMu.Lock()
+	defer fe.socksMu.Unlock()
+	for s, node := range fe.socks {
+		if node == n {
+			s.wake(&s.down)
 		}
-		fe.socksMu.Unlock()
 	}
 }
 
@@ -106,7 +112,7 @@ func (fe *FrontEnd) redispatchLost(c *feConn, from int) error {
 			fe.suspect(to)
 			continue
 		}
-		fe.redispatched.Inc()
+		fe.redispatched.Add(1)
 	}
 }
 
@@ -128,17 +134,19 @@ func (fe *FrontEnd) Membership() *membership.Table { return fe.mem }
 
 // Unavailable returns how many client connections were refused with
 // 503 Service Unavailable because no back-end was Up.
-func (fe *FrontEnd) Unavailable() int64 { return fe.unavailable.Value() }
+func (fe *FrontEnd) Unavailable() int64 { return fe.unavailable.Load() }
 
 // Redispatches returns how many in-flight requests were re-sent to a
 // surviving node after their serving node was confirmed Down.
-func (fe *FrontEnd) Redispatches() int64 { return fe.redispatched.Value() }
+func (fe *FrontEnd) Redispatches() int64 { return fe.redispatched.Load() }
 
 // AddBackend (re)connects slot id to the back-end at ep and marks it Up.
 // The slot universe is fixed at construction (FrontEndConfig.Nodes) —
 // elasticity revives a Down or vacant slot with a fresh process, it does
 // not grow per-node arrays. Any previous conns on the slot are torn down
-// first; their read loops drain and exit on their own conns.
+// first; their read loops drain and exit on their own conns. So are the
+// client connections handed off over the old session, which the back-end
+// ends with it (Backend.endSession), as on a Down transition.
 func (fe *FrontEnd) AddBackend(id core.NodeID, ep BackendEndpoints) error {
 	if int(id) < 0 || int(id) >= len(fe.links) {
 		return fmt.Errorf("cluster: backend slot %v out of range [0,%d)", id, len(fe.links))
@@ -148,6 +156,7 @@ func (fe *FrontEnd) AddBackend(id core.NodeID, ep BackendEndpoints) error {
 		return fmt.Errorf("cluster: front-end closed")
 	default:
 	}
+	fe.resetHandedTo(id)
 	link := fe.links[id]
 	link.close()
 	fresh, err := fe.dialRetry(id, ep)

@@ -19,7 +19,6 @@ import (
 	"phttp/internal/dstate"
 	"phttp/internal/httpmsg"
 	"phttp/internal/membership"
-	"phttp/internal/metrics"
 	"phttp/internal/policy"
 )
 
@@ -190,8 +189,8 @@ type FrontEnd struct {
 
 	// unavailable counts connections refused with 503 (no Up back-end);
 	// redispatched counts in-flight requests re-sent after a node death.
-	unavailable  metrics.Counter
-	redispatched metrics.Counter
+	unavailable  atomic.Int64
+	redispatched atomic.Int64
 
 	// lat is the wall-clock per-request latency histogram behind the
 	// /status endpoint, in microseconds from batch completion at the
@@ -222,7 +221,7 @@ type relayReq struct {
 	node  core.NodeID
 	line  []byte // the REQ message, kept for re-dispatch
 	tries int
-	frame *chunkWriter // the response, once it has arrived (frameChunk)
+	frame *chunkWriter // the response, once it has arrived (readFrame)
 }
 
 // NewFrontEnd starts the front-end: it listens for clients on loopback and
@@ -542,11 +541,9 @@ func (fe *FrontEnd) ctrlReadLoop(link *beLink, conn net.Conn) {
 	for {
 		msg, err := readCtrl(br)
 		if err == nil && msg.Kind == kindResp {
-			frame := frameChunk(int(msg.Size))
-			if _, err = io.ReadFull(br, frame.buf[:frame.n]); err == nil {
+			var frame *chunkWriter
+			if frame, err = readFrame(br, msg.Size); err == nil {
 				fe.fileFrame(msg.Conn, msg.Seq, frame)
-			} else {
-				frame.release()
 			}
 		}
 		if err != nil {
@@ -1043,7 +1040,7 @@ const unavailableResponse = "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\
 // (dispatchBatch).
 func (fe *FrontEnd) openConn(c *feConn, first core.Request) error {
 	if !fe.eng.HasUp() {
-		fe.unavailable.Inc()
+		fe.unavailable.Add(1)
 		io.WriteString(c.sock, unavailableResponse)
 		fe.lat.Record(time.Since(c.batchStart).Microseconds())
 		return fmt.Errorf("cluster: no Up back-end")

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
 	"os"
@@ -158,6 +159,83 @@ func TestFrontEndCloseIsBounded(t *testing.T) {
 			}
 			conns = nil
 			settles(t, before, fdsBefore)
+		})
+	}
+}
+
+// When a front-end's session to a back-end ends, the back-end ends the
+// connections handed off over it, as their CLOSE would, and keeps no
+// record, worker or descriptor of them: a keep-alive client that has its
+// response sees the end of the stream, or a reset, at once. The front-end
+// may have closed, and the client learns it then, not when the back-end
+// closes; or it may have re-dialled the slot (AddBackend), which resets
+// the connections handed off over the old session first — else a request
+// for one would go to a back-end that holds no record of it — and serves
+// new connections on the new one. The front-end's idle worker stays then,
+// so the process's goroutines and descriptors are counted only when the
+// front-end has closed.
+func TestSessionEndReleasesHandedOff(t *testing.T) {
+	for _, redial := range []bool{false, true} {
+		t.Run(map[bool]string{false: "front-end closed", true: "slot re-dialled"}[redial], func(t *testing.T) {
+			cfg, tr := testConfig(t, 2, "extlard", core.BEForwarding)
+			cl, err := cluster.Start(cfg)
+			if err != nil {
+				t.Fatalf("start: %v", err)
+			}
+			defer cl.Close()
+			records := func() (n int) {
+				for _, be := range cl.BEs {
+					n += be.Conns()
+				}
+				return n
+			}
+			req := "GET " + string(tr.Conns[0].Batches[0][0].Target) + " HTTP/1.1\r\nHost: c\r\n\r\n"
+			get := func() (net.Conn, *bufio.Reader) {
+				conn, err := net.Dial("tcp", cl.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { conn.Close() })
+				conn.SetDeadline(time.Now().Add(10 * time.Second))
+				if _, err := io.WriteString(conn, req); err != nil {
+					t.Fatal(err)
+				}
+				br := bufio.NewReader(conn)
+				readFullResponse(t, br)
+				return conn, br
+			}
+			before, fdsBefore := runtime.NumGoroutine(), openFDs(t)
+			conn, br := get()
+			if n := records(); n != 1 {
+				t.Fatalf("%d connection records at the back-ends, want the handed-off one", n)
+			}
+
+			if redial {
+				for i, be := range cl.BEs {
+					ep := cluster.BackendEndpoints{Ctrl: be.CtrlAddr(), Handoff: be.HandoffPath()}
+					if err := cl.FE.AddBackend(core.NodeID(i), ep); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				cl.FE.Close()
+			}
+			start := time.Now()
+			conn.SetReadDeadline(start.Add(3 * time.Second))
+			if _, err := br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) || time.Since(start) > 500*time.Millisecond {
+				t.Errorf("the client read %v after %v; want the end of the stream or a reset within 500ms", err, time.Since(start))
+			}
+			conn.Close()
+			for deadline := time.Now().Add(5 * time.Second); records() != 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d connection records at the back-ends after the session ended", records())
+				}
+			}
+			if redial {
+				get() // the new sessions serve
+			} else {
+				settles(t, before, fdsBefore)
+			}
 		})
 	}
 }

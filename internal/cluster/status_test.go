@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -16,6 +18,86 @@ import (
 	"phttp/internal/loadgen"
 	"phttp/internal/metrics"
 )
+
+var promComment = regexp.MustCompile(`^# (HELP|TYPE) ([a-zA-Z_:][a-zA-Z0-9_:]*) (\S.*)$`)
+var promSample = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{([^}]*)\})? (\S+)$`)
+
+// promHist is what checkScrape tracks of one histogram family.
+type promHist struct {
+	le, cum, inf, count float64 // le starts at -Inf, count at -1
+	sawInf, sawSum      bool
+}
+
+// checkScrape checks one text exposition the way a scraper reads it:
+// every line is a HELP or TYPE comment or a `name{labels} value` sample;
+// each family has one HELP and one TYPE, with its samples after the TYPE;
+// each histogram's le bounds strictly increase and end at +Inf, its
+// cumulative counts never decrease, it has a _sum, and its _count equals
+// its +Inf bucket; and the scrape carries at least one histogram.
+func checkScrape(text string) error {
+	comments := map[string]bool{} // "HELP name" and "TYPE name"
+	hists := map[string]*promHist{}
+	for i, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if m := promComment.FindStringSubmatch(line); m != nil {
+			if comments[m[1]+" "+m[2]] {
+				return fmt.Errorf("line %d: second %s for %s", i+1, m[1], m[2])
+			}
+			comments[m[1]+" "+m[2]] = true
+			if m[1] == "TYPE" && m[3] == "histogram" {
+				hists[m[2]] = &promHist{le: math.Inf(-1), count: -1}
+			}
+			continue
+		}
+		m := promSample.FindStringSubmatch(line)
+		if m == nil {
+			return fmt.Errorf("line %d is neither a HELP/TYPE comment nor a sample: %q", i+1, line)
+		}
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			return fmt.Errorf("line %d: value %q: %v", i+1, m[3], err)
+		}
+		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(m[1], "_bucket"), "_sum"), "_count")
+		h := hists[base]
+		if h == nil {
+			if !comments["TYPE "+m[1]] {
+				return fmt.Errorf("line %d: sample of %s before its TYPE", i+1, m[1])
+			}
+			continue
+		}
+		switch suffix := m[1][len(base):]; {
+		case suffix == "_sum":
+			h.sawSum = true
+		case suffix == "_count":
+			h.count = v
+		case h.sawInf:
+			return fmt.Errorf("line %d: %s bucket after +Inf", i+1, base)
+		case v < h.cum:
+			return fmt.Errorf("line %d: %s cumulative count %g after %g", i+1, base, v, h.cum)
+		case m[2] == `le="+Inf"`:
+			h.sawInf, h.inf, h.cum = true, v, v
+		default:
+			le, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(m[2], `le="`), `"`), 64)
+			if err != nil || le <= h.le {
+				return fmt.Errorf("line %d: %s le bound %s does not follow %g", i+1, base, m[2], h.le)
+			}
+			h.le, h.cum = le, v
+		}
+	}
+	for key := range comments {
+		if name := key[len("HELP "):]; !comments["HELP "+name] || !comments["TYPE "+name] {
+			return fmt.Errorf("%s lacks a HELP or a TYPE", name)
+		}
+	}
+	for name, h := range hists {
+		if !h.sawInf || !h.sawSum || h.count != h.inf {
+			return fmt.Errorf("%s: +Inf bucket %v (%g), _sum %v, _count %g", name, h.sawInf, h.inf, h.sawSum, h.count)
+		}
+	}
+	if len(hists) == 0 {
+		return fmt.Errorf("no histogram family")
+	}
+	return nil
+}
 
 // scrapeStatus performs one GET against the front-end's status handler.
 func scrapeStatus(t *testing.T, fe *cluster.FrontEnd) *httptest.ResponseRecorder {
@@ -153,13 +235,64 @@ func TestStatusMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestCheckScrapeRejectsViolations hands checkScrape one scrape per
+// property it enforces, each broken in one place, and a valid one.
+func TestCheckScrapeRejectsViolations(t *testing.T) {
+	const header = "# HELP h x\n# TYPE h histogram\n"
+	const good = `h_bucket{le="0.001"} 2` + "\n" + `h_bucket{le="1"} 4` + "\n" +
+		`h_bucket{le="+Inf"} 4` + "\nh_sum 0.5\nh_count 4\n"
+	const counterHead = "# HELP c x\n# TYPE c counter\n"
+	const counter = counterHead + "c 1\n"
+	cases := []struct{ name, text string }{
+		{"free-form comment", "# scraped\n" + header + good},
+		{"unterminated labels", header + good + counterHead + `c{a="b" 1` + "\n"},
+		{"bad value", header + good + counterHead + "c abc\n"},
+		{"second HELP", "# HELP h y\n" + header + good},
+		{"second TYPE", header + "# TYPE h histogram\n" + good},
+		{"TYPE without HELP", "# TYPE h histogram\n" + good},
+		{"HELP without TYPE", header + good + "# HELP c x\n"},
+		{"sample before TYPE", "c 1\n" + counter + header + good},
+		{"bucket before TYPE", good + header},
+		{"non-monotone buckets", header + `h_bucket{le="1"} 5` + "\n" + `h_bucket{le="2"} 3` + "\n" +
+			`h_bucket{le="+Inf"} 5` + "\nh_sum 1\nh_count 5\n"},
+		{"duplicate bound", header + `h_bucket{le="1"} 2` + "\n" + `h_bucket{le="1"} 2` + "\n" +
+			`h_bucket{le="+Inf"} 2` + "\nh_sum 1\nh_count 2\n"},
+		{"decreasing bound", header + `h_bucket{le="2"} 2` + "\n" + `h_bucket{le="1"} 2` + "\n" +
+			`h_bucket{le="+Inf"} 2` + "\nh_sum 1\nh_count 2\n"},
+		{"missing +Inf", header + `h_bucket{le="1"} 5` + "\nh_sum 1\nh_count 5\n"},
+		{"bucket after +Inf", header + `h_bucket{le="+Inf"} 5` + "\n" + `h_bucket{le="1"} 5` + "\nh_sum 1\nh_count 5\n"},
+		{"+Inf below a bucket", header + `h_bucket{le="1"} 5` + "\n" + `h_bucket{le="+Inf"} 4` + "\nh_sum 1\nh_count 4\n"},
+		{"missing sum", header + `h_bucket{le="+Inf"} 0` + "\nh_count 0\n"},
+		{"count mismatch", header + `h_bucket{le="+Inf"} 5` + "\nh_sum 1\nh_count 7\n"},
+		{"missing count", header + `h_bucket{le="+Inf"} 0` + "\nh_sum 0\n"},
+		{"no histogram family", counter},
+	}
+	for _, tc := range cases {
+		if err := checkScrape(tc.text); err == nil {
+			t.Errorf("%s: checkScrape accepted\n%s", tc.name, tc.text)
+		}
+	}
+	if err := checkScrape(counter + header + good); err != nil {
+		t.Errorf("valid scrape rejected: %v", err)
+	}
+	h := core.NewLatencyHist()
+	for v := int64(1); v < 1<<30; v *= 3 {
+		h.Record(v)
+	}
+	var w metrics.PromWriter
+	w.Counter("a_total", "A.", 1)
+	w.GaugeVec("b", "B.", metrics.LabeledValue{Label: `x="y"`, Value: 2})
+	w.Histogram("c_seconds", "C.", h, 1e-6)
+	if err := checkScrape(w.String()); err != nil {
+		t.Errorf("PromWriter output rejected: %v\n%s", err, w.String())
+	}
+}
+
 // TestStatusExpositionParsesUnderLoad scrapes the status endpoint over
-// real HTTP while the cluster serves traffic and feeds every scrape
-// through the strict exposition parser: each snapshot must be valid
-// scrape input (families headed by HELP/TYPE, well-formed labels and
-// values) and the latency histogram must hold its invariants — monotone
-// cumulative buckets, strictly increasing le bounds, +Inf == _count —
-// even when sampled mid-update.
+// real HTTP while the cluster serves traffic and puts every scrape
+// through checkScrape: each snapshot must be valid scrape input and the
+// latency histogram must hold its invariants even when sampled
+// mid-update.
 func TestStatusExpositionParsesUnderLoad(t *testing.T) {
 	cfg, tr := testConfig(t, 2, "extlard", core.BEForwarding)
 	cl, err := cluster.Start(cfg)
@@ -194,24 +327,8 @@ func TestStatusExpositionParsesUnderLoad(t *testing.T) {
 				t.Errorf("scrape read: %v", err)
 				return
 			}
-			fams, err := metrics.ParseProm(string(body))
-			if err != nil {
-				t.Errorf("scrape %d is not valid exposition: %v\n%s", scrapes.Load(), err, body)
-				return
-			}
-			checkedHist := false
-			for _, f := range fams {
-				if f.Type != "histogram" {
-					continue
-				}
-				checkedHist = true
-				if err := metrics.CheckHistogram(f); err != nil {
-					t.Errorf("scrape %d: %v\n%s", scrapes.Load(), err, body)
-					return
-				}
-			}
-			if !checkedHist {
-				t.Error("exposition carries no histogram family")
+			if err := checkScrape(string(body)); err != nil {
+				t.Errorf("scrape %d: %v\n%s", scrapes.Load(), err, body)
 				return
 			}
 			scrapes.Add(1)

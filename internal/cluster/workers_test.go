@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 	"phttp/internal/dispatch"
 	"phttp/internal/httpmsg"
 	"phttp/internal/membership"
+	"phttp/internal/policy"
 )
 
 // busy is how many of p's workers are running a task.
@@ -383,6 +385,20 @@ func TestRelayedBatchAllocs(t *testing.T) {
 	}
 }
 
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) { clear(p); return len(p), nil }
+
+// frame reads an n-byte frame from zeros.
+func frame(t *testing.T, n int64) *chunkWriter {
+	cw, err := readFrame(zeros{}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cw
+}
+
 // A frame the front-end drops — for a connection gone, or a second one for
 // a request that holds one already — goes back to its class pool: frames
 // dropped one after another reuse one chunk. A frame past the largest
@@ -394,17 +410,71 @@ func TestDroppedFramesReturnToPool(t *testing.T) {
 	fe := &FrontEnd{relays: make(map[core.ConnID]*feConn)}
 	c := &feConn{id: 1, relayed: map[int]*relayReq{0: {}}, ready: make(chan struct{}, 1)}
 	fe.relays[c.id] = c
-	fe.fileFrame(c.id, 0, frameChunk(100))
+	fe.fileFrame(c.id, 0, frame(t, 100))
 	for _, tc := range []struct {
 		name string
 		id   core.ConnID
 	}{{"connection gone", 2}, {"second frame", 1}} {
-		fe.fileFrame(tc.id, 0, frameChunk(5000)) // warm
-		if n := testing.AllocsPerRun(100, func() { fe.fileFrame(tc.id, 0, frameChunk(5000)) }); n != 0 {
+		fe.fileFrame(tc.id, 0, frame(t, 5000)) // warm
+		if n := testing.AllocsPerRun(100, func() { fe.fileFrame(tc.id, 0, frame(t, 5000)) }); n != 0 {
 			t.Errorf("%s: %.2f allocations per dropped frame, want 0", tc.name, n)
 		}
 	}
-	if big := frameChunk(chunkClasses[len(chunkClasses)-1] + 1); big.class >= 0 || len(big.buf) != big.n {
-		t.Errorf("a frame past the largest class got class %d, %d bytes for %d", big.class, len(big.buf), big.n)
+	for _, n := range []int{64<<10 + 1, 1 << 20, 3<<20 + 7} {
+		data := make([]byte, n+1) // and the first byte of what follows
+		for i := range data {
+			data[i] = byte(i % 251)
+		}
+		r := bytes.NewReader(data)
+		big, err := readFrame(r, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if big.class >= 0 || !bytes.Equal(big.buf[:big.n], data[:n]) || r.Len() != 1 {
+			t.Errorf("a %d-byte frame: class %d, %d bytes, %d left unread", n, big.class, big.n, r.Len())
+		}
+	}
+}
+
+// A RESP line that claims more than its back-end sends costs the
+// front-end about what did arrive: a relaying back-end that claims a
+// 64 MB frame and closes ends its session, and so turns Suspect, with far
+// less than the claim allocated.
+func TestFrameClaimIsNotAllocated(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	fe, err := NewFrontEnd(FrontEndConfig{
+		Nodes: 1, Policy: "wrr", Mechanism: core.RelayFrontEnd,
+		Params: policy.DefaultParams(), CacheBytes: 1 << 20,
+		IdleTimeout: time.Minute, HeartbeatTimeout: time.Minute,
+	}, []BackendEndpoints{{Ctrl: ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fe.Close)
+	sess := <-accepted
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := io.WriteString(sess, "RESP 1 0 67108864\nHTTP/1.1 200 OK\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	for deadline := time.Now().Add(10 * time.Second); fe.mem.State(0) != membership.Suspect; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node is %v after its session ended, want Suspect", fe.mem.State(0))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("a 64 MB frame claim with 19 bytes behind it allocated %d bytes, want under 1 MB", grew)
 	}
 }

@@ -1,138 +1,13 @@
-// Package metrics provides the light-weight counters, histograms and series
-// formatting shared by the simulator, the prototype cluster and the
-// benchmark harness.
+// Package metrics renders what the repository reports: the front-end's
+// Prometheus text exposition (/status) and the figures' series, as
+// tab-separated tables and ASCII plots.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomically updated instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by d and returns the new value.
-func (g *Gauge) Add(d int64) int64 { return g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Histogram is a concurrency-safe log-bucketed histogram of non-negative
-// int64 samples (e.g. response latencies in microseconds).
-type Histogram struct {
-	mu      sync.Mutex
-	buckets [64]int64 // bucket i holds samples with bit length i
-	count   int64
-	sum     int64
-	min     int64
-	max     int64
-}
-
-// Observe records one sample; negative samples are clamped to zero.
-func (h *Histogram) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	h.buckets[bits64(v)]++
-}
-
-func bits64(v int64) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the sample mean (0 with no samples).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Min and Max return the extreme samples (0 with no samples).
-func (h *Histogram) Min() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-func (h *Histogram) Max() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile returns an upper bound for the q-quantile (q in [0,1]) based on
-// bucket boundaries.
-func (h *Histogram) Quantile(q float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	want := int64(math.Ceil(q * float64(h.count)))
-	if want <= 0 {
-		want = 1
-	}
-	var seen int64
-	for i, b := range h.buckets {
-		seen += b
-		if seen >= want {
-			if i == 0 {
-				return 0
-			}
-			return (int64(1) << uint(i)) - 1
-		}
-	}
-	return h.max
-}
 
 // Series is a named sequence of (x, y) points, one per measurement sweep,
 // used to print the paper's figures as tab-separated tables.

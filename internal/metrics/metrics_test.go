@@ -2,82 +2,8 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
-
-func TestCounterAndGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Counter = %d, want 5", c.Value())
-	}
-	var g Gauge
-	g.Set(10)
-	if g.Add(-3) != 7 || g.Value() != 7 {
-		t.Errorf("Gauge = %d, want 7", g.Value())
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Errorf("Counter = %d, want 8000", c.Value())
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	var h Histogram
-	for _, v := range []int64{1, 2, 4, 8, 1000} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Errorf("Min/Max = %d/%d", h.Min(), h.Max())
-	}
-	if got := h.Mean(); got != 203 {
-		t.Errorf("Mean = %v, want 203", got)
-	}
-	if h.Quantile(1.0) < 1000 {
-		t.Errorf("Quantile(1.0) = %d, want >= 1000", h.Quantile(1.0))
-	}
-	if h.Quantile(0.0) > 1 {
-		t.Errorf("Quantile(0) = %d", h.Quantile(0))
-	}
-	med := h.Quantile(0.5)
-	if med < 2 || med > 7 {
-		t.Errorf("median bound = %d, want in [2,7]", med)
-	}
-}
-
-func TestHistogramNegativeClamped(t *testing.T) {
-	var h Histogram
-	h.Observe(-5)
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Error("negative sample not clamped")
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Error("empty histogram should report zeros")
-	}
-}
 
 func TestSeriesTable(t *testing.T) {
 	a := &Series{Name: "a"}
